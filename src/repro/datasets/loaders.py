@@ -11,10 +11,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List
 
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, GraphError
 from repro.graph.builders import aggregate_records
 from repro.graph.stream import EdgeRecord, read_edge_records, write_edge_records
-from repro.graph.windows import GraphSequence
+from repro.graph.windows import GraphSequence, bucket_records
 
 
 def save_graph_sequence_csv(sequence: GraphSequence, path: str | Path) -> int:
@@ -49,12 +49,9 @@ def load_graph_sequence_csv(
     records = read_edge_records(path, errors=errors)
     if not records:
         raise DatasetError(f"{path}: no records found")
-    indices = [record.time for record in records]
-    if any(index != int(index) or index < 0 for index in indices):
-        raise DatasetError(f"{path}: time field must hold non-negative window indices")
-    num_windows = int(max(indices)) + 1
-    buckets: List[List[EdgeRecord]] = [[] for _ in range(num_windows)]
-    for record in records:
-        buckets[int(record.time)].append(record)
+    try:
+        buckets = bucket_records(records)
+    except GraphError as exc:
+        raise DatasetError(f"{path}: time field must hold non-negative window indices") from exc
     graphs = [aggregate_records(bucket, bipartite=bipartite) for bucket in buckets]
     return GraphSequence(graphs=graphs)

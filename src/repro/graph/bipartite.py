@@ -11,7 +11,8 @@ bipartite.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set
+from operator import itemgetter
+from typing import FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.comm_graph import CommGraph
@@ -102,6 +103,23 @@ class BipartiteGraph(CommGraph):
         self._left.add(src)
         self._right.add(dst)
         super().set_edge_weight(src, dst, weight)
+
+    def _load_aggregated(
+        self,
+        weights: Mapping[Tuple[NodeId, NodeId], Weight],
+        total_weight: float,
+        num_records: int,
+    ) -> bool:
+        # Sets filled in edge first-occurrence order, as add_edge fills them.
+        left = set(map(itemgetter(0), weights))
+        right = set(map(itemgetter(1), weights))
+        if not left.isdisjoint(right):
+            # An orientation violation or a self-loop: only the per-record
+            # path knows which record raises, and a lone self-loop does not.
+            return False
+        super()._load_aggregated(weights, total_weight, num_records)
+        self._left, self._right = left, right
+        return True
 
     def remove_node(self, node: NodeId) -> None:
         super().remove_node(node)

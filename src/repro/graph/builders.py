@@ -9,13 +9,13 @@ of work.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Type
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
 from repro.graph.stream import EdgeRecord
-from repro.types import WeightedEdge
+from repro.types import NodeId, Weight, WeightedEdge
 
 
 def aggregate_records(
@@ -27,11 +27,48 @@ def aggregate_records(
     Every record contributes its ``weight`` to edge ``(src, dst)``.  With
     ``bipartite=True``, a :class:`BipartiteGraph` is built and the records
     must respect the V1 -> V2 orientation.
+
+    The result is exactly what one ``add_edge`` call per record builds
+    (the reference loop below): node and row orders, bitwise weights,
+    ``total_weight``, version and partition sets.  The batch path sums
+    each edge once per record in a dict, then writes the graph per
+    distinct edge.  Inputs it cannot shortcut exactly — a zero, negative
+    or NaN weight, or on a bipartite graph a node on both sides — take the
+    reference loop, so they fail or succeed as before.
     """
+    if not isinstance(records, (list, tuple)):
+        records = list(records)
     graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
-    for record in records:
-        graph.add_edge(record.src, record.dst, record.weight)
+    summed = _sum_edge_weights(records)
+    if summed is None or not graph._load_aggregated(*summed, len(records)):
+        for record in records:
+            graph.add_edge(record.src, record.dst, record.weight)
     return graph
+
+
+def _sum_edge_weights(
+    records: Sequence[EdgeRecord],
+) -> Optional[Tuple[Dict[Tuple[NodeId, NodeId], Weight], float]]:
+    """Per-edge weight sums (keyed in first-occurrence order) and the total,
+    each accumulated in record order from ``0.0`` as ``add_edge`` does;
+    ``None`` when some record's weight is not positive."""
+    weights: Dict[Tuple[NodeId, NodeId], Weight] = {}
+    get = weights.get
+    total = 0.0
+    try:
+        for record in records:
+            weight = record.weight
+            # 0.0, not 0: the interpreter's float-float compare is faster.
+            if not weight > 0.0:
+                return None
+            key = (record.src, record.dst)
+            weights[key] = get(key, 0.0) + weight
+            total += weight
+    except TypeError:
+        # An unorderable weight or an unhashable label: the reference
+        # loop raises it.
+        return None
+    return weights, total
 
 
 def graph_from_edges(

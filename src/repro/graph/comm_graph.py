@@ -245,6 +245,34 @@ class CommGraph:
         del self._in[node]
         self._bump_version()
 
+    def _load_aggregated(
+        self,
+        weights: Mapping[Tuple[NodeId, NodeId], Weight],
+        total_weight: float,
+        num_records: int,
+    ) -> bool:
+        """Write pre-summed edge weights (keyed in first-occurrence order)
+        into this empty graph, exactly as ``add_edge`` once per record of
+        ``num_records`` would have: same node and row orders, weights and
+        version.  Returns whether it loaded (see :class:`BipartiteGraph`).
+        """
+        out, into = self._out, self._in
+        for (src, dst), weight in weights.items():
+            row = out.get(src)
+            if row is None:
+                row = out[src] = {}
+                into[src] = {}
+            if dst not in out:
+                out[dst] = {}
+                into[dst] = {}
+            row[dst] = weight
+            into[dst][src] = weight
+        self._num_edges = len(weights)
+        self._total_weight = total_weight
+        # add_edge bumps once per record and add_node once per new node.
+        self._version = len(out) + num_records
+        return True
+
     def _remove_edge_entry(self, src: NodeId, dst: NodeId, weight: Weight) -> None:
         self._journal_edge(src, dst)
         del self._out[src][dst]
@@ -327,6 +355,14 @@ class CommGraph:
     def in_strength(self, node: NodeId) -> Weight:
         """Total incoming volume ``sum_u C[u, node]``."""
         return sum(self.in_neighbors(node).values())
+
+    def senders(self) -> List[NodeId]:
+        """Nodes with positive total outgoing volume, in insertion order.
+
+        The signature owners of a window; visits only nodes that have
+        out-edges, so it costs the senders, not all of ``V``.
+        """
+        return [node for node, row in self._out.items() if row and sum(row.values()) > 0]
 
     def edge_weights(self) -> List[Weight]:
         """All edge weights as a list (the paper's global weight distribution)."""

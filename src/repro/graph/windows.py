@@ -20,9 +20,12 @@ Two construction paths exist:
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
@@ -31,6 +34,8 @@ from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
 from repro.types import NodeId, Weight
+
+_TIME = operator.attrgetter("time")
 
 
 def window_index_of(time: float, start: float, width: float) -> int:
@@ -55,6 +60,90 @@ def window_index_of(time: float, start: float, width: float) -> int:
     while start + (index + 1) * width <= time:
         index += 1
     return index
+
+
+def record_times(records: Sequence[EdgeRecord]) -> np.ndarray:
+    """The records' ``time`` fields as one float64 array."""
+    return np.fromiter(map(_TIME, records), dtype=np.float64, count=len(records))
+
+
+def window_indices(times: np.ndarray, start: float, width: float) -> np.ndarray:
+    """:func:`window_index_of` of every time in ``times``, as an int64 array.
+
+    Element for element the same float evaluation — the quotient guess,
+    then the corrections against the float-evaluated boundaries
+    ``start + i*width`` — so every index equals the scalar function's.
+    """
+    if width <= 0:
+        return np.zeros(len(times), dtype=np.int64)
+    quotient = (times - start) / width
+    finite = np.isfinite(quotient)
+    if not finite.all():
+        # int() of a NaN or infinite quotient: raise the scalar error.
+        window_index_of(float(times[~finite][0]), start, width)
+    index = quotient.astype(np.int64)  # truncates toward zero, as int()
+    while True:
+        over = (index > 0) & (start + index * width > times)
+        if not over.any():
+            break
+        index[over] -= 1
+    while True:
+        under = start + (index + 1) * width <= times
+        if not under.any():
+            break
+        index[under] += 1
+    return index
+
+
+def bucket_records(
+    records: Sequence[EdgeRecord],
+    num_windows: int | None = None,
+    window_length: float | None = None,
+) -> List[List[EdgeRecord]]:
+    """Split records into consecutive time windows, in record order.
+
+    ``num_windows`` splits the observed time span into equal-width
+    windows; ``window_length`` cuts fixed-length windows from the earliest
+    time.  Records on a boundary go to the later window (by
+    :func:`window_index_of`), except the final boundary, which closes the
+    last window.  With neither given, times must be non-negative integer
+    window indices (the interchange convention) and bucket ``i`` holds the
+    records at time ``i``; gaps give empty buckets.  An empty input gives
+    no buckets.
+    """
+    if num_windows is not None and window_length is not None:
+        raise GraphError("specify at most one of num_windows or window_length")
+    if not records:
+        return []
+    if not isinstance(records, list):
+        records = list(records)
+    times = record_times(records)
+    if num_windows is None and window_length is None:
+        if not (np.isfinite(times) & (times >= 0) & (times == np.floor(times))).all():
+            raise GraphError("record times must be non-negative integer window indices")
+        start, width, count = 0.0, 1.0, int(times.max()) + 1
+    else:
+        start, end = float(times.min()), float(times.max())
+        span = end - start
+        if num_windows is not None:
+            if num_windows < 1:
+                raise GraphError(f"num_windows must be >= 1, got {num_windows}")
+            count = num_windows
+            width = span / count if span > 0 else 1.0
+        else:
+            assert window_length is not None
+            if window_length <= 0:
+                raise GraphError(f"window_length must be positive, got {window_length}")
+            width = window_length
+            count = max(1, math.ceil(span / width)) if span > 0 else 1
+    index = np.minimum(window_indices(times, start, width), count - 1)
+    if np.all(index[1:] >= index[:-1]):
+        # A time-ordered trace: every window is one slice of it.
+        bounds = np.searchsorted(index, np.arange(count + 1)).tolist()
+        return [records[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    order = np.argsort(index, kind="stable")
+    bounds = np.searchsorted(index[order], np.arange(count + 1)).tolist()
+    return [[records[i] for i in order[lo:hi].tolist()] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -290,30 +379,8 @@ def _bucketize(
         raise GraphError("specify exactly one of num_windows or window_length")
     if not records:
         raise GraphError("cannot window an empty record trace")
-
-    times = [record.time for record in records]
-    start, end = min(times), max(times)
-    span = end - start
-
-    if num_windows is not None:
-        if num_windows < 1:
-            raise GraphError(f"num_windows must be >= 1, got {num_windows}")
-        count = num_windows
-        width = span / count if span > 0 else 1.0
-    else:
-        assert window_length is not None
-        if window_length <= 0:
-            raise GraphError(f"window_length must be positive, got {window_length}")
-        width = window_length
-        count = max(1, math.ceil(span / width)) if span > 0 else 1
-
-    buckets: List[List[EdgeRecord]] = [[] for _ in range(count)]
-    for record in records:
-        index = window_index_of(record.time, start, width)
-        index = min(index, count - 1)
-        buckets[index].append(record)
-    labels = [f"window-{i}" for i in range(count)]
-    return buckets, labels
+    buckets = bucket_records(records, num_windows, window_length)
+    return buckets, [f"window-{i}" for i in range(len(buckets))]
 
 
 def split_records_into_windows(

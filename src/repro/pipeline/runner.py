@@ -26,21 +26,22 @@ package models:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
-from repro.exceptions import CheckpointError, ErrorBudgetExceeded, PipelineError
+from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, ReadReport
-from repro.graph.windows import SlidingWindowAggregator, window_index_of
+from repro.graph.windows import SlidingWindowAggregator, bucket_records, record_times
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.types import NodeId
 from repro.pipeline.report import (
@@ -59,6 +60,17 @@ from repro.streaming.stream_schemes import (
 
 #: Hook signature: called after each window is checkpointed.
 WindowHook = Callable[[int, WindowReport], None]
+
+
+def _canonical_order(records: List[EdgeRecord]) -> List[EdgeRecord]:
+    """The window's records sorted: float aggregation is order-sensitive, so
+    this makes the output invariant to delivery order (and byte-stable
+    across resumes).  Records sort by time first, so when times strictly
+    increase the sort is the identity and is skipped."""
+    times = record_times(records)
+    if np.all(times[1:] > times[:-1]):
+        return records
+    return sorted(records)
 
 
 @dataclass
@@ -383,7 +395,13 @@ class SignaturePipeline:
                 ],
             )
         self._enforce_error_budget(read_report)
-        buckets = self._split_into_windows(read_report)
+        try:
+            buckets = bucket_records(
+                read_report, self.config.num_windows, self.config.window_length
+            )
+        except GraphError as exc:
+            # The config is validated, so this is the window-index check.
+            raise PipelineError(f"without num_windows/window_length, {exc}") from exc
 
         replayed_modes: List[str] = []
         if resume:
@@ -481,39 +499,6 @@ class SignaturePipeline:
                 read_report.num_rejected, read_report.num_seen, budget
             )
 
-    def _split_into_windows(self, records: Sequence[EdgeRecord]) -> List[List[EdgeRecord]]:
-        if not records:
-            return []
-        config = self.config
-        times = [record.time for record in records]
-        start, end = min(times), max(times)
-        if config.num_windows is not None or config.window_length is not None:
-            span = end - start
-            if config.num_windows is not None:
-                count = config.num_windows
-                width = span / count if span > 0 else 1.0
-            else:
-                width = float(config.window_length)  # type: ignore[arg-type]
-                count = max(1, math.ceil(span / width)) if span > 0 else 1
-            buckets: List[List[EdgeRecord]] = [[] for _ in range(count)]
-            for record in records:
-                # Boundary-safe bucketing (same helper as graph.windows):
-                # naive int((t-start)/width) can round a boundary record
-                # into the earlier window.
-                index = window_index_of(record.time, start, width)
-                buckets[min(index, count - 1)].append(record)
-            return buckets
-        # Interchange convention: times are integer window indices.
-        if any(t != int(t) or t < 0 for t in times):
-            raise PipelineError(
-                "without num_windows/window_length, record times must be "
-                "non-negative integer window indices"
-            )
-        buckets = [[] for _ in range(int(end) + 1)]
-        for record in records:
-            buckets[int(record.time)].append(record)
-        return buckets
-
     # ------------------------------------------------------------------
     # Resume
     # ------------------------------------------------------------------
@@ -579,11 +564,11 @@ class SignaturePipeline:
             aggregator=SlidingWindowAggregator(bipartite=self.config.bipartite)
         )
         for index in range(start_window):
-            state.aggregator.advance(sorted(buckets[index]))
+            state.aggregator.advance(_canonical_order(buckets[index]))
         if start_window and replayed_modes[-1] == MODE_EXACT:
             graph = state.aggregator.graph
             state.previous = scheme.compute_all(
-                graph, self._population(graph), **self._compute_kwargs()
+                graph, graph.senders(), **self._compute_kwargs()
             )
         return state
 
@@ -643,10 +628,7 @@ class SignaturePipeline:
         inc: Optional[_IncrementalState] = None,
     ) -> Tuple[WindowReport, Dict[str, Signature]]:
         started = self._clock()
-        # Canonicalise arrival order: records are a multiset per window, but
-        # float aggregation is order-sensitive, so sorting makes the output
-        # invariant to out-of-order delivery (and byte-stable across resumes).
-        records = sorted(records)
+        records = _canonical_order(records)
         delta: Optional[WindowDelta] = None
         if inc is not None:
             # Advance G_t -> G_{t+1} by the arriving records only; the
@@ -743,10 +725,6 @@ class SignaturePipeline:
             signatures,
         )
 
-    def _population(self, graph: CommGraph) -> List[NodeId]:
-        """Owners to compute signatures for: nodes that sent anything."""
-        return [node for node in graph.nodes() if graph.out_strength(node) > 0]
-
     def _compute_exact_incremental(
         self,
         graph: CommGraph,
@@ -761,7 +739,7 @@ class SignaturePipeline:
         every scheme, and required for reuse); the deadline is checked
         after the batch rather than per-node.
         """
-        population = self._population(graph)
+        population = graph.senders()
         use_delta = delta if inc.previous is not None else None
         registry = obs.get_registry()
         dirty_before = registry.counter_value(
@@ -814,12 +792,12 @@ class SignaturePipeline:
         deadline = self.config.window_deadline
         kwargs = self._compute_kwargs()
         if kwargs and scheme.partition_batch_safe(graph):
-            raw = scheme.compute_all(graph, self._population(graph), **kwargs)
+            raw = scheme.compute_all(graph, graph.senders(), **kwargs)
             if deadline is not None and self._clock() - started > deadline:
                 return None
             return {str(node): signature for node, signature in raw.items()}
         signatures: Dict[str, Signature] = {}
-        for node in self._population(graph):
+        for node in graph.senders():
             if deadline is not None and self._clock() - started > deadline:
                 return None
             signatures[str(node)] = scheme.compute(graph, node)

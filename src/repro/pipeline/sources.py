@@ -11,6 +11,7 @@ audit that the error-budget check consumes.
 from __future__ import annotations
 
 import abc
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, List, Sequence
 
@@ -85,6 +86,9 @@ class IterableRecordSource(RecordSource):
         self.errors = errors
 
     def read(self) -> ReadReport:
+        if all(map(isinstance, self._items, repeat(EdgeRecord))):
+            # Nothing to coerce or reject.
+            return ReadReport(self._items, policy=self.errors)
         accepted: List[EdgeRecord] = []
         rejected: List[RejectedRow] = []
         for index, item in enumerate(self._items):

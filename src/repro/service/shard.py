@@ -128,7 +128,7 @@ class ShardEngine:
         delta = self.aggregator.advance(records)
         graph = self.aggregator.graph
         use_delta = delta if (self._previous_raw is not None and self.window >= 0) else None
-        population = [node for node in graph.nodes() if graph.out_strength(node) > 0]
+        population = graph.senders()
         raw = self.scheme.compute_all(
             graph,
             population,
@@ -234,9 +234,7 @@ class ShardEngine:
                 raw: Dict[NodeId, Signature] = dict(signatures)
             else:
                 use_delta = delta if (self._previous_raw is not None and offset > 0) else None
-                population = [
-                    node for node in graph.nodes() if graph.out_strength(node) > 0
-                ]
+                population = graph.senders()
                 raw = self.scheme.compute_all(
                     graph,
                     population,

@@ -210,27 +210,34 @@ class ShardSupervisor:
         every shard advances even on an empty sub-bucket so windows stay in
         lockstep.  Shard failures are contained — one shard crashing,
         degrading or going down never blocks the others.
+
+        :attr:`window` names the new window only once every shard has
+        applied the bucket or failed on it, so a concurrent reader never
+        labels the previous window's signatures with the new index.
         """
-        self.window += 1
+        window = self.window + 1
         routed: Dict[int, List[EdgeRecord]] = {
             state.shard_id: [] for state in self.shards
         }
         for record in bucket:
             routed[self.shard_for(record.src)].append(record)
-        for state in self.shards:
-            sub = routed[state.shard_id]
-            # Acknowledge durability first: once logged, the records survive
-            # any engine crash below (the rebuild replays the log).
-            state.buckets.append(list(sub))
-            self._advance_sketch(state, sub)
-            self._advance_engine(state, sub)
+        try:
+            for state in self.shards:
+                sub = routed[state.shard_id]
+                # Acknowledge durability first: once logged, the records
+                # survive any engine crash below (the rebuild replays the log).
+                state.buckets.append(list(sub))
+                self._advance_sketch(state, sub, window)
+                self._advance_engine(state, sub, window)
+        finally:
+            self.window = window
 
-    def _advance_sketch(self, state: ShardState, sub: List[EdgeRecord]) -> None:
+    def _advance_sketch(self, state: ShardState, sub: List[EdgeRecord], window: int) -> None:
         if state.health == HEALTH_DOWN:
             return
         try:
             if state.injector is not None:
-                state.injector.on_sketch(state.shard_id, self.window)
+                state.injector.on_sketch(state.shard_id, window)
             state.sketch.advance(sub)
         except Exception as error:  # noqa: BLE001 - escalation, not masking
             state.health = HEALTH_DOWN
@@ -239,22 +246,22 @@ class ShardSupervisor:
                 "service.shard.down",
                 level="error",
                 shard=state.shard_id,
-                window=self.window,
+                window=window,
                 error=str(error),
             )
             state.registry.counter("shard.down_transitions").inc()
 
-    def _advance_engine(self, state: ShardState, sub: List[EdgeRecord]) -> None:
+    def _advance_engine(self, state: ShardState, sub: List[EdgeRecord], window: int) -> None:
         if state.health == HEALTH_DOWN:
             return
         if state.engine is None:
             # Previously demoted: try one opportunistic rebuild per window,
             # so clearing the underlying fault heals the shard.
-            self._try_restart(state, opportunistic=True)
+            self._try_restart(state, opportunistic=True, window=window)
             return
         try:
             if state.injector is not None:
-                state.injector.on_apply(state.shard_id, self.window)
+                state.injector.on_apply(state.shard_id, window)
             state.engine.apply(sub)
         except Exception as error:  # noqa: BLE001 - supervised restart below
             state.last_error = str(error)
@@ -262,14 +269,22 @@ class ShardSupervisor:
                 "service.shard.crashed",
                 level="error",
                 shard=state.shard_id,
-                window=self.window,
+                window=window,
                 error=str(error),
             )
             state.registry.counter("shard.crashes").inc()
-            self._try_restart(state, opportunistic=False)
+            self._try_restart(state, opportunistic=False, window=window)
 
-    def _try_restart(self, state: ShardState, opportunistic: bool) -> None:
-        """Rebuild the shard engine under the retry policy; demote on failure."""
+    def _try_restart(
+        self, state: ShardState, opportunistic: bool, window: Optional[int] = None
+    ) -> None:
+        """Rebuild the shard engine under the retry policy; demote on failure.
+
+        ``window`` labels the events: the window being closed, by default
+        the current one (an administrative heal).
+        """
+        if window is None:
+            window = self.window
 
         def attempt() -> ShardEngine:
             state.restarts += 1
@@ -327,7 +342,7 @@ class ShardSupervisor:
                     "service.shard.degraded",
                     level="error",
                     shard=state.shard_id,
-                    window=self.window,
+                    window=window,
                     error=str(error),
                 )
                 state.registry.counter("shard.degradations").inc()
@@ -338,7 +353,7 @@ class ShardSupervisor:
                 "service.shard.recovered",
                 level="info",
                 shard=state.shard_id,
-                window=self.window,
+                window=window,
             )
         state.health = HEALTH_HEALTHY
         state.registry.counter("shard.restarts").inc()
@@ -346,7 +361,7 @@ class ShardSupervisor:
             "service.shard.restarted",
             level="info",
             shard=state.shard_id,
-            window=self.window,
+            window=window,
         )
 
     # ------------------------------------------------------------------
@@ -391,7 +406,13 @@ class ShardSupervisor:
         return HEALTH_HEALTHY
 
     def status(self) -> Dict:
-        """Per-shard health/breaker/window snapshot for ``/status``."""
+        """Per-shard health/breaker/window snapshot for ``/status``.
+
+        A shard's window is capped at the published :attr:`window`, so a
+        snapshot taken mid-close never shows every shard past the window it
+        reports: a poller that sees all shards at ``w`` also sees ``w``.
+        """
+        published = self.window
         shards = []
         for state in self.shards:
             breaker_state = state.breaker.state
@@ -403,7 +424,10 @@ class ShardSupervisor:
                     "shard": state.shard_id,
                     "health": self.shard_health(state),
                     "breaker": breaker_state,
-                    "window": state.engine.window if state.engine else state.sketch.window,
+                    "window": min(
+                        published,
+                        state.engine.window if state.engine else state.sketch.window,
+                    ),
                     "exact_nodes": len(state.engine.signatures) if state.engine else 0,
                     "records_ingested": state.records_ingested(),
                     "restarts": state.restarts,
@@ -411,7 +435,7 @@ class ShardSupervisor:
                 }
             )
         return {
-            "window": self.window,
+            "window": published,
             "num_shards": len(self.shards),
             "shards": shards,
         }

@@ -71,6 +71,36 @@ class TestIterableRecordSource:
         assert report.num_rejected == 1
         assert report.rejected[0].line_number == 1
 
+    MIXED = [
+        EdgeRecord(time=0.0, src="a", dst="b"),
+        ("nope", "a", "b", 1.0),
+        EdgeRecord(time=1.0, src="b", dst="c", weight=2.0),
+        (2.0, "c", "d", 3.0),
+        (3.0, "d"),
+        EdgeRecord(time=4.0, src="d", dst="e"),
+    ]
+
+    def test_records_only_are_returned_as_given(self):
+        records = [item for item in self.MIXED if isinstance(item, EdgeRecord)]
+        report = IterableRecordSource(records, errors="skip").read()
+        assert list(report) == records
+        assert report.num_rejected == 0 and report.policy == "skip"
+
+    def test_mixed_items_still_rejected_under_strict(self):
+        with pytest.raises(DatasetError, match="^record 1: "):
+            IterableRecordSource(self.MIXED).read()
+
+    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
+    def test_mixed_items_rejected_with_their_positions(self, policy):
+        report = IterableRecordSource(self.MIXED, errors=policy).read()
+        assert [row.line_number for row in report.rejected] == [1, 4]
+        assert list(report) == [
+            self.MIXED[0],
+            self.MIXED[2],
+            EdgeRecord(time=2.0, src="c", dst="d", weight=3.0),
+            self.MIXED[5],
+        ]
+
     def test_negative_weight_is_rejected_not_fatal_under_skip(self):
         source = IterableRecordSource([(0.0, "a", "b", -3.0)], errors="skip")
         report = source.read()

@@ -1,7 +1,11 @@
 """Supervision: routing, lockstep windows, restart budget, escalation, heal."""
 
+import io
+import json
+
 import pytest
 
+from repro import obs
 from repro.service import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -11,6 +15,7 @@ from repro.service import (
     KillShard,
     ShardSupervisor,
 )
+from repro.service.chaos import ShardFaultInjector
 
 
 def windows_of(records, size=30):
@@ -142,6 +147,65 @@ class TestRecovery:
         for bucket in traffic:
             reference.ingest(bucket)
         assert state.engine.signatures == reference.shards[2].engine.signatures
+
+
+class WindowSpy(ShardFaultInjector):
+    """Records what the supervisor publishes while a shard applies a window."""
+
+    def __init__(self, supervisor):
+        self.supervisor = supervisor
+        self.seen = []
+
+    def on_apply(self, shard_id, window):
+        self.seen.append((window, self.supervisor.window, self.supervisor.status()["window"]))
+
+
+class TestWindowPublication:
+    def test_window_published_only_after_every_shard_applied(self, small_config, traffic):
+        supervisor = ShardSupervisor(small_config)
+        # The last shard applies last: every other shard has applied the
+        # new window, and readers must still see the previous one.
+        spy = WindowSpy(supervisor)
+        supervisor.install_injector(small_config.num_shards - 1, spy)
+        for bucket in traffic:
+            supervisor.ingest(bucket)
+        assert spy.seen == [(w, w - 1, w - 1) for w in range(len(traffic))]
+        assert supervisor.window == len(traffic) - 1
+
+    def test_status_never_shows_every_shard_past_its_window(self, small_config, traffic):
+        supervisor = ShardSupervisor(small_config)
+        # Snapshot right after the last shard applied, before publication:
+        # a poller waiting for every shard to reach w must also read w.
+        last = supervisor.shards[-1].engine
+        apply, snapshots = last.apply, []
+
+        def apply_then_poll(records):
+            apply(records)
+            snapshots.append(supervisor.status())
+
+        last.apply = apply_then_poll
+        for bucket in traffic:
+            supervisor.ingest(bucket)
+        assert [snapshot["window"] for snapshot in snapshots] == [
+            w - 1 for w in range(len(traffic))
+        ]
+        for snapshot in snapshots:
+            assert max(shard["window"] for shard in snapshot["shards"]) == snapshot["window"]
+
+    def test_crash_events_name_the_window_being_closed(self, small_config, traffic):
+        supervisor = ShardSupervisor(small_config)
+        supervisor.install_injector(0, KillShard(at_window=2))
+        buffer = io.StringIO()
+        with obs.use_event_log(obs.EventLog(buffer)):
+            for bucket in traffic:
+                supervisor.ingest(bucket)
+        events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        windows = {
+            event["event"]: event["window"]
+            for event in events
+            if event["event"].startswith("service.shard.")
+        }
+        assert windows == {"service.shard.crashed": 2, "service.shard.restarted": 2}
 
 
 class TestStatus:

@@ -513,7 +513,7 @@ def bench_shm(
     from repro.parallel.shm import DEFAULT_MESSAGE_SIZE, ShmEngine
 
     graph = shm_graph(num_nodes, out_degree, seed=11)
-    population = [node for node in graph.nodes() if graph.out_strength(node) > 0]
+    population = graph.senders()
 
     for name, params, gates in schemes if schemes is not None else SHM_SCHEMES:
         scheme = create_scheme(name, k=10, **params)
