@@ -75,6 +75,9 @@ class BoundedIngestQueue:
         self._lock = threading.Lock()
         self.accepted = 0
         self.rejected = 0
+        #: Set on every admitted batch, so a waiting pump closes a window
+        #: as soon as it fills.
+        self.arrived = threading.Event()
 
     def offer(self, records: Sequence[EdgeRecord]) -> bool:
         """Admit the whole batch, or none of it (the 429 contract)."""
@@ -85,7 +88,8 @@ class BoundedIngestQueue:
                 return False
             self._records.extend(batch)
             self.accepted += len(batch)
-            return True
+        self.arrived.set()
+        return True
 
     def take(self, count: int, force: bool = False) -> Optional[List[EdgeRecord]]:
         """Pop the oldest ``count`` records; with ``force`` pop a short
@@ -389,11 +393,14 @@ class ServiceFrontend:
     # ------------------------------------------------------------------
     def _shard_signature(
         self, state: ShardState, node: str
-    ) -> Tuple[Optional[Signature], bool]:
-        """The node's signature from its home shard: ``(signature, approximate)``.
+    ) -> Tuple[Optional[Signature], bool, int]:
+        """The node's signature from its home shard:
+        ``(signature, approximate, window)``.
 
         Exact tier first — guarded by the shard's breaker — then the sketch
-        tier.  Raises nothing: a DOWN shard is reported by the caller.
+        tier.  ``window`` is the answering tier's, read before its
+        signatures, so it never names a window the tier has not applied.
+        Raises nothing: a DOWN shard is reported by the caller.
         """
         if state.health == HEALTH_HEALTHY and state.engine is not None:
             if state.breaker.allow():
@@ -404,6 +411,7 @@ class ServiceFrontend:
                     try:
                         if state.injector is not None:
                             state.injector.on_query(state.shard_id, node)
+                        window = state.engine.window
                         signature = state.engine.signature(node)
                     except Exception as error:  # noqa: BLE001 - breaker accounting
                         state.breaker.record_failure(self._clock() - started)
@@ -419,18 +427,19 @@ class ServiceFrontend:
                         )
                     else:
                         state.breaker.record_success(self._clock() - started)
-                        return signature, False
+                        return signature, False, window
         self.registry.counter("service.approximate_answers").inc()
         with obs.trace_span(
             "sketch.fallback", shard=str(state.shard_id), tier="sketch"
         ):
-            return state.sketch.signature(node), True
+            window = state.sketch.window
+            return state.sketch.signature(node), True, window
 
     def _handle_signature(self, node: str, _params: Dict) -> Response:
         state = self.supervisor.state_for(node)
         if state.health == HEALTH_DOWN:
             return self._down_response(state)
-        signature, approximate = self._shard_signature(state, node)
+        signature, approximate, window = self._shard_signature(state, node)
         if signature is None:
             return self._json(
                 404,
@@ -446,7 +455,7 @@ class ServiceFrontend:
             {
                 "node": node,
                 "shard": state.shard_id,
-                "window": self.supervisor.window,
+                "window": window,
                 "approximate": approximate,
                 "scheme": self.config.scheme,
                 "signature": {
@@ -465,7 +474,7 @@ class ServiceFrontend:
         home = self.supervisor.state_for(node)
         if home.health == HEALTH_DOWN:
             return self._down_response(home)
-        signature, approximate = self._shard_signature(home, node)
+        signature, approximate, _window = self._shard_signature(home, node)
         if signature is None:
             return self._json(
                 404, {"error": f"no signature for node {node!r}", "node": node}
@@ -528,6 +537,7 @@ class ServiceFrontend:
                     try:
                         if state.injector is not None:
                             state.injector.on_query(state.shard_id, node)
+                        window = state.engine.window
                         persistence = state.engine.persistence(node)
                     except Exception:  # noqa: BLE001 - breaker accounting
                         state.breaker.record_failure(self._clock() - started)
@@ -540,13 +550,14 @@ class ServiceFrontend:
             approximate = True
         if approximate:
             self.registry.counter("service.approximate_answers").inc()
+            window = state.sketch.window
             persistence = state.sketch.persistence(node)
         if persistence is None:
             return self._json(
                 200,
                 {
                     "node": node,
-                    "window": self.supervisor.window,
+                    "window": window,
                     "status": "insufficient-history",
                     "persistence": None,
                     "anomalous": None,
@@ -557,7 +568,7 @@ class ServiceFrontend:
             200,
             {
                 "node": node,
-                "window": self.supervisor.window,
+                "window": window,
                 "status": "ok",
                 "persistence": persistence,
                 "threshold": self.config.anomaly_threshold,

@@ -83,15 +83,21 @@ class SignatureService:
     # Background pump
     # ------------------------------------------------------------------
     def start_pump(self, interval_s: float = 0.05) -> None:
-        """Run the window pump on a daemon thread until :meth:`stop_pump`."""
+        """Run the window pump on a daemon thread until :meth:`stop_pump`.
+
+        An idle pump wakes on every admitted batch (and at least every
+        ``interval_s``), so a window closes as soon as it fills.
+        """
         if self._pump_thread is not None:
             raise RuntimeError("pump already running")
         self._stop.clear()
+        arrived = self.frontend.queue.arrived
 
         def loop() -> None:
             while not self._stop.is_set():
                 if self.pump() == 0:
-                    self._stop.wait(interval_s)
+                    arrived.wait(interval_s)
+                    arrived.clear()
 
         self._pump_thread = threading.Thread(
             target=loop, name="repro-service-pump", daemon=True
@@ -101,6 +107,7 @@ class SignatureService:
     def stop_pump(self, drain: bool = True) -> None:
         """Stop the pump thread; with ``drain`` close a final short window."""
         self._stop.set()
+        self.frontend.queue.arrived.set()
         if self._pump_thread is not None:
             self._pump_thread.join(timeout=5.0)
             self._pump_thread = None

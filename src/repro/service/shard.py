@@ -136,9 +136,12 @@ class ShardEngine:
             previous=self._previous_raw,
             **self._compute_kwargs(),
         )
-        self.window += 1
         self.prev_signatures = self.signatures
         self.signatures = {str(node): sig for node, sig in raw.items()}
+        # The window index moves only once its signatures are in place, so a
+        # reader that reads ``window`` first never labels older signatures
+        # with it.
+        self.window += 1
         self._previous_raw = raw
         self._index = None
         self.registry.counter("shard.windows").inc()

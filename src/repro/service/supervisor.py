@@ -212,8 +212,8 @@ class ShardSupervisor:
         degrading or going down never blocks the others.
 
         :attr:`window` names the new window only once every shard has
-        applied the bucket or failed on it, so a concurrent reader never
-        labels the previous window's signatures with the new index.
+        applied the bucket or failed on it: cross-shard answers carry it,
+        while an answer from one shard carries that shard's own window.
         """
         window = self.window + 1
         routed: Dict[int, List[EdgeRecord]] = {
@@ -227,8 +227,12 @@ class ShardSupervisor:
                 # Acknowledge durability first: once logged, the records
                 # survive any engine crash below (the rebuild replays the log).
                 state.buckets.append(list(sub))
-                self._advance_sketch(state, sub, window)
                 self._advance_engine(state, sub, window)
+            # The sketch tiers answer only for shards whose exact tier
+            # cannot, so they catch up once every exact tier serves the
+            # new window.
+            for state in self.shards:
+                self._advance_sketch(state, routed[state.shard_id], window)
         finally:
             self.window = window
 
@@ -408,11 +412,11 @@ class ShardSupervisor:
     def status(self) -> Dict:
         """Per-shard health/breaker/window snapshot for ``/status``.
 
-        A shard's window is capped at the published :attr:`window`, so a
-        snapshot taken mid-close never shows every shard past the window it
-        reports: a poller that sees all shards at ``w`` also sees ``w``.
+        Each shard reports the window it has applied.  The top-level window
+        is :attr:`window`, or the window every shard has already applied
+        when a snapshot lands between a close's last shard and its
+        publication, so it is never behind all of its shards.
         """
-        published = self.window
         shards = []
         for state in self.shards:
             breaker_state = state.breaker.state
@@ -424,10 +428,7 @@ class ShardSupervisor:
                     "shard": state.shard_id,
                     "health": self.shard_health(state),
                     "breaker": breaker_state,
-                    "window": min(
-                        published,
-                        state.engine.window if state.engine else state.sketch.window,
-                    ),
+                    "window": state.engine.window if state.engine else state.sketch.window,
                     "exact_nodes": len(state.engine.signatures) if state.engine else 0,
                     "records_ingested": state.records_ingested(),
                     "restarts": state.restarts,
@@ -435,7 +436,7 @@ class ShardSupervisor:
                 }
             )
         return {
-            "window": published,
+            "window": max(self.window, min(shard["window"] for shard in shards)),
             "num_shards": len(self.shards),
             "shards": shards,
         }

@@ -145,3 +145,23 @@ class TestConcurrentReads:
             service.stop_pump(drain=True)
         assert not failures, failures
         assert service.supervisor.window == 11
+
+
+class TestPumpThread:
+    def test_idle_pump_closes_a_window_as_soon_as_it_fills(
+        self, service, records_factory
+    ):
+        # A poll interval far longer than the deadline below: only the
+        # wake-up on arrival can close the window in time.
+        service.start_pump(interval_s=60.0)
+        try:
+            time.sleep(0.05)  # let the pump go idle
+            assert service.ingest(records_factory(30, nodes=12, seed=9, start=1000.0))
+            deadline = time.monotonic() + 5.0
+            while service.supervisor.window < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert service.supervisor.window == 2
+        finally:
+            stopping = time.monotonic()
+            service.stop_pump(drain=False)
+        assert time.monotonic() - stopping < 5.0

@@ -14,6 +14,7 @@ from repro.service import (
     WedgeShard,
     parse_ingest_body,
 )
+from repro.service.chaos import ShardFaultInjector
 
 
 def build(config, clock=None):
@@ -205,6 +206,54 @@ class TestQueries:
         assert document["status"] == "insufficient-history"
         assert document["persistence"] is None
         assert document["anomalous"] is None
+
+
+class MidCloseProbe(ShardFaultInjector):
+    """Queries the frontend while the last shard is about to apply a window:
+    shard 0 already serves the new window, the last shard the previous one."""
+
+    def __init__(self, frontend):
+        self.frontend = frontend
+        self.seen = []
+
+    def on_apply(self, shard_id, window):
+        shards = self.frontend.supervisor.shards
+        if window == 0:
+            return
+        fresh = next(iter(shards[0].engine.signatures))
+        stale = next(iter(shards[-1].engine.signatures))
+        paths = {
+            "signature fresh": f"/signature/{fresh}",
+            "anomaly fresh": f"/anomaly/{fresh}",
+            "signature stale": f"/signature/{stale}",
+            "similar": f"/similar/{fresh}",
+            "status": "/status",
+        }
+        self.seen.append(
+            {name: get_json(self.frontend, path)[2]["window"] for name, path in paths.items()}
+        )
+
+
+class TestWindowLabels:
+    def test_answers_name_the_window_of_the_shard_that_answered(
+        self, small_config, records_factory
+    ):
+        supervisor, frontend = build(small_config)
+        probe = MidCloseProbe(frontend)
+        supervisor.install_injector(small_config.num_shards - 1, probe)
+        fill(frontend, records_factory)
+        # Single-shard answers carry their shard's window; cross-shard
+        # answers and /status carry the window every shard has applied.
+        assert probe.seen == [
+            {
+                "signature fresh": w,
+                "anomaly fresh": w,
+                "signature stale": w - 1,
+                "similar": w - 1,
+                "status": w - 1,
+            }
+            for w in range(1, 4)
+        ]
 
 
 class TestDegradedAnswers:

@@ -172,25 +172,29 @@ class TestWindowPublication:
         assert spy.seen == [(w, w - 1, w - 1) for w in range(len(traffic))]
         assert supervisor.window == len(traffic) - 1
 
-    def test_status_never_shows_every_shard_past_its_window(self, small_config, traffic):
+    def test_status_reports_each_shards_own_window(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
-        # Snapshot right after the last shard applied, before publication:
-        # a poller waiting for every shard to reach w must also read w.
+        # Snapshots around the last shard's apply: before it, every other
+        # shard already shows the new window; after it, before the close
+        # publishes, the top-level window is no longer behind every shard.
         last = supervisor.shards[-1].engine
         apply, snapshots = last.apply, []
 
-        def apply_then_poll(records):
+        def poll_around_apply(records):
+            snapshots.append(supervisor.status())
             apply(records)
             snapshots.append(supervisor.status())
 
-        last.apply = apply_then_poll
+        last.apply = poll_around_apply
         for bucket in traffic:
             supervisor.ingest(bucket)
-        assert [snapshot["window"] for snapshot in snapshots] == [
-            w - 1 for w in range(len(traffic))
-        ]
-        for snapshot in snapshots:
-            assert max(shard["window"] for shard in snapshot["shards"]) == snapshot["window"]
+        others = small_config.num_shards - 1
+        for w in range(len(traffic)):
+            before, after = snapshots[2 * w], snapshots[2 * w + 1]
+            assert [shard["window"] for shard in before["shards"]] == [w] * others + [w - 1]
+            assert before["window"] == w - 1
+            assert [shard["window"] for shard in after["shards"]] == [w] * (others + 1)
+            assert after["window"] == w
 
     def test_crash_events_name_the_window_being_closed(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
