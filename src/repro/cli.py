@@ -451,14 +451,17 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline_group = parser.add_argument_group("pipeline options")
     pipeline_group.add_argument("--input", help="edge-record CSV trace to ingest")
     pipeline_group.add_argument(
-        "--checkpoint-dir", help="directory for per-window checkpoints"
+        "--checkpoint-dir",
+        help="directory for per-window checkpoints (a signature history "
+        "store that 'history' can query)",
     )
     pipeline_group.add_argument(
         "--history-dir",
         default=None,
         help="append-only columnar signature history store: the pipeline "
-        "archives every window there, 'serve' persists/restores shard "
-        "state under it, and the 'history' command queries it",
+        "checkpoints there instead of --checkpoint-dir, 'serve' "
+        "persists/restores shard state under it, and the 'history' command "
+        "queries it",
     )
     pipeline_group.add_argument(
         "--scheme", default="tt", help="signature scheme name (default: tt)"

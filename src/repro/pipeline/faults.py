@@ -97,7 +97,7 @@ class FlakyCheckpointStore(CheckpointStore):
     * the first ``load_failures`` loads raise ``OSError`` (the file is
       there but briefly unreadable);
     * with ``corrupt_loads`` set, every load of a window in it first flips
-      a byte of the persisted payload on disk — the resume path must then
+      a byte of the window's segment on disk — the resume path must then
       *detect* the damage through the SHA-256 manifest
       (:meth:`~repro.pipeline.checkpoint.CheckpointStore.scan` refuses the
       window; a direct ``load_window`` raises
@@ -138,7 +138,7 @@ class FlakyCheckpointStore(CheckpointStore):
 
 
 def corrupt_checkpoint_file(path: str | Path, flip_at: int = 16) -> Path:
-    """Flip one byte of a checkpoint payload in place (bit rot, torn write).
+    """Flip one byte of a checkpoint segment in place (bit rot, torn write).
 
     The store's manifest is left untouched, so only SHA-256 verification —
     not a parse error or luck — can catch the mismatch.  Returns the path.

@@ -103,7 +103,7 @@ class PipelineConfig:
     window graph in place, and each scheme recomputes only its dirty set
     (byte-identical to the full path's signatures by the
     ``compute_all(delta=...)`` contract; checkpoints record the engine in
-    the manifest so resumes are checked for compatibility).  Note the
+    their run state so resumes are checked for compatibility).  Note the
     incremental engine uses the scheme's *batched* ``compute_all``, so for
     unbounded RWR — whose batched iteration count is population-coupled —
     outputs match the batched contract, not the per-node loop.
@@ -132,14 +132,13 @@ class PipelineConfig:
     resume under a different contract is refused rather than silently
     mixing exact and sketched windows.
 
-    ``history_dir`` tees every completed window into an append-only
-    :class:`~repro.store.history.HistoryStore` at that path (in addition
-    to the checkpoint store), so a finished run supports time-travel
-    queries — "who looked like X in window t", node trajectories —
-    without re-running anything.  When the checkpoint store is itself a
-    :class:`~repro.store.backend.HistoryCheckpointStore` over the same
-    directory, the tee is skipped (the checkpoints already are the
-    history).
+    Checkpoints are history: every completed window is a segment of the
+    checkpoint directory's :class:`~repro.store.history.HistoryStore`, so
+    a finished run supports time-travel queries — "who looked like X in
+    window t", node trajectories — without re-running anything.  A
+    ``history_dir`` other than the ``store`` argument's directory replaces
+    it: the pipeline checkpoints into ``CheckpointStore(history_dir)`` and
+    the argument's directory stays empty.
 
     Live observability opt-ins: ``obs_port`` serves the run's *own*
     metrics registry over HTTP (``/metrics``, ``/healthz``,
@@ -249,8 +248,13 @@ class SignaturePipeline:
         engine=None,
     ) -> None:
         self.source = source
-        self.store = store
         self.config = config or PipelineConfig()
+        history_dir = self.config.history_dir
+        if history_dir is not None and (
+            Path(history_dir).resolve() != store.directory.resolve()
+        ):
+            store = CheckpointStore(history_dir)
+        self.store = store
         self.retry = retry or RetryPolicy()
         self.hooks: Tuple[WindowHook, ...] = tuple(hooks)
         self._clock = clock
@@ -259,22 +263,6 @@ class SignaturePipeline:
         # strategy="shm".  When None, run() creates (and closes) its own.
         self._engine = engine
         self._owns_engine = False
-        self._history = self._make_history()
-
-    def _make_history(self):
-        """The history tee for ``config.history_dir`` (``None`` when off or
-        when the checkpoint store already writes that same history)."""
-        if self.config.history_dir is None:
-            return None
-        from repro.store.backend import HistoryCheckpointStore
-        from repro.store.history import HistoryStore
-
-        history_dir = Path(self.config.history_dir)
-        if isinstance(self.store, HistoryCheckpointStore) and (
-            Path(self.store.directory).resolve() == history_dir.resolve()
-        ):
-            return None
-        return HistoryStore(history_dir)
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -409,12 +397,8 @@ class SignaturePipeline:
             replayed_modes = self._replay_checkpoints(len(buckets), report, result)
         else:
             self.store.clear()
-            if self._history is not None:
-                self._history.clear()
         start_window = len(replayed_modes)
         self.store.set_run_state(self._run_state())
-        if self._history is not None:
-            self._history.set_state(self._run_state())
 
         scheme = create_scheme(
             self.config.scheme, k=self.config.k, **self.config.scheme_params
@@ -503,7 +487,7 @@ class SignaturePipeline:
     # Resume
     # ------------------------------------------------------------------
     def _run_state(self) -> Dict:
-        """The engine identity stamped into the checkpoint manifest.
+        """The engine identity stamped into the checkpoint run state.
 
         ``contract`` separates byte-identical strategies (serial/shm,
         freely interchangeable across resumes) from the sketch tier's
@@ -703,12 +687,6 @@ class SignaturePipeline:
         if inc is not None:
             meta["engine"] = "incremental"
         entry = self._save_window(window, signatures, meta, mode, report)
-        if self._history is not None:
-            # Tee into the history store; its supersede rule keeps it in
-            # lockstep with checkpoint truncation on recompute-from-here.
-            self._history.append(
-                [(window, signatures)], metas={window: meta}, modes={window: mode}
-            )
         return (
             WindowReport(
                 window=window,

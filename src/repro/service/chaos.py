@@ -17,9 +17,10 @@ called from four choke points:
 
 Injectors are deterministic — they fire at configured windows, not random
 ones — so every chaos test is reproducible.  :func:`corrupt_checkpoint`
-flips bytes in a shard's persisted window (the recovery path must *detect*
-this via the SHA-256 manifest, never serve it), and :func:`query_storm`
-hammers a frontend from worker threads and tallies status codes.
+flips a byte in a shard's persisted window segment (the recovery path must
+*detect* this via the SHA-256 manifest, never serve it), and
+:func:`query_storm` hammers a frontend from worker threads and tallies
+status codes.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def corrupt_checkpoint(
 ) -> Path:
     """Flip one byte inside a persisted window checkpoint.
 
-    Targets the signatures payload of ``window`` in a
+    Targets the live segment of ``window`` in a
     :class:`~repro.pipeline.checkpoint.CheckpointStore` directory.  The
     manifest is left alone, so the SHA-256 verification — not luck — must
     catch the mismatch.  Returns the corrupted path.

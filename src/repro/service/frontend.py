@@ -585,7 +585,7 @@ class ServiceFrontend:
             404,
             {
                 "error": "history store not configured "
-                "(start the service with a history directory)",
+                "(start the service with a checkpoint or history directory)",
             },
         )
 
@@ -599,8 +599,9 @@ class ServiceFrontend:
         ``partial``, mirroring ``/similar``.
         """
         home = self.supervisor.state_for(node)
-        if home.history is None:
+        if home.store is None:
             return self._history_unavailable()
+        history = home.store.history
         try:
             k = int(params.get("k", ["5"])[0])
         except ValueError:
@@ -609,14 +610,14 @@ class ServiceFrontend:
             return self._json(400, {"error": f"k must be >= 1, got {k}"})
         raw_window = params.get("window", [None])[0]
         try:
-            window = int(raw_window) if raw_window is not None else home.history.max_window()
+            window = int(raw_window) if raw_window is not None else history.max_window()
         except ValueError:
             return self._json(400, {"error": "window must be an integer"})
         if window < 0:
             return self._json(
                 404, {"error": "history store is empty", "node": node}
             )
-        signature = home.history.signature(node, window)
+        signature = history.signature(node, window)
         if signature is None:
             return self._json(
                 404,
@@ -634,12 +635,12 @@ class ServiceFrontend:
             if trace is not None and trace.expired():
                 skipped.append(state.shard_id)
                 continue
-            if state.history is None:
+            if state.store is None:
                 skipped.append(state.shard_id)
                 continue
             with obs.trace_span("history.gather", shard=str(state.shard_id)):
                 try:
-                    hits = state.history.query(signature, window, k=k)
+                    hits = state.store.history.query(signature, window, k=k)
                 except Exception:  # noqa: BLE001 - partial results beat a 500
                     skipped.append(state.shard_id)
                     continue
@@ -671,7 +672,7 @@ class ServiceFrontend:
         signatures over windows ``[from, to)`` from its home shard's
         history store."""
         home = self.supervisor.state_for(node)
-        if home.history is None:
+        if home.store is None:
             return self._history_unavailable()
         try:
             start = int(params["from"][0]) if "from" in params else None
@@ -679,7 +680,7 @@ class ServiceFrontend:
         except ValueError:
             return self._json(400, {"error": "from/to must be integers"})
         with obs.trace_span("trajectory.gather", shard=str(home.shard_id)):
-            points = home.history.trajectory(node, start, stop)
+            points = home.store.history.trajectory(node, start, stop)
         if not points:
             return self._json(
                 404,

@@ -2,10 +2,11 @@
 
 :class:`ShardEngine` is the exact tier: it owns a sliding-window aggregator
 (PR 5), the scheme's incremental ``compute_all`` chain, a per-shard
-checkpoint store (PR 1) and a per-shard metrics registry.  Service node ids
-are strings (they arrive over the wire), so the raw-keyed incremental chain
-and the string-keyed checkpoint payloads coincide — which is what lets a
-rebuilt engine seed its chain directly from verified checkpoints.
+checkpoint store (which is also the shard's signature history) and a
+per-shard metrics registry.  Service node ids are strings (they arrive over
+the wire), so the raw-keyed incremental chain and the string-keyed
+checkpoint payloads coincide — which is what lets a rebuilt engine seed its
+chain directly from verified checkpoints.
 
 :meth:`ShardEngine.rebuild` is the recovery path: given the shard's
 acknowledged ingest log (every bucket the supervisor accepted for it), it
@@ -69,18 +70,16 @@ class ShardEngine:
         config: ServiceConfig,
         *,
         store: Optional[CheckpointStore] = None,
-        history=None,
         registry: Optional[obs.MetricsRegistry] = None,
         shm_engine=None,
         sketch_engine=None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
+        #: Every applied window is checkpointed here, and
+        #: :meth:`restore_from_history` can bring a fresh process back to
+        #: answering from it without any ingest log.
         self.store = store
-        #: Optional :class:`repro.store.history.HistoryStore`: every applied
-        #: window is appended, and :meth:`restore_from_history` can bring a
-        #: fresh process back to answering without any ingest log.
-        self.history = history
         # Supervisor-owned shared-memory pool (strategy="shm"); the shard
         # never closes it — its lifecycle belongs to whoever shares it.
         self._shm_engine = shm_engine
@@ -157,10 +156,6 @@ class ShardEngine:
         if self.store is not None:
             self.store.save_window(self.window, self.signatures, meta=meta)
             self.registry.counter("shard.checkpoint_writes").inc()
-        if self.history is not None:
-            self.history.append(
-                [(self.window, self.signatures)], metas={self.window: meta}
-            )
 
     # ------------------------------------------------------------------
     # Recovery
@@ -182,10 +177,10 @@ class ShardEngine:
         so the supervisor can surface them as health events.
 
         ``base_window`` handles the restarted-process case: when this
-        process began by restoring window ``base_window`` from the history
-        store, its ingest log only covers windows after that point, so
+        process began by restoring window ``base_window`` from the store,
+        its ingest log only covers windows after that point, so
         bucket ``i`` replays as global window ``base_window + 1 + i`` (and
-        window ``base_window`` itself is re-seeded from history).
+        window ``base_window`` itself is re-seeded from the store).
         """
         issues: List[str] = []
         verified = 0
@@ -205,14 +200,15 @@ class ShardEngine:
     def _seed_from_history(self, base_window: int) -> None:
         """Re-seed query state at ``base_window`` before replaying the log.
 
-        Lenient on a damaged history (the window may have been compacted
+        Lenient on a damaged store (the window may have been compacted
         away or corrupted): the engine then serves the replayed suffix
         only, but global window numbering stays correct.
         """
         self.window = base_window
         self._previous_raw = None
-        if self.history is not None and base_window in set(self.history.windows()):
-            self.signatures = self.history.load_window(base_window)
+        history = self.store.history if self.store is not None else None
+        if history is not None and base_window in set(history.windows()):
+            self.signatures = history.load_window(base_window)
         else:
             self.signatures = {}
 
@@ -230,7 +226,7 @@ class ShardEngine:
             self.window = index
             if index < verified:
                 # Checkpoint verified: loading reproduces the original
-                # signatures exactly (atomic JSON round-trip, canonical
+                # signatures exactly (raw float64 segments, canonical
                 # entry ordering), without recomputing the window.
                 assert self.store is not None
                 signatures, _meta = self.store.load_window(index)
@@ -247,7 +243,7 @@ class ShardEngine:
                 )
                 if self.store is not None:
                     # Heal the store: re-persist the recomputed window so the
-                    # directory converges back to the uninterrupted run's.
+                    # history converges back to the uninterrupted run's.
                     self.store.save_window(
                         index,
                         {str(node): sig for node, sig in raw.items()},
@@ -256,18 +252,10 @@ class ShardEngine:
             self.prev_signatures = self.signatures
             self.signatures = {str(node): sig for node, sig in raw.items()}
             self._previous_raw = raw
-            if self.history is not None and index > self.history.max_window():
-                # Heal history holes at the tail only; windows already
-                # recorded are byte-identical by the rebuild contract, and
-                # re-appending them would needlessly supersede good segments.
-                self.history.append(
-                    [(index, self.signatures)],
-                    metas={index: {"shard": self.shard_id, "recovered": True}},
-                )
         self._index = None
 
     def restore_from_history(self) -> bool:
-        """Restore query state from the shard's history store alone.
+        """Restore query state from the shard's store alone.
 
         The path a restarted *process* takes before any ingest log exists:
         the last two recorded windows become ``signatures`` /
@@ -279,16 +267,17 @@ class ShardEngine:
         ``window_buckets=1`` (each window's graph is exactly its bucket).
         Returns whether any window was restored.
         """
-        if self.history is None:
+        if self.store is None:
             return False
-        last = self.history.max_window()
+        history = self.store.history
+        last = history.max_window()
         if last < 0:
             return False
         with obs.use_registry(self.registry):
-            self.signatures = self.history.load_window(last)
+            self.signatures = history.load_window(last)
             self.prev_signatures = (
-                self.history.load_window(last - 1)
-                if last - 1 in set(self.history.windows())
+                history.load_window(last - 1)
+                if last - 1 in set(history.windows())
                 else {}
             )
         self.window = last

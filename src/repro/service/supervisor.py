@@ -52,9 +52,9 @@ class ShardState:
     sketch: SketchTier
     breaker: CircuitBreaker
     registry: obs.MetricsRegistry
+    #: Per-shard checkpoints and signature history (``None`` without a
+    #: checkpoint or history directory).
     store: Optional[CheckpointStore] = None
-    #: Per-shard signature history (``None`` without ``history_dir``).
-    history: Optional[object] = None
     #: Supervision verdict from the ingest path (the breaker adds the
     #: query-path view on top; see :meth:`ShardSupervisor.shard_health`).
     health: str = HEALTH_HEALTHY
@@ -87,8 +87,10 @@ class ShardSupervisor:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.history_dir = Path(history_dir) if history_dir else None
+        # One store per shard under one directory: when both are given,
+        # ``history_dir`` holds the stores and ``checkpoint_dir`` stays empty.
+        store_dir = history_dir or checkpoint_dir
+        self.store_dir = Path(store_dir) if store_dir else None
         self.retry = retry or RetryPolicy(
             max_attempts=self.config.max_restarts + 1,
             base_delay=self.config.restart_base_delay_s,
@@ -128,7 +130,7 @@ class ShardSupervisor:
         """Bring a restarted process back to answering from durable history.
 
         Each shard engine restores its last recorded window from the
-        shard's history store; the global window index resumes at the
+        shard's store; the global window index resumes at the
         highest restored window so status and responses stay truthful.
         Shards fall back to empty (fresh) state when the stores are empty.
         """
@@ -158,13 +160,8 @@ class ShardSupervisor:
 
     def _new_state(self, shard_id: int) -> ShardState:
         store = None
-        if self.checkpoint_dir is not None:
-            store = CheckpointStore(self.checkpoint_dir / f"shard-{shard_id:02d}")
-        history = None
-        if self.history_dir is not None:
-            from repro.store.history import HistoryStore
-
-            history = HistoryStore(self.history_dir / f"shard-{shard_id:02d}")
+        if self.store_dir is not None:
+            store = CheckpointStore(self.store_dir / f"shard-{shard_id:02d}")
         registry = obs.MetricsRegistry()
         return ShardState(
             shard_id=shard_id,
@@ -172,7 +169,6 @@ class ShardSupervisor:
                 shard_id,
                 self.config,
                 store=store,
-                history=history,
                 registry=registry,
                 shm_engine=self._shm_engine,
                 sketch_engine=self._sketch_engine,
@@ -187,7 +183,6 @@ class ShardSupervisor:
             ),
             registry=registry,
             store=store,
-            history=history,
         )
 
     # ------------------------------------------------------------------
@@ -298,7 +293,6 @@ class ShardSupervisor:
                 state.shard_id,
                 self.config,
                 store=state.store,
-                history=state.history,
                 registry=state.registry,
                 shm_engine=self._shm_engine,
                 sketch_engine=self._sketch_engine,

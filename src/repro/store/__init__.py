@@ -1,19 +1,18 @@
 """Append-only columnar signature history storage with time-travel queries.
 
-The unified persistence layer of the reproduction (ROADMAP item 3): every
-window of signatures lands as an immutable mmap-readable columnar segment
+The persistence layer of the reproduction: every window of signatures
+lands as an immutable mmap-readable columnar segment
 (:mod:`repro.store.segments`), an append-only SHA-256 manifest makes the
 set of committed windows durable and verifiable
 (:mod:`repro.store.history`), and a persisted MinHash/LSH band index
 (:mod:`repro.store.index`) answers the paper's historical questions —
 "who looked like X in window t", "how did X's signature drift over
 [t0, t1)" — sub-linearly in the stored history.
-:class:`~repro.store.backend.HistoryCheckpointStore` adapts the store to
-the pipeline's checkpoint contract, so one on-disk format serves resume,
-service recovery and forensics alike.
+:class:`~repro.pipeline.checkpoint.CheckpointStore` keeps the pipeline's
+checkpoints in this store, so one on-disk format serves resume, service
+recovery and forensics alike.
 """
 
-from repro.store.backend import HistoryCheckpointStore
 from repro.store.history import (
     HistoryMatch,
     HistoryStore,
@@ -32,7 +31,6 @@ from repro.store.segments import (
 )
 
 __all__ = [
-    "HistoryCheckpointStore",
     "HistoryMatch",
     "HistoryStore",
     "IndexParams",

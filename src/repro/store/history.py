@@ -9,15 +9,16 @@ A :class:`HistoryStore` directory contains:
   contributes.  Appends go through :func:`repro.ioutils.append_line`
   (write + fsync + dir-fsync), so a crash can tear at most the final line,
   which readers skip; the committed prefix is never damaged;
-* ``state.json`` — small mutable run state (the checkpoint backend stores
-  the pipeline's ``run_state`` contract here), written atomically.
+* ``state.json`` — small mutable run state (a
+  :class:`~repro.pipeline.checkpoint.CheckpointStore` keeps the pipeline's
+  ``run_state`` contract here), written atomically.
 
 **Supersede semantics.**  The live view replays the manifest in order; a
 line whose minimum window is ``m`` supersedes previously recorded windows
 ``>= m``.  This single rule serves both clients: pure history appends (all
 windows strictly increasing) never supersede anything, while the checkpoint
-backend's "truncate the future, rewrite window ``w``" resume contract is
-one ordinary append.  Superseded segments whose every window has been
+store's "truncate the future, rewrite window ``w``" resume contract is one
+ordinary append.  Superseded segments whose every window has been
 replaced become garbage; :meth:`compact` removes them and folds the
 manifest back to one line per live segment.
 
@@ -114,10 +115,10 @@ class HistoryMatch:
 class HistoryStore:
     """Append-only columnar store of per-window signature maps.
 
-    One store instance assumes single-writer, many-reader use (the same
-    contract as :class:`repro.pipeline.checkpoint.CheckpointStore`).  All
-    reads go through an in-memory catalog rebuilt from the manifest; open
-    segments are cached and mmap'd.
+    One store instance assumes single-writer, many-reader use.  All reads
+    and the next segment's sequence number go through an in-memory catalog
+    rebuilt from the manifest (on open and on :meth:`scan`), so an append
+    never re-reads the manifest; open segments are cached and mmap'd.
     """
 
     def __init__(
@@ -136,6 +137,8 @@ class HistoryStore:
         self._records: List[SegmentRecord] = []
         self._window_to_file: Dict[int, str] = {}
         self._issues: List[str] = []
+        #: Sequence number of the next appended segment.
+        self._next_seq = 0
         self._load_manifest()
         self._refresh_gauges()
 
@@ -209,6 +212,7 @@ class HistoryStore:
         records, issues = self._parse_manifest_lines()
         self._records, self._window_to_file = self._replay(records)
         self._issues = issues
+        self._next_seq = _seq_after(records)
         self._segments = {
             name: seg
             for name, seg in self._segments.items()
@@ -218,16 +222,6 @@ class HistoryStore:
     def _refresh_gauges(self) -> None:
         obs.gauge("store.segments").set(len(self._records))
         obs.gauge("store.bytes").set(sum(r.nbytes for r in self._records))
-
-    def _next_seq(self) -> int:
-        records, _ = self._parse_manifest_lines()
-        return max((r.seq for r in records), default=-1) + 1
-
-    def _record_for(self, file: str) -> SegmentRecord:
-        for record in self._records:
-            if record.file == file:
-                return record
-        raise StoreError(f"{self.directory}: no live manifest record for {file}")
 
     def _open(self, file: str) -> Segment:
         segment = self._segments.get(file)
@@ -257,7 +251,7 @@ class HistoryStore:
         """
         if not windows:
             raise StoreError("append requires at least one window")
-        seq = self._next_seq()
+        seq = self._next_seq
         file = f"seg-{seq:06d}{SEGMENT_SUFFIX}"
         path = self.directory / file
         sha256 = write_segment(
@@ -273,6 +267,7 @@ class HistoryStore:
             nbytes=os.path.getsize(path),
         )
         append_line(self.manifest_path, record.to_line())
+        self._next_seq = seq + 1
         self._records, self._window_to_file = self._replay(
             self._records + [record]
         )
@@ -331,6 +326,7 @@ class HistoryStore:
         self._window_to_file = {}
         self._segments = {}
         self._issues = []
+        self._next_seq = 0
         self._refresh_gauges()
 
     # ------------------------------------------------------------------
@@ -358,8 +354,8 @@ class HistoryStore:
             actual = file_sha256(path)
             if actual != record.sha256:
                 issues.append(
-                    f"{record.file}: hash mismatch (manifest {record.sha256[:12]},"
-                    f" file {actual[:12]})"
+                    f"{record.file}: failed hash verification (manifest "
+                    f"{record.sha256[:12]}, file {actual[:12]})"
                 )
                 bad_files.add(record.file)
                 continue
@@ -383,6 +379,7 @@ class HistoryStore:
         self._window_to_file = window_to_file
         self._segments = {}
         self._issues = list(issues)
+        self._next_seq = _seq_after(records)
         self._refresh_gauges()
         return StoreScan(
             windows=dict(window_to_file), segments=list(verified), issues=issues
@@ -405,6 +402,14 @@ class HistoryStore:
 
     def segment_records(self) -> List[SegmentRecord]:
         return list(self._records)
+
+    def window_record(self, window: int) -> SegmentRecord:
+        """The live segment record serving ``window`` (raises when absent)."""
+        file = self._window_to_file.get(int(window))
+        for record in self._records:
+            if record.file == file:
+                return record
+        raise StoreError(f"window {window} is not in the history store")
 
     def load_window(self, window: int) -> Dict[str, Signature]:
         """All signatures of one window (raises when the window is absent)."""
@@ -526,3 +531,8 @@ class HistoryStore:
             ]
             matches.sort(key=lambda m: (m.distance, str(m.owner)))
             return matches[:k]
+
+
+def _seq_after(records: Iterable[SegmentRecord]) -> int:
+    """The sequence number following every committed manifest line."""
+    return max((record.seq for record in records), default=-1) + 1

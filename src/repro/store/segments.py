@@ -18,8 +18,8 @@ The file is ``magic | header-length | header JSON | aligned array blobs``.
 Readers :func:`numpy.memmap` the arrays straight out of the file — opening a
 multi-gigabyte segment costs one page of header I/O, and a query touches
 only the rows it slices.  Weights round-trip bit-exactly (raw float64, no
-decimal detour), which is what lets the checkpoint backend keep the
-pipeline's byte-identical resume contract.
+decimal detour), which is what lets checkpoints keep the pipeline's
+byte-identical resume contract.
 
 Segments are written atomically via :func:`repro.ioutils.atomic_write` and
 identified by the SHA-256 of their bytes; a truncated or bit-rotted file
@@ -265,7 +265,8 @@ def write_segment(
 class Segment:
     """A read-only view over one segment file (arrays memory-mapped).
 
-    Decoding is lazy and columnar: opening parses the JSON header only;
+    Decoding is lazy and columnar: opening parses the JSON header only,
+    the interning table is decoded once on first use,
     :meth:`signatures_for_window` touches just that window's row slice, and
     the band-hash table never materialises signatures at all.
     """
@@ -336,7 +337,7 @@ class Segment:
             for block in self.header.get("windows", [])
         ]
         self._by_window = {block.window: block for block in self.blocks}
-        self._label_cache: Dict[int, str] = {}
+        self._labels: Optional[List[str]] = None
         self._label_index: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
@@ -374,49 +375,68 @@ class Segment:
     # ------------------------------------------------------------------
     # Label interning table
     # ------------------------------------------------------------------
-    def label(self, label_id: int) -> str:
-        """Decode one interned label (cached; the blob is mmap'd)."""
-        cached = self._label_cache.get(label_id)
-        if cached is None:
-            offsets = self._arrays["label_offsets"]
-            if not 0 <= label_id < self.num_labels:
-                raise StoreError(
-                    f"{self.path}: label id {label_id} out of range "
-                    f"[0, {self.num_labels})"
-                )
-            lo, hi = int(offsets[label_id]), int(offsets[label_id + 1])
-            cached = bytes(self._arrays["label_bytes"][lo:hi]).decode("utf-8")
-            self._label_cache[label_id] = cached
-        return cached
-
     def labels(self) -> List[str]:
-        """All interned labels, in table order."""
-        return [self.label(i) for i in range(self.num_labels)]
+        """All interned labels, in table order (decoded once, then cached)."""
+        if self._labels is None:
+            blob = bytes(self._arrays["label_bytes"])
+            offsets = self._arrays["label_offsets"].tolist()
+            self._labels = [
+                blob[lo:hi].decode("utf-8") for lo, hi in zip(offsets, offsets[1:])
+            ]
+        return self._labels
+
+    def label(self, label_id: int) -> str:
+        """Decode one interned label."""
+        if not 0 <= label_id < self.num_labels:
+            raise StoreError(
+                f"{self.path}: label id {label_id} out of range "
+                f"[0, {self.num_labels})"
+            )
+        return self.labels()[label_id]
 
     def label_id(self, label: str) -> Optional[int]:
         """Interned id of ``label``, or ``None`` when absent."""
         if self._label_index is None:
-            self._label_index = {
-                self.label(i): i for i in range(self.num_labels)
-            }
+            self._label_index = {name: i for i, name in enumerate(self.labels())}
         return self._label_index.get(label)
 
     # ------------------------------------------------------------------
     # Rows -> signatures
     # ------------------------------------------------------------------
+    def _decode(self, rows: np.ndarray) -> List[Signature]:
+        """Materialise the signatures of a slice of the row table.
+
+        The slice's entry columns are converted to Python values once, not
+        element by element, so decoding costs about what building the
+        :class:`Signature` objects does.
+        """
+        if len(rows) == 0:
+            return []
+        labels = self.labels()
+        owners = rows["owner"].tolist()
+        starts = rows["start"].tolist()
+        counts = rows["count"].tolist()
+        base = min(starts)
+        stop = max(start + count for start, count in zip(starts, counts))
+        keys = self._arrays["keys"][base:stop].tolist()
+        values = self._arrays["values"][base:stop].tolist()
+        ids = owners + keys
+        if min(ids) < 0 or max(ids) >= len(labels):
+            raise StoreError(
+                f"{self.path}: label id out of range [0, {len(labels)})"
+            )
+        decoded = []
+        for owner, start, count in zip(owners, starts, counts):
+            lo = start - base
+            entries = zip(keys[lo : lo + count], values[lo : lo + count])
+            decoded.append(
+                Signature(labels[owner], {labels[key]: value for key, value in entries})
+            )
+        return decoded
+
     def signature_at(self, row: int) -> Signature:
         """Materialise the signature stored in row ``row``."""
-        record = self._arrays["rows"][row]
-        start, count = int(record["start"]), int(record["count"])
-        keys = self._arrays["keys"][start : start + count]
-        values = self._arrays["values"][start : start + count]
-        return Signature(
-            self.label(int(record["owner"])),
-            {
-                self.label(int(key)): float(value)
-                for key, value in zip(keys, values)
-            },
-        )
+        return self._decode(self._arrays["rows"][row : row + 1])[0]
 
     def owner_at(self, row: int) -> str:
         return self.label(int(self._arrays["rows"][row]["owner"]))
@@ -431,7 +451,8 @@ class Segment:
     def signatures_for_window(self, window: int) -> Dict[str, Signature]:
         """All signatures of one window, keyed by owner label."""
         lo, hi = self.window_row_range(window)
-        return {self.owner_at(row): self.signature_at(row) for row in range(lo, hi)}
+        rows = self._arrays["rows"][lo:hi]
+        return {signature.owner: signature for signature in self._decode(rows)}
 
     def meta_for(self, window: int) -> Dict:
         block = self._by_window.get(int(window))

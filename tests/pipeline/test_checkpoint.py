@@ -1,18 +1,51 @@
-"""Unit tests for the atomic checkpoint store."""
+"""The checkpoint contract: per-window checkpoints in the history store.
+
+The acceptance bar is *byte identity*: a resumed pipeline must reproduce
+exactly what an uninterrupted run produces, and the run-state ``contract``
+stamp must refuse cross-strategy resumes.
+"""
 
 import json
 
 import pytest
 
 from repro.core.signature import Signature
+from repro.core.signature_io import save_signatures
 from repro.exceptions import CheckpointError
 from repro.ioutils import atomic_write, file_sha256
+from repro.pipeline import IterableRecordSource, PipelineConfig, SignaturePipeline
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.faults import FlakyCheckpointStore, corrupt_checkpoint_file
+from repro.store.segments import SEGMENT_SUFFIX, read_segment
 
 
 def sigs(*owners):
     return {owner: Signature(owner, {f"{owner}-peer": 1.0}) for owner in owners}
+
+
+def trace_records(n=120, hosts=6, services=9):
+    return [
+        (
+            float(i),
+            f"host-{i % hosts:03d}",
+            f"svc-{(i * 7) % services:03d}",
+            1.0 + (i % 5) * 0.25,
+        )
+        for i in range(n)
+    ]
+
+
+def run_pipeline(store, *, resume=False, num_windows=4):
+    source = IterableRecordSource(trace_records())
+    config = PipelineConfig(scheme="tt", k=5, num_windows=num_windows)
+    return SignaturePipeline(source, store, config).run(resume=resume)
+
+
+def window_bytes(signatures, tmp_path, name):
+    """Canonical byte serialisation of one window's signature map."""
+    path = tmp_path / name
+    save_signatures(signatures, path)
+    return path.read_bytes()
 
 
 class TestAtomicWrite:
@@ -94,7 +127,7 @@ class TestCheckpointStore:
     def test_unreadable_manifest_is_reported_not_fatal(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
         store.save_window(0, sigs("a"))
-        store.manifest_path.write_text("not json at all")
+        store.history.manifest_path.write_text("not json at all")
         scan = store.scan()
         assert scan.good == []
         assert any("manifest" in issue for issue in scan.issues)
@@ -115,44 +148,24 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path / "ckpt")
         entry = store.save_window(0, sigs("a"))
         assert file_sha256(store.window_path(0)) == entry.sha256
-        # The save lands as one appended manifest-log line...
-        line = json.loads(store.manifest_log_path.read_text().splitlines()[0])
-        assert line["sha256"] == entry.sha256
-        # ...and compaction folds it into the snapshot unchanged.
-        store.compact()
-        assert not store.manifest_log_path.exists()
-        manifest = json.loads(store.manifest_path.read_text())
-        assert manifest["entries"][0]["sha256"] == entry.sha256
+        # The save lands as one appended manifest line naming the segment.
+        line = json.loads(store.history.manifest_path.read_text().splitlines()[0])
+        assert (line["file"], line["sha256"]) == (entry.file, entry.sha256)
 
-    def test_compaction_is_scan_invisible(self, tmp_path):
+    def test_run_state_roundtrips(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
-        for window in range(4):
-            store.save_window(window, sigs(f"w{window}"))
-        store.save_window(2, sigs("redo"))
-        before = store.scan()
-        store.compact()
-        after = store.scan()
-        assert after.good == before.good
-        assert after.issues == before.issues == []
-        # A fresh instance (process restart) replays to the same prefix.
-        assert CheckpointStore(store.directory).scan().good == before.good
-
-    def test_torn_final_log_line_is_skipped(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.save_window(0, sigs("a"))
-        store.save_window(1, sigs("b"))
-        with open(store.manifest_log_path, "a", encoding="utf-8") as handle:
-            handle.write('{"window": 2, "file": "window-')  # crash mid-append
-        scan = CheckpointStore(store.directory).scan()
-        assert [entry.window for entry in scan.good] == [0, 1]
-        assert not scan.issues
+        store.set_run_state({"contract": "exact", "config": {"k": 5}})
+        fresh = CheckpointStore(tmp_path / "ckpt")
+        assert fresh.run_state() == {"contract": "exact", "config": {"k": 5}}
 
     def test_clear_removes_everything(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
         store.save_window(0, sigs("a"))
+        store.set_run_state({"contract": "exact"})
         store.clear()
         assert store.scan().next_window == 0
-        assert not store.manifest_path.exists()
+        assert store.run_state() == {}
+        assert list(store.directory.iterdir()) == []
 
 
 class TestLoadVerification:
@@ -165,18 +178,19 @@ class TestLoadVerification:
         with pytest.raises(CheckpointError, match="hash verification"):
             store.load_window(0)
 
-    def test_valid_json_corruption_still_detected(self, tmp_path):
-        # The nasty case: the damaged file parses fine and would load into
-        # plausible signatures — only the SHA-256 check can catch it, and a
-        # silent wrong answer is exactly what must never happen.
+    def test_corruption_that_still_parses_is_detected(self, tmp_path):
+        # The nasty case: a flipped bit in a float64 weight still decodes
+        # into a plausible signature — only the SHA-256 check can catch it,
+        # and a silent wrong answer is exactly what must never happen.
         store = CheckpointStore(tmp_path / "ckpt")
         store.save_window(0, sigs("a"))
         path = store.window_path(0)
-        document = json.loads(path.read_text(encoding="utf-8"))
-        for owner in document["signatures"].values():
-            for peer in owner:
-                owner[peer] = owner[peer] + 1.0
-        path.write_text(json.dumps(document), encoding="utf-8")
+        offset = read_segment(path).header["arrays"]["values"]["offset"]
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        decoded = read_segment(path).signatures_for_window(0)
+        assert decoded["a"] != sigs("a")["a"]
         with pytest.raises(CheckpointError, match="hash verification"):
             store.load_window(0)
 
@@ -214,3 +228,48 @@ class TestFlakyCheckpointStoreLoads:
             store.load_window(1)
         # After the injected bit rot, a rescan refuses the window too.
         assert store.scan().next_window == 1
+
+
+class TestByteIdenticalResume:
+    def test_resume_is_byte_identical(self, tmp_path):
+        baseline = run_pipeline(CheckpointStore(tmp_path / "ckpt"))
+        resumed = run_pipeline(CheckpointStore(tmp_path / "ckpt"), resume=True)
+        assert [r.mode for r in resumed.report.windows] == (
+            ["cached"] * len(baseline.signatures)
+        )
+        for window, (left, right) in enumerate(
+            zip(baseline.signatures, resumed.signatures)
+        ):
+            assert window_bytes(left, tmp_path, f"b{window}.json") == window_bytes(
+                right, tmp_path, f"h{window}.json"
+            ), f"resumed window {window} diverged from the uninterrupted run"
+
+    def test_resume_after_truncated_tail_recomputes_it(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        baseline = run_pipeline(store)
+        [*_, last] = sorted(store.directory.glob(f"*{SEGMENT_SUFFIX}"))
+        blob = last.read_bytes()
+        last.write_bytes(blob[: len(blob) // 3])
+        resumed = run_pipeline(CheckpointStore(tmp_path / "ckpt"), resume=True)
+        for window, (left, right) in enumerate(
+            zip(baseline.signatures, resumed.signatures)
+        ):
+            assert window_bytes(left, tmp_path, f"x{window}.json") == window_bytes(
+                right, tmp_path, f"y{window}.json"
+            )
+
+    def test_contract_stamp_refuses_cross_strategy_resume(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        source = IterableRecordSource(trace_records())
+        SignaturePipeline(
+            source, store, PipelineConfig(scheme="tt", k=5, num_windows=3)
+        ).run()
+        sketch_config = PipelineConfig(
+            scheme="tt", k=5, num_windows=3, strategy="sketch"
+        )
+        with pytest.raises(Exception, match="contract"):
+            SignaturePipeline(
+                IterableRecordSource(trace_records()),
+                CheckpointStore(tmp_path / "ckpt"),
+                sketch_config,
+            ).run(resume=True)

@@ -8,7 +8,7 @@ Three contracts:
   bytes* identical to an uninterrupted incremental run (the aggregator
   state is reconstructed by replaying the checkpointed prefix);
 * resuming onto checkpoints written by an incompatible engine/scheme is
-  refused via the run-state manifest stamp.
+  refused via the checkpoint's run-state stamp.
 """
 
 import random
@@ -62,9 +62,10 @@ def make_pipeline(trace, directory, scheme="tt", incremental=True, hooks=(), **p
 
 
 def checkpoint_bytes(directory):
+    store = CheckpointStore(directory)
     return {
-        path.name: path.read_bytes()
-        for path in sorted(directory.glob("window-*.json"))
+        entry.window: store.window_path(entry.window).read_bytes()
+        for entry in store.scan().good
     }
 
 

@@ -1,9 +1,9 @@
 """Service persistence through the history store: restart, endpoints.
 
-The acceptance bar: a killed-and-restarted service process (same
-checkpoint + history directories, fresh objects) answers ``/signature``
-and ``/history`` from the store alone, and keeps numbering windows
-correctly as new traffic arrives.
+The acceptance bar: a killed-and-restarted service process (same store
+directory, fresh objects) answers ``/signature`` and ``/history`` from the
+store alone, and keeps numbering windows correctly as new traffic arrives.
+A checkpoint directory and a history directory are the same store.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class TestHistoryEndpoints:
         assert status == 404
         service.close()
 
-    def test_without_history_dir_is_404(self, config, tmp_path, fill):
-        service = SignatureService(config, checkpoint_dir=tmp_path / "ckpt")
+    def test_without_store_directory_is_404(self, config, fill):
+        service = SignatureService(config)
         fill(service)
         status, payload = get(service, "/history/h1")
         assert status == 404
@@ -159,6 +159,26 @@ class TestServiceRestart:
             assert before == after, (
                 f"shard {state.shard_id} diverged in a rebuild after restart"
             )
+        revived.close()
+
+    def test_checkpoint_dir_alone_restores_and_answers_history(
+        self, config, tmp_path, fill
+    ):
+        service = SignatureService(config, checkpoint_dir=tmp_path / "ckpt")
+        fill(service)
+        _, signature = get(service, "/signature/h1")
+        _, history = get(service, "/history/h1")
+        window = service.supervisor.window
+        service.close()
+
+        revived = SignatureService(config, checkpoint_dir=tmp_path / "ckpt")
+        assert revived.supervisor.window == window
+        status, payload = get(revived, "/signature/h1")
+        assert status == 200
+        assert payload["signature"] == signature["signature"]
+        status, payload = get(revived, "/history/h1")
+        assert status == 200
+        assert payload["matches"] == history["matches"]
         revived.close()
 
     def test_restart_with_empty_history_is_fresh(self, config, tmp_path, fill):

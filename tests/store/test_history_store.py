@@ -59,7 +59,7 @@ class TestAppendAndRead:
         store = make_store(tmp_path)
         store.append([(1, {"c": sig("c", w=9.0)})])
         # Window 1 is replaced and window 2 (>= the new minimum) dropped:
-        # the checkpoint backend's truncate-and-rewrite resume contract.
+        # the checkpoint store's truncate-and-rewrite resume contract.
         assert store.windows() == [0, 1]
         assert store.signature("a", 1) is None
         assert dict(store.signature("c", 1).entries) == {"w": 9.0}
@@ -75,6 +75,21 @@ class TestAppendAndRead:
         store = make_store(tmp_path)
         store.set_state({"config": {"k": 10}})
         assert HistoryStore(tmp_path / "hist").state() == {"config": {"k": 10}}
+
+    def test_appends_parse_the_manifest_at_most_once(self, tmp_path, monkeypatch):
+        parses = []
+        parse = HistoryStore._parse_manifest_lines
+
+        def counted(store):
+            parses.append(1)
+            return parse(store)
+
+        monkeypatch.setattr(HistoryStore, "_parse_manifest_lines", counted)
+        store = HistoryStore(tmp_path / "hist")
+        for window in range(50):
+            store.append([(window, {"a": sig("a", x=1.0 + window)})])
+        assert len(parses) <= 1
+        assert [r.seq for r in store.segment_records()] == list(range(50))
 
 
 class TestTimeTravel:

@@ -1,4 +1,5 @@
-"""PipelineConfig.history_dir: the pipeline archives every window it closes."""
+"""PipelineConfig.history_dir: the pipeline checkpoints every window it
+closes into the history store there, and nowhere else."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from repro.pipeline import (
     PipelineConfig,
     SignaturePipeline,
 )
-from repro.store import HistoryCheckpointStore, HistoryStore
+from repro.store import HistoryStore
+from repro.store.segments import SEGMENT_SUFFIX
 
 
 def records(n=90, hosts=5, services=7):
@@ -55,13 +57,24 @@ def test_fresh_run_clears_stale_history(tmp_path):
 
 
 def test_history_dir_matching_backend_store_is_not_duplicated(tmp_path):
-    # When the checkpoint store IS a HistoryCheckpointStore over the same
-    # directory, the runner must not append every window twice.
+    # When the checkpoint store already lives in history_dir, the runner
+    # must not append every window twice.
     config = PipelineConfig(
         scheme="tt", k=4, num_windows=3, history_dir=str(tmp_path / "hist")
     )
-    store = HistoryCheckpointStore(tmp_path / "hist")
+    store = CheckpointStore(tmp_path / "hist")
     SignaturePipeline(IterableRecordSource(records()), store, config).run()
     history = HistoryStore(tmp_path / "hist")
     assert history.windows() == [0, 1, 2]
     assert len(history.segment_records()) == 3
+
+
+def test_history_dir_elsewhere_leaves_the_store_directory_empty(tmp_path):
+    config = PipelineConfig(
+        scheme="tt", k=4, num_windows=3, history_dir=str(tmp_path / "b")
+    )
+    SignaturePipeline(
+        IterableRecordSource(records()), CheckpointStore(tmp_path / "a"), config
+    ).run()
+    assert len(list((tmp_path / "b").glob(f"*{SEGMENT_SUFFIX}"))) == 3
+    assert list((tmp_path / "a").iterdir()) == []
