@@ -1,64 +1,26 @@
-"""HistoryCheckpointStore: the CheckpointStore contract over columnar history.
+"""CheckpointStore over history segments: the store-level contract.
 
-The acceptance bar is *byte identity*: a pipeline resumed from the
-history-backed store must reproduce exactly what the JSON-file store
-produces on the same trace, and the run-state ``contract`` stamp must ride
-along so cross-strategy resumes are still refused.
+A checkpoint window is one segment of a HistoryStore. These cases drive the
+store directly, reopening the directory where a fresh process would.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.core.signature import Signature
-from repro.core.signature_io import save_signatures
 from repro.exceptions import CheckpointError
-from repro.pipeline import (
-    CheckpointStore,
-    IterableRecordSource,
-    PipelineConfig,
-    SignaturePipeline,
-)
-from repro.store import HistoryCheckpointStore
+from repro.pipeline.checkpoint import CheckpointStore
 from repro.store.segments import SEGMENT_SUFFIX
-
-
-def trace_records(n=120, hosts=6, services=9):
-    out = []
-    for i in range(n):
-        out.append(
-            (
-                float(i),
-                f"host-{i % hosts:03d}",
-                f"svc-{(i * 7) % services:03d}",
-                1.0 + (i % 5) * 0.25,
-            )
-        )
-    return out
-
-
-def run_pipeline(store, *, resume=False, num_windows=4):
-    source = IterableRecordSource(trace_records())
-    config = PipelineConfig(scheme="tt", k=5, num_windows=num_windows)
-    return SignaturePipeline(source, store, config).run(resume=resume)
-
-
-def window_bytes(signatures, tmp_path, name):
-    """Canonical byte serialisation of one window's signature map."""
-    path = tmp_path / name
-    save_signatures(signatures, path)
-    return path.read_bytes()
 
 
 class TestCheckpointContract:
     def test_save_and_load_roundtrip(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "h")
+        store = CheckpointStore(tmp_path / "h")
         signatures = {"a": Signature("a", {"x": 1.5}), "b": Signature("b", {"y": 2.0})}
         entry = store.save_window(0, signatures, {"records": 3})
         assert entry.window == 0
-        loaded, meta = store.load_window(0)
+        loaded, meta = CheckpointStore(tmp_path / "h").load_window(0)
         assert meta["records"] == 3
         assert {k: dict(v.entries) for k, v in loaded.items()} == {
             "a": {"x": 1.5},
@@ -66,95 +28,26 @@ class TestCheckpointContract:
         }
 
     def test_non_sequential_save_rejected(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "h")
+        store = CheckpointStore(tmp_path / "h")
         with pytest.raises(CheckpointError):
             store.save_window(1, {"a": Signature("a", {"x": 1.0})}, {})
 
-    def test_run_state_roundtrips(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "h")
-        store.set_run_state({"contract": "exact", "config": {"k": 5}})
-        fresh = HistoryCheckpointStore(tmp_path / "h")
-        assert fresh.run_state() == {"contract": "exact", "config": {"k": 5}}
-
     def test_corrupt_segment_fails_hash_verification(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "h")
+        store = CheckpointStore(tmp_path / "h")
         store.save_window(0, {"a": Signature("a", {"x": 1.0})}, {})
-        [segment] = store.history.directory.glob(f"*{SEGMENT_SUFFIX}")
+        [segment] = store.directory.glob(f"*{SEGMENT_SUFFIX}")
         blob = bytearray(segment.read_bytes())
         blob[-1] ^= 0xFF
         segment.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="hash verification"):
-            HistoryCheckpointStore(tmp_path / "h").load_window(0)
+            CheckpointStore(tmp_path / "h").load_window(0)
 
     def test_scan_reports_contiguous_prefix(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "h")
+        store = CheckpointStore(tmp_path / "h")
         for window in range(3):
             store.save_window(window, {"a": Signature("a", {"x": 1.0 + window})}, {})
-        [*_, last] = sorted(store.history.directory.glob(f"*{SEGMENT_SUFFIX}"))
+        [*_, last] = sorted(store.directory.glob(f"*{SEGMENT_SUFFIX}"))
         last.unlink()
-        scan = HistoryCheckpointStore(tmp_path / "h").scan()
+        scan = CheckpointStore(tmp_path / "h").scan()
         assert scan.next_window == 2
         assert scan.issues
-
-
-class TestByteIdenticalResume:
-    def test_fresh_runs_agree_across_backends(self, tmp_path):
-        json_result = run_pipeline(CheckpointStore(tmp_path / "json"))
-        hist_result = run_pipeline(HistoryCheckpointStore(tmp_path / "hist"))
-        assert len(json_result.signatures) == len(hist_result.signatures)
-        for window, (left, right) in enumerate(
-            zip(json_result.signatures, hist_result.signatures)
-        ):
-            assert window_bytes(left, tmp_path, f"l{window}.json") == window_bytes(
-                right, tmp_path, f"r{window}.json"
-            ), f"window {window} differs between JSON and history backends"
-
-    def test_resume_from_history_backend_is_byte_identical(self, tmp_path):
-        json_store = CheckpointStore(tmp_path / "json")
-        hist_store = HistoryCheckpointStore(tmp_path / "hist")
-        baseline = run_pipeline(json_store)
-        run_pipeline(hist_store)
-        resumed = run_pipeline(
-            HistoryCheckpointStore(tmp_path / "hist"), resume=True
-        )
-        assert [r.mode for r in resumed.report.windows] == (
-            ["cached"] * len(baseline.signatures)
-        )
-        for window, (left, right) in enumerate(
-            zip(baseline.signatures, resumed.signatures)
-        ):
-            assert window_bytes(left, tmp_path, f"b{window}.json") == window_bytes(
-                right, tmp_path, f"h{window}.json"
-            ), f"resumed window {window} diverged from the JSON baseline"
-
-    def test_resume_after_truncated_tail_recomputes_it(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "hist")
-        baseline = run_pipeline(store)
-        [*_, last] = sorted(store.history.directory.glob(f"*{SEGMENT_SUFFIX}"))
-        blob = last.read_bytes()
-        last.write_bytes(blob[: len(blob) // 3])
-        resumed = run_pipeline(
-            HistoryCheckpointStore(tmp_path / "hist"), resume=True
-        )
-        for window, (left, right) in enumerate(
-            zip(baseline.signatures, resumed.signatures)
-        ):
-            assert window_bytes(left, tmp_path, f"x{window}.json") == window_bytes(
-                right, tmp_path, f"y{window}.json"
-            )
-
-    def test_contract_stamp_refuses_cross_strategy_resume(self, tmp_path):
-        store = HistoryCheckpointStore(tmp_path / "hist")
-        source = IterableRecordSource(trace_records())
-        SignaturePipeline(
-            source, store, PipelineConfig(scheme="tt", k=5, num_windows=3)
-        ).run()
-        sketch_config = PipelineConfig(
-            scheme="tt", k=5, num_windows=3, strategy="sketch"
-        )
-        with pytest.raises(Exception, match="contract"):
-            SignaturePipeline(
-                IterableRecordSource(trace_records()),
-                HistoryCheckpointStore(tmp_path / "hist"),
-                sketch_config,
-            ).run(resume=True)
