@@ -12,7 +12,7 @@ bipartite.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import FrozenSet, Iterable, List, Mapping, Set, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.comm_graph import CommGraph
@@ -119,6 +119,27 @@ class BipartiteGraph(CommGraph):
             return False
         super()._load_aggregated(weights, total_weight, num_records)
         self._left, self._right = left, right
+        return True
+
+    def _set_edge_weights(
+        self, updates: List[Tuple[Tuple[NodeId, NodeId], Optional[Weight]]]
+    ) -> bool:
+        # set_edge_weight puts src in V1 and dst in V2 even for a zero
+        # weight.  While no node would end up on both sides, no call raises.
+        left = {src for (src, _dst), weight in updates if weight is not None}
+        right = {dst for (_src, dst), weight in updates if weight is not None}
+        if not (
+            left.isdisjoint(right)
+            and left.isdisjoint(self._right)
+            and right.isdisjoint(self._left)
+        ):
+            # An orientation violation or a self-loop: the per-edge calls
+            # raise (or not) at the right edge.
+            return False
+        if not super()._set_edge_weights(updates):
+            return False
+        self._left |= left
+        self._right |= right
         return True
 
     def remove_node(self, node: NodeId) -> None:

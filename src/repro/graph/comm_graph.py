@@ -273,6 +273,70 @@ class CommGraph:
         self._version = len(out) + num_records
         return True
 
+    def _set_edge_weights(
+        self, updates: List[Tuple[Tuple[NodeId, NodeId], Optional[Weight]]]
+    ) -> bool:
+        """Apply ``((src, dst), weight)`` updates in order, each exactly as
+        ``set_edge_weight(src, dst, weight)`` — or, for a ``None`` weight,
+        ``remove_edge(src, dst)`` when the edge exists — would: the same
+        journal entries, node and row orders, ``total_weight`` additions
+        and subtractions in the same order, edge count and version.  The
+        calls are inlined.  Returns whether it wrote; with a negative
+        weight (which ``set_edge_weight`` rejects) it writes nothing.
+        """
+        if any(weight is not None and weight < 0 for _edge, weight in updates):
+            return False
+        out, into = self._out, self._in
+        journal = self._journal if self._journal is not None else _MutationJournal()
+        edge_old, node_was_present = journal.edge_old, journal.node_was_present
+        num_edges, total, version = self._num_edges, self._total_weight, self._version
+        for edge, weight in updates:
+            src, dst = edge
+            row = out.get(src)
+            current = 0.0 if row is None else row.get(dst, 0.0)
+            if weight is None:
+                if row is None or dst not in row:
+                    continue
+            elif not current > 0:
+                # set_edge_weight removes nothing; its add_edge / add_node
+                # calls below create missing endpoints.
+                for node in edge:
+                    if node not in out:
+                        node_was_present.setdefault(node, False)
+                        out[node] = {}
+                        into[node] = {}
+                        version += 1
+                if weight > 0:
+                    row = out[src]
+                    if edge not in edge_old:
+                        edge_old[edge] = row.get(dst, 0.0)
+                    if dst not in row:
+                        num_edges += 1
+                        row[dst] = 0.0
+                        into[dst][src] = 0.0
+                    row[dst] += weight
+                    into[dst][src] += weight
+                    total += weight
+                    version += 1
+                continue
+            # The edge exists: remove it (remove_edge, or set_edge_weight's
+            # first step), then re-add it at the end of both rows.
+            if edge not in edge_old:
+                edge_old[edge] = current
+            del row[dst]
+            del into[dst][src]
+            num_edges -= 1
+            total -= current
+            version += 1
+            if weight is not None and weight > 0:
+                row[dst] = 0.0 + weight
+                into[dst][src] = 0.0 + weight
+                num_edges += 1
+                total += weight
+                version += 1
+        self._num_edges, self._total_weight, self._version = num_edges, total, version
+        return True
+
     def _remove_edge_entry(self, src: NodeId, dst: NodeId, weight: Weight) -> None:
         self._journal_edge(src, dst)
         del self._out[src][dst]

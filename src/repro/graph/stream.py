@@ -33,7 +33,7 @@ CSV_FIELDS = ("time", "src", "dst", "weight")
 ERROR_POLICIES = ("strict", "skip", "quarantine")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EdgeRecord:
     """One observed communication: ``src`` talked to ``dst`` at ``time``.
 
@@ -42,7 +42,9 @@ class EdgeRecord:
     edge weights ``C[src, dst]``.
 
     The ordering (by ``time`` first) lets record lists be sorted
-    chronologically with plain :func:`sorted`.
+    chronologically with plain :func:`sorted`.  Slotted: a service shard
+    keeps every record it ingested, and a trace holds hundreds of
+    thousands.
     """
 
     time: float

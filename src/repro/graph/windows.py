@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from repro.graph.stream import EdgeRecord
 from repro.types import NodeId, Weight
 
 _TIME = operator.attrgetter("time")
+_RECORD_ORDER = operator.attrgetter(*(spec.name for spec in fields(EdgeRecord)))
 
 
 def window_index_of(time: float, start: float, width: float) -> int:
@@ -65,6 +66,24 @@ def window_index_of(time: float, start: float, width: float) -> int:
 def record_times(records: Sequence[EdgeRecord]) -> np.ndarray:
     """The records' ``time`` fields as one float64 array."""
     return np.fromiter(map(_TIME, records), dtype=np.float64, count=len(records))
+
+
+def canonical_order(records: Sequence[EdgeRecord]) -> Sequence[EdgeRecord]:
+    """The window's records sorted: float aggregation is order-sensitive, so
+    this makes the output invariant to delivery order (and byte-stable
+    across resumes and rebuilds).
+
+    The order is :class:`EdgeRecord`'s own (its fields in declaration
+    order, time first), so when times strictly increase the sort is the
+    identity and ``records`` come back as they are.  Otherwise the sort
+    key builds each record's field tuple once, where comparing records
+    builds two per comparison; the comparisons, and so the order, are the
+    same.
+    """
+    times = record_times(records)
+    if np.all(times[1:] > times[:-1]):
+        return records
+    return sorted(records, key=_RECORD_ORDER)
 
 
 def window_indices(times: np.ndarray, start: float, width: float) -> np.ndarray:
@@ -334,21 +353,28 @@ class SlidingWindowAggregator:
             affected = [edge for edge in expiring if edge not in arriving]
             affected.extend(first_positive)
             affected.extend(edge for edge in arriving if edge not in first_positive)
-            for src, dst in affected:
+            updates: List[Tuple[Tuple[NodeId, NodeId], Optional[Weight]]] = []
+            for edge in affected:
                 # Re-accumulate this edge's surviving contributions in
                 # record order: bit-identical to fresh aggregation.
                 total = 0.0
                 contributions = 0
                 for bucket in self._buckets:
-                    for weight in bucket.get((src, dst), ()):
+                    for weight in bucket.get(edge, ()):
                         total += weight
                         contributions += 1
-                if contributions:
-                    # Zero-weight contributions still materialise the
-                    # endpoints, matching aggregate_records.
-                    graph.set_edge_weight(src, dst, total)
-                elif graph.has_edge(src, dst):
-                    graph.remove_edge(src, dst)
+                # No contributions (None) removes the edge; zero-weight
+                # ones still materialise the endpoints, matching
+                # aggregate_records.
+                updates.append((edge, total if contributions else None))
+            if not graph._set_edge_weights(updates):
+                # The per-edge calls: the reference, and the path that
+                # raises at the right edge.
+                for (src, dst), total in updates:
+                    if total is not None:
+                        graph.set_edge_weight(src, dst, total)
+                    elif graph.has_edge(src, dst):
+                        graph.remove_edge(src, dst)
 
             for node, count in expiring_nodes.items():
                 remaining = self._node_refs.get(node, 0) - count

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
@@ -41,7 +39,7 @@ from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, ReadReport
-from repro.graph.windows import SlidingWindowAggregator, bucket_records, record_times
+from repro.graph.windows import SlidingWindowAggregator, bucket_records, canonical_order
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.types import NodeId
 from repro.pipeline.report import (
@@ -60,17 +58,6 @@ from repro.streaming.stream_schemes import (
 
 #: Hook signature: called after each window is checkpointed.
 WindowHook = Callable[[int, WindowReport], None]
-
-
-def _canonical_order(records: List[EdgeRecord]) -> List[EdgeRecord]:
-    """The window's records sorted: float aggregation is order-sensitive, so
-    this makes the output invariant to delivery order (and byte-stable
-    across resumes).  Records sort by time first, so when times strictly
-    increase the sort is the identity and is skipped."""
-    times = record_times(records)
-    if np.all(times[1:] > times[:-1]):
-        return records
-    return sorted(records)
 
 
 @dataclass
@@ -548,7 +535,7 @@ class SignaturePipeline:
             aggregator=SlidingWindowAggregator(bipartite=self.config.bipartite)
         )
         for index in range(start_window):
-            state.aggregator.advance(_canonical_order(buckets[index]))
+            state.aggregator.advance(canonical_order(buckets[index]))
         if start_window and replayed_modes[-1] == MODE_EXACT:
             graph = state.aggregator.graph
             state.previous = scheme.compute_all(
@@ -612,7 +599,7 @@ class SignaturePipeline:
         inc: Optional[_IncrementalState] = None,
     ) -> Tuple[WindowReport, Dict[str, Signature]]:
         started = self._clock()
-        records = _canonical_order(records)
+        records = canonical_order(records)
         delta: Optional[WindowDelta] = None
         if inc is not None:
             # Advance G_t -> G_{t+1} by the arriving records only; the

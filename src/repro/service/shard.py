@@ -32,7 +32,7 @@ from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError
 from repro.graph.stream import EdgeRecord
-from repro.graph.windows import SlidingWindowAggregator
+from repro.graph.windows import SlidingWindowAggregator, canonical_order
 from repro.matching.index import SignatureIndex
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.service.config import ServiceConfig
@@ -105,12 +105,13 @@ class ShardEngine:
     def apply(self, bucket: Sequence[EdgeRecord]) -> None:
         """Advance one window with ``bucket`` and recompute signatures.
 
-        Records are sorted first (float aggregation is order-sensitive;
-        sorting makes output invariant to arrival order, exactly as the
-        pipeline does), then the scheme recomputes only its dirty set.
+        Records are put in canonical order first (float aggregation is
+        order-sensitive; this makes output invariant to arrival order,
+        exactly as the pipeline does), then the scheme recomputes only its
+        dirty set.
         """
         with obs.use_registry(self.registry):
-            self._apply(sorted(bucket))
+            self._apply(canonical_order(bucket))
 
     def _compute_kwargs(self) -> Dict:
         """Forward the configured execution strategy when the supervisor
@@ -123,7 +124,7 @@ class ShardEngine:
             return {"strategy": "sketch", "engine": self._sketch_engine}
         return {}
 
-    def _apply(self, records: List[EdgeRecord]) -> None:
+    def _apply(self, records: Sequence[EdgeRecord]) -> None:
         delta = self.aggregator.advance(records)
         graph = self.aggregator.graph
         use_delta = delta if (self._previous_raw is not None and self.window >= 0) else None
@@ -220,8 +221,7 @@ class ShardEngine:
     ) -> None:
         for offset, bucket in enumerate(buckets):
             index = base_window + 1 + offset
-            records = sorted(bucket)
-            delta = self.aggregator.advance(records)
+            delta = self.aggregator.advance(canonical_order(bucket))
             graph = self.aggregator.graph
             self.window = index
             if index < verified:
@@ -364,7 +364,7 @@ class SketchTier:
         ``window_buckets`` sketch merges.
         """
         builder = self._builder()
-        builder.observe_records(sorted(bucket))
+        builder.observe_records(canonical_order(bucket))
         self._bucket_builders.append(builder)
         window_builder: Optional[StreamingTopTalkers] = None
         for part in self._bucket_builders:

@@ -132,12 +132,15 @@ class ShardSupervisor:
         Each shard engine restores its last recorded window from the
         shard's store; the global window index resumes at the
         highest restored window so status and responses stay truthful.
-        Shards fall back to empty (fresh) state when the stores are empty.
+        The sketch tier holds no data yet but counts windows from the
+        restored one, so its approximate answers name the windows they
+        summarise.  Shards fall back to empty (fresh) state when the
+        stores are empty.
         """
         restored = -1
         for state in self.shards:
             if state.engine is not None and state.engine.restore_from_history():
-                state.window_base = state.engine.window
+                state.window_base = state.sketch.window = state.engine.window
                 restored = max(restored, state.engine.window)
         if restored >= 0:
             self.window = restored
@@ -214,8 +217,13 @@ class ShardSupervisor:
         routed: Dict[int, List[EdgeRecord]] = {
             state.shard_id: [] for state in self.shards
         }
+        shard_of: Dict[str, int] = {}
         for record in bucket:
-            routed[self.shard_for(record.src)].append(record)
+            src = record.src
+            shard = shard_of.get(src)
+            if shard is None:
+                shard = shard_of[src] = self.shard_for(src)
+            routed[shard].append(record)
         try:
             for state in self.shards:
                 sub = routed[state.shard_id]
@@ -381,6 +389,9 @@ class ShardSupervisor:
             recent = state.buckets[-self.config.window_buckets:]
             for bucket in recent:
                 state.sketch.advance(bucket)
+            # The ingest log runs up to the published window, so the last
+            # bucket replayed is that window's.
+            state.sketch.window = self.window
             state.health = HEALTH_DEGRADED
         self._try_restart(state, opportunistic=True)
         return state.health == HEALTH_HEALTHY

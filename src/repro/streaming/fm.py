@@ -25,7 +25,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.exceptions import StreamingError
-from repro.streaming.hashing import HashFamily, stable_hash64
+from repro.streaming.hashing import shared_hash_family, stable_hash64
 
 #: Flajolet-Martin's bias correction constant.
 PHI = 0.77351
@@ -43,7 +43,7 @@ class FlajoletMartin:
         self.num_registers = num_registers
         self.seed = seed
         # One hash assigns the register, a second supplies the bit pattern.
-        self._hashes = HashFamily(2, 1 << 62, seed=seed)
+        self._hashes = shared_hash_family(2, 1 << 62, seed)
         self._bitmaps = np.zeros(num_registers, dtype=np.uint64)
 
     # ------------------------------------------------------------------

@@ -8,8 +8,9 @@ for seeded pairwise-independent hash functions over a Mersenne prime.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Hashable, List
+from typing import Hashable, List, Tuple
 
 import numpy as np
 
@@ -30,6 +31,14 @@ def stable_hash64(item: Hashable) -> int:
     return int.from_bytes(digest, "big")
 
 
+def stable_hash_key(item: Hashable) -> Tuple[str, str]:
+    """The type name and repr that :func:`stable_hash64` hashes: items with
+    equal keys have equal fingerprints.  Items that compare equal can
+    still differ here (``1``, ``True`` and ``1.0``; ``0.0`` and ``-0.0``).
+    """
+    return type(item).__name__, repr(item)
+
+
 class HashFamily:
     """A family of seeded pairwise-independent hash functions.
 
@@ -47,8 +56,8 @@ class HashFamily:
         rng = np.random.default_rng(seed)
         self.count = count
         self.output_range = output_range
-        self._a = [int(value) for value in rng.integers(1, MERSENNE_61, size=count)]
-        self._b = [int(value) for value in rng.integers(0, MERSENNE_61, size=count)]
+        self._a = tuple(int(value) for value in rng.integers(1, MERSENNE_61, size=count))
+        self._b = tuple(int(value) for value in rng.integers(0, MERSENNE_61, size=count))
 
     def hash_value(self, function_index: int, value: int) -> int:
         """Apply member ``function_index`` to a non-negative integer ``value``."""
@@ -71,3 +80,15 @@ class HashFamily:
             ((a * value + b) % MERSENNE_61) % self.output_range
             for a, b in zip(self._a, self._b)
         ]
+
+
+@functools.lru_cache(maxsize=256)
+def shared_hash_family(count: int, output_range: int, seed: int = 0) -> HashFamily:
+    """The one :class:`HashFamily` of ``(count, output_range, seed)``.
+
+    Families are immutable and fully determined by their parameters, so
+    sketches of one configuration share an instance instead of drawing a
+    seeded family each (a service window creates one Count-Min sketch per
+    source).
+    """
+    return HashFamily(count, output_range, seed=seed)

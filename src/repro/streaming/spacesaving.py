@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.exceptions import StreamingError
 
@@ -83,6 +83,35 @@ class SpaceSaving:
         )
         self._entries[item] = entry
         self._push(entry)
+
+    def _update_many(self, items: Sequence[Hashable], counts: Sequence[float]) -> None:
+        """:meth:`update` once per ``(item, count)`` pair in order; every
+        count must be positive.
+
+        When the tracked items plus the new distinct ones fit in
+        ``capacity``, no update can evict, so the entries are written
+        directly: the same items in the same order, counts summed in pair
+        order, errors and sequence numbers.  Only the heap differs — it is
+        rebuilt compacted, which pops the same entries in the same order.
+        """
+        entries = self._entries
+        new = len(set(items).difference(entries))
+        if len(entries) + new > self.capacity:
+            for item, count in zip(items, counts):
+                self.update(item, count)
+            return
+        total = self._total
+        for item, count in zip(items, counts):
+            total += count
+            entry = entries.get(item)
+            if entry is None:
+                entries[item] = _Entry(
+                    item=item, count=count, error=0.0, sequence=next(self._sequence)
+                )
+            else:
+                entry.count += count
+        self._total = total
+        self._compact()
 
     def _push(self, entry: _Entry) -> None:
         heapq.heappush(self._heap, (entry.count, entry.sequence, entry))

@@ -20,14 +20,26 @@ streamed signatures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+import functools
+import operator
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.signature import Signature
 from repro.exceptions import StreamingError
 from repro.streaming.countmin import CountMinSketch
 from repro.streaming.fm import FlajoletMartin
+from repro.streaming.hashing import stable_hash_key
 from repro.streaming.spacesaving import SpaceSaving
 from repro.types import NodeId, Weight
+
+
+def _hash_identity(label: NodeId) -> Hashable:
+    """A key equal for two labels when they are equal and the sketches hash
+    them alike.  Equal labels can hash differently (``1``, ``True``), but
+    equal ``str`` labels cannot, so those are their own key.  The key
+    holds ``label`` itself, so using it as a dict key raises
+    ``TypeError`` for an unhashable label."""
+    return label if type(label) is str else (label, stable_hash_key(label))
 
 
 class StreamingTopTalkers:
@@ -87,11 +99,75 @@ class StreamingTopTalkers:
         """Process :class:`~repro.graph.stream.EdgeRecord` objects.
 
         Duck-typed (anything with ``src``/``dst``/``weight`` works) so the
-        sketches stay import-light; this is the entry point the
-        fault-tolerant pipeline's degraded path uses.
+        sketches stay import-light; this is the entry point the service's
+        sketch tier and the fault-tolerant pipeline's degraded path use.
+
+        The result is exactly what :meth:`observe` once per record builds:
+        bitwise-equal Count-Min tables and totals, the same SpaceSaving
+        entries and sequence numbers, out-volumes and source order.  The
+        batch path groups the records by source and hashes each distinct
+        destination once; a negative, NaN or unorderable weight, or an
+        unhashable label, takes the per-record loop instead, so errors and
+        the state they leave behind are unchanged.
         """
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        try:
+            batch = self._group(records)
+        except TypeError:
+            batch = None
+        if batch is None:
+            for record in records:
+                self.observe(record.src, record.dst, record.weight)
+        else:
+            self._observe_batch(batch)
+
+    def _group(self, records: Sequence) -> Optional[Tuple]:
+        """The records :meth:`observe` would count, grouped by source in
+        first-record order as ``src -> (destinations, weights, hashed)`` in
+        record order, where ``hashed`` indexes the returned list of
+        distinctly hashed destinations; ``None`` when a weight is negative
+        or NaN.  Hashes every label and changes nothing."""
+        groups: Dict[NodeId, Tuple[List[NodeId], List[Weight], List[int]]] = {}
+        index_of: Dict[Hashable, int] = {}
+        hashed: List[NodeId] = []
         for record in records:
-            self.observe(record.src, record.dst, record.weight)
+            weight = record.weight
+            if not weight >= 0:
+                return None
+            src, dst = record.src, record.dst
+            if weight == 0 or src == dst:
+                continue
+            group = groups.get(src)
+            if group is None:
+                group = groups[src] = ([], [], [])
+            key = _hash_identity(dst)
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(hashed)
+                hashed.append(dst)
+            group[0].append(dst)
+            group[1].append(weight)
+            group[2].append(index)
+        return groups, hashed
+
+    def _observe_batch(self, batch: Tuple) -> None:
+        groups, hashed = batch[0], batch[1]
+        for src in groups:
+            if src not in self._sketches:
+                self._sketches[src] = self._empty_sketch()
+                self._candidates[src] = SpaceSaving(self.candidate_capacity)
+                self._out_volume[src] = 0.0
+        if not groups:
+            return
+        # Every sketch of this builder shares one hash family.
+        columns = self._sketches[next(iter(groups))]._columns(hashed)
+        for src, (destinations, weights, indices) in groups.items():
+            self._sketches[src]._add_columns(columns[indices], weights)
+            self._candidates[src]._update_many(destinations, weights)
+            self._out_volume[src] = functools.reduce(
+                operator.add, weights, self._out_volume[src]
+            )
 
     # ------------------------------------------------------------------
     def estimated_edge_weight(self, src: NodeId, dst: NodeId) -> float:
@@ -248,6 +324,24 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
                 num_registers=self.fm_registers, seed=self.seed
             )
         self._indegree[dst].add(src)
+
+    def _group(self, records: Sequence) -> Optional[Tuple]:
+        batch = super()._group(records)
+        if batch is None:
+            return None
+        # Adding a source to an FM sketch twice changes nothing, so each
+        # distinct (src, dst) pair — self-loops included — is noted once.
+        pairs: Dict[Tuple, Tuple[NodeId, NodeId]] = {}
+        for record in records:
+            if record.weight != 0:
+                src, dst = record.src, record.dst
+                pairs.setdefault((_hash_identity(src), dst), (src, dst))
+        return batch + (pairs,)
+
+    def _observe_batch(self, batch: Tuple) -> None:
+        super()._observe_batch(batch)
+        for src, dst in batch[2].values():
+            self.note_in_degree(src, dst)
 
     def estimated_in_degree(self, node: NodeId) -> float:
         """FM estimate of ``|I(node)|`` (0 when never seen as a destination)."""

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.service import ServiceConfig
+from repro.service import STATE_CLOSED, ServiceConfig
 from repro.service.http import SignatureService
 
 
@@ -133,6 +133,31 @@ class TestServiceRestart:
         status, payload = get(revived, "/trajectory/h1")
         assert status == 200
         assert payload["windows"][-1] > window
+        revived.close()
+
+    def test_approximate_answers_after_restart_name_the_window(
+        self, config, tmp_path, fill, records_factory
+    ):
+        """Regression: the sketch tier started counting at -1 after a
+        restart, so one close later its answers named window 0."""
+        service = make_service(config, tmp_path)
+        fill(service, count=24)
+        service.close()
+
+        revived = make_service(config, tmp_path)
+        assert revived.supervisor.window == 2
+        fill(revived, count=8, seed=1, start=100.0)
+        node = records_factory(8, seed=1, start=100.0)[0].src
+        state = revived.supervisor.state_for(node)
+        while state.breaker.state == STATE_CLOSED:
+            state.breaker.record_failure()
+        status, payload = get(revived, f"/signature/{node}")
+        assert status == 200
+        assert payload["approximate"]
+        assert payload["window"] == 3
+        _, payload = get(revived, f"/anomaly/{node}")
+        assert payload["approximate"]
+        assert payload["window"] == 3
         revived.close()
 
     def test_crash_rebuild_after_restart_keeps_state(self, config, tmp_path, fill):

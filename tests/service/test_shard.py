@@ -209,24 +209,27 @@ class TestSketchTier:
         sketch merging (the old path re-read every retained record)."""
         from repro.streaming.stream_schemes import StreamingTopTalkers
 
-        calls = {"observe": 0}
-        original = StreamingTopTalkers.observe
+        observed = []  # (builder, records) per observe_records call
+        original = StreamingTopTalkers.observe_records
 
-        def counting(self, src, dst, weight=1.0):
-            calls["observe"] += 1
-            return original(self, src, dst, weight)
+        def counting(self, records):
+            observed.append((self, list(records)))
+            return original(self, records)
 
-        monkeypatch.setattr(StreamingTopTalkers, "observe", counting)
+        monkeypatch.setattr(StreamingTopTalkers, "observe_records", counting)
         config = ServiceConfig(
             num_shards=1, window_records=25, window_buckets=3, queue_capacity=100, k=5
         )
         tier = SketchTier(config)
-        total = 0
+        buckets = []
         for i in range(5):
-            bucket = records_factory(20, nodes=4, seed=i, start=i * 100.0)
-            total += len(bucket)
-            tier.advance(bucket)
-        assert calls["observe"] == total
+            buckets.append(records_factory(20, nodes=4, seed=i, start=i * 100.0))
+            tier.advance(buckets[-1])
+        # One fresh builder per bucket, fed exactly that bucket's records.
+        assert len({id(builder) for builder, _records in observed}) == len(buckets)
+        assert [sorted(records) for _builder, records in observed] == [
+            sorted(bucket) for bucket in buckets
+        ]
 
     def test_persistence_clamped_when_distance_exceeds_one(
         self, config, buckets, monkeypatch

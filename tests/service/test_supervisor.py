@@ -149,6 +149,24 @@ class TestRecovery:
         assert state.engine.signatures == reference.shards[2].engine.signatures
 
 
+    def test_heal_of_down_shard_names_the_global_window(self, small_config, traffic):
+        """Regression: healing a DOWN shard rebuilt its sketch tier from the
+        retained buckets and numbered it from 0, so a shard left without
+        an engine reported window 0 in /status."""
+        supervisor = ShardSupervisor(small_config)
+        supervisor.install_injector(2, BreakSketch(at_window=1))
+        for bucket in traffic[:3]:
+            supervisor.ingest(bucket)
+        state = supervisor.shards[2]
+        assert state.health == HEALTH_DOWN
+        # The engine stays unrebuildable: the sketch tier answers alone.
+        supervisor.install_injector(2, KillShard(at_window=-1, rebuild_failures=100))
+        assert not supervisor.heal(2)
+        assert state.engine is None
+        assert state.sketch.window == supervisor.window == 2
+        assert supervisor.status()["shards"][2]["window"] == 2
+
+
 class WindowSpy(ShardFaultInjector):
     """Records what the supervisor publishes while a shard applies a window."""
 
