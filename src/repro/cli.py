@@ -24,6 +24,7 @@ import time
 from typing import Callable, Dict
 
 from repro import obs
+from repro.core.execution import DEFAULT_BUDGET_BYTES, STRATEGIES
 from repro.experiments import (
     ExperimentConfig,
     derive_table4,
@@ -187,7 +188,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         bipartite=args.bipartite,
         incremental=args.incremental,
         strategy=args.strategy,
-        jobs=args.jobs if args.strategy == "shm" else 0,
+        jobs=args.jobs,
         sketch_budget_bytes=args.sketch_budget,
         error_budget=args.error_budget,
         max_memory_cells=args.memory_budget,
@@ -277,7 +278,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         max_restarts=args.serve_max_restarts,
         distance=args.serve_distance,
         strategy=args.strategy,
-        jobs=args.jobs if args.strategy == "shm" else 0,
+        jobs=args.jobs,
         sketch_budget_bytes=args.sketch_budget,
         slo_similar_p99_s=args.slo_similar_p99 or None,
         slo_availability=args.slo_availability or None,
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--strategy",
-        choices=("serial", "shm", "sketch"),
+        choices=STRATEGIES,
         default="serial",
         help="batch-recompute engine: 'serial' computes in-process (default), "
         "'shm' fans signature batches out over a zero-copy shared-memory "
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sketch-budget",
         type=int,
-        default=2097152,
+        default=DEFAULT_BUDGET_BYTES,
         metavar="BYTES",
         help="byte budget of the sketch tier under --strategy sketch "
         "(default: 2097152 = 2 MiB)",

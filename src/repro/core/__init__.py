@@ -8,6 +8,7 @@ robustness) plus ROC/AUC evaluation of Section IV.
 """
 
 from repro.core.signature import Signature
+from repro.core.execution import STRATEGIES, ComputeEngine, make_engine
 from repro.core.scheme import (
     SignatureScheme,
     available_schemes,
@@ -59,6 +60,9 @@ from repro.core.selection import (
 
 __all__ = [
     "Signature",
+    "STRATEGIES",
+    "ComputeEngine",
+    "make_engine",
     "SignatureScheme",
     "available_schemes",
     "create_scheme",

@@ -15,6 +15,7 @@ import abc
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
 
 from repro import obs
+from repro.core.execution import ComputeEngine
 from repro.core.signature import Signature
 from repro.exceptions import SchemeError, UnknownSchemeError
 from repro.graph.bipartite import BipartiteGraph
@@ -71,8 +72,7 @@ class SignatureScheme(abc.ABC):
         *,
         delta: Optional[WindowDelta] = None,
         previous: Optional[Mapping[NodeId, Signature]] = None,
-        strategy: str = "serial",
-        engine=None,
+        engine: Optional[ComputeEngine] = None,
     ) -> Dict[NodeId, Signature]:
         """Signatures for ``nodes`` (default: every node in the graph),
         keyed in target order.
@@ -88,23 +88,18 @@ class SignatureScheme(abc.ABC):
         independent under the change fall back to a full recompute by
         returning ``None`` from :meth:`dirty_nodes`.
 
-        **Execution strategy**: ``strategy="serial"`` (default) computes
-        in-process; ``strategy="shm"`` partitions the batch — the full
-        target list or, combined with the incremental path, just the
-        dirty set — across a :class:`repro.parallel.shm.ShmEngine` worker
-        pool reading the graph from shared memory.  Results are
-        byte-identical either way.  ``strategy="sketch"`` routes the batch
-        through a memory-budgeted
-        :class:`repro.streaming.tier.SketchTierEngine` — exact signatures
-        for the hottest sources, sketch-backed ones for the long tail —
-        under an **accuracy contract** (top-k overlap vs exact, gated by
-        the sketch bench) instead of byte-identity; the incremental
-        delta/previous path is bypassed, since reusing byte-exact prior
-        signatures inside an approximate answer would blur which contract
-        the result satisfies.  ``engine`` optionally supplies the engine
-        (a caller-owned pool or tier); otherwise the matching process-wide
-        default (:func:`repro.parallel.shm.default_engine` /
-        :func:`repro.streaming.tier.default_engine`) is used.
+        **Engine**: ``engine=None`` (default) computes in-process.
+        Otherwise the batch — the full target list or, on the incremental
+        path, just the dirty set — goes to ``engine.compute_batch``, a
+        :class:`~repro.core.execution.ComputeEngine` the caller built
+        (usually with :func:`~repro.core.execution.make_engine`) and
+        closes.  An exact engine (:class:`repro.parallel.shm.ShmEngine`)
+        is byte-identical to in-process.  A non-exact one
+        (:class:`repro.streaming.tier.SketchTierEngine`) answers under an
+        **accuracy contract** instead, so the delta/previous reuse is
+        skipped: reusing byte-exact prior signatures inside an
+        approximate answer would blur which contract the result
+        satisfies.
 
         Subclasses with batched implementations (e.g. matrix-based RWR)
         override :meth:`_compute_batch`; the contract is identical to
@@ -113,8 +108,17 @@ class SignatureScheme(abc.ABC):
         :meth:`partition_batch_safe`.
         """
         targets: List[NodeId] = list(nodes) if nodes is not None else graph.nodes()
-        batch = self._batch_runner(graph, strategy, engine)
-        if delta is not None and previous is not None and strategy != "sketch":
+
+        def batch(to_compute: List[NodeId]) -> Dict[NodeId, Signature]:
+            if engine is None:
+                return self._compute_batch(graph, to_compute)
+            return engine.compute_batch(self, graph, to_compute)
+
+        if (
+            delta is not None
+            and previous is not None
+            and (engine is None or engine.exact)
+        ):
             dirty = self.dirty_nodes(graph, delta)
             if dirty is not None:
                 stale = set(dirty) | delta.added_nodes | delta.removed_nodes
@@ -135,31 +139,6 @@ class SignatureScheme(abc.ABC):
                 }
         full = batch(targets)
         return {node: full[node] for node in targets}
-
-    def _batch_runner(self, graph: CommGraph, strategy: str, engine):
-        """Resolve ``strategy`` into a ``targets -> signatures`` callable."""
-        if strategy == "serial":
-            if engine is not None:
-                raise SchemeError(
-                    "engine= is only meaningful with strategy='shm' or 'sketch'"
-                )
-            return lambda targets: self._compute_batch(graph, targets)
-        if strategy == "shm":
-            if engine is None:
-                from repro.parallel.shm import default_engine
-
-                engine = default_engine()
-            return lambda targets: engine.compute_batch(self, graph, targets)
-        if strategy == "sketch":
-            if engine is None:
-                from repro.streaming.tier import default_engine
-
-                engine = default_engine()
-            return lambda targets: engine.compute_batch(self, graph, targets)
-        raise SchemeError(
-            f"unknown compute strategy {strategy!r}; "
-            "expected 'serial', 'shm' or 'sketch'"
-        )
 
     def partition_batch_safe(self, graph: CommGraph) -> bool:
         """Whether :meth:`_compute_batch` applied to any partition of the

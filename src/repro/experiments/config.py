@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.core.execution import DEFAULT_BUDGET_BYTES, ComputeEngine, execution_error
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.datasets.enterprise import EnterpriseDataset, EnterpriseFlowGenerator, EnterpriseParams
 from repro.datasets.querylog import QueryLogDataset, QueryLogGenerator, QueryLogParams
@@ -41,7 +42,7 @@ class ExperimentConfig:
 
     ``jobs`` fans the (scheme x distance x window) experiment grid across
     worker processes via :mod:`repro.parallel`: ``1`` runs serially,
-    ``N > 1`` uses up to ``N`` processes, ``0``/negative uses every CPU.
+    ``N > 1`` uses up to ``N`` processes, ``0`` uses every CPU.
     Results are assembled in deterministic order regardless of ``jobs``.
 
     ``incremental`` routes consecutive-window signature computation
@@ -49,8 +50,10 @@ class ExperimentConfig:
     second window's map reuses the first via the scheme's dirty set,
     byte-identical to a full recompute by the incremental contract.
 
-    ``strategy`` picks how signature batches are computed: ``"serial"``
-    in-process, or ``"shm"`` through the shared-memory engine
+    ``strategy`` names the compute engine that
+    :func:`~repro.core.execution.make_engine` builds once per experiment
+    run and hands to every grid cell: ``"serial"``
+    computes in-process, ``"shm"`` through the shared-memory engine
     (:mod:`repro.parallel.shm`) — the graph is published once and
     ``jobs`` workers recompute index ranges zero-copy.  With ``"shm"``
     the experiment grid itself runs serially (the worker pool is the
@@ -70,19 +73,14 @@ class ExperimentConfig:
     jobs: int = 1
     incremental: bool = False
     strategy: str = "serial"
-    sketch_budget_bytes: int = 2097152
+    sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
 
     def __post_init__(self) -> None:
         if self.scale not in ("paper", "small"):
             raise ExperimentError(f"unknown scale {self.scale!r}; use 'paper' or 'small'")
-        if self.strategy not in ("serial", "shm", "sketch"):
-            raise ExperimentError(
-                f"unknown strategy {self.strategy!r}; use 'serial', 'shm' or 'sketch'"
-            )
-        if self.sketch_budget_bytes < 1:
-            raise ExperimentError(
-                f"sketch_budget_bytes must be >= 1, got {self.sketch_budget_bytes}"
-            )
+        error = execution_error(self.strategy, self.jobs, self.sketch_budget_bytes)
+        if error is not None:
+            raise ExperimentError(error)
 
     @property
     def cell_jobs(self) -> int:
@@ -141,55 +139,31 @@ def consecutive_signature_maps(
     graph_next,
     population,
     incremental: bool = False,
-    strategy: str = "serial",
-    engine=None,
+    engine: Optional[ComputeEngine] = None,
 ):
     """Signature maps for a consecutive window pair, optionally delta-reused.
 
     With ``incremental=True`` the second map is computed through
     ``compute_all(delta=..., previous=...)`` with the delta diffed from
-    the two graphs — recomputing only the scheme's dirty set.
-    ``strategy``/``engine`` are forwarded to ``compute_all`` so the
-    batches (or just the dirty set) can run on the shared-memory worker
-    pool, or through the budgeted sketch tier.  ``"shm"`` is
-    byte-identical to the plain serial recompute; ``"sketch"`` is not —
-    it answers under the tier's accuracy contract (and recomputes whole
-    batches, ignoring ``delta``/``previous``).
+    the two graphs — recomputing only the scheme's dirty set.  ``engine``
+    is forwarded to ``compute_all`` so the batches (or just the dirty
+    set) can run on the shared-memory worker pool, or through the
+    budgeted sketch tier.  An shm engine is byte-identical to the plain
+    serial recompute; the sketch tier is not — it answers under its
+    accuracy contract (and recomputes whole batches, ignoring
+    ``delta``/``previous``).
     """
     from repro.graph.delta import WindowDelta
 
-    kwargs = {"strategy": strategy, "engine": engine} if strategy != "serial" else {}
-    signatures_now = scheme.compute_all(graph_now, population, **kwargs)
+    signatures_now = scheme.compute_all(graph_now, population, engine=engine)
     if incremental:
         delta = WindowDelta.from_graphs(graph_now, graph_next)
         signatures_next = scheme.compute_all(
-            graph_next, population, delta=delta, previous=signatures_now, **kwargs
+            graph_next, population, delta=delta, previous=signatures_now, engine=engine
         )
     else:
-        signatures_next = scheme.compute_all(graph_next, population, **kwargs)
+        signatures_next = scheme.compute_all(graph_next, population, engine=engine)
     return signatures_now, signatures_next
-
-
-def cell_engine(config: ExperimentConfig):
-    """Compute engine for an experiment grid cell (``None`` when the
-    strategy is serial).
-
-    Under ``"shm"``, cells share the process-wide
-    :func:`repro.parallel.shm.default_engine` sized to ``config.jobs`` —
-    one persistent worker pool and one graph publication serve every
-    (scheme, distance) cell of the grid.  Under ``"sketch"``, cells share
-    the process-wide :func:`repro.streaming.tier.default_engine` at the
-    configured byte budget.
-    """
-    if config.strategy == "shm":
-        from repro.parallel.shm import default_engine
-
-        return default_engine(config.jobs)
-    if config.strategy == "sketch":
-        from repro.streaming.tier import default_engine
-
-        return default_engine(config.sketch_budget_bytes)
-    return None
 
 
 def make_schemes(

@@ -33,10 +33,8 @@ from repro.parallel.shm import (
     active_segment_names,
     attach_graph,
     attach_pack,
-    default_engine,
     publish_graph,
     publish_pack,
-    reset_default_engine,
 )
 
 __all__ = [
@@ -48,10 +46,8 @@ __all__ = [
     "attach_graph",
     "attach_pack",
     "available_cpus",
-    "default_engine",
     "effective_jobs",
     "parallel_map",
     "publish_graph",
     "publish_pack",
-    "reset_default_engine",
 ]

@@ -84,11 +84,9 @@ __all__ = [
     "attach_array",
     "attach_graph",
     "attach_pack",
-    "default_engine",
     "publish_graph",
     "publish_pack",
     "release_manifest",
-    "reset_default_engine",
 ]
 
 #: Default number of per-target results per worker→parent message.
@@ -624,6 +622,10 @@ class ShmEngine:
     threads share the pool.
     """
 
+    #: Byte-identical to the serial path (a
+    #: :class:`~repro.core.execution.ComputeEngine`).
+    exact = True
+
     def __init__(
         self,
         jobs: int = 0,
@@ -904,48 +906,3 @@ class ShmEngine:
                     _REGISTRY.unlink(spec.segment)
         return np.concatenate(pieces)
 
-
-# ----------------------------------------------------------------------
-# Process-wide default engine
-# ----------------------------------------------------------------------
-_DEFAULT_ENGINE: Optional[ShmEngine] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_engine(jobs: int = 0, message_size: int = DEFAULT_MESSAGE_SIZE) -> ShmEngine:
-    """Process-wide shared engine, (re)created on parameter changes.
-
-    ``strategy="shm"`` callers that do not manage an engine themselves
-    (one-shot :meth:`~repro.core.scheme.SignatureScheme.compute_all`
-    calls, experiment cells) share this one; long-lived components
-    (pipeline runs, shard supervisors) should own a private engine so
-    their pool lifecycle is explicit.
-    """
-    global _DEFAULT_ENGINE
-    wanted = effective_jobs(jobs)
-    with _DEFAULT_LOCK:
-        engine = _DEFAULT_ENGINE
-        if (
-            engine is not None
-            and not engine.closed
-            and engine.workers == wanted
-            and engine.message_size == message_size
-        ):
-            return engine
-        if engine is not None:
-            engine.close()
-        engine = ShmEngine(jobs=wanted, message_size=message_size)
-        _DEFAULT_ENGINE = engine
-        return engine
-
-
-def reset_default_engine() -> None:
-    """Close and drop the process-wide default engine (test isolation)."""
-    global _DEFAULT_ENGINE
-    with _DEFAULT_LOCK:
-        engine, _DEFAULT_ENGINE = _DEFAULT_ENGINE, None
-    if engine is not None:
-        engine.close()
-
-
-atexit.register(reset_default_engine)

@@ -32,6 +32,12 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import obs
+from repro.core.execution import (
+    DEFAULT_BUDGET_BYTES,
+    ComputeEngine,
+    execution_error,
+    make_engine,
+)
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
@@ -51,10 +57,7 @@ from repro.pipeline.report import (
 )
 from repro.pipeline.retry import RetryPolicy, call_with_retry
 from repro.pipeline.sources import RecordSource
-from repro.streaming.stream_schemes import (
-    StreamingTopTalkers,
-    StreamingUnexpectedTalkers,
-)
+from repro.streaming.stream_schemes import streaming_builder
 
 #: Hook signature: called after each window is checkpointed.
 WindowHook = Callable[[int, WindowReport], None]
@@ -102,22 +105,25 @@ class PipelineConfig:
     triggers; exceeding either routes the window through the streaming
     sketches instead of the exact scheme.
 
-    ``strategy="shm"`` advances windows through the shared-memory engine
-    (:mod:`repro.parallel.shm`): one persistent pool of ``jobs`` workers
-    (``0`` = all available CPUs) recomputes each window's population —
-    or, with ``incremental=True``, just the dirty set — over a zero-copy
-    publication of the window graph.  Signatures are byte-identical to
-    the serial run; schemes whose batches cannot be partitioned
-    (unbounded RWR on the non-incremental path) fall back to the serial
-    per-node loop.
+    ``strategy``, ``jobs`` and ``sketch_budget_bytes`` are read once, by
+    :func:`~repro.core.execution.make_engine`, when a run was not handed
+    an engine.  ``"shm"`` advances windows through the shared-memory
+    engine (:mod:`repro.parallel.shm`): one persistent pool of ``jobs``
+    workers (``0`` = all available CPUs) recomputes each window's
+    population — or, with ``incremental=True``, just the dirty set — over
+    a zero-copy publication of the window graph.  Signatures are
+    byte-identical to the serial run; schemes whose batches cannot be
+    partitioned (unbounded RWR on the non-incremental path) fall back to
+    the serial per-node loop.
 
-    ``strategy="sketch"`` answers each window from a memory-budgeted
+    ``"sketch"`` answers each window from a memory-budgeted
     :class:`~repro.streaming.tier.SketchTierEngine` instead: exact
     signatures for the hottest sources, budget-sized sketches for the
     tail (``sketch_budget_bytes`` caps total tier state).  This is an
-    *accuracy* contract, not byte-identity — checkpoints record it, so a
-    resume under a different contract is refused rather than silently
-    mixing exact and sketched windows.
+    *accuracy* contract, not byte-identity — checkpoints record the
+    contract of the engine a run used, so a resume under a different
+    contract is refused rather than silently mixing exact and sketched
+    windows.
 
     Checkpoints are history: every completed window is a segment of the
     checkpoint directory's :class:`~repro.store.history.HistoryStore`, so
@@ -153,22 +159,15 @@ class PipelineConfig:
     sample_interval: Optional[float] = None
     strategy: str = "serial"
     jobs: int = 0
-    sketch_budget_bytes: int = 2097152
+    sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
     history_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise PipelineError(f"signature length k must be >= 1, got {self.k}")
-        if self.strategy not in ("serial", "shm", "sketch"):
-            raise PipelineError(
-                f"unknown strategy {self.strategy!r}; use 'serial', 'shm' or 'sketch'"
-            )
-        if self.jobs < 0:
-            raise PipelineError(f"jobs must be >= 0 (0 = all CPUs), got {self.jobs}")
-        if self.sketch_budget_bytes < 1:
-            raise PipelineError(
-                f"sketch_budget_bytes must be >= 1, got {self.sketch_budget_bytes}"
-            )
+        error = execution_error(self.strategy, self.jobs, self.sketch_budget_bytes)
+        if error is not None:
+            raise PipelineError(error)
         if self.num_windows is not None and self.window_length is not None:
             raise PipelineError("give at most one of num_windows / window_length")
         if self.num_windows is not None and self.num_windows < 1:
@@ -220,6 +219,8 @@ class SignaturePipeline:
     window is durably checkpointed — the natural place for progress
     callbacks, and where the fault harness's crash injector detonates.
     ``clock`` and ``sleep`` are injectable for deterministic tests.
+    ``engine`` is a caller-owned compute engine that every run uses in
+    place of the one the config names, and never closes.
     """
 
     def __init__(
@@ -232,7 +233,7 @@ class SignaturePipeline:
         hooks: Iterable[WindowHook] = (),
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        engine=None,
+        engine: Optional[ComputeEngine] = None,
     ) -> None:
         self.source = source
         self.config = config or PipelineConfig()
@@ -246,10 +247,9 @@ class SignaturePipeline:
         self.hooks: Tuple[WindowHook, ...] = tuple(hooks)
         self._clock = clock
         self._sleep = sleep
-        # Caller-owned shared-memory engine; engaged only under
-        # strategy="shm".  When None, run() creates (and closes) its own.
-        self._engine = engine
-        self._owns_engine = False
+        self._given_engine = engine
+        #: The engine of the run in progress (``None``: in-process serial).
+        self._engine: Optional[ComputeEngine] = engine
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -271,27 +271,20 @@ class SignaturePipeline:
         (:mod:`repro.obs.logs`); a no-op unless the caller installed one
         with ``obs.use_event_log``.
         """
-        if self.config.strategy == "shm" and self._engine is None:
-            from repro.parallel.shm import ShmEngine
-
-            self._engine = ShmEngine(jobs=self.config.jobs)
-            self._owns_engine = True
-        if self.config.strategy == "sketch" and self._engine is None:
-            from repro.streaming.tier import SketchTierEngine
-
-            # Stateless apart from accounting: no close() needed, so the
-            # run keeps it for reuse instead of tearing it down.
-            self._engine = SketchTierEngine(
-                budget_bytes=self.config.sketch_budget_bytes,
+        owned = None
+        if self._given_engine is None:
+            owned = self._engine = make_engine(
+                self.config.strategy,
+                jobs=self.config.jobs,
+                sketch_budget_bytes=self.config.sketch_budget_bytes,
                 seed=self.config.seed,
             )
         try:
             return self._run_observed(resume)
         finally:
-            if self._owns_engine:
-                self._engine.close()
-                self._engine = None
-                self._owns_engine = False
+            if owned is not None:
+                owned.close()
+            self._engine = self._given_engine
 
     def _run_observed(self, resume: bool) -> PipelineResult:
         """The body of :meth:`run`, once the compute engine is in place."""
@@ -476,17 +469,19 @@ class SignaturePipeline:
     def _run_state(self) -> Dict:
         """The engine identity stamped into the checkpoint run state.
 
-        ``contract`` separates byte-identical strategies (serial/shm,
+        ``contract`` separates byte-identical engines (serial/shm,
         freely interchangeable across resumes) from the sketch tier's
         accuracy contract — resuming one onto the other would silently
-        mix exact and approximate windows in a single run directory.
+        mix exact and approximate windows in a single run directory.  It
+        comes from the engine the run uses, not from the config.
         """
+        engine = self._engine
         return {
             "engine": "incremental" if self.config.incremental else "full",
             "scheme": self.config.scheme,
             "k": self.config.k,
             "bipartite": self.config.bipartite,
-            "contract": "sketch" if self.config.strategy == "sketch" else "exact",
+            "contract": "exact" if engine is None or engine.exact else "sketch",
         }
 
     def _check_run_state(self) -> None:
@@ -539,18 +534,9 @@ class SignaturePipeline:
         if start_window and replayed_modes[-1] == MODE_EXACT:
             graph = state.aggregator.graph
             state.previous = scheme.compute_all(
-                graph, graph.senders(), **self._compute_kwargs()
+                graph, graph.senders(), engine=self._engine
             )
         return state
-
-    def _compute_kwargs(self) -> Dict:
-        """``compute_all`` strategy forwarding: the engaged engine (shm or
-        sketch), nothing otherwise."""
-        if self._engine is not None and self.config.strategy == "shm":
-            return {"strategy": "shm", "engine": self._engine}
-        if self._engine is not None and self.config.strategy == "sketch":
-            return {"strategy": "sketch", "engine": self._engine}
-        return {}
 
     def _replay_checkpoints(
         self, num_windows: int, report: RunReport, result: PipelineResult
@@ -718,7 +704,7 @@ class SignaturePipeline:
             population,
             delta=use_delta,
             previous=inc.previous,
-            **self._compute_kwargs(),
+            engine=self._engine,
         )
         if use_delta is None:
             # Cold start (first window, or after a degraded window): the
@@ -747,17 +733,15 @@ class SignaturePipeline:
     ) -> Optional[Dict[str, Signature]]:
         """Per-node exact signatures, or ``None`` if the deadline tripped.
 
-        With an shm engine engaged and a partition-safe scheme, the
-        population is fanned across the worker pool instead (identical
-        signatures; the deadline is checked after the batch).  Unbounded
-        RWR keeps the per-node loop — its batched iteration count is
-        population-coupled, so only the serial loop matches this path's
-        historical outputs.
+        With a compute engine and a partition-safe scheme, the population
+        goes to the engine as one batch instead (the deadline is checked
+        after the batch).  Unbounded RWR keeps the per-node loop — its
+        batched iteration count is population-coupled, so only the serial
+        loop matches this path's historical outputs.
         """
         deadline = self.config.window_deadline
-        kwargs = self._compute_kwargs()
-        if kwargs and scheme.partition_batch_safe(graph):
-            raw = scheme.compute_all(graph, graph.senders(), **kwargs)
+        if self._engine is not None and scheme.partition_batch_safe(graph):
+            raw = scheme.compute_all(graph, graph.senders(), engine=self._engine)
             if deadline is not None and self._clock() - started > deadline:
                 return None
             return {str(node): signature for node, signature in raw.items()}
@@ -770,20 +754,13 @@ class SignaturePipeline:
 
     def _compute_degraded(self, records: List[EdgeRecord]) -> Dict[str, Signature]:
         """One-pass sketched signatures for the window (Section VI path)."""
-        if self.config.scheme == "ut":
-            builder: StreamingTopTalkers = StreamingUnexpectedTalkers(
-                k=self.config.k,
-                epsilon=self.config.streaming_epsilon,
-                delta=self.config.streaming_delta,
-                seed=self.config.seed,
-            )
-        else:
-            builder = StreamingTopTalkers(
-                k=self.config.k,
-                epsilon=self.config.streaming_epsilon,
-                delta=self.config.streaming_delta,
-                seed=self.config.seed,
-            )
+        builder = streaming_builder(
+            self.config.scheme,
+            k=self.config.k,
+            epsilon=self.config.streaming_epsilon,
+            delta=self.config.streaming_delta,
+            seed=self.config.seed,
+        )
         builder.observe_records(records)
         return {str(source): builder.signature(source) for source in builder.sources}
 

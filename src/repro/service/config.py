@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.distances import available_distances
+from repro.core.execution import DEFAULT_BUDGET_BYTES, execution_error
 from repro.exceptions import ServiceError
 
 #: Shard health states reported by ``/status``.
@@ -124,18 +125,19 @@ class ServiceConfig:
     streaming_epsilon: float = 0.005
     streaming_delta: float = 0.01
     seed: int = 0
-    #: ``"shm"`` advances shard windows through a shared
-    #: :class:`repro.parallel.shm.ShmEngine` pool (``jobs`` workers, 0 =
-    #: all CPUs) owned by the supervisor — shards stop serializing graphs
-    #: per recompute.  Signatures are byte-identical to ``"serial"``.
-    #: ``"sketch"`` answers each window from a memory-budgeted
-    #: :class:`repro.streaming.tier.SketchTierEngine` (shared by the
-    #: fleet): exact signatures for each shard's hottest sources, sketches
-    #: for the tail, under an accuracy contract instead of byte-identity.
+    #: The compute engine the supervisor builds once, with
+    #: :func:`repro.core.execution.make_engine`, and shares with every
+    #: shard.  ``"shm"``: a :class:`repro.parallel.shm.ShmEngine` pool
+    #: (``jobs`` workers, 0 = all CPUs) — shards stop serializing graphs
+    #: per recompute, and signatures are byte-identical to ``"serial"``.
+    #: ``"sketch"``: a memory-budgeted
+    #: :class:`repro.streaming.tier.SketchTierEngine` — exact signatures
+    #: for each shard's hottest sources, sketches for the tail, under an
+    #: accuracy contract instead of byte-identity.
     strategy: str = "serial"
     jobs: int = 0
     #: Byte budget of the ``"sketch"`` strategy's tier (per supervisor).
-    sketch_budget_bytes: int = 2097152
+    sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
     #: Guaranteed relative error of the per-endpoint/per-shard latency
     #: digests (see :mod:`repro.obs.digest`).  All registries that merge
     #: must agree on this value.
@@ -155,16 +157,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ServiceError(f"signature length k must be >= 1, got {self.k}")
-        if self.strategy not in ("serial", "shm", "sketch"):
-            raise ServiceError(
-                f"unknown strategy {self.strategy!r}; use 'serial', 'shm' or 'sketch'"
-            )
-        if self.jobs < 0:
-            raise ServiceError(f"jobs must be >= 0 (0 = all CPUs), got {self.jobs}")
-        if self.sketch_budget_bytes < 1:
-            raise ServiceError(
-                f"sketch_budget_bytes must be >= 1, got {self.sketch_budget_bytes}"
-            )
+        error = execution_error(self.strategy, self.jobs, self.sketch_budget_bytes)
+        if error is not None:
+            raise ServiceError(error)
         if self.num_shards < 1:
             raise ServiceError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.window_records < 1:

@@ -28,6 +28,7 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.core.distances import OUT_OF_RANGE_TOL, get_distance
+from repro.core.execution import ComputeEngine
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError
@@ -36,10 +37,7 @@ from repro.graph.windows import SlidingWindowAggregator, canonical_order
 from repro.matching.index import SignatureIndex
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.service.config import ServiceConfig
-from repro.streaming.stream_schemes import (
-    StreamingTopTalkers,
-    StreamingUnexpectedTalkers,
-)
+from repro.streaming.stream_schemes import StreamingTopTalkers, streaming_builder
 from repro.types import NodeId
 
 
@@ -71,8 +69,7 @@ class ShardEngine:
         *,
         store: Optional[CheckpointStore] = None,
         registry: Optional[obs.MetricsRegistry] = None,
-        shm_engine=None,
-        sketch_engine=None,
+        compute_engine: Optional[ComputeEngine] = None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
@@ -80,11 +77,9 @@ class ShardEngine:
         #: :meth:`restore_from_history` can bring a fresh process back to
         #: answering from it without any ingest log.
         self.store = store
-        # Supervisor-owned shared-memory pool (strategy="shm"); the shard
-        # never closes it — its lifecycle belongs to whoever shares it.
-        self._shm_engine = shm_engine
-        # Supervisor-owned budgeted sketch tier (strategy="sketch").
-        self._sketch_engine = sketch_engine
+        # Supervisor-owned compute engine (``None``: in-process); the
+        # shard never closes it — its lifecycle belongs to whoever shares it.
+        self.compute_engine = compute_engine
         self.registry = registry if registry is not None else obs.MetricsRegistry()
         self.scheme: SignatureScheme = create_scheme(
             config.scheme, k=config.k, **config.scheme_params
@@ -113,17 +108,6 @@ class ShardEngine:
         with obs.use_registry(self.registry):
             self._apply(canonical_order(bucket))
 
-    def _compute_kwargs(self) -> Dict:
-        """Forward the configured execution strategy when the supervisor
-        gave us an engine: ``"shm"`` stays byte-identical to serial,
-        ``"sketch"`` trades exactness for a memory budget (deterministic
-        for a fixed seed, so rebuilds still converge)."""
-        if self._shm_engine is not None and self.config.strategy == "shm":
-            return {"strategy": "shm", "engine": self._shm_engine}
-        if self._sketch_engine is not None and self.config.strategy == "sketch":
-            return {"strategy": "sketch", "engine": self._sketch_engine}
-        return {}
-
     def _apply(self, records: Sequence[EdgeRecord]) -> None:
         delta = self.aggregator.advance(records)
         graph = self.aggregator.graph
@@ -134,7 +118,7 @@ class ShardEngine:
             population,
             delta=use_delta,
             previous=self._previous_raw,
-            **self._compute_kwargs(),
+            engine=self.compute_engine,
         )
         self.prev_signatures = self.signatures
         self.signatures = {str(node): sig for node, sig in raw.items()}
@@ -239,7 +223,7 @@ class ShardEngine:
                     population,
                     delta=use_delta,
                     previous=self._previous_raw,
-                    **self._compute_kwargs(),
+                    engine=self.compute_engine,
                 )
                 if self.store is not None:
                     # Heal the store: re-persist the recomputed window so the
@@ -343,12 +327,8 @@ class SketchTier:
         self.window = -1
 
     def _builder(self) -> StreamingTopTalkers:
-        cls = (
-            StreamingUnexpectedTalkers
-            if self.config.scheme == "ut"
-            else StreamingTopTalkers
-        )
-        return cls(
+        return streaming_builder(
+            self.config.scheme,
             k=self.config.k,
             epsilon=self.config.streaming_epsilon,
             delta=self.config.streaming_delta,

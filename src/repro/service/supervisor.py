@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.core.execution import make_engine
 from repro.graph.stream import EdgeRecord
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.retry import RetryPolicy, call_with_retry
@@ -98,27 +99,16 @@ class ShardSupervisor:
         )
         self._clock = clock
         self._sleep = sleep
-        # One shared-memory worker pool for the whole fleet: shards
-        # advance sequentially from the pump thread, so a single pool of
-        # config.jobs workers serves every shard's window recompute
-        # without serializing graphs (strategy="shm" only).
-        self._shm_engine = None
-        if self.config.strategy == "shm":
-            from repro.parallel.shm import ShmEngine
-
-            self._shm_engine = ShmEngine(jobs=self.config.jobs)
-        # One budgeted sketch tier for the whole fleet (strategy="sketch"):
-        # every shard's exact-engine recompute answers hot sources exactly
-        # and the tail from budget-sized sketches, so total tier state
-        # tracks config.sketch_budget_bytes instead of the node universe.
-        self._sketch_engine = None
-        if self.config.strategy == "sketch":
-            from repro.streaming.tier import SketchTierEngine
-
-            self._sketch_engine = SketchTierEngine(
-                budget_bytes=self.config.sketch_budget_bytes,
-                seed=self.config.seed,
-            )
+        # One compute engine for the whole fleet, rebuilt shards included:
+        # shards advance sequentially from the pump thread, so one shm pool
+        # serves every shard's window recompute, and one sketch tier keeps
+        # total tier state at config.sketch_budget_bytes.
+        self.compute_engine = make_engine(
+            self.config.strategy,
+            jobs=self.config.jobs,
+            sketch_budget_bytes=self.config.sketch_budget_bytes,
+            seed=self.config.seed,
+        )
         #: Global window index; -1 before the first bucket closes.
         self.window = -1
         self.shards: List[ShardState] = [
@@ -152,14 +142,13 @@ class ShardSupervisor:
             )
 
     def close(self) -> None:
-        """Release the shared-memory pool and its segments (idempotent).
+        """Close the compute engine this supervisor built (idempotent).
 
-        Only needed under ``strategy="shm"``; serial supervisors hold no
-        process-level resources.
+        An shm engine releases its worker pool and segments here; serial
+        supervisors hold no process-level resources.
         """
-        if self._shm_engine is not None:
-            self._shm_engine.close()
-            self._shm_engine = None
+        if self.compute_engine is not None:
+            self.compute_engine.close()
 
     def _new_state(self, shard_id: int) -> ShardState:
         store = None
@@ -173,8 +162,7 @@ class ShardSupervisor:
                 self.config,
                 store=store,
                 registry=registry,
-                shm_engine=self._shm_engine,
-                sketch_engine=self._sketch_engine,
+                compute_engine=self.compute_engine,
             ),
             sketch=SketchTier(self.config, registry=registry),
             breaker=CircuitBreaker(
@@ -302,8 +290,7 @@ class ShardSupervisor:
                 self.config,
                 store=state.store,
                 registry=state.registry,
-                shm_engine=self._shm_engine,
-                sketch_engine=self._sketch_engine,
+                compute_engine=self.compute_engine,
             )
             issues = engine.rebuild(state.buckets, base_window=state.window_base)
             for issue in issues:

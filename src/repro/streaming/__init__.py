@@ -20,7 +20,6 @@ from repro.streaming.stream_schemes import (
 from repro.streaming.tier import (
     DEFAULT_BUDGET_BYTES,
     SketchTierEngine,
-    default_engine,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "StreamingUnexpectedTalkers",
     "DEFAULT_BUDGET_BYTES",
     "SketchTierEngine",
-    "default_engine",
 ]

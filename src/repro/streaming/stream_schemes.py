@@ -393,3 +393,16 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
             merged._indegree[dst] = (self._indegree.get(dst) or self._empty_fm()).merge(
                 other._indegree.get(dst) or self._empty_fm()
             )
+
+
+def streaming_builder(scheme: str, **sizing) -> StreamingTopTalkers:
+    """The one-pass builder approximating the scheme named ``scheme``:
+    Unexpected Talkers for ``"ut"``, Top Talkers for every other scheme.
+
+    ``sizing`` is the caller's constructor arguments; ``fm_registers``
+    sizes the UT in-degree sketches and is dropped for Top Talkers.
+    """
+    if scheme == "ut":
+        return StreamingUnexpectedTalkers(**sizing)
+    sizing.pop("fm_registers", None)
+    return StreamingTopTalkers(**sizing)

@@ -1,8 +1,9 @@
 """Memory-budgeted sketch tier: exact hot set, sketched long tail.
 
-This is ROADMAP item 2 — the paper's Section VI semi-streaming tier
-promoted from a degradation fallback to a first-class execution strategy:
-``scheme.compute_all(graph, nodes, strategy="sketch")``.
+The paper's Section VI semi-streaming tier promoted from a degradation
+fallback to a first-class compute engine:
+``scheme.compute_all(graph, nodes, engine=SketchTierEngine(...))``, or
+``make_engine("sketch", ...)`` from :mod:`repro.core.execution`.
 
 The engine answers the same question as the serial and shared-memory
 strategies (signatures for a target population) under a different
@@ -37,15 +38,15 @@ path with a ``sketch.fallback`` counter so mixed-scheme callers (e.g.
 from __future__ import annotations
 
 import math
-import threading
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro import obs
+from repro.core.execution import DEFAULT_BUDGET_BYTES
 from repro.exceptions import StreamingError
 from repro.streaming.spacesaving import SpaceSaving
 from repro.streaming.stream_schemes import (
-    StreamingTopTalkers,
     StreamingUnexpectedTalkers,
+    streaming_builder,
 )
 from repro.types import NodeId
 
@@ -53,10 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.scheme import SignatureScheme
     from repro.core.signature import Signature
     from repro.graph.comm_graph import CommGraph
-
-#: Default tier budget. Big enough for >=0.9 top-k overlap on the bench
-#: trace, small enough to stay well under the exact graph at a 100k+ tail.
-DEFAULT_BUDGET_BYTES = 1 << 21  # 2 MiB
 
 #: Cost of one sketch counter / SpaceSaving slot (a float64 cell).
 CELL_BYTES = 8
@@ -75,12 +72,15 @@ MIN_CM_WIDTH = 8
 class SketchTierEngine:
     """Budgeted two-tier signature engine (exact hot set + sketched tail).
 
-    Mirrors the :class:`repro.parallel.shm.ShmEngine` batch interface
-    (``compute_batch(scheme, graph, targets)``) so
-    :meth:`~repro.core.scheme.SignatureScheme.compute_all` can dispatch to
-    it as ``strategy="sketch"``.  Stateless between calls apart from
-    :attr:`last_stats`; safe to share across schemes and graphs.
+    A :class:`~repro.core.execution.ComputeEngine` like
+    :class:`repro.parallel.shm.ShmEngine`, so
+    :meth:`~repro.core.scheme.SignatureScheme.compute_all` takes it as
+    ``engine=``.  Stateless between calls apart from :attr:`last_stats`;
+    safe to share across schemes and graphs, and picklable.
     """
+
+    #: Answers under an accuracy contract, not byte-identity.
+    exact = False
 
     def __init__(
         self,
@@ -112,6 +112,9 @@ class SketchTierEngine:
         self.last_stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Nothing to release; here so every owner closes what it built."""
+
     def compute_batch(
         self,
         scheme: "SignatureScheme",
@@ -240,16 +243,15 @@ class SketchTierEngine:
         # StreamingTopTalkers sizes its CM sketches from (epsilon, delta):
         # width = ceil(e / epsilon), depth = ceil(ln(1 / delta)) — invert.
         epsilon = math.e / width
-        kwargs = dict(
+        return streaming_builder(
+            getattr(scheme, "name", ""),
+            fm_registers=self.fm_registers,
             k=k,
             epsilon=epsilon,
             delta=self.sketch_delta,
             candidate_capacity=candidate_capacity,
             seed=self.seed,
         )
-        if getattr(scheme, "name", "") == "ut":
-            return StreamingUnexpectedTalkers(fm_registers=self.fm_registers, **kwargs)
-        return StreamingTopTalkers(**kwargs)
 
     def __repr__(self) -> str:
         return (
@@ -257,25 +259,3 @@ class SketchTierEngine:
             f"hot_fraction={self.hot_fraction})"
         )
 
-
-# ----------------------------------------------------------------------
-# Process-wide default (mirrors repro.parallel.shm.default_engine)
-# ----------------------------------------------------------------------
-_DEFAULT_ENGINE: Optional[SketchTierEngine] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_engine(budget_bytes: int = DEFAULT_BUDGET_BYTES) -> SketchTierEngine:
-    """Process-wide shared engine, (re)created on budget changes.
-
-    ``strategy="sketch"`` callers that do not manage an engine themselves
-    share this one; components with an explicit budget knob (pipeline,
-    experiments, service) construct their own.
-    """
-    global _DEFAULT_ENGINE
-    with _DEFAULT_LOCK:
-        engine = _DEFAULT_ENGINE
-        if engine is None or engine.budget_bytes != budget_bytes:
-            engine = SketchTierEngine(budget_bytes=budget_bytes)
-            _DEFAULT_ENGINE = engine
-        return engine

@@ -6,6 +6,7 @@ incremental modes, and the run must release its worker pool and segments
 whether it succeeds or dies mid-window.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -91,6 +92,39 @@ class TestPipelineShmStrategy:
         )
         pipeline.run()
         assert active_segment_names() == []
+        assert multiprocessing.active_children() == []
+
+    def test_injected_engine_used_under_default_config(self, trace, tmp_path):
+        serial = run_pipeline(trace, tmp_path, "serial-default")
+        with ShmEngine(jobs=1) as engine:
+            pipeline = SignaturePipeline(
+                CsvRecordSource(str(trace)),
+                CheckpointStore(tmp_path / "ckpt-default"),
+                PipelineConfig(k=5, window_length=100.0),
+                engine=engine,
+            )
+            result = pipeline.run()
+        dispatches = sum(
+            value
+            for key, value in result.report.metrics.items()
+            if key.startswith("shm.dispatches")
+        )
+        assert dispatches > 0
+        assert [
+            {node: sig.entries for node, sig in sigs.items()}
+            for sigs in result.signatures
+        ] == serial
+
+    def test_injected_engine_decides_contract(self, trace, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt-contract")
+        with ShmEngine(jobs=1) as engine:
+            SignaturePipeline(
+                CsvRecordSource(str(trace)),
+                store,
+                PipelineConfig(k=5, window_length=100.0, strategy="sketch"),
+                engine=engine,
+            ).run()
+        assert store.run_state()["contract"] == "exact"
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(PipelineError, match="strategy"):

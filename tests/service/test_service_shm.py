@@ -6,6 +6,7 @@ including after a crash/rebuild cycle — must be byte-identical to the
 serial service, and closing the service must release the pool.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.graph.stream import EdgeRecord
 from repro.parallel.shm import active_segment_names
-from repro.service import ServiceConfig, SignatureService
+from repro.service import ServiceConfig, ShardSupervisor, SignatureService
 
 
 def make_bucket(size, seed):
@@ -61,6 +62,19 @@ class TestServiceShmStrategy:
         run_service("shm")
         assert active_segment_names() == []
 
+    def test_supervisor_close_stops_workers(self):
+        supervisor = ShardSupervisor(
+            ServiceConfig(k=5, num_shards=2, window_records=32, strategy="shm", jobs=2)
+        )
+        try:
+            for seed in range(2):
+                supervisor.ingest(make_bucket(32, seed))
+            assert multiprocessing.active_children()
+        finally:
+            supervisor.close()
+        assert active_segment_names() == []
+        assert multiprocessing.active_children() == []
+
     def test_close_is_idempotent(self):
         config = ServiceConfig(strategy="shm", jobs=1)
         service = SignatureService(config)
@@ -83,7 +97,7 @@ class TestServiceShmStrategy:
             # shared pool and converge to identical signatures.
             service.supervisor._try_restart(state, opportunistic=False)
             rebuilt = service.supervisor.shards[0].engine
-            assert rebuilt._shm_engine is service.supervisor._shm_engine
+            assert rebuilt.compute_engine is service.supervisor.compute_engine
             after = {n: s.entries for n, s in rebuilt.signatures.items()}
             assert after == before
         finally:
@@ -92,7 +106,7 @@ class TestServiceShmStrategy:
     def test_serial_config_has_no_pool(self):
         service = SignatureService(ServiceConfig())
         try:
-            assert service.supervisor._shm_engine is None
+            assert service.supervisor.compute_engine is None
         finally:
             service.close()
 

@@ -3,14 +3,11 @@
 import pytest
 
 from repro import obs
+from repro.core.execution import make_engine
 from repro.core.scheme import create_scheme
 from repro.exceptions import SchemeError, StreamingError
 from repro.graph.comm_graph import CommGraph
-from repro.streaming.tier import (
-    DEFAULT_BUDGET_BYTES,
-    SketchTierEngine,
-    default_engine,
-)
+from repro.streaming.tier import SketchTierEngine
 
 
 @pytest.fixture
@@ -46,21 +43,9 @@ class TestValidation:
         with pytest.raises(StreamingError):
             SketchTierEngine(sketch_delta=0.0)
 
-    def test_engine_with_serial_strategy_rejected(self, dataset):
-        scheme = create_scheme("tt", k=5)
-        with pytest.raises(SchemeError):
-            scheme.compute_all(
-                dataset.graphs[0],
-                dataset.local_hosts,
-                engine=SketchTierEngine(),
-            )
-
-    def test_unknown_strategy_names_sketch(self, dataset):
-        scheme = create_scheme("tt", k=5)
+    def test_unknown_strategy_names_sketch(self):
         with pytest.raises(SchemeError, match="sketch"):
-            scheme.compute_all(
-                dataset.graphs[0], dataset.local_hosts, strategy="warp"
-            )
+            make_engine("warp")
 
 
 class TestComputeBatch:
@@ -68,7 +53,7 @@ class TestComputeBatch:
         graph, hosts = dataset.graphs[0], dataset.local_hosts
         scheme = create_scheme("tt", k=10)
         engine = SketchTierEngine(budget_bytes=1 << 15)
-        result = scheme.compute_all(graph, hosts, strategy="sketch", engine=engine)
+        result = scheme.compute_all(graph, hosts, engine=engine)
         assert list(result) == list(hosts)
         assert all(result[h] is not None for h in hosts)
         stats = engine.last_stats
@@ -79,7 +64,7 @@ class TestComputeBatch:
         graph, hosts = dataset.graphs[0], dataset.local_hosts
         scheme = create_scheme("tt", k=10)
         engine = SketchTierEngine(budget_bytes=1 << 15)
-        result = scheme.compute_all(graph, hosts, strategy="sketch", engine=engine)
+        result = scheme.compute_all(graph, hosts, engine=engine)
         exact = scheme.compute_all(graph, hosts)
         # Hot nodes are the top out-volume sources; the heaviest source
         # must be among them and answered byte-identically.
@@ -90,7 +75,7 @@ class TestComputeBatch:
         graph, hosts = dataset.graphs[0], dataset.local_hosts
         scheme = create_scheme("tt", k=10)
         engine = SketchTierEngine(budget_bytes=1 << 22)
-        result = scheme.compute_all(graph, hosts, strategy="sketch", engine=engine)
+        result = scheme.compute_all(graph, hosts, engine=engine)
         exact = scheme.compute_all(graph, hosts)
         assert mean_topk_overlap(exact, result, hosts) == pytest.approx(1.0)
 
@@ -102,7 +87,7 @@ class TestComputeBatch:
         for budget in (1 << 13, 1 << 22):
             engine = SketchTierEngine(budget_bytes=budget)
             approx = scheme.compute_all(
-                graph, hosts, strategy="sketch", engine=engine
+                graph, hosts, engine=engine
             )
             overlaps.append(mean_topk_overlap(exact, approx, hosts))
         assert overlaps[0] <= overlaps[1]
@@ -125,7 +110,7 @@ class TestComputeBatch:
         scheme = create_scheme("tt", k=3)
         engine = SketchTierEngine(budget_bytes=8192, hot_fraction=0.5)
         result = scheme.compute_all(
-            graph, ["scan", *cheap], strategy="sketch", engine=engine
+            graph, ["scan", *cheap], engine=engine
         )
         # Budget 4096 < the scanner's 400 * 16 adjacency; every cheap
         # host (64 bytes each) fits behind it.
@@ -147,7 +132,7 @@ class TestComputeBatch:
         scheme = create_scheme("ut", k=1)
         engine = SketchTierEngine(budget_bytes=4096, hot_fraction=0.2)
         result = scheme.compute_all(
-            graph, ["big", "small"], strategy="sketch", engine=engine
+            graph, ["big", "small"], engine=engine
         )
         exact = scheme.compute_all(graph, ["big", "small"])
         # Exact: obscure (3/1) beats hub (3/6) for "small"; the sketch
@@ -162,7 +147,7 @@ class TestComputeBatch:
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
             result = scheme.compute_all(
-                graph, hosts[:6], strategy="sketch", engine=engine
+                graph, hosts[:6], engine=engine
             )
         exact = scheme.compute_all(graph, hosts[:6])
         assert result == exact
@@ -176,7 +161,7 @@ class TestComputeBatch:
         graph, hosts = dataset.graphs[0], dataset.local_hosts
         scheme = create_scheme("tt", k=10)
         engine = SketchTierEngine(budget_bytes=1 << 15)
-        plain = scheme.compute_all(graph, hosts, strategy="sketch", engine=engine)
+        plain = scheme.compute_all(graph, hosts, engine=engine)
         # Poisoned previous: if reuse happened, these would leak through.
         from repro.core.signature import Signature
 
@@ -187,7 +172,6 @@ class TestComputeBatch:
             hosts,
             delta=empty_delta,
             previous=poisoned,
-            strategy="sketch",
             engine=engine,
         )
         assert with_delta == plain
@@ -198,7 +182,7 @@ class TestComputeBatch:
         engine = SketchTierEngine(budget_bytes=1 << 15)
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            scheme.compute_all(graph, hosts, strategy="sketch", engine=engine)
+            scheme.compute_all(graph, hosts, engine=engine)
         assert registry.counter_total("sketch.hot_nodes") == engine.last_stats[
             "hot_nodes"
         ]
@@ -215,21 +199,10 @@ class TestComputeBatch:
         scheme = create_scheme("tt", k=10)
         small = SketchTierEngine(budget_bytes=1 << 15)
         large = SketchTierEngine(budget_bytes=1 << 19)
-        scheme.compute_all(graph, hosts, strategy="sketch", engine=small)
+        scheme.compute_all(graph, hosts, engine=small)
         small_used = small.last_stats["bytes_used"]
-        scheme.compute_all(graph, hosts, strategy="sketch", engine=large)
+        scheme.compute_all(graph, hosts, engine=large)
         large_used = large.last_stats["bytes_used"]
         assert small_used < large_used
         assert small_used <= (1 << 15) * 2  # floors may overshoot, boundedly
 
-
-class TestDefaultEngine:
-    def test_shared_until_budget_changes(self):
-        first = default_engine()
-        assert first is default_engine()
-        assert first.budget_bytes == DEFAULT_BUDGET_BYTES
-        other = default_engine(budget_bytes=1 << 16)
-        assert other is not first
-        assert other.budget_bytes == 1 << 16
-        # Restore the module default for other tests.
-        assert default_engine(DEFAULT_BUDGET_BYTES).budget_bytes == DEFAULT_BUDGET_BYTES

@@ -30,11 +30,9 @@ from repro.parallel.shm import (
     active_segment_names,
     attach_graph,
     attach_pack,
-    default_engine,
     publish_graph,
     publish_pack,
     release_manifest,
-    reset_default_engine,
 )
 
 SCHEME_GRID = [
@@ -166,7 +164,7 @@ class TestComputeEquivalence:
         scheme = create_scheme("tt", k=5)
         graph = random_graph(13)
         serial = scheme.compute_all(graph)
-        parallel = scheme.compute_all(graph, strategy="shm", engine=engine)
+        parallel = scheme.compute_all(graph, engine=engine)
         assert parallel == serial
 
     def test_delta_path_byte_identical(self, engine):
@@ -198,7 +196,7 @@ class TestComputeEquivalence:
                 )
             return maps
 
-        assert chain(strategy="shm", engine=engine) == chain()
+        assert chain(engine=engine) == chain()
 
     def test_randomized_property_all_schemes(self, engine):
         # The property the whole PR hangs on: for any graph and any
@@ -213,18 +211,11 @@ class TestComputeEquivalence:
                 assert parallel == serial, (seed, name, params)
 
     def test_unknown_strategy_rejected(self):
+        from repro.core.execution import make_engine
         from repro.exceptions import SchemeError
 
-        scheme = create_scheme("tt", k=3)
         with pytest.raises(SchemeError, match="strategy"):
-            scheme.compute_all(random_graph(1), strategy="carrier-pigeon")
-
-    def test_engine_with_serial_strategy_rejected(self, engine):
-        from repro.exceptions import SchemeError
-
-        scheme = create_scheme("tt", k=3)
-        with pytest.raises(SchemeError, match="engine"):
-            scheme.compute_all(random_graph(1), strategy="serial", engine=engine)
+            make_engine("carrier-pigeon")
 
 
 class TestPartitionSafety:
@@ -309,16 +300,6 @@ class TestLifecycle:
         for name in names:
             assert not Path("/dev/shm", name).exists()
         assert local.segment_names() == []
-
-    def test_default_engine_reuse_and_reset(self):
-        reset_default_engine()
-        first = default_engine(jobs=2)
-        assert default_engine(jobs=2) is first
-        other = default_engine(jobs=1)  # parameter change -> new engine
-        assert other is not first
-        assert first.closed
-        reset_default_engine()
-        assert other.closed
 
     def test_graph_version_bump_invalidates_cached_manifest(self, engine):
         scheme = create_scheme("tt", k=3)

@@ -1,4 +1,4 @@
-"""End-to-end integration of ``strategy="sketch"`` across every surface.
+"""End-to-end integration of the ``"sketch"`` strategy across every surface.
 
 The memory-budgeted sketch tier must be reachable from the pipeline, the
 experiment grid, the sharded service and the CLI — each wiring its budget
@@ -137,15 +137,6 @@ class TestExperimentSketchStrategy:
         )
         assert sketch == serial
 
-    def test_cell_engine_shares_budgeted_tier(self):
-        from repro.experiments.config import ExperimentConfig, cell_engine
-
-        config = ExperimentConfig(strategy="sketch", sketch_budget_bytes=1 << 16)
-        engine = cell_engine(config)
-        assert isinstance(engine, SketchTierEngine)
-        assert engine.budget_bytes == 1 << 16
-        assert cell_engine(config) is engine
-
     def test_budget_validated(self):
         from repro.experiments.config import ExperimentConfig
 
@@ -199,10 +190,10 @@ class TestServiceSketchStrategy:
         service = SignatureService(config)
         try:
             supervisor = service.supervisor
-            assert supervisor._sketch_engine is not None
-            assert supervisor._sketch_engine.budget_bytes == 1 << 15
+            assert isinstance(supervisor.compute_engine, SketchTierEngine)
+            assert supervisor.compute_engine.budget_bytes == 1 << 15
             for state in supervisor.shards:
-                assert state.engine._sketch_engine is supervisor._sketch_engine
+                assert state.engine.compute_engine is supervisor.compute_engine
         finally:
             service.close()
 
@@ -222,7 +213,7 @@ class TestServiceSketchStrategy:
             before = {n: s.entries for n, s in state.engine.signatures.items()}
             service.supervisor._try_restart(state, opportunistic=False)
             rebuilt = service.supervisor.shards[0].engine
-            assert rebuilt._sketch_engine is service.supervisor._sketch_engine
+            assert rebuilt.compute_engine is service.supervisor.compute_engine
             after = {n: s.entries for n, s in rebuilt.signatures.items()}
             assert after == before
         finally:
@@ -231,7 +222,7 @@ class TestServiceSketchStrategy:
     def test_serial_config_has_no_engine(self):
         service = SignatureService(ServiceConfig())
         try:
-            assert service.supervisor._sketch_engine is None
+            assert service.supervisor.compute_engine is None
         finally:
             service.close()
 

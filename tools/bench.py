@@ -564,8 +564,8 @@ def bench_shm_dirty(
     """The pipeline's actual workload: dirty-set recompute across windows.
 
     Chains ``compute_all(delta=..., previous=...)`` over a sliding
-    backbone-plus-churn trace under both strategies and asserts the chains
-    byte-identical end to end.
+    backbone-plus-churn trace in-process and on an shm engine and asserts
+    the chains byte-identical end to end.
     """
     from repro.core.scheme import create_scheme
     from repro.graph.windows import GraphSequence
@@ -575,25 +575,22 @@ def bench_shm_dirty(
     sequence = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
     scheme = create_scheme("tt", k=10)
 
-    def run_chain(strategy, engine=None):
-        kwargs = {"strategy": strategy, "engine": engine} if engine else {}
-        maps = [scheme.compute_all(sequence.graphs[0], **kwargs)]
+    def run_chain(engine=None):
+        maps = [scheme.compute_all(sequence.graphs[0], engine=engine)]
         for t in range(1, len(sequence)):
             maps.append(
                 scheme.compute_all(
                     sequence.graphs[t],
                     delta=sequence.deltas[t - 1],
                     previous=maps[-1],
-                    **kwargs,
+                    engine=engine,
                 )
             )
         return maps
 
-    serial_wall, serial_maps = timed(lambda: run_chain("serial"), repeats=repeats)
+    serial_wall, serial_maps = timed(run_chain, repeats=repeats)
     with ShmEngine(jobs=workers) as engine:
-        shm_wall, shm_maps = timed(
-            lambda: run_chain("shm", engine), repeats=repeats
-        )
+        shm_wall, shm_maps = timed(lambda: run_chain(engine), repeats=repeats)
     if serial_maps != shm_maps:
         raise AssertionError("shm dirty-set chain diverged from serial")
     records_out.append(
@@ -723,15 +720,11 @@ def bench_sketch_accuracy(data, budgets, repeats: int, records_out: list) -> dic
     for budget in budgets:
         engine = SketchTierEngine(budget_bytes=budget, seed=3)
         wall, approx_now = timed(
-            lambda: scheme.compute_all(
-                graph_now, hosts, strategy="sketch", engine=engine
-            ),
+            lambda: scheme.compute_all(graph_now, hosts, engine=engine),
             repeats=repeats,
         )
         stats = dict(engine.last_stats)
-        approx_next = scheme.compute_all(
-            graph_next, hosts, strategy="sketch", engine=engine
-        )
+        approx_next = scheme.compute_all(graph_next, hosts, engine=engine)
         overlap = (
             _mean_topk_overlap(exact_now, approx_now, hosts)
             + _mean_topk_overlap(exact_next, approx_next, hosts)
