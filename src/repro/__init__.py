@@ -106,7 +106,7 @@ from repro.streaming import (
     StreamingTopTalkers,
     StreamingUnexpectedTalkers,
 )
-from repro.matching import ApproxSignatureIndex, MinHasher, SignatureIndex, WeightedMinHasher
+from repro.matching import ApproxSignatureIndex, MinHasher, SignatureIndex
 from repro.pipeline import (
     CheckpointStore,
     CsvRecordSource,
@@ -210,7 +210,6 @@ __all__ = [
     "SignatureIndex",
     "ApproxSignatureIndex",
     "MinHasher",
-    "WeightedMinHasher",
     # fault-tolerant pipeline
     "SignaturePipeline",
     "PipelineConfig",

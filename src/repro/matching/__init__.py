@@ -10,11 +10,6 @@ the Jaccard distance (the approach the paper points to via Indyk-Motwani).
 from repro.matching.index import SignatureIndex
 from repro.matching.minhash import MinHasher, estimate_jaccard_distance
 from repro.matching.lsh import LshIndex, ApproxSignatureIndex
-from repro.matching.weighted_minhash import (
-    WeightedMinHasher,
-    estimate_sdice_distance,
-    weighted_jaccard_distance,
-)
 
 __all__ = [
     "SignatureIndex",
@@ -22,7 +17,4 @@ __all__ = [
     "estimate_jaccard_distance",
     "LshIndex",
     "ApproxSignatureIndex",
-    "WeightedMinHasher",
-    "estimate_sdice_distance",
-    "weighted_jaccard_distance",
 ]

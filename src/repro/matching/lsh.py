@@ -5,6 +5,11 @@ items become candidates when *any* band matches exactly.  The candidate
 probability for Jaccard similarity ``s`` is ``1 - (1 - s^rows)^bands`` —
 an S-curve whose threshold is tuned by the band/row split.
 
+Each band slice is folded into one ``uint64`` by :func:`band_hashes`, the
+fold the history store also persists per row (:mod:`repro.store.index`).
+Equal slices always fold to equal hashes; unequal slices collide with
+probability ~2^-64 per band, which the exact re-ranking step absorbs.
+
 :class:`ApproxSignatureIndex` wraps this into a drop-in (approximate)
 replacement for :class:`~repro.matching.index.SignatureIndex`: LSH produces
 a candidate set, which is then re-ranked by the *exact* distance.
@@ -12,6 +17,7 @@ a candidate set, which is then re-ranked by the *exact* distance.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Dict, Hashable, List, Set, Tuple
 
@@ -23,6 +29,43 @@ from repro.core.signature import Signature
 from repro.exceptions import MatchingError
 from repro.matching.minhash import MinHasher
 from repro.types import NodeId
+
+#: Multiplier between the positions of one band slice (golden-ratio odd).
+_POSITION_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+@functools.lru_cache(maxsize=64)
+def band_coefficients(bands: int, rows_per_band: int, seed: int = 0) -> np.ndarray:
+    """Seeded odd multipliers ``(bands, rows_per_band)`` of the band fold."""
+    rng = np.random.default_rng(seed ^ 0x5EED_BA5E)
+    coefficients = rng.integers(
+        0, np.iinfo(np.uint64).max, size=(bands, rows_per_band), dtype=np.uint64
+    ) | np.uint64(1)
+    coefficients.setflags(write=False)
+    return coefficients
+
+
+def band_hashes(
+    sketches: np.ndarray, bands: int, rows_per_band: int, seed: int = 0
+) -> np.ndarray:
+    """Fold sketches ``(n, bands * rows_per_band)`` into band hashes ``(n, bands)``.
+
+    Each band slice becomes a wrapping multiply-add polynomial over its
+    values, so the hash is position sensitive.
+    """
+    sketches = np.asarray(sketches, dtype=np.uint64)
+    if sketches.ndim != 2 or sketches.shape[1] != bands * rows_per_band:
+        raise MatchingError(
+            f"sketches have shape {sketches.shape}; {bands} bands x "
+            f"{rows_per_band} rows expect (n, {bands * rows_per_band})"
+        )
+    coefficients = band_coefficients(bands, rows_per_band, seed)
+    slices = sketches.reshape(len(sketches), bands, rows_per_band)
+    out = np.zeros((len(sketches), bands), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for position in range(rows_per_band):
+            out = out * _POSITION_MIX + slices[:, :, position] * coefficients[:, position]
+    return out
 
 
 class LshIndex:
@@ -36,36 +79,36 @@ class LshIndex:
         self.bands = bands
         self.rows_per_band = rows_per_band
         self.num_hashes = bands * rows_per_band
-        self._buckets: List[Dict[bytes, Set[Hashable]]] = [
+        self._buckets: List[Dict[int, Set[Hashable]]] = [
             defaultdict(set) for _ in range(bands)
         ]
-        self._keys: Set[Hashable] = set()
+        self._key_bands: Dict[Hashable, List[int]] = {}
 
     # ------------------------------------------------------------------
-    def _band_keys(self, sketch: np.ndarray) -> List[bytes]:
-        if sketch.size != self.num_hashes:
-            raise MatchingError(
-                f"sketch length {sketch.size} != bands*rows {self.num_hashes}"
-            )
-        return [
-            sketch[band * self.rows_per_band : (band + 1) * self.rows_per_band].tobytes()
-            for band in range(self.bands)
-        ]
+    def _band_hashes(self, sketch: np.ndarray) -> List[int]:
+        row = np.asarray(sketch)[None, :]
+        return band_hashes(row, self.bands, self.rows_per_band)[0].tolist()
 
     def add(self, key: Hashable, sketch: np.ndarray) -> None:
-        """Index ``key`` under its sketch."""
-        for band, band_key in enumerate(self._band_keys(sketch)):
-            self._buckets[band][band_key].add(key)
-        self._keys.add(key)
+        """Index ``key`` under its sketch, replacing any earlier sketch."""
+        hashes = self._band_hashes(sketch)
+        for band, value in enumerate(self._key_bands.pop(key, ())):
+            bucket = self._buckets[band][value]
+            bucket.discard(key)
+            if not bucket:
+                del self._buckets[band][value]
+        for band, value in enumerate(hashes):
+            self._buckets[band][value].add(key)
+        self._key_bands[key] = hashes
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._key_bands)
 
     def candidates(self, sketch: np.ndarray, exclude: Hashable | None = None) -> Set[Hashable]:
         """Keys sharing at least one band with the query sketch."""
         found: Set[Hashable] = set()
-        for band, band_key in enumerate(self._band_keys(sketch)):
-            found |= self._buckets[band].get(band_key, set())
+        for band, value in enumerate(self._band_hashes(sketch)):
+            found |= self._buckets[band].get(value, set())
         found.discard(exclude)
         return found
 

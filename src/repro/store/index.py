@@ -1,20 +1,10 @@
-"""The time-travel index: columnar MinHash sketches + LSH band hashes.
+"""The time-travel index: per-row LSH band hashes over MinHash sketches.
 
-This module re-uses the sketching machinery of :mod:`repro.matching` — the
-same :class:`~repro.matching.minhash.MinHasher` hash family over the same
-:func:`~repro.streaming.hashing.stable_hash64` fingerprints — but computes
-it *columnar*: per segment, each label's ``num_hashes`` hash values are
-evaluated once against the interning table, entries gather them by interned
-key, and a CSR min-reduction yields every row's sketch in a handful of
-vectorized passes.  The sketches are therefore **bit-identical** to
-``MinHasher.sketch_signature`` of the same node set, so a query sketched
-the ordinary way probes history correctly.
-
-Each band of ``rows_per_band`` sketch values is folded into one ``uint64``
-band hash (a seeded wrapping polynomial).  Two rows collide in a band
-exactly when their band slices are equal — up to a ~2^-64 accidental
-collision, which the exact re-rank step absorbs, the classic LSH banding
-candidate rule of :class:`repro.matching.lsh.LshIndex`.  Band hashes are
+The sketching and banding are :mod:`repro.matching`'s — the segment encoder
+sketches every CSR row with :meth:`~repro.matching.minhash.MinHasher.sketch_rows`
+and folds the bands with :func:`~repro.matching.lsh.band_hashes`, the same
+kernel the in-memory :class:`~repro.matching.lsh.LshIndex` uses, so a query
+sketched from a live signature probes history correctly.  Band hashes are
 persisted inside the segment, so a query is one vectorized equality scan
 over an mmap'd ``(rows, bands)`` table instead of materialising a single
 signature.
@@ -29,11 +19,8 @@ import numpy as np
 
 from repro.core.signature import Signature
 from repro.exceptions import StoreError
+from repro.matching.lsh import band_hashes
 from repro.matching.minhash import MinHasher
-from repro.streaming.hashing import MERSENNE_61, stable_hash64
-
-#: Sketch value of an empty node set (matches ``MinHasher.sketch``).
-EMPTY_SKETCH_VALUE = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True)
@@ -62,90 +49,9 @@ class IndexParams:
     def minhasher(self) -> MinHasher:
         return MinHasher(num_hashes=self.num_hashes, seed=self.seed)
 
-
-def sketch_rows(
-    labels: Sequence[str],
-    entry_keys: np.ndarray,
-    row_starts: np.ndarray,
-    row_counts: np.ndarray,
-    params: IndexParams,
-) -> np.ndarray:
-    """MinHash sketches for every CSR row, shape ``(rows, num_hashes)``.
-
-    Columnar evaluation of ``MinHasher.sketch``: the per-label hash matrix
-    is computed once over the interning table (exact big-int arithmetic mod
-    the Mersenne prime, as the scalar path does), then each hash function
-    is one fancy-indexed gather plus a segmented min.  Empty rows get the
-    all-max sketch, the scalar empty-set convention.
-    """
-    hasher = params.minhasher()
-    num_rows = int(len(row_starts))
-    sketches = np.full(
-        (num_rows, params.num_hashes), EMPTY_SKETCH_VALUE, dtype=np.uint64
-    )
-    if num_rows == 0:
-        return sketches
-    entry_keys = np.asarray(entry_keys, dtype=np.int64)
-    starts = np.asarray(row_starts, dtype=np.int64)
-    counts = np.asarray(row_counts, dtype=np.int64)
-    if len(labels) == 0 or entry_keys.size == 0:
-        return sketches
-    # Exact modular hash values per (function, label); object dtype keeps
-    # the arithmetic big-int exact, matching MinHasher bit for bit.
-    fingerprints = np.array(
-        [stable_hash64(label) for label in labels], dtype=object
-    )
-    a = hasher._a.astype(object)[:, None]
-    b = hasher._b.astype(object)[:, None]
-    label_hashes = ((a * fingerprints[None, :] + b) % MERSENNE_61).astype(np.uint64)
-    valid = counts > 0
-    if not valid.any():
-        return sketches
-    # Empty rows contribute no entries, so consecutive *valid* starts are
-    # exact CSR segment boundaries — reduceat over them needs no sentinels.
-    valid_starts = starts[valid]
-    for func in range(params.num_hashes):
-        entry_hashes = label_hashes[func][entry_keys]
-        sketches[valid, func] = np.minimum.reduceat(entry_hashes, valid_starts)
-    return sketches
-
-
-def _band_coefficients(params: IndexParams) -> np.ndarray:
-    """Seeded odd multipliers folding one band slice into a uint64."""
-    rng = np.random.default_rng(params.seed ^ 0x5EED_BA5E)
-    coefficients = rng.integers(
-        0, np.iinfo(np.uint64).max, size=(params.bands, params.rows_per_band),
-        dtype=np.uint64,
-    )
-    return coefficients | np.uint64(1)
-
-
-def band_hashes(sketches: np.ndarray, params: IndexParams) -> np.ndarray:
-    """Fold sketches ``(rows, num_hashes)`` into band hashes ``(rows, bands)``.
-
-    Equal band slices always map to equal hashes (the LSH guarantee);
-    unequal slices collide with probability ~2^-64 per band, absorbed by
-    the exact re-ranking step.
-    """
-    sketches = np.asarray(sketches, dtype=np.uint64)
-    if sketches.ndim != 2 or sketches.shape[1] != params.num_hashes:
-        raise StoreError(
-            f"sketch table has {sketches.shape} values; index expects "
-            f"(rows, {params.num_hashes})"
-        )
-    coefficients = _band_coefficients(params)
-    out = np.empty((sketches.shape[0], params.bands), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for band in range(params.bands):
-            lo = band * params.rows_per_band
-            window = sketches[:, lo : lo + params.rows_per_band]
-            acc = np.zeros(sketches.shape[0], dtype=np.uint64)
-            for j in range(params.rows_per_band):
-                # Wrapping multiply-rotate-add keeps position sensitivity.
-                acc = acc * np.uint64(0x9E3779B97F4A7C15)
-                acc += window[:, j] * coefficients[band, j]
-            out[:, band] = acc
-    return out
+    def fold(self, sketches: np.ndarray) -> np.ndarray:
+        """Band hashes ``(rows, bands)`` of sketches ``(rows, num_hashes)``."""
+        return band_hashes(sketches, self.bands, self.rows_per_band, self.seed)
 
 
 def band_hashes_for_rows(
@@ -155,21 +61,15 @@ def band_hashes_for_rows(
     row_counts: np.ndarray,
     params: IndexParams,
 ) -> np.ndarray:
-    """Sketch + fold in one call (what the segment encoder persists)."""
-    return band_hashes(
-        sketch_rows(labels, entry_keys, row_starts, row_counts, params), params
+    """The band table of CSR rows (what the segment encoder persists)."""
+    return params.fold(
+        params.minhasher().sketch_rows(labels, entry_keys, row_starts, row_counts)
     )
 
 
 def query_band_hashes(signature: Signature, params: IndexParams) -> np.ndarray:
-    """Band hashes of a query signature, comparable to stored rows.
-
-    Uses the scalar :class:`~repro.matching.minhash.MinHasher` path — the
-    columnar encoder above is bit-identical to it, so one query sketch
-    probes every segment of the store.
-    """
-    sketch = params.minhasher().sketch_signature(signature)
-    return band_hashes(sketch[None, :], params)[0]
+    """Band hashes of a query signature, comparable to stored rows."""
+    return params.fold(params.minhasher().sketch_signature(signature)[None, :])[0]
 
 
 def candidate_rows(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Hashable, List, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +80,22 @@ class HashFamily:
             ((a * value + b) % MERSENNE_61) % self.output_range
             for a, b in zip(self._a, self._b)
         ]
+
+    def hash_columns(self, fingerprints: Sequence[int]) -> np.ndarray:
+        """Every member over an array of :func:`stable_hash64` fingerprints.
+
+        Row ``i`` of the ``(count, len(fingerprints))`` uint64 result is
+        member ``i`` applied to each fingerprint, so column ``j`` equals
+        :meth:`hash_all` of the item fingerprinted as ``fingerprints[j]``.
+        Object dtype keeps the products exact big-int arithmetic.
+        """
+        values = np.asarray(fingerprints, dtype=object)[None, :]
+        a = np.asarray(self._a, dtype=object)[:, None]
+        b = np.asarray(self._b, dtype=object)[:, None]
+        hashes = ((a * values + b) % MERSENNE_61).astype(np.uint64)
+        if self.output_range < MERSENNE_61:  # else already in range
+            hashes %= np.uint64(self.output_range)
+        return hashes
 
 
 @functools.lru_cache(maxsize=256)

@@ -64,6 +64,17 @@ class TestLshIndex:
         index.add("b", hasher.sketch({"y"}))
         assert len(index) == 2
 
+    def test_readd_drops_old_bands(self):
+        index = LshIndex(bands=4, rows_per_band=8)
+        hasher = MinHasher(num_hashes=32, seed=0)
+        old = hasher.sketch({f"a-{i}" for i in range(20)})
+        new = hasher.sketch({f"b-{i}" for i in range(20)})
+        index.add("k", old)
+        index.add("k", new)
+        assert "k" not in index.candidates(old)
+        assert "k" in index.candidates(new)
+        assert len(index) == 1
+
 
 class TestApproxSignatureIndex:
     def test_query_finds_identical_signature(self):
@@ -96,6 +107,14 @@ class TestApproxSignatureIndex:
         index = ApproxSignatureIndex()
         index.add(sig("v1", "a"))
         assert len(index) == 1
+
+    def test_readd_replaces_signature(self):
+        """``add`` is insert-or-replace, as for the exact ``SignatureIndex``."""
+        index = ApproxSignatureIndex(bands=4, rows_per_band=8)
+        before = sig("k", *(f"a-{i}" for i in range(20)))
+        index.add(before)
+        index.add(sig("k", *(f"b-{i}" for i in range(20))))
+        assert index.query(sig("probe", *before.nodes), k=1) == []
 
     def test_high_recall_on_alias_population(self, tiny_enterprise):
         """Integration: near-duplicate alias signatures are recovered."""
