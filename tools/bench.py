@@ -1,73 +1,24 @@
 #!/usr/bin/env python
-"""Perf regression harness: scalar vs. batch distance kernels.
+"""Perf regression harness: six gated bench stages over one driver.
 
-Times the vectorized kernels in :mod:`repro.core.packed` against the
-scalar fallback loops *through the same call sites* (the scalar side runs
-under :func:`repro.core.packed.batch_disabled`), asserts numerical
-agreement, and writes a machine-readable record to
-``benchmarks/perf/BENCH_distance_kernels.json``.
+- ``kernels``: scalar vs batch distance kernels through the same call sites
+- ``incremental``: chained delta recompute vs full per-window recompute
+- ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
+- ``sketch``: sketch-tier accuracy-vs-memory curve and merge-based window advance
+- ``service_slo``: seeded load through the in-process service: latency, digests, SLOs, traces
+- ``history``: indexed vs brute-force history-store lookalike queries, and compaction
 
-Benchmarked operations:
-
-- ``uniqueness_all_pairs``: all-pairs uniqueness over a synthetic window
-  (the acceptance gate: >= 10x at n=2000 for every distance)
-- ``cross_identification``: the n x n identity score matrix between two
-  consecutive windows (the fig2/fig3 inner loop)
-- ``fig1_end_to_end`` / ``fig3_end_to_end``: full experiment drivers at
-  small scale, serial vs. batch
-
-A second stage (``--stage incremental``) benchmarks the incremental
-sliding-window signature engine against per-window full recomputation on a
-backbone-plus-churn trace, asserts byte-identical outputs, and writes
-``benchmarks/perf/BENCH_incremental_engine.json``.
-
-A third stage (``--stage shm``) benchmarks the zero-copy shared-memory
-recompute engine (:mod:`repro.parallel.shm`) against both the serial path
-and a pickle-per-task ``parallel_map`` baseline at 1/2/4/8 workers,
-asserts byte-identical signatures, and writes
-``benchmarks/perf/BENCH_shared_memory.json``.  The vs-pickle gate (>= 2x
-at 4 workers) is core-count independent and always enforced; the
-vs-serial scaling gate only fires on hosts with >= 4 CPUs.
-
-A fourth stage (``--stage sketch``) maps the memory-budgeted sketch
-tier's accuracy-vs-memory curve (:mod:`repro.streaming.tier`) on a
-large-external-universe enterprise trace (100k+ graph nodes in full
-mode), measures top-k overlap and persistence error against the exact
-signatures at each budget, benchmarks the merge-based
-``SketchTier.advance`` against the old full re-observation path, and
-writes ``benchmarks/perf/BENCH_sketch_tier.json``.  Gates (full mode):
-mean top-k overlap >= 0.9 at the default budget, and tier bytes >= 4x
-below the exact graph's adjacency at the same per-entry cost.
-
-A fifth stage (``--stage service_slo``) drives a deterministic seeded
-load profile (:mod:`repro.service.loadgen`) through an in-process
-:class:`~repro.service.http.SignatureService`, writes per-endpoint
-p50/p95/p99 latency, the cross-shard merge of the per-shard breaker
-digests, the service's own ``/slo`` burn-rate verdicts and a
-``/trace/<id>`` round-trip to ``BENCH_service_slo.json``, and gates on
-every digest quantile landing within its advertised relative accuracy of
-the exact order statistic.
-
-A sixth stage (``--stage history``) fills a
-:class:`~repro.store.history.HistoryStore` with windows of synthetic
-signatures (>= 100k stored rows in full mode), then times "who looked
-like X" queries through the on-disk LSH band index against the
-brute-force decode of the whole window.  Gates: every planted exact
-duplicate must surface at distance 0 through both paths, the indexed
-path must be at least MIN_HISTORY_INDEX_SPEEDUP faster at full scale,
-and compaction must leave every query answer byte-identical.
+A full run writes ``benchmarks/perf/BENCH_<benchmark>.json`` and mirrors it
+at the repo root, so the cross-PR trajectory diffs at a glance.  ``--quick``
+(CI smoke: small inputs, full-scale gates off) writes only under the
+git-ignored ``benchmarks/perf/quick/``.  ``--output`` and ``--obs-out`` name
+one stage's file, so they need a single ``--stage``.
 
 Usage::
 
-    python tools/bench.py                 # full run, n=2000 windows
-    python tools/bench.py --quick         # CI smoke: small n, agreement only
-    python tools/bench.py --stage incremental   # delta-engine stage only
-    python tools/bench.py --stage shm           # shared-memory stage only
-    python tools/bench.py --stage sketch        # sketch-tier stage only
-    python tools/bench.py --stage service_slo   # service SLO/latency stage
-    python tools/bench.py --stage history       # history-store query stage
-    python tools/bench.py --stage all
-    python tools/bench.py --output out.json
+    python tools/bench.py                         # kernels stage, full run
+    python tools/bench.py --stage all --quick     # every stage, CI smoke
+    python tools/bench.py --stage shm --output out.json
 """
 
 from __future__ import annotations
@@ -76,8 +27,10 @@ import argparse
 import json
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -90,15 +43,13 @@ from repro.core.packed import SignaturePack, batch_disabled, cross_matrix
 from repro.core.properties import uniqueness_values
 from repro.core.signature import Signature
 
-DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "perf" / "BENCH_distance_kernels.json"
-INCREMENTAL_OUTPUT = (
-    REPO_ROOT / "benchmarks" / "perf" / "BENCH_incremental_engine.json"
-)
-SHM_OUTPUT = REPO_ROOT / "benchmarks" / "perf" / "BENCH_shared_memory.json"
-SKETCH_OUTPUT = REPO_ROOT / "benchmarks" / "perf" / "BENCH_sketch_tier.json"
-SERVICE_SLO_OUTPUT = REPO_ROOT / "benchmarks" / "perf" / "BENCH_service_slo.json"
-HISTORY_OUTPUT = REPO_ROOT / "benchmarks" / "perf" / "BENCH_history_store.json"
+PERF_DIR = REPO_ROOT / "benchmarks" / "perf"
+#: Quick-mode records land here (git-ignored), never over a committed record.
+QUICK_DIR = PERF_DIR / "quick"
 AGREEMENT_TOLERANCE = 1e-9
+
+#: Kernels acceptance gate (full mode): all-pairs uniqueness at n=2000.
+MIN_KERNEL_SPEEDUP = 10.0
 
 #: History-store acceptance gate (full mode): with >= HISTORY_GATE_ROWS
 #: signatures stored, an LSH-indexed lookalike query must beat the
@@ -123,9 +74,11 @@ SHM_GATE_WORKERS = 4
 #: budget on the full-mode trace: mean top-k overlap with the exact
 #: signatures, and how far tier state sits below the exact graph's
 #: adjacency (both sides priced at HOT_ENTRY_BYTES per entry, so the
-#: ratio compares like with like).
+#: ratio compares like with like).  The trace must reach
+#: MIN_SKETCH_GRAPH_NODES graph nodes for the memory ratio to mean much.
 MIN_SKETCH_OVERLAP = 0.9
 MIN_SKETCH_MEMORY_RATIO = 4.0
+MIN_SKETCH_GRAPH_NODES = 100_000
 
 #: Service-SLO stage gate: a LatencyDigest built from the load run's exact
 #: latencies must land every reported quantile within its advertised
@@ -133,6 +86,9 @@ MIN_SKETCH_MEMORY_RATIO = 4.0
 DIGEST_ERROR_SLOP = 1e-6
 
 
+# ----------------------------------------------------------------------
+# Shared helpers
+# ----------------------------------------------------------------------
 def synthetic_window(count: int, k: int, seed: int, churn: float = 0.0) -> dict:
     """A seeded window of ``count`` signatures with ``k`` entries each.
 
@@ -170,6 +126,29 @@ def timed(function, repeats: int = 1):
     return best, result
 
 
+def chain(scheme, sequence, engine=None) -> list:
+    """Per-window signature maps, each window recomputed from the previous
+    window's map and the sliding delta: the pipeline's actual workload."""
+    maps = [scheme.compute_all(sequence.graphs[0], engine=engine)]
+    for t in range(1, len(sequence)):
+        maps.append(
+            scheme.compute_all(
+                sequence.graphs[t],
+                delta=sequence.deltas[t - 1],
+                previous=maps[-1],
+                engine=engine,
+            )
+        )
+    return maps
+
+
+def check_same_signatures(what: str, expected: list, actual: list) -> None:
+    """Raise unless two lists of signature maps match exactly: the same
+    owners in the same order, with byte-identical entries."""
+    if [list(m.items()) for m in expected] != [list(m.items()) for m in actual]:
+        raise AssertionError(f"{what} diverged")
+
+
 def check_agreement(op: str, distance: str, batch_values, scalar_values) -> float:
     batch_array = np.asarray(batch_values, dtype=np.float64)
     scalar_array = np.asarray(scalar_values, dtype=np.float64)
@@ -182,75 +161,78 @@ def check_agreement(op: str, distance: str, batch_values, scalar_values) -> floa
     return worst
 
 
-def bench_uniqueness(n: int, k: int, repeats: int, records: list) -> None:
-    """All-pairs uniqueness: the paper's O(n^2) property measurement."""
-    signatures = synthetic_window(n, k, seed=7)
-    nodes = sorted(signatures)
+def warm_up() -> None:
+    """Prime BLAS threads / page caches so first-call cost is not timed."""
+    signatures = synthetic_window(64, 10, seed=1)
+    pack = SignaturePack.from_signatures(signatures)
     for distance in available_distances():
-        batch_wall, batch_result = timed(
-            lambda: uniqueness_values(signatures, distance, nodes=nodes),
-            repeats=repeats,
-        )
+        cross_matrix(pack, pack, distance)
+        uniqueness_values(signatures, distance)
+
+
+# ----------------------------------------------------------------------
+# kernels
+# ----------------------------------------------------------------------
+def _scalar_vs_batch(op: str, n: int, pairs: int, compute, repeats: int) -> list:
+    """Time ``compute(distance)`` batch and scalar for every distance."""
+    rows = []
+    for distance in available_distances():
+        batch_wall, batch_result = timed(lambda: compute(distance), repeats=repeats)
         with batch_disabled():
-            scalar_wall, scalar_result = timed(
-                lambda: uniqueness_values(signatures, distance, nodes=nodes)
-            )
-        worst = check_agreement(
-            "uniqueness_all_pairs", distance, batch_result, scalar_result
-        )
-        records.append(
+            scalar_wall, scalar_result = timed(lambda: compute(distance))
+        worst = check_agreement(op, distance, batch_result, scalar_result)
+        rows.append(
             {
-                "op": "uniqueness_all_pairs",
+                "op": op,
                 "distance": distance,
                 "n": n,
-                "pairs": n * (n - 1) // 2,
+                "pairs": pairs,
                 "scalar_wall_s": round(scalar_wall, 6),
                 "batch_wall_s": round(batch_wall, 6),
                 "speedup": round(scalar_wall / batch_wall, 2),
                 "max_abs_diff": worst,
             }
         )
+    return rows
 
 
-def bench_cross_identification(n: int, k: int, repeats: int, records: list) -> None:
+def bench_uniqueness(n: int, k: int, repeats: int) -> list:
+    """All-pairs uniqueness: the paper's O(n^2) property measurement."""
+    signatures = synthetic_window(n, k, seed=7)
+    nodes = sorted(signatures)
+    return _scalar_vs_batch(
+        "uniqueness_all_pairs",
+        n,
+        n * (n - 1) // 2,
+        lambda distance: uniqueness_values(signatures, distance, nodes=nodes),
+        repeats,
+    )
+
+
+def bench_cross_identification(n: int, k: int, repeats: int) -> list:
     """The n x n score matrix between two windows (fig2/fig3 inner loop)."""
     signatures_now = synthetic_window(n, k, seed=7)
     signatures_next = synthetic_window(n, k, seed=7, churn=0.3)
     order = sorted(signatures_now)
     pack_now = SignaturePack.from_signatures(signatures_now, order=order)
     pack_next = SignaturePack.from_signatures(signatures_next, order=order)
-    for distance in available_distances():
-        batch_wall, batch_matrix = timed(
-            lambda: cross_matrix(pack_now, pack_next, distance), repeats=repeats
-        )
-        with batch_disabled():
-            scalar_wall, scalar_matrix = timed(
-                lambda: cross_matrix(pack_now, pack_next, distance)
-            )
-        worst = check_agreement(
-            "cross_identification", distance, batch_matrix, scalar_matrix
-        )
-        records.append(
-            {
-                "op": "cross_identification",
-                "distance": distance,
-                "n": n,
-                "pairs": n * n,
-                "scalar_wall_s": round(scalar_wall, 6),
-                "batch_wall_s": round(batch_wall, 6),
-                "speedup": round(scalar_wall / batch_wall, 2),
-                "max_abs_diff": worst,
-            }
-        )
+    return _scalar_vs_batch(
+        "cross_identification",
+        n,
+        n * n,
+        lambda distance: cross_matrix(pack_now, pack_next, distance),
+        repeats,
+    )
 
 
-def bench_experiments(records: list) -> None:
+def bench_experiments() -> list:
     """End-to-end fig1/fig3 at small scale, scalar vs. batch paths."""
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.fig1_properties import run_fig1
     from repro.experiments.fig3_auc import run_fig3
 
     config = ExperimentConfig(scale="small")
+    rows = []
     for op, runner in [
         ("fig1_end_to_end", lambda: run_fig1("network", config)),
         ("fig3_end_to_end", lambda: run_fig3("network", config)),
@@ -258,7 +240,7 @@ def bench_experiments(records: list) -> None:
         batch_wall, _ = timed(runner)
         with batch_disabled():
             scalar_wall, _ = timed(runner)
-        records.append(
+        rows.append(
             {
                 "op": op,
                 "distance": "all",
@@ -268,9 +250,10 @@ def bench_experiments(records: list) -> None:
                 "speedup": round(scalar_wall / batch_wall, 2),
             }
         )
+    return rows
 
 
-def bench_obs_overhead(n: int, k: int, repeats: int, records: list) -> None:
+def bench_obs_overhead(n: int, k: int, repeats: int) -> list:
     """Cost of the observability instrumentation on the hot kernel path.
 
     ``disabled`` times the instrumented kernels under the default no-op
@@ -283,15 +266,14 @@ def bench_obs_overhead(n: int, k: int, repeats: int, records: list) -> None:
     def run() -> dict:
         return uniqueness_values(signatures, "jaccard", nodes=nodes)
 
-    disabled_wall, _ = timed(run, repeats=repeats)
-    registry = obs.MetricsRegistry()
-
-    def run_enabled() -> dict:
+    def run_under(registry):
         with obs.use_registry(registry):
             return run()
 
-    enabled_wall, _ = timed(run_enabled, repeats=repeats)
-    records.append(
+    disabled_wall, _ = timed(lambda: run_under(obs.NULL_REGISTRY), repeats=repeats)
+    registry = obs.MetricsRegistry()
+    enabled_wall, _ = timed(lambda: run_under(registry), repeats=repeats)
+    return [
         {
             "op": "obs_overhead",
             "distance": "jaccard",
@@ -302,9 +284,39 @@ def bench_obs_overhead(n: int, k: int, repeats: int, records: list) -> None:
             "note": "scalar=collecting registry, batch=no-op registry; "
             "speedup column is the enabled/disabled overhead ratio",
         }
-    )
+    ]
 
 
+def kernels_stage(args):
+    n = 200 if args.quick else args.n
+    repeats = 1 if args.quick else 3
+    warm_up()
+    rows = bench_uniqueness(n, args.k, repeats)
+    rows += bench_cross_identification(min(n, 1000), args.k, repeats)
+    if not args.quick:
+        rows += bench_experiments()
+    rows += bench_obs_overhead(n, args.k, repeats)
+    slow = [
+        row["distance"]
+        for row in rows
+        if row["op"] == "uniqueness_all_pairs" and row["speedup"] < MIN_KERNEL_SPEEDUP
+    ]
+    failures = []
+    if not args.quick and slow:
+        failures.append(
+            f"uniqueness speedup below {MIN_KERNEL_SPEEDUP:g}x for: " + ", ".join(slow)
+        )
+    fields = {
+        "window": {"n": n, "k": args.k},
+        "agreement_tolerance": AGREEMENT_TOLERANCE,
+        "results": rows,
+    }
+    return fields, rows, failures
+
+
+# ----------------------------------------------------------------------
+# incremental
+# ----------------------------------------------------------------------
 #: Scheme line-up for the incremental-engine stage.
 INCREMENTAL_SCHEMES = [
     ("tt", {}),
@@ -356,9 +368,7 @@ def incremental_trace(
     return records
 
 
-def bench_incremental(
-    num_nodes: int, num_windows: int, k: int, repeats: int, records_out: list
-) -> None:
+def bench_incremental(num_nodes: int, num_windows: int, k: int, repeats: int) -> list:
     """Incremental chained recompute vs. per-window full recompute.
 
     Both passes run over identically-constructed sliding sequences and the
@@ -371,39 +381,21 @@ def bench_incremental(
     from repro.graph.windows import GraphSequence
 
     trace = incremental_trace(num_nodes, num_windows, churn_fraction=0.01, seed=23)
-
-    def build_sequence() -> GraphSequence:
-        return GraphSequence.from_sliding_records(trace, num_windows=num_windows)
-
+    rows = []
     for name, params in INCREMENTAL_SCHEMES:
         scheme = create_scheme(name, k=k, **params)
         # Separate sequences per pass so neither benefits from matrix
         # caches warmed by the other.
-        seq_full = build_sequence()
-        seq_inc = build_sequence()
-
+        seq_full = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
+        seq_inc = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
         full_wall, full_maps = timed(
             lambda: [scheme.compute_all(graph) for graph in seq_full.graphs],
             repeats=repeats,
         )
-
-        def run_incremental():
-            maps = [scheme.compute_all(seq_inc.graphs[0])]
-            for t in range(1, len(seq_inc)):
-                maps.append(
-                    scheme.compute_all(
-                        seq_inc.graphs[t],
-                        delta=seq_inc.deltas[t - 1],
-                        previous=maps[-1],
-                    )
-                )
-            return maps
-
-        inc_wall, inc_maps = timed(run_incremental, repeats=repeats)
-        if full_maps != inc_maps:
-            raise AssertionError(
-                f"incremental engine diverged from full recompute for {name}"
-            )
+        inc_wall, inc_maps = timed(lambda: chain(scheme, seq_inc), repeats=repeats)
+        check_same_signatures(
+            f"incremental engine vs full recompute for {name}", full_maps, inc_maps
+        )
 
         dirty_total = 0
         for t in range(1, len(seq_inc)):
@@ -411,7 +403,7 @@ def bench_incremental(
             dirty_total += num_nodes if dirty is None else len(dirty)
         dirty_fraction = dirty_total / (num_nodes * (len(seq_inc) - 1))
 
-        records_out.append(
+        rows.append(
             {
                 "op": "incremental_vs_full",
                 "scheme": scheme.describe(),
@@ -424,8 +416,40 @@ def bench_incremental(
                 "note": "scalar=full per-window recompute, batch=delta engine",
             }
         )
+    return rows
 
 
+def incremental_stage(args):
+    num_nodes = 200 if args.quick else 1200
+    num_windows = 6 if args.quick else 10
+    repeats = 1 if args.quick else 3
+    rows = bench_incremental(num_nodes, num_windows, args.k, repeats)
+    slow = [
+        row["scheme"]
+        for row in rows
+        if row["dirty_fraction"] <= MAX_DIRTY_FRACTION
+        and row["speedup"] < MIN_INCREMENTAL_SPEEDUP
+    ]
+    failures = []
+    if not args.quick and slow:
+        failures.append(
+            f"incremental speedup below {MIN_INCREMENTAL_SPEEDUP:g}x at "
+            f"<= {MAX_DIRTY_FRACTION:.0%} dirty for: " + ", ".join(slow)
+        )
+    fields = {
+        "trace": {"nodes": num_nodes, "windows": num_windows, "churn_fraction": 0.01},
+        "gate": {
+            "min_speedup": MIN_INCREMENTAL_SPEEDUP,
+            "max_dirty_fraction": MAX_DIRTY_FRACTION,
+        },
+        "results": rows,
+    }
+    return fields, rows, failures
+
+
+# ----------------------------------------------------------------------
+# shm
+# ----------------------------------------------------------------------
 #: Scheme line-up for the shared-memory stage (the fig1/fig3 recompute
 #: kernels plus the service's push scheme; unbounded RWR is excluded on
 #: purpose — it is not partition-safe, so the engine runs it whole-batch
@@ -476,7 +500,6 @@ def _pickle_parallel_compute(scheme, graph, targets, workers: int, message_size:
     Same chunk geometry as the engine (so the only variable is how bytes
     reach the workers), merged in submission order for determinism.
     """
-    from repro.core.signature import Signature as _Signature
     from repro.parallel import parallel_map
 
     chunk = max(1, min(message_size, -(-len(targets) // max(workers, 1))))
@@ -487,18 +510,13 @@ def _pickle_parallel_compute(scheme, graph, targets, workers: int, message_size:
     merged = {}
     for rows in parallel_map(_pickle_chunk, tasks, jobs=workers):
         for node, entries in rows:
-            merged[node] = _Signature(node, dict(entries))
+            merged[node] = Signature(node, dict(entries))
     return {node: merged[node] for node in targets}
 
 
 def bench_shm(
-    num_nodes: int,
-    out_degree: int,
-    worker_counts,
-    repeats: int,
-    records_out: list,
-    schemes=None,
-) -> None:
+    num_nodes: int, out_degree: int, worker_counts, repeats: int, schemes
+) -> list:
     """Serial vs pickle-``parallel_map`` vs shared-memory batch recompute.
 
     All three paths are asserted byte-identical per scheme and worker
@@ -514,8 +532,8 @@ def bench_shm(
 
     graph = shm_graph(num_nodes, out_degree, seed=11)
     population = graph.senders()
-
-    for name, params, gates in schemes if schemes is not None else SHM_SCHEMES:
+    rows = []
+    for name, params, gates in schemes:
         scheme = create_scheme(name, k=10, **params)
         serial_wall, serial_map = timed(
             lambda: scheme.compute_all(graph, population), repeats=repeats
@@ -534,15 +552,12 @@ def bench_shm(
                     repeats=repeats,
                 )
             for label, candidate in (("pickle", pickle_map), ("shm", shm_map)):
-                if list(candidate) != list(serial_map) or any(
-                    candidate[node].entries != serial_map[node].entries
-                    for node in serial_map
-                ):
-                    raise AssertionError(
-                        f"{label} path diverged from serial for {name} "
-                        f"at {workers} workers"
-                    )
-            records_out.append(
+                check_same_signatures(
+                    f"{label} path vs serial for {name} at {workers} workers",
+                    [serial_map],
+                    [candidate],
+                )
+            rows.append(
                 {
                     "op": "shm_batch_recompute",
                     "scheme": scheme.describe(),
@@ -556,11 +571,10 @@ def bench_shm(
                     "speedup_vs_pickle": round(pickle_wall / shm_wall, 2),
                 }
             )
+    return rows
 
 
-def bench_shm_dirty(
-    num_nodes: int, num_windows: int, workers: int, repeats: int, records_out: list
-) -> None:
+def bench_shm_dirty(num_nodes: int, num_windows: int, workers: int, repeats: int) -> list:
     """The pipeline's actual workload: dirty-set recompute across windows.
 
     Chains ``compute_all(delta=..., previous=...)`` over a sliding
@@ -574,26 +588,13 @@ def bench_shm_dirty(
     trace = incremental_trace(num_nodes, num_windows, churn_fraction=0.05, seed=29)
     sequence = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
     scheme = create_scheme("tt", k=10)
-
-    def run_chain(engine=None):
-        maps = [scheme.compute_all(sequence.graphs[0], engine=engine)]
-        for t in range(1, len(sequence)):
-            maps.append(
-                scheme.compute_all(
-                    sequence.graphs[t],
-                    delta=sequence.deltas[t - 1],
-                    previous=maps[-1],
-                    engine=engine,
-                )
-            )
-        return maps
-
-    serial_wall, serial_maps = timed(run_chain, repeats=repeats)
+    serial_wall, serial_maps = timed(lambda: chain(scheme, sequence), repeats=repeats)
     with ShmEngine(jobs=workers) as engine:
-        shm_wall, shm_maps = timed(lambda: run_chain(engine), repeats=repeats)
-    if serial_maps != shm_maps:
-        raise AssertionError("shm dirty-set chain diverged from serial")
-    records_out.append(
+        shm_wall, shm_maps = timed(
+            lambda: chain(scheme, sequence, engine), repeats=repeats
+        )
+    check_same_signatures("shm dirty-set chain vs serial", serial_maps, shm_maps)
+    return [
         {
             "op": "shm_dirty_set_chain",
             "scheme": scheme.describe(),
@@ -604,9 +605,66 @@ def bench_shm_dirty(
             "shm_wall_s": round(shm_wall, 6),
             "speedup_vs_serial": round(serial_wall / shm_wall, 2),
         }
+    ]
+
+
+def shm_stage(args):
+    from repro.parallel import available_cpus
+    from repro.parallel.shm import active_segment_names
+
+    num_nodes = 800 if args.quick else 1500
+    out_degree = 16 if args.quick else 20
+    worker_counts = (1, 2, 4) if args.quick else (1, 2, 4, 8)
+    repeats = 3
+    cores = available_cpus()
+    serial_gate_active = cores >= SHM_GATE_WORKERS
+    # rwr-push is compute-bound (seconds per window even on small graphs):
+    # skipped in the CI smoke, and in the full run it gets its own small
+    # graph and single repeat so the stage stays in minutes, not hours.
+    cheap = [entry for entry in SHM_SCHEMES if entry[0] != "rwr-push"]
+    heavy = [entry for entry in SHM_SCHEMES if entry[0] == "rwr-push"]
+    rows = bench_shm(num_nodes, out_degree, worker_counts, repeats, cheap)
+    if not args.quick:
+        rows += bench_shm(300, 12, worker_counts, 1, heavy)
+    rows += bench_shm_dirty(
+        num_nodes // 2, 4 if args.quick else 8, SHM_GATE_WORKERS, repeats
     )
 
+    failures = []
+    leaked = active_segment_names()
+    if leaked:
+        failures.append(f"bench leaked shared-memory segments: {leaked}")
+    for row in rows:
+        if row["op"] != "shm_batch_recompute" or row["workers"] != SHM_GATE_WORKERS:
+            continue
+        for gate, active in (("pickle", True), ("serial", serial_gate_active)):
+            speedup = row[f"speedup_vs_{gate}"]
+            if active and gate in row["gates"] and speedup < MIN_SHM_SPEEDUP:
+                failures.append(
+                    f"{row['scheme']}: vs-{gate} {speedup}x < {MIN_SHM_SPEEDUP:g}x "
+                    f"at {SHM_GATE_WORKERS} workers"
+                )
+    fields = {
+        "host_cpus": cores,
+        "graph": {"nodes": num_nodes, "out_degree": out_degree},
+        "gate": {
+            "min_speedup": MIN_SHM_SPEEDUP,
+            "workers": SHM_GATE_WORKERS,
+            "vs_pickle": "enforced (transport-bound schemes)",
+            "vs_serial": (
+                "enforced (compute-bound schemes)"
+                if serial_gate_active
+                else f"skipped ({cores} CPUs < {SHM_GATE_WORKERS})"
+            ),
+        },
+        "results": rows,
+    }
+    return fields, rows, failures
 
+
+# ----------------------------------------------------------------------
+# sketch
+# ----------------------------------------------------------------------
 def _add_scanner_hosts(data, num_scanners, draws_per_window, universe, seed):
     """Graft scanner-style sources onto an enterprise trace.
 
@@ -692,14 +750,13 @@ def _persistence_map(now: dict, prev: dict, hosts) -> dict:
     }
 
 
-def bench_sketch_accuracy(data, budgets, repeats: int, records_out: list) -> dict:
+def bench_sketch_accuracy(data, budgets, repeats: int):
     """Top-k overlap / persistence error / bytes across the budget curve.
 
-    Returns the summary facts the gates need (exact adjacency bytes and
-    the default-budget row).  The exact side is priced at the tier's own
-    HOT_ENTRY_BYTES per adjacency entry, so the memory ratio compares
-    idealized-compact state on both sides rather than flattering the
-    sketch with Python dict overheads.
+    Returns the rows and the trace facts the gates need.  The exact side
+    is priced at the tier's own HOT_ENTRY_BYTES per adjacency entry, so
+    the memory ratio compares idealized-compact state on both sides
+    rather than flattering the sketch with Python dict overheads.
     """
     from repro.core.scheme import create_scheme
     from repro.streaming.tier import (
@@ -716,7 +773,7 @@ def bench_sketch_accuracy(data, budgets, repeats: int, records_out: list) -> dic
     exact_persistence = _persistence_map(exact_next, exact_now, hosts)
     exact_bytes = (graph_now.num_nodes + graph_now.num_edges) * HOT_ENTRY_BYTES
 
-    default_row = None
+    rows = []
     for budget in budgets:
         engine = SketchTierEngine(budget_bytes=budget, seed=3)
         wall, approx_now = timed(
@@ -751,15 +808,14 @@ def bench_sketch_accuracy(data, budgets, repeats: int, records_out: list) -> dic
             "wall_s": round(wall, 6),
             "is_default_budget": budget == DEFAULT_BUDGET_BYTES,
         }
-        records_out.append(row)
-        if row["is_default_budget"]:
-            default_row = row
-    return {
-        "exact_bytes": exact_bytes,
+        rows.append(row)
+    trace = {
+        "hosts": len(hosts),
         "graph_nodes": graph_now.num_nodes,
         "graph_edges": graph_now.num_edges,
-        "default_row": default_row,
+        "exact_bytes": exact_bytes,
     }
+    return rows, trace
 
 
 def sketch_advance_buckets(
@@ -783,13 +839,13 @@ def sketch_advance_buckets(
     ]
 
 
-def bench_sketch_advance(quick: bool, repeats: int, records_out: list) -> None:
-    """Merge-based ``SketchTier.advance`` vs the old full re-observation.
+def bench_sketch_advance(quick: bool, repeats: int) -> list:
+    """Merge-based ``SketchTier.advance`` vs full re-observation.
 
-    The baseline reproduces the code this PR removed: every advance built
-    a fresh window builder and re-observed all retained records —
-    O(window_buckets x bucket) record updates per window, against the new
-    path's one bucket observation plus sketch merges.
+    The baseline is the re-observation path the merge replaced: every
+    advance builds a fresh window builder and re-observes all retained
+    records — O(window_buckets x bucket) record updates per window,
+    against one bucket observation plus sketch merges.
     """
     from collections import deque
 
@@ -839,7 +895,7 @@ def bench_sketch_advance(quick: bool, repeats: int, records_out: list) -> None:
         raise AssertionError(
             "merge-based advance tracks a different source set than rebuild"
         )
-    records_out.append(
+    return [
         {
             "op": "sketch_advance_throughput",
             "windows": len(buckets),
@@ -851,250 +907,10 @@ def bench_sketch_advance(quick: bool, repeats: int, records_out: list) -> None:
             "rebuild_windows_per_s": round(len(buckets) / rebuild_wall, 1),
             "merge_windows_per_s": round(len(buckets) / merge_wall, 1),
         }
-    )
-
-
-def warm_up() -> None:
-    """Prime BLAS threads / page caches so first-call cost is not timed."""
-    signatures = synthetic_window(64, 10, seed=1)
-    pack = SignaturePack.from_signatures(signatures)
-    for distance in available_distances():
-        cross_matrix(pack, pack, distance)
-        uniqueness_values(signatures, distance)
-
-
-def _write_payload(payload: dict, output: Path) -> None:
-    """Write a bench payload and mirror it to the repo root.
-
-    The mirror (``<repo>/BENCH_<name>.json``) keeps the cross-PR perf
-    trajectory greppable without digging into benchmarks/; diff it across
-    commits.
-    """
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(json.dumps(payload, indent=2) + "\n")
-    root_output = REPO_ROOT / f"BENCH_{payload['benchmark']}.json"
-    if root_output != output:
-        root_output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"mirrored bench record to {root_output}")
-    print(f"wrote {output}")
-
-
-def _print_records(records: list, label_key: str) -> None:
-    width = max(len(record["op"]) for record in records)
-    label_width = max(len(str(record[label_key])) for record in records)
-    for record in records:
-        print(
-            f"{record['op']:<{width}}  {str(record[label_key]):<{label_width}}"
-            f"  scalar {record['scalar_wall_s']:>9.4f}s"
-            f"  batch {record['batch_wall_s']:>9.4f}s"
-            f"  speedup {record['speedup']:>8.2f}x"
-        )
-
-
-def _run_kernels_stage(args) -> int:
-    n = 200 if args.quick else args.n
-    repeats = 1 if args.quick else 3
-
-    warm_up()
-    records: list = []
-    bench_registry = obs.MetricsRegistry() if args.obs_out else obs.NULL_REGISTRY
-    with obs.use_registry(bench_registry):
-        with obs.span("bench.distance_kernels"):
-            bench_uniqueness(n, args.k, repeats, records)
-            bench_cross_identification(min(n, 1000), args.k, repeats, records)
-            if not args.quick:
-                bench_experiments(records)
-    bench_obs_overhead(n, args.k, repeats, records)
-    if args.obs_out:
-        obs.write_json(
-            args.obs_out,
-            bench_registry.snapshot(),
-            meta={"command": "bench", "n": n, "k": args.k},
-        )
-        print(f"observability payload written to {args.obs_out}")
-
-    payload = {
-        "benchmark": "distance_kernels",
-        "mode": "quick" if args.quick else "full",
-        "window": {"n": n, "k": args.k},
-        "agreement_tolerance": AGREEMENT_TOLERANCE,
-        "results": records,
-    }
-    _write_payload(payload, args.output if args.output else DEFAULT_OUTPUT)
-    _print_records(records, "distance")
-
-    gate = [
-        record
-        for record in records
-        if record["op"] == "uniqueness_all_pairs" and record["speedup"] < 10
-    ]
-    if not args.quick and gate:
-        print(
-            "FAIL: speedup below 10x for: "
-            + ", ".join(record["distance"] for record in gate)
-        )
-        return 1
-    return 0
-
-
-def _run_incremental_stage(args) -> int:
-    num_nodes = 200 if args.quick else 1200
-    num_windows = 6 if args.quick else 10
-    repeats = 1 if args.quick else 3
-
-    records: list = []
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        with obs.span("bench.incremental_engine"):
-            bench_incremental(num_nodes, num_windows, args.k, repeats, records)
-    counters = {
-        key: value
-        for key, value in registry.counters_flat().items()
-        if key.startswith(("incremental.", "matrix_cache."))
-    }
-
-    payload = {
-        "benchmark": "incremental_engine",
-        "mode": "quick" if args.quick else "full",
-        "trace": {"nodes": num_nodes, "windows": num_windows, "churn_fraction": 0.01},
-        "gate": {
-            "min_speedup": MIN_INCREMENTAL_SPEEDUP,
-            "max_dirty_fraction": MAX_DIRTY_FRACTION,
-        },
-        "results": records,
-        "obs_counters": counters,
-    }
-    output = (
-        args.output
-        if args.output and args.stage == "incremental"
-        else INCREMENTAL_OUTPUT
-    )
-    _write_payload(payload, output)
-    _print_records(records, "scheme")
-    for record in records:
-        print(
-            f"  {record['scheme']}: dirty_fraction={record['dirty_fraction']:.3f}"
-        )
-
-    gate = [
-        record
-        for record in records
-        if record["dirty_fraction"] <= MAX_DIRTY_FRACTION
-        and record["speedup"] < MIN_INCREMENTAL_SPEEDUP
-    ]
-    if not args.quick and gate:
-        print(
-            f"FAIL: incremental speedup below {MIN_INCREMENTAL_SPEEDUP}x at "
-            f"<= {MAX_DIRTY_FRACTION:.0%} dirty for: "
-            + ", ".join(record["scheme"] for record in gate)
-        )
-        return 1
-    return 0
-
-
-def _run_shm_stage(args) -> int:
-    from repro.parallel import available_cpus
-    from repro.parallel.shm import active_segment_names
-
-    num_nodes = 800 if args.quick else 1500
-    out_degree = 16 if args.quick else 20
-    worker_counts = (1, 2, 4) if args.quick else (1, 2, 4, 8)
-    repeats = 3
-    cores = available_cpus()
-    # rwr-push is compute-bound (seconds per window even on small graphs):
-    # skipped in the CI smoke, and in the full run it gets its own small
-    # graph and single repeat so the stage stays in minutes, not hours.
-    cheap_schemes = [entry for entry in SHM_SCHEMES if entry[0] != "rwr-push"]
-    heavy_schemes = [] if args.quick else [
-        entry for entry in SHM_SCHEMES if entry[0] == "rwr-push"
     ]
 
-    records: list = []
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        with obs.span("bench.shared_memory"):
-            bench_shm(
-                num_nodes, out_degree, worker_counts, repeats, records,
-                cheap_schemes,
-            )
-            if heavy_schemes:
-                bench_shm(300, 12, worker_counts, 1, records, heavy_schemes)
-            bench_shm_dirty(
-                num_nodes // 2,
-                4 if args.quick else 8,
-                SHM_GATE_WORKERS,
-                repeats,
-                records,
-            )
-    counters = {
-        key: value
-        for key, value in registry.counters_flat().items()
-        if key.startswith("shm.")
-    }
-    leaked = active_segment_names()
-    if leaked:
-        raise AssertionError(f"bench leaked shared-memory segments: {leaked}")
 
-    serial_gate_active = cores >= SHM_GATE_WORKERS
-    payload = {
-        "benchmark": "shared_memory",
-        "mode": "quick" if args.quick else "full",
-        "host_cpus": cores,
-        "graph": {"nodes": num_nodes, "out_degree": out_degree},
-        "gate": {
-            "min_speedup": MIN_SHM_SPEEDUP,
-            "workers": SHM_GATE_WORKERS,
-            "vs_pickle": "enforced (transport-bound schemes)",
-            "vs_serial": (
-                "enforced (compute-bound schemes)"
-                if serial_gate_active
-                else f"skipped ({cores} CPUs < {SHM_GATE_WORKERS})"
-            ),
-        },
-        "results": records,
-        "obs_counters": counters,
-    }
-    output = args.output if args.output and args.stage == "shm" else SHM_OUTPUT
-    _write_payload(payload, output)
-    for record in records:
-        vs_pickle = record.get("speedup_vs_pickle")
-        print(
-            f"{record['op']}  {record['scheme']:<12}  workers={record['workers']}"
-            f"  serial {record['serial_wall_s']:>8.4f}s"
-            f"  shm {record['shm_wall_s']:>8.4f}s"
-            f"  vs-serial {record['speedup_vs_serial']:>6.2f}x"
-            + (f"  vs-pickle {vs_pickle:>6.2f}x" if vs_pickle is not None else "")
-        )
-
-    failures = []
-    for record in records:
-        if record["op"] != "shm_batch_recompute":
-            continue
-        if record["workers"] != SHM_GATE_WORKERS:
-            continue
-        gates = record["gates"]
-        if "pickle" in gates and record["speedup_vs_pickle"] < MIN_SHM_SPEEDUP:
-            failures.append(
-                f"{record['scheme']}: vs-pickle {record['speedup_vs_pickle']}x"
-            )
-        if (
-            serial_gate_active
-            and "serial" in gates
-            and record["speedup_vs_serial"] < MIN_SHM_SPEEDUP
-        ):
-            failures.append(
-                f"{record['scheme']}: vs-serial {record['speedup_vs_serial']}x"
-            )
-    if failures:
-        print(
-            f"FAIL: shm speedup below {MIN_SHM_SPEEDUP}x at "
-            f"{SHM_GATE_WORKERS} workers for: " + ", ".join(failures)
-        )
-        return 1
-    return 0
-
-
-def _run_sketch_stage(args) -> int:
+def sketch_stage(args):
     from repro.streaming.tier import DEFAULT_BUDGET_BYTES
 
     repeats = 1 if args.quick else 2
@@ -1103,88 +919,44 @@ def _run_sketch_stage(args) -> int:
         if args.quick
         else (1 << 16, 1 << 18, 1 << 20, DEFAULT_BUDGET_BYTES, 1 << 22)
     )
+    rows, trace = bench_sketch_accuracy(sketch_trace(args.quick), budgets, repeats)
+    default = next(row for row in rows if row["is_default_budget"])
+    rows += bench_sketch_advance(args.quick, repeats)
 
-    records: list = []
-    registry = obs.MetricsRegistry()
-    with obs.use_registry(registry):
-        with obs.span("bench.sketch_tier"):
-            data = sketch_trace(args.quick)
-            facts = bench_sketch_accuracy(data, budgets, repeats, records)
-            bench_sketch_advance(args.quick, repeats, records)
-    counters = {
-        key: value
-        for key, value in registry.counters_flat().items()
-        if key.startswith("sketch.")
-    }
-
-    payload = {
-        "benchmark": "sketch_tier",
-        "mode": "quick" if args.quick else "full",
-        "trace": {
-            "hosts": len(data.local_hosts),
-            "graph_nodes": facts["graph_nodes"],
-            "graph_edges": facts["graph_edges"],
-            "exact_bytes": facts["exact_bytes"],
-        },
+    failures = []
+    if not args.quick:
+        if trace["graph_nodes"] < MIN_SKETCH_GRAPH_NODES:
+            failures.append(
+                f"trace too small for the memory gate: {trace['graph_nodes']} "
+                f"graph nodes < {MIN_SKETCH_GRAPH_NODES}"
+            )
+        if default["topk_overlap"] < MIN_SKETCH_OVERLAP:
+            failures.append(
+                f"top-k overlap {default['topk_overlap']} < "
+                f"{MIN_SKETCH_OVERLAP} at the default budget"
+            )
+        if default["memory_ratio_vs_exact"] < MIN_SKETCH_MEMORY_RATIO:
+            failures.append(
+                f"memory ratio {default['memory_ratio_vs_exact']}x < "
+                f"{MIN_SKETCH_MEMORY_RATIO}x at the default budget"
+            )
+    fields = {
+        "trace": trace,
         "gate": {
             "default_budget_bytes": DEFAULT_BUDGET_BYTES,
             "min_topk_overlap": MIN_SKETCH_OVERLAP,
             "min_memory_ratio": MIN_SKETCH_MEMORY_RATIO,
-            "min_graph_nodes": 100000,
+            "min_graph_nodes": MIN_SKETCH_GRAPH_NODES,
         },
-        "results": records,
-        "obs_counters": counters,
+        "results": rows,
     }
-    output = args.output if args.output and args.stage == "sketch" else SKETCH_OUTPUT
-    _write_payload(payload, output)
-    for record in records:
-        if record["op"] == "sketch_accuracy_vs_memory":
-            print(
-                f"sketch_accuracy  budget {record['budget_bytes']:>9}"
-                f"  used {record['bytes_used']:>9}"
-                f"  hot {record['hot_nodes']:>4}  tail {record['tail_nodes']:>5}"
-                f"  overlap {record['topk_overlap']:.3f}"
-                f"  persist-mae {record['persistence_mae']:.4f}"
-                f"  mem-ratio {record['memory_ratio_vs_exact']:>6.2f}x"
-            )
-        else:
-            print(
-                f"sketch_advance   {record['windows']} windows x "
-                f"{record['window_buckets']} buckets"
-                f"  rebuild {record['rebuild_wall_s']:.4f}s"
-                f"  merge {record['merge_wall_s']:.4f}s"
-                f"  speedup {record['speedup_vs_rebuild']:.2f}x"
-            )
-
-    if args.quick:
-        return 0
-    failures = []
-    default_row = facts["default_row"]
-    if facts["graph_nodes"] < 100000:
-        failures.append(
-            f"trace too small for the memory gate: {facts['graph_nodes']} "
-            f"graph nodes < 100000"
-        )
-    if default_row is None:
-        failures.append("default budget missing from the curve")
-    else:
-        if default_row["topk_overlap"] < MIN_SKETCH_OVERLAP:
-            failures.append(
-                f"top-k overlap {default_row['topk_overlap']} < "
-                f"{MIN_SKETCH_OVERLAP} at the default budget"
-            )
-        if default_row["memory_ratio_vs_exact"] < MIN_SKETCH_MEMORY_RATIO:
-            failures.append(
-                f"memory ratio {default_row['memory_ratio_vs_exact']}x < "
-                f"{MIN_SKETCH_MEMORY_RATIO}x at the default budget"
-            )
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    return 0
+    return fields, rows, failures
 
 
-def _run_service_slo_stage(args) -> int:
+# ----------------------------------------------------------------------
+# service_slo
+# ----------------------------------------------------------------------
+def service_slo_stage(args):
     from repro.obs.digest import (
         EXPORT_QUANTILES,
         merge_digest_states,
@@ -1211,7 +983,6 @@ def _run_service_slo_stage(args) -> int:
         report = LoadGenerator(service, profile).run()
         summary = report.endpoint_summary()
 
-        # ------------------------------------------------------------------
         # Digest accuracy gate: replay each endpoint's exact measured
         # latencies through a fresh digest and demand every exported
         # quantile lands within the advertised relative accuracy of the
@@ -1240,28 +1011,17 @@ def _run_service_slo_stage(args) -> int:
                         f"{rel_error:.4f} > alpha {alpha}"
                     )
 
-        # ------------------------------------------------------------------
-        # The service's own merged view: per-endpoint quantiles from the
-        # frontend digests, plus the cross-shard fold of the per-shard
-        # breaker digests (merged exactly like counters).
-        service_view = {}
-        breaker_states = []
-        for name, labels, state in report.snapshot.get("digests", []):
-            if name == "service.latency_s":
-                service_view[labels.get("endpoint", "?")] = {
-                    f"p{int(q * 100)}_s": quantile_from_state(state, q)
-                    for q in EXPORT_QUANTILES
-                }
-            elif name == "breaker.latency_s" and labels.get("outcome") == "success":
-                breaker_states.append(state)
+        # The service's own merged view: the cross-shard fold of the
+        # per-shard breaker digests (merged exactly like counters).
+        breaker_states = [
+            state
+            for name, labels, state in report.snapshot.get("digests", [])
+            if name == "breaker.latency_s" and labels.get("outcome") == "success"
+        ]
         cross_shard = merge_digest_states(breaker_states)
-        cross_shard_quantiles = {
-            f"p{int(q * 100)}_s": cross_shard.quantile(q) for q in EXPORT_QUANTILES
-        }
         if cross_shard.count == 0:
             failures.append("no cross-shard breaker latency samples to merge")
 
-        # ------------------------------------------------------------------
         # SLO verdicts must exist and carry burn rates.
         objectives = report.slo_report.get("objectives", [])
         if not objectives:
@@ -1272,7 +1032,6 @@ def _run_service_slo_stage(args) -> int:
                     f"objective {objective.get('name')} missing verdict/burn_rate"
                 )
 
-        # ------------------------------------------------------------------
         # Trace round-trip: a real /similar scatter-gather must come back
         # from /trace/<id> as a frontend -> shard span tree.
         status, headers, _body = service.respond("GET", "/similar/h1?k=3")
@@ -1282,8 +1041,7 @@ def _run_service_slo_stage(args) -> int:
         if t_status != 200:
             failures.append(f"/trace/{trace_id} returned {t_status}")
         else:
-            trace = json.loads(t_body)
-            spans = trace.get("spans") or {}
+            spans = json.loads(t_body).get("spans") or {}
             child_names = {c["name"] for c in spans.get("children", [])}
             trace_check["spans"] = spans
             if spans.get("name") != "service.request":
@@ -1295,9 +1053,7 @@ def _run_service_slo_stage(args) -> int:
     finally:
         service.close()
 
-    payload = {
-        "benchmark": "service_slo",
-        "mode": "quick" if args.quick else "full",
+    fields = {
         "config": {
             "num_shards": config.num_shards,
             "window_records": config.window_records,
@@ -1312,7 +1068,10 @@ def _run_service_slo_stage(args) -> int:
         "cross_shard_breaker_latency": {
             "shards_merged": len(breaker_states),
             "count": cross_shard.count,
-            **cross_shard_quantiles,
+            **{
+                f"p{int(q * 100)}_s": cross_shard.quantile(q)
+                for q in EXPORT_QUANTILES
+            },
         },
         "slo": report.slo_report,
         "sample_traces": dict(report.sample_traces),
@@ -1321,33 +1080,14 @@ def _run_service_slo_stage(args) -> int:
             "max_digest_rel_error": config.digest_relative_accuracy
             + DIGEST_ERROR_SLOP,
         },
-        "failures": failures,
     }
-    output = (
-        args.output if args.output and args.stage == "service_slo"
-        else SERVICE_SLO_OUTPUT
-    )
-    _write_payload(payload, output)
-
-    for kind, entry in summary.items():
-        print(
-            f"service_slo  {kind:>9}  n {entry['count']:>5}"
-            f"  p50 {entry['p50_s'] * 1e3:7.3f}ms"
-            f"  p99 {entry['p99_s'] * 1e3:7.3f}ms"
-            f"  ok {entry['ok']}/{entry['count']}"
-        )
-    for objective in objectives:
-        print(
-            f"service_slo  slo:{objective['name']:<14}"
-            f" verdict {objective['verdict']}"
-            f"  burn {objective['burn_rate']:.3f}"
-        )
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    return 0
+    rows = [{"endpoint": kind, **entry} for kind, entry in summary.items()]
+    return fields, rows + objectives, failures
 
 
+# ----------------------------------------------------------------------
+# history
+# ----------------------------------------------------------------------
 def _history_population(num_windows: int, owners_per_window: int, seed: int):
     """Synthetic per-window signature maps with planted exact duplicates.
 
@@ -1380,9 +1120,7 @@ def _history_population(num_windows: int, owners_per_window: int, seed: int):
     return windows, duplicates
 
 
-def _run_history_stage(args) -> int:
-    import tempfile
-
+def history_stage(args):
     from repro.store import HistoryStore
 
     num_windows = 4 if args.quick else 10
@@ -1391,7 +1129,7 @@ def _run_history_stage(args) -> int:
     k = 5
 
     windows, duplicates = _history_population(num_windows, owners_per_window, 41)
-    failures: list = []
+    failures = []
     with tempfile.TemporaryDirectory() as tmp:
         store = HistoryStore(Path(tmp) / "history")
         append_started = time.perf_counter()
@@ -1478,9 +1216,7 @@ def _run_history_stage(args) -> int:
             lambda: store.trajectory(trajectory_probe)
         )
 
-    payload = {
-        "benchmark": "history_store",
-        "mode": "quick" if args.quick else "full",
+    fields = {
         "population": {
             "windows": num_windows,
             "owners_per_window": owners_per_window,
@@ -1511,22 +1247,110 @@ def _run_history_stage(args) -> int:
             "min_rows": HISTORY_GATE_ROWS,
             "enforced": not args.quick,
         },
-        "failures": failures,
     }
-    output = (
-        args.output if args.output and args.stage == "history" else HISTORY_OUTPUT
-    )
-    _write_payload(payload, output)
+    return fields, [{"op": "history_query", **fields["query"]}], failures
 
-    print(
-        f"history_store  rows {total_rows:>7}"
-        f"  indexed {indexed_wall:>8.4f}s"
-        f"  brute {brute_wall:>8.4f}s"
-        f"  speedup {speedup:>7.2f}x"
-        f"  compact-invisible {before_compact == after_compact}"
-    )
+
+# ----------------------------------------------------------------------
+# The driver
+# ----------------------------------------------------------------------
+class Stage(NamedTuple):
+    #: Record name: the stage writes ``BENCH_<benchmark>.json``.
+    benchmark: str
+    #: ``body(args) -> (payload fields, rows to print, failure strings)``.
+    body: Callable
+    #: Prefixes of the collected obs counters stamped as ``obs_counters``;
+    #: a stage without any times under the no-op registry unless
+    #: ``--obs-out`` asks for its metrics.
+    counters: tuple = ()
+
+
+STAGES = {
+    "kernels": Stage("distance_kernels", kernels_stage),
+    "incremental": Stage(
+        "incremental_engine", incremental_stage, ("incremental.", "matrix_cache.")
+    ),
+    "shm": Stage("shared_memory", shm_stage, ("shm.",)),
+    "sketch": Stage("sketch_tier", sketch_stage, ("sketch.",)),
+    "service_slo": Stage("service_slo", service_slo_stage),
+    "history": Stage("history_store", history_stage),
+}
+
+
+def write_record(payload: dict, args) -> None:
+    """Write a stage record: to ``--output`` when given, else under
+    QUICK_DIR in quick mode, else to the committed record plus its
+    repo-root mirror."""
+    name = f"BENCH_{payload['benchmark']}.json"
+    if args.output:
+        paths = [args.output]
+    elif args.quick:
+        paths = [QUICK_DIR / name]
+    else:
+        paths = [PERF_DIR / name, REPO_ROOT / name]
+    text = json.dumps(payload, indent=2) + "\n"
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        print(f"wrote {path}")
+
+
+def print_rows(benchmark: str, rows: list) -> None:
+    """One line per row: its scalar fields, floats to 4 significant digits."""
+    for row in rows:
+        cells = [
+            f"{key}={value:.4g}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in row.items()
+            if key != "note" and not isinstance(value, (list, dict))
+        ]
+        print(f"{benchmark}  " + "  ".join(cells))
+
+
+def record_problems(payload: dict, reference: dict) -> list:
+    """Keys of ``reference`` that ``payload`` lacks, at the top level and
+    in each result row (against the reference rows of the same ``op``),
+    so two records stay comparable across modes and commits."""
+    problems = [f"missing key {key!r}" for key in reference.keys() - payload.keys()]
+    expected = {}
+    for row in reference.get("results", []):
+        expected.setdefault(row["op"], set()).update(row)
+    for row in payload.get("results", []):
+        missing = expected.get(row["op"], set()) - row.keys()
+        if missing:
+            problems.append(f"{row['op']} row missing {sorted(missing)}")
+    return problems
+
+
+def run_stage(name: str, args) -> int:
+    """Run one stage, write its record, and return 1 if any gate failed."""
+    stage = STAGES[name]
+    collect = stage.counters or args.obs_out
+    registry = obs.MetricsRegistry() if collect else obs.NULL_REGISTRY
+    with obs.use_registry(registry), obs.span(f"bench.{stage.benchmark}"):
+        fields, rows, failures = stage.body(args)
+    payload = {
+        "benchmark": stage.benchmark,
+        "mode": "quick" if args.quick else "full",
+        **fields,
+    }
+    if stage.counters:
+        payload["obs_counters"] = {
+            key: value
+            for key, value in registry.counters_flat().items()
+            if key.startswith(stage.counters)
+        }
+    payload["failures"] = failures
+    write_record(payload, args)
+    if args.obs_out:
+        obs.write_json(
+            args.obs_out,
+            registry.snapshot(),
+            meta={"command": "bench", "benchmark": stage.benchmark},
+        )
+        print(f"observability payload written to {args.obs_out}")
+    print_rows(stage.benchmark, rows)
     if failures:
-        print("FAIL: " + "; ".join(failures))
+        print(f"FAIL {stage.benchmark}: " + "; ".join(failures))
         return 1
     return 0
 
@@ -1536,19 +1360,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small windows, agreement checks only",
+        help="CI smoke mode: small inputs, full-scale gates off; records go "
+        "to benchmarks/perf/quick/",
     )
     parser.add_argument(
         "--stage",
-        choices=(
-            "kernels",
-            "incremental",
-            "shm",
-            "sketch",
-            "service_slo",
-            "history",
-            "all",
-        ),
+        choices=(*STAGES, "all"),
         default="kernels",
         help="which benchmark stage to run (default: kernels)",
     )
@@ -1569,25 +1386,14 @@ def main(argv=None) -> int:
         "--obs-out",
         type=Path,
         default=None,
-        help="collect kernel metrics/spans during the bench run and write "
-        "the repro.obs JSON payload here",
+        help="collect metrics/spans during the stage run and write the "
+        "repro.obs JSON payload here (single-stage runs only)",
     )
     args = parser.parse_args(argv)
-
-    exit_code = 0
-    if args.stage in ("kernels", "all"):
-        exit_code |= _run_kernels_stage(args)
-    if args.stage in ("incremental", "all"):
-        exit_code |= _run_incremental_stage(args)
-    if args.stage in ("shm", "all"):
-        exit_code |= _run_shm_stage(args)
-    if args.stage in ("sketch", "all"):
-        exit_code |= _run_sketch_stage(args)
-    if args.stage in ("service_slo", "all"):
-        exit_code |= _run_service_slo_stage(args)
-    if args.stage in ("history", "all"):
-        exit_code |= _run_history_stage(args)
-    return exit_code
+    if args.stage == "all" and (args.output or args.obs_out):
+        parser.error("--output and --obs-out name one stage's file; pick one --stage")
+    names = list(STAGES) if args.stage == "all" else [args.stage]
+    return max([run_stage(name, args) for name in names])
 
 
 if __name__ == "__main__":
