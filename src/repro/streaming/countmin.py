@@ -20,7 +20,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.exceptions import StreamingError
-from repro.streaming.hashing import shared_hash_family
+from repro.streaming.hashing import shared_hash_family, stable_hash64
 
 
 class CountMinSketch:
@@ -74,9 +74,10 @@ class CountMinSketch:
         self._total += count
 
     def _columns(self, items: Sequence[Hashable]) -> np.ndarray:
-        """Every row's column of each item, shape ``(len(items), depth)``."""
-        columns = np.array([self._hashes.hash_all(item) for item in items], dtype=np.intp)
-        return columns.reshape(len(items), self.depth)
+        """Every row's column of each item, shape ``(len(items), depth)``:
+        row ``j`` is ``hash_all(items[j])``."""
+        fingerprints = [stable_hash64(item) for item in items]
+        return self._hashes.hash_columns(fingerprints).T.astype(np.intp)
 
     def _add_columns(self, columns: np.ndarray, counts: Sequence[float]) -> None:
         """:meth:`update` once per item in order, for items whose columns

@@ -19,6 +19,33 @@ from repro.exceptions import StreamingError
 #: The Mersenne prime 2^61 - 1, the modulus of the hash family.
 MERSENNE_61 = (1 << 61) - 1
 
+# The array kernel's constants.  Every one is an ``np.uint64``, so each
+# operation stays in uint64 under NEP 50 and under numpy 1.x value-based
+# casting, where a Python int operand can turn uint64 into float64.
+_P = np.uint64(MERSENNE_61)
+_LOW32 = np.uint64((1 << 32) - 1)
+_LOW29 = np.uint64((1 << 29) - 1)
+_SHIFT3, _SHIFT29, _SHIFT32, _SHIFT61 = (np.uint64(n) for n in (3, 29, 32, 61))
+
+
+def _reduce61(values: np.ndarray) -> np.ndarray:
+    """``values mod p`` in place, for any uint64 ``values``.
+
+    ``2^61 ≡ 1 (mod p)``, so ``(x & p) + (x >> 61) ≡ x`` and is at most
+    ``p + 7``; one conditional subtract of ``p`` lands in ``[0, p)``.
+    """
+    high = values >> _SHIFT61
+    values &= _P
+    values += high
+    np.subtract(values, _P, out=values, where=values >= _P)
+    return values
+
+
+def _read_only_column(values: np.ndarray) -> np.ndarray:
+    column = values.reshape(-1, 1)
+    column.flags.writeable = False
+    return column
+
 
 def stable_hash64(item: Hashable) -> int:
     """A 64-bit integer fingerprint of ``item``, stable across processes.
@@ -58,6 +85,11 @@ class HashFamily:
         self.output_range = output_range
         self._a = tuple(int(value) for value in rng.integers(1, MERSENNE_61, size=count))
         self._b = tuple(int(value) for value in rng.integers(0, MERSENNE_61, size=count))
+        # hash_columns' coefficient columns: ``a`` split into 32-bit limbs.
+        a = np.array(self._a, dtype=np.uint64)
+        self._a_low = _read_only_column(a & _LOW32)
+        self._a_high = _read_only_column(a >> _SHIFT32)
+        self._b_column = _read_only_column(np.array(self._b, dtype=np.uint64))
 
     def hash_value(self, function_index: int, value: int) -> int:
         """Apply member ``function_index`` to a non-negative integer ``value``."""
@@ -87,12 +119,36 @@ class HashFamily:
         Row ``i`` of the ``(count, len(fingerprints))`` uint64 result is
         member ``i`` applied to each fingerprint, so column ``j`` equals
         :meth:`hash_all` of the item fingerprinted as ``fingerprints[j]``.
-        Object dtype keeps the products exact big-int arithmetic.
+        Fingerprints must lie in ``[0, 2^64)``.
+
+        The arithmetic is exact in uint64: ``a`` and ``x mod p`` (both below
+        ``2^61``) are split into 32-bit limbs, so each of the four partial
+        products is below ``2^64`` and no step relies on wraparound.  The
+        product is reduced with ``2^64 ≡ 8`` and ``2^61 ≡ 1 (mod p)``.
         """
-        values = np.asarray(fingerprints, dtype=object)[None, :]
-        a = np.asarray(self._a, dtype=object)[:, None]
-        b = np.asarray(self._b, dtype=object)[:, None]
-        hashes = ((a * values + b) % MERSENNE_61).astype(np.uint64)
+        if len(fingerprints) and not (
+            0 <= min(fingerprints) and max(fingerprints) < 1 << 64
+        ):
+            raise StreamingError("fingerprints must lie in [0, 2^64)")
+        x = _reduce61(np.array(fingerprints, dtype=np.uint64))
+        x_low, x_high = x & _LOW32, x >> _SHIFT32
+        # a·x = high·2^64 + middle·2^32 + low with high < 2^58, middle < 2^62.
+        low = self._a_low * x_low
+        middle = self._a_high * x_low
+        middle += self._a_low * x_high
+        hashes = self._a_high * x_high
+        hashes <<= _SHIFT3  # high·2^64 ≡ high·8
+        # middle·2^32 ≡ (middle >> 29) + (middle mod 2^29)·2^32
+        hashes += middle >> _SHIFT29
+        middle &= _LOW29
+        middle <<= _SHIFT32
+        hashes += middle
+        # low ≡ (low & p) + (low >> 61); the sum stays below 2^64.
+        hashes += low & _P
+        low >>= _SHIFT61
+        hashes += low
+        hashes += self._b_column
+        _reduce61(hashes)
         if self.output_range < MERSENNE_61:  # else already in range
             hashes %= np.uint64(self.output_range)
         return hashes
