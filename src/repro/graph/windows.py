@@ -23,20 +23,22 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Deque, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError
+from repro.graph.batch import LabelTable, RecordBatch, first_occurrence
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
-from repro.types import NodeId, Weight
+from repro.types import NodeId
 
 _TIME = operator.attrgetter("time")
 _RECORD_ORDER = operator.attrgetter(*(spec.name for spec in fields(EdgeRecord)))
+_LOW32 = (1 << 32) - 1
 
 
 def window_index_of(time: float, start: float, width: float) -> int:
@@ -264,7 +266,7 @@ class GraphSequence:
         graphs: List[CommGraph] = []
         deltas: List[WindowDelta] = []
         for index, bucket in enumerate(buckets):
-            delta = aggregator.advance(bucket)
+            delta = aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
             graphs.append(aggregator.graph.copy())
             if index > 0:
                 # The first advance is empty-graph -> window 0, not a
@@ -273,100 +275,119 @@ class GraphSequence:
         return cls(graphs=graphs, labels=labels, deltas=deltas)
 
 
+class _Bucket(NamedTuple):
+    """One bucket of a sliding window, as the aggregator needs it."""
+
+    #: Per record, its edge as ``src << 32 | dst`` (int64), and its weight.
+    keys: np.ndarray
+    weight: np.ndarray
+    #: Distinct edge keys in first-occurrence order.
+    edges: np.ndarray
+    #: Distinct node ids in first-occurrence order (source before
+    #: destination), and the record endpoints touching each.
+    nodes: np.ndarray
+    node_counts: np.ndarray
+
+
+def _bucket(batch: RecordBatch) -> _Bucket:
+    keys = (batch.src.astype(np.int64) << 32) | batch.dst
+    ends = np.empty(2 * len(batch), dtype=np.int32)
+    ends[0::2], ends[1::2] = batch.src, batch.dst
+    nodes, node_of = first_occurrence(ends)
+    counts = np.bincount(node_of, minlength=len(nodes))
+    return _Bucket(keys, batch.weight, first_occurrence(keys)[0], nodes, counts)
+
+
 class SlidingWindowAggregator:
     """Advance ``G_t -> G_{t+1}`` by applying expiring and arriving records.
 
     Maintains a live graph over the ``window_buckets`` most recent record
-    buckets.  :meth:`advance` pushes the next bucket, expires the oldest,
-    and updates only the affected edges — while journalling the mutations
-    into a :class:`WindowDelta`.
+    buckets, each a :class:`~repro.graph.batch.RecordBatch` interned into
+    :attr:`labels` (pass one ``LabelTable`` to share it).  :meth:`advance`
+    pushes the next bucket, expires the oldest, and updates only the
+    affected edges — while journalling the mutations into a
+    :class:`WindowDelta`.
 
     Exactness contract: the maintained graph is *identical* (same node
     set, same edge weights bit-for-bit) to re-aggregating the in-window
     records from scratch.  Floating-point subtraction cannot guarantee
     that, so instead of subtracting expired weights the aggregator keeps
-    each edge's in-window contribution list and re-accumulates affected
-    edges in record order — the same ``+=`` sequence
+    every in-window bucket's columns and re-accumulates affected edges in
+    record order — the same ``+=`` sequence
     :func:`repro.graph.builders.aggregate_records` performs.
     """
 
-    def __init__(self, window_buckets: int = 1, bipartite: bool = False) -> None:
+    def __init__(
+        self,
+        window_buckets: int = 1,
+        bipartite: bool = False,
+        labels: Optional[LabelTable] = None,
+    ) -> None:
         if window_buckets < 1:
             raise GraphError(f"window_buckets must be >= 1, got {window_buckets}")
         self.window_buckets = window_buckets
         self.bipartite = bipartite
+        self.labels = labels if labels is not None else LabelTable()
         self.graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
-        # Per bucket: edge -> ordered record-weight contributions.
-        self._buckets: Deque[Dict[Tuple[NodeId, NodeId], List[Weight]]] = deque()
-        # Per bucket: node -> number of records touching it (as src or dst).
-        self._bucket_nodes: Deque[Dict[NodeId, int]] = deque()
-        # In-window record-endpoint refcounts; a node leaves V when it hits 0.
-        self._node_refs: Dict[NodeId, int] = {}
+        self._buckets: Deque[_Bucket] = deque()
+        # In-window record-endpoint counts by node id; a node leaves V
+        # when its count returns to 0.
+        self._node_refs = np.zeros(0, dtype=np.int64)
 
     @property
     def buckets_held(self) -> int:
         """Number of buckets currently inside the window (ramp-up aware)."""
         return len(self._buckets)
 
-    def advance(self, records: Sequence[EdgeRecord]) -> WindowDelta:
-        """Slide the window forward by one bucket of ``records``.
+    def advance(self, batch: RecordBatch) -> WindowDelta:
+        """Slide the window forward by one bucket of records.
 
         Returns the :class:`WindowDelta` describing the transition of
         :attr:`graph` (old state -> new state).
         """
-        arriving: Dict[Tuple[NodeId, NodeId], List[Weight]] = {}
-        arriving_nodes: Dict[NodeId, int] = {}
-        # Ordered set of arriving edges by first *positive* contribution:
-        # fresh aggregation inserts an edge into its adjacency rows at its
-        # first positive-weight record (zero-weight records only
-        # materialise endpoints), so this — not first occurrence — is the
-        # row position the rebuild below must reproduce.
-        first_positive: Dict[Tuple[NodeId, NodeId], None] = {}
-        for record in records:
-            edge = (record.src, record.dst)
-            arriving.setdefault(edge, []).append(record.weight)
-            if record.weight > 0 and edge not in first_positive:
-                first_positive[edge] = None
-            for node in (record.src, record.dst):
-                arriving_nodes[node] = arriving_nodes.get(node, 0) + 1
-
-        expiring: Dict[Tuple[NodeId, NodeId], List[Weight]] = {}
-        expiring_nodes: Dict[NodeId, int] = {}
+        if batch.labels is not self.labels:
+            raise GraphError("the batch is interned into another label table")
+        arriving = _bucket(batch)
+        # Arriving edges by first *positive* contribution: fresh
+        # aggregation inserts an edge into its adjacency rows at its first
+        # positive-weight record (zero-weight records only materialise
+        # endpoints), so this — not first occurrence — is the row position
+        # the rebuild below must reproduce.
+        first_positive = first_occurrence(arriving.keys[batch.weight > 0])[0]
+        expiring = None
         if len(self._buckets) == self.window_buckets:
             expiring = self._buckets.popleft()
-            expiring_nodes = self._bucket_nodes.popleft()
         self._buckets.append(arriving)
-        self._bucket_nodes.append(arriving_nodes)
+
+        # Expiring-only edges first, then arriving edges in
+        # first-positive-contribution order (zero-only arrivals last —
+        # they create no row entry).  ``set_edge_weight`` repositions an
+        # edge to the end of its adjacency rows, so with
+        # ``window_buckets=1`` (where every surviving edge is arriving) the
+        # rebuilt rows list destinations in exactly the insertion order
+        # fresh aggregation produces, keeping even order-sensitive float
+        # reductions over the rows bitwise identical across the two
+        # construction paths.
+        affected = [
+            first_positive,
+            arriving.edges[~np.isin(arriving.edges, first_positive)],
+        ]
+        if expiring is not None:
+            affected.insert(0, expiring.edges[~np.isin(expiring.edges, arriving.edges)])
+        affected_edges = np.concatenate(affected)
+        updates = list(
+            zip(
+                zip(
+                    self.labels.labels_of(affected_edges >> 32),
+                    self.labels.labels_of(affected_edges & _LOW32),
+                ),
+                self._window_totals(affected_edges),
+            )
+        )
 
         graph = self.graph
         graph.begin_delta_journal()
         try:
-            # Expiring-only edges first, then arriving edges in
-            # first-positive-contribution order (zero-only arrivals last —
-            # they create no row entry).  ``set_edge_weight`` repositions
-            # an edge to the end of its adjacency rows, so with
-            # ``window_buckets=1`` (where every surviving edge is
-            # arriving) the rebuilt rows list destinations in exactly the
-            # insertion order fresh aggregation produces, keeping even
-            # order-sensitive float reductions over the rows bitwise
-            # identical across the two construction paths.
-            affected = [edge for edge in expiring if edge not in arriving]
-            affected.extend(first_positive)
-            affected.extend(edge for edge in arriving if edge not in first_positive)
-            updates: List[Tuple[Tuple[NodeId, NodeId], Optional[Weight]]] = []
-            for edge in affected:
-                # Re-accumulate this edge's surviving contributions in
-                # record order: bit-identical to fresh aggregation.
-                total = 0.0
-                contributions = 0
-                for bucket in self._buckets:
-                    for weight in bucket.get(edge, ()):
-                        total += weight
-                        contributions += 1
-                # No contributions (None) removes the edge; zero-weight
-                # ones still materialise the endpoints, matching
-                # aggregate_records.
-                updates.append((edge, total if contributions else None))
             if not graph._set_edge_weights(updates):
                 # The per-edge calls: the reference, and the path that
                 # raises at the right edge.
@@ -376,23 +397,48 @@ class SlidingWindowAggregator:
                     elif graph.has_edge(src, dst):
                         graph.remove_edge(src, dst)
 
-            for node, count in expiring_nodes.items():
-                remaining = self._node_refs.get(node, 0) - count
-                if remaining > 0:
-                    self._node_refs[node] = remaining
-                else:
-                    self._node_refs.pop(node, None)
-            for node, count in arriving_nodes.items():
-                self._node_refs[node] = self._node_refs.get(node, 0) + count
-            for node in expiring_nodes:
-                if node not in self._node_refs and node in graph:
-                    # Every record touching the node expired; all its
-                    # edges were removed above, so this only drops the
-                    # (now isolated) node from V.
-                    graph.remove_node(node)
+            refs = self._node_refs
+            if len(refs) < len(self.labels):
+                refs = self._node_refs = np.pad(refs, (0, len(self.labels) - len(refs)))
+            if expiring is not None:
+                # Clamped: a bucket whose advance raised never counted.
+                refs[expiring.nodes] = np.maximum(
+                    refs[expiring.nodes] - expiring.node_counts, 0
+                )
+            refs[arriving.nodes] += arriving.node_counts
+            if expiring is not None:
+                gone = expiring.nodes[refs[expiring.nodes] == 0]
+                for node in self.labels.labels_of(gone):
+                    if node in graph:
+                        # Every record touching the node expired; all its
+                        # edges were removed above, so this only drops the
+                        # (now isolated) node from V.
+                        graph.remove_node(node)
         finally:
             delta = graph.end_delta_journal()
         return delta
+
+    def _window_totals(self, edges: np.ndarray) -> List[Optional[float]]:
+        """Each edge's in-window total, or ``None`` for an edge with no
+        in-window record (the update that removes it).
+
+        Every edge sums its records' weights from ``0.0`` in bucket and
+        record order; ``np.add.at`` adds unbuffered in index order, so each
+        total is bitwise the sequential ``+=`` of fresh aggregation.
+        Zero-weight records still count: their edge stays, with weight 0.
+        """
+        window_edges, edge_of = np.unique(
+            np.concatenate([bucket.keys for bucket in self._buckets]), return_inverse=True
+        )
+        sums = np.zeros(len(window_edges))
+        np.add.at(sums, edge_of, np.concatenate([bucket.weight for bucket in self._buckets]))
+        found = np.isin(edges, window_edges)
+        totals = np.zeros(len(edges))
+        totals[found] = sums[np.searchsorted(window_edges, edges[found])]
+        return [
+            total if present else None
+            for total, present in zip(totals.tolist(), found.tolist())
+        ]
 
 
 def _bucketize(

@@ -41,6 +41,7 @@ from repro.core.execution import (
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
+from repro.graph.batch import RecordBatch
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
@@ -529,8 +530,11 @@ class SignaturePipeline:
         state = _IncrementalState(
             aggregator=SlidingWindowAggregator(bipartite=self.config.bipartite)
         )
+        aggregator = state.aggregator
         for index in range(start_window):
-            state.aggregator.advance(canonical_order(buckets[index]))
+            aggregator.advance(
+                RecordBatch.from_records(canonical_order(buckets[index]), aggregator.labels)
+            )
         if start_window and replayed_modes[-1] == MODE_EXACT:
             graph = state.aggregator.graph
             state.previous = scheme.compute_all(
@@ -590,7 +594,9 @@ class SignaturePipeline:
         if inc is not None:
             # Advance G_t -> G_{t+1} by the arriving records only; the
             # aggregator's graph is bit-identical to fresh aggregation.
-            delta = inc.aggregator.advance(records)
+            delta = inc.aggregator.advance(
+                RecordBatch.from_records(records, inc.aggregator.labels)
+            )
             graph = inc.aggregator.graph
         else:
             graph = aggregate_records(records, bipartite=self.config.bipartite)

@@ -9,10 +9,10 @@ tests drive the full contract without ever binding a port (the same split
 Failure envelope implemented here:
 
 * **Backpressure** — :class:`BoundedIngestQueue` holds accepted-but-not-
-  applied records; an ingest that does not fit is rejected whole with 429
-  and a ``Retry-After`` header.  Acceptance (202) is an acknowledgement:
-  once offered, records are never dropped — they sit in the queue until a
-  window closes over them.
+  applied record batches; an ingest that does not fit is rejected whole
+  with 429 and a ``Retry-After`` header.  Acceptance (202) is an
+  acknowledgement: once offered, records are never dropped — they sit in
+  the queue until a window closes over them.
 * **Load shedding** — when queue occupancy crosses the shed threshold,
   query endpoints answer 503 (with ``Retry-After``) while ingest keeps
   being accepted: shedding reads protects the writes that back them.
@@ -43,13 +43,16 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote
+
+import numpy as np
 
 from repro import obs
 from repro.core.signature import Signature
-from repro.exceptions import PipelineError
-from repro.graph.stream import EdgeRecord
+from repro.exceptions import DatasetError, PipelineError
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.service.config import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -65,13 +68,15 @@ JSON_TYPE = "application/json"
 
 
 class BoundedIngestQueue:
-    """Thread-safe bounded record buffer with all-or-nothing admission."""
+    """Thread-safe bounded buffer of record batches with all-or-nothing
+    admission, counted in records."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise PipelineError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._records: List[EdgeRecord] = []
+        self._batches: Deque[RecordBatch] = deque()
+        self._queued = 0
         self._lock = threading.Lock()
         self.accepted = 0
         self.rejected = 0
@@ -79,32 +84,41 @@ class BoundedIngestQueue:
         #: as soon as it fills.
         self.arrived = threading.Event()
 
-    def offer(self, records: Sequence[EdgeRecord]) -> bool:
+    def offer(self, batch: RecordBatch) -> bool:
         """Admit the whole batch, or none of it (the 429 contract)."""
-        batch = list(records)
         with self._lock:
-            if len(self._records) + len(batch) > self.capacity:
+            if self._queued + len(batch) > self.capacity:
                 self.rejected += len(batch)
                 return False
-            self._records.extend(batch)
+            if len(batch):
+                self._batches.append(batch)
+            self._queued += len(batch)
             self.accepted += len(batch)
         self.arrived.set()
         return True
 
-    def take(self, count: int, force: bool = False) -> Optional[List[EdgeRecord]]:
-        """Pop the oldest ``count`` records; with ``force`` pop a short
-        remainder too.  ``None`` when nothing (eligible) is queued."""
+    def take(self, count: int, force: bool = False) -> Optional[RecordBatch]:
+        """Pop the oldest ``count`` records as one batch, splitting a batch
+        that straddles the boundary; with ``force`` pop a short remainder
+        too.  ``None`` when nothing (eligible) is queued."""
         with self._lock:
-            if not self._records:
+            if not self._queued or (self._queued < count and not force):
                 return None
-            if len(self._records) < count and not force:
-                return None
-            taken, self._records = self._records[:count], self._records[count:]
-            return taken
+            parts: List[RecordBatch] = []
+            wanted = count
+            while wanted and self._batches:
+                batch = self._batches.popleft()
+                if len(batch) > wanted:
+                    self._batches.appendleft(batch.take(slice(wanted, None)))
+                    batch = batch.take(slice(0, wanted))
+                parts.append(batch)
+                wanted -= len(batch)
+            self._queued -= count - wanted
+        return RecordBatch.concat(parts)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return self._queued
 
     def occupancy(self) -> float:
         return len(self) / self.capacity
@@ -355,8 +369,8 @@ class ServiceFrontend:
         if not body:
             return self._json(400, {"error": "empty ingest body"})
         try:
-            records = parse_ingest_body(body)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+            records = parse_ingest_body(body, self.supervisor.labels)
+        except (KeyError, TypeError, ValueError, DatasetError) as error:
             return self._json(400, {"error": f"malformed ingest body: {error}"})
         if not records:
             return self._json(400, {"error": "no records in ingest body"})
@@ -743,8 +757,15 @@ class ServiceFrontend:
         This is the fleet-wide view ``/metrics`` exports and the bench
         harness reads: per-shard digests fold together exactly like
         counters (``breaker.latency_s`` keeps its per-shard label, so both
-        the per-shard and the cross-shard views are derivable).
+        the per-shard and the cross-shard views are derivable).  It also
+        sets two gauges of ingest memory: ``service.labels``, the distinct
+        labels interned, and ``service.ingest_log_bytes``, the column bytes
+        the shards' ingest logs hold.
         """
+        self.registry.gauge("service.labels").set(len(self.supervisor.labels))
+        self.registry.gauge("service.ingest_log_bytes").set(
+            sum(state.log_bytes for state in self.supervisor.shards)
+        )
         merged = obs.MetricsRegistry()
         merged.merge(self.registry.snapshot())
         merged.merge(self.supervisor.metrics_snapshot())
@@ -813,27 +834,56 @@ def _incoming_trace_id(headers: Optional[Dict[str, str]]) -> Optional[str]:
     return None
 
 
-def parse_ingest_body(body: str) -> List[EdgeRecord]:
-    """Parse an ingest payload into edge records.
+def parse_ingest_body(body: str, labels: LabelTable) -> RecordBatch:
+    """Parse an ingest payload into a record batch interned into ``labels``.
 
     Accepts ``{"records": [...]}`` where each record is either a 4-list
-    ``[time, src, dst, weight]`` or an object with those keys (``weight``
-    defaults to 1).  Node ids are coerced to strings — the service contract.
+    ``[time, src, dst, weight]``, a 3-list (``weight`` 1) or an object
+    with those keys (``weight`` defaults to 1).  Node ids are coerced to
+    strings — the service contract.  When every row is a 4-list the
+    fields are converted a column at a time; other payloads are read one
+    row at a time.  Raises ``ValueError`` (or ``DatasetError`` for an
+    invalid value) naming the first bad row: times must be finite and
+    weights finite and non-negative.
     """
-    document = json.loads(body)
-    rows = document["records"]
-    records: List[EdgeRecord] = []
-    for row in rows:
-        if isinstance(row, dict):
-            time_value = float(row["time"])
-            src = str(row["src"])
-            dst = str(row["dst"])
-            weight = float(row.get("weight", 1.0))
-        else:
-            if len(row) not in (3, 4):
-                raise ValueError(f"record must have 3 or 4 fields, got {row!r}")
-            time_value = float(row[0])
-            src, dst = str(row[1]), str(row[2])
-            weight = float(row[3]) if len(row) == 4 else 1.0
-        records.append(EdgeRecord(time=time_value, src=src, dst=dst, weight=weight))
-    return records
+    rows = json.loads(body)["records"]
+    if not isinstance(rows, list):
+        raise ValueError("records must be a list")
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {4}:
+        times, sources, destinations, weights = zip(*rows)
+    else:
+        times, sources, destinations, weights = [], [], [], []
+        for index, row in enumerate(rows):
+            if isinstance(row, dict):
+                time_value, src, dst = row["time"], row["src"], row["dst"]
+                weight = row.get("weight", 1.0)
+            elif isinstance(row, list) and len(row) in (3, 4):
+                time_value, src, dst = row[:3]
+                weight = row[3] if len(row) == 4 else 1.0
+            else:
+                raise ValueError(f"record {index}: expected 3 or 4 fields, got {row!r}")
+            times.append(time_value)
+            sources.append(src)
+            destinations.append(dst)
+            weights.append(weight)
+    return RecordBatch(
+        time=_float_column(times, "time"),
+        src=labels.intern(list(map(str, sources))),
+        dst=labels.intern(list(map(str, destinations))),
+        weight=_float_column(weights, "weight"),
+        labels=labels,
+    ).validate()
+
+
+def _float_column(values, field: str) -> np.ndarray:
+    """``float`` of every value as a float64 array; a value ``float``
+    rejects raises ``ValueError`` naming its row."""
+    try:
+        return np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    except (TypeError, ValueError, OverflowError):
+        for index, value in enumerate(values):
+            try:
+                float(value)
+            except (TypeError, ValueError, OverflowError) as error:
+                raise ValueError(f"record {index}: bad {field} {value!r}: {error}") from None
+        raise

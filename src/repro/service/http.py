@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.graph.batch import RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.service.config import ServiceConfig
 from repro.service.frontend import Response, ServiceFrontend
@@ -62,8 +63,15 @@ class SignatureService:
     # Synchronous conveniences (tests, examples, CLI replay)
     # ------------------------------------------------------------------
     def ingest(self, records: Sequence[EdgeRecord]) -> bool:
-        """Offer records directly to the queue; ``False`` means backpressure."""
-        return self.frontend.queue.offer(records)
+        """Offer records directly to the queue; ``False`` means backpressure.
+
+        The records become one batch interned into the service's label
+        table; an invalid record (non-finite time or weight) raises
+        :class:`~repro.exceptions.DatasetError` naming it, as ``/ingest``
+        answers 400.
+        """
+        batch = RecordBatch.from_records(records, self.supervisor.labels)
+        return self.frontend.queue.offer(batch.validate())
 
     def pump(self, force: bool = False) -> int:
         """Close all currently fillable windows (serialized with the thread)."""

@@ -32,8 +32,8 @@ from repro.core.execution import ComputeEngine
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError
-from repro.graph.stream import EdgeRecord
-from repro.graph.windows import SlidingWindowAggregator, canonical_order
+from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.windows import SlidingWindowAggregator
 from repro.matching.index import SignatureIndex
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.service.config import ServiceConfig
@@ -70,6 +70,7 @@ class ShardEngine:
         store: Optional[CheckpointStore] = None,
         registry: Optional[obs.MetricsRegistry] = None,
         compute_engine: Optional[ComputeEngine] = None,
+        labels: Optional[LabelTable] = None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
@@ -84,7 +85,10 @@ class ShardEngine:
         self.scheme: SignatureScheme = create_scheme(
             config.scheme, k=config.k, **config.scheme_params
         )
-        self.aggregator = SlidingWindowAggregator(window_buckets=config.window_buckets)
+        # Buckets arrive interned into ``labels`` (the service's one table).
+        self.aggregator = SlidingWindowAggregator(
+            window_buckets=config.window_buckets, labels=labels
+        )
         #: Index of the last applied window; -1 before any bucket arrived.
         self.window = -1
         #: Current / previous window signatures, string-keyed.
@@ -97,7 +101,7 @@ class ShardEngine:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def apply(self, bucket: Sequence[EdgeRecord]) -> None:
+    def apply(self, bucket: RecordBatch) -> None:
         """Advance one window with ``bucket`` and recompute signatures.
 
         Records are put in canonical order first (float aggregation is
@@ -106,9 +110,9 @@ class ShardEngine:
         dirty set.
         """
         with obs.use_registry(self.registry):
-            self._apply(canonical_order(bucket))
+            self._apply(bucket.canonical())
 
-    def _apply(self, records: Sequence[EdgeRecord]) -> None:
+    def _apply(self, records: RecordBatch) -> None:
         delta = self.aggregator.advance(records)
         graph = self.aggregator.graph
         use_delta = delta if (self._previous_raw is not None and self.window >= 0) else None
@@ -147,7 +151,7 @@ class ShardEngine:
     # ------------------------------------------------------------------
     def rebuild(
         self,
-        buckets: Sequence[Sequence[EdgeRecord]],
+        buckets: Sequence[RecordBatch],
         *,
         base_window: int = -1,
     ) -> List[str]:
@@ -199,13 +203,13 @@ class ShardEngine:
 
     def _replay(
         self,
-        buckets: Sequence[Sequence[EdgeRecord]],
+        buckets: Sequence[RecordBatch],
         verified: int,
         base_window: int = -1,
     ) -> None:
         for offset, bucket in enumerate(buckets):
             index = base_window + 1 + offset
-            delta = self.aggregator.advance(canonical_order(bucket))
+            delta = self.aggregator.advance(bucket.canonical())
             graph = self.aggregator.graph
             self.window = index
             if index < verified:
@@ -335,7 +339,7 @@ class SketchTier:
             seed=self.config.seed,
         )
 
-    def advance(self, bucket: Sequence[EdgeRecord]) -> None:
+    def advance(self, bucket: RecordBatch) -> None:
         """Roll the sketch window forward by one bucket (merge, not rebuild).
 
         Bucket builders are immutable once observed, so the fold below
@@ -344,7 +348,7 @@ class SketchTier:
         ``window_buckets`` sketch merges.
         """
         builder = self._builder()
-        builder.observe_records(canonical_order(bucket))
+        builder.observe_batch(bucket.canonical())
         self._bucket_builders.append(builder)
         window_builder: Optional[StreamingTopTalkers] = None
         for part in self._bucket_builders:

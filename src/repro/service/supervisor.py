@@ -19,6 +19,10 @@ failure envelope:
 Acknowledged-ingest durability: a bucket is appended to the shard's log
 *before* the engine sees it, so a crash mid-apply can never lose accepted
 records — the rebuild replays the log including the in-flight bucket.
+
+Buckets are :class:`~repro.graph.batch.RecordBatch` columns interned into
+the supervisor's one :class:`~repro.graph.batch.LabelTable`, so the log
+holds 24 bytes per record and routing is one array lookup per bucket.
 """
 
 from __future__ import annotations
@@ -26,11 +30,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro import obs
 from repro.core.execution import make_engine
-from repro.graph.stream import EdgeRecord
+from repro.exceptions import ServiceError
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.retry import RetryPolicy, call_with_retry
 from repro.service.breaker import STATE_CLOSED, STATE_CODES, CircuitBreaker
@@ -60,7 +67,10 @@ class ShardState:
     #: query-path view on top; see :meth:`ShardSupervisor.shard_health`).
     health: str = HEALTH_HEALTHY
     #: Acknowledged ingest log: every bucket routed to this shard, in order.
-    buckets: List[List[EdgeRecord]] = field(default_factory=list)
+    buckets: List[RecordBatch] = field(default_factory=list)
+    #: Records and column bytes in the ingest log.
+    records_ingested: int = 0
+    log_bytes: int = 0
     #: Window restored from history at process start (-1 for a fresh
     #: process).  The ingest log only covers windows after this point, so
     #: rebuilds replay bucket ``i`` as global window ``window_base + 1 + i``.
@@ -69,9 +79,6 @@ class ShardState:
     last_error: str = ""
     #: Chaos hook; ``None`` in production.
     injector: Optional[object] = None
-
-    def records_ingested(self) -> int:
-        return sum(len(bucket) for bucket in self.buckets)
 
 
 class ShardSupervisor:
@@ -99,6 +106,8 @@ class ShardSupervisor:
         )
         self._clock = clock
         self._sleep = sleep
+        #: The one label table every bucket of this service is interned into.
+        self.labels = LabelTable()
         # One compute engine for the whole fleet, rebuilt shards included:
         # shards advance sequentially from the pump thread, so one shm pool
         # serves every shard's window recompute, and one sketch tier keeps
@@ -163,6 +172,7 @@ class ShardSupervisor:
                 store=store,
                 registry=registry,
                 compute_engine=self.compute_engine,
+                labels=self.labels,
             ),
             sketch=SketchTier(self.config, registry=registry),
             breaker=CircuitBreaker(
@@ -189,35 +199,36 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def ingest(self, bucket: Sequence[EdgeRecord]) -> None:
+    def ingest(self, bucket: RecordBatch) -> None:
         """Close one global window: route the bucket and advance every shard.
 
-        Records are routed by source node (signatures are owner-centric);
-        every shard advances even on an empty sub-bucket so windows stay in
-        lockstep.  Shard failures are contained — one shard crashing,
-        degrading or going down never blocks the others.
+        Records are routed by source node (signatures are owner-centric),
+        each by its source's fingerprint as :meth:`shard_for` routes the
+        label, and a stable partition keeps every shard's records in
+        bucket order.  Every shard advances even on an empty sub-bucket so
+        windows stay in lockstep.  Shard failures are contained — one shard
+        crashing, degrading or going down never blocks the others.
 
         :attr:`window` names the new window only once every shard has
         applied the bucket or failed on it: cross-shard answers carry it,
         while an answer from one shard carries that shard's own window.
         """
         window = self.window + 1
-        routed: Dict[int, List[EdgeRecord]] = {
-            state.shard_id: [] for state in self.shards
-        }
-        shard_of: Dict[str, int] = {}
-        for record in bucket:
-            src = record.src
-            shard = shard_of.get(src)
-            if shard is None:
-                shard = shard_of[src] = self.shard_for(src)
-            routed[shard].append(record)
+        if bucket.labels is not self.labels:
+            raise ServiceError("the bucket is interned into another label table")
+        num_shards = np.uint64(self.config.num_shards)
+        shard_of = self.labels.fingerprints()[bucket.src] % num_shards
+        order = np.argsort(shard_of, kind="stable")
+        bounds = np.searchsorted(shard_of[order], np.arange(len(self.shards) + 1))
+        routed = [bucket.take(order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         try:
             for state in self.shards:
                 sub = routed[state.shard_id]
                 # Acknowledge durability first: once logged, the records
                 # survive any engine crash below (the rebuild replays the log).
-                state.buckets.append(list(sub))
+                state.buckets.append(sub)
+                state.records_ingested += len(sub)
+                state.log_bytes += sub.nbytes
                 self._advance_engine(state, sub, window)
             # The sketch tiers answer only for shards whose exact tier
             # cannot, so they catch up once every exact tier serves the
@@ -227,7 +238,7 @@ class ShardSupervisor:
         finally:
             self.window = window
 
-    def _advance_sketch(self, state: ShardState, sub: List[EdgeRecord], window: int) -> None:
+    def _advance_sketch(self, state: ShardState, sub: RecordBatch, window: int) -> None:
         if state.health == HEALTH_DOWN:
             return
         try:
@@ -246,7 +257,7 @@ class ShardSupervisor:
             )
             state.registry.counter("shard.down_transitions").inc()
 
-    def _advance_engine(self, state: ShardState, sub: List[EdgeRecord], window: int) -> None:
+    def _advance_engine(self, state: ShardState, sub: RecordBatch, window: int) -> None:
         if state.health == HEALTH_DOWN:
             return
         if state.engine is None:
@@ -291,6 +302,7 @@ class ShardSupervisor:
                 store=state.store,
                 registry=state.registry,
                 compute_engine=self.compute_engine,
+                labels=self.labels,
             )
             issues = engine.rebuild(state.buckets, base_window=state.window_base)
             for issue in issues:
@@ -422,7 +434,7 @@ class ShardSupervisor:
                     "breaker": breaker_state,
                     "window": state.engine.window if state.engine else state.sketch.window,
                     "exact_nodes": len(state.engine.signatures) if state.engine else 0,
-                    "records_ingested": state.records_ingested(),
+                    "records_ingested": state.records_ingested,
                     "restarts": state.restarts,
                     "last_error": state.last_error,
                 }

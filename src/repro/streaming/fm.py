@@ -55,6 +55,19 @@ class FlajoletMartin:
         position = self._lowest_set_bit(pattern)
         self._bitmaps[register] |= np.uint64(1) << np.uint64(position)
 
+    def _cells(self, fingerprints: np.ndarray) -> tuple:
+        """``(registers, bits)``: the register and the one-bit uint64 mask
+        :meth:`add` ORs in for each item of a uint64 fingerprint array."""
+        hashes = self._hashes.hash_columns(fingerprints)
+        registers = (hashes[0] % np.uint64(self.num_registers)).astype(np.intp)
+        pattern = hashes[1]
+        # x & -x keeps the lowest set bit, a power of two below 2^61 that
+        # frexp reports exactly; 0 has none and takes the cap, as in add.
+        lowest = pattern & (~pattern + np.uint64(1))
+        position = np.minimum(np.frexp(lowest.astype(np.float64))[1] - 1, REGISTER_BITS - 1)
+        position[pattern == 0] = REGISTER_BITS - 1
+        return registers, np.left_shift(np.uint64(1), position.astype(np.uint64))
+
     @staticmethod
     def _lowest_set_bit(value: int) -> int:
         """Position of the lowest set bit (capped for all-zero patterns)."""

@@ -119,14 +119,15 @@ class HashFamily:
         Row ``i`` of the ``(count, len(fingerprints))`` uint64 result is
         member ``i`` applied to each fingerprint, so column ``j`` equals
         :meth:`hash_all` of the item fingerprinted as ``fingerprints[j]``.
-        Fingerprints must lie in ``[0, 2^64)``.
+        Fingerprints must lie in ``[0, 2^64)``, as a uint64 array's do.
 
         The arithmetic is exact in uint64: ``a`` and ``x mod p`` (both below
         ``2^61``) are split into 32-bit limbs, so each of the four partial
         products is below ``2^64`` and no step relies on wraparound.  The
         product is reduced with ``2^64 ≡ 8`` and ``2^61 ≡ 1 (mod p)``.
         """
-        if len(fingerprints) and not (
+        uint64_array = isinstance(fingerprints, np.ndarray) and fingerprints.dtype == np.uint64
+        if not uint64_array and len(fingerprints) and not (
             0 <= min(fingerprints) and max(fingerprints) < 1 << 64
         ):
             raise StreamingError("fingerprints must lie in [0, 2^64)")

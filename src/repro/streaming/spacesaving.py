@@ -22,7 +22,7 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 from repro.exceptions import StreamingError
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     item: Hashable
     count: float
@@ -110,6 +110,22 @@ class SpaceSaving:
                 )
             else:
                 entry.count += count
+        self._total = total
+        self._compact()
+
+    def _load_distinct(
+        self, items: Sequence[Hashable], counts: Sequence[float], total: float
+    ) -> None:
+        """On an empty counter, what :meth:`update` once per positive
+        ``(item, count)`` pair leaves when the pairs name at most
+        ``capacity`` distinct items: ``items`` are those items in first-pair
+        order, ``counts`` each one's counts summed in pair order from
+        ``0.0``, and ``total`` all the counts summed in pair order.
+        """
+        # map stops at the last item, so it draws one sequence number each.
+        self._entries = dict(
+            zip(items, map(_Entry, items, counts, itertools.repeat(0.0), self._sequence))
+        )
         self._total = total
         self._compact()
 

@@ -24,8 +24,11 @@ import functools
 import operator
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.signature import Signature
 from repro.exceptions import StreamingError
+from repro.graph.batch import first_occurrence
 from repro.streaming.countmin import CountMinSketch
 from repro.streaming.fm import FlajoletMartin
 from repro.streaming.hashing import stable_hash_key
@@ -168,6 +171,66 @@ class StreamingTopTalkers:
             self._out_volume[src] = functools.reduce(
                 operator.add, weights, self._out_volume[src]
             )
+
+    def observe_batch(self, batch) -> None:
+        """Build this empty builder's state from a column batch
+        (:class:`~repro.graph.batch.RecordBatch`): exactly the state
+        :meth:`observe_records` of the batch's records builds, for labels
+        that are equal only when they hash alike (``str`` labels, as the
+        service's are).  Weights must be non-negative numbers.
+
+        Records are grouped by source with a stable argsort on each
+        source's first-record rank, so every source keeps its records in
+        order.  One ``np.add.at`` fills every source's Count-Min table from
+        the label table's fingerprints, and each source's total (its
+        Count-Min total, SpaceSaving total and out-volume) and each of its
+        destinations' SpaceSaving count are sums from ``0.0`` in record
+        order, also by ``np.add.at``.  A source with more distinct
+        destinations than ``candidate_capacity`` updates its SpaceSaving
+        counter one record at a time, as :meth:`observe_records` does.
+        """
+        if self._sketches:
+            raise StreamingError("observe_batch needs an empty builder")
+        if not (batch.weight >= 0).all():
+            raise StreamingError("weights must be non-negative numbers")
+        labels = batch.labels
+        counted = (batch.weight != 0) & (batch.src != batch.dst)
+        dst, weight = batch.dst[counted], batch.weight[counted]
+        sources, group = first_occurrence(batch.src[counted])
+        if not len(sources):
+            return
+        totals = np.zeros(len(sources))
+        np.add.at(totals, group, weight)
+        sketches = [self._empty_sketch() for _source in sources]
+        family, depth = sketches[0]._hashes, sketches[0].depth
+        hashed, column_of = np.unique(dst, return_inverse=True)
+        columns = family.hash_columns(labels.fingerprints()[hashed]).astype(np.intp)
+        tables = np.zeros((len(sources), depth, sketches[0].width))
+        np.add.at(tables, (group, np.arange(depth)[:, None], columns[:, column_of]), weight)
+        # Each source's distinct destinations, first-record order, summed.
+        pairs, pair_of = first_occurrence((group.astype(np.int64) << 32) | dst)
+        pair_sums = np.zeros(len(pairs))
+        np.add.at(pair_sums, pair_of, weight)
+        by_source = np.argsort(pairs >> 32, kind="stable")
+        pair_bounds = np.searchsorted((pairs >> 32)[by_source], np.arange(len(sources) + 1))
+        pair_labels = labels.labels_of((pairs & 0xFFFFFFFF)[by_source])
+        pair_sums = pair_sums[by_source].tolist()
+        records = np.argsort(group, kind="stable")
+        record_bounds = np.searchsorted(group[records], np.arange(len(sources) + 1))
+        capacity = self.candidate_capacity
+        for index, (source, total) in enumerate(zip(labels.labels_of(sources), totals.tolist())):
+            sketch = sketches[index]
+            sketch._table, sketch._total = tables[index], total
+            candidates = SpaceSaving(capacity)
+            lo, hi = pair_bounds[index], pair_bounds[index + 1]
+            if hi - lo <= capacity:
+                candidates._load_distinct(pair_labels[lo:hi], pair_sums[lo:hi], total)
+            else:
+                rows = records[record_bounds[index]:record_bounds[index + 1]]
+                candidates._update_many(labels.labels_of(dst[rows]), weight[rows].tolist())
+            self._sketches[source] = sketch
+            self._candidates[source] = candidates
+            self._out_volume[source] = total
 
     # ------------------------------------------------------------------
     def estimated_edge_weight(self, src: NodeId, dst: NodeId) -> float:
@@ -342,6 +405,26 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
         super()._observe_batch(batch)
         for src, dst in batch[2].values():
             self.note_in_degree(src, dst)
+
+    def observe_batch(self, batch) -> None:
+        if self._indegree:
+            raise StreamingError("observe_batch needs an empty builder")
+        super().observe_batch(batch)
+        # Each distinct (src, dst) pair of a non-zero record, self-loops
+        # included, is added once; destinations in first-pair order.
+        nonzero = batch.weight != 0
+        pairs = first_occurrence(
+            (batch.src[nonzero].astype(np.int64) << 32) | batch.dst[nonzero]
+        )[0]
+        destinations, destination_of = first_occurrence(pairs & 0xFFFFFFFF)
+        if not len(destinations):
+            return
+        registers, bits = self._empty_fm()._cells(batch.labels.fingerprints()[pairs >> 32])
+        bitmaps = np.zeros((len(destinations), self.fm_registers), dtype=np.uint64)
+        np.bitwise_or.at(bitmaps, (destination_of, registers), bits)
+        for index, dst in enumerate(batch.labels.labels_of(destinations)):
+            sketch = self._indegree[dst] = self._empty_fm()
+            sketch._bitmaps = bitmaps[index]
 
     def estimated_in_degree(self, node: NodeId) -> float:
         """FM estimate of ``|I(node)|`` (0 when never seen as a destination)."""

@@ -1,0 +1,144 @@
+"""Record batches and the shared label table."""
+
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import DatasetError
+from repro.graph.batch import LabelTable, RecordBatch, first_occurrence
+from repro.graph.stream import EdgeRecord
+from repro.graph.windows import canonical_order
+from repro.streaming.hashing import stable_hash64
+
+#: Labels that exercise the ``str`` ranking: prefixes, case, accents and
+#: characters outside the BMP.
+LABELS = ["a", "ab", "b", "B", "é", "e", "É", "节点", "emoji-🛰", "ключ", "a b", ""]
+
+
+class TestLabelTable:
+    def test_ids_are_dense_and_stable(self):
+        labels = LabelTable()
+        assert labels.intern(["x", "y", "x"]).tolist() == [0, 1, 0]
+        assert labels.intern(["y", "z"]).tolist() == [1, 2]
+        assert labels.intern([]).dtype == np.int32
+        assert len(labels) == 3
+        assert labels.labels_of(np.array([2, 0])) == ["z", "x"]
+
+    def test_fingerprints_extend_as_labels_arrive(self):
+        labels = LabelTable()
+        labels.intern(["x", "y"])
+        first = labels.fingerprints()
+        labels.intern(["z"])
+        second = labels.fingerprints()
+        assert first.tolist() == [stable_hash64("x"), stable_hash64("y")]
+        assert second.tolist() == [stable_hash64(label) for label in ("x", "y", "z")]
+        assert second.dtype == np.uint64
+
+    @pytest.mark.parametrize("round_", range(5))
+    def test_concurrent_interning_issues_each_id_once(self, round_):
+        universe = [f"10.{i // 256}.{i % 256}.{i % 7}" for i in range(20000)]
+        labels, results, start = LabelTable(), {}, threading.Barrier(8)
+
+        def worker(seed):
+            rng = random.Random(seed)
+            order = universe[:]
+            rng.shuffle(order)
+            start.wait()
+            results[seed] = [
+                (chunk, labels.intern(chunk).tolist())
+                for chunk in (order[i:i + 31] for i in range(0, len(order), 31))
+            ]
+
+        threads = [
+            threading.Thread(target=worker, args=(8 * round_ + seed,)) for seed in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(labels) == len(universe)
+        # No id was issued twice: the ids are exactly 0..n-1, one per label.
+        assert sorted(labels.labels_of(np.arange(len(labels)))) == sorted(universe)
+        for chunks in results.values():
+            for chunk, ids in chunks:
+                assert labels.labels_of(np.array(ids)) == chunk
+
+
+class TestRecordBatch:
+    def records(self):
+        return [
+            EdgeRecord(2.0, "b", "a", 1.5),
+            EdgeRecord(1.0, "a", "c", 0.0),
+            EdgeRecord(1.0, "a", "b", 2.0),
+        ]
+
+    def test_round_trip(self):
+        batch = RecordBatch.from_records(self.records(), LabelTable())
+        assert batch.records() == self.records()
+        assert len(batch) == 3 and batch.nbytes == 3 * 24
+        assert batch.src.dtype == np.int32 and batch.time.dtype == np.float64
+
+    def test_take_and_concat(self):
+        labels = LabelTable()
+        batch = RecordBatch.from_records(self.records(), labels)
+        head, tail = batch.take(slice(0, 1)), batch.take(np.array([2, 1]))
+        joined = RecordBatch.concat([head, tail])
+        assert joined.records() == [self.records()[i] for i in (0, 2, 1)]
+        with pytest.raises(DatasetError):
+            RecordBatch.concat([head, RecordBatch.from_records(self.records(), LabelTable())])
+
+    def test_validate_names_the_first_bad_record(self):
+        batch = RecordBatch.from_records(self.records() * 2, LabelTable())
+        assert batch.validate() is batch
+        batch.weight[4] = -1.0
+        batch.time[5] = float("nan")
+        with pytest.raises(DatasetError, match="record 4"):
+            batch.validate()
+
+    def test_canonical_is_the_identity_on_increasing_times(self):
+        batch = RecordBatch.from_records(
+            [EdgeRecord(float(t), "b", "a") for t in range(5)], LabelTable()
+        )
+        assert batch.canonical() is batch
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                EdgeRecord,
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0]),
+                st.sampled_from(LABELS),
+                st.sampled_from(LABELS),
+                st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0]),
+            ),
+            max_size=40,
+        ),
+        st.lists(st.sampled_from(LABELS), max_size=5),
+    )
+    def test_canonical_sorts_as_canonical_order(self, records, interned_first):
+        labels = LabelTable()
+        labels.intern(interned_first)  # ids in an order unrelated to str order
+        canonical = RecordBatch.from_records(records, labels).canonical().records()
+        expected = canonical_order(records)
+        assert [(r.time, r.src, r.dst, r.weight) for r in canonical] == [
+            (r.time, r.src, r.dst, r.weight) for r in expected
+        ]
+        # Equal keys keep their input order, -0.0 and 0.0 included.
+        assert [str(r) for r in canonical] == [str(r) for r in expected]
+
+
+def test_first_occurrence():
+    distinct, rank = first_occurrence(np.array([7, 3, 7, 5, 3]))
+    assert distinct.tolist() == [7, 3, 5]
+    assert rank.tolist() == [0, 1, 0, 2, 1]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
+from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
 from repro.graph.stream import EdgeRecord
@@ -81,8 +82,9 @@ def trajectory(aggregator, buckets):
     """Per advance: the delta (or the error) and the graph state after it."""
     steps = []
     for bucket in buckets:
+        batch = RecordBatch.from_records(bucket, aggregator.labels)
         try:
-            outcome = ("ok", delta_state(aggregator.advance(bucket)))
+            outcome = ("ok", delta_state(aggregator.advance(batch)))
         except Exception as exc:  # noqa: BLE001 - the error itself is compared
             outcome = ("error", (type(exc), str(exc)))
         steps.append((outcome, graph_state(aggregator.graph)))

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
@@ -151,7 +152,7 @@ class TestSlidingEqualsStateless:
         buckets, _ = _bucketize(records, 8, None)
         aggregator = SlidingWindowAggregator(window_buckets=3)
         for index, bucket in enumerate(buckets):
-            aggregator.advance(bucket)
+            aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
             window_records = [
                 record
                 for chunk in buckets[max(0, index - 2) : index + 1]

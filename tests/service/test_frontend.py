@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.exceptions import DatasetError
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.service import (
     BoundedIngestQueue,
@@ -11,6 +13,7 @@ from repro.service import (
     ServiceConfig,
     ServiceFrontend,
     ShardSupervisor,
+    SignatureService,
     WedgeShard,
     parse_ingest_body,
 )
@@ -28,31 +31,46 @@ def get_json(frontend, path):
     return status, headers, json.loads(body)
 
 
+def offer(frontend, records):
+    batch = RecordBatch.from_records(records, frontend.supervisor.labels)
+    return frontend.queue.offer(batch)
+
+
 def fill(frontend, records_factory, count=120, seed=5):
-    frontend.queue.offer(records_factory(count, nodes=12, seed=seed))
+    offer(frontend, records_factory(count, nodes=12, seed=seed))
     frontend.pump()
+
+
+def numbered(start, stop, labels):
+    """Records ``start..stop-1`` as a batch whose times are their numbers."""
+    return RecordBatch.from_records(
+        [EdgeRecord(float(t), "a", "b") for t in range(start, stop)], labels
+    )
 
 
 class TestQueue:
     def test_all_or_nothing_offer(self):
-        queue = BoundedIngestQueue(10)
-        assert queue.offer([object()] * 6)
-        assert not queue.offer([object()] * 5)
+        queue, labels = BoundedIngestQueue(10), LabelTable()
+        assert queue.offer(numbered(0, 6, labels))
+        assert not queue.offer(numbered(6, 11, labels))
         assert len(queue) == 6
         assert queue.accepted == 6
         assert queue.rejected == 5
 
     def test_take_respects_window_size(self):
-        queue = BoundedIngestQueue(10)
-        queue.offer(list(range(7)))
-        assert queue.take(5) == [0, 1, 2, 3, 4]
+        queue, labels = BoundedIngestQueue(10), LabelTable()
+        # Two batches: the first window takes one whole and splits the other.
+        queue.offer(numbered(0, 3, labels))
+        queue.offer(numbered(3, 7, labels))
+        assert queue.take(5).time.tolist() == [0, 1, 2, 3, 4]
         assert queue.take(5) is None
-        assert queue.take(5, force=True) == [5, 6]
+        assert queue.take(5, force=True).time.tolist() == [5, 6]
         assert queue.take(5, force=True) is None
+        assert len(queue) == 0
 
     def test_occupancy(self):
         queue = BoundedIngestQueue(10)
-        queue.offer(list(range(8)))
+        queue.offer(numbered(0, 8, LabelTable()))
         assert queue.occupancy() == pytest.approx(0.8)
 
 
@@ -78,7 +96,7 @@ class TestIngest:
 
     def test_backpressure_429_with_retry_after(self, small_config, records_factory):
         _supervisor, frontend = build(small_config)
-        frontend.queue.offer(records_factory(100, seed=1))
+        offer(frontend, records_factory(100, seed=1))
         burst = records_factory(30, seed=2)
         payload = json.dumps(
             {"records": [[r.time, r.src, r.dst, r.weight] for r in burst]}
@@ -101,9 +119,46 @@ class TestIngest:
         status, _headers, _body = frontend.respond("POST", "/ingest", body)
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [2.0, "a", "b", -1.0],
+            [2.0, "a", "b", float("nan")],
+            [2.0, "a", "b", float("-inf")],
+            [float("inf"), "a", "b", 1.0],
+            [float("nan"), "a", "b", 1.0],
+            [10**400, "a", "b", 1.0],
+            [2.0, "a", "b", "heavy"],
+            {"time": 2.0, "src": "a", "dst": "b", "weight": float("nan")},
+            {"time": 2.0, "src": "a", "dst": "b", "weight": -0.5},
+        ],
+        ids=[
+            "negative", "nan-weight", "inf-weight", "inf-time", "nan-time",
+            "overflow-time", "text-weight", "object-nan", "object-negative",
+        ],
+    )
+    def test_invalid_values_are_400_naming_the_row(self, small_config, row):
+        """Regression: a negative weight answered 500 (counted against the
+        availability SLO) and NaN or infinite values were admitted, which
+        made the sketch tier's Count-Min sums infinite."""
+        _supervisor, frontend = build(small_config)
+        payload = json.dumps({"records": [[0.0, "a", "b", 1.0], [1.0, "a", "c", 2.0], row]})
+        status, _headers, body = frontend.respond("POST", "/ingest", payload)
+        assert status == 400
+        assert "record 2" in json.loads(body)["error"]
+        assert len(frontend.queue) == 0
+        assert frontend.registry.counter_total("service.errors") == 0
+
+    def test_service_ingest_refuses_invalid_records(self, small_config):
+        service = SignatureService(small_config)
+        records = [EdgeRecord(0.0, "a", "b", 1.0), EdgeRecord(1.0, "a", "c", float("inf"))]
+        with pytest.raises(DatasetError, match="record 1"):
+            service.ingest(records)
+        assert len(service.frontend.queue) == 0
+
     def test_parse_ingest_body_coerces_node_ids(self):
-        records = parse_ingest_body('{"records": [[1.0, 7, 8, 2.0]]}')
-        assert records == [EdgeRecord(time=1.0, src="7", dst="8", weight=2.0)]
+        batch = parse_ingest_body('{"records": [[1.0, 7, 8, 2.0]]}', LabelTable())
+        assert batch.records() == [EdgeRecord(time=1.0, src="7", dst="8", weight=2.0)]
 
 
 class TestShedding:
@@ -113,7 +168,7 @@ class TestShedding:
         _supervisor, frontend = build(small_config)
         fill(frontend, records_factory)
         # 100/120 > 0.8 occupancy: query traffic sheds.
-        frontend.queue.offer(records_factory(100, seed=9))
+        offer(frontend, records_factory(100, seed=9))
         status, headers, document = get_json(frontend, "/signature/h1")
         assert status == 503
         assert "Retry-After" in headers
@@ -198,7 +253,7 @@ class TestQueries:
 
     def test_anomaly_insufficient_history(self, small_config, records_factory):
         supervisor, frontend = build(small_config)
-        frontend.queue.offer(records_factory(30, nodes=6, seed=4))
+        offer(frontend, records_factory(30, nodes=6, seed=4))
         frontend.pump()
         node = next(iter(supervisor.shards[0].engine.signatures))
         status, _headers, document = get_json(frontend, f"/anomaly/{node}")
@@ -303,7 +358,7 @@ class TestProtocol:
         config = small_config
         supervisor = ShardSupervisor(config)
         frontend = ServiceFrontend(supervisor, config, clock=clock)
-        frontend.queue.offer(records_factory(120, nodes=12, seed=5))
+        offer(frontend, records_factory(120, nodes=12, seed=5))
         frontend.pump()
         # from_window=-1: arm immediately (the injector is installed after
         # the last window closed, so it never sees an on_apply).
@@ -325,6 +380,24 @@ class TestProtocol:
         assert headers["Content-Type"].startswith("text/plain")
         assert "service_requests" in body
         assert "shard_windows" in body
+
+    def test_metrics_export_label_table_and_ingest_log_gauges(
+        self, small_config, records_factory
+    ):
+        supervisor, frontend = build(small_config)
+        records = records_factory(120, nodes=12, seed=5)
+        offer(frontend, records)
+        frontend.pump()
+        labels = {record.src for record in records} | {record.dst for record in records}
+        gauges = {name: value for name, _labels, value in frontend.merged_snapshot()["gauges"]}
+        # Distinct labels, not records; 24 column bytes per logged record.
+        assert gauges["service.labels"] == len(labels) == len(supervisor.labels)
+        assert gauges["service.ingest_log_bytes"] == 24 * len(records)
+        offer(frontend, records_factory(120, nodes=12, seed=6, start=500.0))
+        frontend.pump()
+        _status, _headers, body = frontend.respond("GET", "/metrics")
+        assert f"repro_service_labels {len(supervisor.labels)}" in body
+        assert f"repro_service_ingest_log_bytes {24 * 240}" in body
 
     def test_status_service_rollup(self, small_config, records_factory):
         supervisor, frontend = build(small_config)

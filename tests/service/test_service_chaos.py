@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.graph.batch import RecordBatch
 from repro.service import (
     HEALTH_DEGRADED,
     HEALTH_HEALTHY,
@@ -90,7 +91,7 @@ class TestKillAShard:
             accepted += json.loads(body)["accepted"]
         service.pump(force=True)
         applied = sum(
-            state.records_ingested() for state in service.supervisor.shards
+            state.records_ingested for state in service.supervisor.shards
         )
         assert applied == accepted == 120
 
@@ -256,7 +257,7 @@ class TestQueryStorm:
         supervisor = ShardSupervisor(small_config)
         frontend = ServiceFrontend(supervisor, small_config)
         warmup = records_factory(120, nodes=12, seed=5)
-        frontend.queue.offer(warmup)
+        frontend.queue.offer(RecordBatch.from_records(warmup, supervisor.labels))
         frontend.pump()
 
         def ingest_request(seed):
@@ -288,7 +289,7 @@ class TestQueryStorm:
                 assert headers["Retry-After"] == "1"
         # Drain: every acknowledged record is applied, none lost.
         frontend.pump(force=True)
-        applied = sum(state.records_ingested() for state in supervisor.shards)
+        applied = sum(state.records_ingested for state in supervisor.shards)
         assert applied == 120 + 120
 
     def test_storm_during_degradation_never_500s(

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.exceptions import ServiceError
+from repro.graph.batch import RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.parallel.shm import active_segment_names
 from repro.service import ServiceConfig, ShardSupervisor, SignatureService
@@ -68,7 +69,9 @@ class TestServiceShmStrategy:
         )
         try:
             for seed in range(2):
-                supervisor.ingest(make_bucket(32, seed))
+                supervisor.ingest(
+                    RecordBatch.from_records(make_bucket(32, seed), supervisor.labels)
+                )
             assert multiprocessing.active_children()
         finally:
             supervisor.close()

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.exceptions import CheckpointError
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.service import ServiceConfig, ShardEngine, SketchTier
 from repro.service.chaos import corrupt_checkpoint
 
 
-def chunk(records, size):
-    return [records[start:start + size] for start in range(0, len(records), size)]
+def chunk(records, size, labels):
+    return [
+        RecordBatch.from_records(records[start:start + size], labels)
+        for start in range(0, len(records), size)
+    ]
 
 
 @pytest.fixture
@@ -18,12 +22,17 @@ def config() -> ServiceConfig:
 
 @pytest.fixture
 def buckets(records_factory):
-    return chunk(records_factory(100, nodes=10, seed=7), 25)
+    """Four 25-record batches interned into one label table."""
+    return chunk(records_factory(100, nodes=10, seed=7), 25, LabelTable())
+
+
+def batch(records):
+    return RecordBatch.from_records(records, LabelTable())
 
 
 class TestApply:
     def test_windows_advance_and_signatures_appear(self, config, buckets):
-        engine = ShardEngine(0, config)
+        engine = ShardEngine(0, config, labels=buckets[0].labels)
         assert engine.window == -1
         for bucket in buckets:
             engine.apply(bucket)
@@ -34,17 +43,19 @@ class TestApply:
         assert engine.signature("no-such-node") is None
 
     def test_apply_is_order_invariant_within_bucket(self, config, buckets):
-        forward = ShardEngine(0, config)
-        shuffled = ShardEngine(0, config)
+        forward = ShardEngine(0, config, labels=buckets[0].labels)
+        shuffled = ShardEngine(0, config, labels=buckets[0].labels)
         for bucket in buckets:
             forward.apply(bucket)
-            shuffled.apply(list(reversed(bucket)))
+            shuffled.apply(bucket.take(slice(None, None, -1)))
         assert forward.signatures == shuffled.signatures
 
     def test_checkpoints_every_window(self, config, buckets, tmp_path):
         from repro.pipeline.checkpoint import CheckpointStore
 
-        engine = ShardEngine(0, config, store=CheckpointStore(tmp_path))
+        engine = ShardEngine(
+            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+        )
         for bucket in buckets:
             engine.apply(bucket)
         scan = CheckpointStore(tmp_path).scan()
@@ -52,7 +63,7 @@ class TestApply:
         assert not scan.issues
 
     def test_persistence_needs_two_windows(self, config, buckets):
-        engine = ShardEngine(0, config)
+        engine = ShardEngine(0, config, labels=buckets[0].labels)
         engine.apply(buckets[0])
         node = next(iter(engine.signatures))
         assert engine.persistence(node) is None
@@ -70,7 +81,7 @@ class TestApply:
         monkeypatch.setattr(
             shard_module, "get_distance", lambda name: lambda a, b: 1.5
         )
-        engine = ShardEngine(0, config)
+        engine = ShardEngine(0, config, labels=buckets[0].labels)
         engine.apply(buckets[0])
         engine.apply(buckets[1])
         survivors = [n for n in engine.signatures if n in engine.prev_signatures]
@@ -79,7 +90,7 @@ class TestApply:
         assert engine.registry.counter_total("distance.out_of_range") == 1.0
 
     def test_query_index_matches_signatures(self, config, buckets):
-        engine = ShardEngine(0, config)
+        engine = ShardEngine(0, config, labels=buckets[0].labels)
         for bucket in buckets:
             engine.apply(bucket)
         index = engine.query_index()
@@ -96,14 +107,14 @@ class TestRebuild:
         assert rebuilt.prev_signatures == reference.prev_signatures
 
     def run_reference(self, config, buckets, store=None):
-        engine = ShardEngine(0, config, store=store)
+        engine = ShardEngine(0, config, labels=buckets[0].labels, store=store)
         for bucket in buckets:
             engine.apply(bucket)
         return engine
 
     def test_rebuild_without_store_recomputes_identically(self, config, buckets):
         reference = self.run_reference(config, buckets)
-        rebuilt = ShardEngine(0, config)
+        rebuilt = ShardEngine(0, config, labels=buckets[0].labels)
         issues = rebuilt.rebuild(buckets)
         assert issues == []
         self.assert_identical(rebuilt, reference)
@@ -114,13 +125,15 @@ class TestRebuild:
         reference = self.run_reference(
             config, buckets, store=CheckpointStore(tmp_path)
         )
-        rebuilt = ShardEngine(0, config, store=CheckpointStore(tmp_path))
+        rebuilt = ShardEngine(
+            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+        )
         issues = rebuilt.rebuild(buckets)
         assert issues == []
         self.assert_identical(rebuilt, reference)
         # The chain must keep working after a checkpoint-seeded rebuild:
         # the next applied window equals the reference's next window.
-        extra = sorted(buckets[0], key=lambda r: r.time)
+        extra = buckets[0]
         reference.apply(extra)
         rebuilt.apply(extra)
         self.assert_identical(rebuilt, reference)
@@ -135,7 +148,9 @@ class TestRebuild:
         damaged = self.run_reference(config, buckets, store=store)
         assert damaged.signatures == reference.signatures
         corrupt_checkpoint(tmp_path, window=2)
-        rebuilt = ShardEngine(0, config, store=CheckpointStore(tmp_path))
+        rebuilt = ShardEngine(
+            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+        )
         issues = rebuilt.rebuild(buckets)
         assert any("hash verification" in issue for issue in issues)
         self.assert_identical(rebuilt, reference)
@@ -148,12 +163,14 @@ class TestRebuild:
 
         reference = self.run_reference(config, buckets)
         store = CheckpointStore(tmp_path)
-        partial = ShardEngine(0, config, store=store)
+        partial = ShardEngine(0, config, labels=buckets[0].labels, store=store)
         for bucket in buckets[:2]:
             partial.apply(bucket)
         # Two windows checkpointed, four ingested: the rebuild loads the
         # verified prefix and recomputes (and persists) the rest.
-        rebuilt = ShardEngine(0, config, store=CheckpointStore(tmp_path))
+        rebuilt = ShardEngine(
+            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+        )
         rebuilt.rebuild(buckets)
         self.assert_identical(rebuilt, reference)
 
@@ -162,7 +179,7 @@ class TestSketchTier:
     def test_answers_after_one_window(self, config, buckets):
         tier = SketchTier(config)
         tier.advance(buckets[0])
-        sources = {record.src for record in buckets[0]}
+        sources = {record.src for record in buckets[0].records()}
         node = next(iter(sources))
         signature = tier.signature(node)
         assert signature is not None
@@ -172,7 +189,7 @@ class TestSketchTier:
     def test_persistence_needs_two_windows(self, config, buckets):
         tier = SketchTier(config)
         tier.advance(buckets[0])
-        node = next(record.src for record in buckets[0])
+        node = next(record.src for record in buckets[0].records())
         assert tier.persistence(node) is None
         tier.advance(buckets[0])
         value = tier.persistence(node)
@@ -184,11 +201,11 @@ class TestSketchTier:
         )
         tier = SketchTier(config)
         only_first = records_factory(20, nodes=4, seed=1)
-        tier.advance(only_first)
-        tier.advance(records_factory(20, nodes=4, seed=2, start=100.0))
+        tier.advance(batch(only_first))
+        tier.advance(batch(records_factory(20, nodes=4, seed=2, start=100.0)))
         # One bucket later the first window's records are still retained...
         assert tier.signature(only_first[0].src) is not None
-        tier.advance(records_factory(20, nodes=4, seed=3, start=200.0))
+        tier.advance(batch(records_factory(20, nodes=4, seed=3, start=200.0)))
         # ...and the window has rolled fully past the first bucket.
         assert tier.window == 2
 
@@ -198,7 +215,7 @@ class TestSketchTier:
         )
         tier = SketchTier(config)
         for i in range(5):
-            tier.advance(records_factory(20, nodes=4, seed=i, start=i * 100.0))
+            tier.advance(batch(records_factory(20, nodes=4, seed=i, start=i * 100.0)))
         # 0 merges for the first bucket, 1 for the second, 2 per advance
         # once the three-bucket window is full.
         assert tier.registry.counter_total("sketch.merges") == 1 + 2 + 2 + 2
@@ -209,14 +226,14 @@ class TestSketchTier:
         sketch merging (the old path re-read every retained record)."""
         from repro.streaming.stream_schemes import StreamingTopTalkers
 
-        observed = []  # (builder, records) per observe_records call
-        original = StreamingTopTalkers.observe_records
+        observed = []  # (builder, records) per observe_batch call
+        original = StreamingTopTalkers.observe_batch
 
-        def counting(self, records):
-            observed.append((self, list(records)))
-            return original(self, records)
+        def counting(self, observed_batch):
+            observed.append((self, observed_batch.records()))
+            return original(self, observed_batch)
 
-        monkeypatch.setattr(StreamingTopTalkers, "observe_records", counting)
+        monkeypatch.setattr(StreamingTopTalkers, "observe_batch", counting)
         config = ServiceConfig(
             num_shards=1, window_records=25, window_buckets=3, queue_capacity=100, k=5
         )
@@ -224,7 +241,7 @@ class TestSketchTier:
         buckets = []
         for i in range(5):
             buckets.append(records_factory(20, nodes=4, seed=i, start=i * 100.0))
-            tier.advance(buckets[-1])
+            tier.advance(batch(buckets[-1]))
         # One fresh builder per bucket, fed exactly that bucket's records.
         assert len({id(builder) for builder, _records in observed}) == len(buckets)
         assert [sorted(records) for _builder, records in observed] == [
@@ -246,7 +263,7 @@ class TestSketchTier:
         tier = SketchTier(config)
         tier.advance(buckets[0])
         tier.advance(buckets[0])
-        node = next(record.src for record in buckets[0])
+        node = next(record.src for record in buckets[0].records())
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
             value = tier.persistence(node)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.graph.batch import RecordBatch
 from repro.service import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -16,6 +17,10 @@ from repro.service import (
     ShardSupervisor,
 )
 from repro.service.chaos import ShardFaultInjector
+
+
+def as_batch(supervisor, records):
+    return RecordBatch.from_records(records, supervisor.labels)
 
 
 def windows_of(records, size=30):
@@ -38,15 +43,15 @@ class TestRouting:
 
     def test_records_routed_by_source(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
-        supervisor.ingest(traffic[0])
+        supervisor.ingest(as_batch(supervisor, traffic[0]))
         for state in supervisor.shards:
-            for record in state.buckets[0]:
+            for record in state.buckets[0].records():
                 assert supervisor.shard_for(record.src) == state.shard_id
 
     def test_lockstep_windows(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         assert supervisor.window == 3
         for state in supervisor.shards:
             assert state.engine.window == 3
@@ -56,7 +61,7 @@ class TestRouting:
     def test_shards_cover_all_signatures(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         owned = set()
         for state in supervisor.shards:
             for node in state.engine.signatures:
@@ -74,8 +79,8 @@ class TestRecovery:
         chaotic = ShardSupervisor(small_config, checkpoint_dir=tmp_path / "chaos")
         chaotic.install_injector(1, KillShard(at_window=2))
         for bucket in traffic:
-            reference.ingest(bucket)
-            chaotic.ingest(bucket)
+            reference.ingest(as_batch(reference, bucket))
+            chaotic.ingest(as_batch(chaotic, bucket))
         state = chaotic.shards[1]
         assert state.health == HEALTH_HEALTHY
         assert state.restarts == 1
@@ -89,8 +94,8 @@ class TestRecovery:
         supervisor = ShardSupervisor(small_config)
         supervisor.install_injector(0, KillShard(at_window=1))
         for bucket in traffic:
-            supervisor.ingest(bucket)
-        ingested = sum(state.records_ingested() for state in supervisor.shards)
+            supervisor.ingest(as_batch(supervisor, bucket))
+        ingested = sum(state.records_ingested for state in supervisor.shards)
         assert ingested == sum(len(bucket) for bucket in traffic)
 
     def test_restart_budget_exhaustion_degrades(self, small_config, traffic):
@@ -98,7 +103,7 @@ class TestRecovery:
         injector = KillShard(at_window=1, rebuild_failures=100)
         supervisor.install_injector(0, injector)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[0]
         assert state.health == HEALTH_DEGRADED
         assert state.engine is None
@@ -118,7 +123,7 @@ class TestRecovery:
         )
         supervisor.install_injector(0, injector)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[0]
         assert state.health == HEALTH_HEALTHY
         assert state.engine is not None
@@ -126,14 +131,14 @@ class TestRecovery:
         # The healed engine serves the same signatures as a clean run.
         reference = ShardSupervisor(small_config)
         for bucket in traffic:
-            reference.ingest(bucket)
+            reference.ingest(as_batch(reference, bucket))
         assert state.engine.signatures == reference.shards[0].engine.signatures
 
     def test_sketch_failure_goes_down_then_heals(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         supervisor.install_injector(2, BreakSketch(at_window=1))
         for bucket in traffic[:3]:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[2]
         assert state.health == HEALTH_DOWN
         # Ingest log keeps accumulating while DOWN...
@@ -142,10 +147,10 @@ class TestRecovery:
         supervisor.install_injector(2, None)
         assert supervisor.heal(2)
         assert state.health == HEALTH_HEALTHY
-        supervisor.ingest(traffic[3])
+        supervisor.ingest(as_batch(supervisor, traffic[3]))
         reference = ShardSupervisor(small_config)
         for bucket in traffic:
-            reference.ingest(bucket)
+            reference.ingest(as_batch(reference, bucket))
         assert state.engine.signatures == reference.shards[2].engine.signatures
 
 
@@ -156,7 +161,7 @@ class TestRecovery:
         supervisor = ShardSupervisor(small_config)
         supervisor.install_injector(2, BreakSketch(at_window=1))
         for bucket in traffic[:3]:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[2]
         assert state.health == HEALTH_DOWN
         # The engine stays unrebuildable: the sketch tier answers alone.
@@ -186,7 +191,7 @@ class TestWindowPublication:
         spy = WindowSpy(supervisor)
         supervisor.install_injector(small_config.num_shards - 1, spy)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         assert spy.seen == [(w, w - 1, w - 1) for w in range(len(traffic))]
         assert supervisor.window == len(traffic) - 1
 
@@ -205,7 +210,7 @@ class TestWindowPublication:
 
         last.apply = poll_around_apply
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         others = small_config.num_shards - 1
         for w in range(len(traffic)):
             before, after = snapshots[2 * w], snapshots[2 * w + 1]
@@ -220,7 +225,7 @@ class TestWindowPublication:
         buffer = io.StringIO()
         with obs.use_event_log(obs.EventLog(buffer)):
             for bucket in traffic:
-                supervisor.ingest(bucket)
+                supervisor.ingest(as_batch(supervisor, bucket))
         events = [json.loads(line) for line in buffer.getvalue().splitlines()]
         windows = {
             event["event"]: event["window"]
@@ -234,7 +239,7 @@ class TestStatus:
     def test_status_shape(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         status = supervisor.status()
         assert status["window"] == 3
         assert status["num_shards"] == 3
@@ -247,7 +252,7 @@ class TestStatus:
     def test_breaker_state_reported_as_degraded(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[0]
         for _ in range(4):
             state.breaker.record_failure()
@@ -256,7 +261,7 @@ class TestStatus:
     def test_metrics_snapshot_prefixes_shards(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         for bucket in traffic:
-            supervisor.ingest(bucket)
+            supervisor.ingest(as_batch(supervisor, bucket))
         snapshot = supervisor.metrics_snapshot()
         windows = {
             labels["shard"]: value

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.graph.batch import RecordBatch
 from repro.service import (
     ServiceConfig,
     ServiceFrontend,
@@ -24,7 +25,8 @@ def build(config, clock=None):
 
 
 def fill(frontend, records_factory, count=120, seed=5):
-    frontend.queue.offer(records_factory(count, nodes=12, seed=seed))
+    records = records_factory(count, nodes=12, seed=seed)
+    frontend.queue.offer(RecordBatch.from_records(records, frontend.supervisor.labels))
     frontend.pump()
 
 

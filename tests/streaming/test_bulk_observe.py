@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import StreamingError
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.streaming.countmin import CountMinSketch
 from repro.streaming.fm import FlajoletMartin
@@ -154,6 +155,66 @@ class TestObserveRecordsEqualsObserveLoop:
         via_list.observe_records(chunk)
         via_iter.observe_records(iter(chunk))
         assert builder_state(via_list) == builder_state(via_iter)
+
+
+#: The service's labels: strings, equal exactly when they hash alike.
+STR_NODES = ["a", "b", "c", "d", "e", "f", "hôte-ü", "节点"]
+FLOAT_WEIGHT = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.1, 1e16, 1e-300, 3.0]),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+def batch_observed(cls, records, capacity):
+    labels = LabelTable()
+    labels.intern(["unrelated", "f"])  # ids need not start at the batch's labels
+    builder = cls(k=min(3, capacity), candidate_capacity=capacity, epsilon=0.2, delta=0.1, seed=5)
+    builder.observe_batch(RecordBatch.from_records(records, labels))
+    return ("ok", None), builder_state(builder), future_state(builder)
+
+
+class TestObserveBatchEqualsObserveRecords:
+    """The service's column path against the record path it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                lambda s, d, w: EdgeRecord(0.0, s, d, w),
+                st.sampled_from(STR_NODES),
+                st.sampled_from(STR_NODES),
+                FLOAT_WEIGHT,
+            ),
+            max_size=60,
+        ),
+        st.sampled_from(BUILDERS),
+        st.integers(1, 12),
+    )
+    def test_same_state(self, records, cls, capacity):
+        # Small capacities send some sources through SpaceSaving.update.
+        assert batch_observed(cls, records, capacity) == observed(
+            cls, [records], capacity, per_record=False
+        )
+
+    @pytest.mark.parametrize("cls", BUILDERS)
+    def test_order_sensitive_sums(self, cls):
+        records = [EdgeRecord(0.0, "a", "x", w) for w in (1e16, 1.0, 1.0, 3.0)]
+        records.insert(2, EdgeRecord(0.0, "a", "y", 1.0))
+        records.append(EdgeRecord(0.0, "b", "b", 2.0))  # a self-loop
+        assert batch_observed(cls, records, 8) == observed(cls, [records], 8, per_record=False)
+
+    @pytest.mark.parametrize("cls", BUILDERS)
+    def test_needs_an_empty_builder_and_valid_weights(self, cls):
+        labels = LabelTable()
+        builder = cls()
+        builder.observe_batch(RecordBatch.from_records([EdgeRecord(0.0, "a", "b")], labels))
+        with pytest.raises(StreamingError, match="empty builder"):
+            builder.observe_batch(RecordBatch.from_records([EdgeRecord(0.0, "a", "c")], labels))
+        for weight in (float("nan"), -1.0):
+            batch = RecordBatch.from_records([EdgeRecord(0.0, "a", "b")], labels)
+            batch.weight[0] = weight
+            with pytest.raises(StreamingError, match="non-negative"):
+                cls().observe_batch(batch)
 
 
 class TestSpaceSavingUpdateMany:

@@ -821,20 +821,26 @@ def bench_sketch_accuracy(data, budgets, repeats: int):
 def sketch_advance_buckets(
     num_buckets: int, bucket_size: int, num_sources: int, seed: int
 ) -> list:
-    """Seeded per-bucket record lists for the advance-throughput bench."""
+    """Seeded per-bucket record batches (one label table) for the
+    advance-throughput bench."""
+    from repro.graph.batch import LabelTable, RecordBatch
     from repro.graph.stream import EdgeRecord
 
     rng = random.Random(seed)
+    labels = LabelTable()
     return [
-        [
-            EdgeRecord(
-                time=float(b),
-                src=f"h{rng.randrange(num_sources)}",
-                dst=f"e{rng.randrange(8 * num_sources)}",
-                weight=float(rng.randrange(1, 6)),
-            )
-            for _ in range(bucket_size)
-        ]
+        RecordBatch.from_records(
+            [
+                EdgeRecord(
+                    time=float(b),
+                    src=f"h{rng.randrange(num_sources)}",
+                    dst=f"e{rng.randrange(8 * num_sources)}",
+                    weight=float(rng.randrange(1, 6)),
+                )
+                for _ in range(bucket_size)
+            ],
+            labels,
+        )
         for b in range(num_buckets)
     ]
 
@@ -849,6 +855,7 @@ def bench_sketch_advance(quick: bool, repeats: int) -> list:
     """
     from collections import deque
 
+    from repro.graph.batch import RecordBatch
     from repro.service.config import ServiceConfig
     from repro.service.shard import SketchTier
     from repro.streaming.stream_schemes import StreamingTopTalkers
@@ -877,15 +884,14 @@ def bench_sketch_advance(quick: bool, repeats: int) -> list:
         retained: deque = deque(maxlen=window_buckets)
         current = None
         for bucket in buckets:
-            retained.append(sorted(bucket))
+            retained.append(bucket.canonical())
             builder = StreamingTopTalkers(
                 k=config.k,
                 epsilon=config.streaming_epsilon,
                 delta=config.streaming_delta,
                 seed=config.seed,
             )
-            for part in retained:
-                builder.observe_records(part)
+            builder.observe_batch(RecordBatch.concat(retained))
             current = builder
         return current
 
