@@ -18,6 +18,7 @@ its line number and reason, so ingestion is auditable rather than silent.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -138,13 +139,23 @@ def write_quarantine_rows(
     return len(rejected)
 
 
+def finite_record(time: float, src: NodeId, dst: NodeId, weight: float) -> EdgeRecord:
+    """The record, once ``time`` and ``weight`` are finite; else
+    :class:`~repro.exceptions.DatasetError`, as ``/ingest`` refuses them.
+    A NaN weight would otherwise erase its source's signature."""
+    if not (math.isfinite(time) and math.isfinite(weight)):
+        raise DatasetError(f"time and weight must be finite, got time={time!r} weight={weight!r}")
+    return EdgeRecord(time, src, dst, weight)
+
+
 def _parse_row(row: Sequence[str]) -> EdgeRecord:
     if len(row) != len(CSV_FIELDS):
         raise DatasetError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
     try:
-        return EdgeRecord(time=float(row[0]), src=row[1], dst=row[2], weight=float(row[3]))
+        time, weight = float(row[0]), float(row[3])
     except ValueError as exc:
         raise DatasetError(str(exc)) from exc
+    return finite_record(time, row[1], row[2], weight)
 
 
 def read_edge_records(

@@ -41,7 +41,7 @@ from repro.core.execution import (
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
-from repro.graph.batch import RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
@@ -58,7 +58,7 @@ from repro.pipeline.report import (
 )
 from repro.pipeline.retry import RetryPolicy, call_with_retry
 from repro.pipeline.sources import RecordSource
-from repro.streaming.stream_schemes import streaming_builder
+from repro.streaming.stream_schemes import SKETCHABLE_SCHEMES, streaming_builder
 
 #: Hook signature: called after each window is checkpointed.
 WindowHook = Callable[[int, WindowReport], None]
@@ -644,7 +644,7 @@ class SignaturePipeline:
                 inc.previous = None
             obs.counter("pipeline.degradations").inc()
             signatures = self._compute_degraded(records)
-            if self.config.scheme not in ("tt", "ut"):
+            if self.config.scheme not in SKETCHABLE_SCHEMES:
                 reason += (
                     f"; streaming fallback approximates 'tt', not "
                     f"{self.config.scheme!r}"
@@ -759,7 +759,9 @@ class SignaturePipeline:
         return signatures
 
     def _compute_degraded(self, records: List[EdgeRecord]) -> Dict[str, Signature]:
-        """One-pass sketched signatures for the window (Section VI path)."""
+        """One-pass sketched signatures for the window (Section VI path),
+        built from its records as one column batch, as the service's
+        sketch tier builds each bucket."""
         builder = streaming_builder(
             self.config.scheme,
             k=self.config.k,
@@ -767,7 +769,7 @@ class SignaturePipeline:
             delta=self.config.streaming_delta,
             seed=self.config.seed,
         )
-        builder.observe_records(records)
+        builder.observe_batch(RecordBatch.from_records(records, LabelTable()))
         return {str(source): builder.signature(source) for source in builder.sources}
 
     def _save_window(

@@ -21,6 +21,7 @@ from repro.graph.stream import (
     EdgeRecord,
     ReadReport,
     RejectedRow,
+    finite_record,
     read_edge_records,
 )
 
@@ -110,11 +111,10 @@ class IterableRecordSource(RecordSource):
             return item
         try:
             time, src, dst, weight = item
-            return EdgeRecord(
-                time=float(time), src=src, dst=dst, weight=float(weight)
-            )
+            time, weight = float(time), float(weight)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"cannot coerce {item!r} to an EdgeRecord") from exc
+        return finite_record(time, src, dst, weight)
 
     def describe(self) -> str:
         return f"iterable[{len(self._items)}]"

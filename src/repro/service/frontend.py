@@ -44,7 +44,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple, TypeVar
 from urllib.parse import parse_qs, unquote
 
 import numpy as np
@@ -63,6 +63,8 @@ from repro.service.supervisor import ShardState, ShardSupervisor
 
 #: ``(status, headers, body-text)`` — what the HTTP adapter writes out.
 Response = Tuple[int, Dict[str, str], str]
+
+T = TypeVar("T")
 
 JSON_TYPE = "application/json"
 
@@ -405,16 +407,20 @@ class ServiceFrontend:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _shard_signature(
-        self, state: ShardState, node: str
-    ) -> Tuple[Optional[Signature], bool, int]:
-        """The node's signature from its home shard:
-        ``(signature, approximate, window)``.
+    def _tiered(
+        self,
+        state: ShardState,
+        node: str,
+        exact: Callable[[], T],
+        sketch: Callable[[], T],
+    ) -> Tuple[T, bool, int]:
+        """One query of ``node``'s home shard: ``(answer, approximate,
+        window)``, where the answer is ``exact()`` or ``sketch()``.
 
         Exact tier first — guarded by the shard's breaker — then the sketch
-        tier.  ``window`` is the answering tier's, read before its
-        signatures, so it never names a window the tier has not applied.
-        Raises nothing: a DOWN shard is reported by the caller.
+        tier.  ``window`` is the answering tier's, read before the answer,
+        so it never names a window the tier has not applied.  Raises
+        nothing: a DOWN shard is reported by the caller.
         """
         if state.health == HEALTH_HEALTHY and state.engine is not None:
             if state.breaker.allow():
@@ -426,7 +432,7 @@ class ServiceFrontend:
                         if state.injector is not None:
                             state.injector.on_query(state.shard_id, node)
                         window = state.engine.window
-                        signature = state.engine.signature(node)
+                        answer = exact()
                     except Exception as error:  # noqa: BLE001 - breaker accounting
                         state.breaker.record_failure(self._clock() - started)
                         state.registry.counter("shard.query_failures").inc()
@@ -441,13 +447,24 @@ class ServiceFrontend:
                         )
                     else:
                         state.breaker.record_success(self._clock() - started)
-                        return signature, False, window
+                        return answer, False, window
         self.registry.counter("service.approximate_answers").inc()
         with obs.trace_span(
             "sketch.fallback", shard=str(state.shard_id), tier="sketch"
         ):
             window = state.sketch.window
-            return state.sketch.signature(node), True, window
+            return sketch(), True, window
+
+    def _shard_signature(
+        self, state: ShardState, node: str
+    ) -> Tuple[Optional[Signature], bool, int]:
+        """The node's signature from its home shard (see :meth:`_tiered`)."""
+        return self._tiered(
+            state,
+            node,
+            lambda: state.engine.signature(node),
+            lambda: state.sketch.signature(node),
+        )
 
     def _handle_signature(self, node: str, _params: Dict) -> Response:
         state = self.supervisor.state_for(node)
@@ -540,32 +557,12 @@ class ServiceFrontend:
         state = self.supervisor.state_for(node)
         if state.health == HEALTH_DOWN:
             return self._down_response(state)
-        approximate = False
-        persistence: Optional[float] = None
-        if state.health == HEALTH_HEALTHY and state.engine is not None:
-            if state.breaker.allow():
-                with obs.trace_span(
-                    "shard.query", shard=str(state.shard_id), tier="exact"
-                ):
-                    started = self._clock()
-                    try:
-                        if state.injector is not None:
-                            state.injector.on_query(state.shard_id, node)
-                        window = state.engine.window
-                        persistence = state.engine.persistence(node)
-                    except Exception:  # noqa: BLE001 - breaker accounting
-                        state.breaker.record_failure(self._clock() - started)
-                        approximate = True
-                    else:
-                        state.breaker.record_success(self._clock() - started)
-            else:
-                approximate = True
-        else:
-            approximate = True
-        if approximate:
-            self.registry.counter("service.approximate_answers").inc()
-            window = state.sketch.window
-            persistence = state.sketch.persistence(node)
+        persistence, approximate, window = self._tiered(
+            state,
+            node,
+            lambda: state.engine.persistence(node),
+            lambda: state.sketch.persistence(node),
+        )
         if persistence is None:
             return self._json(
                 200,

@@ -12,15 +12,13 @@ edges in the semi-streaming model.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
 from repro.exceptions import StreamingError
-from repro.streaming.hashing import shared_hash_family, stable_hash64
+from repro.streaming.hashing import shared_hash_family
 
 
 class CountMinSketch:
@@ -72,26 +70,6 @@ class CountMinSketch:
         for row, column in enumerate(self._hashes.hash_all(item)):
             self._table[row, column] += count
         self._total += count
-
-    def _columns(self, items: Sequence[Hashable]) -> np.ndarray:
-        """Every row's column of each item, shape ``(len(items), depth)``:
-        row ``j`` is ``hash_all(items[j])``."""
-        fingerprints = [stable_hash64(item) for item in items]
-        return self._hashes.hash_columns(fingerprints).T.astype(np.intp)
-
-    def _add_columns(self, columns: np.ndarray, counts: Sequence[float]) -> None:
-        """:meth:`update` once per item in order, for items whose columns
-        (:meth:`_columns`) are ``columns`` and whose counts, all positive,
-        are ``counts``.
-
-        ``np.add.at`` adds unbuffered in index order, so every counter
-        receives the same additions in the same order as the per-item loop
-        and the table is bitwise identical.
-        """
-        # Row ``r`` of every item broadcasts against ``columns[:, r]``.
-        values = np.asarray(counts, dtype=np.float64)[:, None]
-        np.add.at(self._table, (np.arange(self.depth), columns), values)
-        self._total = functools.reduce(operator.add, counts, self._total)
 
     def estimate(self, item: Hashable) -> float:
         """Point query: an overestimate of ``item``'s total count."""

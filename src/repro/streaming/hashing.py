@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Sequence
 
 import numpy as np
 
@@ -56,14 +56,6 @@ def stable_hash64(item: Hashable) -> int:
     payload = f"{type(item).__name__}:{item!r}".encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def stable_hash_key(item: Hashable) -> Tuple[str, str]:
-    """The type name and repr that :func:`stable_hash64` hashes: items with
-    equal keys have equal fingerprints.  Items that compare equal can
-    still differ here (``1``, ``True`` and ``1.0``; ``0.0`` and ``-0.0``).
-    """
-    return type(item).__name__, repr(item)
 
 
 class HashFamily:

@@ -20,9 +20,7 @@ streamed signatures.
 
 from __future__ import annotations
 
-import functools
-import operator
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -31,18 +29,8 @@ from repro.exceptions import StreamingError
 from repro.graph.batch import first_occurrence
 from repro.streaming.countmin import CountMinSketch
 from repro.streaming.fm import FlajoletMartin
-from repro.streaming.hashing import stable_hash_key
 from repro.streaming.spacesaving import SpaceSaving
 from repro.types import NodeId, Weight
-
-
-def _hash_identity(label: NodeId) -> Hashable:
-    """A key equal for two labels when they are equal and the sketches hash
-    them alike.  Equal labels can hash differently (``1``, ``True``), but
-    equal ``str`` labels cannot, so those are their own key.  The key
-    holds ``label`` itself, so using it as a dict key raises
-    ``TypeError`` for an unhashable label."""
-    return label if type(label) is str else (label, stable_hash_key(label))
 
 
 class StreamingTopTalkers:
@@ -99,85 +87,26 @@ class StreamingTopTalkers:
             self.observe(src, dst, weight)
 
     def observe_records(self, records: Iterable) -> None:
-        """Process :class:`~repro.graph.stream.EdgeRecord` objects.
+        """Process :class:`~repro.graph.stream.EdgeRecord` objects, one
+        :meth:`observe` call per record, in order.
 
-        Duck-typed (anything with ``src``/``dst``/``weight`` works) so the
-        sketches stay import-light; this is the entry point the service's
-        sketch tier and the fault-tolerant pipeline's degraded path use.
-
-        The result is exactly what :meth:`observe` once per record builds:
-        bitwise-equal Count-Min tables and totals, the same SpaceSaving
-        entries and sequence numbers, out-volumes and source order.  The
-        batch path groups the records by source and hashes each distinct
-        destination once; a negative, NaN or unorderable weight, or an
-        unhashable label, takes the per-record loop instead, so errors and
-        the state they leave behind are unchanged.
+        Duck-typed: anything with ``src``/``dst``/``weight`` works.  This
+        is the reference the bulk :meth:`observe_batch` is checked
+        against; the service's sketch tier and the pipeline's degraded
+        windows build through :meth:`observe_batch`.
         """
-        if not isinstance(records, (list, tuple)):
-            records = list(records)
-        try:
-            batch = self._group(records)
-        except TypeError:
-            batch = None
-        if batch is None:
-            for record in records:
-                self.observe(record.src, record.dst, record.weight)
-        else:
-            self._observe_batch(batch)
-
-    def _group(self, records: Sequence) -> Optional[Tuple]:
-        """The records :meth:`observe` would count, grouped by source in
-        first-record order as ``src -> (destinations, weights, hashed)`` in
-        record order, where ``hashed`` indexes the returned list of
-        distinctly hashed destinations; ``None`` when a weight is negative
-        or NaN.  Hashes every label and changes nothing."""
-        groups: Dict[NodeId, Tuple[List[NodeId], List[Weight], List[int]]] = {}
-        index_of: Dict[Hashable, int] = {}
-        hashed: List[NodeId] = []
         for record in records:
-            weight = record.weight
-            if not weight >= 0:
-                return None
-            src, dst = record.src, record.dst
-            if weight == 0 or src == dst:
-                continue
-            group = groups.get(src)
-            if group is None:
-                group = groups[src] = ([], [], [])
-            key = _hash_identity(dst)
-            index = index_of.get(key)
-            if index is None:
-                index = index_of[key] = len(hashed)
-                hashed.append(dst)
-            group[0].append(dst)
-            group[1].append(weight)
-            group[2].append(index)
-        return groups, hashed
-
-    def _observe_batch(self, batch: Tuple) -> None:
-        groups, hashed = batch[0], batch[1]
-        for src in groups:
-            if src not in self._sketches:
-                self._sketches[src] = self._empty_sketch()
-                self._candidates[src] = SpaceSaving(self.candidate_capacity)
-                self._out_volume[src] = 0.0
-        if not groups:
-            return
-        # Every sketch of this builder shares one hash family.
-        columns = self._sketches[next(iter(groups))]._columns(hashed)
-        for src, (destinations, weights, indices) in groups.items():
-            self._sketches[src]._add_columns(columns[indices], weights)
-            self._candidates[src]._update_many(destinations, weights)
-            self._out_volume[src] = functools.reduce(
-                operator.add, weights, self._out_volume[src]
-            )
+            self.observe(record.src, record.dst, record.weight)
 
     def observe_batch(self, batch) -> None:
         """Build this empty builder's state from a column batch
-        (:class:`~repro.graph.batch.RecordBatch`): exactly the state
-        :meth:`observe_records` of the batch's records builds, for labels
-        that are equal only when they hash alike (``str`` labels, as the
-        service's are).  Weights must be non-negative numbers.
+        (:class:`~repro.graph.batch.RecordBatch`): exactly the state one
+        :meth:`observe` call per record builds, for labels that are equal
+        only when they hash alike (``str`` labels, as the service's and
+        the CSV reader's are).  Labels that compare equal share one id in
+        the label table, so ``1``, ``1.0`` and ``True`` are one Count-Min
+        column here, as they are one node of an exact graph.  Weights must
+        be non-negative numbers.
 
         Records are grouped by source with a stable argsort on each
         source's first-record rank, so every source keeps its records in
@@ -187,7 +116,7 @@ class StreamingTopTalkers:
         destinations' SpaceSaving count are sums from ``0.0`` in record
         order, also by ``np.add.at``.  A source with more distinct
         destinations than ``candidate_capacity`` updates its SpaceSaving
-        counter one record at a time, as :meth:`observe_records` does.
+        counter one record at a time, as :meth:`observe` does.
         """
         if self._sketches:
             raise StreamingError("observe_batch needs an empty builder")
@@ -388,24 +317,6 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
             )
         self._indegree[dst].add(src)
 
-    def _group(self, records: Sequence) -> Optional[Tuple]:
-        batch = super()._group(records)
-        if batch is None:
-            return None
-        # Adding a source to an FM sketch twice changes nothing, so each
-        # distinct (src, dst) pair — self-loops included — is noted once.
-        pairs: Dict[Tuple, Tuple[NodeId, NodeId]] = {}
-        for record in records:
-            if record.weight != 0:
-                src, dst = record.src, record.dst
-                pairs.setdefault((_hash_identity(src), dst), (src, dst))
-        return batch + (pairs,)
-
-    def _observe_batch(self, batch: Tuple) -> None:
-        super()._observe_batch(batch)
-        for src, dst in batch[2].values():
-            self.note_in_degree(src, dst)
-
     def observe_batch(self, batch) -> None:
         if self._indegree:
             raise StreamingError("observe_batch needs an empty builder")
@@ -476,6 +387,11 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
             merged._indegree[dst] = (self._indegree.get(dst) or self._empty_fm()).merge(
                 other._indegree.get(dst) or self._empty_fm()
             )
+
+
+#: Schemes with a streaming builder of their own; :func:`streaming_builder`
+#: approximates every other scheme with Top Talkers.
+SKETCHABLE_SCHEMES = ("tt", "ut")
 
 
 def streaming_builder(scheme: str, **sizing) -> StreamingTopTalkers:

@@ -45,6 +45,7 @@ from repro.core.execution import DEFAULT_BUDGET_BYTES
 from repro.exceptions import StreamingError
 from repro.streaming.spacesaving import SpaceSaving
 from repro.streaming.stream_schemes import (
+    SKETCHABLE_SCHEMES,
     StreamingUnexpectedTalkers,
     streaming_builder,
 )
@@ -61,9 +62,6 @@ CELL_BYTES = 8
 #: Cost of one adjacency entry a hot node's exact computation retains
 #: (node key + weight in a compact map).
 HOT_ENTRY_BYTES = 16
-
-#: Schemes with streaming builders; everything else falls back to exact.
-SKETCHABLE_SCHEMES = ("tt", "ut")
 
 #: Narrowest Count-Min row the sizing will produce under tiny budgets.
 MIN_CM_WIDTH = 8

@@ -143,6 +143,24 @@ class TestErrorPolicies:
         assert report.num_rejected == 0
         assert report.rejected_fraction() == 0.0
 
+    def test_non_finite_rows_are_rejected(self, tmp_path):
+        path = tmp_path / "non_finite.csv"
+        path.write_text(
+            "time,src,dst,weight\n"
+            "1,a,b,1\n"
+            "2,a,c,nan\n"
+            "3,a,d,inf\n"
+            "nan,a,e,1\n"
+            "-inf,a,f,1\n"
+            "4,a,g,2\n"
+        )
+        report = read_edge_records(path, errors="skip")
+        assert [record.dst for record in report] == ["b", "g"]
+        assert [item.line_number for item in report.rejected] == [3, 4, 5, 6]
+        assert all("finite" in item.reason for item in report.rejected)
+        with pytest.raises(DatasetError, match=r":3: time and weight must be finite"):
+            read_edge_records(path)
+
     def test_wrong_header_raises_under_every_policy(self, tmp_path):
         path = tmp_path / "bad_header.csv"
         path.write_text("completely,wrong,header,row\n1,a,b,1\n")

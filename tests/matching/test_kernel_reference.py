@@ -24,12 +24,7 @@ from repro.core.signature import Signature
 from repro.matching.lsh import LshIndex, band_coefficients
 from repro.matching.minhash import EMPTY_SKETCH_VALUE, MinHasher
 from repro.store import IndexParams, read_segment, write_segment
-from repro.streaming.hashing import (
-    MERSENNE_61,
-    HashFamily,
-    stable_hash64,
-    stable_hash_key,
-)
+from repro.streaming.hashing import MERSENNE_61, HashFamily, stable_hash64
 
 MIX = 0x9E3779B97F4A7C15
 WORD = 1 << 64
@@ -74,7 +69,8 @@ def to_csr(rows):
         starts.append(len(keys))
         counts.append(len(row))
         for item in row:
-            key = stable_hash_key(item)
+            # What stable_hash64 hashes: equal keys, equal fingerprints.
+            key = type(item).__name__, repr(item)
             if key not in label_ids:
                 label_ids[key] = len(labels)
                 labels.append(item)

@@ -106,3 +106,13 @@ class TestIterableRecordSource:
         report = source.read()
         assert len(report) == 0
         assert report.num_rejected == 1
+
+    @pytest.mark.parametrize(
+        "item", [(0.0, "a", "c", float("nan")), (0.0, "a", "c", "inf"), (float("-inf"), "a", "c", 1.0)]
+    )
+    def test_non_finite_time_or_weight_is_rejected_under_skip(self, item):
+        source = IterableRecordSource([(0.0, "a", "b", 1.0), item], errors="skip")
+        report = source.read()
+        assert report == [EdgeRecord(0.0, "a", "b", 1.0)]
+        assert report.num_rejected == 1
+        assert "finite" in report.rejected[0].reason

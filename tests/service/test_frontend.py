@@ -1,9 +1,11 @@
 """Data-plane contract: queue, backpressure, shedding, deadlines, fallbacks."""
 
+import io
 import json
 
 import pytest
 
+from repro import obs
 from repro.exceptions import DatasetError
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.stream import EdgeRecord
@@ -322,6 +324,35 @@ class TestDegradedAnswers:
         status, _headers, document = get_json(frontend, f"/signature/{node}")
         assert status == 200
         assert document["approximate"] is True
+
+    @pytest.mark.parametrize("endpoint", ["signature", "anomaly"])
+    def test_failed_exact_query_is_accounted_alike(
+        self, small_config, records_factory, endpoint
+    ):
+        supervisor, frontend = build(small_config)
+        supervisor.install_injector(0, WedgeShard(from_window=0))
+        fill(frontend, records_factory)
+        node = next(
+            f"h{i}" for i in range(12) if supervisor.shard_for(f"h{i}") == 0
+        )
+        state = supervisor.shards[0]
+        buffer = io.StringIO()
+        with obs.use_event_log(obs.EventLog(buffer, run_id="r")):
+            status, headers, body = frontend.respond("GET", f"/{endpoint}/{node}")
+        assert status == 200
+        assert json.loads(body)["approximate"] is True
+        assert state.registry.counter_value("shard.query_failures") == 1
+        assert frontend.registry.counter_value("service.approximate_answers") == 1
+        failed = [
+            json.loads(line)
+            for line in buffer.getvalue().splitlines()
+            if json.loads(line)["event"] == "service.query_failed"
+        ]
+        assert [(event["shard"], event["node"]) for event in failed] == [(0, node)]
+        _status, _headers, trace = get_json(frontend, f"/trace/{headers['X-Trace-Id']}")
+        children = {child["name"]: child for child in trace["spans"]["children"]}
+        assert "wedged" in children["shard.query"]["error"]
+        assert children["sketch.fallback"]["attrs"]["tier"] == "sketch"
 
     def test_degraded_shard_answers_approximately(self, small_config, records_factory):
         supervisor, frontend = build(small_config)

@@ -1,16 +1,13 @@
-"""Bulk ``observe_records`` against the per-record ``observe`` loop.
+"""Bulk ``observe_batch`` against the per-record ``observe`` loop.
 
-The batch path groups records by source, hashes each distinct destination
-once and updates each source's Count-Min table with one ``np.add.at`` and
-its SpaceSaving counter in one pass.  It must leave exactly the state one
-``observe`` call per record leaves: table bits, totals, SpaceSaving entries
-with their sequence numbers (and so the next evictions), out-volumes, FM
-bitmaps — and, for inputs it hands to the loop, the same error and the
-same partial state.
+The column path groups a batch's records by source, hashes each distinct
+destination once and fills every source's Count-Min table with one
+``np.add.at``.  It must leave exactly the state one ``observe`` call per
+record leaves: table bits, totals, SpaceSaving entries with their
+sequence numbers (and so the next evictions), out-volumes, FM bitmaps.
 """
 
 import struct
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -22,19 +19,12 @@ from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.streaming.countmin import CountMinSketch
 from repro.streaming.fm import FlajoletMartin
-from repro.streaming.hashing import shared_hash_family
+from repro.streaming.hashing import shared_hash_family, stable_hash64
 from repro.streaming.spacesaving import SpaceSaving
 from repro.streaming.stream_schemes import StreamingTopTalkers, StreamingUnexpectedTalkers
 
 NODES = ["a", "b", "c", "d", "e", "f", 1, True]
-WEIGHT = st.one_of(
-    st.sampled_from([0.0, 1.0, 0.1, 1e16, 1e-300, 3]),
-    st.floats(min_value=0.0, max_value=1e6),
-)
 BUILDERS = [StreamingTopTalkers, StreamingUnexpectedTalkers]
-
-#: Records are duck-typed; this stand-in carries weights EdgeRecord refuses.
-Raw = namedtuple("Raw", "src dst weight")
 
 
 def exact(value):
@@ -76,113 +66,45 @@ def future_state(builder):
     return builder_state(builder)
 
 
-def observed(cls, chunks, capacity, per_record):
-    builder = cls(k=min(3, capacity), candidate_capacity=capacity, epsilon=0.2, delta=0.1, seed=5)
-    try:
-        for chunk in chunks:
-            if per_record:
-                for record in chunk:
-                    builder.observe(record.src, record.dst, record.weight)
-            else:
-                builder.observe_records(chunk)
-        result = "ok", None
-    except Exception as exc:  # noqa: BLE001 - the error itself is compared
-        result = "error", (type(exc), str(exc))
-    return result, builder_state(builder), future_state(builder)
+def make_builder(cls, capacity):
+    return cls(k=min(3, capacity), candidate_capacity=capacity, epsilon=0.2, delta=0.1, seed=5)
 
 
-def assert_same(cls, chunks, capacity):
-    assert observed(cls, chunks, capacity, per_record=False) == observed(
-        cls, chunks, capacity, per_record=True
-    )
+def observed(cls, records, capacity):
+    """The state one ``observe`` call per record builds."""
+    builder = make_builder(cls, capacity)
+    for record in records:
+        builder.observe(record.src, record.dst, record.weight)
+    return builder_state(builder), future_state(builder)
 
 
-def records(weights=WEIGHT, make=lambda s, d, w: EdgeRecord(0.0, s, d, w)):
-    return st.lists(
-        st.builds(make, st.sampled_from(NODES), st.sampled_from(NODES), weights), max_size=40
-    )
+def batch_observed(cls, records, capacity):
+    labels = LabelTable()
+    labels.intern(["unrelated", "f"])  # ids need not start at the batch's labels
+    builder = make_builder(cls, capacity)
+    builder.observe_batch(RecordBatch.from_records(records, labels))
+    return builder_state(builder), future_state(builder)
 
 
-def chunked(draw_records):
-    """One to three consecutive observe_records calls on one builder."""
-    return st.lists(draw_records, min_size=1, max_size=3)
-
-
-class TestObserveRecordsEqualsObserveLoop:
-    @settings(max_examples=150, deadline=None)
-    @given(chunked(records()), st.sampled_from(BUILDERS), st.integers(1, 12))
-    def test_same_state(self, chunks, cls, capacity):
-        # Small capacities evict; zero weights and self-loops are skipped
-        # (UT still counts a self-loop's source in the in-degree).
-        assert all(cls()._group(chunk) is not None for chunk in chunks)
-        assert_same(cls, chunks, capacity)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        chunked(records(st.one_of(WEIGHT, st.just(-1.0)), make=Raw)),
-        st.sampled_from(BUILDERS),
-        st.integers(1, 12),
-    )
-    def test_negative_weight_same_error_and_partial_state(self, chunks, cls, capacity):
-        assert_same(cls, chunks, capacity)
-
-    @pytest.mark.parametrize("cls", BUILDERS)
-    @pytest.mark.parametrize(
-        "weight", [float("nan"), "heavy", None], ids=["nan", "unorderable", "none"]
-    )
-    def test_other_weights_take_the_loop(self, cls, weight):
-        chunk = [Raw("a", "b", 1.0), Raw("a", "c", weight), Raw("b", "c", 2.0)]
-        assert_same(cls, [chunk], capacity=4)
-
-    @pytest.mark.parametrize("cls", BUILDERS)
-    def test_unhashable_label_takes_the_loop(self, cls):
-        chunk = [Raw("a", "b", 1.0), Raw("a", ["unhashable"], 1.0), Raw("b", "c", 2.0)]
-        outcome = observed(cls, [chunk], 4, per_record=False)
-        assert outcome[0][0] == "error"
-        assert outcome == observed(cls, [chunk], 4, per_record=True)
-
-    @pytest.mark.parametrize("cls", BUILDERS)
-    def test_order_sensitive_sums(self, cls):
-        # 1e16 + 1.0 rounds back to 1e16: any other order sums differently
-        # in the Count-Min cells, the totals and the SpaceSaving counts.
-        chunk = [EdgeRecord(0.0, "a", "x", w) for w in (1e16, 1.0, 1.0, 3.0)]
-        chunk.insert(2, EdgeRecord(0.0, "a", "y", 1.0))
-        assert_same(cls, [chunk, chunk], capacity=8)
-
-    def test_generators_are_accepted(self):
-        chunk = [EdgeRecord(0.0, "a", "b", 1.0), EdgeRecord(0.0, "a", "c", 2.0)]
-        via_list, via_iter = StreamingTopTalkers(), StreamingTopTalkers()
-        via_list.observe_records(chunk)
-        via_iter.observe_records(iter(chunk))
-        assert builder_state(via_list) == builder_state(via_iter)
-
-
-#: The service's labels: strings, equal exactly when they hash alike.
-STR_NODES = ["a", "b", "c", "d", "e", "f", "hôte-ü", "节点"]
+#: Labels that are equal exactly when they hash alike: the service's and
+#: the CSV reader's strings, and ints (never ``True`` or ``1.0`` beside 1).
+ALIKE_NODES = ["a", "b", "c", "d", "e", "f", "hôte-ü", "节点", "1", 1, 7, -3]
 FLOAT_WEIGHT = st.one_of(
     st.sampled_from([0.0, 1.0, 0.1, 1e16, 1e-300, 3.0]),
     st.floats(min_value=0.0, max_value=1e6),
 )
 
 
-def batch_observed(cls, records, capacity):
-    labels = LabelTable()
-    labels.intern(["unrelated", "f"])  # ids need not start at the batch's labels
-    builder = cls(k=min(3, capacity), candidate_capacity=capacity, epsilon=0.2, delta=0.1, seed=5)
-    builder.observe_batch(RecordBatch.from_records(records, labels))
-    return ("ok", None), builder_state(builder), future_state(builder)
-
-
 class TestObserveBatchEqualsObserveRecords:
-    """The service's column path against the record path it replaced."""
+    """The column path against one ``observe`` call per record."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
             st.builds(
                 lambda s, d, w: EdgeRecord(0.0, s, d, w),
-                st.sampled_from(STR_NODES),
-                st.sampled_from(STR_NODES),
+                st.sampled_from(ALIKE_NODES),
+                st.sampled_from(ALIKE_NODES),
                 FLOAT_WEIGHT,
             ),
             max_size=60,
@@ -192,16 +114,16 @@ class TestObserveBatchEqualsObserveRecords:
     )
     def test_same_state(self, records, cls, capacity):
         # Small capacities send some sources through SpaceSaving.update.
-        assert batch_observed(cls, records, capacity) == observed(
-            cls, [records], capacity, per_record=False
-        )
+        assert batch_observed(cls, records, capacity) == observed(cls, records, capacity)
 
     @pytest.mark.parametrize("cls", BUILDERS)
     def test_order_sensitive_sums(self, cls):
+        # 1e16 + 1.0 rounds back to 1e16: any other order sums differently
+        # in the Count-Min cells, the totals and the SpaceSaving counts.
         records = [EdgeRecord(0.0, "a", "x", w) for w in (1e16, 1.0, 1.0, 3.0)]
         records.insert(2, EdgeRecord(0.0, "a", "y", 1.0))
         records.append(EdgeRecord(0.0, "b", "b", 2.0))  # a self-loop
-        assert batch_observed(cls, records, 8) == observed(cls, [records], 8, per_record=False)
+        assert batch_observed(cls, records, 8) == observed(cls, records, 8)
 
     @pytest.mark.parametrize("cls", BUILDERS)
     def test_needs_an_empty_builder_and_valid_weights(self, cls):
@@ -262,10 +184,13 @@ class TestSharedHashFamily:
         ]
 
     def test_columns_match_update(self):
+        # observe_batch adds each record into its fingerprint's kernel columns.
         sketch, reference = CountMinSketch(seed=2), CountMinSketch(seed=2)
-        items = ["a", "b", "a", 7]
-        sketch._add_columns(sketch._columns(items), [1.0, 2.0, 0.5, 1e16])
-        for item, count in zip(items, [1.0, 2.0, 0.5, 1e16]):
+        items, counts = ["a", "b", "a", 7], [1.0, 2.0, 0.5, 1e16]
+        columns = sketch._hashes.hash_columns([stable_hash64(item) for item in items])
+        np.add.at(sketch._table, (np.arange(sketch.depth)[:, None], columns.astype(np.intp)), counts)
+        sketch._total = sum(counts)
+        for item, count in zip(items, counts):
             reference.update(item, count)
         assert np.array_equal(sketch._table, reference._table)
         assert sketch.total == reference.total

@@ -141,8 +141,9 @@ class TestHashColumnsKernel:
 class TestCountMinColumns:
     @pytest.mark.parametrize("items", [[], ["x"], [7], ["a", "b", "a", ("t", 1)]], ids=repr)
     def test_rows_are_hash_all(self, items):
+        # The Count-Min column of each item in every row, as observe_batch
+        # reads them from the label table's fingerprints.
         sketch = CountMinSketch(seed=4)
-        columns = sketch._columns(items)
-        assert columns.dtype == np.intp
-        assert columns.shape == (len(items), sketch.depth)
-        assert columns.tolist() == [sketch._hashes.hash_all(item) for item in items]
+        columns = sketch._hashes.hash_columns([stable_hash64(item) for item in items])
+        assert columns.shape == (sketch.depth, len(items))
+        assert columns.T.tolist() == [sketch._hashes.hash_all(item) for item in items]
