@@ -14,7 +14,7 @@ it can reach a changed node, so the union graph bounds both sides).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Collection, Dict, Iterable, List, Optional, Set
 
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
@@ -34,6 +34,48 @@ def walk_changed_nodes(delta: WindowDelta, symmetrize: bool) -> Set[NodeId]:
         changed |= {change.dst for change in delta.changes}
     changed |= delta.added_nodes | delta.removed_nodes
     return changed
+
+
+def position_order_seeds(
+    graph: CommGraph, moved: Iterable[NodeId], symmetrize: bool
+) -> Set[NodeId]:
+    """Nodes whose walk step may sum differently because ``moved`` nodes
+    changed position (see :attr:`WindowDelta.moved_nodes`).
+
+    The matrix walk adds each node's incoming mass, each transition row's
+    weights and the dangling nodes' mass in node-position order.  Zero
+    terms add nothing and two terms add the same either way round, so
+    only a sum of three or more terms that includes a moved node can
+    change: a moved node feeding a node with three or more walk
+    in-neighbours, a node with three or more walk out-neighbours that
+    include a moved node, and a moved dangling node among three or more.
+    Sums that lost a term to a removed edge are already seeded by that
+    edge's change.
+    """
+
+    def walk_out(node: NodeId) -> Collection[NodeId]:
+        if symmetrize:
+            return graph.out_neighbors(node).keys() | graph.in_neighbors(node).keys()
+        return graph.out_neighbors(node).keys()
+
+    def walk_in(node: NodeId) -> Collection[NodeId]:
+        if symmetrize:
+            return walk_out(node)
+        return graph.in_neighbors(node).keys()
+
+    seeds: Set[NodeId] = set()
+    num_dangling: Optional[int] = None
+    for node in moved:
+        targets = walk_out(node)
+        if any(len(walk_in(target)) >= 3 for target in targets):
+            seeds.add(node)
+        seeds.update(source for source in walk_in(node) if len(walk_out(source)) >= 3)
+        if not targets:
+            if num_dangling is None:
+                num_dangling = sum(1 for other in graph if not walk_out(other))
+            if num_dangling >= 3:
+                seeds.add(node)
+    return seeds
 
 
 def _reverse_edges_union(

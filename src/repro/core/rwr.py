@@ -41,6 +41,7 @@ import scipy.sparse as sp
 
 from repro.core.incremental import (
     dangling_set_changed,
+    position_order_seeds,
     reverse_reachable,
     walk_changed_nodes,
 )
@@ -277,6 +278,9 @@ class RandomWalkWithResets(SignatureScheme):
         - the dangling set changed (same reason, non-symmetrised); or
         - the walk is symmetrised and edge existence changed (the old
           symmetrised degree is not cheaply reconstructible).
+
+        Surviving nodes that changed position reorder the walk's sums, so
+        the seeds also take :func:`position_order_seeds`.
         """
         if delta.is_empty:
             return set()
@@ -290,6 +294,7 @@ class RandomWalkWithResets(SignatureScheme):
         if not symmetrize and dangling_set_changed(graph, delta):
             return None
         seeds = walk_changed_nodes(delta, symmetrize)
+        seeds |= position_order_seeds(graph, delta.moved_nodes, symmetrize)
         return reverse_reachable(
             graph, seeds, delta, symmetrize, max_depth=self.max_hops
         )

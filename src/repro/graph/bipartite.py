@@ -12,7 +12,7 @@ bipartite.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Collection, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.comm_graph import CommGraph
@@ -106,40 +106,22 @@ class BipartiteGraph(CommGraph):
 
     def _load_aggregated(
         self,
-        weights: Mapping[Tuple[NodeId, NodeId], Weight],
+        nodes: Iterable[NodeId],
+        edges: Collection[Tuple[NodeId, NodeId]],
+        weights: Iterable[Weight],
         total_weight: float,
         num_records: int,
     ) -> bool:
-        # Sets filled in edge first-occurrence order, as add_edge fills them.
-        left = set(map(itemgetter(0), weights))
-        right = set(map(itemgetter(1), weights))
+        # add_edge puts every record's src in V1 and dst in V2, even for a
+        # zero weight; sets filled in edge order.
+        left = set(map(itemgetter(0), edges))
+        right = set(map(itemgetter(1), edges))
         if not left.isdisjoint(right):
             # An orientation violation or a self-loop: only the per-record
             # path knows which record raises, and a lone self-loop does not.
             return False
-        super()._load_aggregated(weights, total_weight, num_records)
+        super()._load_aggregated(nodes, edges, weights, total_weight, num_records)
         self._left, self._right = left, right
-        return True
-
-    def _set_edge_weights(
-        self, updates: List[Tuple[Tuple[NodeId, NodeId], Optional[Weight]]]
-    ) -> bool:
-        # set_edge_weight puts src in V1 and dst in V2 even for a zero
-        # weight.  While no node would end up on both sides, no call raises.
-        left = {src for (src, _dst), weight in updates if weight is not None}
-        right = {dst for (_src, dst), weight in updates if weight is not None}
-        if not (
-            left.isdisjoint(right)
-            and left.isdisjoint(self._right)
-            and right.isdisjoint(self._left)
-        ):
-            # An orientation violation or a self-loop: the per-edge calls
-            # raise (or not) at the right edge.
-            return False
-        if not super()._set_edge_weights(updates):
-            return False
-        self._left |= left
-        self._right |= right
         return True
 
     def remove_node(self, node: NodeId) -> None:

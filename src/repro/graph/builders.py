@@ -40,7 +40,9 @@ def aggregate_records(
         records = list(records)
     graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
     summed = _sum_edge_weights(records)
-    if summed is None or not graph._load_aggregated(*summed, len(records)):
+    if summed is None or not graph._load_aggregated(
+        (), summed[0].keys(), summed[0].values(), summed[1], len(records)
+    ):
         for record in records:
             graph.add_edge(record.src, record.dst, record.weight)
     return graph

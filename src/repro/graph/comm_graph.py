@@ -11,32 +11,14 @@ in/out-neighbour access and repeated conversion to sparse matrices; a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.graph.delta import EdgeChange, WindowDelta
 from repro.types import NodeId, Weight, WeightedEdge
-
-
-class _MutationJournal:
-    """First-touch journal of mutations between :meth:`begin_delta_journal`
-    and :meth:`end_delta_journal`.
-
-    For every edge first touched inside the journal window we record the
-    weight it had *before* the first mutation; for every node, whether it
-    existed.  Comparing against the final state coalesces arbitrary
-    mutation sequences into one :class:`WindowDelta`.
-    """
-
-    __slots__ = ("edge_old", "node_was_present")
-
-    def __init__(self) -> None:
-        self.edge_old: Dict[Tuple[NodeId, NodeId], Weight] = {}
-        self.node_was_present: Dict[NodeId, bool] = {}
 
 
 class CommGraph:
@@ -60,13 +42,12 @@ class CommGraph:
         self._version = 0
         self._cache: Dict[str, Tuple[int, Any]] = {}
         self._cache_stats: Dict[str, Dict[str, int]] = {}
-        self._journal: Optional[_MutationJournal] = None
         if edges is not None:
             for src, dst, weight in edges:
                 self.add_edge(src, dst, weight)
 
     # ------------------------------------------------------------------
-    # Versioning, journalling and the derived-structure cache
+    # Versioning and the derived-structure cache
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
@@ -79,49 +60,6 @@ class CommGraph:
 
     def _bump_version(self) -> None:
         self._version += 1
-
-    def begin_delta_journal(self) -> None:
-        """Start recording mutations for :meth:`end_delta_journal`."""
-        if self._journal is not None:
-            raise GraphError("a delta journal is already active on this graph")
-        self._journal = _MutationJournal()
-
-    def end_delta_journal(self) -> WindowDelta:
-        """Stop journalling and return the coalesced :class:`WindowDelta`."""
-        journal = self._journal
-        if journal is None:
-            raise GraphError("no delta journal is active on this graph")
-        self._journal = None
-        changes = []
-        for (src, dst), old_weight in journal.edge_old.items():
-            new_weight = self.weight(src, dst)
-            if new_weight != old_weight:
-                changes.append(EdgeChange(src, dst, old_weight, new_weight))
-        added = set()
-        removed = set()
-        for node, was_present in journal.node_was_present.items():
-            present_now = node in self
-            if present_now and not was_present:
-                added.add(node)
-            elif was_present and not present_now:
-                removed.add(node)
-        return WindowDelta(
-            changes=tuple(changes),
-            added_nodes=frozenset(added),
-            removed_nodes=frozenset(removed),
-        )
-
-    def _journal_edge(self, src: NodeId, dst: NodeId) -> None:
-        journal = self._journal
-        if journal is not None:
-            key = (src, dst)
-            if key not in journal.edge_old:
-                journal.edge_old[key] = self.weight(src, dst)
-
-    def _journal_node(self, node: NodeId, was_present: bool) -> None:
-        journal = self._journal
-        if journal is not None and node not in journal.node_was_present:
-            journal.node_was_present[node] = was_present
 
     def versioned_cache(self, key: str, build: Callable[[], Any]) -> Any:
         """Return ``build()`` memoised against the current :attr:`version`.
@@ -153,7 +91,6 @@ class CommGraph:
     def add_node(self, node: NodeId) -> None:
         """Ensure ``node`` exists in ``V`` (no-op if already present)."""
         if node not in self._out:
-            self._journal_node(node, was_present=False)
             self._out[node] = {}
             self._in[node] = {}
             self._bump_version()
@@ -175,7 +112,6 @@ class CommGraph:
             return
         self.add_node(src)
         self.add_node(dst)
-        self._journal_edge(src, dst)
         out_row = self._out[src]
         if dst not in out_row:
             self._num_edges += 1
@@ -224,7 +160,6 @@ class CommGraph:
             raise GraphError(f"edge ({src!r}, {dst!r}) not present")
         new_weight = current - amount
         if new_weight > 0:
-            self._journal_edge(src, dst)
             self._out[src][dst] = new_weight
             self._in[dst][src] = new_weight
             self._total_weight -= amount
@@ -240,24 +175,34 @@ class CommGraph:
             self._remove_edge_entry(node, dst, self._out[node][dst])
         for src in list(self._in[node]):
             self._remove_edge_entry(src, node, self._out[src][node])
-        self._journal_node(node, was_present=True)
         del self._out[node]
         del self._in[node]
         self._bump_version()
 
     def _load_aggregated(
         self,
-        weights: Mapping[Tuple[NodeId, NodeId], Weight],
+        nodes: Iterable[NodeId],
+        edges: Collection[Tuple[NodeId, NodeId]],
+        weights: Iterable[Weight],
         total_weight: float,
         num_records: int,
     ) -> bool:
-        """Write pre-summed edge weights (keyed in first-occurrence order)
-        into this empty graph, exactly as ``add_edge`` once per record of
-        ``num_records`` would have: same node and row orders, weights and
-        version.  Returns whether it loaded (see :class:`BipartiteGraph`).
+        """Write aggregated records into this empty graph, exactly as
+        ``add_edge`` once per record would have: same node and row orders,
+        weights, ``total_weight`` and version.
+
+        ``edges`` are the records' distinct ``(src, dst)`` pairs in row
+        order (by first positive record), with each pair's summed
+        ``weights``; a pair whose records all weigh 0 sums to 0 and makes
+        no row entry.  Nodes take the order ``nodes`` lists them in, and
+        endpoints it leaves out follow in edge order — first-occurrence
+        order when every record weighs more than 0.  ``num_records``
+        counts the positive-weight records.  Returns whether it loaded
+        (see :class:`BipartiteGraph`).
         """
-        out, into = self._out, self._in
-        for (src, dst), weight in weights.items():
+        out = {node: {} for node in nodes}
+        into = {node: {} for node in out}
+        for (src, dst), weight in zip(edges, weights):
             row = out.get(src)
             if row is None:
                 row = out[src] = {}
@@ -265,80 +210,18 @@ class CommGraph:
             if dst not in out:
                 out[dst] = {}
                 into[dst] = {}
-            row[dst] = weight
-            into[dst][src] = weight
-        self._num_edges = len(weights)
+            if weight > 0:
+                row[dst] = weight
+                into[dst][src] = weight
+        self._out, self._in = out, into
+        self._num_edges = sum(map(len, out.values()))
         self._total_weight = total_weight
-        # add_edge bumps once per record and add_node once per new node.
+        # add_node bumps once per new node and add_edge once per
+        # positive-weight record.
         self._version = len(out) + num_records
         return True
 
-    def _set_edge_weights(
-        self, updates: List[Tuple[Tuple[NodeId, NodeId], Optional[Weight]]]
-    ) -> bool:
-        """Apply ``((src, dst), weight)`` updates in order, each exactly as
-        ``set_edge_weight(src, dst, weight)`` — or, for a ``None`` weight,
-        ``remove_edge(src, dst)`` when the edge exists — would: the same
-        journal entries, node and row orders, ``total_weight`` additions
-        and subtractions in the same order, edge count and version.  The
-        calls are inlined.  Returns whether it wrote; with a negative
-        weight (which ``set_edge_weight`` rejects) it writes nothing.
-        """
-        if any(weight is not None and weight < 0 for _edge, weight in updates):
-            return False
-        out, into = self._out, self._in
-        journal = self._journal if self._journal is not None else _MutationJournal()
-        edge_old, node_was_present = journal.edge_old, journal.node_was_present
-        num_edges, total, version = self._num_edges, self._total_weight, self._version
-        for edge, weight in updates:
-            src, dst = edge
-            row = out.get(src)
-            current = 0.0 if row is None else row.get(dst, 0.0)
-            if weight is None:
-                if row is None or dst not in row:
-                    continue
-            elif not current > 0:
-                # set_edge_weight removes nothing; its add_edge / add_node
-                # calls below create missing endpoints.
-                for node in edge:
-                    if node not in out:
-                        node_was_present.setdefault(node, False)
-                        out[node] = {}
-                        into[node] = {}
-                        version += 1
-                if weight > 0:
-                    row = out[src]
-                    if edge not in edge_old:
-                        edge_old[edge] = row.get(dst, 0.0)
-                    if dst not in row:
-                        num_edges += 1
-                        row[dst] = 0.0
-                        into[dst][src] = 0.0
-                    row[dst] += weight
-                    into[dst][src] += weight
-                    total += weight
-                    version += 1
-                continue
-            # The edge exists: remove it (remove_edge, or set_edge_weight's
-            # first step), then re-add it at the end of both rows.
-            if edge not in edge_old:
-                edge_old[edge] = current
-            del row[dst]
-            del into[dst][src]
-            num_edges -= 1
-            total -= current
-            version += 1
-            if weight is not None and weight > 0:
-                row[dst] = 0.0 + weight
-                into[dst][src] = 0.0 + weight
-                num_edges += 1
-                total += weight
-                version += 1
-        self._num_edges, self._total_weight, self._version = num_edges, total, version
-        return True
-
     def _remove_edge_entry(self, src: NodeId, dst: NodeId, weight: Weight) -> None:
-        self._journal_edge(src, dst)
         del self._out[src][dst]
         del self._in[dst][src]
         self._num_edges -= 1

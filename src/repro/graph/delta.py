@@ -8,23 +8,21 @@ compact description of what changed between two such graphs — per-edge
 input contract of the incremental signature engine
 (:meth:`repro.core.scheme.SignatureScheme.compute_all` with ``delta=``).
 
-Deltas come from two producers:
-
-- :meth:`CommGraph.begin_delta_journal` / :meth:`CommGraph.end_delta_journal`
-  record mutations as they happen (used by
-  :class:`repro.graph.windows.SlidingWindowAggregator`);
-- :meth:`WindowDelta.from_graphs` diffs two already-built graphs (used by
-  the experiments, which hold full per-window graphs in memory).
-
-Both produce the same coalesced form: at most one :class:`EdgeChange` per
-ordered pair, comparing the weight before the first mutation against the
-final weight.
+:meth:`WindowDelta.from_graphs` is the one producer: it diffs two built
+graphs, at most one :class:`EdgeChange` per ordered pair.  Besides weight
+changes it reports order changes, because a signature's float sums run
+over adjacency rows (and matrix walks over node positions) in order: an
+edge kept at the same weight in an out-row or in-row whose order changed
+gets an equal-weight change, and :attr:`WindowDelta.moved_nodes` names
+nodes whose order among the surviving nodes changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Iterable, Set, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, Set, Tuple
+
+import numpy as np
 
 from repro.types import NodeId, Weight
 
@@ -63,26 +61,59 @@ class EdgeChange:
         return self.old_weight == 0 or self.new_weight == 0
 
 
+def _moved(old: Collection[NodeId], new: Collection[NodeId]) -> Set[NodeId]:
+    """Members of both orders whose place among the common members moved.
+
+    ``old`` and ``new`` hold distinct keys in order (a graph's nodes, a
+    row's entries).  The result holds at least one member of every pair
+    the two orders put differently, and is empty when they agree.  Either
+    the members ranked below some earlier member or those ranked above
+    some later one qualify; the smaller set is returned, so one member
+    moving far costs one entry.
+    """
+    if len(old) < 2 or len(new) < 2:
+        return set()
+    kept_old = [key for key in old if key in new]
+    kept_new = [key for key in new if key in old]
+    if kept_old == kept_new:
+        return set()
+    rank = dict(zip(kept_old, range(len(kept_old))))
+    ranks = np.fromiter(map(rank.__getitem__, kept_new), dtype=np.intp, count=len(kept_new))
+    below = ranks < np.maximum.accumulate(ranks)
+    above = ranks > np.minimum.accumulate(ranks[::-1])[::-1]
+    pick = below if below.sum() <= above.sum() else above
+    return {kept_new[index] for index in np.flatnonzero(pick).tolist()}
+
+
 @dataclass(frozen=True)
 class WindowDelta:
     """The difference ``G_t -> G_{t+1}`` between two window graphs.
 
     ``changes`` holds one :class:`EdgeChange` per edge whose weight
-    differs; ``added_nodes``/``removed_nodes`` record node churn (a node
+    differs, or whose place in its out-row or in-row moved (with equal
+    weights); ``added_nodes``/``removed_nodes`` record node churn (a node
     may churn without any weighted edge changing, e.g. endpoints of
-    zero-weight records).  An empty delta means the graphs are identical.
+    zero-weight records), and ``moved_nodes`` the surviving nodes whose
+    order among the survivors changed.  An empty delta means the graphs
+    are identical, orders included.
     """
 
     changes: Tuple[EdgeChange, ...] = ()
     added_nodes: FrozenSet[NodeId] = frozenset()
     removed_nodes: FrozenSet[NodeId] = frozenset()
+    moved_nodes: FrozenSet[NodeId] = frozenset()
 
     def __len__(self) -> int:
         return len(self.changes)
 
     @property
     def is_empty(self) -> bool:
-        return not self.changes and not self.added_nodes and not self.removed_nodes
+        return (
+            not self.changes
+            and not self.added_nodes
+            and not self.removed_nodes
+            and not self.moved_nodes
+        )
 
     @property
     def has_node_churn(self) -> bool:
@@ -112,24 +143,33 @@ class WindowDelta:
     def from_graphs(cls, old: "CommGraph", new: "CommGraph") -> "WindowDelta":
         """Diff two graphs into a delta (edge weights compared exactly).
 
-        Change order is deterministic: old-graph edge order first (removed
-        or reweighted), then new-graph order for added edges.
+        Change order is deterministic: old-graph edge order first
+        (removed, reweighted or moved), then new-graph order for added
+        edges.
         """
+        # The rows themselves: the diff belongs to the graph package.
+        old_out, new_out, new_in = old._out, new._out, new._in
+        empty: Dict[NodeId, float] = {}
+        moved_in = set()
+        for node, row in old._in.items():
+            for src in _moved(row, new_in.get(node, empty)):
+                moved_in.add((src, node))
         changes = []
-        old_edges = {}
-        for src, dst, weight in old.edges():
-            old_edges[(src, dst)] = weight
-        for src, dst, old_weight in old.edges():
-            new_weight = new.weight(src, dst)
-            if new_weight != old_weight:
-                changes.append(EdgeChange(src, dst, old_weight, new_weight))
-        for src, dst, new_weight in new.edges():
-            if (src, dst) not in old_edges:
-                changes.append(EdgeChange(src, dst, 0.0, new_weight))
-        old_nodes = set(old.nodes())
-        new_nodes = set(new.nodes())
+        for src, row in old_out.items():
+            new_row = new_out.get(src, empty)
+            moved_out = _moved(row, new_row)
+            for dst, old_weight in row.items():
+                new_weight = new_row.get(dst, 0.0)
+                if new_weight != old_weight or dst in moved_out or (src, dst) in moved_in:
+                    changes.append(EdgeChange(src, dst, old_weight, new_weight))
+        for src, new_row in new_out.items():
+            row = old_out.get(src, empty)
+            for dst, new_weight in new_row.items():
+                if dst not in row:
+                    changes.append(EdgeChange(src, dst, 0.0, new_weight))
         return cls(
             changes=tuple(changes),
-            added_nodes=frozenset(new_nodes - old_nodes),
-            removed_nodes=frozenset(old_nodes - new_nodes),
+            added_nodes=frozenset(new_out.keys() - old_out.keys()),
+            removed_nodes=frozenset(old_out.keys() - new_out.keys()),
+            moved_nodes=frozenset(_moved(old_out, new_out)),
         )

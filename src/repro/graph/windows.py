@@ -8,13 +8,14 @@ rest of the library consumes.
 
 Two construction paths exist:
 
-- :func:`split_records_into_windows` re-aggregates every bucket from
-  scratch (simple, stateless);
+- :func:`split_records_into_windows` aggregates every bucket from
+  :class:`EdgeRecord` objects (simple, stateless);
 - :meth:`GraphSequence.from_sliding_records` drives a
-  :class:`SlidingWindowAggregator` that advances ``G_t -> G_{t+1}`` by
-  applying only the expiring and arriving records, and records the
-  per-transition :class:`WindowDelta` so downstream signature computation
-  can run incrementally.  Both paths produce identical graphs.
+  :class:`SlidingWindowAggregator`, which builds each window graph from
+  the retained buckets' columns and diffs it against the last one, so
+  every transition carries its :class:`WindowDelta` and downstream
+  signature computation can run incrementally.  Both paths produce
+  identical graphs, node and row orders included.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Deque, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -223,9 +224,9 @@ class GraphSequence:
     def common_nodes(self) -> List[NodeId]:
         """Nodes present in every window (a natural evaluation population).
 
-        For delta-tracked (sliding) sequences this is maintained from the
-        journal: a node misses some window iff it was removed at one of
-        the recorded transitions, so the common set is the first window's
+        For delta-tracked (sliding) sequences this is read off the deltas:
+        a node misses some window iff it was removed at one of the
+        recorded transitions, so the common set is the first window's
         nodes minus everything any delta removed — no per-window set
         intersections.
         """
@@ -267,7 +268,7 @@ class GraphSequence:
         deltas: List[WindowDelta] = []
         for index, bucket in enumerate(buckets):
             delta = aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
-            graphs.append(aggregator.graph.copy())
+            graphs.append(aggregator.graph)
             if index > 0:
                 # The first advance is empty-graph -> window 0, not a
                 # window-to-window transition.
@@ -275,46 +276,21 @@ class GraphSequence:
         return cls(graphs=graphs, labels=labels, deltas=deltas)
 
 
-class _Bucket(NamedTuple):
-    """One bucket of a sliding window, as the aggregator needs it."""
-
-    #: Per record, its edge as ``src << 32 | dst`` (int64), and its weight.
-    keys: np.ndarray
-    weight: np.ndarray
-    #: Distinct edge keys in first-occurrence order.
-    edges: np.ndarray
-    #: Distinct node ids in first-occurrence order (source before
-    #: destination), and the record endpoints touching each.
-    nodes: np.ndarray
-    node_counts: np.ndarray
-
-
-def _bucket(batch: RecordBatch) -> _Bucket:
-    keys = (batch.src.astype(np.int64) << 32) | batch.dst
-    ends = np.empty(2 * len(batch), dtype=np.int32)
-    ends[0::2], ends[1::2] = batch.src, batch.dst
-    nodes, node_of = first_occurrence(ends)
-    counts = np.bincount(node_of, minlength=len(nodes))
-    return _Bucket(keys, batch.weight, first_occurrence(keys)[0], nodes, counts)
-
-
 class SlidingWindowAggregator:
-    """Advance ``G_t -> G_{t+1}`` by applying expiring and arriving records.
+    """The graph of the ``window_buckets`` most recent record buckets.
 
-    Maintains a live graph over the ``window_buckets`` most recent record
-    buckets, each a :class:`~repro.graph.batch.RecordBatch` interned into
+    Each bucket is a :class:`~repro.graph.batch.RecordBatch` interned into
     :attr:`labels` (pass one ``LabelTable`` to share it).  :meth:`advance`
-    pushes the next bucket, expires the oldest, and updates only the
-    affected edges — while journalling the mutations into a
-    :class:`WindowDelta`.
+    pushes the next bucket, drops the oldest, builds the window's graph
+    afresh from the retained buckets' columns and diffs it against the
+    last one.
 
-    Exactness contract: the maintained graph is *identical* (same node
-    set, same edge weights bit-for-bit) to re-aggregating the in-window
-    records from scratch.  Floating-point subtraction cannot guarantee
-    that, so instead of subtracting expired weights the aggregator keeps
-    every in-window bucket's columns and re-accumulates affected edges in
-    record order — the same ``+=`` sequence
-    :func:`repro.graph.builders.aggregate_records` performs.
+    Exactness contract, at every ``window_buckets``: :attr:`graph` is
+    identical to ``aggregate_records`` of the retained records in bucket
+    and record order — node order, out-row and in-row order, weights
+    bit for bit, ``total_weight``, edge count, version and bipartite
+    sides.  So a window's graph depends only on its own records, never
+    on the windows before it.
     """
 
     def __init__(
@@ -328,117 +304,80 @@ class SlidingWindowAggregator:
         self.window_buckets = window_buckets
         self.bipartite = bipartite
         self.labels = labels if labels is not None else LabelTable()
-        self.graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
-        self._buckets: Deque[_Bucket] = deque()
-        # In-window record-endpoint counts by node id; a node leaves V
-        # when its count returns to 0.
-        self._node_refs = np.zeros(0, dtype=np.int64)
+        self.graph: CommGraph = self._empty_graph()
+        self._buckets: Deque[RecordBatch] = deque(maxlen=window_buckets)
 
     @property
     def buckets_held(self) -> int:
         """Number of buckets currently inside the window (ramp-up aware)."""
         return len(self._buckets)
 
+    def _empty_graph(self) -> CommGraph:
+        return BipartiteGraph() if self.bipartite else CommGraph()
+
     def advance(self, batch: RecordBatch) -> WindowDelta:
         """Slide the window forward by one bucket of records.
 
-        Returns the :class:`WindowDelta` describing the transition of
-        :attr:`graph` (old state -> new state).
+        Returns the :class:`WindowDelta` from the previous :attr:`graph`
+        to the new one.  When a record cannot be added (a bipartite
+        orientation violation, a negative weight), the error is the one
+        the per-record ``add_edge`` loop raises, and the aggregator is
+        left as it was.
         """
         if batch.labels is not self.labels:
             raise GraphError("the batch is interned into another label table")
-        arriving = _bucket(batch)
-        # Arriving edges by first *positive* contribution: fresh
-        # aggregation inserts an edge into its adjacency rows at its first
-        # positive-weight record (zero-weight records only materialise
-        # endpoints), so this — not first occurrence — is the row position
-        # the rebuild below must reproduce.
-        first_positive = first_occurrence(arriving.keys[batch.weight > 0])[0]
-        expiring = None
-        if len(self._buckets) == self.window_buckets:
-            expiring = self._buckets.popleft()
-        self._buckets.append(arriving)
-
-        # Expiring-only edges first, then arriving edges in
-        # first-positive-contribution order (zero-only arrivals last —
-        # they create no row entry).  ``set_edge_weight`` repositions an
-        # edge to the end of its adjacency rows, so with
-        # ``window_buckets=1`` (where every surviving edge is arriving) the
-        # rebuilt rows list destinations in exactly the insertion order
-        # fresh aggregation produces, keeping even order-sensitive float
-        # reductions over the rows bitwise identical across the two
-        # construction paths.
-        affected = [
-            first_positive,
-            arriving.edges[~np.isin(arriving.edges, first_positive)],
-        ]
-        if expiring is not None:
-            affected.insert(0, expiring.edges[~np.isin(expiring.edges, arriving.edges)])
-        affected_edges = np.concatenate(affected)
-        updates = list(
-            zip(
-                zip(
-                    self.labels.labels_of(affected_edges >> 32),
-                    self.labels.labels_of(affected_edges & _LOW32),
-                ),
-                self._window_totals(affected_edges),
-            )
-        )
-
-        graph = self.graph
-        graph.begin_delta_journal()
-        try:
-            if not graph._set_edge_weights(updates):
-                # The per-edge calls: the reference, and the path that
-                # raises at the right edge.
-                for (src, dst), total in updates:
-                    if total is not None:
-                        graph.set_edge_weight(src, dst, total)
-                    elif graph.has_edge(src, dst):
-                        graph.remove_edge(src, dst)
-
-            refs = self._node_refs
-            if len(refs) < len(self.labels):
-                refs = self._node_refs = np.pad(refs, (0, len(self.labels) - len(refs)))
-            if expiring is not None:
-                # Clamped: a bucket whose advance raised never counted.
-                refs[expiring.nodes] = np.maximum(
-                    refs[expiring.nodes] - expiring.node_counts, 0
-                )
-            refs[arriving.nodes] += arriving.node_counts
-            if expiring is not None:
-                gone = expiring.nodes[refs[expiring.nodes] == 0]
-                for node in self.labels.labels_of(gone):
-                    if node in graph:
-                        # Every record touching the node expired; all its
-                        # edges were removed above, so this only drops the
-                        # (now isolated) node from V.
-                        graph.remove_node(node)
-        finally:
-            delta = graph.end_delta_journal()
+        retained = [*self._buckets, batch][-self.window_buckets:]
+        graph = self._build(RecordBatch.concat(retained))
+        delta = WindowDelta.from_graphs(self.graph, graph)
+        self._buckets.append(batch)
+        self.graph = graph
         return delta
 
-    def _window_totals(self, edges: np.ndarray) -> List[Optional[float]]:
-        """Each edge's in-window total, or ``None`` for an edge with no
-        in-window record (the update that removes it).
+    def _build(self, window: RecordBatch) -> CommGraph:
+        """The graph ``add_edge`` once per record of ``window`` builds.
 
-        Every edge sums its records' weights from ``0.0`` in bucket and
-        record order; ``np.add.at`` adds unbuffered in index order, so each
-        total is bitwise the sequential ``+=`` of fresh aggregation.
-        Zero-weight records still count: their edge stays, with weight 0.
+        Nodes come in first-occurrence order (source before destination)
+        and edges in first-positive-record order, the order ``add_edge``
+        inserts them in; edges of zero-weight records only follow.
+        ``np.add.at`` adds unbuffered in record order, so every edge total
+        is bitwise the sequential ``+=`` of the per-record loop, and the
+        running ``np.cumsum`` is its ``total_weight`` (``+ 0.0`` turns an
+        all-zero ``-0.0`` sum into the loop's ``0.0``).
         """
-        window_edges, edge_of = np.unique(
-            np.concatenate([bucket.keys for bucket in self._buckets]), return_inverse=True
-        )
-        sums = np.zeros(len(window_edges))
-        np.add.at(sums, edge_of, np.concatenate([bucket.weight for bucket in self._buckets]))
-        found = np.isin(edges, window_edges)
+        src, dst, weight = window.src, window.dst, window.weight
+        if not np.all(weight >= 0):
+            # A negative or NaN weight: the per-record loop decides.
+            return self._build_per_record(window)
+        ends = np.empty(2 * len(window), dtype=np.int32)
+        ends[0::2], ends[1::2] = src, dst
+        nodes = first_occurrence(ends)[0]
+        edges, edge_of = np.unique((src.astype(np.int64) << 32) | dst, return_inverse=True)
         totals = np.zeros(len(edges))
-        totals[found] = sums[np.searchsorted(window_edges, edges[found])]
-        return [
-            total if present else None
-            for total, present in zip(totals.tolist(), found.tolist())
-        ]
+        np.add.at(totals, edge_of, weight)
+        positive = weight > 0
+        rows = first_occurrence(edge_of[positive])[0]
+        order = np.concatenate([rows, np.setdiff1d(np.arange(len(edges)), rows)])
+        keys = edges[order]
+        labels_of = self.labels.labels_of
+        graph = self._empty_graph()
+        loaded = graph._load_aggregated(
+            labels_of(nodes),
+            list(zip(labels_of(keys >> 32), labels_of(keys & _LOW32))),
+            totals[order].tolist(),
+            float(np.cumsum(weight)[-1]) + 0.0 if len(window) else 0.0,
+            int(np.count_nonzero(positive)),
+        )
+        return graph if loaded else self._build_per_record(window)
+
+    def _build_per_record(self, window: RecordBatch) -> CommGraph:
+        """The reference: one ``add_edge`` call per record."""
+        graph = self._empty_graph()
+        labels_of = self.labels.labels_of
+        for src, dst, weight in zip(
+            labels_of(window.src), labels_of(window.dst), window.weight.tolist()
+        ):
+            graph.add_edge(src, dst, weight)
+        return graph
 
 
 def _bucketize(

@@ -417,7 +417,6 @@ def attach_graph(manifest: GraphManifest) -> CommGraph:
     graph._version = 0
     graph._cache = {}
     graph._cache_stats = {}
-    graph._journal = None
     if manifest.bipartite and manifest.sides is not None:
         codes = attach_array(manifest.sides).tolist()
         graph._left = {node for node, code in zip(ordering, codes) if code == 0}
@@ -614,8 +613,8 @@ class ShmEngine:
     One engine owns one pool and one publication cache; create it once per
     run (pipeline run, experiment, shard supervisor), dispatch many times,
     then :meth:`close` — or use it as a context manager.  Publications are
-    cached per ``(graph identity, graph version)`` so a window that is
-    advanced in place is republished exactly when it mutates, and the
+    cached per ``(graph identity, graph version)`` so a graph is
+    republished exactly when it mutates, and the
     previous window's segments are evicted once the cache overflows.
 
     Thread-safe for publication bookkeeping; dispatches from multiple

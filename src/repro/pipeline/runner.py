@@ -90,11 +90,12 @@ class PipelineConfig:
     :mod:`repro.datasets.loaders`).
 
     ``incremental`` routes windows through the delta engine: a
-    :class:`~repro.graph.windows.SlidingWindowAggregator` advances the
-    window graph in place, and each scheme recomputes only its dirty set
-    (byte-identical to the full path's signatures by the
-    ``compute_all(delta=...)`` contract; checkpoints record the engine in
-    their run state so resumes are checked for compatibility).  Note the
+    :class:`~repro.graph.windows.SlidingWindowAggregator` builds each
+    window graph and diffs it against the last, and each scheme
+    recomputes only its dirty set (byte-identical to the full path's
+    signatures by the ``compute_all(delta=...)`` contract; checkpoints
+    record the engine in their run state so resumes are checked for
+    compatibility).  Note the
     incremental engine uses the scheme's *batched* ``compute_all``, so for
     unbounded RWR — whose batched iteration count is population-coupled —
     outputs match the batched contract, not the per-node loop.
@@ -520,18 +521,18 @@ class SignaturePipeline:
     ) -> _IncrementalState:
         """Rebuild the aggregator (and reuse map) for an incremental run.
 
-        On resume, the replayed buckets are advanced through a fresh
-        aggregator in the same order as the original run — identical
-        mutation sequence, identical graph state — and the last replayed
-        window's signatures are recomputed in full to seed ``previous``
-        (the byte-identity contract makes that equal to what the
-        uninterrupted chain carried).
+        On resume, the last replayed window's buckets are advanced through
+        a fresh aggregator — a window's graph depends only on its own
+        buckets — and that window's signatures are recomputed in full to
+        seed ``previous`` (the byte-identity contract makes that equal to
+        what the uninterrupted chain carried).
         """
         state = _IncrementalState(
             aggregator=SlidingWindowAggregator(bipartite=self.config.bipartite)
         )
         aggregator = state.aggregator
-        for index in range(start_window):
+        first = max(0, start_window - aggregator.window_buckets)
+        for index in range(first, start_window):
             aggregator.advance(
                 RecordBatch.from_records(canonical_order(buckets[index]), aggregator.labels)
             )

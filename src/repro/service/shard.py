@@ -157,11 +157,12 @@ class ShardEngine:
     ) -> List[str]:
         """Restore engine state from the acknowledged ingest log.
 
-        Replays every bucket through a fresh aggregator (identical mutation
-        sequence, identical graph state).  Windows covered by the longest
-        hash-verified checkpoint prefix are *loaded*, not recomputed; the
-        rest — including any window whose checkpoint is missing or corrupt
-        — is recomputed through the incremental chain and re-persisted.
+        Replays every bucket through a fresh aggregator (a window's graph
+        depends only on its own buckets, so the graph state is identical).
+        Windows covered by the longest hash-verified checkpoint prefix are
+        *loaded*, not recomputed; the rest — including any window whose
+        checkpoint is missing or corrupt — is recomputed through the
+        incremental chain and re-persisted.
         Returns the scan issues encountered (corrupt/missing checkpoints),
         so the supervisor can surface them as health events.
 

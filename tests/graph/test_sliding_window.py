@@ -1,11 +1,12 @@
-"""Sliding-window aggregator, delta journal and boundary-safe bucketing.
+"""Sliding-window aggregator, window deltas and boundary-safe bucketing.
 
 The exactness contract under test: a sequence built by
 :meth:`GraphSequence.from_sliding_records` is *identical* — same node
-set, same edge weights bit-for-bit, and (for ``window_buckets=1``) even
-the same adjacency-row iteration order — to the stateless
-:func:`split_records_into_windows` path, while additionally carrying one
-:class:`WindowDelta` per transition.
+order, same edge weights bit-for-bit, the same adjacency-row iteration
+order — to fresh aggregation of each window's records (for
+``window_buckets=1``, the stateless :func:`split_records_into_windows`
+path), while additionally carrying one :class:`WindowDelta` per
+transition.
 """
 
 import random
@@ -77,51 +78,96 @@ class TestWindowIndexOf:
             assert time < start + (index + 1) * width
 
 
-class TestDeltaJournal:
-    def test_coalesces_add_then_remove(self):
-        graph = CommGraph([("a", "b", 1.0)])
-        graph.begin_delta_journal()
-        graph.add_edge("a", "c", 2.0)
-        graph.remove_edge("a", "c")
-        delta = graph.end_delta_journal()
-        assert not delta.changes
-        # The endpoint "c" was created and survives as an isolated node.
-        assert delta.added_nodes == frozenset({"c"})
+def surviving_order(old, new):
+    """``old``'s keys that ``new`` also has, in ``old``'s order."""
+    return [key for key in old if key in new]
+
+
+class TestWindowDelta:
+    """``WindowDelta.from_graphs``, the one delta producer."""
+
+    def test_matches_from_graphs_diff(self):
+        # The delta contract, on every sliding transition at W = 1-3: one
+        # change per edge whose weight differs or whose place in its
+        # out-row or in-row moved, with the graphs' exact weights; the
+        # node churn; and moved nodes exactly when the survivors' order
+        # changed.
+        for window_buckets in (1, 2, 3):
+            records = random_trace(7)
+            sequence = GraphSequence.from_sliding_records(
+                records, num_windows=6, window_buckets=window_buckets
+            )
+            for i, delta in enumerate(sequence.deltas):
+                old, new = sequence[i], sequence[i + 1]
+                assert delta == WindowDelta.from_graphs(old, new)
+                pairs = [(change.src, change.dst) for change in delta.changes]
+                assert len(pairs) == len(set(pairs))
+                edges = {(s, d) for s, d, _ in old.edges()} | {(s, d) for s, d, _ in new.edges()}
+                assert {e for e in edges if old.weight(*e) != new.weight(*e)} <= set(pairs)
+                for change in delta.changes:
+                    src, dst = change.src, change.dst
+                    assert change.old_weight == old.weight(src, dst)
+                    assert change.new_weight == new.weight(src, dst)
+                    if change.old_weight == change.new_weight:
+                        assert surviving_order(
+                            old.out_neighbors(src), new.out_neighbors(src)
+                        ) != surviving_order(new.out_neighbors(src), old.out_neighbors(src)) or (
+                            surviving_order(old.in_neighbors(dst), new.in_neighbors(dst))
+                            != surviving_order(new.in_neighbors(dst), old.in_neighbors(dst))
+                        )
+                assert delta.added_nodes == set(new.nodes()) - set(old.nodes())
+                assert delta.removed_nodes == set(old.nodes()) - set(new.nodes())
+                assert bool(delta.moved_nodes) == (
+                    surviving_order(old, new) != surviving_order(new, old)
+                )
 
     def test_reweight_records_old_and_new(self):
-        graph = CommGraph([("a", "b", 1.0)])
-        graph.begin_delta_journal()
-        graph.set_edge_weight("a", "b", 3.0)
-        delta = graph.end_delta_journal()
+        delta = WindowDelta.from_graphs(
+            CommGraph([("a", "b", 1.0)]), CommGraph([("a", "b", 3.0)])
+        )
         (change,) = delta.changes
         assert (change.old_weight, change.new_weight) == (1.0, 3.0)
         assert change.kind == "reweight"
         assert not change.structural
 
-    def test_noop_rewrite_produces_empty_delta(self):
-        graph = CommGraph([("a", "b", 1.5)])
-        graph.begin_delta_journal()
-        graph.set_edge_weight("a", "b", 1.5)
-        delta = graph.end_delta_journal()
-        assert delta.is_empty
+    def test_identical_graphs_give_empty_delta(self):
+        edges = [("a", "b", 1.5), ("a", "c", 0.5), ("d", "b", 2.0)]
+        assert WindowDelta.from_graphs(CommGraph(edges), CommGraph(edges)).is_empty
 
     def test_node_churn_recorded(self):
-        graph = CommGraph([("a", "b", 1.0)])
-        graph.begin_delta_journal()
-        graph.remove_node("b")
-        graph.add_node("c")
-        delta = graph.end_delta_journal()
+        old = CommGraph([("a", "b", 1.0)])
+        new = CommGraph([("a", "c", 1.0)])
+        delta = WindowDelta.from_graphs(old, new)
         assert delta.removed_nodes == frozenset({"b"})
         assert delta.added_nodes == frozenset({"c"})
+        assert {change.kind for change in delta.changes} == {"add", "remove"}
 
-    def test_matches_from_graphs_diff(self):
-        records = random_trace(7)
-        sequence = GraphSequence.from_sliding_records(records, num_windows=6)
-        for i, delta in enumerate(sequence.deltas):
-            reference = WindowDelta.from_graphs(sequence[i], sequence[i + 1])
-            assert set(delta.changes) == set(reference.changes)
-            assert delta.added_nodes == reference.added_nodes
-            assert delta.removed_nodes == reference.removed_nodes
+    def test_reordered_out_row_reports_equal_weight_changes(self):
+        # Same weights, reversed row: TT's row sum runs in the other order.
+        old = CommGraph([("a", "x", 0.1), ("a", "y", 0.2), ("a", "z", 0.3)])
+        new = CommGraph([("a", "z", 0.3), ("a", "y", 0.2), ("a", "x", 0.1)])
+        delta = WindowDelta.from_graphs(old, new)
+        assert delta.changes
+        assert delta.sources() == {"a"}
+        assert all(change.old_weight == change.new_weight for change in delta.changes)
+        # x, y and z also moved among V (a first, then its row).
+        assert delta.moved_nodes and delta.moved_nodes <= {"x", "y", "z"}
+
+    def test_reordered_in_row_reports_equal_weight_changes(self):
+        old = CommGraph([("x", "a", 0.1), ("y", "a", 0.2), ("z", "a", 0.3)])
+        new = CommGraph([("z", "a", 0.3), ("y", "a", 0.2), ("x", "a", 0.1)])
+        delta = WindowDelta.from_graphs(old, new)
+        assert delta.destinations() == {"a"}
+        assert all(change.old_weight == change.new_weight for change in delta.changes)
+
+    def test_one_far_move_reports_one_node(self):
+        old = CommGraph()
+        for node in "abcdef":
+            old.add_node(node)
+        new = CommGraph()
+        for node in "fabcde":
+            new.add_node(node)
+        assert WindowDelta.from_graphs(old, new).moved_nodes == {"f"}
 
 
 class TestSlidingEqualsStateless:
@@ -160,10 +206,13 @@ class TestSlidingEqualsStateless:
             ]
             reference = aggregate_records(window_records)
             live = aggregator.graph
-            assert set(live.nodes()) == set(reference.nodes())
+            assert live.nodes() == reference.nodes()
             for node in reference.nodes():
-                assert dict(live.out_neighbors(node)) == dict(
-                    reference.out_neighbors(node)
+                assert list(live.out_neighbors(node).items()) == list(
+                    reference.out_neighbors(node).items()
+                )
+                assert list(live.in_neighbors(node).items()) == list(
+                    reference.in_neighbors(node).items()
                 )
 
     def test_bipartite_sliding(self):
@@ -186,13 +235,11 @@ class TestSlidingEqualsStateless:
         stateless = split_records_into_windows(records, num_windows=4, bipartite=True)
         for fresh, slid in zip(stateless, sliding):
             assert isinstance(slid, BipartiteGraph)
-            # Surviving nodes keep their original insertion positions in
-            # the maintained graph, so compare partitions as sets.
-            assert set(slid.left_nodes) == set(fresh.left_nodes)
-            assert set(slid.right_nodes) == set(fresh.right_nodes)
+            assert slid.left_nodes == fresh.left_nodes
+            assert slid.right_nodes == fresh.right_nodes
             for node in fresh.nodes():
-                assert dict(slid.out_neighbors(node)) == dict(
-                    fresh.out_neighbors(node)
+                assert list(slid.out_neighbors(node).items()) == list(
+                    fresh.out_neighbors(node).items()
                 )
 
 

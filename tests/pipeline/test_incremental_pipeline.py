@@ -95,13 +95,14 @@ class TestEquivalence:
         assert all(report.mode == MODE_EXACT for report in inc.report.windows)
 
     def test_rwr_matches_full_engine_topk(self, trace, tmp_path):
-        # Matrix RWR reduces over the graph's node order; the maintained
-        # sliding graph orders surviving nodes differently from fresh
-        # aggregation, so cross-engine weights agree only to float
-        # round-off (~1e-16) and near-ties may reorder.  The incremental
-        # contract proper (same graph, delta vs full) is exercised in
-        # tests/core/test_incremental.py; within-engine byte-identity
-        # across resume is covered by TestResume below.
+        # Both engines build the same window graphs, but the full engine
+        # walks one query at a time and the incremental engine runs the
+        # batched walk, whose sums group differently: cross-engine weights
+        # agree only to float round-off (~1e-16) and near-ties may
+        # reorder.  The incremental contract proper (same graph, delta vs
+        # full) is exercised in tests/core/test_incremental.py and
+        # tests/core/test_delta_chain_reorders.py; within-engine
+        # byte-identity across resume is covered by TestResume below.
         params = {"max_hops": 3}
         full = make_pipeline(
             trace, tmp_path / "full", scheme="rwr", incremental=False, **params

@@ -14,9 +14,9 @@ window.  Segments must be SHA-256-equal to the model's, signatures equal,
 and the sketch tier's Count-Min, SpaceSaving and Flajolet-Martin state
 identical.
 
-With more than one bucket per window, the live graph keeps surviving rows
-in place while fresh aggregation rebuilds them, and a row's float sum
-depends on its order; those windows draw dyadic weights, whose sums do not.
+Weights include non-dyadic values and 1e16 at every ``window_buckets``:
+the shards' window graphs are fresh aggregation of the retained buckets,
+row order included, so order-sensitive float sums agree too.
 """
 
 import hashlib
@@ -40,7 +40,7 @@ from repro.streaming.stream_schemes import streaming_builder
 
 NUM_SHARDS = 3
 LABELS = ["h0", "h1", "hôte-ü", "节点-7", "emoji-🛰", "ключ"]
-DYADIC = [0.0, 0.5, 1.0, 2.0, 3.0]
+WEIGHTS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1e16]
 
 
 class ScriptedFaults(ShardFaultInjector):
@@ -62,19 +62,18 @@ class ScriptedFaults(ShardFaultInjector):
 def scenarios(draw):
     window_buckets = draw(st.integers(1, 3))
     window_records = draw(st.integers(4, 14))
-    weights = DYADIC + ([0.1, 0.2, 0.3, 1e16] if window_buckets == 1 else [])
     row = st.tuples(
         st.integers(0, 5),
         st.sampled_from(LABELS),
         st.sampled_from(LABELS),
-        st.sampled_from(weights),
+        st.sampled_from(WEIGHTS),
         st.booleans(),  # send the row as an object instead of a list
     )
     # A post's rows, then more records on its first row's edge: an edge
     # summed from several weights in an order-sensitive way.
     post = st.tuples(
         st.lists(row, min_size=1, max_size=2 * window_records),
-        st.lists(st.sampled_from(weights), max_size=3),
+        st.lists(st.sampled_from(WEIGHTS), max_size=3),
     )
     step = st.one_of(
         st.tuples(st.just("post"), post),

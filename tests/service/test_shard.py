@@ -1,9 +1,14 @@
 """Shard engine: apply, checkpointing, rebuild byte-identity; sketch tier."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CheckpointError
 from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.stream import EdgeRecord
 from repro.service import ServiceConfig, ShardEngine, SketchTier
 from repro.service.chaos import corrupt_checkpoint
 
@@ -173,6 +178,71 @@ class TestRebuild:
         )
         rebuilt.rebuild(buckets)
         self.assert_identical(rebuilt, reference)
+
+
+def graph_state(graph):
+    """Node order, row orders, weight bits and counts."""
+
+    def bits(value):
+        return struct.pack("<d", value)
+
+    return (
+        graph.nodes(),
+        [[(d, bits(w)) for d, w in graph.out_neighbors(n).items()] for n in graph],
+        [[(s, bits(w)) for s, w in graph.in_neighbors(n).items()] for n in graph],
+        bits(graph.total_weight),
+        graph.num_edges,
+    )
+
+
+class TestRebuildFromLastBuckets:
+    """A window's graph depends only on its own buckets, so an engine
+    rebuilt from the last ``window_buckets`` of them is the long-running
+    engine: same graph, orders and bits included, and same signatures."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.sampled_from(["tt", "ut", "it"]),
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from("abcd"),
+                    st.sampled_from("abcd"),
+                    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1e16]),
+                ),
+                max_size=10,
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+    )
+    def test_matches_long_running_engine(self, window_buckets, scheme, rows):
+        config = ServiceConfig(
+            num_shards=1,
+            window_records=10,
+            window_buckets=window_buckets,
+            queue_capacity=100,
+            scheme=scheme,
+            k=3,
+        )
+        labels = LabelTable()
+        buckets = [
+            RecordBatch.from_records(
+                [EdgeRecord(float(i), src, dst, w) for i, (src, dst, w) in enumerate(bucket)],
+                labels,
+            )
+            for bucket in rows
+        ]
+        long_running = ShardEngine(0, config, labels=labels)
+        for bucket in buckets:
+            long_running.apply(bucket)
+        tail = buckets[-window_buckets:]
+        rebuilt = ShardEngine(0, config, labels=labels)
+        rebuilt.rebuild(tail, base_window=len(buckets) - len(tail) - 1)
+        assert rebuilt.window == long_running.window
+        assert graph_state(rebuilt.aggregator.graph) == graph_state(long_running.aggregator.graph)
+        assert rebuilt.signatures == long_running.signatures
 
 
 class TestSketchTier:
