@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Tuple
 
+import numpy as np
+
 from repro.exceptions import SchemeError
 
 #: A novelty scaling: (edge_weight, in_degree_of_dst, num_nodes) -> scaled weight.
@@ -57,6 +59,33 @@ _SCALINGS: Dict[str, ScalingFunction] = {
     "tfidf": tfidf,
     "sqrt": sqrt_indegree,
 }
+
+
+def _tfidf_columns(weights: np.ndarray, in_degrees: np.ndarray, num_nodes: int) -> np.ndarray:
+    # math.log once per distinct in-degree: np.log may round differently.
+    distinct, index = np.unique(in_degrees, return_inverse=True)
+    logs = [
+        math.log(num_nodes / degree) if num_nodes / degree > 1.0 else 0.0
+        for degree in distinct.tolist()
+    ]
+    factors = np.array(logs, dtype=np.float64)[index]
+    return np.where(factors > 0, weights * factors, 0.0)
+
+
+_COLUMN_SCALINGS = {
+    "inverse": lambda weights, in_degrees, num_nodes: weights / in_degrees,
+    "sqrt": lambda weights, in_degrees, num_nodes: weights / np.sqrt(in_degrees),
+    "tfidf": _tfidf_columns,
+}
+
+
+def scale_columns(
+    name: str, weights: np.ndarray, in_degrees: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """The scaling ``name`` of every ``(weight, in_degree)`` pair, bit for
+    bit the scalar function's value; ``in_degrees`` are positive (each
+    weighs an out-row entry, whose destination it counts)."""
+    return _COLUMN_SCALINGS[name](weights, in_degrees.astype(np.float64), num_nodes)
 
 
 def available_scalings() -> Tuple[str, ...]:

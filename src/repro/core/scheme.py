@@ -12,14 +12,16 @@ them from strings such as ``"tt"`` or ``"rwr"``.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
+
+import numpy as np
 
 from repro import obs
 from repro.core.execution import ComputeEngine
 from repro.core.signature import Signature
 from repro.exceptions import SchemeError, UnknownSchemeError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, RowsCsr
 from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
 
@@ -162,6 +164,46 @@ class SignatureScheme(abc.ABC):
         """
         return {node: self.compute(graph, node) for node in targets}
 
+    def _compute_rows(
+        self,
+        graph: CommGraph,
+        targets: List[NodeId],
+        relevance: Callable[[RowEntries], np.ndarray],
+    ) -> Dict[NodeId, Signature]:
+        """:meth:`_compute_batch` of a one-hop scheme whose relevance of
+        ``(owner, u)`` reads the out-row entry ``C[owner, u]``.
+
+        ``relevance`` gives every gathered entry's relevance (self-loops
+        and non-candidates at or below zero).  Each row's positive entries
+        at or above its k-th largest pass, in row order, to
+        :meth:`Signature.from_relevance`, whose tie-break then picks what
+        per-node :meth:`compute` picks.  The bipartite restriction is
+        skipped: an out-row only holds ``V2`` nodes.
+        """
+        rows = graph.out_rows()
+        entries = RowEntries(rows, graph.row_positions(targets))
+        with np.errstate(all="ignore"):
+            weights = relevance(entries)
+        candidates = np.flatnonzero(weights > 0)
+        owner = entries.owner[candidates]
+        weight = weights[candidates]
+        counts = np.bincount(owner, minlength=len(targets))
+        kth = np.zeros(len(targets))
+        over = np.flatnonzero(counts > self.k)
+        if len(over):
+            ranked = np.lexsort((-weight, owner))
+            kth[over] = weight[ranked[np.cumsum(counts)[over] - counts[over] + self.k - 1]]
+        keep = candidates[weight >= kth[owner]]
+        labels = graph.row_labels(rows, entries.index[keep])
+        kept = weights[keep].tolist()
+        bounds = np.searchsorted(entries.owner[keep], np.arange(len(targets) + 1)).tolist()
+        return {
+            node: Signature.from_relevance(
+                node, dict(zip(labels[lo:hi], kept[lo:hi])), self.k
+            )
+            for node, lo, hi in zip(targets, bounds, bounds[1:])
+        }
+
     def dirty_nodes(
         self, graph: CommGraph, delta: WindowDelta
     ) -> Optional[Set[NodeId]]:
@@ -207,6 +249,40 @@ class SignatureScheme(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.describe()}>"
+
+
+class RowEntries:
+    """The out-row entries of a batch's targets, one row after another.
+
+    ``positions`` holds each target's row (``-1``: not in the graph, an
+    empty row); ``index`` is each entry's place in ``rows``, ``owner`` the
+    target it belongs to, and ``lengths`` each target's entry count.
+    """
+
+    def __init__(self, rows: RowsCsr, positions: np.ndarray) -> None:
+        present = positions >= 0
+        starts = np.where(present, rows.indptr[positions], 0)
+        lengths = np.where(present, rows.indptr[positions + 1] - starts, 0)
+        offsets = np.cumsum(lengths) - lengths
+        self.rows = rows
+        self.positions = positions
+        self.lengths = lengths
+        self.owner = np.repeat(np.arange(len(positions)), lengths)
+        self.index = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+
+    @property
+    def data(self) -> np.ndarray:
+        """Each entry's weight ``C[owner, u]``."""
+        return self.rows.data[self.index]
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Each entry's neighbour position."""
+        return self.rows.cols[self.index]
+
+    def own(self) -> np.ndarray:
+        """Mask of the self-loop entries ``(owner, owner)``."""
+        return self.cols == self.positions[self.owner]
 
 
 # ----------------------------------------------------------------------

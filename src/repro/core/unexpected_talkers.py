@@ -14,10 +14,13 @@ little sensitivity to this choice, which our ablation bench verifies.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
-from repro.core.relevance import get_scaling
-from repro.core.scheme import SignatureScheme, register_scheme
+import numpy as np
+
+from repro.core.relevance import get_scaling, scale_columns
+from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
+from repro.core.signature import Signature
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
@@ -53,6 +56,19 @@ class UnexpectedTalkers(SignatureScheme):
                 vector[dst] = scaled
         return vector
 
+    def _compute_batch(
+        self, graph: CommGraph, targets: List[NodeId]
+    ) -> Dict[NodeId, Signature]:
+        in_degrees, num_nodes = np.diff(graph.in_rows().indptr), graph.num_nodes
+
+        def scaled(entries: RowEntries):
+            cols = entries.cols
+            weights = scale_columns(self.scaling_name, entries.data, in_degrees[cols], num_nodes)
+            weights[entries.own()] = 0.0
+            return weights
+
+        return self._compute_rows(graph, targets, scaled)
+
     def describe(self) -> str:
         return f"{self.name}(k={self.k}, scaling={self.scaling_name})"
 
@@ -72,7 +88,8 @@ class UnexpectedTalkers(SignatureScheme):
         if delta.has_node_churn and self.scaling_name not in _SIZE_INDEPENDENT_SCALINGS:
             return None
         dirty = delta.sources() | delta.churned_nodes()
-        for change in delta.structural_changes():
-            if change.dst in graph:
-                dirty.update(graph.in_neighbors(change.dst))
+        rows = graph.in_rows()
+        destinations = {change.dst for change in delta.structural_changes()}
+        entries = RowEntries(rows, graph.row_positions(destinations))
+        dirty.update(graph.row_labels(rows, entries.index))
         return dirty

@@ -66,6 +66,12 @@ class LabelTable:
         """The labels of ``ids``, in order."""
         return list(map(self._labels.__getitem__, ids.tolist()))
 
+    def ids_of(self, labels: Iterable[Hashable]) -> np.ndarray:
+        """The ids of ``labels`` (int64, in order), ``-1`` for a label not
+        in the table; adds nothing."""
+        get = self._ids.get
+        return np.array([get(label, -1) for label in labels], dtype=np.int64)
+
     def intern(self, labels: Iterable[Hashable]) -> np.ndarray:
         """The ids of ``labels`` (int32, in order), adding new labels."""
         if not isinstance(labels, (list, tuple)):

@@ -26,6 +26,8 @@ class BipartiteGraph(CommGraph):
     nodes keep their side.  A node may belong to only one partition.
     """
 
+    _ROW_FIELDS = ("_out", "_in", "_left", "_right")
+
     def __init__(self, edges: Iterable[WeightedEdge] | None = None) -> None:
         self._left: Set[NodeId] = set()
         self._right: Set[NodeId] = set()
@@ -123,6 +125,14 @@ class BipartiteGraph(CommGraph):
         super()._load_aggregated(nodes, edges, weights, total_weight, num_records)
         self._left, self._right = left, right
         return True
+
+    def _load_columns(self) -> None:
+        super()._load_columns()
+        # The sides also hold the endpoints of zero-weight records.
+        columns = self._columns
+        assert columns is not None and columns.sides is not None
+        left, right = map(columns.labels.labels_of, columns.sides)
+        self._left, self._right = set(left), set(right)
 
     def remove_node(self, node: NodeId) -> None:
         super().remove_node(node)

@@ -11,14 +11,118 @@ in/out-neighbour access and repeated conversion to sparse matrices; a
 
 from __future__ import annotations
 
-from typing import Any, Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
 from repro.exceptions import GraphError, NodeNotFoundError
+from repro.graph.batch import LabelTable
 from repro.types import NodeId, Weight, WeightedEdge
+
+
+class RowsCsr(NamedTuple):
+    """Adjacency rows as CSR over a graph's node order: row ``i`` lists
+    node ``i``'s entries in row order, as neighbour positions and weights.
+    ``keys`` holds a dict-row graph's entry keys (the row dicts' own
+    objects), in the same order."""
+
+    indptr: np.ndarray  # int64, one more than the number of nodes
+    cols: np.ndarray  # int64 node positions
+    data: np.ndarray  # float64
+    keys: Optional[List[NodeId]] = None
+
+
+def rows_to_csr(
+    rows: Mapping[NodeId, Mapping[NodeId, float]], position: Mapping[NodeId, int]
+) -> RowsCsr:
+    """``rows`` (a graph's out-rows or in-rows) as CSR over the node order
+    ``position`` gives."""
+    indptr = np.zeros(len(position) + 1, dtype=np.int64)
+    keys: List[NodeId] = []
+    data: List[float] = []
+    for i, node in enumerate(position):
+        row = rows[node]
+        if row:
+            keys.extend(row)
+            data.extend(row.values())
+        indptr[i + 1] = len(keys)
+    cols = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
+    return RowsCsr(indptr, cols, np.asarray(data, dtype=np.float64), keys)
+
+
+def _grouped_csr(
+    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, order: np.ndarray, num_nodes: int
+) -> RowsCsr:
+    """Entries ``(rows[e], cols[e], data[e])`` as CSR, listed in ``order``
+    (a stable sort of ``rows``)."""
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return RowsCsr(indptr, cols[order], data[order])
+
+
+@dataclass(frozen=True, eq=False)
+class WindowColumns:
+    """A window graph as columns over one :class:`LabelTable`.
+
+    ``nodes`` holds label ids in node order.  Edge ``e`` goes from node
+    position ``src[e]`` to ``dst[e]`` with summed weight ``weight[e] > 0``,
+    edges in first-positive-record order; every out-row and in-row lists
+    its entries in this edge order.  ``num_records`` counts the
+    positive-weight records, and ``sides`` holds a bipartite graph's
+    ``(left, right)`` label ids.
+    """
+
+    labels: LabelTable
+    nodes: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    total_weight: float
+    num_records: int
+    sides: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @cached_property
+    def out_order(self) -> np.ndarray:
+        """Edge indices in out-row order (sources in node order)."""
+        return np.argsort(self.src, kind="stable")
+
+    @cached_property
+    def out_rows(self) -> RowsCsr:
+        return _grouped_csr(self.src, self.dst, self.weight, self.out_order, len(self.nodes))
+
+    @cached_property
+    def in_rows(self) -> RowsCsr:
+        order = np.argsort(self.dst, kind="stable")
+        return _grouped_csr(self.dst, self.src, self.weight, order, len(self.nodes))
+
+    @cached_property
+    def _node_sorter(self) -> np.ndarray:
+        return np.argsort(self.nodes)
+
+    def positions(self, labels: Iterable[NodeId]) -> np.ndarray:
+        """Node position of each label, ``-1`` for one not in the graph."""
+        ids = self.labels.ids_of(labels)
+        if not len(self.nodes):
+            return np.full(len(ids), -1, dtype=np.int64)
+        sorter = self._node_sorter
+        at = sorter[np.searchsorted(self.nodes, ids, sorter=sorter).clip(max=len(sorter) - 1)]
+        return np.where(self.nodes[at] == ids, at, -1)
 
 
 class CommGraph:
@@ -34,7 +138,12 @@ class CommGraph:
     window.
     """
 
+    #: Attributes a column-backed graph writes on first use.
+    _ROW_FIELDS: Tuple[str, ...] = ("_out", "_in")
+
     def __init__(self, edges: Iterable[WeightedEdge] | None = None) -> None:
+        #: The columns this graph equals, or ``None``; any mutation drops them.
+        self._columns: Optional[WindowColumns] = None
         self._out: Dict[NodeId, Dict[NodeId, Weight]] = {}
         self._in: Dict[NodeId, Dict[NodeId, Weight]] = {}
         self._num_edges = 0
@@ -60,6 +169,47 @@ class CommGraph:
 
     def _bump_version(self) -> None:
         self._version += 1
+        self._columns = None
+
+    @classmethod
+    def _from_columns(cls, columns: WindowColumns) -> "CommGraph":
+        """The graph of ``columns``: what :meth:`_load_aggregated` of them
+        writes, which it does on first use of the dict rows."""
+        graph = cls.__new__(cls)
+        graph._columns = columns
+        graph._num_edges = len(columns.weight)
+        graph._total_weight = columns.total_weight
+        graph._version = len(columns.nodes) + columns.num_records
+        graph._cache = {}
+        graph._cache_stats = {}
+        return graph
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute not set: the rows of a
+        # column-backed graph.
+        if name in self._ROW_FIELDS and self.__dict__.get("_columns") is not None:
+            self.versioned_cache("rows", self._load_columns)
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _load_columns(self) -> None:
+        columns = self._columns
+        assert columns is not None
+        nodes = columns.labels.labels_of(columns.nodes)
+        label = nodes.__getitem__
+        self._load_aggregated(
+            nodes,
+            list(zip(map(label, columns.src.tolist()), map(label, columns.dst.tolist()))),
+            columns.weight.tolist(),
+            columns.total_weight,
+            columns.num_records,
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The label table does not pickle: a copy carries dict rows.
+        if self._columns is not None:
+            self._out  # noqa: B018 - writes the rows
+        return {**self.__dict__, "_columns": None}
 
     def versioned_cache(self, key: str, build: Callable[[], Any]) -> Any:
         """Return ``build()`` memoised against the current :attr:`version`.
@@ -80,6 +230,18 @@ class CommGraph:
         value = build()
         self._cache[key] = (self._version, value)
         return value
+
+    def _memo(self, key: str, build: Callable[[], Any]) -> Any:
+        """:meth:`versioned_cache` without the hit/miss counters.
+
+        For the CSR rows of a dict-row graph: batch kernels look them up
+        once per batch, so counting would make the counters follow how a
+        batch was split across workers.
+        """
+        entry = self._cache.get(key)
+        if entry is None or entry[0] != self._version:
+            entry = self._cache[key] = (self._version, build())
+        return entry[1]
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Per-key hit/miss counts of the versioned cache (for tests)."""
@@ -235,14 +397,16 @@ class CommGraph:
         return node in self._out
 
     def __len__(self) -> int:
-        return len(self._out)
+        return self.num_nodes
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._out)
+        return iter(self.nodes())
 
     @property
     def num_nodes(self) -> int:
         """``|V|``: number of nodes (including isolated ones)."""
+        if self._columns is not None:
+            return len(self._columns.nodes)
         return len(self._out)
 
     @property
@@ -257,6 +421,8 @@ class CommGraph:
 
     def nodes(self) -> List[NodeId]:
         """All node labels, in insertion order."""
+        if self._columns is not None:
+            return self._columns.labels.labels_of(self._columns.nodes)
         return list(self._out)
 
     def edges(self) -> Iterator[WeightedEdge]:
@@ -306,10 +472,51 @@ class CommGraph:
     def senders(self) -> List[NodeId]:
         """Nodes with positive total outgoing volume, in insertion order.
 
-        The signature owners of a window; visits only nodes that have
-        out-edges, so it costs the senders, not all of ``V``.
+        The signature owners of a window.  A column-backed graph reads
+        them off its edge sources; dict rows cost a walk over every
+        node's row.
         """
+        columns = self._columns
+        if columns is not None:
+            # Every edge weighs more than 0, so a source sends.
+            return columns.labels.labels_of(columns.nodes[np.unique(columns.src)])
         return [node for node, row in self._out.items() if row and sum(row.values()) > 0]
+
+    # ------------------------------------------------------------------
+    # CSR rows (the batch kernels' and the window diff's input)
+    # ------------------------------------------------------------------
+    def out_rows(self) -> RowsCsr:
+        """The out-rows as CSR over the node order, built once per
+        :attr:`version` (callers must not mutate it)."""
+        if self._columns is not None:
+            return self._columns.out_rows
+        return self._memo("out_rows", lambda: rows_to_csr(self._out, self._row_index()))
+
+    def in_rows(self) -> RowsCsr:
+        """The in-rows as CSR over the node order, as :meth:`out_rows`."""
+        if self._columns is not None:
+            return self._columns.in_rows
+        return self._memo("in_rows", lambda: rows_to_csr(self._in, self._row_index()))
+
+    def row_positions(self, nodes: Iterable[NodeId]) -> np.ndarray:
+        """The CSR row of each of ``nodes`` (int64), ``-1`` for a node not
+        in the graph."""
+        if self._columns is not None:
+            return self._columns.positions(nodes)
+        get = self._row_index().get
+        return np.array([get(node, -1) for node in nodes], dtype=np.int64)
+
+    def _row_index(self) -> Dict[NodeId, int]:
+        return self._memo("row_index", lambda: dict(zip(self._out, range(len(self._out)))))
+
+    def row_labels(self, rows: RowsCsr, entries: np.ndarray) -> List[NodeId]:
+        """The neighbour labels of the entries at ``entries`` of ``rows``
+        (this graph's :meth:`out_rows` or :meth:`in_rows`)."""
+        if rows.keys is not None:
+            return list(map(rows.keys.__getitem__, entries.tolist()))
+        columns = self._columns
+        assert columns is not None
+        return columns.labels.labels_of(columns.nodes[rows.cols[entries]])
 
     def edge_weights(self) -> List[Weight]:
         """All edge weights as a list (the paper's global weight distribution)."""

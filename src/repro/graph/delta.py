@@ -15,15 +15,21 @@ over adjacency rows (and matrix walks over node positions) in order: an
 edge kept at the same weight in an out-row or in-row whose order changed
 gets an equal-weight change, and :attr:`WindowDelta.moved_nodes` names
 nodes whose order among the surviving nodes changed.
+
+The diff runs over edge-key arrays (``src id << 32 | dst id`` over one
+:class:`~repro.graph.batch.LabelTable`) and keeps its changes as columns;
+the :class:`EdgeChange` objects are built when :attr:`WindowDelta.changes`
+is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.graph.batch import LabelTable
 from repro.types import NodeId, Weight
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,31 +67,91 @@ class EdgeChange:
         return self.old_weight == 0 or self.new_weight == 0
 
 
-def _moved(old: Collection[NodeId], new: Collection[NodeId]) -> Set[NodeId]:
-    """Members of both orders whose place among the common members moved.
+class _Edges(NamedTuple):
+    """A graph's edges in out-row order (sources in node order), over a
+    label table: node ids in node order, each edge's end ids and weight,
+    and its rank in its in-row (increasing along every in-row)."""
 
-    ``old`` and ``new`` hold distinct keys in order (a graph's nodes, a
-    row's entries).  The result holds at least one member of every pair
-    the two orders put differently, and is empty when they agree.  Either
-    the members ranked below some earlier member or those ranked above
-    some later one qualify; the smaller set is returned, so one member
-    moving far costs one entry.
+    nodes: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    in_rank: np.ndarray
+
+
+def _edges_of(graph: "CommGraph", table: LabelTable) -> _Edges:
+    out = graph.out_rows()
+    num_nodes = len(out.indptr) - 1
+    row = np.repeat(np.arange(num_nodes), np.diff(out.indptr))
+    columns = graph._columns
+    if columns is not None and columns.labels is table:
+        nodes = columns.nodes.astype(np.int64)
+    else:
+        nodes = table.intern(graph.nodes()).astype(np.int64)
+    if columns is not None:
+        # A window's rows are restrictions of its one edge order.
+        in_rank = columns.out_order
+    else:
+        into = graph.in_rows()
+        in_keys = into.cols * num_nodes + np.repeat(np.arange(num_nodes), np.diff(into.indptr))
+        in_rank = _find(in_keys, row * num_nodes + out.cols)
+    return _Edges(nodes, nodes[row], nodes[out.cols], out.data, in_rank)
+
+
+def _pair_table(old: "CommGraph", new: "CommGraph") -> LabelTable:
+    """The label table both graphs' columns share, when each is column-backed
+    over it or has no nodes; otherwise a fresh one to intern both into."""
+    tables = {graph._columns.labels for graph in (old, new) if graph._columns is not None}
+    if len(tables) == 1 and all(
+        graph._columns is not None or not graph.num_nodes for graph in (old, new)
+    ):
+        return tables.pop()
+    return LabelTable()
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each of ``queries`` in ``keys`` (distinct), ``-1`` if absent."""
+    if not len(keys):
+        return np.full(len(queries), -1, dtype=np.int64)
+    sorter = np.argsort(keys)
+    at = sorter[np.searchsorted(keys, queries, sorter=sorter).clip(max=len(keys) - 1)]
+    return np.where(keys[at] == queries, at, -1)
+
+
+def _moved(group: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Mask of the members whose place among a row's common members moved.
+
+    ``ranks`` are the old ranks of each row's common members, in new
+    order; rows are contiguous, and ``group`` tells neighbouring rows
+    apart.  In every row the picked members include at least one of each
+    pair the two orders put differently, and none when they agree.
+    Either the members ranked below some earlier member or those ranked
+    above some later one qualify; the smaller set is picked, so one member
+    moving far costs one entry.  Offsetting each row's ranks above the
+    rows before it makes one running max and one running min serve every
+    row at once.
     """
-    if len(old) < 2 or len(new) < 2:
-        return set()
-    kept_old = [key for key in old if key in new]
-    kept_new = [key for key in new if key in old]
-    if kept_old == kept_new:
-        return set()
-    rank = dict(zip(kept_old, range(len(kept_old))))
-    ranks = np.fromiter(map(rank.__getitem__, kept_new), dtype=np.intp, count=len(kept_new))
-    below = ranks < np.maximum.accumulate(ranks)
-    above = ranks > np.minimum.accumulate(ranks[::-1])[::-1]
-    pick = below if below.sum() <= above.sum() else above
-    return {kept_new[index] for index in np.flatnonzero(pick).tolist()}
+    if len(ranks) < 2:
+        return np.zeros(len(ranks), dtype=bool)
+    starts = np.empty(len(group), dtype=bool)
+    starts[0] = True
+    np.not_equal(group[1:], group[:-1], out=starts[1:])
+    row = np.cumsum(starts) - 1
+    keyed = row * (int(ranks.max()) + 1) + ranks
+    below = keyed < np.maximum.accumulate(keyed)
+    above = keyed > np.minimum.accumulate(keyed[::-1])[::-1]
+    pick_below = np.bincount(row, weights=below) <= np.bincount(row, weights=above)
+    return np.where(pick_below[row], below, above)
 
 
-@dataclass(frozen=True)
+class _ChangeColumns(NamedTuple):
+    labels: LabelTable
+    src: np.ndarray
+    dst: np.ndarray
+    old_weight: np.ndarray
+    new_weight: np.ndarray
+
+
 class WindowDelta:
     """The difference ``G_t -> G_{t+1}`` between two window graphs.
 
@@ -95,21 +161,68 @@ class WindowDelta:
     may churn without any weighted edge changing, e.g. endpoints of
     zero-weight records), and ``moved_nodes`` the surviving nodes whose
     order among the survivors changed.  An empty delta means the graphs
-    are identical, orders included.
+    are identical, orders included.  Deltas compare equal when all four
+    are equal.
     """
 
-    changes: Tuple[EdgeChange, ...] = ()
-    added_nodes: FrozenSet[NodeId] = frozenset()
-    removed_nodes: FrozenSet[NodeId] = frozenset()
-    moved_nodes: FrozenSet[NodeId] = frozenset()
+    def __init__(
+        self,
+        changes: Iterable[EdgeChange] = (),
+        added_nodes: Iterable[NodeId] = frozenset(),
+        removed_nodes: Iterable[NodeId] = frozenset(),
+        moved_nodes: Iterable[NodeId] = frozenset(),
+    ) -> None:
+        self._changes: Optional[Tuple[EdgeChange, ...]] = tuple(changes)
+        self._columns: Optional[_ChangeColumns] = None
+        self.added_nodes = frozenset(added_nodes)
+        self.removed_nodes = frozenset(removed_nodes)
+        self.moved_nodes = frozenset(moved_nodes)
+
+    @property
+    def changes(self) -> Tuple[EdgeChange, ...]:
+        if self._changes is None:
+            self._changes = self._edge_changes(slice(None))
+        return self._changes
+
+    def _edge_changes(self, index) -> Tuple[EdgeChange, ...]:
+        columns = self._columns
+        assert columns is not None
+        return tuple(
+            map(
+                EdgeChange,
+                columns.labels.labels_of(columns.src[index]),
+                columns.labels.labels_of(columns.dst[index]),
+                columns.old_weight[index].tolist(),
+                columns.new_weight[index].tolist(),
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self.changes)
+        if self._changes is None:
+            return len(self._columns.src)
+        return len(self._changes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WindowDelta):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return (self.changes, self.added_nodes, self.removed_nodes, self.moved_nodes)
+
+    def __repr__(self) -> str:
+        return (
+            f"WindowDelta(changes={self.changes!r}, added_nodes={self.added_nodes!r}, "
+            f"removed_nodes={self.removed_nodes!r}, moved_nodes={self.moved_nodes!r})"
+        )
 
     @property
     def is_empty(self) -> bool:
         return (
-            not self.changes
+            not len(self)
             and not self.added_nodes
             and not self.removed_nodes
             and not self.moved_nodes
@@ -119,13 +232,19 @@ class WindowDelta:
     def has_node_churn(self) -> bool:
         return bool(self.added_nodes or self.removed_nodes)
 
+    def _ends(self, end: str) -> Set[NodeId]:
+        if self._changes is None:
+            columns = self._columns
+            return set(columns.labels.labels_of(np.unique(getattr(columns, end))))
+        return {getattr(change, end) for change in self._changes}
+
     def sources(self) -> Set[NodeId]:
         """Sources of changed edges (the nodes whose out-view changed)."""
-        return {change.src for change in self.changes}
+        return self._ends("src")
 
     def destinations(self) -> Set[NodeId]:
         """Destinations of changed edges (the nodes whose in-view changed)."""
-        return {change.dst for change in self.changes}
+        return self._ends("dst")
 
     def endpoints(self) -> Set[NodeId]:
         """Every node incident to a changed edge."""
@@ -133,9 +252,14 @@ class WindowDelta:
 
     def structural_changes(self) -> Iterable[EdgeChange]:
         """Changes that added or removed an edge (degree-affecting)."""
-        return (change for change in self.changes if change.structural)
+        if self._changes is None:
+            columns = self._columns
+            return self._edge_changes(
+                np.flatnonzero((columns.old_weight == 0) | (columns.new_weight == 0))
+            )
+        return (change for change in self._changes if change.structural)
 
-    def churned_nodes(self) -> FrozenSet[NodeId]:
+    def churned_nodes(self) -> frozenset:
         """Nodes that entered or left ``V`` across the transition."""
         return self.added_nodes | self.removed_nodes
 
@@ -145,31 +269,44 @@ class WindowDelta:
 
         Change order is deterministic: old-graph edge order first
         (removed, reweighted or moved), then new-graph order for added
-        edges.
+        edges; edge order is out-row order, sources in node order.
         """
-        # The rows themselves: the diff belongs to the graph package.
-        old_out, new_out, new_in = old._out, new._out, new._in
-        empty: Dict[NodeId, float] = {}
-        moved_in = set()
-        for node, row in old._in.items():
-            for src in _moved(row, new_in.get(node, empty)):
-                moved_in.add((src, node))
-        changes = []
-        for src, row in old_out.items():
-            new_row = new_out.get(src, empty)
-            moved_out = _moved(row, new_row)
-            for dst, old_weight in row.items():
-                new_weight = new_row.get(dst, 0.0)
-                if new_weight != old_weight or dst in moved_out or (src, dst) in moved_in:
-                    changes.append(EdgeChange(src, dst, old_weight, new_weight))
-        for src, new_row in new_out.items():
-            row = old_out.get(src, empty)
-            for dst, new_weight in new_row.items():
-                if dst not in row:
-                    changes.append(EdgeChange(src, dst, 0.0, new_weight))
-        return cls(
-            changes=tuple(changes),
-            added_nodes=frozenset(new_out.keys() - old_out.keys()),
-            removed_nodes=frozenset(old_out.keys() - new_out.keys()),
-            moved_nodes=frozenset(_moved(old_out, new_out)),
+        table = _pair_table(old, new)
+        a, b = _edges_of(old, table), _edges_of(new, table)
+        old_at = _find((b.src << 32) | b.dst, (a.src << 32) | a.dst)
+        kept = np.flatnonzero(old_at >= 0)
+        new_weight = np.zeros(len(a.weight))
+        new_weight[kept] = b.weight[old_at[kept]]
+        new_at = np.full(len(b.weight), -1, dtype=np.int64)
+        new_at[old_at[kept]] = kept
+        # The kept edges in new out-row order, by their old index: each
+        # out-row's old order is its old indices' order.
+        common = np.flatnonzero(new_at >= 0)
+        olds = new_at[common]
+        changed = new_weight != a.weight
+        changed[olds[_moved(b.src[common], olds)]] = True
+        order = np.lexsort((b.in_rank[common], b.dst[common]))
+        olds = olds[order]
+        changed[olds[_moved(b.dst[common][order], a.in_rank[olds])]] = True
+        picked, added = np.flatnonzero(changed), np.flatnonzero(new_at < 0)
+        delta = cls(
+            added_nodes=table.labels_of(b.nodes[~np.isin(b.nodes, a.nodes)]),
+            removed_nodes=table.labels_of(a.nodes[~np.isin(a.nodes, b.nodes)]),
+            moved_nodes=table.labels_of(_moved_nodes(a.nodes, b.nodes)),
         )
+        delta._changes = None
+        delta._columns = _ChangeColumns(
+            table,
+            np.concatenate([a.src[picked], b.src[added]]),
+            np.concatenate([a.dst[picked], b.dst[added]]),
+            np.concatenate([a.weight[picked], np.zeros(len(added))]),
+            np.concatenate([new_weight[picked], b.weight[added]]),
+        )
+        return delta
+
+
+def _moved_nodes(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The ids among ``new`` whose place among the common ids moved."""
+    common = new[np.isin(new, old)]
+    ranks = _find(old, common)
+    return common[_moved(np.zeros(len(common), dtype=np.int8), ranks)]

@@ -32,7 +32,7 @@ from repro.exceptions import GraphError
 from repro.graph.batch import LabelTable, RecordBatch, first_occurrence
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, WindowColumns
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
 from repro.types import NodeId
@@ -283,7 +283,8 @@ class SlidingWindowAggregator:
     :attr:`labels` (pass one ``LabelTable`` to share it).  :meth:`advance`
     pushes the next bucket, drops the oldest, builds the window's graph
     afresh from the retained buckets' columns and diffs it against the
-    last one.
+    last one.  The graph is backed by its :class:`WindowColumns`; its
+    dict rows are written on first use.
 
     Exactness contract, at every ``window_buckets``: :attr:`graph` is
     identical to ``aggregate_records`` of the retained records in bucket
@@ -334,40 +335,51 @@ class SlidingWindowAggregator:
         return delta
 
     def _build(self, window: RecordBatch) -> CommGraph:
-        """The graph ``add_edge`` once per record of ``window`` builds.
+        """The graph ``add_edge`` once per record of ``window`` builds,
+        backed by the window's columns (see :class:`WindowColumns`).
 
         Nodes come in first-occurrence order (source before destination)
         and edges in first-positive-record order, the order ``add_edge``
-        inserts them in; edges of zero-weight records only follow.
-        ``np.add.at`` adds unbuffered in record order, so every edge total
-        is bitwise the sequential ``+=`` of the per-record loop, and the
-        running ``np.cumsum`` is its ``total_weight`` (``+ 0.0`` turns an
-        all-zero ``-0.0`` sum into the loop's ``0.0``).
+        inserts them in.  ``np.add.at`` adds unbuffered in record order,
+        so every edge total is bitwise the sequential ``+=`` of the
+        per-record loop, and the running ``np.cumsum`` is its
+        ``total_weight`` (``+ 0.0`` turns an all-zero ``-0.0`` sum into
+        the loop's ``0.0``).
         """
         src, dst, weight = window.src, window.dst, window.weight
         if not np.all(weight >= 0):
             # A negative or NaN weight: the per-record loop decides.
             return self._build_per_record(window)
+        sides = None
+        if self.bipartite:
+            # add_edge puts every record's src in V1 and dst in V2, even
+            # for a zero weight.
+            sides = np.unique(src), np.unique(dst)
+            if np.intersect1d(*sides).size:
+                # An orientation violation or a self-loop: only the
+                # per-record path knows which record raises, and a lone
+                # self-loop does not.
+                return self._build_per_record(window)
         ends = np.empty(2 * len(window), dtype=np.int32)
         ends[0::2], ends[1::2] = src, dst
-        nodes = first_occurrence(ends)[0]
-        edges, edge_of = np.unique((src.astype(np.int64) << 32) | dst, return_inverse=True)
+        nodes, position = first_occurrence(ends)
+        edges, edge_of = np.unique((position[0::2] << 32) | position[1::2], return_inverse=True)
         totals = np.zeros(len(edges))
         np.add.at(totals, edge_of, weight)
         positive = weight > 0
         rows = first_occurrence(edge_of[positive])[0]
-        order = np.concatenate([rows, np.setdiff1d(np.arange(len(edges)), rows)])
-        keys = edges[order]
-        labels_of = self.labels.labels_of
-        graph = self._empty_graph()
-        loaded = graph._load_aggregated(
-            labels_of(nodes),
-            list(zip(labels_of(keys >> 32), labels_of(keys & _LOW32))),
-            totals[order].tolist(),
-            float(np.cumsum(weight)[-1]) + 0.0 if len(window) else 0.0,
-            int(np.count_nonzero(positive)),
+        keys = edges[rows]
+        columns = WindowColumns(
+            labels=self.labels,
+            nodes=nodes,
+            src=keys >> 32,
+            dst=keys & _LOW32,
+            weight=totals[rows],
+            total_weight=float(np.cumsum(weight)[-1]) + 0.0 if len(window) else 0.0,
+            num_records=int(np.count_nonzero(positive)),
+            sides=sides,
         )
-        return graph if loaded else self._build_per_record(window)
+        return (BipartiteGraph if self.bipartite else CommGraph)._from_columns(columns)
 
     def _build_per_record(self, window: RecordBatch) -> CommGraph:
         """The reference: one ``add_edge`` call per record."""

@@ -57,7 +57,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 from multiprocessing import shared_memory
@@ -313,28 +313,6 @@ def release_manifest(manifest) -> None:
             _REGISTRY.unlink(spec.segment)
 
 
-def _rows_to_csr(
-    rows: Mapping[NodeId, Mapping[NodeId, float]],
-    ordering: Sequence[NodeId],
-    position: Mapping[NodeId, int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    indptr = np.zeros(len(ordering) + 1, dtype=np.int64)
-    cols: List[int] = []
-    data: List[float] = []
-    for i, node in enumerate(ordering):
-        row = rows.get(node)
-        if row:
-            for neighbour, weight in row.items():
-                cols.append(position[neighbour])
-                data.append(weight)
-        indptr[i + 1] = len(cols)
-    return (
-        indptr,
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(data, dtype=np.float64),
-    )
-
-
 def publish_graph(graph: CommGraph) -> GraphManifest:
     """Publish ``graph`` into shared memory and return its manifest.
 
@@ -343,9 +321,8 @@ def publish_graph(graph: CommGraph) -> GraphManifest:
     engine-cached publications); the atexit registry is the backstop.
     """
     ordering = graph.nodes()
-    position = {node: i for i, node in enumerate(ordering)}
-    out_indptr, out_cols, out_data = _rows_to_csr(graph._out, ordering, position)
-    in_indptr, in_cols, in_data = _rows_to_csr(graph._in, ordering, position)
+    out_indptr, out_cols, out_data, _ = graph.out_rows()
+    in_indptr, in_cols, in_data, _ = graph.in_rows()
     is_bipartite = isinstance(graph, BipartiteGraph)
     sides_spec = None
     if is_bipartite:
@@ -400,6 +377,7 @@ def attach_graph(manifest: GraphManifest) -> CommGraph:
     ordering: List[NodeId] = _load_blob(manifest.nodes)  # type: ignore[assignment]
     cls = BipartiteGraph if manifest.bipartite else CommGraph
     graph = cls.__new__(cls)
+    graph._columns = None
     graph._out = _csr_to_rows(
         ordering,
         attach_array(manifest.out_indptr),

@@ -1,7 +1,7 @@
 """The sliding-window bulk writer against the per-record calls.
 
 ``SlidingWindowAggregator.advance`` builds each window graph from the
-retained buckets' columns and writes it through
+retained buckets' columns; reading its dict rows writes them through
 ``CommGraph._load_aggregated``, the writer ``aggregate_records`` uses.  One
 ``add_edge`` call per retained record is the reference (and the fallback
 when the writer declines); both must agree on every order, bit, count and
@@ -153,3 +153,14 @@ class TestAdvanceEqualsPerEdgeCalls:
         aggregator.advance(RecordBatch.from_records(buckets[0], aggregator.labels))
         with pytest.raises(GraphError, match="source .x. is in the right partition"):
             aggregator.advance(RecordBatch.from_records(buckets[1], aggregator.labels))
+
+
+def test_window_graph_pickles_as_its_rows():
+    import pickle
+
+    aggregator = SlidingWindowAggregator(bipartite=True)
+    records = [EdgeRecord(0.0, "a", "x", 1.0), EdgeRecord(0.0, "b", "y", 0.0)]
+    aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+    # The label table does not pickle; the copy carries dict rows.
+    clone = pickle.loads(pickle.dumps(aggregator.graph))
+    assert graph_state(clone) == graph_state(aggregator.graph)

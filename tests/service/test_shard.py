@@ -349,3 +349,23 @@ class TestSketchTier:
         tier = SketchTier(config)
         tier.advance(buckets[0])
         assert isinstance(tier.current, StreamingUnexpectedTalkers)
+
+
+@pytest.mark.parametrize("scheme", ["tt", "ut"])
+def test_close_builds_no_dict_rows(records_factory, scheme):
+    # The window close runs on the columns: build, diff, dirty set, kernel.
+    labels = LabelTable()
+    records = records_factory(200, nodes=12, seed=5)
+    config = ServiceConfig(
+        num_shards=1, window_records=50, queue_capacity=100, k=5, scheme=scheme
+    )
+    engine = ShardEngine(0, config, labels=labels)
+    for start in range(0, len(records), 50):
+        engine.apply(RecordBatch.from_records(records[start:start + 50], labels))
+    assert engine.window == 3 and engine.signatures
+    assert engine.registry.counter_value("matrix_cache.misses", key="rows") == 0
+    graph = engine.aggregator.graph
+    assert "_out" not in vars(graph)
+    # The first use of the rows writes them, and the counter shows it.
+    assert graph.out_neighbors(graph.senders()[0])
+    assert graph.cache_info()["rows"] == {"hits": 0, "misses": 1}
