@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 import threading
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +32,13 @@ _WEIGHT = operator.attrgetter("weight")
 def first_occurrence(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(distinct, rank)``: the distinct ``values`` in first-occurrence
     order, and for each value the position of its distinct value there."""
+    if len(values) and values[0] == 0 and values.min() >= 0:
+        seen = np.maximum.accumulate(values)
+        if np.all(values[1:] <= seen[:-1] + 1):
+            # Every new value is one more than all before it (ids of a
+            # table the values were interned into in order): the distinct
+            # values are 0..max, already in first-occurrence order.
+            return np.arange(seen[-1] + 1, dtype=values.dtype), values.astype(np.intp)
     unique, first, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(unique), dtype=np.intp)
@@ -73,22 +81,20 @@ class LabelTable:
         return np.array([get(label, -1) for label in labels], dtype=np.int64)
 
     def intern(self, labels: Iterable[Hashable]) -> np.ndarray:
-        """The ids of ``labels`` (int32, in order), adding new labels."""
+        """The ids of ``labels`` (int32, in order), adding new labels in
+        first-occurrence order."""
         if not isinstance(labels, (list, tuple)):
             labels = list(labels)
-        ids = list(map(self._ids.get, labels))
-        missing = [index for index, ident in enumerate(ids) if ident is None]
-        if missing:
+        ids = self._ids
+        new = list(filterfalse(ids.__contains__, dict.fromkeys(labels)))
+        if new:
             with self._lock:
-                for index in missing:
-                    label = labels[index]
-                    ident = self._ids.get(label)
-                    if ident is None:
-                        ident = len(self._labels)
-                        self._labels.append(label)
-                        self._ids[label] = ident
-                    ids[index] = ident
-        return np.array(ids, dtype=np.int32)
+                # Another thread may have added some since the check.
+                new = list(filterfalse(ids.__contains__, new))
+                start = len(self._labels)
+                self._labels.extend(new)
+                ids.update(zip(new, range(start, start + len(new))))
+        return np.fromiter(map(ids.__getitem__, labels), dtype=np.int32, count=len(labels))
 
     def fingerprints(self) -> np.ndarray:
         """Every label's ``stable_hash64`` as a uint64 array indexed by id.
@@ -108,6 +114,13 @@ class LabelTable:
                 )
                 self._fingerprints = np.concatenate([self._fingerprints, fresh])
             return self._fingerprints
+
+
+def _weight_column(weights: List) -> np.ndarray:
+    column = np.array(weights)
+    if column.ndim != 1 or column.dtype != np.float64 and column.dtype.kind not in "biu":
+        raise TypeError("record weights must be floats, ints or bools")
+    return column.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,15 +145,25 @@ class RecordBatch:
     @classmethod
     def from_records(cls, records: Sequence[EdgeRecord], labels: LabelTable) -> "RecordBatch":
         """The batch of ``records`` (duck-typed: ``time``, ``src``, ``dst``
-        and ``weight`` attributes), in order, interned into ``labels``."""
+        and ``weight`` attributes), in order, interned into ``labels``.
+
+        Labels are interned in record order, each source before its
+        destination, as ``add_edge`` meets them.  A weight that is not a
+        float, an int or a bool raises ``TypeError``: ``add_edge`` would
+        not add it as a float.
+        """
         if not isinstance(records, (list, tuple)):
             records = list(records)
         count = len(records)
+        ends: List[Hashable] = [None] * (2 * count)
+        ends[0::2] = map(_SRC, records)
+        ends[1::2] = map(_DST, records)
+        ids = labels.intern(ends)
         return cls(
             time=np.fromiter(map(_TIME, records), dtype=np.float64, count=count),
-            src=labels.intern(list(map(_SRC, records))),
-            dst=labels.intern(list(map(_DST, records))),
-            weight=np.fromiter(map(_WEIGHT, records), dtype=np.float64, count=count),
+            src=ids[0::2].copy(),
+            dst=ids[1::2].copy(),
+            weight=_weight_column(list(map(_WEIGHT, records))),
             labels=labels,
         )
 

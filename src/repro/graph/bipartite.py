@@ -11,8 +11,7 @@ bipartite.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Collection, FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set
 
 from repro.exceptions import GraphError
 from repro.graph.comm_graph import CommGraph
@@ -105,26 +104,6 @@ class BipartiteGraph(CommGraph):
         self._left.add(src)
         self._right.add(dst)
         super().set_edge_weight(src, dst, weight)
-
-    def _load_aggregated(
-        self,
-        nodes: Iterable[NodeId],
-        edges: Collection[Tuple[NodeId, NodeId]],
-        weights: Iterable[Weight],
-        total_weight: float,
-        num_records: int,
-    ) -> bool:
-        # add_edge puts every record's src in V1 and dst in V2, even for a
-        # zero weight; sets filled in edge order.
-        left = set(map(itemgetter(0), edges))
-        right = set(map(itemgetter(1), edges))
-        if not left.isdisjoint(right):
-            # An orientation violation or a self-loop: only the per-record
-            # path knows which record raises, and a lone self-loop does not.
-            return False
-        super()._load_aggregated(nodes, edges, weights, total_weight, num_records)
-        self._left, self._right = left, right
-        return True
 
     def _load_columns(self) -> None:
         super()._load_columns()

@@ -9,17 +9,25 @@ of work.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Type
+import operator
+from typing import Iterable, List, Optional, Sequence, Type, Union
+
+import numpy as np
 
 from repro.exceptions import GraphError
+from repro.graph.batch import LabelTable, RecordBatch, first_occurrence
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, WindowColumns
 from repro.graph.stream import EdgeRecord
-from repro.types import NodeId, Weight, WeightedEdge
+from repro.types import WeightedEdge
+
+_SRC = operator.attrgetter("src")
+_DST = operator.attrgetter("dst")
+_LOW32 = (1 << 32) - 1
 
 
 def aggregate_records(
-    records: Iterable[EdgeRecord],
+    records: Union[RecordBatch, Iterable[EdgeRecord]],
     bipartite: bool = False,
 ) -> CommGraph:
     """Aggregate edge records into a single communication graph.
@@ -28,49 +36,106 @@ def aggregate_records(
     ``bipartite=True``, a :class:`BipartiteGraph` is built and the records
     must respect the V1 -> V2 orientation.
 
-    The result is exactly what one ``add_edge`` call per record builds
-    (the reference loop below): node and row orders, bitwise weights,
-    ``total_weight``, version and partition sets.  The batch path sums
-    each edge once per record in a dict, then writes the graph per
-    distinct edge.  Inputs it cannot shortcut exactly — a zero, negative
-    or NaN weight, or on a bipartite graph a node on both sides — take the
-    reference loop, so they fail or succeed as before.
+    ``records`` is a :class:`RecordBatch`, or records (duck-typed:
+    ``time``, ``src``, ``dst`` and ``weight``) that are converted into one
+    over a fresh :class:`LabelTable`.  The result is exactly what one
+    ``add_edge`` call per record builds: node and row orders, bitwise
+    weights, ``total_weight``, version and partition sets.  It is built
+    from the batch's columns and backed by them (see
+    :class:`WindowColumns`).  Inputs the columns cannot build exactly — a
+    negative or NaN weight, on a bipartite graph a node on both sides, or
+    records that do not convert (no ``time``, a weight that is not a
+    float, an int or a bool, an unhashable label) — take the per-record
+    loop, so they fail or succeed as it does.
     """
-    if not isinstance(records, (list, tuple)):
-        records = list(records)
-    graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
-    summed = _sum_edge_weights(records)
-    if summed is None or not graph._load_aggregated(
-        (), summed[0].keys(), summed[0].values(), summed[1], len(records)
-    ):
-        for record in records:
-            graph.add_edge(record.src, record.dst, record.weight)
-    return graph
+    batch: Optional[RecordBatch] = None
+    if isinstance(records, RecordBatch):
+        batch = records
+    else:
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        try:
+            batch = RecordBatch.from_records(records, LabelTable())
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            pass
+    graph = None if batch is None else _column_graph(batch, bipartite, records)
+    if graph is not None:
+        return graph
+    if records is batch:
+        labels_of = batch.labels.labels_of
+        edges = zip(labels_of(batch.src), labels_of(batch.dst), batch.weight.tolist())
+    else:
+        edges = ((record.src, record.dst, record.weight) for record in records)
+    return graph_from_edges(edges, bipartite)
 
 
-def _sum_edge_weights(
-    records: Sequence[EdgeRecord],
-) -> Optional[Tuple[Dict[Tuple[NodeId, NodeId], Weight], float]]:
-    """Per-edge weight sums (keyed in first-occurrence order) and the total,
-    each accumulated in record order from ``0.0`` as ``add_edge`` does;
-    ``None`` when some record's weight is not positive."""
-    weights: Dict[Tuple[NodeId, NodeId], Weight] = {}
-    get = weights.get
-    total = 0.0
-    try:
-        for record in records:
-            weight = record.weight
-            # 0.0, not 0: the interpreter's float-float compare is faster.
-            if not weight > 0.0:
-                return None
-            key = (record.src, record.dst)
-            weights[key] = get(key, 0.0) + weight
-            total += weight
-    except TypeError:
-        # An unorderable weight or an unhashable label: the reference
-        # loop raises it.
+def _column_graph(
+    batch: RecordBatch, bipartite: bool, records: Union[RecordBatch, Sequence[EdgeRecord]]
+) -> Optional[CommGraph]:
+    """The graph of ``batch``, backed by its columns, or ``None`` when only
+    the per-record loop builds it exactly (``records``: the input).
+
+    Nodes come in first-occurrence order (source before destination) and
+    edges in first-positive-record order, the order ``add_edge`` inserts
+    them in.  ``np.add.at`` adds unbuffered in record order, so every edge
+    total is bitwise the sequential ``+=`` of the per-record loop, and the
+    running ``np.cumsum`` is its ``total_weight`` (``+ 0.0`` turns an
+    all-zero ``-0.0`` sum into the loop's ``0.0``).
+    """
+    weight = batch.weight
+    if not np.all(weight >= 0):
+        # A negative or NaN weight: the per-record loop decides.
         return None
-    return weights, total
+    ends = np.empty(2 * len(batch), dtype=np.int32)
+    ends[0::2], ends[1::2] = batch.src, batch.dst
+    nodes, position = first_occurrence(ends)
+    sources, targets = position[0::2], position[1::2]
+    sides = None
+    if bipartite:
+        # add_edge puts every record's src in V1 and dst in V2, even for a
+        # zero weight.
+        left = np.zeros(len(nodes), dtype=bool)
+        right = np.zeros(len(nodes), dtype=bool)
+        left[sources] = right[targets] = True
+        if (left & right).any():
+            # An orientation violation or a self-loop: only the per-record
+            # loop knows which record raises, and a lone self-loop does not.
+            return None
+        sides = nodes[left], nodes[right]
+    edges, edge_of = np.unique((sources << 32) | targets, return_inverse=True)
+    totals = np.zeros(len(edges))
+    np.add.at(totals, edge_of, weight)
+    # Each edge's first positive record; an edge of zero weights has none.
+    positive = np.flatnonzero(weight > 0)
+    first = np.full(len(edges), len(batch))
+    np.minimum.at(first, edge_of[positive], positive)
+    rows = np.flatnonzero(first < len(batch))
+    rows = rows[np.argsort(first[rows])]
+    keys = edges[rows]
+    columns = WindowColumns(
+        labels=batch.labels,
+        nodes=nodes,
+        src=keys >> 32,
+        dst=keys & _LOW32,
+        weight=totals[rows],
+        total_weight=float(np.cumsum(weight)[-1]) + 0.0 if len(batch) else 0.0,
+        num_records=len(positive),
+        sides=sides,
+        edge_labels=None if records is batch else _edge_labels(records, first[rows]),
+    )
+    return (BipartiteGraph if bipartite else CommGraph)._from_columns(columns)
+
+
+def _edge_labels(records: Sequence[EdgeRecord], firsts: np.ndarray) -> Optional[List[tuple]]:
+    """The ``(src, dst)`` objects of each edge's first positive record
+    (``firsts``), the keys ``add_edge`` gives its row entries, when labels
+    of several types could hold equal objects of different types (``1``
+    and ``True``); ``None`` when all labels share one type, so the label
+    table's objects are those keys."""
+    types = set(map(type, map(_SRC, records))).union(map(type, map(_DST, records)))
+    if len(types) < 2:
+        return None
+    return [(records[index].src, records[index].dst) for index in firsts.tolist()]
 
 
 def graph_from_edges(

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import (
     Any,
     Callable,
-    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -85,7 +84,9 @@ class WindowColumns:
     edges in first-positive-record order; every out-row and in-row lists
     its entries in this edge order.  ``num_records`` counts the
     positive-weight records, and ``sides`` holds a bipartite graph's
-    ``(left, right)`` label ids.
+    ``(left, right)`` label ids.  ``edge_labels``, when set, holds each
+    edge's ``(src, dst)`` row keys where they are not the table's objects
+    (see ``aggregate_records``).
     """
 
     labels: LabelTable
@@ -96,6 +97,7 @@ class WindowColumns:
     total_weight: float
     num_records: int
     sides: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    edge_labels: Optional[List[Tuple[NodeId, NodeId]]] = None
 
     @cached_property
     def out_order(self) -> np.ndarray:
@@ -173,8 +175,7 @@ class CommGraph:
 
     @classmethod
     def _from_columns(cls, columns: WindowColumns) -> "CommGraph":
-        """The graph of ``columns``: what :meth:`_load_aggregated` of them
-        writes, which it does on first use of the dict rows."""
+        """The graph of ``columns``; its dict rows are written on first use."""
         graph = cls.__new__(cls)
         graph._columns = columns
         graph._num_edges = len(columns.weight)
@@ -196,14 +197,11 @@ class CommGraph:
         columns = self._columns
         assert columns is not None
         nodes = columns.labels.labels_of(columns.nodes)
-        label = nodes.__getitem__
-        self._load_aggregated(
-            nodes,
-            list(zip(map(label, columns.src.tolist()), map(label, columns.dst.tolist()))),
-            columns.weight.tolist(),
-            columns.total_weight,
-            columns.num_records,
-        )
+        edges = columns.edge_labels
+        if edges is None:
+            label = nodes.__getitem__
+            edges = zip(map(label, columns.src.tolist()), map(label, columns.dst.tolist()))
+        self._load_aggregated(nodes, edges, columns.weight.tolist())
 
     def __getstate__(self) -> Dict[str, Any]:
         # The label table does not pickle: a copy carries dict rows.
@@ -344,44 +342,18 @@ class CommGraph:
     def _load_aggregated(
         self,
         nodes: Iterable[NodeId],
-        edges: Collection[Tuple[NodeId, NodeId]],
+        edges: Iterable[Tuple[NodeId, NodeId]],
         weights: Iterable[Weight],
-        total_weight: float,
-        num_records: int,
-    ) -> bool:
-        """Write aggregated records into this empty graph, exactly as
-        ``add_edge`` once per record would have: same node and row orders,
-        weights, ``total_weight`` and version.
-
-        ``edges`` are the records' distinct ``(src, dst)`` pairs in row
-        order (by first positive record), with each pair's summed
-        ``weights``; a pair whose records all weigh 0 sums to 0 and makes
-        no row entry.  Nodes take the order ``nodes`` lists them in, and
-        endpoints it leaves out follow in edge order — first-occurrence
-        order when every record weighs more than 0.  ``num_records``
-        counts the positive-weight records.  Returns whether it loaded
-        (see :class:`BipartiteGraph`).
-        """
+    ) -> None:
+        """Write the dict rows of this column-backed graph: ``nodes`` in
+        node order, then each edge ``(src, dst)`` with its ``weights``
+        entry, in row order, into ``src``'s out-row and ``dst``'s in-row."""
         out = {node: {} for node in nodes}
         into = {node: {} for node in out}
         for (src, dst), weight in zip(edges, weights):
-            row = out.get(src)
-            if row is None:
-                row = out[src] = {}
-                into[src] = {}
-            if dst not in out:
-                out[dst] = {}
-                into[dst] = {}
-            if weight > 0:
-                row[dst] = weight
-                into[dst][src] = weight
+            out[src][dst] = weight
+            into[dst][src] = weight
         self._out, self._in = out, into
-        self._num_edges = sum(map(len, out.values()))
-        self._total_weight = total_weight
-        # add_node bumps once per new node and add_edge once per
-        # positive-weight record.
-        self._version = len(out) + num_records
-        return True
 
     def _remove_edge_entry(self, src: NodeId, dst: NodeId, weight: Weight) -> None:
         del self._out[src][dst]

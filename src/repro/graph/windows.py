@@ -6,10 +6,10 @@ one communication graph per window; persistence is always measured between
 *consecutive* windows.  :class:`GraphSequence` is the ordered container the
 rest of the library consumes.
 
-Two construction paths exist:
+Every window graph is built by ``aggregate_records``, two ways round:
 
-- :func:`split_records_into_windows` aggregates every bucket from
-  :class:`EdgeRecord` objects (simple, stateless);
+- :func:`split_records_into_windows` aggregates every bucket on its own
+  (simple, stateless);
 - :meth:`GraphSequence.from_sliding_records` drives a
   :class:`SlidingWindowAggregator`, which builds each window graph from
   the retained buckets' columns and diffs it against the last one, so
@@ -29,17 +29,16 @@ from typing import Deque, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph.batch import LabelTable, RecordBatch, first_occurrence
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
-from repro.graph.comm_graph import CommGraph, WindowColumns
+from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
 from repro.types import NodeId
 
 _TIME = operator.attrgetter("time")
 _RECORD_ORDER = operator.attrgetter(*(spec.name for spec in fields(EdgeRecord)))
-_LOW32 = (1 << 32) - 1
 
 
 def window_index_of(time: float, start: float, width: float) -> int:
@@ -81,7 +80,9 @@ def canonical_order(records: Sequence[EdgeRecord]) -> Sequence[EdgeRecord]:
     identity and ``records`` come back as they are.  Otherwise the sort
     key builds each record's field tuple once, where comparing records
     builds two per comparison; the comparisons, and so the order, are the
-    same.
+    same.  The program sorts windows as columns
+    (:meth:`~repro.graph.batch.RecordBatch.canonical`); this is the
+    reference that method is tested against.
     """
     times = record_times(records)
     if np.all(times[1:] > times[:-1]):
@@ -282,13 +283,12 @@ class SlidingWindowAggregator:
     Each bucket is a :class:`~repro.graph.batch.RecordBatch` interned into
     :attr:`labels` (pass one ``LabelTable`` to share it).  :meth:`advance`
     pushes the next bucket, drops the oldest, builds the window's graph
-    afresh from the retained buckets' columns and diffs it against the
-    last one.  The graph is backed by its :class:`WindowColumns`; its
-    dict rows are written on first use.
+    afresh with ``aggregate_records`` of the retained buckets' columns and
+    diffs it against the last one.
 
     Exactness contract, at every ``window_buckets``: :attr:`graph` is
-    identical to ``aggregate_records`` of the retained records in bucket
-    and record order — node order, out-row and in-row order, weights
+    identical to one ``add_edge`` call per retained record, in bucket and
+    record order — node order, out-row and in-row order, weights
     bit for bit, ``total_weight``, edge count, version and bipartite
     sides.  So a window's graph depends only on its own records, never
     on the windows before it.
@@ -305,16 +305,13 @@ class SlidingWindowAggregator:
         self.window_buckets = window_buckets
         self.bipartite = bipartite
         self.labels = labels if labels is not None else LabelTable()
-        self.graph: CommGraph = self._empty_graph()
+        self.graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
         self._buckets: Deque[RecordBatch] = deque(maxlen=window_buckets)
 
     @property
     def buckets_held(self) -> int:
         """Number of buckets currently inside the window (ramp-up aware)."""
         return len(self._buckets)
-
-    def _empty_graph(self) -> CommGraph:
-        return BipartiteGraph() if self.bipartite else CommGraph()
 
     def advance(self, batch: RecordBatch) -> WindowDelta:
         """Slide the window forward by one bucket of records.
@@ -328,69 +325,11 @@ class SlidingWindowAggregator:
         if batch.labels is not self.labels:
             raise GraphError("the batch is interned into another label table")
         retained = [*self._buckets, batch][-self.window_buckets:]
-        graph = self._build(RecordBatch.concat(retained))
+        graph = aggregate_records(RecordBatch.concat(retained), self.bipartite)
         delta = WindowDelta.from_graphs(self.graph, graph)
         self._buckets.append(batch)
         self.graph = graph
         return delta
-
-    def _build(self, window: RecordBatch) -> CommGraph:
-        """The graph ``add_edge`` once per record of ``window`` builds,
-        backed by the window's columns (see :class:`WindowColumns`).
-
-        Nodes come in first-occurrence order (source before destination)
-        and edges in first-positive-record order, the order ``add_edge``
-        inserts them in.  ``np.add.at`` adds unbuffered in record order,
-        so every edge total is bitwise the sequential ``+=`` of the
-        per-record loop, and the running ``np.cumsum`` is its
-        ``total_weight`` (``+ 0.0`` turns an all-zero ``-0.0`` sum into
-        the loop's ``0.0``).
-        """
-        src, dst, weight = window.src, window.dst, window.weight
-        if not np.all(weight >= 0):
-            # A negative or NaN weight: the per-record loop decides.
-            return self._build_per_record(window)
-        sides = None
-        if self.bipartite:
-            # add_edge puts every record's src in V1 and dst in V2, even
-            # for a zero weight.
-            sides = np.unique(src), np.unique(dst)
-            if np.intersect1d(*sides).size:
-                # An orientation violation or a self-loop: only the
-                # per-record path knows which record raises, and a lone
-                # self-loop does not.
-                return self._build_per_record(window)
-        ends = np.empty(2 * len(window), dtype=np.int32)
-        ends[0::2], ends[1::2] = src, dst
-        nodes, position = first_occurrence(ends)
-        edges, edge_of = np.unique((position[0::2] << 32) | position[1::2], return_inverse=True)
-        totals = np.zeros(len(edges))
-        np.add.at(totals, edge_of, weight)
-        positive = weight > 0
-        rows = first_occurrence(edge_of[positive])[0]
-        keys = edges[rows]
-        columns = WindowColumns(
-            labels=self.labels,
-            nodes=nodes,
-            src=keys >> 32,
-            dst=keys & _LOW32,
-            weight=totals[rows],
-            total_weight=float(np.cumsum(weight)[-1]) + 0.0 if len(window) else 0.0,
-            num_records=int(np.count_nonzero(positive)),
-            sides=sides,
-        )
-        return (BipartiteGraph if self.bipartite else CommGraph)._from_columns(columns)
-
-    def _build_per_record(self, window: RecordBatch) -> CommGraph:
-        """The reference: one ``add_edge`` call per record."""
-        graph = self._empty_graph()
-        labels_of = self.labels.labels_of
-        for src, dst, weight in zip(
-            labels_of(window.src), labels_of(window.dst), window.weight.tolist()
-        ):
-            graph.add_edge(src, dst, weight)
-        return graph
-
 
 def _bucketize(
     records: Sequence[EdgeRecord],

@@ -46,7 +46,7 @@ from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, ReadReport
-from repro.graph.windows import SlidingWindowAggregator, bucket_records, canonical_order
+from repro.graph.windows import SlidingWindowAggregator, bucket_records
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.types import NodeId
 from repro.pipeline.report import (
@@ -534,7 +534,7 @@ class SignaturePipeline:
         first = max(0, start_window - aggregator.window_buckets)
         for index in range(first, start_window):
             aggregator.advance(
-                RecordBatch.from_records(canonical_order(buckets[index]), aggregator.labels)
+                RecordBatch.from_records(buckets[index], aggregator.labels).canonical()
             )
         if start_window and replayed_modes[-1] == MODE_EXACT:
             graph = state.aggregator.graph
@@ -590,17 +590,17 @@ class SignaturePipeline:
         inc: Optional[_IncrementalState] = None,
     ) -> Tuple[WindowReport, Dict[str, Signature]]:
         started = self._clock()
-        records = canonical_order(records)
+        # The window's one conversion: its records as canonical columns.
+        labels = inc.aggregator.labels if inc is not None else LabelTable()
+        batch = RecordBatch.from_records(records, labels).canonical()
         delta: Optional[WindowDelta] = None
         if inc is not None:
             # Advance G_t -> G_{t+1} by the arriving records only; the
             # aggregator's graph is bit-identical to fresh aggregation.
-            delta = inc.aggregator.advance(
-                RecordBatch.from_records(records, inc.aggregator.labels)
-            )
+            delta = inc.aggregator.advance(batch)
             graph = inc.aggregator.graph
         else:
-            graph = aggregate_records(records, bipartite=self.config.bipartite)
+            graph = aggregate_records(batch, bipartite=self.config.bipartite)
         mode, reason = MODE_EXACT, ""
 
         cells = graph.num_nodes + graph.num_edges
@@ -644,7 +644,7 @@ class SignaturePipeline:
                 # Sketched output cannot seed exact reuse; break the chain.
                 inc.previous = None
             obs.counter("pipeline.degradations").inc()
-            signatures = self._compute_degraded(records)
+            signatures = self._compute_degraded(batch)
             if self.config.scheme not in SKETCHABLE_SCHEMES:
                 reason += (
                     f"; streaming fallback approximates 'tt', not "
@@ -659,7 +659,7 @@ class SignaturePipeline:
             )
 
         meta = {
-            "num_records": len(records),
+            "num_records": len(batch),
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "reason": reason,
@@ -671,7 +671,7 @@ class SignaturePipeline:
             WindowReport(
                 window=window,
                 mode=mode,
-                num_records=len(records),
+                num_records=len(batch),
                 num_nodes=graph.num_nodes,
                 num_edges=graph.num_edges,
                 num_signatures=len(signatures),
@@ -738,16 +738,17 @@ class SignaturePipeline:
     def _compute_exact(
         self, graph: CommGraph, scheme: SignatureScheme, started: float
     ) -> Optional[Dict[str, Signature]]:
-        """Per-node exact signatures, or ``None`` if the deadline tripped.
+        """Exact signatures, or ``None`` if the deadline tripped.
 
-        With a compute engine and a partition-safe scheme, the population
-        goes to the engine as one batch instead (the deadline is checked
-        after the batch).  Unbounded RWR keeps the per-node loop — its
-        batched iteration count is population-coupled, so only the serial
-        loop matches this path's historical outputs.
+        A partition-safe scheme computes the population as one batch,
+        ``compute_all`` through the run's engine, and the deadline is
+        checked after the batch.  Unbounded RWR keeps the per-node loop,
+        with the deadline checked per node: its batched iteration count is
+        population-coupled, so only the serial loop matches this path's
+        historical outputs.
         """
         deadline = self.config.window_deadline
-        if self._engine is not None and scheme.partition_batch_safe(graph):
+        if scheme.partition_batch_safe(graph):
             raw = scheme.compute_all(graph, graph.senders(), engine=self._engine)
             if deadline is not None and self._clock() - started > deadline:
                 return None
@@ -759,10 +760,10 @@ class SignaturePipeline:
             signatures[str(node)] = scheme.compute(graph, node)
         return signatures
 
-    def _compute_degraded(self, records: List[EdgeRecord]) -> Dict[str, Signature]:
+    def _compute_degraded(self, batch: RecordBatch) -> Dict[str, Signature]:
         """One-pass sketched signatures for the window (Section VI path),
-        built from its records as one column batch, as the service's
-        sketch tier builds each bucket."""
+        built from its canonical column batch, as the service's sketch
+        tier builds each bucket."""
         builder = streaming_builder(
             self.config.scheme,
             k=self.config.k,
@@ -770,7 +771,7 @@ class SignaturePipeline:
             delta=self.config.streaming_delta,
             seed=self.config.seed,
         )
-        builder.observe_batch(RecordBatch.from_records(records, LabelTable()))
+        builder.observe_batch(batch)
         return {str(source): builder.signature(source) for source in builder.sources}
 
     def _save_window(

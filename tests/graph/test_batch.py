@@ -1,6 +1,7 @@
 """Record batches and the shared label table."""
 
 import random
+from collections import namedtuple
 import sys
 import threading
 
@@ -17,6 +18,8 @@ from repro.streaming.hashing import stable_hash64
 
 #: Labels that exercise the ``str`` ranking: prefixes, case, accents and
 #: characters outside the BMP.
+Timed = namedtuple("Timed", "time src dst weight")
+
 LABELS = ["a", "ab", "b", "B", "é", "e", "É", "节点", "emoji-🛰", "ключ", "a b", ""]
 
 
@@ -38,6 +41,33 @@ class TestLabelTable:
         assert first.tolist() == [stable_hash64("x"), stable_hash64("y")]
         assert second.tolist() == [stable_hash64(label) for label in ("x", "y", "z")]
         assert second.dtype == np.uint64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from([1, True, 1.0, 0, False, 0.0, "1", "a", (1, "a"), (True, "a")]),
+                max_size=20,
+            ),
+            max_size=5,
+        )
+    )
+    def test_intern_equals_the_per_label_loop(self, calls):
+        # 1, True and 1.0 are one label: the object met first keeps it,
+        # within one call and across calls.
+        labels, ids, stored = LabelTable(), {}, []
+        for call in calls:
+            expected = []
+            for label in call:
+                if label not in ids:
+                    ids[label] = len(stored)
+                    stored.append(label)
+                expected.append(ids[label])
+            assert labels.intern(call).tolist() == expected
+            kept = labels.labels_of(np.arange(len(labels)))
+            assert [(label, type(label)) for label in kept] == [
+                (label, type(label)) for label in stored
+            ]
 
     @pytest.mark.parametrize("round_", range(5))
     def test_concurrent_interning_issues_each_id_once(self, round_):
@@ -88,6 +118,20 @@ class TestRecordBatch:
         assert batch.records() == self.records()
         assert len(batch) == 3 and batch.nbytes == 3 * 24
         assert batch.src.dtype == np.int32 and batch.time.dtype == np.float64
+
+    def test_labels_are_interned_source_before_destination(self):
+        # As add_edge meets them: True (record 0's destination) comes
+        # before 1 (record 1's source), so True represents the label.
+        records = [EdgeRecord(0.0, "a", True, 1.0), EdgeRecord(0.0, 1, "b", 2)]
+        batch = RecordBatch.from_records(records, LabelTable())
+        assert batch.src.tolist() == [0, 1] and batch.dst.tolist() == [1, 2]
+        assert [type(label) for label in batch.labels.labels_of(batch.dst)] == [bool, str]
+        assert batch.weight.tolist() == [1.0, 2.0] and batch.weight.dtype == np.float64
+
+    @pytest.mark.parametrize("weight", ["1.5", [1.0], np.float32(0.5), None])
+    def test_a_weight_add_edge_would_not_add_as_a_float_raises(self, weight):
+        with pytest.raises(TypeError):
+            RecordBatch.from_records([Timed(0.0, "a", "c", weight)], LabelTable())
 
     def test_take_and_concat(self):
         labels = LabelTable()
@@ -142,3 +186,17 @@ def test_first_occurrence():
     distinct, rank = first_occurrence(np.array([7, 3, 7, 5, 3]))
     assert distinct.tolist() == [7, 3, 5]
     assert rank.tolist() == [0, 1, 0, 2, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 6), max_size=30))
+def test_first_occurrence_equals_the_dict_loop(values):
+    # Values interned in order (0, then each new one max + 1) take a
+    # shortcut; every array must give what a first-seen dict gives.
+    seen = {}
+    rank = [seen.setdefault(value, len(seen)) for value in values]
+    distinct, got = first_occurrence(np.array(values, dtype=np.int32))
+    assert distinct.tolist() == list(seen) and got.tolist() == rank
+    interned = LabelTable().intern(values)
+    distinct, got = first_occurrence(interned)
+    assert distinct.tolist() == list(range(len(seen))) and got.tolist() == rank

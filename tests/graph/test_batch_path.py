@@ -1,8 +1,8 @@
 """The batch record path against its per-record references.
 
-``aggregate_records`` sums each edge once per record in a plain dict and
-materialises the graph per distinct edge; it must build exactly what one
-``add_edge`` call per record builds.  ``window_indices`` / ``bucket_records``
+``aggregate_records`` converts records into a ``RecordBatch`` and builds the
+graph from its columns; it must build exactly what one ``add_edge`` call per
+record builds, from records and from a batch alike.  ``window_indices`` / ``bucket_records``
 bucket a whole trace with numpy; every index must equal the scalar
 ``window_index_of``.
 """
@@ -10,6 +10,7 @@ bucket a whole trace with numpy; every index must equal the scalar
 import math
 import struct
 from collections import namedtuple
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import _sum_edge_weights, aggregate_records
+from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import bucket_records, window_index_of, window_indices
@@ -36,6 +38,7 @@ ANY_WEIGHT = st.one_of(POSITIVE, st.sampled_from([0.0, 0, float("nan"), -1.0]))
 
 #: Records are duck-typed; this stand-in carries weights EdgeRecord refuses.
 Raw = namedtuple("Raw", "src dst weight")
+Timed = namedtuple("Timed", "time src dst weight")
 
 
 def reference(records, bipartite):
@@ -89,6 +92,13 @@ def assert_same(records, bipartite):
     expected = outcome(lambda: reference(records, bipartite))
     assert outcome(lambda: aggregate_records(records, bipartite=bipartite)) == expected
     assert outcome(lambda: aggregate_records(iter(records), bipartite=bipartite)) == expected
+    if all(isinstance(record, EdgeRecord) for record in records):
+        # A batch holds one object per label, the first one interned: its
+        # reference is the loop over the batch's own records.
+        batch = RecordBatch.from_records(records, LabelTable())
+        assert outcome(lambda: aggregate_records(batch, bipartite=bipartite)) == outcome(
+            lambda: reference(batch.records(), bipartite)
+        )
 
 
 def records_of(srcs, dsts, weights, raw=False):
@@ -100,7 +110,7 @@ class TestAggregateEqualsPerRecord:
     @settings(max_examples=150, deadline=None)
     @given(records_of(st.sampled_from(LEFT + RIGHT), st.sampled_from(LEFT + RIGHT), POSITIVE))
     def test_comm_graph_positive_weights_take_the_batch_path(self, records):
-        assert _sum_edge_weights(records) is not None
+        assert aggregate_records(records)._columns is not None
         assert_same(records, bipartite=False)
 
     @settings(max_examples=150, deadline=None)
@@ -142,6 +152,9 @@ class TestAggregateEqualsPerRecord:
             ([Raw("a", "x", 1.0), Raw("b", "y", "heavy")], False),
             ([Raw("a", ["unhashable"], 1.0)], False),
             ([Raw("a", ["unhashable"], 1.0)], True),
+            # Weights that convert to float64 but that add_edge refuses.
+            ([Timed(0.0, "a", "x", 1.0), Timed(0.0, "b", "y", "1.5")], False),
+            ([Timed(0.0, "a", "x", Decimal("1.5"))], True),
         ],
     )
     def test_errors_are_the_per_record_errors(self, records, bipartite):

@@ -1,12 +1,12 @@
-"""The sliding-window bulk writer against the per-record calls.
+"""The sliding-window builder against the per-record calls.
 
-``SlidingWindowAggregator.advance`` builds each window graph from the
-retained buckets' columns; reading its dict rows writes them through
-``CommGraph._load_aggregated``, the writer ``aggregate_records`` uses.  One
-``add_edge`` call per retained record is the reference (and the fallback
-when the writer declines); both must agree on every order, bit, count and
-partition set — and on errors, after which the aggregator is left as it
-was.
+``SlidingWindowAggregator.advance`` builds each window graph with
+``aggregate_records`` of the retained buckets' columns; reading its dict
+rows writes them through ``CommGraph._load_columns``.  One ``add_edge``
+call per retained record is the reference (and the fallback when the
+columns cannot build the graph exactly); both must agree on every order,
+bit, count and partition set — and on errors, after which the aggregator
+is left as it was.
 """
 
 import struct

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.scheme import create_scheme
 from repro.exceptions import StreamingError
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import canonical_order
@@ -109,7 +110,9 @@ class TestEqualLabelsShareOneColumn:
             pipeline = SignaturePipeline(
                 IterableRecordSource(records), CheckpointStore(directory), config
             )
-            degraded = pipeline._compute_degraded(records)
+            degraded = pipeline._compute_degraded(
+                RecordBatch.from_records(records, LabelTable())
+            )
         exact = create_scheme("tt", k=3).compute(aggregate_records(records), "a")
         assert degraded == {"a": exact}
         assert exact.entries == ((1, 1.0),)

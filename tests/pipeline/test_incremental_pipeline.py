@@ -82,8 +82,13 @@ def crash_at(window_index):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("scheme,params", [("tt", {}), ("ut", {}), ("rwr-push", {})])
+    @pytest.mark.parametrize(
+        "scheme,params",
+        [("tt", {}), ("ut", {}), ("rwr-push", {}), ("rwr", {"max_hops": 3})],
+    )
     def test_matches_full_engine(self, trace, tmp_path, scheme, params):
+        # Both engines compute a window's population as one batch, so even
+        # the walk's order-sensitive sums agree bit for bit.
         full = make_pipeline(
             trace, tmp_path / "full", scheme=scheme, incremental=False, **params
         ).run()
@@ -92,18 +97,26 @@ class TestEquivalence:
         ).run()
         assert len(inc.signatures) == len(full.signatures)
         assert inc.signatures == full.signatures
+        assert [
+            {owner: signature.entries for owner, signature in window.items()}
+            for window in inc.signatures
+        ] == [
+            {owner: signature.entries for owner, signature in window.items()}
+            for window in full.signatures
+        ]
         assert all(report.mode == MODE_EXACT for report in inc.report.windows)
 
     def test_rwr_matches_full_engine_topk(self, trace, tmp_path):
-        # Both engines build the same window graphs, but the full engine
-        # walks one query at a time and the incremental engine runs the
-        # batched walk, whose sums group differently: cross-engine weights
-        # agree only to float round-off (~1e-16) and near-ties may
-        # reorder.  The incremental contract proper (same graph, delta vs
-        # full) is exercised in tests/core/test_incremental.py and
+        # Unbounded RWR: both engines build the same window graphs, but the
+        # full engine walks one query at a time and the incremental engine
+        # runs the batched walk, whose sums group differently and whose
+        # convergence test spans the batch: cross-engine weights agree only
+        # to round-off and near-ties may reorder.  The incremental contract
+        # proper (same graph, delta vs full) is exercised in
+        # tests/core/test_incremental.py and
         # tests/core/test_delta_chain_reorders.py; within-engine
         # byte-identity across resume is covered by TestResume below.
-        params = {"max_hops": 3}
+        params = {"max_hops": None}
         full = make_pipeline(
             trace, tmp_path / "full", scheme="rwr", incremental=False, **params
         ).run()

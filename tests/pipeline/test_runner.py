@@ -110,6 +110,30 @@ class TestRun:
         assert result.report.resumed_from is None
         assert all(w.mode == MODE_EXACT for w in result.report.windows)
 
+    @pytest.mark.parametrize("bipartite", [False, True], ids=["general", "bipartite"])
+    @pytest.mark.parametrize("scheme", ["tt", "ut"])
+    def test_full_window_builds_no_dict_rows(
+        self, trace, tmp_path, monkeypatch, scheme, bipartite
+    ):
+        # A fresh window is built from its columns and its TT/UT kernel
+        # reads their CSR rows: the dict rows are never written.
+        from repro.pipeline import runner
+
+        graphs = []
+
+        def build(records, bipartite=False):
+            graphs.append(aggregate_records(records, bipartite=bipartite))
+            return graphs[-1]
+
+        monkeypatch.setattr(runner, "aggregate_records", build)
+        config = PipelineConfig(scheme=scheme, k=5, bipartite=bipartite)
+        result = make_pipeline(trace, tmp_path, config).run()
+        assert len(graphs) == 3
+        assert all(w.mode == MODE_EXACT for w in result.report.windows)
+        assert all(g._columns is not None and "_out" not in vars(g) for g in graphs)
+        assert result.report.metrics.get("matrix_cache.misses{key=rows}", 0) == 0
+        assert result.signatures[0]
+
 
 class TestErrorBudget:
     def make_dirty_source(self, bad=3, good=97):
@@ -155,10 +179,27 @@ class TestDegradation:
             assert "memory budget" in window.reason
 
     def test_deadline_degrades_to_streaming(self, trace, tmp_path):
-        # Fake clock: every call advances one second, so any per-window
-        # deadline below the population size trips mid-computation.
+        # Fake clock: every call advances one second.  TT computes the
+        # population as one batch, one tick, and the deadline is checked
+        # after it.
         ticks = iter(range(100000))
-        config = PipelineConfig(scheme="tt", k=5, window_deadline=1.5)
+        config = PipelineConfig(scheme="tt", k=5, window_deadline=0.5)
+        result = make_pipeline(
+            trace, tmp_path, config, clock=lambda: float(next(ticks))
+        ).run()
+        assert result.report.degraded_windows == [0, 1, 2]
+        assert all("deadline" in w.reason for w in result.report.windows)
+
+    def test_unbounded_rwr_deadline_trips_mid_loop(self, trace, tmp_path):
+        # Unbounded RWR keeps the per-node loop, checked per node: a
+        # deadline below the population size trips mid-loop.
+        ticks = iter(range(100000))
+        config = PipelineConfig(
+            scheme="rwr",
+            k=5,
+            scheme_params={"reset_probability": 0.1, "max_hops": None},
+            window_deadline=1.5,
+        )
         result = make_pipeline(
             trace, tmp_path, config, clock=lambda: float(next(ticks))
         ).run()

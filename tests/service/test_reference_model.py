@@ -7,12 +7,12 @@ zero weights, self-loops and non-ASCII labels, posts that straddle window
 boundaries, ``window_buckets`` from 1 to 3, shard crashes (rebuilt from the
 ingest log) and broken sketch tiers (the shard goes DOWN until ``heal()``).
 The model keeps every admitted record as an :class:`EdgeRecord` and, per
-shard and window, runs the reference paths: ``canonical_order``, then
-``aggregate_records`` over the window's retained records and the scheme's
-``compute_all``; and ``observe_records`` per bucket, merged over the
-window.  Segments must be SHA-256-equal to the model's, signatures equal,
-and the sketch tier's Count-Min, SpaceSaving and Flajolet-Martin state
-identical.
+shard and window, runs the reference paths: ``canonical_order``, then one
+``add_edge`` per retained record (``graph_from_edges``, not the column
+builder the shards use) and the scheme's ``compute_all``; and
+``observe_records`` per bucket, merged over the window.  Segments must be
+SHA-256-equal to the model's, signatures equal, and the sketch tier's
+Count-Min, SpaceSaving and Flajolet-Martin state identical.
 
 Weights include non-dyadic values and 1e16 at every ``window_buckets``:
 the shards' window graphs are fresh aggregation of the retained buckets,
@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheme import create_scheme
-from repro.graph.builders import aggregate_records
+from repro.graph.builders import graph_from_edges
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import canonical_order
 from repro.pipeline.checkpoint import CheckpointStore
@@ -135,7 +135,9 @@ class Model:
 
     def window(self, shard, window):
         """``(signatures, meta)`` of a shard's window, freshly aggregated."""
-        graph = aggregate_records([r for part in self.retained(shard, window) for r in part])
+        graph = graph_from_edges(
+            (r.src, r.dst, r.weight) for part in self.retained(shard, window) for r in part
+        )
         signatures = {
             str(node): signature
             for node, signature in self.scheme.compute_all(graph, graph.senders()).items()
