@@ -181,7 +181,13 @@ class RandomWalkWithResets(SignatureScheme):
             stepped = transition_t @ occupancy
             if dangling.any():
                 # Mass sitting on dangling nodes walks "home" to the start.
-                lost = occupancy[dangling].sum(axis=0)
+                # numpy sums a wide batch's columns row by row, but one
+                # column pairwise; the running sum adds one column in row
+                # order too, so no owner's walk depends on the batch width.
+                if num_queries == 1:
+                    lost = np.cumsum(occupancy[dangling, 0])[-1:]
+                else:
+                    lost = occupancy[dangling].sum(axis=0)
                 stepped[start_rows, np.arange(num_queries)] += lost
             updated = (1.0 - c) * stepped + c * start
             if self.max_hops is None:

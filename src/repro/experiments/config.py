@@ -45,11 +45,6 @@ class ExperimentConfig:
     ``N > 1`` uses up to ``N`` processes, ``0`` uses every CPU.
     Results are assembled in deterministic order regardless of ``jobs``.
 
-    ``incremental`` routes consecutive-window signature computation
-    through the delta engine (:func:`consecutive_signature_maps`): the
-    second window's map reuses the first via the scheme's dirty set,
-    byte-identical to a full recompute by the incremental contract.
-
     ``strategy`` names the compute engine that
     :func:`~repro.core.execution.make_engine` builds once per experiment
     run and hands to every grid cell: ``"serial"``
@@ -71,7 +66,6 @@ class ExperimentConfig:
     reset_probability: float = RESET_PROBABILITY
     rwr_hops: Tuple[int, ...] = RWR_HOPS
     jobs: int = 1
-    incremental: bool = False
     strategy: str = "serial"
     sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
 
@@ -138,31 +132,18 @@ def consecutive_signature_maps(
     graph_now,
     graph_next,
     population,
-    incremental: bool = False,
     engine: Optional[ComputeEngine] = None,
 ):
-    """Signature maps for a consecutive window pair, optionally delta-reused.
+    """Signature maps of ``population`` for a consecutive window pair.
 
-    With ``incremental=True`` the second map is computed through
-    ``compute_all(delta=..., previous=...)`` with the delta diffed from
-    the two graphs — recomputing only the scheme's dirty set.  ``engine``
-    is forwarded to ``compute_all`` so the batches (or just the dirty
-    set) can run on the shared-memory worker pool, or through the
-    budgeted sketch tier.  An shm engine is byte-identical to the plain
-    serial recompute; the sketch tier is not — it answers under its
-    accuracy contract (and recomputes whole batches, ignoring
-    ``delta``/``previous``).
+    The two windows are disjoint, so each map is computed in full.
+    ``engine`` is forwarded to ``compute_all`` so the batches can run on
+    the shared-memory worker pool, or through the budgeted sketch tier.
+    An shm engine is byte-identical to the plain serial recompute; the
+    sketch tier is not — it answers under its accuracy contract.
     """
-    from repro.graph.delta import WindowDelta
-
     signatures_now = scheme.compute_all(graph_now, population, engine=engine)
-    if incremental:
-        delta = WindowDelta.from_graphs(graph_now, graph_next)
-        signatures_next = scheme.compute_all(
-            graph_next, population, delta=delta, previous=signatures_now, engine=engine
-        )
-    else:
-        signatures_next = scheme.compute_all(graph_next, population, engine=engine)
+    signatures_next = scheme.compute_all(graph_next, population, engine=engine)
     return signatures_now, signatures_next
 
 

@@ -62,7 +62,6 @@ def _scheme_ellipses(
             graph_now,
             graph_next,
             population,
-            config.incremental,
             engine=engine,
         )
         return [

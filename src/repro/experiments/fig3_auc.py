@@ -64,7 +64,6 @@ def _scheme_aucs(
             graph_now,
             graph_next,
             population,
-            config.incremental,
             engine=engine,
         )
         return {

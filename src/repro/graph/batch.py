@@ -4,8 +4,8 @@ A :class:`RecordBatch` holds records as four arrays — float64 ``time`` and
 ``weight``, int32 ``src`` and ``dst`` — whose ids index a
 :class:`LabelTable`.  The service parses ``/ingest`` straight into
 batches and routes, logs, aggregates and sketches them without a Python
-object per record; the incremental pipeline converts its window buckets
-with :meth:`RecordBatch.from_records`.  :class:`~repro.graph.stream.EdgeRecord`
+object per record; the pipeline converts each window's records with
+:meth:`RecordBatch.from_records`.  :class:`~repro.graph.stream.EdgeRecord`
 stays the reference representation: :meth:`RecordBatch.records` turns a
 batch back into records.
 """
@@ -16,7 +16,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,10 @@ class LabelTable:
 
     def __getitem__(self, ident: int) -> Hashable:
         return self._labels[ident]
+
+    def __iter__(self) -> Iterator[Hashable]:
+        """The labels in id order."""
+        return iter(self._labels)
 
     def labels_of(self, ids: np.ndarray) -> List[Hashable]:
         """The labels of ``ids``, in order."""

@@ -113,11 +113,11 @@ class CheckpointStore:
         )
 
     def set_run_state(self, state: Mapping) -> None:
-        """Persist run-level state (engine, scheme identity, contract).
+        """Persist run-level state (scheme identity, contract).
 
         The pipeline stamps its configuration here so a resume can verify
-        the checkpointed prefix was produced under a compatible engine
-        before chaining new windows onto it.
+        the checkpointed prefix was produced under a compatible
+        configuration before appending new windows to it.
         """
         self.history.set_state(state)
 

@@ -44,11 +44,9 @@ from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, P
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, ReadReport
-from repro.graph.windows import SlidingWindowAggregator, bucket_records
+from repro.graph.windows import bucket_records
 from repro.pipeline.checkpoint import CheckpointStore
-from repro.types import NodeId
 from repro.pipeline.report import (
     MODE_CACHED,
     MODE_DEGRADED,
@@ -64,22 +62,6 @@ from repro.streaming.stream_schemes import SKETCHABLE_SCHEMES, streaming_builder
 WindowHook = Callable[[int, WindowReport], None]
 
 
-@dataclass
-class _IncrementalState:
-    """Carried across windows by the incremental engine.
-
-    ``aggregator`` holds the live sliding-window graph; ``previous`` is the
-    raw-keyed signature map of the last *exact* window (``None`` when the
-    chain is broken — first window, or after a degraded window whose
-    sketched output cannot seed reuse).
-    """
-
-    aggregator: SlidingWindowAggregator
-    previous: Optional[Dict[NodeId, Signature]] = None
-    last_dirty: int = 0
-    last_reused: int = 0
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs of a pipeline run.
@@ -87,18 +69,9 @@ class PipelineConfig:
     Windowing: give exactly one of ``num_windows`` / ``window_length``, or
     neither — in which case record times must already hold non-negative
     integer window indices (the interchange convention of
-    :mod:`repro.datasets.loaders`).
-
-    ``incremental`` routes windows through the delta engine: a
-    :class:`~repro.graph.windows.SlidingWindowAggregator` builds each
-    window graph and diffs it against the last, and each scheme
-    recomputes only its dirty set (byte-identical to the full path's
-    signatures by the ``compute_all(delta=...)`` contract; checkpoints
-    record the engine in their run state so resumes are checked for
-    compatibility).  Note the
-    incremental engine uses the scheme's *batched* ``compute_all``, so for
-    unbounded RWR — whose batched iteration count is population-coupled —
-    outputs match the batched contract, not the per-node loop.
+    :mod:`repro.datasets.loaders`).  Windows are disjoint, so each is
+    aggregated and computed afresh from its own records.  Node labels
+    must be strings, as checkpoint segments store them.
 
     ``error_budget`` bounds rejected rows: a value below 1.0 is a fraction
     of examined rows, a value >= 1 an absolute count; ``None`` disables the
@@ -112,11 +85,10 @@ class PipelineConfig:
     an engine.  ``"shm"`` advances windows through the shared-memory
     engine (:mod:`repro.parallel.shm`): one persistent pool of ``jobs``
     workers (``0`` = all available CPUs) recomputes each window's
-    population — or, with ``incremental=True``, just the dirty set — over
-    a zero-copy publication of the window graph.  Signatures are
-    byte-identical to the serial run; schemes whose batches cannot be
-    partitioned (unbounded RWR on the non-incremental path) fall back to
-    the serial per-node loop.
+    population over a zero-copy publication of the window graph.
+    Signatures are byte-identical to the serial run.  Unbounded RWR,
+    whose batch cannot be partitioned, always runs the in-process
+    per-node loop, with the deadline checked per node.
 
     ``"sketch"`` answers each window from a memory-budgeted
     :class:`~repro.streaming.tier.SketchTierEngine` instead: exact
@@ -150,7 +122,6 @@ class PipelineConfig:
     num_windows: Optional[int] = None
     window_length: Optional[float] = None
     bipartite: bool = False
-    incremental: bool = False
     error_budget: Optional[float] = None
     max_memory_cells: Optional[int] = None
     window_deadline: Optional[float] = None
@@ -212,6 +183,17 @@ class PipelineResult:
     report: RunReport
     signatures: List[Dict[str, Signature]] = field(default_factory=list)
     timeseries: Dict[str, List[List[float]]] = field(default_factory=dict)
+
+
+def _check_labels(window: int, labels: LabelTable) -> None:
+    """Refuse a window whose records carry a non-string node label, before
+    it is computed: checkpoint segments store string labels only."""
+    for label in labels:
+        if not isinstance(label, str):
+            raise PipelineError(
+                f"window {window}: node label {label!r} is a "
+                f"{type(label).__name__}; checkpoints store string labels only"
+            )
 
 
 class SignaturePipeline:
@@ -373,27 +355,21 @@ class SignaturePipeline:
             # The config is validated, so this is the window-index check.
             raise PipelineError(f"without num_windows/window_length, {exc}") from exc
 
-        replayed_modes: List[str] = []
+        start_window = 0
         if resume:
             self._check_run_state()
-            replayed_modes = self._replay_checkpoints(len(buckets), report, result)
+            start_window = self._replay_checkpoints(len(buckets), report, result)
         else:
             self.store.clear()
-        start_window = len(replayed_modes)
         self.store.set_run_state(self._run_state())
 
         scheme = create_scheme(
             self.config.scheme, k=self.config.k, **self.config.scheme_params
         )
-        inc: Optional[_IncrementalState] = None
-        if self.config.incremental:
-            inc = self._prepare_incremental(
-                buckets, start_window, replayed_modes, scheme
-            )
         for window in range(start_window, len(buckets)):
             with obs.span("pipeline.window"):
                 window_report, signatures = self._process_window(
-                    window, buckets[window], scheme, report, inc
+                    window, buckets[window], scheme, report
                 )
             obs.counter("pipeline.windows", mode=window_report.mode).inc()
             report.windows.append(window_report)
@@ -469,7 +445,7 @@ class SignaturePipeline:
     # Resume
     # ------------------------------------------------------------------
     def _run_state(self) -> Dict:
-        """The engine identity stamped into the checkpoint run state.
+        """The run identity stamped into the checkpoint run state.
 
         ``contract`` separates byte-identical engines (serial/shm,
         freely interchangeable across resumes) from the sketch tier's
@@ -479,7 +455,6 @@ class SignaturePipeline:
         """
         engine = self._engine
         return {
-            "engine": "incremental" if self.config.incremental else "full",
             "scheme": self.config.scheme,
             "k": self.config.k,
             "bipartite": self.config.bipartite,
@@ -489,10 +464,12 @@ class SignaturePipeline:
     def _check_run_state(self) -> None:
         """Refuse to resume onto checkpoints from an incompatible engine.
 
-        Chaining incremental windows onto a prefix computed under a
-        different scheme, ``k`` or engine would silently break the
-        byte-identity contract; stores without run state (pre-existing
-        checkpoints) are accepted for backwards compatibility.
+        Appending windows to a prefix computed under a different scheme,
+        ``k``, graph kind or contract would silently mix two runs' outputs
+        in one directory.  Stores without run state (pre-existing
+        checkpoints) are accepted for backwards compatibility, and so are
+        stamp keys this run does not write (the ``engine`` key of older
+        runs).
         """
         prior = self.store.run_state()
         if not prior:
@@ -512,42 +489,10 @@ class SignaturePipeline:
                 f"cannot resume: checkpoint run state is incompatible ({detail})"
             )
 
-    def _prepare_incremental(
-        self,
-        buckets: List[List[EdgeRecord]],
-        start_window: int,
-        replayed_modes: List[str],
-        scheme: SignatureScheme,
-    ) -> _IncrementalState:
-        """Rebuild the aggregator (and reuse map) for an incremental run.
-
-        On resume, the last replayed window's buckets are advanced through
-        a fresh aggregator — a window's graph depends only on its own
-        buckets — and that window's signatures are recomputed in full to
-        seed ``previous`` (the byte-identity contract makes that equal to
-        what the uninterrupted chain carried).
-        """
-        state = _IncrementalState(
-            aggregator=SlidingWindowAggregator(bipartite=self.config.bipartite)
-        )
-        aggregator = state.aggregator
-        first = max(0, start_window - aggregator.window_buckets)
-        for index in range(first, start_window):
-            aggregator.advance(
-                RecordBatch.from_records(buckets[index], aggregator.labels).canonical()
-            )
-        if start_window and replayed_modes[-1] == MODE_EXACT:
-            graph = state.aggregator.graph
-            state.previous = scheme.compute_all(
-                graph, graph.senders(), engine=self._engine
-            )
-        return state
-
     def _replay_checkpoints(
         self, num_windows: int, report: RunReport, result: PipelineResult
-    ) -> List[str]:
-        """Replay the verified checkpoint prefix; returns the original
-        (pre-replay) mode of each replayed window, in order."""
+    ) -> int:
+        """Replay the verified checkpoint prefix; returns its length."""
         scan = self.store.scan()
         report.issues.extend(scan.issues)
         good = scan.good[:num_windows]
@@ -576,7 +521,7 @@ class SignaturePipeline:
                 windows=len(good),
                 issues=list(scan.issues),
             )
-        return [entry.mode for entry in good]
+        return len(good)
 
     # ------------------------------------------------------------------
     # Per-window computation
@@ -587,20 +532,13 @@ class SignaturePipeline:
         records: List[EdgeRecord],
         scheme: SignatureScheme,
         report: RunReport,
-        inc: Optional[_IncrementalState] = None,
     ) -> Tuple[WindowReport, Dict[str, Signature]]:
         started = self._clock()
         # The window's one conversion: its records as canonical columns.
-        labels = inc.aggregator.labels if inc is not None else LabelTable()
-        batch = RecordBatch.from_records(records, labels).canonical()
-        delta: Optional[WindowDelta] = None
-        if inc is not None:
-            # Advance G_t -> G_{t+1} by the arriving records only; the
-            # aggregator's graph is bit-identical to fresh aggregation.
-            delta = inc.aggregator.advance(batch)
-            graph = inc.aggregator.graph
-        else:
-            graph = aggregate_records(batch, bipartite=self.config.bipartite)
+        batch = RecordBatch.from_records(records, LabelTable())
+        _check_labels(window, batch.labels)
+        batch = batch.canonical()
+        graph = aggregate_records(batch, bipartite=self.config.bipartite)
         mode, reason = MODE_EXACT, ""
 
         cells = graph.num_nodes + graph.num_edges
@@ -616,12 +554,7 @@ class SignaturePipeline:
 
         signatures: Dict[str, Signature] = {}
         if mode == MODE_EXACT:
-            if inc is not None:
-                exact = self._compute_exact_incremental(
-                    graph, scheme, started, inc, delta
-                )
-            else:
-                exact = self._compute_exact(graph, scheme, started)
+            exact = self._compute_exact(graph, scheme, started)
             if exact is None:
                 mode = MODE_DEGRADED
                 reason = (
@@ -630,19 +563,7 @@ class SignaturePipeline:
                 )
             else:
                 signatures = exact
-                if inc is not None:
-                    obs.emit(
-                        "pipeline.window.incremental",
-                        level="debug",
-                        window=window,
-                        dirty=inc.last_dirty,
-                        reused=inc.last_reused,
-                        signatures=len(signatures),
-                    )
         if mode == MODE_DEGRADED:
-            if inc is not None:
-                # Sketched output cannot seed exact reuse; break the chain.
-                inc.previous = None
             obs.counter("pipeline.degradations").inc()
             signatures = self._compute_degraded(batch)
             if self.config.scheme not in SKETCHABLE_SCHEMES:
@@ -664,8 +585,6 @@ class SignaturePipeline:
             "num_edges": graph.num_edges,
             "reason": reason,
         }
-        if inc is not None:
-            meta["engine"] = "incremental"
         entry = self._save_window(window, signatures, meta, mode, report)
         return (
             WindowReport(
@@ -683,58 +602,6 @@ class SignaturePipeline:
             signatures,
         )
 
-    def _compute_exact_incremental(
-        self,
-        graph: CommGraph,
-        scheme: SignatureScheme,
-        started: float,
-        inc: _IncrementalState,
-        delta: Optional[WindowDelta],
-    ) -> Optional[Dict[str, Signature]]:
-        """Exact signatures via the dirty-set path, or ``None`` on deadline.
-
-        Uses the scheme's batched ``compute_all`` contract (identical for
-        every scheme, and required for reuse); the deadline is checked
-        after the batch rather than per-node.
-        """
-        population = graph.senders()
-        use_delta = delta if inc.previous is not None else None
-        registry = obs.get_registry()
-        dirty_before = registry.counter_value(
-            "incremental.dirty_nodes", scheme=scheme.name
-        )
-        reused_before = registry.counter_value(
-            "incremental.reused_signatures", scheme=scheme.name
-        )
-        raw = scheme.compute_all(
-            graph,
-            population,
-            delta=use_delta,
-            previous=inc.previous,
-            engine=self._engine,
-        )
-        if use_delta is None:
-            # Cold start (first window, or after a degraded window): the
-            # whole population was computed fresh.
-            inc.last_dirty, inc.last_reused = len(population), 0
-        else:
-            inc.last_dirty = int(
-                registry.counter_value("incremental.dirty_nodes", scheme=scheme.name)
-                - dirty_before
-            )
-            inc.last_reused = int(
-                registry.counter_value(
-                    "incremental.reused_signatures", scheme=scheme.name
-                )
-                - reused_before
-            )
-        deadline = self.config.window_deadline
-        if deadline is not None and self._clock() - started > deadline:
-            inc.previous = None
-            return None
-        inc.previous = raw
-        return {str(node): signature for node, signature in raw.items()}
-
     def _compute_exact(
         self, graph: CommGraph, scheme: SignatureScheme, started: float
     ) -> Optional[Dict[str, Signature]]:
@@ -744,20 +611,20 @@ class SignaturePipeline:
         ``compute_all`` through the run's engine, and the deadline is
         checked after the batch.  Unbounded RWR keeps the per-node loop,
         with the deadline checked per node: its batched iteration count is
-        population-coupled, so only the serial loop matches this path's
-        historical outputs.
+        population-coupled, so only the serial loop gives each owner the
+        walk it would get alone.
         """
         deadline = self.config.window_deadline
         if scheme.partition_batch_safe(graph):
-            raw = scheme.compute_all(graph, graph.senders(), engine=self._engine)
+            signatures = scheme.compute_all(graph, graph.senders(), engine=self._engine)
             if deadline is not None and self._clock() - started > deadline:
                 return None
-            return {str(node): signature for node, signature in raw.items()}
-        signatures: Dict[str, Signature] = {}
+            return signatures
+        signatures = {}
         for node in graph.senders():
             if deadline is not None and self._clock() - started > deadline:
                 return None
-            signatures[str(node)] = scheme.compute(graph, node)
+            signatures[node] = scheme.compute(graph, node)
         return signatures
 
     def _compute_degraded(self, batch: RecordBatch) -> Dict[str, Signature]:
@@ -772,7 +639,7 @@ class SignaturePipeline:
             seed=self.config.seed,
         )
         builder.observe_batch(batch)
-        return {str(source): builder.signature(source) for source in builder.sources}
+        return {source: builder.signature(source) for source in builder.sources}
 
     def _save_window(
         self,

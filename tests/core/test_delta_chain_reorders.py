@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.scheme import create_scheme
 from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import aggregate_records
+from repro.graph.builders import aggregate_records, graph_from_edges
 from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.graph.windows import GraphSequence, SlidingWindowAggregator
 from repro.pipeline import CheckpointStore, CsvRecordSource, PipelineConfig, SignaturePipeline
@@ -68,21 +68,26 @@ class TestReversedRows:
         chain_equals_full(create_scheme(name, k=3), sequence)
 
     @pytest.mark.parametrize("name", ["tt", "it"])
-    def test_incremental_pipeline_equals_full_run(self, name, tmp_path):
+    def test_pipeline_equals_per_owner_compute(self, name, tmp_path):
         # a's out-row and in-row both come back reversed.
+        records = reversed_trace(ROW + IN_ROW)
         trace = tmp_path / "trace.csv"
-        write_edge_records(reversed_trace(ROW + IN_ROW), trace)
-        stores = {}
-        for incremental in (False, True):
-            stores[incremental] = CheckpointStore(tmp_path / f"ckpt-{incremental}")
-            SignaturePipeline(
-                CsvRecordSource(trace),
-                stores[incremental],
-                PipelineConfig(scheme=name, k=3, window_length=1.0, incremental=incremental),
-            ).run()
+        write_edge_records(records, trace)
+        store = CheckpointStore(tmp_path / "ckpt")
+        SignaturePipeline(
+            CsvRecordSource(trace),
+            store,
+            PipelineConfig(scheme=name, k=3, window_length=1.0),
+        ).run()
+        scheme = create_scheme(name, k=3)
         for window in (0, 1):
-            full, _ = stores[False].load_window(window)
-            assert stores[True].load_window(window)[0] == full
+            graph = graph_from_edges(
+                (record.src, record.dst, record.weight)
+                for record in records
+                if int(record.time) == window
+            )
+            expected = {owner: scheme.compute(graph, owner) for owner in graph.senders()}
+            assert store.load_window(window)[0] == expected
 
 
 def test_moved_nodes_dirty_the_matrix_walk():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rwr import RandomWalkWithResets
 from repro.core.top_talkers import TopTalkers
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.builders import graph_from_edges
 from repro.graph.comm_graph import CommGraph
 
 
@@ -120,6 +123,41 @@ class TestBatchedComputeAll:
 
     def test_empty_node_list(self, triangle_graph):
         assert RandomWalkWithResets().compute_all(triangle_graph, nodes=[]) == {}
+
+
+#: Senders talk to each other and to many receivers that send nothing,
+#: so every walk step sums the mass of more than eight dangling nodes.
+DANGLING_EDGES = st.lists(
+    st.tuples(
+        st.integers(0, 29),
+        st.one_of(
+            st.integers(0, 29).map(lambda i: f"s{i}"),
+            st.integers(0, 59).map(lambda i: f"e{i}"),
+        ),
+        st.sampled_from([1.0, 0.1, 3.0, 7.25, 0.37, 2.9]),
+    ).map(lambda edge: (f"s{edge[0]}", edge[1], edge[2])),
+    min_size=100,
+    max_size=300,
+)
+
+
+class TestBatchWidth:
+    @settings(max_examples=15, deadline=None)
+    @given(edges=DANGLING_EDGES)
+    def test_every_width_equals_the_whole_batch(self, edges):
+        # A one-owner batch sums the dangling mass in the same order as a
+        # wide one, so per-node compute, an shm partition of one and a
+        # dirty set of one all give the whole batch's signature.
+        graph = graph_from_edges(edges)
+        scheme = RandomWalkWithResets(k=10, reset_probability=0.1, max_hops=3)
+        owners = list(graph.senders())
+        whole = scheme.compute_all(graph, owners)
+        for index, owner in enumerate(owners):
+            other = owners[index - 1]
+            expected = whole[owner].entries
+            assert scheme.compute_all(graph, [owner])[owner].entries == expected
+            assert scheme.compute_all(graph, [owner, other])[owner].entries == expected
+            assert scheme.compute(graph, owner).entries == expected
 
 
 class TestBipartiteBehaviour:

@@ -3,7 +3,7 @@
 A window over its memory budget is answered by the streaming builder of
 its scheme, built from the window's records as one column batch.  Each
 degraded window must hold exactly the signatures one ``observe`` call per
-canonical record builds, on the full engine and the incremental one.
+canonical record builds.
 """
 
 import tempfile
@@ -66,18 +66,16 @@ def reference(records, config):
 
 
 class TestDegradedWindowsEqualObserveLoop:
-    @pytest.mark.parametrize("incremental", [False, True], ids=["full", "incremental"])
     @pytest.mark.parametrize("bipartite", [False, True], ids=["general", "bipartite"])
     @pytest.mark.parametrize("scheme", ["tt", "ut"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_signatures(self, scheme, bipartite, incremental, data):
+    def test_signatures(self, scheme, bipartite, data):
         records = data.draw(trace(bipartite))
         config = PipelineConfig(
             scheme=scheme,
             k=3,
             bipartite=bipartite,
-            incremental=incremental,
             max_memory_cells=1,
         )
         result = run(records, config)

@@ -1,9 +1,9 @@
 """Pipeline integration of the shared-memory recompute engine.
 
 ``strategy="shm"`` must leave every pipeline output byte-identical —
-window signatures, checkpoints, report — in both the full-recompute and
-incremental modes, and the run must release its worker pool and segments
-whether it succeeds or dies mid-window.
+window signatures, checkpoints, report — on general and bipartite
+windows, and the run must release its worker pool and segments whether
+it succeeds or dies mid-window.
 """
 
 import multiprocessing
@@ -21,17 +21,23 @@ from repro.pipeline import (
 )
 
 
-@pytest.fixture()
-def trace(tmp_path):
+def write_trace(tmp_path, bipartite=False):
+    """Hosts talking to hosts, or (bipartite) to external addresses."""
     rng = random.Random(7)
+    target = "e" if bipartite else "h"
     rows = ["time,src,dst,weight"]
     for t in range(300):
         rows.append(
-            f"{t},h{rng.randrange(15)},h{rng.randrange(15)},{rng.randrange(1, 6)}"
+            f"{t},h{rng.randrange(15)},{target}{rng.randrange(15)},{rng.randrange(1, 6)}"
         )
     path = tmp_path / "trace.csv"
     path.write_text("\n".join(rows) + "\n")
     return path
+
+
+@pytest.fixture()
+def trace(tmp_path):
+    return write_trace(tmp_path)
 
 
 def run_pipeline(trace, tmp_path, tag, **config_kwargs):
@@ -49,21 +55,20 @@ def run_pipeline(trace, tmp_path, tag, **config_kwargs):
 
 
 class TestPipelineShmStrategy:
-    @pytest.mark.parametrize("incremental", [False, True])
+    @pytest.mark.parametrize("bipartite", [False, True])
     @pytest.mark.parametrize(
         "scheme,params",
         [("tt", {}), ("rwr", {"max_hops": 3}), ("rwr", {})],
     )
-    def test_byte_identical_to_serial(
-        self, trace, tmp_path, incremental, scheme, params
-    ):
+    def test_byte_identical_to_serial(self, tmp_path, bipartite, scheme, params):
+        trace = write_trace(tmp_path, bipartite)
         serial = run_pipeline(
-            trace, tmp_path, f"s-{scheme}-{incremental}",
-            scheme=scheme, scheme_params=params, incremental=incremental,
+            trace, tmp_path, f"s-{scheme}",
+            scheme=scheme, scheme_params=params, bipartite=bipartite,
         )
         shm = run_pipeline(
-            trace, tmp_path, f"p-{scheme}-{incremental}",
-            scheme=scheme, scheme_params=params, incremental=incremental,
+            trace, tmp_path, f"p-{scheme}",
+            scheme=scheme, scheme_params=params, bipartite=bipartite,
             strategy="shm", jobs=2,
         )
         assert shm == serial

@@ -44,13 +44,11 @@ def checkpoint_digests(records, directory, config):
 
 
 @pytest.mark.parametrize("distinct_times", [True, False])
-@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("bipartite", [False, True])
 def test_ordered_shuffled_and_reversed_traces_checkpoint_identically(
-    tmp_path, distinct_times, incremental
+    tmp_path, distinct_times, bipartite
 ):
-    config = PipelineConfig(
-        scheme="tt", k=5, bipartite=True, window_length=1.0, incremental=incremental
-    )
+    config = PipelineConfig(scheme="tt", k=5, bipartite=bipartite, window_length=1.0)
     ordered = trace(distinct_times)
     shuffled = list(ordered)
     random.Random(9).shuffle(shuffled)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.scheme import create_scheme
 from repro.exceptions import ErrorBudgetExceeded, PipelineError
-from repro.graph.builders import aggregate_records
+from repro.graph.builders import aggregate_records, graph_from_edges
 from repro.graph.stream import EdgeRecord, write_edge_records
+from repro.graph.windows import canonical_order
 from repro.pipeline import (
     CheckpointStore,
     CsvRecordSource,
@@ -78,6 +79,23 @@ class TestRun:
         scheme = create_scheme("tt", k=5)
         for owner, signature in result.signatures[0].items():
             assert signature == scheme.compute(graph, owner)
+
+    @pytest.mark.parametrize(
+        "scheme,params",
+        [("tt", {}), ("ut", {}), ("rwr-push", {}), ("rwr", {"max_hops": 3})],
+    )
+    def test_windows_equal_per_owner_compute(self, trace, tmp_path, scheme, params):
+        # Every window, batched through compute_all, equals the scheme's
+        # per-node compute on a reference build of that window's records.
+        config = PipelineConfig(scheme=scheme, k=5, scheme_params=params)
+        result = make_pipeline(trace, tmp_path, config).run()
+        reference = create_scheme(scheme, k=5, **params)
+        for window, signatures in enumerate(result.signatures):
+            records = canonical_order([r for r in make_records() if r.time == window])
+            graph = graph_from_edges((r.src, r.dst, r.weight) for r in records)
+            assert signatures == {
+                owner: reference.compute(graph, owner) for owner in graph.senders()
+            }
 
     def test_integer_times_define_windows(self, trace, tmp_path):
         result = make_pipeline(trace, tmp_path).run()
@@ -512,3 +530,29 @@ class TestLiveObservability:
             PipelineConfig(obs_port=65536)
         with pytest.raises(PipelineError):
             PipelineConfig(sample_interval=0.0)
+
+
+class TestNodeLabels:
+    def test_non_string_label_refused_before_its_window_is_checkpointed(
+        self, tmp_path
+    ):
+        # Checkpoint segments store string labels only: the run names the
+        # first window with another label, and writes nothing for it.
+        rows = [(0.0, "a", "b", 1.0), (1.0, "a", "b", 1.0), (1.0, 1, "b", 2.0)]
+        store = CheckpointStore(tmp_path / "ckpt")
+        pipeline = SignaturePipeline(
+            IterableRecordSource(rows), store, PipelineConfig(scheme="tt", k=3)
+        )
+        with pytest.raises(PipelineError, match="window 1: node label 1 is a int"):
+            pipeline.run()
+        assert [entry.window for entry in store.scan().good] == [0]
+
+    def test_non_string_label_refused_in_a_degraded_window(self, tmp_path):
+        rows = [(0.0, "a", 2, 1.0), (0.0, "a", "c", 1.0)]
+        pipeline = SignaturePipeline(
+            IterableRecordSource(rows),
+            CheckpointStore(tmp_path / "ckpt"),
+            PipelineConfig(scheme="tt", k=3, max_memory_cells=1),
+        )
+        with pytest.raises(PipelineError, match="window 0: node label 2 is a int"):
+            pipeline.run()

@@ -575,7 +575,7 @@ def bench_shm(
 
 
 def bench_shm_dirty(num_nodes: int, num_windows: int, workers: int, repeats: int) -> list:
-    """The pipeline's actual workload: dirty-set recompute across windows.
+    """The service shard's workload: dirty-set recompute across windows.
 
     Chains ``compute_all(delta=..., previous=...)`` over a sliding
     backbone-plus-churn trace in-process and on an shm engine and asserts
