@@ -21,9 +21,11 @@ this database table's user community changed?").
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.core.scheme import SignatureScheme, register_scheme
+from repro.core.signature import Signature
+from repro.core.top_talkers import _row_shares
 from repro.graph.comm_graph import CommGraph
 from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
@@ -52,6 +54,13 @@ class InTalkers(SignatureScheme):
             for src, weight in neighbours.items()
             if src != node
         }
+
+    def _compute_batch(
+        self, graph: CommGraph, targets: List[NodeId]
+    ) -> Dict[NodeId, Signature]:
+        # TT's row kernel over the in-rows: the shares of the in-row
+        # total, summed in in-row order as ``relevance`` sums.
+        return self._compute_rows(graph, targets, _row_shares, graph.in_rows())
 
     def dirty_nodes(
         self, graph: CommGraph, delta: WindowDelta

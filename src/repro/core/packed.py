@@ -163,7 +163,7 @@ class SignaturePack:
     def nbytes(self) -> int:
         """Bytes held by the pack's numeric arrays (CSR triple plus the
         derived per-row totals/sizes) — the footprint that matters for
-        memory accounting and shared-memory publication.  The Python-side
+        memory accounting.  The Python-side
         id tables (``owners``/``node_table``/``signatures``) are excluded:
         they are interned objects, not buffers."""
         matrix = self.matrix
@@ -173,74 +173,6 @@ class SignaturePack:
             + matrix.indptr.nbytes
             + self.totals.nbytes
             + self.sizes.nbytes
-        )
-
-    def to_buffers(self) -> Dict[str, object]:
-        """Export the pack as plain buffers + id tables.
-
-        The returned dict feeds :meth:`from_buffers` (round-trip equality)
-        and the shared-memory publisher.  The arrays are the pack's own —
-        treat them as read-only.
-        """
-        return {
-            "owners": self.owners,
-            "node_table": self.node_table,
-            "data": self.matrix.data,
-            "indices": self.matrix.indices,
-            "indptr": self.matrix.indptr,
-            "shape": tuple(self.matrix.shape),
-        }
-
-    @classmethod
-    def from_buffers(
-        cls,
-        owners: Sequence[NodeId],
-        node_table: Sequence[NodeId],
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        shape: Tuple[int, int] | None = None,
-    ) -> "SignaturePack":
-        """Rebuild a pack from exported buffers without re-interning.
-
-        The CSR arrays are wrapped as-is (no copy, no canonicalisation —
-        column order inside each row is preserved exactly, keeping every
-        order-sensitive reduction bit-identical to the source pack); the
-        per-row :class:`Signature` objects are reconstructed so the scalar
-        fallback path keeps working.
-        """
-        owners = tuple(owners)
-        node_table = tuple(node_table)
-        if shape is None:
-            shape = (len(owners), len(node_table))
-        if shape[0] != len(owners):
-            raise DistanceError(
-                f"shape {shape} inconsistent with {len(owners)} owners"
-            )
-        matrix = sparse.csr_matrix(
-            (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices),
-                np.asarray(indptr),
-            ),
-            shape=tuple(shape),
-        )
-        bounds = matrix.indptr
-        columns = matrix.indices
-        weights = matrix.data
-        signatures = []
-        for row, owner in enumerate(owners):
-            start, stop = int(bounds[row]), int(bounds[row + 1])
-            entries = {
-                node_table[columns[position]]: float(weights[position])
-                for position in range(start, stop)
-            }
-            signatures.append(Signature(owner, entries))
-        return cls(
-            owners=owners,
-            signatures=tuple(signatures),
-            node_table=node_table,
-            matrix=matrix,
         )
 
     def __len__(self) -> int:

@@ -108,14 +108,14 @@ class SignatureScheme(abc.ABC):
         calling :meth:`compute` per node.  Schemes whose batched results
         depend on the whole target list at once additionally override
         :meth:`partition_batch_safe`.
+
+        Every call accounts every target: ``incremental.dirty_nodes``
+        counts the targets computed and ``incremental.reused_signatures``
+        the ones taken from ``previous`` (a full recompute counts them all
+        dirty), so the two always sum to the target count.
         """
         targets: List[NodeId] = list(nodes) if nodes is not None else graph.nodes()
-
-        def batch(to_compute: List[NodeId]) -> Dict[NodeId, Signature]:
-            if engine is None:
-                return self._compute_batch(graph, to_compute)
-            return engine.compute_batch(self, graph, to_compute)
-
+        to_compute = targets
         if (
             delta is not None
             and previous is not None
@@ -127,20 +127,17 @@ class SignatureScheme(abc.ABC):
                 to_compute = [
                     node for node in targets if node in stale or node not in previous
                 ]
-                fresh = batch(to_compute)
-                reused = len(targets) - len(to_compute)
-                obs.counter("incremental.dirty_nodes", scheme=self.name).inc(
-                    len(to_compute)
-                )
-                obs.counter("incremental.reused_signatures", scheme=self.name).inc(
-                    reused
-                )
-                return {
-                    node: fresh[node] if node in fresh else previous[node]
-                    for node in targets
-                }
-        full = batch(targets)
-        return {node: full[node] for node in targets}
+        if engine is None:
+            fresh = self._compute_batch(graph, to_compute)
+        else:
+            fresh = engine.compute_batch(self, graph, to_compute)
+        obs.counter("incremental.dirty_nodes", scheme=self.name).inc(len(to_compute))
+        obs.counter("incremental.reused_signatures", scheme=self.name).inc(
+            len(targets) - len(to_compute)
+        )
+        return {
+            node: fresh[node] if node in fresh else previous[node] for node in targets
+        }
 
     def partition_batch_safe(self, graph: CommGraph) -> bool:
         """Whether :meth:`_compute_batch` applied to any partition of the
@@ -169,18 +166,23 @@ class SignatureScheme(abc.ABC):
         graph: CommGraph,
         targets: List[NodeId],
         relevance: Callable[[RowEntries], np.ndarray],
+        rows: Optional[RowsCsr] = None,
     ) -> Dict[NodeId, Signature]:
         """:meth:`_compute_batch` of a one-hop scheme whose relevance of
-        ``(owner, u)`` reads the out-row entry ``C[owner, u]``.
+        ``(owner, u)`` reads the row entry ``C[owner, u]`` of ``rows``
+        (default: the out-rows; an in-row scheme passes
+        :meth:`~repro.graph.comm_graph.CommGraph.in_rows`).
 
         ``relevance`` gives every gathered entry's relevance (self-loops
         and non-candidates at or below zero).  Each row's positive entries
         at or above its k-th largest pass, in row order, to
         :meth:`Signature.from_relevance`, whose tie-break then picks what
         per-node :meth:`compute` picks.  The bipartite restriction is
-        skipped: an out-row only holds ``V2`` nodes.
+        skipped: a left owner's out-row only holds ``V2`` nodes, and its
+        in-row is empty.
         """
-        rows = graph.out_rows()
+        if rows is None:
+            rows = graph.out_rows()
         entries = RowEntries(rows, graph.row_positions(targets))
         with np.errstate(all="ignore"):
             weights = relevance(entries)

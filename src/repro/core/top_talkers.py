@@ -62,7 +62,8 @@ class TopTalkers(SignatureScheme):
 
 
 def _row_shares(entries: RowEntries) -> np.ndarray:
-    """:meth:`TopTalkers.relevance` of every entry, bit for bit: row totals
+    """:meth:`TopTalkers.relevance` of every entry (and, over in-rows,
+    :meth:`~repro.core.in_talkers.InTalkers.relevance`), bit for bit: row totals
     are the builtin ``sum`` over the row in order, as ``relevance`` sums
     (compensated since Python 3.12, so no numpy reduction matches it on
     every Python), then one vectorised division."""

@@ -12,10 +12,10 @@ Every window graph is built by ``aggregate_records``, two ways round:
   (simple, stateless);
 - :meth:`GraphSequence.from_sliding_records` drives a
   :class:`SlidingWindowAggregator`, which builds each window graph from
-  the retained buckets' columns and diffs it against the last one, so
-  every transition carries its :class:`WindowDelta` and downstream
-  signature computation can run incrementally.  Both paths produce
-  identical graphs, node and row orders included.
+  the retained buckets' columns; the sequence diffs each window against
+  the last one, so every transition carries its :class:`WindowDelta` and
+  downstream signature computation can run incrementally.  Both paths
+  produce identical graphs, node and row orders included.
 """
 
 from __future__ import annotations
@@ -267,13 +267,12 @@ class GraphSequence:
         )
         graphs: List[CommGraph] = []
         deltas: List[WindowDelta] = []
-        for index, bucket in enumerate(buckets):
-            delta = aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
-            graphs.append(aggregator.graph)
-            if index > 0:
-                # The first advance is empty-graph -> window 0, not a
-                # window-to-window transition.
-                deltas.append(delta)
+        for bucket in buckets:
+            aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
+            graph = aggregator.graph
+            if graphs:
+                deltas.append(WindowDelta.from_graphs(graphs[-1], graph))
+            graphs.append(graph)
         return cls(graphs=graphs, labels=labels, deltas=deltas)
 
 
@@ -282,9 +281,8 @@ class SlidingWindowAggregator:
 
     Each bucket is a :class:`~repro.graph.batch.RecordBatch` interned into
     :attr:`labels` (pass one ``LabelTable`` to share it).  :meth:`advance`
-    pushes the next bucket, drops the oldest, builds the window's graph
-    afresh with ``aggregate_records`` of the retained buckets' columns and
-    diffs it against the last one.
+    pushes the next bucket, drops the oldest and builds the window's graph
+    afresh with ``aggregate_records`` of the retained buckets' columns.
 
     Exactness contract, at every ``window_buckets``: :attr:`graph` is
     identical to one ``add_edge`` call per retained record, in bucket and
@@ -313,23 +311,35 @@ class SlidingWindowAggregator:
         """Number of buckets currently inside the window (ramp-up aware)."""
         return len(self._buckets)
 
-    def advance(self, batch: RecordBatch) -> WindowDelta:
-        """Slide the window forward by one bucket of records.
+    def advance(self, batch: RecordBatch) -> None:
+        """Slide the window forward by one bucket of records and build
+        the window's :attr:`graph`.
 
-        Returns the :class:`WindowDelta` from the previous :attr:`graph`
-        to the new one.  When a record cannot be added (a bipartite
-        orientation violation, a negative weight), the error is the one
-        the per-record ``add_edge`` loop raises, and the aggregator is
-        left as it was.
+        When a record cannot be added (a bipartite orientation violation,
+        a negative weight), the error is the one the per-record
+        ``add_edge`` loop raises, and the aggregator is left as it was.
         """
+        self._check_labels(batch)
+        retained = [*self._buckets, batch][-self.window_buckets:]
+        self.graph = aggregate_records(RecordBatch.concat(retained), self.bipartite)
+        self._buckets.append(batch)
+
+    def hold(self, batch: RecordBatch) -> None:
+        """Slide the window forward by one bucket without building its
+        graph: :attr:`graph` is stale until the next :meth:`advance`.
+
+        A rebuild holds the ``window_buckets - 1`` buckets before the first
+        window it must produce; that window's graph depends only on its
+        own buckets, so it equals the one an aggregator that advanced
+        through every bucket builds.
+        """
+        self._check_labels(batch)
+        self._buckets.append(batch)
+
+    def _check_labels(self, batch: RecordBatch) -> None:
         if batch.labels is not self.labels:
             raise GraphError("the batch is interned into another label table")
-        retained = [*self._buckets, batch][-self.window_buckets:]
-        graph = aggregate_records(RecordBatch.concat(retained), self.bipartite)
-        delta = WindowDelta.from_graphs(self.graph, graph)
-        self._buckets.append(batch)
-        self.graph = graph
-        return delta
+
 
 def _bucketize(
     records: Sequence[EdgeRecord],

@@ -10,11 +10,10 @@ Two complementary engines live here:
 
 :mod:`repro.parallel.shm`
     :class:`ShmEngine` — a persistent worker pool that publishes graph
-    CSR buffers and :class:`~repro.core.packed.SignaturePack` arrays into
-    named ``multiprocessing.shared_memory`` segments once, then
-    dispatches *index ranges* to workers that reattach zero-copy.  It
-    suits repeated recomputation over one large shared input (window
-    recompute, dirty-set partitions, pair-distance sweeps).
+    CSR buffers into named ``multiprocessing.shared_memory`` segments
+    once, then dispatches *index ranges* to workers that reattach
+    zero-copy.  It suits repeated recomputation over one large shared
+    input (window recompute, dirty-set partitions).
 
 The historical ``repro.parallel`` module API is preserved verbatim at the
 package root.
@@ -32,9 +31,7 @@ from repro.parallel.shm import (
     ShmEngine,
     active_segment_names,
     attach_graph,
-    attach_pack,
     publish_graph,
-    publish_pack,
 )
 
 __all__ = [
@@ -44,10 +41,8 @@ __all__ = [
     "ShmEngine",
     "active_segment_names",
     "attach_graph",
-    "attach_pack",
     "available_cpus",
     "effective_jobs",
     "parallel_map",
     "publish_graph",
-    "publish_pack",
 ]

@@ -7,8 +7,7 @@ itself dominates the payload.  This module takes the other route, after
 the message-size-batched MPI master/worker fan-out in SNIPPETS.md:
 
 1. the parent *publishes* large inputs once — graph adjacency rows as
-   insertion-ordered CSR buffers, :class:`~repro.core.packed.SignaturePack`
-   arrays, pair-index arrays — into named
+   insertion-ordered CSR buffers, long target lists — into named
    :mod:`multiprocessing.shared_memory` segments, described by a small
    picklable *manifest* (segment names, dtypes, shapes, byte counts);
 2. a persistent :class:`~concurrent.futures.ProcessPoolExecutor` receives
@@ -63,7 +62,6 @@ import numpy as np
 from multiprocessing import shared_memory
 
 from repro import obs
-from repro.core.packed import SignaturePack, cross_pair_distances
 from repro.core.signature import Signature
 from repro.exceptions import ReproError
 from repro.graph.bipartite import BipartiteGraph
@@ -77,34 +75,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ArraySpec",
     "GraphManifest",
-    "PackManifest",
     "ShmEngine",
     "ShmError",
     "active_segment_names",
     "attach_array",
     "attach_graph",
-    "attach_pack",
     "publish_graph",
-    "publish_pack",
     "release_manifest",
 ]
 
 #: Default number of per-target results per worker→parent message.
 DEFAULT_MESSAGE_SIZE = 256
 
-#: Pair-distance results per message (floats are ~3 orders of magnitude
-#: lighter than signatures, so chunks can be correspondingly larger).
-PAIR_MESSAGE_SIZE = 1 << 16
-
 #: Below this many targets the id list rides inside the work item itself;
 #: above it, the list is published once as a shared pickle blob and tasks
 #: carry only ``[start, stop)``.
 _INLINE_TARGET_LIMIT = 2048
 
-#: Worker-side attachment cache sizes (graphs/packs are windows — a
-#: handful live at a time; blobs are per-dispatch target lists).
+#: Worker-side attachment cache sizes (graphs are windows — a handful
+#: live at a time; blobs are per-dispatch target lists).
 _WORKER_GRAPH_CACHE = 4
-_WORKER_PACK_CACHE = 4
 _WORKER_BLOB_CACHE = 8
 
 
@@ -209,7 +199,6 @@ def _share_blob(payload: object) -> ArraySpec:
 # reconstructed once per worker process, not once per work item.
 _ATTACHED_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 _GRAPH_CACHE: "OrderedDict[str, CommGraph]" = OrderedDict()
-_PACK_CACHE: "OrderedDict[str, SignaturePack]" = OrderedDict()
 _BLOB_CACHE: "OrderedDict[str, object]" = OrderedDict()
 
 
@@ -415,62 +404,6 @@ def _cached_graph(manifest: GraphManifest) -> CommGraph:
 
 
 # ----------------------------------------------------------------------
-# SignaturePack publication
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PackManifest:
-    """A published :class:`SignaturePack`: CSR buffers + id-table blob."""
-
-    token: str
-    shape: Tuple[int, int]
-    ids: ArraySpec  # pickled (owners, node_table)
-    data: ArraySpec
-    indices: ArraySpec
-    indptr: ArraySpec
-
-    @property
-    def nbytes(self) -> int:
-        return _manifest_nbytes(self)
-
-
-def publish_pack(pack: SignaturePack) -> PackManifest:
-    """Publish a pack's CSR buffers into shared memory."""
-    return PackManifest(
-        token=_next_token("pack"),
-        shape=tuple(pack.matrix.shape),
-        ids=_share_blob((pack.owners, pack.node_table)),
-        data=_share_array(pack.matrix.data),
-        indices=_share_array(pack.matrix.indices),
-        indptr=_share_array(pack.matrix.indptr),
-    )
-
-
-def attach_pack(manifest: PackManifest) -> SignaturePack:
-    """Rebuild a pack over zero-copy views of the published CSR buffers."""
-    owners, node_table = _load_blob(manifest.ids)  # type: ignore[misc]
-    return SignaturePack.from_buffers(
-        owners=owners,
-        node_table=node_table,
-        data=attach_array(manifest.data),
-        indices=attach_array(manifest.indices),
-        indptr=attach_array(manifest.indptr),
-        shape=manifest.shape,
-    )
-
-
-def _cached_pack(manifest: PackManifest) -> SignaturePack:
-    pack = _PACK_CACHE.get(manifest.token)
-    if pack is None:
-        pack = attach_pack(manifest)
-        _PACK_CACHE[manifest.token] = pack
-        while len(_PACK_CACHE) > _WORKER_PACK_CACHE:
-            _PACK_CACHE.popitem(last=False)
-    else:
-        _PACK_CACHE.move_to_end(manifest.token)
-    return pack
-
-
-# ----------------------------------------------------------------------
 # Work items
 # ----------------------------------------------------------------------
 class _ComputeTask:
@@ -525,59 +458,6 @@ class _ComputeTask:
         return rows, snapshot
 
 
-class _PairTask:
-    """Index-range pair-distance evaluation over two published packs."""
-
-    __slots__ = (
-        "manifest_a",
-        "manifest_b",
-        "rows_a",
-        "rows_b",
-        "start",
-        "stop",
-        "metric",
-        "collect",
-    )
-
-    def __init__(
-        self,
-        manifest_a: PackManifest,
-        manifest_b: PackManifest,
-        rows_a: ArraySpec,
-        rows_b: ArraySpec,
-        start: int,
-        stop: int,
-        metric,
-        collect: bool,
-    ) -> None:
-        self.manifest_a = manifest_a
-        self.manifest_b = manifest_b
-        self.rows_a = rows_a
-        self.rows_b = rows_b
-        self.start = start
-        self.stop = stop
-        self.metric = metric
-        self.collect = collect
-
-    def run(self):
-        pack_a = _cached_pack(self.manifest_a)
-        if self.manifest_b.token == self.manifest_a.token:
-            pack_b = pack_a
-        else:
-            pack_b = _cached_pack(self.manifest_b)
-        rows_a = attach_array(self.rows_a)[self.start : self.stop]
-        rows_b = attach_array(self.rows_b)[self.start : self.stop]
-        if self.collect:
-            registry = obs.MetricsRegistry()
-            with obs.detached_span_path(), obs.use_registry(registry):
-                values = cross_pair_distances(
-                    pack_a, pack_b, rows_a, rows_b, self.metric
-                )
-            return np.asarray(values), registry.snapshot()
-        values = cross_pair_distances(pack_a, pack_b, rows_a, rows_b, self.metric)
-        return np.asarray(values), None
-
-
 def _execute(task):
     return task.run()
 
@@ -609,12 +489,11 @@ class ShmEngine:
         message_size: int = DEFAULT_MESSAGE_SIZE,
         start_method: Optional[str] = None,
         graph_cache_size: int = 4,
-        pack_cache_size: int = 8,
     ) -> None:
         if message_size < 1:
             raise ShmError(f"message_size must be >= 1, got {message_size}")
-        if graph_cache_size < 1 or pack_cache_size < 1:
-            raise ShmError("publication cache sizes must be >= 1")
+        if graph_cache_size < 1:
+            raise ShmError("the publication cache size must be >= 1")
         self._workers = effective_jobs(jobs)
         self._message_size = int(message_size)
         if start_method is None:
@@ -622,13 +501,9 @@ class ShmEngine:
             start_method = "fork" if "fork" in methods else methods[0]
         self._start_method = start_method
         self._graph_cache_size = graph_cache_size
-        self._pack_cache_size = pack_cache_size
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong refs keep id() keys stable for the lifetime of the entry.
         self._graphs: "OrderedDict[Tuple[int, int], Tuple[GraphManifest, CommGraph]]" = (
-            OrderedDict()
-        )
-        self._packs: "OrderedDict[int, Tuple[PackManifest, SignaturePack]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -654,12 +529,10 @@ class ShmEngine:
         return self._bytes_shared
 
     def segment_names(self) -> List[str]:
-        """Segments currently held by this engine's publication caches."""
+        """Segments currently held by this engine's publication cache."""
         with self._lock:
             specs: List[ArraySpec] = []
             for manifest, _graph in self._graphs.values():
-                specs.extend(_manifest_specs(manifest))
-            for manifest, _pack in self._packs.values():
                 specs.extend(_manifest_specs(manifest))
         return sorted(spec.segment for spec in specs if spec.segment is not None)
 
@@ -683,9 +556,7 @@ class ShmEngine:
             pool.shutdown(wait=True)
         with self._lock:
             manifests = [manifest for manifest, _ in self._graphs.values()]
-            manifests += [manifest for manifest, _ in self._packs.values()]
             self._graphs.clear()
-            self._packs.clear()
         for manifest in manifests:
             release_manifest(manifest)
         obs.gauge("shm.workers").set(0)
@@ -743,27 +614,6 @@ class ShmEngine:
             self._bytes_shared += manifest.nbytes
             while len(self._graphs) > self._graph_cache_size:
                 old_manifest, _old_graph = self._graphs.popitem(last=False)[1]
-                evicted.append(old_manifest)
-        for old in evicted:
-            release_manifest(old)
-        return manifest
-
-    def publish_pack(self, pack: SignaturePack) -> PackManifest:
-        """Publish (or return the cached publication of) ``pack``."""
-        self._check_open()
-        key = id(pack)
-        with self._lock:
-            entry = self._packs.get(key)
-            if entry is not None:
-                self._packs.move_to_end(key)
-                return entry[0]
-        manifest = publish_pack(pack)
-        evicted: List[PackManifest] = []
-        with self._lock:
-            self._packs[key] = (manifest, pack)
-            self._bytes_shared += manifest.nbytes
-            while len(self._packs) > self._pack_cache_size:
-                old_manifest, _old_pack = self._packs.popitem(last=False)[1]
                 evicted.append(old_manifest)
         for old in evicted:
             release_manifest(old)
@@ -829,57 +679,3 @@ class ShmEngine:
             if targets_spec is not None and targets_spec.segment is not None:
                 _REGISTRY.unlink(targets_spec.segment)
         return {node: merged[node] for node in targets}
-
-    def pair_distances(
-        self,
-        pack_a: SignaturePack,
-        pack_b: SignaturePack,
-        rows_a: Sequence[int],
-        rows_b: Sequence[int],
-        metric="jaccard",
-    ) -> np.ndarray:
-        """:func:`repro.core.packed.cross_pair_distances` fanned across the
-        pool over published packs; identical values, input order."""
-        self._check_open()
-        rows_a = np.asarray(rows_a, dtype=np.int64)
-        rows_b = np.asarray(rows_b, dtype=np.int64)
-        if rows_a.shape != rows_b.shape:
-            raise ShmError("pair index arrays must have identical length")
-        if rows_a.size == 0:
-            return np.empty(0, dtype=np.float64)
-        manifest_a = self.publish_pack(pack_a)
-        manifest_b = manifest_a if pack_b is pack_a else self.publish_pack(pack_b)
-        spec_a = _share_array(rows_a)
-        spec_b = _share_array(rows_b)
-        chunk = max(1, min(PAIR_MESSAGE_SIZE, math.ceil(rows_a.size / self._workers)))
-        registry = obs.get_registry()
-        collect = registry.enabled
-        tasks = [
-            _PairTask(
-                manifest_a,
-                manifest_b,
-                spec_a,
-                spec_b,
-                start,
-                min(start + chunk, rows_a.size),
-                metric,
-                collect,
-            )
-            for start in range(0, rows_a.size, chunk)
-        ]
-        if collect:
-            registry.counter("shm.dispatches", op="pairs").inc()
-            registry.counter("shm.tasks", op="pairs").inc(len(tasks))
-        try:
-            with registry.span("shm.dispatch", op="pairs"):
-                pieces = []
-                for values, snapshot in self._run(tasks):
-                    if snapshot is not None:
-                        obs.merge_into_active(snapshot)
-                    pieces.append(values)
-        finally:
-            for spec in (spec_a, spec_b):
-                if spec.segment is not None:
-                    _REGISTRY.unlink(spec.segment)
-        return np.concatenate(pieces)
-

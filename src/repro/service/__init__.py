@@ -1,8 +1,8 @@
 """Resilient sharded online signature service.
 
-A long-lived service over the incremental signature engine: records are
-hashed to one of N supervised shard engines, every ``window_records``
-accepted records close one global window, and queries
+A long-lived signature service: records are hashed to one of N
+supervised shard engines, every ``window_records`` accepted records
+close one global window, and queries
 (``/signature``, ``/similar``, ``/anomaly``) are answered from the exact
 tier when a shard is healthy — and from its Section VI sketch tier,
 flagged ``"approximate": true``, when it is not.

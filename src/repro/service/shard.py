@@ -1,19 +1,21 @@
 """One shard of the online signature service.
 
-:class:`ShardEngine` is the exact tier: it owns a sliding-window aggregator
-(PR 5), the scheme's incremental ``compute_all`` chain, a per-shard
-checkpoint store (which is also the shard's signature history) and a
-per-shard metrics registry.  Service node ids are strings (they arrive over
-the wire), so the raw-keyed incremental chain and the string-keyed
-checkpoint payloads coincide — which is what lets a rebuilt engine seed its
-chain directly from verified checkpoints.
+:class:`ShardEngine` is the exact tier: it owns a sliding-window
+aggregator, the scheme, a per-shard checkpoint store (which is also the
+shard's signature history) and a per-shard metrics registry.  Every window
+close builds the window's graph and computes its signatures afresh with
+``compute_all``.  Service node ids are strings (they arrive over the
+wire), so computed signatures and the string-keyed checkpoint payloads
+coincide.
 
 :meth:`ShardEngine.rebuild` is the recovery path: given the shard's
 acknowledged ingest log (every bucket the supervisor accepted for it), it
-replays the aggregator to the exact graph state, reuses the longest
-hash-verified checkpoint prefix, recomputes only the unverified suffix, and
-re-persists it.  By the byte-identity contract of the incremental engine
-this reproduces the signatures of a shard that never crashed.
+produces only the windows it must.  Those are the last two, which answer
+queries, and, with a store, every window from the first one without a
+hash-verified checkpoint, which it recomputes and re-persists.  A window's
+graph depends only on its own buckets, so the rebuild starts
+``window_buckets - 1`` buckets before the first window it produces and
+reproduces the graph and signatures of a shard that never crashed.
 
 :class:`SketchTier` is the degraded tier: per-window Count-Min / SpaceSaving
 (and Flajolet-Martin, for ``ut``) sketch builders fed from the same buckets.
@@ -31,14 +33,13 @@ from repro.core.distances import OUT_OF_RANGE_TOL, get_distance
 from repro.core.execution import ComputeEngine
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
-from repro.exceptions import CheckpointError
 from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.comm_graph import CommGraph
 from repro.graph.windows import SlidingWindowAggregator
 from repro.matching.index import SignatureIndex
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.service.config import ServiceConfig
 from repro.streaming.stream_schemes import StreamingTopTalkers, streaming_builder
-from repro.types import NodeId
 
 
 def _clamp_persistence(value: float, counter) -> float:
@@ -60,7 +61,7 @@ def _clamp_persistence(value: float, counter) -> float:
 
 
 class ShardEngine:
-    """Exact incremental signature engine for one shard."""
+    """Exact signature engine for one shard."""
 
     def __init__(
         self,
@@ -94,7 +95,6 @@ class ShardEngine:
         #: Current / previous window signatures, string-keyed.
         self.signatures: Dict[str, Signature] = {}
         self.prev_signatures: Dict[str, Signature] = {}
-        self._previous_raw: Optional[Dict[NodeId, Signature]] = None
         self._index: Optional[SignatureIndex] = None
         self._distance = get_distance(config.distance)
 
@@ -106,31 +106,21 @@ class ShardEngine:
 
         Records are put in canonical order first (float aggregation is
         order-sensitive; this makes output invariant to arrival order,
-        exactly as the pipeline does), then the scheme recomputes only its
-        dirty set.
+        exactly as the pipeline does), then every sender's signature is
+        computed.
         """
         with obs.use_registry(self.registry):
             self._apply(bucket.canonical())
 
     def _apply(self, records: RecordBatch) -> None:
-        delta = self.aggregator.advance(records)
+        self.aggregator.advance(records)
         graph = self.aggregator.graph
-        use_delta = delta if (self._previous_raw is not None and self.window >= 0) else None
-        population = graph.senders()
-        raw = self.scheme.compute_all(
-            graph,
-            population,
-            delta=use_delta,
-            previous=self._previous_raw,
-            engine=self.compute_engine,
-        )
         self.prev_signatures = self.signatures
-        self.signatures = {str(node): sig for node, sig in raw.items()}
+        self.signatures = self._compute(graph)
         # The window index moves only once its signatures are in place, so a
         # reader that reads ``window`` first never labels older signatures
         # with it.
         self.window += 1
-        self._previous_raw = raw
         self._index = None
         self.registry.counter("shard.windows").inc()
         self.registry.counter("shard.records").inc(len(records))
@@ -146,6 +136,13 @@ class ShardEngine:
             self.store.save_window(self.window, self.signatures, meta=meta)
             self.registry.counter("shard.checkpoint_writes").inc()
 
+    def _compute(self, graph: CommGraph) -> Dict[str, Signature]:
+        """Every sender's signature on ``graph``, string-keyed."""
+        computed = self.scheme.compute_all(
+            graph, graph.senders(), engine=self.compute_engine
+        )
+        return {str(node): sig for node, sig in computed.items()}
+
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
@@ -157,31 +154,35 @@ class ShardEngine:
     ) -> List[str]:
         """Restore engine state from the acknowledged ingest log.
 
-        Replays every bucket through a fresh aggregator (a window's graph
-        depends only on its own buckets, so the graph state is identical).
-        Windows covered by the longest hash-verified checkpoint prefix are
-        *loaded*, not recomputed; the rest — including any window whose
-        checkpoint is missing or corrupt — is recomputed through the
-        incremental chain and re-persisted.
-        Returns the scan issues encountered (corrupt/missing checkpoints),
-        so the supervisor can surface them as health events.
+        Produces only the windows it must: the last two (``signatures``
+        and ``prev_signatures``) and, with a store, every window from the
+        first one not covered by the longest hash-verified checkpoint
+        prefix, which is recomputed and re-persisted.  A produced window
+        with a verified checkpoint is *loaded*, not recomputed.  Returns
+        the scan issues encountered (corrupt/missing checkpoints), so the
+        supervisor can surface them as health events.
 
         ``base_window`` handles the restarted-process case: when this
         process began by restoring window ``base_window`` from the store,
         its ingest log only covers windows after that point, so
         bucket ``i`` replays as global window ``base_window + 1 + i`` (and
-        window ``base_window`` itself is re-seeded from the store).
+        window ``base_window`` itself is re-seeded from the store when it
+        is one of the last two).
         """
         issues: List[str] = []
+        last = base_window + len(buckets)
+        first = last - 1
         verified = 0
         if self.store is not None:
             scan = self.store.scan()
             issues.extend(scan.issues)
-            verified = min(scan.next_window, base_window + 1 + len(buckets))
+            verified = min(scan.next_window, last + 1)
+            first = min(first, verified)
+        first = max(first, base_window + 1)
         with obs.use_registry(self.registry):
-            if base_window >= 0:
+            if base_window >= 0 and len(buckets) < 2:
                 self._seed_from_history(base_window)
-            self._replay(buckets, verified, base_window)
+            self._replay(buckets, first - base_window - 1, verified, base_window)
         if issues:
             self.registry.counter("shard.checkpoint_issues").inc(len(issues))
         self.registry.counter("shard.rebuilds").inc()
@@ -195,7 +196,6 @@ class ShardEngine:
         only, but global window numbering stays correct.
         """
         self.window = base_window
-        self._previous_raw = None
         history = self.store.history if self.store is not None else None
         if history is not None and base_window in set(history.windows()):
             self.signatures = history.load_window(base_window)
@@ -205,13 +205,18 @@ class ShardEngine:
     def _replay(
         self,
         buckets: Sequence[RecordBatch],
+        start: int,
         verified: int,
-        base_window: int = -1,
+        base_window: int,
     ) -> None:
-        for offset, bucket in enumerate(buckets):
+        """Produce the windows of ``buckets[start:]``, first holding the
+        earlier buckets that the window of ``buckets[start]`` covers."""
+        held = max(0, start - self.config.window_buckets + 1)
+        for bucket in buckets[held:start]:
+            self.aggregator.hold(bucket.canonical())
+        for offset in range(start, len(buckets)):
             index = base_window + 1 + offset
-            delta = self.aggregator.advance(bucket.canonical())
-            graph = self.aggregator.graph
+            self.aggregator.advance(buckets[offset].canonical())
             self.window = index
             if index < verified:
                 # Checkpoint verified: loading reproduces the original
@@ -219,28 +224,18 @@ class ShardEngine:
                 # entry ordering), without recomputing the window.
                 assert self.store is not None
                 signatures, _meta = self.store.load_window(index)
-                raw: Dict[NodeId, Signature] = dict(signatures)
             else:
-                use_delta = delta if (self._previous_raw is not None and offset > 0) else None
-                population = graph.senders()
-                raw = self.scheme.compute_all(
-                    graph,
-                    population,
-                    delta=use_delta,
-                    previous=self._previous_raw,
-                    engine=self.compute_engine,
-                )
+                signatures = self._compute(self.aggregator.graph)
                 if self.store is not None:
                     # Heal the store: re-persist the recomputed window so the
                     # history converges back to the uninterrupted run's.
                     self.store.save_window(
                         index,
-                        {str(node): sig for node, sig in raw.items()},
+                        signatures,
                         meta={"shard": self.shard_id, "recovered": True},
                     )
             self.prev_signatures = self.signatures
-            self.signatures = {str(node): sig for node, sig in raw.items()}
-            self._previous_raw = raw
+            self.signatures = signatures
         self._index = None
 
     def restore_from_history(self) -> bool:
@@ -250,10 +245,8 @@ class ShardEngine:
         the last two recorded windows become ``signatures`` /
         ``prev_signatures``, so ``/signature``, ``/history`` and
         ``/anomaly`` answer immediately from durable state.  The
-        incremental chain is deliberately broken (``_previous_raw = None``)
-        because the aggregator's graph is gone — the next applied window
-        recomputes its population in full, which is byte-identical for
-        ``window_buckets=1`` (each window's graph is exactly its bucket).
+        aggregator's buckets are gone, so the next window's graph holds
+        only buckets applied after the restart.
         Returns whether any window was restored.
         """
         if self.store is None:
@@ -270,7 +263,6 @@ class ShardEngine:
                 else {}
             )
         self.window = last
-        self._previous_raw = None
         self._index = None
         self.registry.counter("shard.history_restores").inc()
         return True

@@ -19,6 +19,7 @@ from repro.core.scheme import create_scheme
 from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records, graph_from_edges
+from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.graph.windows import GraphSequence, SlidingWindowAggregator
 from repro.pipeline import CheckpointStore, CsvRecordSource, PipelineConfig, SignaturePipeline
@@ -163,7 +164,9 @@ def test_window_graph_is_fresh_and_delta_chain_is_full_recompute(trace, window_b
     previous = None
     for index, bucket in enumerate(buckets):
         records = [EdgeRecord(0.0, src, dst, weight) for src, dst, weight in bucket]
-        delta = aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+        old = aggregator.graph
+        aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+        delta = WindowDelta.from_graphs(old, aggregator.graph)
         retained = [
             EdgeRecord(0.0, src, dst, weight)
             for part in buckets[max(0, index - window_buckets + 1):index + 1]

@@ -127,6 +127,23 @@ class TestIncrementalEqualsFull:
             "incremental.reused_signatures", scheme="tt"
         ) == len(previous)
 
+    def test_full_recompute_counts_every_target_dirty(self):
+        # Every call accounts every target, so dirty + reused is the
+        # target count whether or not the scheme reused anything.
+        sequence = GraphSequence.from_sliding_records(churny_trace(3), num_windows=3)
+        graph = sequence[1]
+        targets = graph.nodes() + ["absent"]
+        rwr = create_scheme("rwr", k=5)
+        previous = rwr.compute_all(sequence[0])
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            create_scheme("tt", k=5).compute_all(graph, targets)
+            # Unbounded RWR declines a dirty set: a full recompute too.
+            rwr.compute_all(graph, targets, delta=sequence.deltas[0], previous=previous)
+        for name in ("tt", "rwr"):
+            assert registry.counter_value("incremental.dirty_nodes", scheme=name) == len(targets)
+            assert registry.counter_value("incremental.reused_signatures", scheme=name) == 0
+
 
 class TestDirtySets:
     def test_tt_dirty_is_sources(self):

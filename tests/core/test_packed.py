@@ -89,58 +89,7 @@ class TestSignaturePack:
 
 
 class TestPackBuffers:
-    """The zero-copy export/import contract behind the shm engine."""
-
-    def roundtrip(self, pack):
-        buffers = pack.to_buffers()
-        return SignaturePack.from_buffers(**buffers)
-
-    def test_roundtrip_is_exact(self):
-        rng = random.Random(5)
-        pack = SignaturePack.from_signatures(random_signatures(rng, 40, 8, 60))
-        clone = self.roundtrip(pack)
-        assert clone.owners == pack.owners
-        assert clone.node_table == pack.node_table
-        assert clone.signatures == pack.signatures
-        assert np.array_equal(clone.matrix.toarray(), pack.matrix.toarray())
-        assert np.array_equal(clone.totals, pack.totals)
-        assert np.array_equal(clone.sizes, pack.sizes)
-
-    def test_roundtrip_preserves_column_order(self):
-        # from_buffers must wrap the CSR arrays as-is, not canonicalize:
-        # the batch kernels and the byte-identity contract both rely on
-        # the original insertion order surviving the trip.
-        pack = SignaturePack.from_signatures(
-            [Signature("a", {"z": 1.0, "y": 2.0, "x": 3.0})]
-        )
-        clone = self.roundtrip(pack)
-        assert np.array_equal(clone.matrix.indices, pack.matrix.indices)
-        assert np.array_equal(clone.matrix.data, pack.matrix.data)
-
-    def test_roundtrip_empty_pack(self):
-        clone = self.roundtrip(SignaturePack.from_signatures({}))
-        assert len(clone) == 0
-        assert clone.owners == ()
-
-    def test_roundtrip_distances_agree(self):
-        rng = random.Random(6)
-        pack_a = SignaturePack.from_signatures(random_signatures(rng, 30, 6, 40))
-        pack_b = SignaturePack.from_signatures(
-            random_signatures(rng, 30, 6, 40), order=pack_a.owners
-        )
-        clone_a, clone_b = self.roundtrip(pack_a), self.roundtrip(pack_b)
-        for metric in available_distances():
-            assert np.array_equal(
-                cross_matrix(pack_a, pack_b, metric),
-                cross_matrix(clone_a, clone_b, metric),
-            )
-
-    def test_shape_mismatch_rejected(self):
-        pack = SignaturePack.from_signatures([Signature("a", {"x": 1.0})])
-        buffers = pack.to_buffers()
-        buffers["owners"] = ["a", "b"]
-        with pytest.raises(DistanceError):
-            SignaturePack.from_buffers(**buffers)
+    """The pack's numeric footprint."""
 
     def test_nbytes_counts_numeric_payload(self):
         pack = SignaturePack.from_signatures(

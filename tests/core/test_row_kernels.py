@@ -1,7 +1,7 @@
-"""The TT and UT batch kernels against per-node ``compute``.
+"""The TT, UT and IT batch kernels against per-node ``compute``.
 
-``compute_all`` runs ``_compute_batch``, which for TT and UT is one pass
-over the targets' CSR out-rows: builtin row sums, one vectorised
+``compute_all`` runs ``_compute_batch``, which for each is one pass over
+the targets' CSR out-rows (IT: in-rows): builtin row sums, one vectorised
 division or scaling, and a per-row k-th-largest cut before
 ``Signature.from_relevance``.  Per-node ``compute`` (the scalar
 relevance dict) is the reference; every signature must match it entry
@@ -29,7 +29,11 @@ WEIGHT = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0, 0.1, 0.3, 1 / 3, 1e16, 1e-300]),
     st.floats(min_value=0.0, max_value=1e6),
 )
-SCHEMES = [("tt", {})] + [("ut", {"scaling": name}) for name in ("inverse", "sqrt", "tfidf")]
+SCHEMES = (
+    [("tt", {})]
+    + [("ut", {"scaling": name}) for name in ("inverse", "sqrt", "tfidf")]
+    + [("it", {})]
+)
 
 
 def exact(signature):

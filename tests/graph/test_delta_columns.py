@@ -98,8 +98,9 @@ class TestColumnarDiffEqualsDictDiff:
         aggregator = SlidingWindowAggregator(window_buckets=window_buckets)
         for bucket in buckets:
             old = aggregator.graph
-            delta = aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
-            assert delta == reference_delta(old, aggregator.graph)
+            aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
+            new = aggregator.graph
+            assert WindowDelta.from_graphs(old, new) == reference_delta(old, new)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,6 +1,7 @@
 """Shard engine: apply, checkpointing, rebuild byte-identity; sketch tier."""
 
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import CheckpointError
 from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
 from repro.service import ServiceConfig, ShardEngine, SketchTier
 from repro.service.chaos import corrupt_checkpoint
@@ -136,7 +138,7 @@ class TestRebuild:
         issues = rebuilt.rebuild(buckets)
         assert issues == []
         self.assert_identical(rebuilt, reference)
-        # The chain must keep working after a checkpoint-seeded rebuild:
+        # The engine keeps working after a checkpoint-loaded rebuild:
         # the next applied window equals the reference's next window.
         extra = buckets[0]
         reference.apply(extra)
@@ -178,6 +180,89 @@ class TestRebuild:
         )
         rebuilt.rebuild(buckets)
         self.assert_identical(rebuilt, reference)
+
+
+class TestRebuildCost:
+    """A rebuild produces the last two windows, and with a store every
+    unverified one, so its work does not grow with the windows behind it."""
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    @pytest.mark.parametrize("window_buckets", [1, 2, 3])
+    def test_flat_in_uptime(
+        self, records_factory, tmp_path, monkeypatch, window_buckets, with_store
+    ):
+        from repro.graph import windows
+        from repro.pipeline.checkpoint import CheckpointStore
+
+        config = ServiceConfig(
+            num_shards=1,
+            window_records=25,
+            window_buckets=window_buckets,
+            queue_capacity=100,
+            k=5,
+        )
+        calls = Counter()
+        aggregate, load = windows.aggregate_records, CheckpointStore.load_window
+
+        def counting_aggregate(*args, **kwargs):
+            calls["aggregate_records"] += 1
+            return aggregate(*args, **kwargs)
+
+        def counting_load(store, window):
+            calls["load_window"] += 1
+            return load(store, window)
+
+        costs = []
+        for num_windows in (3, 12):
+            labels = LabelTable()
+            buckets = chunk(records_factory(25 * num_windows, nodes=10, seed=num_windows), 25, labels)
+            directory = tmp_path / f"windows-{num_windows}"
+
+            def store():
+                return CheckpointStore(directory) if with_store else None
+
+            reference = ShardEngine(0, config, labels=labels, store=store())
+            for bucket in buckets:
+                reference.apply(bucket)
+            files = sorted(directory.rglob("*")) if with_store else []
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(windows, "aggregate_records", counting_aggregate)
+                patch.setattr(CheckpointStore, "load_window", counting_load)
+                rebuilt = ShardEngine(0, config, labels=labels, store=store())
+                assert rebuilt.rebuild(buckets) == []
+            costs.append(dict(calls))
+            assert calls["load_window"] <= 2
+            assert rebuilt.window == reference.window == num_windows - 1
+            assert rebuilt.signatures == reference.signatures
+            assert rebuilt.prev_signatures == reference.prev_signatures
+            assert graph_state(rebuilt.aggregator.graph) == graph_state(reference.aggregator.graph)
+            # A verified store is read, never rewritten.
+            assert (sorted(directory.rglob("*")) if with_store else []) == files
+        assert costs[0] == costs[1]
+
+
+@pytest.mark.parametrize("scheme", ["tt", "ut", "it"])
+def test_close_and_rebuild_never_diff_windows(records_factory, tmp_path, monkeypatch, scheme):
+    from repro.pipeline.checkpoint import CheckpointStore
+
+    def diff(cls, old, new):
+        raise AssertionError("a shard diffed two windows")
+
+    monkeypatch.setattr(WindowDelta, "from_graphs", classmethod(diff))
+    config = ServiceConfig(
+        num_shards=1, window_records=25, window_buckets=2, queue_capacity=100, k=5, scheme=scheme
+    )
+    labels = LabelTable()
+    buckets = chunk(records_factory(150, nodes=10, seed=3), 25, labels)
+    engine = ShardEngine(0, config, labels=labels, store=CheckpointStore(tmp_path))
+    for bucket in buckets:
+        engine.apply(bucket)
+    corrupt_checkpoint(tmp_path, window=1)
+    rebuilt = ShardEngine(0, config, labels=labels, store=CheckpointStore(tmp_path))
+    assert rebuilt.rebuild(buckets)
+    assert rebuilt.signatures == engine.signatures
+    assert rebuilt.prev_signatures == engine.prev_signatures
 
 
 def graph_state(graph):
@@ -351,9 +436,9 @@ class TestSketchTier:
         assert isinstance(tier.current, StreamingUnexpectedTalkers)
 
 
-@pytest.mark.parametrize("scheme", ["tt", "ut"])
+@pytest.mark.parametrize("scheme", ["tt", "ut", "it"])
 def test_close_builds_no_dict_rows(records_factory, scheme):
-    # The window close runs on the columns: build, diff, dirty set, kernel.
+    # The window close runs on the columns: build, then the row kernel.
     labels = LabelTable()
     records = records_factory(200, nodes=12, seed=5)
     config = ServiceConfig(

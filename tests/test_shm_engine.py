@@ -12,11 +12,9 @@ import random
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.packed import SignaturePack, cross_pair_distances
 from repro.core.scheme import create_scheme
 from repro.core.signature import Signature
 from repro.core.top_talkers import TopTalkers
@@ -29,9 +27,7 @@ from repro.parallel.shm import (
     ShmError,
     active_segment_names,
     attach_graph,
-    attach_pack,
     publish_graph,
-    publish_pack,
     release_manifest,
 )
 
@@ -114,21 +110,6 @@ class TestManifestRoundTrip:
             assert isinstance(clone, BipartiteGraph)
             assert clone.left_nodes == graph.left_nodes
             assert clone.right_nodes == graph.right_nodes
-        finally:
-            release_manifest(manifest)
-
-    def test_pack_roundtrip_is_exact(self):
-        signatures = {
-            f"v{i}": Signature(f"v{i}", {f"m{j}": float(j + 1) for j in range(i % 4)})
-            for i in range(10)
-        }
-        pack = SignaturePack.from_signatures(signatures)
-        manifest = publish_pack(pack)
-        try:
-            clone = attach_pack(manifest)
-            assert clone.owners == pack.owners
-            assert clone.signatures == pack.signatures
-            assert np.array_equal(clone.matrix.toarray(), pack.matrix.toarray())
         finally:
             release_manifest(manifest)
 
@@ -239,30 +220,6 @@ class TestPartitionSafety:
         assert registry.counter_value("shm.tasks", op="compute") == 1
 
 
-class TestPairDistances:
-    def test_matches_cross_pair_distances(self, engine):
-        rng = random.Random(31)
-        sigs_a = {
-            f"v{i}": Signature(
-                f"v{i}", {f"m{rng.randrange(20)}": rng.uniform(0.1, 5.0) for _ in range(4)}
-            )
-            for i in range(25)
-        }
-        sigs_b = {
-            owner: Signature(
-                owner, {f"m{rng.randrange(20)}": rng.uniform(0.1, 5.0) for _ in range(4)}
-            )
-            for owner in sigs_a
-        }
-        pack_a = SignaturePack.from_signatures(sigs_a)
-        pack_b = SignaturePack.from_signatures(sigs_b, order=pack_a.owners)
-        rows = np.arange(len(pack_a))
-        for metric in ("jaccard", "dice", "sdice", "shel"):
-            expected = cross_pair_distances(pack_a, pack_b, rows, rows, metric)
-            actual = engine.pair_distances(pack_a, pack_b, rows, rows, metric)
-            assert np.array_equal(actual, expected)
-
-
 class TestLifecycle:
     def test_context_manager_cleans_up(self):
         with ShmEngine(jobs=2) as local:
@@ -337,7 +294,7 @@ class TestObservability:
         targets = population(graph)
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            engine.compute_batch(scheme, graph, targets)
+            scheme.compute_all(graph, targets, engine=engine)
         # Scheme kernels count per-node computes; the merged total must
         # equal the serial run's regardless of worker scheduling.
         serial_registry = obs.MetricsRegistry()

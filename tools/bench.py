@@ -128,7 +128,8 @@ def timed(function, repeats: int = 1):
 
 def chain(scheme, sequence, engine=None) -> list:
     """Per-window signature maps, each window recomputed from the previous
-    window's map and the sliding delta: the pipeline's actual workload."""
+    window's map and the sliding delta, as the anomaly monitor chains a
+    ``GraphSequence``."""
     maps = [scheme.compute_all(sequence.graphs[0], engine=engine)]
     for t in range(1, len(sequence)):
         maps.append(
@@ -575,7 +576,7 @@ def bench_shm(
 
 
 def bench_shm_dirty(num_nodes: int, num_windows: int, workers: int, repeats: int) -> list:
-    """The service shard's workload: dirty-set recompute across windows.
+    """Dirty-set recompute across windows, as a ``GraphSequence`` chains it.
 
     Chains ``compute_all(delta=..., previous=...)`` over a sliding
     backbone-plus-churn trace in-process and on an shm engine and asserts
