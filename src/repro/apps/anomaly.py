@@ -101,8 +101,7 @@ class AnomalyDetector:
 
         The entry point for callers that already hold per-window signature
         maps — notably the sequence monitor, which computes each window's
-        map once (incrementally, when window deltas are available) instead
-        of twice via :meth:`detect`.
+        map once instead of twice via :meth:`detect`.
         """
         if population is None:
             population = [node for node in signatures_now if node in signatures_next]

@@ -178,25 +178,11 @@ def _sequence_signature_maps(
     sequence: GraphSequence,
     population: Sequence[NodeId],
 ) -> List[Dict[NodeId, "Signature"]]:
-    """One signature map per window, computed once each.
-
-    When the sequence carries window deltas (built via
-    :meth:`GraphSequence.from_sliding_records`), each map after the first
-    is chained incrementally — ``compute_all(delta=..., previous=...)``
-    recomputes only the scheme's dirty set, byte-identical to a full
-    recompute by the incremental contract.  Either way every window is
-    computed exactly once, where the naive per-transition detector
-    computed interior windows twice.
-    """
+    """One signature map per window, each computed once from its own
+    graph, where the naive per-transition detector computed interior
+    windows twice."""
     population = list(population)
-    maps: List[Dict[NodeId, "Signature"]] = []
-    for index, graph in enumerate(sequence.graphs):
-        delta = sequence.delta_for(index - 1) if index > 0 else None
-        previous = maps[-1] if maps else None
-        maps.append(
-            scheme.compute_all(graph, population, delta=delta, previous=previous)
-        )
-    return maps
+    return [scheme.compute_all(graph, population) for graph in sequence.graphs]
 
 
 def persistence_by_lag(

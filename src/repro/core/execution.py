@@ -38,9 +38,9 @@ DEFAULT_BUDGET_BYTES = 1 << 21  # 2 MiB
 class ComputeEngine(Protocol):
     """What ``compute_all(engine=...)`` and the engine owners rely on."""
 
-    #: ``True`` when results are byte-identical to the serial path, so the
-    #: incremental delta/previous reuse may seed them; ``False`` for an
-    #: accuracy contract.
+    #: ``True`` when results are byte-identical to the serial path;
+    #: ``False`` for an accuracy contract.  The pipeline stamps it into
+    #: each window's checkpoint contract.
     exact: bool
 
     def compute_batch(

@@ -21,13 +21,12 @@ this database table's user community changed?").
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping
 
 from repro.core.scheme import SignatureScheme, register_scheme
 from repro.core.signature import Signature
 from repro.core.top_talkers import _row_shares
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
 
 
@@ -62,9 +61,3 @@ class InTalkers(SignatureScheme):
         # total, summed in in-row order as ``relevance`` sums.
         return self._compute_rows(graph, targets, _row_shares, graph.in_rows())
 
-    def dirty_nodes(
-        self, graph: CommGraph, delta: WindowDelta
-    ) -> Optional[Set[NodeId]]:
-        """IT mirrors TT on the transposed graph: only destinations of
-        changed edges (plus churned nodes) see a different in-view."""
-        return delta.destinations() | delta.churned_nodes()

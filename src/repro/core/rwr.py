@@ -34,23 +34,16 @@ Two practical details the paper leaves implicit:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.incremental import (
-    dangling_set_changed,
-    position_order_seeds,
-    reverse_reachable,
-    walk_changed_nodes,
-)
 from repro.core.scheme import SignatureScheme, register_scheme
 from repro.core.signature import Signature
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
 
 #: Extra candidates retained around the top-k cut to keep tie-breaking exact.
@@ -230,10 +223,10 @@ class RandomWalkWithResets(SignatureScheme):
         For hop-limited walks each query's occupancy column is computed
         independently (fixed iteration count, column-local arithmetic), so
         batching any subset of queries yields bit-identical columns — the
-        property the incremental path relies on.  The unbounded walk's
-        convergence test couples the batch (``max`` over columns decides
-        the iteration count), which is why :meth:`dirty_nodes` refuses to
-        bound it.
+        property the shared-memory engine relies on when it partitions
+        the targets.  The unbounded walk's convergence test couples the
+        batch (``max`` over columns decides the iteration count), which is
+        why :meth:`partition_batch_safe` refuses to split it.
         """
         if not targets:
             return {}
@@ -265,45 +258,6 @@ class RandomWalkWithResets(SignatureScheme):
                 weights = np.where(right_mask, weights, 0.0)
             signatures[node] = self._extract_top_k(node, weights, node_array)
         return signatures
-
-    def dirty_nodes(
-        self, graph: CommGraph, delta: WindowDelta
-    ) -> Optional[Set[NodeId]]:
-        """Owners whose hop-limited walk can feel the delta.
-
-        A query column only depends on the transition-matrix rows its
-        walk can reach within ``h`` hops, so the dirty set is the reverse
-        ``<= h``-hop neighbourhood (over the union of old and new edges)
-        of every node whose walk view changed.  Byte-identity caveats
-        force a full recompute (``None``) when:
-
-        - ``max_hops is None``: the convergence test maxes over the
-          whole batch, coupling every query's iteration count;
-        - the node set changed: matrix shape and dangling-mask length
-          change the vectorised summation grouping;
-        - the dangling set changed (same reason, non-symmetrised); or
-        - the walk is symmetrised and edge existence changed (the old
-          symmetrised degree is not cheaply reconstructible).
-
-        Surviving nodes that changed position reorder the walk's sums, so
-        the seeds also take :func:`position_order_seeds`.
-        """
-        if delta.is_empty:
-            return set()
-        if self.max_hops is None:
-            return None
-        if delta.has_node_churn:
-            return None
-        symmetrize = self._should_symmetrize(graph)
-        if symmetrize and any(True for _ in delta.structural_changes()):
-            return None
-        if not symmetrize and dangling_set_changed(graph, delta):
-            return None
-        seeds = walk_changed_nodes(delta, symmetrize)
-        seeds |= position_order_seeds(graph, delta.moved_nodes, symmetrize)
-        return reverse_reachable(
-            graph, seeds, delta, symmetrize, max_depth=self.max_hops
-        )
 
     def _extract_top_k(
         self, owner: NodeId, weights: np.ndarray, node_array: List[NodeId]

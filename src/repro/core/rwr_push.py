@@ -30,14 +30,12 @@ scheme ``"rwr-push"``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Mapping, Optional, Set
+from typing import Dict, Mapping
 
-from repro.core.incremental import reverse_reachable, walk_changed_nodes
 from repro.core.scheme import SignatureScheme, register_scheme
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
 
 
@@ -151,21 +149,3 @@ class PushRandomWalk(SignatureScheme):
         """Number of nodes with non-zero estimate for a query (work proxy)."""
         return len(self.relevance(graph, node))
 
-    def dirty_nodes(
-        self, graph: CommGraph, delta: WindowDelta
-    ) -> Optional[Set[NodeId]]:
-        """Owners whose push exploration can touch a changed neighbour view.
-
-        The push is purely local — it reads only the weighted neighbour
-        views of nodes it actually reaches, with no |V|-sized state — so
-        an owner that cannot reach any view-changed node (in the old or
-        new graph) replays the exact same push sequence and is clean even
-        under node churn.  Dirty = full reverse closure of the changed
-        views over old∪new edges (reachability over-approximates the
-        epsilon-truncated exploration).
-        """
-        if delta.is_empty:
-            return set()
-        symmetrize = self._should_symmetrize(graph)
-        seeds = walk_changed_nodes(delta, symmetrize)
-        return reverse_reachable(graph, seeds, delta, symmetrize, max_depth=None)

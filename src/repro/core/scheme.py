@@ -12,7 +12,7 @@ them from strings such as ``"tt"`` or ``"rwr"``.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.core.signature import Signature
 from repro.exceptions import SchemeError, UnknownSchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph, RowsCsr
-from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
 
 
@@ -72,72 +71,40 @@ class SignatureScheme(abc.ABC):
         graph: CommGraph,
         nodes: Iterable[NodeId] | None = None,
         *,
-        delta: Optional[WindowDelta] = None,
-        previous: Optional[Mapping[NodeId, Signature]] = None,
         engine: Optional[ComputeEngine] = None,
     ) -> Dict[NodeId, Signature]:
         """Signatures for ``nodes`` (default: every node in the graph),
         keyed in target order.
 
-        **Incremental path**: when both ``delta`` (the
-        :class:`~repro.graph.delta.WindowDelta` for ``G_t -> graph``) and
-        ``previous`` (this scheme's signatures on ``G_t``, same ``k`` and
-        parameters) are supplied, only the owners in
-        :meth:`dirty_nodes` are recomputed; everything else is reused
-        from ``previous``.  Contract: the result is **byte-identical** to
-        a full recompute on ``graph`` — dirty sets are conservative
-        over-approximations, and schemes whose per-owner results are not
-        independent under the change fall back to a full recompute by
-        returning ``None`` from :meth:`dirty_nodes`.
+        A window's signatures are a function of that window's graph
+        alone: every target is computed on ``graph``, nothing carries over
+        from an earlier window.
 
         **Engine**: ``engine=None`` (default) computes in-process.
-        Otherwise the batch — the full target list or, on the incremental
-        path, just the dirty set — goes to ``engine.compute_batch``, a
+        Otherwise the targets go to ``engine.compute_batch``, a
         :class:`~repro.core.execution.ComputeEngine` the caller built
         (usually with :func:`~repro.core.execution.make_engine`) and
         closes.  An exact engine (:class:`repro.parallel.shm.ShmEngine`)
         is byte-identical to in-process.  A non-exact one
         (:class:`repro.streaming.tier.SketchTierEngine`) answers under an
-        **accuracy contract** instead, so the delta/previous reuse is
-        skipped: reusing byte-exact prior signatures inside an
-        approximate answer would blur which contract the result
-        satisfies.
+        **accuracy contract** instead.
 
         Subclasses with batched implementations (e.g. matrix-based RWR)
         override :meth:`_compute_batch`; the contract is identical to
         calling :meth:`compute` per node.  Schemes whose batched results
         depend on the whole target list at once additionally override
         :meth:`partition_batch_safe`.
-
-        Every call accounts every target: ``incremental.dirty_nodes``
-        counts the targets computed and ``incremental.reused_signatures``
-        the ones taken from ``previous`` (a full recompute counts them all
-        dirty), so the two always sum to the target count.
         """
         targets: List[NodeId] = list(nodes) if nodes is not None else graph.nodes()
-        to_compute = targets
-        if (
-            delta is not None
-            and previous is not None
-            and (engine is None or engine.exact)
-        ):
-            dirty = self.dirty_nodes(graph, delta)
-            if dirty is not None:
-                stale = set(dirty) | delta.added_nodes | delta.removed_nodes
-                to_compute = [
-                    node for node in targets if node in stale or node not in previous
-                ]
         if engine is None:
-            fresh = self._compute_batch(graph, to_compute)
+            fresh = self._compute_batch(graph, targets)
         else:
-            fresh = engine.compute_batch(self, graph, to_compute)
-        obs.counter("incremental.dirty_nodes", scheme=self.name).inc(len(to_compute))
-        obs.counter("incremental.reused_signatures", scheme=self.name).inc(
-            len(targets) - len(to_compute)
-        )
-        return {
-            node: fresh[node] if node in fresh else previous[node] for node in targets
-        }
+            fresh = engine.compute_batch(self, graph, targets)
+        # benchmarks/e2e/serve.py reads reused / (dirty + reused) from
+        # /metrics; ROADMAP item 6 step 0 removes that reader and these.
+        obs.counter("incremental.dirty_nodes", scheme=self.name).inc(len(targets))
+        obs.counter("incremental.reused_signatures", scheme=self.name).inc(0)
+        return {node: fresh[node] for node in targets}
 
     def partition_batch_safe(self, graph: CommGraph) -> bool:
         """Whether :meth:`_compute_batch` applied to any partition of the
@@ -154,10 +121,9 @@ class SignatureScheme(abc.ABC):
     def _compute_batch(
         self, graph: CommGraph, targets: List[NodeId]
     ) -> Dict[NodeId, Signature]:
-        """Full computation for an explicit target list (no reuse).
+        """Full computation for an explicit target list.
 
-        Batched schemes override this instead of :meth:`compute_all` so
-        the incremental bookkeeping stays in one place.
+        Batched schemes override this instead of :meth:`compute_all`.
         """
         return {node: self.compute(graph, node) for node in targets}
 
@@ -205,22 +171,6 @@ class SignatureScheme(abc.ABC):
             )
             for node, lo, hi in zip(targets, bounds, bounds[1:])
         }
-
-    def dirty_nodes(
-        self, graph: CommGraph, delta: WindowDelta
-    ) -> Optional[Set[NodeId]]:
-        """Owners whose signature may differ on ``graph`` vs. the pre-delta
-        graph — a conservative over-approximation.
-
-        ``graph`` is the *post*-delta graph.  Return ``None`` when the
-        scheme cannot bound the affected set for this delta (the caller
-        then recomputes everything).  The default is ``None``: schemes
-        must opt in by proving which owners are untouched.  Added/removed
-        nodes need not be included — the caller always recomputes owners
-        missing from ``previous`` and drops owners absent from the target
-        population.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -8,14 +8,13 @@ Communities-of-Interest fraud-detection work of Cortes et al.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping
 
 import numpy as np
 
 from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
 from repro.core.signature import Signature
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
 
 
@@ -52,13 +51,6 @@ class TopTalkers(SignatureScheme):
         self, graph: CommGraph, targets: List[NodeId]
     ) -> Dict[NodeId, Signature]:
         return self._compute_rows(graph, targets, _row_shares)
-
-    def dirty_nodes(
-        self, graph: CommGraph, delta: WindowDelta
-    ) -> Optional[Set[NodeId]]:
-        """TT reads only the owner's out-neighbour view: exactly the
-        sources of changed edges (plus churned nodes) are affected."""
-        return delta.sources() | delta.churned_nodes()
 
 
 def _row_shares(entries: RowEntries) -> np.ndarray:

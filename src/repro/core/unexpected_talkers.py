@@ -14,7 +14,7 @@ little sensitivity to this choice, which our ablation bench verifies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -22,12 +22,7 @@ from repro.core.relevance import get_scaling, scale_columns
 from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
 from repro.core.signature import Signature
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.types import NodeId, Weight
-
-#: Scalings whose value ignores ``num_nodes`` — for these, node churn alone
-#: cannot dirty an owner; ``tfidf`` reads ``|V|`` and is excluded.
-_SIZE_INDEPENDENT_SCALINGS = frozenset({"inverse", "sqrt"})
 
 
 @register_scheme
@@ -72,24 +67,3 @@ class UnexpectedTalkers(SignatureScheme):
     def describe(self) -> str:
         return f"{self.name}(k={self.k}, scaling={self.scaling_name})"
 
-    def dirty_nodes(
-        self, graph: CommGraph, delta: WindowDelta
-    ) -> Optional[Set[NodeId]]:
-        """UT owners are dirtied by their own out-view changes *and* by
-        in-degree changes of their destinations.
-
-        A structural change (edge added/removed) alters ``|I(dst)|``, so
-        every current in-neighbour of that destination is dirty; old
-        in-neighbours that dropped the edge are already sources of a
-        change.  Pure reweights leave in-degrees alone.  When the scaling
-        reads ``|V|`` (tfidf) and the node set changed, every owner may
-        shift — no useful bound.
-        """
-        if delta.has_node_churn and self.scaling_name not in _SIZE_INDEPENDENT_SCALINGS:
-            return None
-        dirty = delta.sources() | delta.churned_nodes()
-        rows = graph.in_rows()
-        destinations = {change.dst for change in delta.structural_changes()}
-        entries = RowEntries(rows, graph.row_positions(destinations))
-        dirty.update(graph.row_labels(rows, entries.index))
-        return dirty

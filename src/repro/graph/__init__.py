@@ -8,7 +8,6 @@ streams, window splitting and summary statistics.
 
 from repro.graph.comm_graph import CommGraph
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.delta import EdgeChange, WindowDelta
 from repro.graph.stream import (
     EdgeRecord,
     ReadReport,
@@ -33,8 +32,6 @@ from repro.graph.stats import GraphSummary, estimate_effective_diameter, summari
 __all__ = [
     "CommGraph",
     "BipartiteGraph",
-    "EdgeChange",
-    "WindowDelta",
     "EdgeRecord",
     "ReadReport",
     "RejectedRow",

@@ -10,12 +10,13 @@ Every window graph is built by ``aggregate_records``, two ways round:
 
 - :func:`split_records_into_windows` aggregates every bucket on its own
   (simple, stateless);
-- :meth:`GraphSequence.from_sliding_records` drives a
-  :class:`SlidingWindowAggregator`, which builds each window graph from
-  the retained buckets' columns; the sequence diffs each window against
-  the last one, so every transition carries its :class:`WindowDelta` and
-  downstream signature computation can run incrementally.  Both paths
-  produce identical graphs, node and row orders included.
+- :class:`SlidingWindowAggregator` builds each window graph from the
+  retained buckets' columns (the service shards slide one over their
+  ingest log).
+
+With one bucket per window both produce identical graphs, node and row
+orders included.  A window's graph, and so its signatures, depend only on
+that window's records.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
 from repro.types import NodeId
 
@@ -175,16 +175,10 @@ class GraphSequence:
 
     ``labels`` are human-readable window names (e.g. ``"week-1"``); when
     omitted they default to ``"window-0"``, ``"window-1"``, ...
-
-    ``deltas``, when present, holds one :class:`WindowDelta` per
-    *transition*: ``deltas[i]`` describes ``graphs[i] -> graphs[i+1]``.
-    Sequences built by :meth:`from_sliding_records` carry them; manually
-    assembled sequences may leave them ``None``.
     """
 
     graphs: List[CommGraph]
     labels: List[str] = field(default_factory=list)
-    deltas: Optional[List[WindowDelta]] = None
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -192,11 +186,6 @@ class GraphSequence:
         if len(self.labels) != len(self.graphs):
             raise GraphError(
                 f"{len(self.labels)} labels supplied for {len(self.graphs)} graphs"
-            )
-        if self.deltas is not None and len(self.deltas) != max(0, len(self.graphs) - 1):
-            raise GraphError(
-                f"{len(self.deltas)} deltas supplied for {len(self.graphs)} graphs "
-                f"(expected one per consecutive transition)"
             )
 
     def __len__(self) -> int:
@@ -213,67 +202,15 @@ class GraphSequence:
         for index in range(len(self.graphs) - 1):
             yield self.graphs[index], self.graphs[index + 1]
 
-    def delta_for(self, transition: int) -> Optional[WindowDelta]:
-        """The :class:`WindowDelta` for ``graphs[transition] ->
-        graphs[transition + 1]``, or ``None`` when deltas are not tracked."""
-        if self.deltas is None:
-            return None
-        if not 0 <= transition < len(self.deltas):
-            return None
-        return self.deltas[transition]
-
     def common_nodes(self) -> List[NodeId]:
-        """Nodes present in every window (a natural evaluation population).
-
-        For delta-tracked (sliding) sequences this is read off the deltas:
-        a node misses some window iff it was removed at one of the
-        recorded transitions, so the common set is the first window's
-        nodes minus everything any delta removed — no per-window set
-        intersections.
-        """
+        """Nodes present in every window (a natural evaluation population)."""
         if not self.graphs:
             return []
-        if self.deltas is not None and len(self.deltas) == len(self.graphs) - 1:
-            dropped = set()
-            for delta in self.deltas:
-                dropped |= delta.removed_nodes
-            return [node for node in self.graphs[0].nodes() if node not in dropped]
         common = set(self.graphs[0].nodes())
         for graph in self.graphs[1:]:
             common &= set(graph.nodes())
         # Preserve first-window ordering for determinism.
         return [node for node in self.graphs[0].nodes() if node in common]
-
-    @classmethod
-    def from_sliding_records(
-        cls,
-        records: Sequence[EdgeRecord],
-        num_windows: int | None = None,
-        window_length: float | None = None,
-        bipartite: bool = False,
-        window_buckets: int = 1,
-    ) -> "GraphSequence":
-        """Build a delta-tracked sequence by sliding over the record trace.
-
-        Bucketing matches :func:`split_records_into_windows` exactly; each
-        window graph covers the most recent ``window_buckets`` buckets
-        (ramping up at the start).  With the default ``window_buckets=1``
-        the graphs are identical to the stateless splitter's, but every
-        transition additionally carries its :class:`WindowDelta`.
-        """
-        buckets, labels = _bucketize(records, num_windows, window_length)
-        aggregator = SlidingWindowAggregator(
-            window_buckets=window_buckets, bipartite=bipartite
-        )
-        graphs: List[CommGraph] = []
-        deltas: List[WindowDelta] = []
-        for bucket in buckets:
-            aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
-            graph = aggregator.graph
-            if graphs:
-                deltas.append(WindowDelta.from_graphs(graphs[-1], graph))
-            graphs.append(graph)
-        return cls(graphs=graphs, labels=labels, deltas=deltas)
 
 
 class SlidingWindowAggregator:
@@ -341,20 +278,6 @@ class SlidingWindowAggregator:
             raise GraphError("the batch is interned into another label table")
 
 
-def _bucketize(
-    records: Sequence[EdgeRecord],
-    num_windows: int | None,
-    window_length: float | None,
-) -> Tuple[List[List[EdgeRecord]], List[str]]:
-    """Shared bucketing for the stateless and sliding window builders."""
-    if (num_windows is None) == (window_length is None):
-        raise GraphError("specify exactly one of num_windows or window_length")
-    if not records:
-        raise GraphError("cannot window an empty record trace")
-    buckets = bucket_records(records, num_windows, window_length)
-    return buckets, [f"window-{i}" for i in range(len(buckets))]
-
-
 def split_records_into_windows(
     records: Sequence[EdgeRecord],
     num_windows: int | None = None,
@@ -368,6 +291,12 @@ def split_records_into_windows(
     timestamp) must be given.  Records on a boundary go to the later
     window, except the final boundary which closes the last window.
     """
-    buckets, labels = _bucketize(records, num_windows, window_length)
-    graphs = [aggregate_records(bucket, bipartite=bipartite) for bucket in buckets]
-    return GraphSequence(graphs=graphs, labels=labels)
+    if (num_windows is None) == (window_length is None):
+        raise GraphError("specify exactly one of num_windows or window_length")
+    if not records:
+        raise GraphError("cannot window an empty record trace")
+    buckets = bucket_records(records, num_windows, window_length)
+    return GraphSequence(
+        graphs=[aggregate_records(bucket, bipartite=bipartite) for bucket in buckets],
+        labels=[f"window-{i}" for i in range(len(buckets))],
+    )

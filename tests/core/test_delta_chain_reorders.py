@@ -1,12 +1,11 @@
-"""Delta chains and window graphs under record reorders.
+"""Window graphs and signatures under record reorders.
 
 A window that repeats the last window's edges and weights in another
 order has the same weights but other row and node orders, and signatures
 sum floats over those orders (0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1).  The
-delta chain — ``compute_all`` with ``delta=`` and ``previous=`` — must
-still equal a full recompute on the same graph, and the sliding
-aggregator's graph must be fresh aggregation of the retained records at
-every ``window_buckets``.
+pipeline's signatures must still equal per-owner computation on each
+window's own graph, and the sliding aggregator's graph must be fresh
+aggregation of the retained records at every ``window_buckets``.
 """
 
 import struct
@@ -19,22 +18,12 @@ from repro.core.scheme import create_scheme
 from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records, graph_from_edges
-from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord, write_edge_records
-from repro.graph.windows import GraphSequence, SlidingWindowAggregator
+from repro.graph.windows import SlidingWindowAggregator
 from repro.pipeline import CheckpointStore, CsvRecordSource, PipelineConfig, SignaturePipeline
 
 ROW = [("a", "x", 0.1), ("a", "y", 0.2), ("a", "z", 0.3)]
 IN_ROW = [("x", "a", 0.1), ("y", "a", 0.2), ("z", "a", 0.3)]
-
-#: Schemes with a dirty-set bound (unbounded RWR always recomputes).
-SCHEMES = {
-    "tt": {},
-    "ut": {},
-    "it": {},
-    "rwr": {"max_hops": 2},
-    "rwr-push": {},
-}
 
 
 def reversed_trace(edges):
@@ -48,26 +37,7 @@ def reversed_trace(edges):
     ]
 
 
-def chain_equals_full(scheme, sequence):
-    previous = scheme.compute_all(sequence[0])
-    for index in range(1, len(sequence)):
-        graph = sequence[index]
-        chained = scheme.compute_all(
-            graph, delta=sequence.delta_for(index - 1), previous=previous
-        )
-        assert chained == scheme.compute_all(graph)
-        previous = chained
-
-
 class TestReversedRows:
-    @pytest.mark.parametrize("name,edges", [("tt", ROW), ("it", IN_ROW)])
-    def test_sliding_delta_chain(self, name, edges):
-        sequence = GraphSequence.from_sliding_records(
-            reversed_trace(edges), window_length=1.0
-        )
-        assert len(sequence) == 2
-        chain_equals_full(create_scheme(name, k=3), sequence)
-
     @pytest.mark.parametrize("name", ["tt", "it"])
     def test_pipeline_equals_per_owner_compute(self, name, tmp_path):
         # a's out-row and in-row both come back reversed.
@@ -89,26 +59,6 @@ class TestReversedRows:
             )
             expected = {owner: scheme.compute(graph, owner) for owner in graph.senders()}
             assert store.load_window(window)[0] == expected
-
-
-def test_moved_nodes_dirty_the_matrix_walk():
-    # A zero-weight record moves i3 and j ahead of q: no edge changes, but
-    # RWR's walk from q adds i1, i2 and i3's mass into j in node-position
-    # order, and that order changed.
-    edges = [
-        ("q", "i1", 0.9), ("q", "i2", 0.8), ("q", "i3", 0.5),
-        ("i1", "j", 0.3), ("i2", "j", 0.6), ("i3", "j", 0.5),
-    ]
-    records = [EdgeRecord(0.1 * p, s, d, w) for p, (s, d, w) in enumerate(edges)]
-    records.append(EdgeRecord(1.0, "i3", "j", 0.0))
-    records += [EdgeRecord(1.1 + 0.1 * p, s, d, w) for p, (s, d, w) in enumerate(edges)]
-    sequence = GraphSequence.from_sliding_records(records, window_length=1.0)
-    delta = sequence.delta_for(0)
-    assert not delta.changes and not delta.has_node_churn and delta.moved_nodes
-    scheme = create_scheme("rwr", k=3, max_hops=2)
-    assert scheme.compute_all(sequence[0])["q"] != scheme.compute_all(sequence[1])["q"]
-    assert "q" in scheme.dirty_nodes(sequence[1], delta)
-    chain_equals_full(scheme, sequence)
 
 
 def graph_state(graph):
@@ -156,25 +106,18 @@ def reordered_traces(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(reordered_traces(), st.integers(1, 3), st.sampled_from(sorted(SCHEMES)))
-def test_window_graph_is_fresh_and_delta_chain_is_full_recompute(trace, window_buckets, name):
+@given(reordered_traces(), st.integers(1, 3))
+def test_window_graph_is_fresh(trace, window_buckets):
     bipartite, buckets = trace
-    scheme = create_scheme(name, k=3, **SCHEMES[name])
     aggregator = SlidingWindowAggregator(window_buckets=window_buckets, bipartite=bipartite)
-    previous = None
     for index, bucket in enumerate(buckets):
         records = [EdgeRecord(0.0, src, dst, weight) for src, dst, weight in bucket]
-        old = aggregator.graph
         aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
-        delta = WindowDelta.from_graphs(old, aggregator.graph)
         retained = [
             EdgeRecord(0.0, src, dst, weight)
             for part in buckets[max(0, index - window_buckets + 1):index + 1]
             for src, dst, weight in part
         ]
-        graph = aggregator.graph
-        assert graph_state(graph) == graph_state(aggregate_records(retained, bipartite=bipartite))
-        full = scheme.compute_all(graph)
-        if previous is not None:
-            assert scheme.compute_all(graph, delta=delta, previous=previous) == full
-        previous = full
+        assert graph_state(aggregator.graph) == graph_state(
+            aggregate_records(retained, bipartite=bipartite)
+        )

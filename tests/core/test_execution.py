@@ -1,10 +1,10 @@
-"""The execution factory and the engine contract ``compute_all`` relies on."""
+"""The execution factory, and what ``compute_all`` counts per call."""
 
 import pytest
 
+from repro import obs
 from repro.core.execution import DEFAULT_BUDGET_BYTES, make_engine
 from repro.core.scheme import create_scheme
-from repro.core.signature import Signature
 from repro.exceptions import (
     ExperimentError,
     PipelineError,
@@ -13,32 +13,10 @@ from repro.exceptions import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.parallel.shm import ShmEngine
 from repro.pipeline import PipelineConfig
 from repro.service import ServiceConfig
 from repro.streaming.tier import SketchTierEngine
-
-
-class RecordingEngine:
-    """A fake engine answering in-process and recording each batch."""
-
-    def __init__(self, exact):
-        self.exact = exact
-        self.batches = []
-
-    def compute_batch(self, scheme, graph, targets=None):
-        self.batches.append(list(targets))
-        return scheme._compute_batch(graph, list(targets))
-
-    def close(self):
-        pass
-
-
-def window_pair():
-    before = CommGraph([("a", "x", 2.0), ("a", "y", 1.0), ("b", "x", 3.0)])
-    after = CommGraph([("a", "x", 2.0), ("a", "y", 1.0), ("b", "z", 3.0)])
-    return before, after, WindowDelta.from_graphs(before, after)
 
 
 class TestMakeEngine:
@@ -89,22 +67,17 @@ class TestConfigsShareTheValidator:
             config(strategy="teleport")
 
 
-class TestComputeAllEngineContract:
-    def test_exact_engine_gets_only_the_dirty_set(self):
-        before, after, delta = window_pair()
-        scheme = create_scheme("tt", k=3)
-        previous = scheme.compute_all(before)
-        engine = RecordingEngine(exact=True)
-        result = scheme.compute_all(after, delta=delta, previous=previous, engine=engine)
-        assert result == scheme.compute_all(after)
-        assert engine.batches and "a" not in engine.batches[0]
-
-    def test_non_exact_engine_ignores_delta_and_previous(self):
-        before, after, delta = window_pair()
-        scheme = create_scheme("tt", k=3)
-        # If reuse happened, these would leak through for the clean owner "a".
-        poisoned = {node: Signature(node, {"bogus": 1.0}) for node in before.nodes()}
-        engine = RecordingEngine(exact=False)
-        result = scheme.compute_all(after, delta=delta, previous=poisoned, engine=engine)
-        assert engine.batches == [after.nodes()]
-        assert result == scheme.compute_all(after)
+def test_every_target_counts_dirty_and_none_reused():
+    # benchmarks/e2e/serve.py reads reused / (dirty + reused) from
+    # /metrics, so both counters exist after every call: each target is
+    # computed on its own window's graph, so all count dirty, none reused.
+    graph = CommGraph([("a", "x", 2.0), ("a", "y", 1.0), ("b", "x", 3.0)])
+    targets = graph.nodes() + ["absent"]
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        create_scheme("tt", k=5).compute_all(graph, targets)
+        create_scheme("rwr", k=5).compute_all(graph, targets)
+    flat = registry.counters_flat()
+    for name in ("tt", "rwr"):
+        assert flat[f"incremental.dirty_nodes{{scheme={name}}}"] == len(targets)
+        assert flat[f"incremental.reused_signatures{{scheme={name}}}"] == 0

@@ -1,12 +1,11 @@
-"""Sliding-window aggregator, window deltas and boundary-safe bucketing.
+"""Sliding-window aggregator and boundary-safe bucketing.
 
-The exactness contract under test: a sequence built by
-:meth:`GraphSequence.from_sliding_records` is *identical* — same node
+The exactness contract under test: every graph a
+:class:`SlidingWindowAggregator` builds is *identical* — same node
 order, same edge weights bit-for-bit, the same adjacency-row iteration
 order — to fresh aggregation of each window's records (for
 ``window_buckets=1``, the stateless :func:`split_records_into_windows`
-path), while additionally carrying one :class:`WindowDelta` per
-transition.
+path).
 """
 
 import random
@@ -17,11 +16,10 @@ from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
-from repro.graph.delta import WindowDelta
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import (
-    GraphSequence,
     SlidingWindowAggregator,
+    bucket_records,
     split_records_into_windows,
     window_index_of,
 )
@@ -43,6 +41,16 @@ def random_trace(seed, num_windows=6, nodes=16, per_window=30, zero_weight_rate=
             )
     records.sort()
     return records
+
+
+def slide(records, num_windows, bipartite=False):
+    """The graphs a one-bucket aggregator builds over the trace's buckets."""
+    aggregator = SlidingWindowAggregator(bipartite=bipartite)
+    graphs = []
+    for bucket in bucket_records(records, num_windows):
+        aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
+        graphs.append(aggregator.graph)
+    return graphs
 
 
 class TestWindowIndexOf:
@@ -78,104 +86,12 @@ class TestWindowIndexOf:
             assert time < start + (index + 1) * width
 
 
-def surviving_order(old, new):
-    """``old``'s keys that ``new`` also has, in ``old``'s order."""
-    return [key for key in old if key in new]
-
-
-class TestWindowDelta:
-    """``WindowDelta.from_graphs``, the one delta producer."""
-
-    def test_matches_from_graphs_diff(self):
-        # The delta contract, on every sliding transition at W = 1-3: one
-        # change per edge whose weight differs or whose place in its
-        # out-row or in-row moved, with the graphs' exact weights; the
-        # node churn; and moved nodes exactly when the survivors' order
-        # changed.
-        for window_buckets in (1, 2, 3):
-            records = random_trace(7)
-            sequence = GraphSequence.from_sliding_records(
-                records, num_windows=6, window_buckets=window_buckets
-            )
-            for i, delta in enumerate(sequence.deltas):
-                old, new = sequence[i], sequence[i + 1]
-                assert delta == WindowDelta.from_graphs(old, new)
-                pairs = [(change.src, change.dst) for change in delta.changes]
-                assert len(pairs) == len(set(pairs))
-                edges = {(s, d) for s, d, _ in old.edges()} | {(s, d) for s, d, _ in new.edges()}
-                assert {e for e in edges if old.weight(*e) != new.weight(*e)} <= set(pairs)
-                for change in delta.changes:
-                    src, dst = change.src, change.dst
-                    assert change.old_weight == old.weight(src, dst)
-                    assert change.new_weight == new.weight(src, dst)
-                    if change.old_weight == change.new_weight:
-                        assert surviving_order(
-                            old.out_neighbors(src), new.out_neighbors(src)
-                        ) != surviving_order(new.out_neighbors(src), old.out_neighbors(src)) or (
-                            surviving_order(old.in_neighbors(dst), new.in_neighbors(dst))
-                            != surviving_order(new.in_neighbors(dst), old.in_neighbors(dst))
-                        )
-                assert delta.added_nodes == set(new.nodes()) - set(old.nodes())
-                assert delta.removed_nodes == set(old.nodes()) - set(new.nodes())
-                assert bool(delta.moved_nodes) == (
-                    surviving_order(old, new) != surviving_order(new, old)
-                )
-
-    def test_reweight_records_old_and_new(self):
-        delta = WindowDelta.from_graphs(
-            CommGraph([("a", "b", 1.0)]), CommGraph([("a", "b", 3.0)])
-        )
-        (change,) = delta.changes
-        assert (change.old_weight, change.new_weight) == (1.0, 3.0)
-        assert change.kind == "reweight"
-        assert not change.structural
-
-    def test_identical_graphs_give_empty_delta(self):
-        edges = [("a", "b", 1.5), ("a", "c", 0.5), ("d", "b", 2.0)]
-        assert WindowDelta.from_graphs(CommGraph(edges), CommGraph(edges)).is_empty
-
-    def test_node_churn_recorded(self):
-        old = CommGraph([("a", "b", 1.0)])
-        new = CommGraph([("a", "c", 1.0)])
-        delta = WindowDelta.from_graphs(old, new)
-        assert delta.removed_nodes == frozenset({"b"})
-        assert delta.added_nodes == frozenset({"c"})
-        assert {change.kind for change in delta.changes} == {"add", "remove"}
-
-    def test_reordered_out_row_reports_equal_weight_changes(self):
-        # Same weights, reversed row: TT's row sum runs in the other order.
-        old = CommGraph([("a", "x", 0.1), ("a", "y", 0.2), ("a", "z", 0.3)])
-        new = CommGraph([("a", "z", 0.3), ("a", "y", 0.2), ("a", "x", 0.1)])
-        delta = WindowDelta.from_graphs(old, new)
-        assert delta.changes
-        assert delta.sources() == {"a"}
-        assert all(change.old_weight == change.new_weight for change in delta.changes)
-        # x, y and z also moved among V (a first, then its row).
-        assert delta.moved_nodes and delta.moved_nodes <= {"x", "y", "z"}
-
-    def test_reordered_in_row_reports_equal_weight_changes(self):
-        old = CommGraph([("x", "a", 0.1), ("y", "a", 0.2), ("z", "a", 0.3)])
-        new = CommGraph([("z", "a", 0.3), ("y", "a", 0.2), ("x", "a", 0.1)])
-        delta = WindowDelta.from_graphs(old, new)
-        assert delta.destinations() == {"a"}
-        assert all(change.old_weight == change.new_weight for change in delta.changes)
-
-    def test_one_far_move_reports_one_node(self):
-        old = CommGraph()
-        for node in "abcdef":
-            old.add_node(node)
-        new = CommGraph()
-        for node in "fabcde":
-            new.add_node(node)
-        assert WindowDelta.from_graphs(old, new).moved_nodes == {"f"}
-
-
 class TestSlidingEqualsStateless:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_single_bucket_bitwise_and_row_order(self, seed):
         records = random_trace(seed)
         stateless = split_records_into_windows(records, num_windows=6)
-        sliding = GraphSequence.from_sliding_records(records, num_windows=6)
+        sliding = slide(records, 6)
         assert len(sliding) == len(stateless)
         for fresh, slid in zip(stateless, sliding):
             assert set(fresh.nodes()) == set(slid.nodes())
@@ -193,9 +109,7 @@ class TestSlidingEqualsStateless:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_multi_bucket_matches_reaggregation(self, seed):
         records = random_trace(seed, num_windows=8)
-        from repro.graph.windows import _bucketize
-
-        buckets, _ = _bucketize(records, 8, None)
+        buckets = bucket_records(records, 8)
         aggregator = SlidingWindowAggregator(window_buckets=3)
         for index, bucket in enumerate(buckets):
             aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
@@ -229,9 +143,7 @@ class TestSlidingEqualsStateless:
                     )
                 )
         records.sort()
-        sliding = GraphSequence.from_sliding_records(
-            records, num_windows=4, bipartite=True
-        )
+        sliding = slide(records, 4, bipartite=True)
         stateless = split_records_into_windows(records, num_windows=4, bipartite=True)
         for fresh, slid in zip(stateless, sliding):
             assert isinstance(slid, BipartiteGraph)
@@ -275,15 +187,9 @@ class TestStructuralCopy:
 
 
 class TestCommonNodes:
-    def test_delta_tracked_matches_bruteforce(self):
-        records = random_trace(21)
-        sliding = GraphSequence.from_sliding_records(records, num_windows=6)
-        stateless = split_records_into_windows(records, num_windows=6)
-        assert sliding.common_nodes() == stateless.common_nodes()
-
     def test_returns_list_in_first_window_order(self):
         records = random_trace(22)
-        sequence = GraphSequence.from_sliding_records(records, num_windows=5)
+        sequence = split_records_into_windows(records, num_windows=5)
         common = sequence.common_nodes()
         assert isinstance(common, list)
         order = {node: i for i, node in enumerate(sequence[0].nodes())}

@@ -153,29 +153,6 @@ class TestComputeBatch:
         assert result == exact
         assert registry.counter_total("sketch.fallback") == 1.0
 
-    def test_sketch_strategy_bypasses_incremental_reuse(self, dataset):
-        """delta/previous reuse is a byte-identity feature; under the
-        accuracy contract the batch is recomputed whole."""
-        from repro.graph.delta import WindowDelta
-
-        graph, hosts = dataset.graphs[0], dataset.local_hosts
-        scheme = create_scheme("tt", k=10)
-        engine = SketchTierEngine(budget_bytes=1 << 15)
-        plain = scheme.compute_all(graph, hosts, engine=engine)
-        # Poisoned previous: if reuse happened, these would leak through.
-        from repro.core.signature import Signature
-
-        poisoned = {h: Signature(h, {"bogus": 1.0}) for h in hosts}
-        empty_delta = WindowDelta.from_graphs(graph, graph)
-        with_delta = scheme.compute_all(
-            graph,
-            hosts,
-            delta=empty_delta,
-            previous=poisoned,
-            engine=engine,
-        )
-        assert with_delta == plain
-
     def test_obs_metrics_recorded(self, dataset):
         graph, hosts = dataset.graphs[0], dataset.local_hosts
         scheme = create_scheme("tt", k=10)

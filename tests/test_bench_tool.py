@@ -18,7 +18,6 @@ QUICK_DIR = REPO_ROOT / "benchmarks" / "perf" / "quick"
 #: Stage -> record name.  The shm stage (~8 s) runs in CI's bench job.
 RECORDS = {
     "kernels": "distance_kernels",
-    "incremental": "incremental_engine",
     "sketch": "sketch_tier",
     "service_slo": "service_slo",
     "history": "history_store",

@@ -20,8 +20,6 @@ from repro.core.signature import Signature
 from repro.core.top_talkers import TopTalkers
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
-from repro.graph.windows import GraphSequence
-from repro.graph.stream import EdgeRecord
 from repro.parallel.shm import (
     ShmEngine,
     ShmError,
@@ -147,37 +145,6 @@ class TestComputeEquivalence:
         serial = scheme.compute_all(graph)
         parallel = scheme.compute_all(graph, engine=engine)
         assert parallel == serial
-
-    def test_delta_path_byte_identical(self, engine):
-        rng = random.Random(17)
-        records = [
-            EdgeRecord(
-                time=t + 0.5,
-                src=f"h{rng.randrange(25)}",
-                dst=f"h{rng.randrange(25)}",
-                weight=rng.uniform(0.5, 4.0),
-            )
-            for t in range(4)
-            for _ in range(80)
-        ]
-        records.sort()
-        sequence = GraphSequence.from_sliding_records(records, num_windows=4)
-        scheme = create_scheme("tt", k=5)
-
-        def chain(**kwargs):
-            maps = [scheme.compute_all(sequence.graphs[0], **kwargs)]
-            for t in range(1, len(sequence)):
-                maps.append(
-                    scheme.compute_all(
-                        sequence.graphs[t],
-                        delta=sequence.deltas[t - 1],
-                        previous=maps[-1],
-                        **kwargs,
-                    )
-                )
-            return maps
-
-        assert chain(engine=engine) == chain()
 
     def test_randomized_property_all_schemes(self, engine):
         # The property the whole PR hangs on: for any graph and any

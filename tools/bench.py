@@ -1,8 +1,7 @@
 #!/usr/bin/env python
-"""Perf regression harness: six gated bench stages over one driver.
+"""Perf regression harness: five gated bench stages over one driver.
 
 - ``kernels``: scalar vs batch distance kernels through the same call sites
-- ``incremental``: chained delta recompute vs full per-window recompute
 - ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
 - ``sketch``: sketch-tier accuracy-vs-memory curve and merge-based window advance
 - ``service_slo``: seeded load through the in-process service: latency, digests, SLOs, traces
@@ -56,11 +55,6 @@ MIN_KERNEL_SPEEDUP = 10.0
 #: brute-force decode of the queried window by this factor.
 MIN_HISTORY_INDEX_SPEEDUP = 5.0
 HISTORY_GATE_ROWS = 100_000
-
-#: Incremental-engine acceptance gate: schemes whose mean dirty fraction is
-#: at most MAX_DIRTY_FRACTION must show at least MIN_INCREMENTAL_SPEEDUP.
-MIN_INCREMENTAL_SPEEDUP = 3.0
-MAX_DIRTY_FRACTION = 0.10
 
 #: Shared-memory engine acceptance gates, both measured at
 #: SHM_GATE_WORKERS workers.  The vs-pickle ratio compares equal
@@ -124,23 +118,6 @@ def timed(function, repeats: int = 1):
         result = function()
         best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def chain(scheme, sequence, engine=None) -> list:
-    """Per-window signature maps, each window recomputed from the previous
-    window's map and the sliding delta, as the anomaly monitor chains a
-    ``GraphSequence``."""
-    maps = [scheme.compute_all(sequence.graphs[0], engine=engine)]
-    for t in range(1, len(sequence)):
-        maps.append(
-            scheme.compute_all(
-                sequence.graphs[t],
-                delta=sequence.deltas[t - 1],
-                previous=maps[-1],
-                engine=engine,
-            )
-        )
-    return maps
 
 
 def check_same_signatures(what: str, expected: list, actual: list) -> None:
@@ -316,139 +293,6 @@ def kernels_stage(args):
 
 
 # ----------------------------------------------------------------------
-# incremental
-# ----------------------------------------------------------------------
-#: Scheme line-up for the incremental-engine stage.
-INCREMENTAL_SCHEMES = [
-    ("tt", {}),
-    ("ut", {}),
-    ("it", {}),
-    ("rwr", {"max_hops": 3}),
-    ("rwr-push", {}),
-]
-
-
-def incremental_trace(
-    num_nodes: int, num_windows: int, churn_fraction: float, seed: int
-) -> list:
-    """A backbone-plus-churn record trace for the incremental engine.
-
-    Every window repeats a stable weighted ring ``v_i -> v_{i+1}`` (so the
-    node set and dangling set never change and unchanged edges produce no
-    delta entries), plus a rotating block of ``churn_fraction * num_nodes``
-    extra edges whose position shifts each window — the sparse per-window
-    change a sliding deployment actually sees.
-    """
-    from repro.graph.stream import EdgeRecord
-
-    rng = random.Random(seed)
-    churn_size = max(1, int(num_nodes * churn_fraction))
-    records = []
-    for window in range(num_windows):
-        t = window + 0.5
-        for i in range(num_nodes):
-            records.append(
-                EdgeRecord(
-                    time=t,
-                    src=f"v{i}",
-                    dst=f"v{(i + 1) % num_nodes}",
-                    weight=1.0 + (i % 7) * 0.25,
-                )
-            )
-        start = (window * churn_size) % num_nodes
-        for j in range(churn_size):
-            records.append(
-                EdgeRecord(
-                    time=t,
-                    src=f"v{(start + j) % num_nodes}",
-                    dst=f"v{(start + j + num_nodes // 2) % num_nodes}",
-                    weight=rng.uniform(0.5, 3.0),
-                )
-            )
-    records.sort()
-    return records
-
-
-def bench_incremental(num_nodes: int, num_windows: int, k: int, repeats: int) -> list:
-    """Incremental chained recompute vs. per-window full recompute.
-
-    Both passes run over identically-constructed sliding sequences and the
-    resulting signature maps are asserted equal window by window (the
-    engine's byte-identity contract).  ``dirty_fraction`` is the mean
-    fraction of the population each scheme recomputes per transition —
-    the quantity the speedup gate conditions on.
-    """
-    from repro.core.scheme import create_scheme
-    from repro.graph.windows import GraphSequence
-
-    trace = incremental_trace(num_nodes, num_windows, churn_fraction=0.01, seed=23)
-    rows = []
-    for name, params in INCREMENTAL_SCHEMES:
-        scheme = create_scheme(name, k=k, **params)
-        # Separate sequences per pass so neither benefits from matrix
-        # caches warmed by the other.
-        seq_full = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
-        seq_inc = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
-        full_wall, full_maps = timed(
-            lambda: [scheme.compute_all(graph) for graph in seq_full.graphs],
-            repeats=repeats,
-        )
-        inc_wall, inc_maps = timed(lambda: chain(scheme, seq_inc), repeats=repeats)
-        check_same_signatures(
-            f"incremental engine vs full recompute for {name}", full_maps, inc_maps
-        )
-
-        dirty_total = 0
-        for t in range(1, len(seq_inc)):
-            dirty = scheme.dirty_nodes(seq_inc.graphs[t], seq_inc.deltas[t - 1])
-            dirty_total += num_nodes if dirty is None else len(dirty)
-        dirty_fraction = dirty_total / (num_nodes * (len(seq_inc) - 1))
-
-        rows.append(
-            {
-                "op": "incremental_vs_full",
-                "scheme": scheme.describe(),
-                "n": num_nodes,
-                "windows": num_windows,
-                "dirty_fraction": round(dirty_fraction, 4),
-                "scalar_wall_s": round(full_wall, 6),
-                "batch_wall_s": round(inc_wall, 6),
-                "speedup": round(full_wall / inc_wall, 2),
-                "note": "scalar=full per-window recompute, batch=delta engine",
-            }
-        )
-    return rows
-
-
-def incremental_stage(args):
-    num_nodes = 200 if args.quick else 1200
-    num_windows = 6 if args.quick else 10
-    repeats = 1 if args.quick else 3
-    rows = bench_incremental(num_nodes, num_windows, args.k, repeats)
-    slow = [
-        row["scheme"]
-        for row in rows
-        if row["dirty_fraction"] <= MAX_DIRTY_FRACTION
-        and row["speedup"] < MIN_INCREMENTAL_SPEEDUP
-    ]
-    failures = []
-    if not args.quick and slow:
-        failures.append(
-            f"incremental speedup below {MIN_INCREMENTAL_SPEEDUP:g}x at "
-            f"<= {MAX_DIRTY_FRACTION:.0%} dirty for: " + ", ".join(slow)
-        )
-    fields = {
-        "trace": {"nodes": num_nodes, "windows": num_windows, "churn_fraction": 0.01},
-        "gate": {
-            "min_speedup": MIN_INCREMENTAL_SPEEDUP,
-            "max_dirty_fraction": MAX_DIRTY_FRACTION,
-        },
-        "results": rows,
-    }
-    return fields, rows, failures
-
-
-# ----------------------------------------------------------------------
 # shm
 # ----------------------------------------------------------------------
 #: Scheme line-up for the shared-memory stage (the fig1/fig3 recompute
@@ -575,40 +419,6 @@ def bench_shm(
     return rows
 
 
-def bench_shm_dirty(num_nodes: int, num_windows: int, workers: int, repeats: int) -> list:
-    """Dirty-set recompute across windows, as a ``GraphSequence`` chains it.
-
-    Chains ``compute_all(delta=..., previous=...)`` over a sliding
-    backbone-plus-churn trace in-process and on an shm engine and asserts
-    the chains byte-identical end to end.
-    """
-    from repro.core.scheme import create_scheme
-    from repro.graph.windows import GraphSequence
-    from repro.parallel.shm import ShmEngine
-
-    trace = incremental_trace(num_nodes, num_windows, churn_fraction=0.05, seed=29)
-    sequence = GraphSequence.from_sliding_records(trace, num_windows=num_windows)
-    scheme = create_scheme("tt", k=10)
-    serial_wall, serial_maps = timed(lambda: chain(scheme, sequence), repeats=repeats)
-    with ShmEngine(jobs=workers) as engine:
-        shm_wall, shm_maps = timed(
-            lambda: chain(scheme, sequence, engine), repeats=repeats
-        )
-    check_same_signatures("shm dirty-set chain vs serial", serial_maps, shm_maps)
-    return [
-        {
-            "op": "shm_dirty_set_chain",
-            "scheme": scheme.describe(),
-            "n": num_nodes,
-            "windows": num_windows,
-            "workers": workers,
-            "serial_wall_s": round(serial_wall, 6),
-            "shm_wall_s": round(shm_wall, 6),
-            "speedup_vs_serial": round(serial_wall / shm_wall, 2),
-        }
-    ]
-
-
 def shm_stage(args):
     from repro.parallel import available_cpus
     from repro.parallel.shm import active_segment_names
@@ -627,9 +437,6 @@ def shm_stage(args):
     rows = bench_shm(num_nodes, out_degree, worker_counts, repeats, cheap)
     if not args.quick:
         rows += bench_shm(300, 12, worker_counts, 1, heavy)
-    rows += bench_shm_dirty(
-        num_nodes // 2, 4 if args.quick else 8, SHM_GATE_WORKERS, repeats
-    )
 
     failures = []
     leaked = active_segment_names()
@@ -1274,9 +1081,6 @@ class Stage(NamedTuple):
 
 STAGES = {
     "kernels": Stage("distance_kernels", kernels_stage),
-    "incremental": Stage(
-        "incremental_engine", incremental_stage, ("incremental.", "matrix_cache.")
-    ),
     "shm": Stage("shared_memory", shm_stage, ("shm.",)),
     "sketch": Stage("sketch_tier", sketch_stage, ("sketch.",)),
     "service_slo": Stage("service_slo", service_slo_stage),
