@@ -75,11 +75,6 @@ def batch_disabled() -> Iterator[None]:
         _batch_enabled = previous
 
 
-def batch_enabled() -> bool:
-    """Whether batch kernels are currently allowed to engage."""
-    return _batch_enabled
-
-
 class SignaturePack:
     """A window of signatures interned into one CSR weight matrix.
 

@@ -113,11 +113,6 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def content_sha256(text: str) -> str:
-    """Hex SHA-256 of a string (UTF-8), matching :func:`file_sha256` on disk."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def bytes_sha256(payload: bytes) -> str:
     """Hex SHA-256 of a bytes payload, matching :func:`file_sha256` on disk."""
     return hashlib.sha256(payload).hexdigest()

@@ -63,10 +63,6 @@ class RunReport:
     def degraded_windows(self) -> List[int]:
         return [w.window for w in self.windows if w.mode == MODE_DEGRADED]
 
-    @property
-    def cached_windows(self) -> List[int]:
-        return [w.window for w in self.windows if w.mode == MODE_CACHED]
-
     def to_dict(self) -> Dict:
         """Plain-JSON representation for logs and dashboards."""
         return {

@@ -56,7 +56,7 @@ from repro.pipeline.report import (
 )
 from repro.pipeline.retry import RetryPolicy, call_with_retry
 from repro.pipeline.sources import RecordSource
-from repro.streaming.stream_schemes import SKETCHABLE_SCHEMES, streaming_builder
+from repro.streaming.stream_schemes import SKETCHABLE_SCHEMES, sketch_window
 
 #: Hook signature: called after each window is checkpointed.
 WindowHook = Callable[[int, WindowReport], None]
@@ -628,17 +628,17 @@ class SignaturePipeline:
         return signatures
 
     def _compute_degraded(self, batch: RecordBatch) -> Dict[str, Signature]:
-        """One-pass sketched signatures for the window (Section VI path),
-        built from its canonical column batch, as the service's sketch
-        tier builds each bucket."""
-        builder = streaming_builder(
+        """One-pass sketched signatures for the window (Section VI path):
+        :func:`sketch_window` over its one canonical bucket, as the
+        service's sketch tier sketches a window."""
+        builder = sketch_window(
             self.config.scheme,
+            [batch],
             k=self.config.k,
             epsilon=self.config.streaming_epsilon,
             delta=self.config.streaming_delta,
             seed=self.config.seed,
         )
-        builder.observe_batch(batch)
         return {source: builder.signature(source) for source in builder.sources}
 
     def _save_window(

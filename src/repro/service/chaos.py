@@ -10,7 +10,8 @@ called from four choke points:
   (:class:`KillShard` raises here: crash-mid-ingest);
 * ``on_rebuild``  — before each supervised rebuild attempt
   (:class:`KillShard` can fail the first N, exhausting the restart budget);
-* ``on_sketch``   — before the sketch tier advances
+* ``on_sketch``   — before each build of the sketch tier, which happens on
+  the first approximate read of a window
   (:class:`BreakSketch` raises here: the DOWN escalation path);
 * ``on_query``    — before an exact-tier query call
   (:class:`WedgeShard` raises or stalls here: the breaker-trip path).
@@ -46,7 +47,8 @@ class ShardFaultInjector:
         """Called before each rebuild attempt of the shard engine."""
 
     def on_sketch(self, shard_id: int, window: int) -> None:
-        """Called before the sketch tier advances for ``window``."""
+        """Called before the sketch tier of ``window`` is built from the
+        shard's ingest log (on the first approximate read of it)."""
 
     def on_query(self, shard_id: int, node: str) -> None:
         """Called before an exact-tier query call for ``node``."""
@@ -125,7 +127,8 @@ class WedgeShard(ShardFaultInjector):
 
 
 class BreakSketch(ShardFaultInjector):
-    """Fail the sketch tier at one window — the DOWN escalation path."""
+    """Fail the sketch tier's build for one window — the DOWN escalation
+    path (the build happens only when an approximate read needs it)."""
 
     def __init__(self, at_window: int) -> None:
         self.at_window = at_window

@@ -17,7 +17,8 @@ Failure envelope implemented here:
   query endpoints answer 503 (with ``Retry-After``) while ingest keeps
   being accepted: shedding reads protects the writes that back them.
 * **Circuit breaking** — exact-tier query calls are guarded by the shard's
-  breaker; a refused or failed call falls back to the sketch tier and the
+  breaker; a refused or failed call falls back to the sketch tier, built
+  from the shard's ingest log on the first such read of a window, and the
   response carries ``"approximate": true``.
 * **Deadlines** — a request that overruns ``request_deadline_s`` answers
   504 instead of pretending latency is fine.
@@ -51,7 +52,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.signature import Signature
-from repro.exceptions import DatasetError, PipelineError
+from repro.exceptions import DatasetError, PipelineError, ShardDown
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.service.config import (
     HEALTH_DEGRADED,
@@ -59,6 +60,7 @@ from repro.service.config import (
     HEALTH_HEALTHY,
     ServiceConfig,
 )
+from repro.service.shard import SketchTier
 from repro.service.supervisor import ShardState, ShardSupervisor
 
 #: ``(status, headers, body-text)`` — what the HTTP adapter writes out.
@@ -335,7 +337,10 @@ class ServiceFrontend:
                 node = unquote(path[len(prefix):])
                 if not node:
                     return self._json(404, {"error": "missing node id"})
-                return handler(node, parse_qs(query_string))
+                try:
+                    return handler(node, parse_qs(query_string))
+                except ShardDown as down:
+                    return self._down_response(self.supervisor.shards[down.shard_id])
         return self._json(
             404, {"error": "not found", "routes": list(self.ROUTES)}
         )
@@ -412,16 +417,20 @@ class ServiceFrontend:
         state: ShardState,
         node: str,
         exact: Callable[[], T],
-        sketch: Callable[[], T],
+        sketch: Callable[[SketchTier], T],
     ) -> Tuple[T, bool, int]:
         """One query of ``node``'s home shard: ``(answer, approximate,
-        window)``, where the answer is ``exact()`` or ``sketch()``.
+        window)``, where the answer is ``exact()`` or ``sketch(tier)``.
 
         Exact tier first — guarded by the shard's breaker — then the sketch
-        tier.  ``window`` is the answering tier's, read before the answer,
-        so it never names a window the tier has not applied.  Raises
-        nothing: a DOWN shard is reported by the caller.
+        tier of the shard's published window, which the supervisor builds
+        on its first read.  ``window`` is the answering tier's, read before
+        the answer, so it never names a window the tier has not applied.
+        Raises :class:`~repro.exceptions.ShardDown` for a DOWN shard and
+        for a failed sketch build, which marks the shard DOWN.
         """
+        if state.health == HEALTH_DOWN:
+            raise ShardDown(state.shard_id)
         if state.health == HEALTH_HEALTHY and state.engine is not None:
             if state.breaker.allow():
                 with obs.trace_span(
@@ -448,12 +457,13 @@ class ServiceFrontend:
                     else:
                         state.breaker.record_success(self._clock() - started)
                         return answer, False, window
-        self.registry.counter("service.approximate_answers").inc()
         with obs.trace_span(
             "sketch.fallback", shard=str(state.shard_id), tier="sketch"
         ):
-            window = state.sketch.window
-            return sketch(), True, window
+            tier = self.supervisor.sketch_tier(state)
+            answer = sketch(tier)
+        self.registry.counter("service.approximate_answers").inc()
+        return answer, True, tier.window
 
     def _shard_signature(
         self, state: ShardState, node: str
@@ -463,13 +473,11 @@ class ServiceFrontend:
             state,
             node,
             lambda: state.engine.signature(node),
-            lambda: state.sketch.signature(node),
+            lambda tier: tier.signature(node),
         )
 
     def _handle_signature(self, node: str, _params: Dict) -> Response:
         state = self.supervisor.state_for(node)
-        if state.health == HEALTH_DOWN:
-            return self._down_response(state)
         signature, approximate, window = self._shard_signature(state, node)
         if signature is None:
             return self._json(
@@ -503,8 +511,6 @@ class ServiceFrontend:
         if k < 1:
             return self._json(400, {"error": f"k must be >= 1, got {k}"})
         home = self.supervisor.state_for(node)
-        if home.health == HEALTH_DOWN:
-            return self._down_response(home)
         signature, approximate, _window = self._shard_signature(home, node)
         if signature is None:
             return self._json(
@@ -555,13 +561,11 @@ class ServiceFrontend:
 
     def _handle_anomaly(self, node: str, _params: Dict) -> Response:
         state = self.supervisor.state_for(node)
-        if state.health == HEALTH_DOWN:
-            return self._down_response(state)
         persistence, approximate, window = self._tiered(
             state,
             node,
             lambda: state.engine.persistence(node),
-            lambda: state.sketch.persistence(node),
+            lambda tier: tier.persistence(node),
         )
         if persistence is None:
             return self._json(

@@ -12,6 +12,8 @@ Ingest is asynchronous by design: ``POST /ingest`` acknowledges admission
 to the bounded queue (202), and the pump applies whole windows to the
 shard fleet from a single thread — shard engines never see concurrent
 mutation, while any number of handler threads read consistent snapshots.
+A handler thread whose read needs a shard's sketch tier builds it from
+the shard's ingest log, under the shard's lock.
 """
 
 from __future__ import annotations

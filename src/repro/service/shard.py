@@ -17,16 +17,16 @@ graph depends only on its own buckets, so the rebuild starts
 ``window_buckets - 1`` buckets before the first window it produces and
 reproduces the graph and signatures of a shard that never crashed.
 
-:class:`SketchTier` is the degraded tier: per-window Count-Min / SpaceSaving
-(and Flajolet-Martin, for ``ut``) sketch builders fed from the same buckets.
-It is deliberately engine-independent so a shard whose exact engine is dead
-keeps answering — approximately, and saying so.
+:class:`SketchTier` is the degraded tier: the Count-Min / SpaceSaving (and
+Flajolet-Martin, for ``ut``) sketches of a shard's last two published
+windows, built from the shard's ingest log only when a read needs them.
+It reads the log, not the exact engine, so a shard whose exact engine is
+dead keeps answering — approximately, and saying so.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.core.distances import OUT_OF_RANGE_TOL, get_distance
@@ -39,7 +39,7 @@ from repro.graph.windows import SlidingWindowAggregator
 from repro.matching.index import SignatureIndex
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.service.config import ServiceConfig
-from repro.streaming.stream_schemes import StreamingTopTalkers, streaming_builder
+from repro.streaming.stream_schemes import StreamingTopTalkers, sketch_window
 
 
 def _clamp_persistence(value: float, counter) -> float:
@@ -296,63 +296,40 @@ class ShardEngine:
 
 
 class SketchTier:
-    """Per-window streaming sketches backing a shard's degraded answers.
+    """The one-pass sketches of a shard's last two published windows.
 
-    Fed the same buckets as the exact engine but structurally independent
-    of it: rebuilding a crashed engine (or losing it for good) does not
-    disturb the sketch tier.  Each arriving bucket gets its own builder
-    (observing only that bucket, once); the window's builder is the *merge*
-    of the retained last ``window_buckets`` bucket builders.  Advancing
-    therefore costs one bucket observation plus O(window_buckets) sketch
-    merges, instead of the old full re-observation of every retained
-    record per window.
+    ``log`` is the shard's ingest log up to window ``window``: its last
+    bucket is that window's.  ``current`` sketches the last
+    ``window_buckets`` buckets and ``previous`` the window before, each
+    with :func:`~repro.streaming.stream_schemes.sketch_window`; either is
+    ``None`` when the log holds none of its buckets.
     """
 
     def __init__(
         self,
         config: ServiceConfig,
+        log: Sequence[RecordBatch],
+        window: int,
         *,
         registry: Optional[obs.MetricsRegistry] = None,
     ) -> None:
         self.config = config
+        self.window = window
         self.registry = registry if registry is not None else obs.MetricsRegistry()
-        self._bucket_builders: Deque[StreamingTopTalkers] = deque(
-            maxlen=config.window_buckets
-        )
-        self.current: Optional[StreamingTopTalkers] = None
-        self.previous: Optional[StreamingTopTalkers] = None
-        self.window = -1
+        span = config.window_buckets
+        log = [bucket.canonical() for bucket in log[-span - 1:]]
+        self.current = self._sketch(log[-span:]) if log else None
+        self.previous = self._sketch(log[:-1][-span:]) if len(log) > 1 else None
 
-    def _builder(self) -> StreamingTopTalkers:
-        return streaming_builder(
+    def _sketch(self, buckets: Sequence[RecordBatch]) -> StreamingTopTalkers:
+        return sketch_window(
             self.config.scheme,
+            buckets,
             k=self.config.k,
             epsilon=self.config.streaming_epsilon,
             delta=self.config.streaming_delta,
             seed=self.config.seed,
         )
-
-    def advance(self, bucket: RecordBatch) -> None:
-        """Roll the sketch window forward by one bucket (merge, not rebuild).
-
-        Bucket builders are immutable once observed, so the fold below
-        never re-reads a record: evicting the oldest bucket is just the
-        deque dropping its builder, and the window summary is rebuilt from
-        ``window_buckets`` sketch merges.
-        """
-        builder = self._builder()
-        builder.observe_batch(bucket.canonical())
-        self._bucket_builders.append(builder)
-        window_builder: Optional[StreamingTopTalkers] = None
-        for part in self._bucket_builders:
-            if window_builder is None:
-                window_builder = part
-            else:
-                window_builder = window_builder.merge(part)
-                self.registry.counter("sketch.merges").inc()
-        self.previous = self.current
-        self.current = window_builder
-        self.window += 1
 
     def signature(self, node: str) -> Optional[Signature]:
         """Approximate signature for the node, ``None`` when never seen."""
@@ -369,5 +346,5 @@ class SketchTier:
         distance = get_distance(self.config.distance)
         return _clamp_persistence(
             1.0 - distance(self.previous.signature(node), self.current.signature(node)),
-            obs.counter("distance.out_of_range", path="sketch.persistence"),
+            self.registry.counter("distance.out_of_range", path="sketch.persistence"),
         )

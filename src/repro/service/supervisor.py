@@ -1,9 +1,8 @@
 """Shard supervision: routing, lockstep windows, restarts and escalation.
 
 :class:`ShardSupervisor` owns one :class:`~repro.service.shard.ShardEngine`
-plus one :class:`~repro.service.shard.SketchTier` per shard and applies
-every accepted window bucket to all of them in lockstep.  Its job is the
-failure envelope:
+per shard and applies every accepted window bucket to all of them in
+lockstep.  Its job is the failure envelope:
 
 * a shard whose engine raises mid-apply is **rebuilt** from the shard's
   acknowledged ingest log (and verified checkpoints) under the PR 1
@@ -12,9 +11,12 @@ failure envelope:
 * when the budget is exhausted the shard **escalates to DEGRADED**: the
   engine is dropped and the sketch tier answers (flagged approximate)
   until a later window's rebuild succeeds;
-* if even the sketch tier fails the shard is **DOWN** — it stops
-  answering, but its ingest log keeps accumulating so a later heal can
-  recover everything, and no other shard is affected.
+* the sketch tier (:class:`~repro.service.shard.SketchTier`) is built from
+  the shard's ingest log on the first approximate read of a published
+  window (:meth:`ShardSupervisor.sketch_tier`), so a shard whose exact tier
+  serves never builds one; if that build fails the shard is **DOWN** — it
+  stops answering, but its ingest log keeps accumulating so a later heal
+  can recover everything, and no other shard is affected.
 
 Acknowledged-ingest durability: a bucket is appended to the shard's log
 *before* the engine sees it, so a crash mid-apply can never lose accepted
@@ -27,6 +29,7 @@ holds 24 bytes per record and routing is one array lookup per bucket.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +39,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.execution import make_engine
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, ShardDown
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.retry import RetryPolicy, call_with_retry
@@ -57,7 +60,6 @@ class ShardState:
 
     shard_id: int
     engine: Optional[ShardEngine]
-    sketch: SketchTier
     breaker: CircuitBreaker
     registry: obs.MetricsRegistry
     #: Per-shard checkpoints and signature history (``None`` without a
@@ -77,6 +79,11 @@ class ShardState:
     window_base: int = -1
     restarts: int = 0
     last_error: str = ""
+    #: The sketch tier of the published window, once a read has built it
+    #: (see :meth:`ShardSupervisor.sketch_tier`), and the lock that lets
+    #: concurrent readers build it once.
+    sketch: Optional[SketchTier] = None
+    sketch_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Chaos hook; ``None`` in production.
     injector: Optional[object] = None
 
@@ -131,15 +138,12 @@ class ShardSupervisor:
         Each shard engine restores its last recorded window from the
         shard's store; the global window index resumes at the
         highest restored window so status and responses stay truthful.
-        The sketch tier holds no data yet but counts windows from the
-        restored one, so its approximate answers name the windows they
-        summarise.  Shards fall back to empty (fresh) state when the
-        stores are empty.
+        Shards fall back to empty (fresh) state when the stores are empty.
         """
         restored = -1
         for state in self.shards:
             if state.engine is not None and state.engine.restore_from_history():
-                state.window_base = state.sketch.window = state.engine.window
+                state.window_base = state.engine.window
                 restored = max(restored, state.engine.window)
         if restored >= 0:
             self.window = restored
@@ -174,7 +178,6 @@ class ShardSupervisor:
                 compute_engine=self.compute_engine,
                 labels=self.labels,
             ),
-            sketch=SketchTier(self.config, registry=registry),
             breaker=CircuitBreaker(
                 self.config.breaker,
                 name=f"shard-{shard_id}",
@@ -212,6 +215,7 @@ class ShardSupervisor:
         :attr:`window` names the new window only once every shard has
         applied the bucket or failed on it: cross-shard answers carry it,
         while an answer from one shard carries that shard's own window.
+        Publishing it drops every shard's sketch tier of an earlier window.
         """
         window = self.window + 1
         if bucket.labels is not self.labels:
@@ -230,32 +234,60 @@ class ShardSupervisor:
                 state.records_ingested += len(sub)
                 state.log_bytes += sub.nbytes
                 self._advance_engine(state, sub, window)
-            # The sketch tiers answer only for shards whose exact tier
-            # cannot, so they catch up once every exact tier serves the
-            # new window.
-            for state in self.shards:
-                self._advance_sketch(state, routed[state.shard_id], window)
         finally:
             self.window = window
+            for state in self.shards:
+                # Under the lock, so a tier a reader has just built for the
+                # new window is kept.
+                with state.sketch_lock:
+                    tier = state.sketch
+                    if tier is not None and tier.window != self.published_window(state):
+                        state.sketch = None
 
-    def _advance_sketch(self, state: ShardState, sub: RecordBatch, window: int) -> None:
-        if state.health == HEALTH_DOWN:
-            return
-        try:
-            if state.injector is not None:
-                state.injector.on_sketch(state.shard_id, window)
-            state.sketch.advance(sub)
-        except Exception as error:  # noqa: BLE001 - escalation, not masking
-            state.health = HEALTH_DOWN
-            state.last_error = str(error)
-            obs.emit(
-                "service.shard.down",
-                level="error",
-                shard=state.shard_id,
-                window=window,
-                error=str(error),
-            )
-            state.registry.counter("shard.down_transitions").inc()
+    def published_window(self, state: ShardState) -> int:
+        """The shard's last published window, from its ingest log: bucket
+        ``i`` is window ``window_base + 1 + i``, and a bucket still being
+        applied belongs to no published window."""
+        return min(self.window, state.window_base + len(state.buckets))
+
+    def sketch_tier(self, state: ShardState) -> SketchTier:
+        """The shard's sketch tier at its published window.
+
+        Built from the ingest log on the first read of a window and kept
+        until the next window is published; readers of one shard build it
+        one at a time, so concurrent reads of a window build it once.  The
+        chaos ``on_sketch`` hook fires before each build; a build that
+        raises marks the shard DOWN and raises
+        :class:`~repro.exceptions.ShardDown`.
+        """
+        with state.sketch_lock:
+            window = self.published_window(state)
+            tier = state.sketch
+            if tier is not None and tier.window == window:
+                return tier
+            try:
+                if state.injector is not None:
+                    state.injector.on_sketch(state.shard_id, window)
+                tier = SketchTier(
+                    self.config,
+                    state.buckets[:window - state.window_base],
+                    window,
+                    registry=state.registry,
+                )
+            except Exception as error:  # noqa: BLE001 - escalation, not masking
+                state.health = HEALTH_DOWN
+                state.last_error = str(error)
+                obs.emit(
+                    "service.shard.down",
+                    level="error",
+                    shard=state.shard_id,
+                    window=window,
+                    error=str(error),
+                )
+                state.registry.counter("shard.down_transitions").inc()
+                raise ShardDown(state.shard_id) from error
+            state.sketch = tier
+            return tier
 
     def _advance_engine(self, state: ShardState, sub: RecordBatch, window: int) -> None:
         if state.health == HEALTH_DOWN:
@@ -379,18 +411,13 @@ class ShardSupervisor:
     def heal(self, shard_id: int) -> bool:
         """Force one rebuild attempt for a demoted/down shard.
 
-        Returns whether the shard is HEALTHY afterwards.  A DOWN shard's
-        sketch tier is rebuilt from the retained recent buckets as well.
+        Returns whether the shard is HEALTHY afterwards.  The cached
+        sketch tier is dropped, so the next approximate read builds it
+        afresh from the ingest log.
         """
         state = self.shards[shard_id]
+        state.sketch = None
         if state.health == HEALTH_DOWN:
-            state.sketch = SketchTier(self.config, registry=state.registry)
-            recent = state.buckets[-self.config.window_buckets:]
-            for bucket in recent:
-                state.sketch.advance(bucket)
-            # The ingest log runs up to the published window, so the last
-            # bucket replayed is that window's.
-            state.sketch.window = self.window
             state.health = HEALTH_DEGRADED
         self._try_restart(state, opportunistic=True)
         return state.health == HEALTH_HEALTHY
@@ -432,7 +459,9 @@ class ShardSupervisor:
                     "shard": state.shard_id,
                     "health": self.shard_health(state),
                     "breaker": breaker_state,
-                    "window": state.engine.window if state.engine else state.sketch.window,
+                    "window": (
+                        state.engine.window if state.engine else self.published_window(state)
+                    ),
                     "exact_nodes": len(state.engine.signatures) if state.engine else 0,
                     "records_ingested": state.records_ingested,
                     "restarts": state.restarts,

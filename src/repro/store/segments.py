@@ -354,10 +354,6 @@ class Segment:
         return self._arrays["bands"]
 
     @property
-    def index_params_header(self) -> Dict:
-        return dict(self.header.get("index", {}))
-
-    @property
     def num_rows(self) -> int:
         return int(self._arrays["rows"].shape[0])
 
@@ -437,9 +433,6 @@ class Segment:
     def signature_at(self, row: int) -> Signature:
         """Materialise the signature stored in row ``row``."""
         return self._decode(self._arrays["rows"][row : row + 1])[0]
-
-    def owner_at(self, row: int) -> str:
-        return self.label(int(self._arrays["rows"][row]["owner"]))
 
     def window_row_range(self, window: int) -> Tuple[int, int]:
         """Row slice ``[lo, hi)`` of ``window``; ``(0, 0)`` when absent."""

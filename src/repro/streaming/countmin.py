@@ -22,7 +22,7 @@ from repro.streaming.hashing import shared_hash_family
 
 
 class CountMinSketch:
-    """A mergeable Count-Min sketch with conservative point queries."""
+    """A Count-Min sketch with conservative point queries."""
 
     def __init__(
         self,
@@ -81,15 +81,6 @@ class CountMinSketch:
         return (math.e / self.width) * self._total
 
     # ------------------------------------------------------------------
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Combine two sketches of disjoint streams (same shape and seed)."""
-        if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
-            raise StreamingError("can only merge sketches with identical shape and seed")
-        merged = CountMinSketch(width=self.width, depth=self.depth, seed=self.seed)
-        merged._table = self._table + other._table
-        merged._total = self._total + other._total
-        return merged
-
     def memory_cells(self) -> int:
         """Number of counters held (the sketch's space footprint)."""
         return self.width * self.depth

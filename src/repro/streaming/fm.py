@@ -35,7 +35,7 @@ REGISTER_BITS = 32
 
 
 class FlajoletMartin:
-    """A mergeable FM distinct-counter with stochastic averaging."""
+    """An FM distinct-counter with stochastic averaging."""
 
     def __init__(self, num_registers: int = 64, seed: int = 0) -> None:
         if num_registers < 1:
@@ -103,16 +103,6 @@ class FlajoletMartin:
         return position
 
     # ------------------------------------------------------------------
-    def merge(self, other: "FlajoletMartin") -> "FlajoletMartin":
-        """Union of two sketches (same configuration): bitwise OR of bitmaps."""
-        if (self.num_registers, self.seed) != (other.num_registers, other.seed):
-            raise StreamingError(
-                "can only merge FM sketches with identical configuration"
-            )
-        merged = FlajoletMartin(num_registers=self.num_registers, seed=self.seed)
-        merged._bitmaps = self._bitmaps | other._bitmaps
-        return merged
-
     def memory_cells(self) -> int:
         """Number of registers held (the sketch's space footprint)."""
         return self.num_registers

@@ -177,55 +177,6 @@ class SpaceSaving:
         ]
 
     # ------------------------------------------------------------------
-    def merge(self, other: "SpaceSaving") -> "SpaceSaving":
-        """Combine two counters over disjoint streams (equal capacity).
-
-        Mergeable-summaries semantics (Agarwal et al.): an item absent from
-        one side is assumed to have been seen up to that side's minimum
-        tracked count (its eviction floor — 0 while the side is below
-        capacity, since untracked then means truly unseen).  Both halves of
-        the SpaceSaving guarantee survive the merge: ``count`` never
-        underestimates and ``count - error`` never overestimates the true
-        combined count.  When neither input ever evicted, the merge is
-        *exact* — identical to counting the concatenated stream.
-        """
-        if self.capacity != other.capacity:
-            raise StreamingError(
-                "can only merge SpaceSaving counters with identical capacity, "
-                f"got {self.capacity} and {other.capacity}"
-            )
-        merged = SpaceSaving(self.capacity)
-        merged._total = self._total + other._total
-        floor_self = self._absent_floor()
-        floor_other = other._absent_floor()
-        combined: Dict[Hashable, Tuple[float, float]] = {}
-        for item in set(self._entries) | set(other._entries):
-            mine = self._entries.get(item)
-            theirs = other._entries.get(item)
-            count = (mine.count if mine else floor_self) + (
-                theirs.count if theirs else floor_other
-            )
-            error = (mine.error if mine else floor_self) + (
-                theirs.error if theirs else floor_other
-            )
-            combined[item] = (count, error)
-        ranked = sorted(combined.items(), key=lambda kv: (-kv[1][0], str(kv[0])))
-        for item, (count, error) in ranked[: self.capacity]:
-            entry = _Entry(
-                item=item, count=count, error=error, sequence=next(merged._sequence)
-            )
-            merged._entries[item] = entry
-            merged._push(entry)
-        return merged
-
-    def _absent_floor(self) -> float:
-        """Upper bound on the true count of any *untracked* item: 0 below
-        capacity (untracked means unseen), else the minimum tracked count
-        (anything larger would have survived eviction)."""
-        if len(self._entries) < self.capacity:
-            return 0.0
-        return min(entry.count for entry in self._entries.values())
-
     def memory_cells(self) -> int:
         """Number of counter slots held."""
         return self.capacity

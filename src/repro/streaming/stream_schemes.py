@@ -20,13 +20,13 @@ streamed signatures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.signature import Signature
 from repro.exceptions import StreamingError
-from repro.graph.batch import first_occurrence
+from repro.graph.batch import RecordBatch, first_occurrence
 from repro.streaming.countmin import CountMinSketch
 from repro.streaming.fm import FlajoletMartin
 from repro.streaming.spacesaving import SpaceSaving
@@ -197,72 +197,8 @@ class StreamingTopTalkers:
         return tuple(self._sketches)
 
     # ------------------------------------------------------------------
-    # Merging (per-bucket / per-shard construction)
-    # ------------------------------------------------------------------
-    def _config_key(self) -> Tuple:
-        """Everything that must coincide for two builders to be mergeable."""
-        return (
-            type(self),
-            self.k,
-            self.epsilon,
-            self.delta,
-            self.candidate_capacity,
-            self.seed,
-        )
-
-    def _spawn(self) -> "StreamingTopTalkers":
-        """A fresh empty builder with this builder's configuration."""
-        return StreamingTopTalkers(
-            k=self.k,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            candidate_capacity=self.candidate_capacity,
-            seed=self.seed,
-        )
-
     def _empty_sketch(self) -> CountMinSketch:
         return CountMinSketch(epsilon=self.epsilon, delta=self.delta, seed=self.seed)
-
-    def merge(self, other: "StreamingTopTalkers") -> "StreamingTopTalkers":
-        """Combine two builders over disjoint streams into a fresh builder.
-
-        Per-source CM sketches add, SpaceSaving candidate sets merge under
-        the mergeable-summaries bounds, and exact out-volumes sum — so
-        per-bucket (sliding window) or per-shard (fleet) builders combine
-        into the summary of the concatenated stream without re-observation.
-        The result shares no state with either input.  Builders must agree
-        on type and every sketch parameter (hash seeds included).
-        """
-        if self._config_key() != other._config_key():
-            raise StreamingError(
-                "can only merge streaming builders with identical type and "
-                "configuration (k/epsilon/delta/capacity/seed)"
-            )
-        merged = self._spawn()
-        self._merge_state_into(merged, other)
-        return merged
-
-    def _merge_state_into(
-        self, merged: "StreamingTopTalkers", other: "StreamingTopTalkers"
-    ) -> None:
-        for src in sorted(
-            set(self._sketches) | set(other._sketches), key=str
-        ):
-            mine = self._sketches.get(src)
-            theirs = other._sketches.get(src)
-            # Merging with an empty peer copies — the merged builder must
-            # not alias either input's mutable sketch state.
-            merged._sketches[src] = (mine or self._empty_sketch()).merge(
-                theirs or self._empty_sketch()
-            )
-            merged._candidates[src] = (
-                self._candidates.get(src) or SpaceSaving(self.candidate_capacity)
-            ).merge(
-                other._candidates.get(src) or SpaceSaving(self.candidate_capacity)
-            )
-            merged._out_volume[src] = self._out_volume.get(
-                src, 0.0
-            ) + other._out_volume.get(src, 0.0)
 
 
 class StreamingUnexpectedTalkers(StreamingTopTalkers):
@@ -363,30 +299,8 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
         return cells
 
     # ------------------------------------------------------------------
-    def _config_key(self) -> Tuple:
-        return super()._config_key() + (self.fm_registers,)
-
-    def _spawn(self) -> "StreamingUnexpectedTalkers":
-        return StreamingUnexpectedTalkers(
-            k=self.k,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            candidate_capacity=self.candidate_capacity,
-            fm_registers=self.fm_registers,
-            seed=self.seed,
-        )
-
     def _empty_fm(self) -> FlajoletMartin:
         return FlajoletMartin(num_registers=self.fm_registers, seed=self.seed)
-
-    def _merge_state_into(
-        self, merged: "StreamingUnexpectedTalkers", other: "StreamingUnexpectedTalkers"
-    ) -> None:
-        super()._merge_state_into(merged, other)
-        for dst in sorted(set(self._indegree) | set(other._indegree), key=str):
-            merged._indegree[dst] = (self._indegree.get(dst) or self._empty_fm()).merge(
-                other._indegree.get(dst) or self._empty_fm()
-            )
 
 
 #: Schemes with a streaming builder of their own; :func:`streaming_builder`
@@ -405,3 +319,21 @@ def streaming_builder(scheme: str, **sizing) -> StreamingTopTalkers:
         return StreamingUnexpectedTalkers(**sizing)
     sizing.pop("fm_registers", None)
     return StreamingTopTalkers(**sizing)
+
+
+def sketch_window(
+    scheme: str, buckets: Sequence[RecordBatch], **sizing
+) -> StreamingTopTalkers:
+    """The one-pass sketch of one window, the degraded tier of both the
+    pipeline and the service: one :func:`streaming_builder` (``sizing`` as
+    there) and one ``observe_batch`` over the window's records.
+
+    ``buckets`` are the window's record batches, each in canonical order
+    (:meth:`~repro.graph.batch.RecordBatch.canonical`) and interned into
+    one label table; their records are observed with the buckets
+    concatenated in order, the order in which the exact tier aggregates
+    them.
+    """
+    builder = streaming_builder(scheme, **sizing)
+    builder.observe_batch(RecordBatch.concat(buckets))
+    return builder

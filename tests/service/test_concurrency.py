@@ -8,12 +8,13 @@ never reports an impossible state.
 """
 
 import json
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.service import SignatureService
+from repro.service import KillShard, SignatureService, SketchTier
 
 HEALTHS = {"HEALTHY", "DEGRADED", "DOWN"}
 
@@ -75,7 +76,66 @@ def check_response(path, status, body, seen_windows):
                 raise AssertionError(f"malformed entry {dst!r}: {weight!r}")
 
 
+class RecordingKill(KillShard):
+    """An exact engine that never comes back, recording sketch builds."""
+
+    def __init__(self):
+        super().__init__(at_window=0, rebuild_failures=10**9)
+        self.builds = []
+
+    def on_sketch(self, shard_id, window):
+        self.builds.append(window)
+
+
 class TestConcurrentReads:
+    def test_concurrent_degraded_reads_build_each_window_once(
+        self, small_config, records_factory
+    ):
+        """Readers that race for a shard's sketch tier build each window's
+        tier once, and every answer is the sketch of the window it names."""
+        service = SignatureService(small_config)
+        injector = RecordingKill()
+        service.supervisor.install_injector(0, injector)
+        nodes = [f"h{i}" for i in range(12) if service.supervisor.shard_for(f"h{i}") == 0]
+        stop, answers = threading.Event(), []
+
+        def read():
+            while not stop.is_set():
+                for node in nodes:
+                    status, _headers, body = service.respond("GET", f"/signature/{node}")
+                    if status == 200:
+                        answers.append((node, json.loads(body)))
+
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for step in range(20):
+                assert service.ingest(
+                    records_factory(30, nodes=12, seed=step, start=100.0 * step)
+                )
+                assert service.pump() == 1
+                time.sleep(0.005)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert answers and injector.builds
+        assert len(injector.builds) == len(set(injector.builds))
+        state = service.supervisor.shards[0]
+        tiers = {}
+        for node, document in answers:
+            window = document["window"]
+            if window not in tiers:
+                tiers[window] = SketchTier(small_config, state.buckets[:window + 1], window)
+            want = tiers[window].current.signature(node)
+            assert document["approximate"] is True
+            assert document["signature"] == {str(dst): w for dst, w in want.entries}
+
     def test_readers_see_consistent_snapshots_during_ingest(
         self, service, records_factory
     ):

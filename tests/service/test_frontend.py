@@ -10,7 +10,11 @@ from repro.exceptions import DatasetError
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.service import (
+    HEALTH_DOWN,
+    HEALTH_HEALTHY,
+    STATE_CLOSED,
     BoundedIngestQueue,
+    BreakSketch,
     KillShard,
     ServiceConfig,
     ServiceFrontend,
@@ -41,6 +45,12 @@ def offer(frontend, records):
 def fill(frontend, records_factory, count=120, seed=5):
     offer(frontend, records_factory(count, nodes=12, seed=seed))
     frontend.pump()
+
+
+def open_breaker(breaker):
+    """Make a shard's exact tier unavailable to queries."""
+    while breaker.state == STATE_CLOSED:
+        breaker.record_failure()
 
 
 def numbered(start, stop, labels):
@@ -366,6 +376,63 @@ class TestDegradedAnswers:
         status, _headers, document = get_json(frontend, f"/signature/{node}")
         assert status == 200
         assert document["approximate"] is True
+
+
+    def test_failed_sketch_build_answers_down(self, small_config, records_factory):
+        supervisor, frontend = build(small_config)
+        supervisor.install_injector(2, BreakSketch(at_window=3))
+        fill(frontend, records_factory)
+        node = next(
+            f"h{i}" for i in range(12) if supervisor.shard_for(f"h{i}") == 2
+        )
+        state = supervisor.shards[2]
+        # The exact tier serves, so no window closed so far built a sketch.
+        assert state.health == HEALTH_HEALTHY and state.sketch is None
+        open_breaker(state.breaker)
+        buffer = io.StringIO()
+        with obs.use_event_log(obs.EventLog(buffer, run_id="r")):
+            status, _headers, document = get_json(frontend, f"/signature/{node}")
+        assert status == 503
+        assert document["health"] == HEALTH_DOWN
+        assert state.health == HEALTH_DOWN
+        assert state.registry.counter_value("shard.down_transitions") == 1
+        down = [
+            json.loads(line)
+            for line in buffer.getvalue().splitlines()
+            if json.loads(line)["event"] == "service.shard.down"
+        ]
+        assert [(event["shard"], event["window"]) for event in down] == [(2, 3)]
+        assert frontend.registry.counter_value("service.approximate_answers") == 0
+
+    def test_sketch_persistence_excursion_reaches_metrics(
+        self, small_config, records_factory, monkeypatch
+    ):
+        """Regression: the sketch tier counted an out-of-range distance on
+        the request thread's (null) registry, so /metrics never showed it."""
+        import repro.service.shard as shard_module
+
+        monkeypatch.setattr(shard_module, "get_distance", lambda name: lambda a, b: 1.5)
+        supervisor, frontend = build(small_config)
+        records = records_factory(120, nodes=12, seed=5)
+        offer(frontend, records)
+        frontend.pump()
+        # A source of shard 1 in both of the last two 30-record windows.
+        node = next(
+            record.src
+            for record in records[90:]
+            if supervisor.shard_for(record.src) == 1
+            and record.src in {earlier.src for earlier in records[60:90]}
+        )
+        open_breaker(supervisor.shards[1].breaker)
+        status, _headers, document = get_json(frontend, f"/anomaly/{node}")
+        assert status == 200
+        assert document["approximate"] is True
+        assert document["persistence"] == 0.0
+        _status, _headers, body = frontend.respond("GET", "/metrics")
+        assert (
+            'repro_distance_out_of_range_total{path="sketch.persistence",shard="1"} 1'
+            in body
+        )
 
 
 class TestProtocol:

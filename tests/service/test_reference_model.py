@@ -5,14 +5,18 @@ Hypothesis drives a :class:`ShardSupervisor` through its ``/ingest``
 surface: posts whose times repeat and arrive out of order, duplicate edges,
 zero weights, self-loops and non-ASCII labels, posts that straddle window
 boundaries, ``window_buckets`` from 1 to 3, shard crashes (rebuilt from the
-ingest log) and broken sketch tiers (the shard goes DOWN until ``heal()``).
+ingest log), wedged shards (breaker open: reads fall back to the sketch
+tier) and broken sketch builds (the shard goes DOWN until ``heal()``).
+After every step it reads ``/signature`` and ``/anomaly`` for every label.
 The model keeps every admitted record as an :class:`EdgeRecord` and, per
 shard and window, runs the reference paths: ``canonical_order``, then one
 ``add_edge`` per retained record (``graph_from_edges``, not the column
-builder the shards use) and the scheme's ``compute_all``; and
-``observe_records`` per bucket, merged over the window.  Segments must be
-SHA-256-equal to the model's, signatures equal, and the sketch tier's
-Count-Min, SpaceSaving and Flajolet-Martin state identical.
+builder the shards use) and the scheme's ``compute_all``; and one
+``observe_records`` over the window's retained records.  Segments must be
+SHA-256-equal to the model's, exact answers equal the model's signatures,
+approximate answers equal the model's sketch of the shard's published
+window, and the sketch tier's Count-Min, SpaceSaving and Flajolet-Martin
+state is identical.
 
 Weights include non-dyadic values and 1e16 at every ``window_buckets``:
 the shards' window graphs are fresh aggregation of the retained buckets,
@@ -25,15 +29,26 @@ import struct
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.pipeline.runner as runner_module
+from repro.core.distances import get_distance
 from repro.core.scheme import create_scheme
+from repro.graph.batch import RecordBatch
 from repro.graph.builders import graph_from_edges
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import canonical_order
+from repro.pipeline import IterableRecordSource, PipelineConfig, SignaturePipeline
 from repro.pipeline.checkpoint import CheckpointStore
-from repro.service import ServiceConfig, ServiceFrontend, ShardFaultInjector, ShardSupervisor
+from repro.service import (
+    STATE_CLOSED,
+    ServiceConfig,
+    ServiceFrontend,
+    ShardFaultInjector,
+    ShardSupervisor,
+)
 from repro.service.config import HEALTH_DOWN
 from repro.streaming.hashing import stable_hash64
 from repro.streaming.stream_schemes import streaming_builder
@@ -44,7 +59,7 @@ WEIGHTS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1e16]
 
 
 class ScriptedFaults(ShardFaultInjector):
-    """Crash the engine or break the sketch tier at chosen windows."""
+    """Crash the engine or break the sketch tier's build at chosen windows."""
 
     def __init__(self):
         self.crash_at, self.break_at = set(), set()
@@ -77,7 +92,10 @@ def scenarios(draw):
     )
     step = st.one_of(
         st.tuples(st.just("post"), post),
-        st.tuples(st.sampled_from(["crash", "break", "heal"]), st.integers(0, NUM_SHARDS - 1)),
+        st.tuples(
+            st.sampled_from(["crash", "break", "heal", "wedge"]),
+            st.integers(0, NUM_SHARDS - 1),
+        ),
     )
     return (
         window_buckets,
@@ -116,7 +134,12 @@ class Model:
         self.windows = 0
         self.down_since = {}  # shard -> first window it did not apply
         self.recovered = {shard: set() for shard in range(NUM_SHARDS)}
+        self.wedged = set()  # shards whose breaker is open for good
+        self.built = {}  # shard -> window of its cached sketch tier
         self.scheme = create_scheme(config.scheme, k=config.k)
+        self.distance = get_distance(config.distance)
+        self._signatures = {}
+        self._sketches = {}
 
     def bucket(self, shard, window):
         """The shard's records of ``window`` in canonical order."""
@@ -133,29 +156,43 @@ class Model:
         first = max(0, window - self.config.window_buckets + 1)
         return [self.bucket(shard, w) for w in range(first, window + 1)]
 
-    def window(self, shard, window):
-        """``(signatures, meta)`` of a shard's window, freshly aggregated."""
-        graph = graph_from_edges(
+    def graph(self, shard, window):
+        """The window's graph, freshly aggregated."""
+        return graph_from_edges(
             (r.src, r.dst, r.weight) for part in self.retained(shard, window) for r in part
         )
-        signatures = {
-            str(node): signature
-            for node, signature in self.scheme.compute_all(graph, graph.senders()).items()
-        }
+
+    def signatures(self, shard, window):
+        """A closed window's signatures."""
+        if (shard, window) not in self._signatures:
+            graph = self.graph(shard, window)
+            self._signatures[shard, window] = {
+                str(node): signature
+                for node, signature in self.scheme.compute_all(graph, graph.senders()).items()
+            }
+        return self._signatures[shard, window]
+
+    def window(self, shard, window):
+        """``(signatures, meta)`` of a shard's window."""
         if window in self.recovered[shard]:
             meta = {"shard": shard, "recovered": True}
         else:
+            graph = self.graph(shard, window)
             meta = {
                 "shard": shard,
                 "num_records": len(self.bucket(shard, window)),
                 "num_nodes": graph.num_nodes,
                 "num_edges": graph.num_edges,
             }
-        return signatures, meta
+        return self.signatures(shard, window), meta
 
     def sketch(self, shard, window):
-        merged = None
-        for part in self.retained(shard, window):
+        """The one-pass sketch of a closed window: one ``observe_records``
+        over its retained records, bucket by bucket; ``None`` before
+        window 0."""
+        if window < 0:
+            return None
+        if (shard, window) not in self._sketches:
             builder = streaming_builder(
                 self.config.scheme,
                 k=self.config.k,
@@ -163,29 +200,72 @@ class Model:
                 delta=self.config.streaming_delta,
                 seed=self.config.seed,
             )
-            builder.observe_records(part)
-            merged = builder if merged is None else merged.merge(builder)
-        return merged
+            builder.observe_records(r for part in self.retained(shard, window) for r in part)
+            self._sketches[shard, window] = builder
+        return self._sketches[shard, window]
 
     def close_windows(self, faults):
         while len(self.records) >= (self.windows + 1) * self.config.window_records:
             window = self.windows
             for shard in range(NUM_SHARDS):
-                if shard in self.down_since:
-                    continue
-                if window in faults[shard].crash_at:
+                if shard not in self.down_since and window in faults[shard].crash_at:
                     self.recovered[shard].add(window)
-                if window in faults[shard].break_at:
-                    self.down_since[shard] = window + 1
             self.windows += 1
 
     def heal(self, shard):
+        self.built.pop(shard, None)
         start = self.down_since.pop(shard, self.windows)
         self.recovered[shard].update(range(start, self.windows))
 
     def applied(self, shard):
         """Windows the shard's exact engine has applied."""
         return self.down_since.get(shard, self.windows)
+
+    def read(self, node, endpoint, faults):
+        """The ``(status, document fields)`` a read of ``node`` must get.
+
+        A wedged shard answers from the sketch of its published window,
+        built on the first such read of the window; a scripted failure of
+        that build marks the shard DOWN.
+        """
+        shard = stable_hash64(node) % NUM_SHARDS
+        window = self.windows - 1
+        if shard in self.down_since:
+            return 503, {}
+        if shard not in self.wedged:
+            now = self.signatures(shard, window).get(node) if window >= 0 else None
+            prev = self.signatures(shard, window - 1).get(node) if window >= 1 else None
+            return self._answer(endpoint, window, False, now, prev)
+        if self.built.get(shard) != window:
+            if window in faults[shard].break_at:
+                self.down_since[shard] = self.windows
+                return 503, {}
+            self.built[shard] = window
+        current, previous = self.sketch(shard, window), self.sketch(shard, window - 1)
+        now = current.signature(node) if current and node in current.sources else None
+        prev = previous.signature(node) if previous and node in previous.sources else None
+        return self._answer(endpoint, window, True, now, prev)
+
+    def _answer(self, endpoint, window, approximate, now, prev):
+        if endpoint == "signature":
+            if now is None:
+                return 404, {"approximate": approximate}
+            signature = {str(dst): weight for dst, weight in now.entries}
+            return 200, {"window": window, "approximate": approximate, "signature": signature}
+        persistence = None
+        if now is not None and prev is not None:
+            persistence = min(1.0, max(0.0, 1.0 - self.distance(prev, now)))
+        return 200, {"window": window, "approximate": approximate, "persistence": persistence}
+
+
+def read_all(frontend, model, faults):
+    for node in LABELS:
+        for endpoint in ("signature", "anomaly"):
+            want_status, want = model.read(node, endpoint, faults)
+            status, _headers, body = frontend.respond("GET", f"/{endpoint}/{node}")
+            assert status == want_status, (node, endpoint, body)
+            document = json.loads(body)
+            assert {key: document[key] for key in want} == want, (node, endpoint)
 
 
 def segment_digest(store, window):
@@ -204,11 +284,17 @@ def check(supervisor, model, directory):
         for window, (signatures, meta) in enumerate(windows):
             expected.save_window(window, signatures, meta=meta)
             assert segment_digest(state.store, window) == segment_digest(expected, window)
-        if state.health != HEALTH_DOWN and model.windows:
-            assert state.sketch.window == model.windows - 1
-            assert builder_state(state.sketch.current) == builder_state(
-                model.sketch(shard, model.windows - 1)
-            )
+        if state.health != HEALTH_DOWN:
+            # The on-demand tier, read directly (faults are uninstalled).
+            tier = supervisor.sketch_tier(state)
+            assert tier.window == model.windows - 1
+            for built, want in (
+                (tier.current, model.sketch(shard, model.windows - 1)),
+                (tier.previous, model.sketch(shard, model.windows - 2)),
+            ):
+                assert (built is None) == (want is None)
+                if want is not None:
+                    assert builder_state(built) == builder_state(want)
 
 
 @settings(
@@ -230,8 +316,12 @@ def test_service_matches_reference_model(scenario):
     model = Model(config)
     faults = [ScriptedFaults() for _ in range(NUM_SHARDS)]
     with tempfile.TemporaryDirectory() as directory:
+        # A frozen clock: an opened breaker never half-opens.
         supervisor = ShardSupervisor(
-            config, history_dir=Path(directory) / "service", sleep=lambda _s: None
+            config,
+            history_dir=Path(directory) / "service",
+            clock=lambda: 0.0,
+            sleep=lambda _s: None,
         )
         frontend = ServiceFrontend(supervisor, config)
         for shard, injector in enumerate(faults):
@@ -262,9 +352,46 @@ def test_service_matches_reference_model(scenario):
                 faults[argument].crash_at.add(supervisor.window + 1)
             elif kind == "break":
                 faults[argument].break_at.add(supervisor.window + 1)
+            elif kind == "wedge":
+                breaker = supervisor.shards[argument].breaker
+                while breaker.state == STATE_CLOSED:
+                    breaker.record_failure()
+                model.wedged.add(argument)
             else:
                 supervisor.heal(argument)
                 model.heal(argument)
+            read_all(frontend, model, faults)
         assert supervisor.window == model.windows - 1
+        for shard in range(NUM_SHARDS):
+            supervisor.install_injector(shard, None)
         check(supervisor, model, directory)
         supervisor.close()
+
+
+@pytest.mark.parametrize("scheme", ["tt", "ut"])
+def test_pipeline_and_service_sketch_a_window_alike(records_factory, tmp_path, monkeypatch, scheme):
+    """At W = 1 a window's records give the same builder state through
+    the pipeline's degraded path and through a one-shard service tier."""
+    records = records_factory(60, nodes=8, seed=11)
+    built, sketch_window = [], runner_module.sketch_window
+
+    def spy(*args, **kwargs):
+        built.append(sketch_window(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(runner_module, "sketch_window", spy)
+    pipeline = SignaturePipeline(
+        IterableRecordSource(records),
+        CheckpointStore(tmp_path / "pipeline"),
+        PipelineConfig(scheme=scheme, k=3, num_windows=1, max_memory_cells=1),
+    )
+    assert pipeline.run().report.degraded_windows == [0]
+
+    config = ServiceConfig(
+        num_shards=1, window_records=len(records), queue_capacity=len(records), scheme=scheme, k=3
+    )
+    supervisor = ShardSupervisor(config)
+    supervisor.ingest(RecordBatch.from_records(records, supervisor.labels))
+    tier = supervisor.sketch_tier(supervisor.shards[0])
+    assert len(built) == 1 and tier.previous is None
+    assert builder_state(tier.current) == builder_state(built[0])

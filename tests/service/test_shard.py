@@ -327,8 +327,7 @@ class TestRebuildFromLastBuckets:
 
 class TestSketchTier:
     def test_answers_after_one_window(self, config, buckets):
-        tier = SketchTier(config)
-        tier.advance(buckets[0])
+        tier = SketchTier(config, buckets[:1], 0)
         sources = {record.src for record in buckets[0].records()}
         node = next(iter(sources))
         signature = tier.signature(node)
@@ -337,11 +336,10 @@ class TestSketchTier:
         assert tier.signature("never-seen") is None
 
     def test_persistence_needs_two_windows(self, config, buckets):
-        tier = SketchTier(config)
-        tier.advance(buckets[0])
+        tier = SketchTier(config, buckets[:1], 0)
         node = next(record.src for record in buckets[0].records())
         assert tier.persistence(node) is None
-        tier.advance(buckets[0])
+        tier = SketchTier(config, [buckets[0], buckets[0]], 1)
         value = tier.persistence(node)
         assert value is not None and value == pytest.approx(1.0)
 
@@ -349,31 +347,28 @@ class TestSketchTier:
         config = ServiceConfig(
             num_shards=1, window_records=25, window_buckets=2, queue_capacity=100, k=5
         )
-        tier = SketchTier(config)
+        labels = LabelTable()
         only_first = records_factory(20, nodes=4, seed=1)
-        tier.advance(batch(only_first))
-        tier.advance(batch(records_factory(20, nodes=4, seed=2, start=100.0)))
+        log = [
+            RecordBatch.from_records(only_first, labels),
+            RecordBatch.from_records(records_factory(20, nodes=4, seed=2, start=100.0), labels),
+        ]
+        tier = SketchTier(config, log, 1)
         # One bucket later the first window's records are still retained...
         assert tier.signature(only_first[0].src) is not None
-        tier.advance(batch(records_factory(20, nodes=4, seed=3, start=200.0)))
+        log.append(
+            RecordBatch.from_records(records_factory(20, nodes=4, seed=3, start=200.0), labels)
+        )
+        tier = SketchTier(config, log, 2)
         # ...and the window has rolled fully past the first bucket.
         assert tier.window == 2
+        assert sum(tier.current._out_volume.values()) == pytest.approx(sum(
+            float(bucket.weight[bucket.src != bucket.dst].sum()) for bucket in log[1:]
+        ))
 
-    def test_advance_merges_instead_of_reobserving(self, records_factory):
-        config = ServiceConfig(
-            num_shards=1, window_records=25, window_buckets=3, queue_capacity=100, k=5
-        )
-        tier = SketchTier(config)
-        for i in range(5):
-            tier.advance(batch(records_factory(20, nodes=4, seed=i, start=i * 100.0)))
-        # 0 merges for the first bucket, 1 for the second, 2 per advance
-        # once the three-bucket window is full.
-        assert tier.registry.counter_total("sketch.merges") == 1 + 2 + 2 + 2
-
-    def test_each_record_observed_exactly_once(self, records_factory, monkeypatch):
-        """The tentpole contract: advancing re-observes nothing — each
-        record enters exactly one bucket builder, and windows are built by
-        sketch merging (the old path re-read every retained record)."""
+    def test_build_observes_each_window_record_once(self, records_factory, monkeypatch):
+        """A build sketches each of its two windows with one fresh builder
+        that observes that window's records once, in canonical order."""
         from repro.streaming.stream_schemes import StreamingTopTalkers
 
         observed = []  # (builder, records) per observe_batch call
@@ -387,38 +382,42 @@ class TestSketchTier:
         config = ServiceConfig(
             num_shards=1, window_records=25, window_buckets=3, queue_capacity=100, k=5
         )
-        tier = SketchTier(config)
-        buckets = []
-        for i in range(5):
-            buckets.append(records_factory(20, nodes=4, seed=i, start=i * 100.0))
-            tier.advance(batch(buckets[-1]))
-        # One fresh builder per bucket, fed exactly that bucket's records.
-        assert len({id(builder) for builder, _records in observed}) == len(buckets)
-        assert [sorted(records) for _builder, records in observed] == [
-            sorted(bucket) for bucket in buckets
+        labels = LabelTable()
+        log = [
+            RecordBatch.from_records(
+                records_factory(20, nodes=4, seed=i, start=i * 100.0), labels
+            )
+            for i in range(5)
         ]
+        tier = SketchTier(config, log, 4)
+        assert len(observed) == 2
+        assert {id(builder) for builder, _records in observed} == {
+            id(tier.current),
+            id(tier.previous),
+        }
+        by_builder = {id(builder): records for builder, records in observed}
+        for builder, window in ((tier.current, log[2:5]), (tier.previous, log[1:4])):
+            assert by_builder[id(builder)] == [
+                record for bucket in window for record in bucket.canonical().records()
+            ]
 
     def test_persistence_clamped_when_distance_exceeds_one(
         self, config, buckets, monkeypatch
     ):
         """Regression: the sketch tier computed ``1 - distance`` without the
         range clamp the exact path got, so a distance > 1 surfaced as a
-        negative persistence in /anomaly responses."""
+        negative persistence in /anomaly responses.  The excursion counts
+        on the tier's (the shard's) registry, as the exact path's does."""
         import repro.service.shard as shard_module
-        from repro import obs
 
         monkeypatch.setattr(
             shard_module, "get_distance", lambda name: lambda a, b: 1.5
         )
-        tier = SketchTier(config)
-        tier.advance(buckets[0])
-        tier.advance(buckets[0])
+        tier = SketchTier(config, [buckets[0], buckets[0]], 1)
         node = next(record.src for record in buckets[0].records())
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            value = tier.persistence(node)
+        value = tier.persistence(node)
         assert value == 0.0
-        assert registry.counter_total("distance.out_of_range") == 1.0
+        assert tier.registry.counter_total("distance.out_of_range") == 1.0
 
     def test_ut_scheme_uses_unexpected_talkers(self, buckets):
         from repro.streaming.stream_schemes import StreamingUnexpectedTalkers
@@ -426,8 +425,7 @@ class TestSketchTier:
         config = ServiceConfig(
             num_shards=1, window_records=25, queue_capacity=100, k=5, scheme="ut"
         )
-        tier = SketchTier(config)
-        tier.advance(buckets[0])
+        tier = SketchTier(config, buckets[:1], 0)
         assert isinstance(tier.current, StreamingUnexpectedTalkers)
 
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import repro.service.shard as shard_module
 from repro import obs
+from repro.exceptions import ShardDown
 from repro.graph.batch import RecordBatch
 from repro.service import (
     HEALTH_DEGRADED,
@@ -21,6 +23,12 @@ from repro.service.chaos import ShardFaultInjector
 
 def as_batch(supervisor, records):
     return RecordBatch.from_records(records, supervisor.labels)
+
+
+def open_breaker(state):
+    """Make the shard's exact tier unavailable to queries."""
+    while state.breaker.state == STATE_CLOSED:
+        state.breaker.record_failure()
 
 
 def windows_of(records, size=30):
@@ -55,7 +63,7 @@ class TestRouting:
         assert supervisor.window == 3
         for state in supervisor.shards:
             assert state.engine.window == 3
-            assert state.sketch.window == 3
+            assert supervisor.sketch_tier(state).window == 3
             assert len(state.buckets) == 4
 
     def test_shards_cover_all_signatures(self, small_config, traffic):
@@ -137,9 +145,14 @@ class TestRecovery:
     def test_sketch_failure_goes_down_then_heals(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
         supervisor.install_injector(2, BreakSketch(at_window=1))
-        for bucket in traffic[:3]:
+        for bucket in traffic[:2]:
             supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[2]
+        # With the exact tier unavailable, a read builds window 1's tier.
+        open_breaker(state)
+        with pytest.raises(ShardDown):
+            supervisor.sketch_tier(state)
+        supervisor.ingest(as_batch(supervisor, traffic[2]))
         assert state.health == HEALTH_DOWN
         # Ingest log keeps accumulating while DOWN...
         assert len(state.buckets) == 3
@@ -160,16 +173,45 @@ class TestRecovery:
         an engine reported window 0 in /status."""
         supervisor = ShardSupervisor(small_config)
         supervisor.install_injector(2, BreakSketch(at_window=1))
-        for bucket in traffic[:3]:
+        for bucket in traffic[:2]:
             supervisor.ingest(as_batch(supervisor, bucket))
         state = supervisor.shards[2]
+        open_breaker(state)
+        with pytest.raises(ShardDown):
+            supervisor.sketch_tier(state)
+        supervisor.ingest(as_batch(supervisor, traffic[2]))
         assert state.health == HEALTH_DOWN
         # The engine stays unrebuildable: the sketch tier answers alone.
         supervisor.install_injector(2, KillShard(at_window=-1, rebuild_failures=100))
         assert not supervisor.heal(2)
         assert state.engine is None
-        assert state.sketch.window == supervisor.window == 2
+        assert supervisor.sketch_tier(state).window == supervisor.window == 2
         assert supervisor.status()["shards"][2]["window"] == 2
+
+    def test_ingest_over_healthy_windows_builds_no_sketch(
+        self, small_config, traffic, monkeypatch
+    ):
+        builds = []
+        monkeypatch.setattr(
+            shard_module, "sketch_window", lambda *args, **kwargs: builds.append(args)
+        )
+        supervisor = ShardSupervisor(small_config)
+        for bucket in traffic:
+            supervisor.ingest(as_batch(supervisor, bucket))
+        assert builds == []
+        assert all(state.sketch is None for state in supervisor.shards)
+
+    def test_broken_sketch_does_not_stop_a_serving_exact_tier(self, small_config, traffic):
+        """The sketch tier is built only for a read the exact tier cannot
+        serve, so a scripted sketch failure leaves a healthy shard alone."""
+        supervisor = ShardSupervisor(small_config)
+        supervisor.install_injector(2, BreakSketch(at_window=1))
+        for bucket in traffic:
+            supervisor.ingest(as_batch(supervisor, bucket))
+        state = supervisor.shards[2]
+        assert state.health == HEALTH_HEALTHY
+        assert state.engine.window == supervisor.window == 3
+        assert state.registry.counter_total("shard.down_transitions") == 0
 
 
 class WindowSpy(ShardFaultInjector):

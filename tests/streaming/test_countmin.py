@@ -83,29 +83,6 @@ class TestEstimates:
 
 
 class TestMerge:
-    def test_merge_equals_combined_stream(self):
-        left = CountMinSketch(width=50, depth=4, seed=9)
-        right = CountMinSketch(width=50, depth=4, seed=9)
-        combined = CountMinSketch(width=50, depth=4, seed=9)
-        for i in range(100):
-            left.update(f"a-{i % 10}")
-            combined.update(f"a-{i % 10}")
-        for i in range(100):
-            right.update(f"b-{i % 7}")
-            combined.update(f"b-{i % 7}")
-        merged = left.merge(right)
-        for key in [f"a-{i}" for i in range(10)] + [f"b-{i}" for i in range(7)]:
-            assert merged.estimate(key) == combined.estimate(key)
-        assert merged.total == combined.total
-
-    def test_merge_requires_same_configuration(self):
-        with pytest.raises(StreamingError):
-            CountMinSketch(width=50, depth=4).merge(CountMinSketch(width=60, depth=4))
-        with pytest.raises(StreamingError):
-            CountMinSketch(width=50, depth=4, seed=1).merge(
-                CountMinSketch(width=50, depth=4, seed=2)
-            )
-
     def test_repr(self):
         sketch = CountMinSketch(width=10, depth=2)
         assert "CountMinSketch" in repr(sketch)

@@ -56,32 +56,5 @@ class TestAccuracy:
 
 
 class TestMerge:
-    def test_merge_estimates_union(self):
-        left = FlajoletMartin(num_registers=64, seed=5)
-        right = FlajoletMartin(num_registers=64, seed=5)
-        for i in range(100):
-            left.add(f"l-{i}")
-        for i in range(100):
-            right.add(f"r-{i}")
-        # 50 items shared between streams.
-        for i in range(50):
-            left.add(f"shared-{i}")
-            right.add(f"shared-{i}")
-        merged = left.merge(right)
-        assert 125 <= merged.estimate() <= 500  # union is 250
-
-    def test_merge_idempotent_on_same_stream(self):
-        left = FlajoletMartin(num_registers=32, seed=2)
-        for i in range(200):
-            left.add(f"x-{i}")
-        merged = left.merge(left)
-        assert merged.estimate() == left.estimate()
-
-    def test_merge_requires_same_configuration(self):
-        with pytest.raises(StreamingError):
-            FlajoletMartin(num_registers=32).merge(FlajoletMartin(num_registers=64))
-        with pytest.raises(StreamingError):
-            FlajoletMartin(seed=1).merge(FlajoletMartin(seed=2))
-
     def test_memory_cells(self):
         assert FlajoletMartin(num_registers=16).memory_cells() == 16

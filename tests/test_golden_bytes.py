@@ -112,7 +112,7 @@ def test_service_window_close_is_pinned(tmp_path):
         segments.update(path.read_bytes())
     tables = hashlib.sha256()
     for state in supervisor.shards:
-        for source, sketch in state.sketch.current._sketches.items():
+        for source, sketch in supervisor.sketch_tier(state).current._sketches.items():
             tables.update(repr(source).encode("utf-8"))
             tables.update(sketch._table.tobytes())
     assert segments.hexdigest() == SERVICE_SEGMENTS_SHA256

@@ -268,20 +268,6 @@ class TestSketchProperties:
         else:
             assert 0.4 * len(items) <= estimate <= 2.5 * len(items) + 2
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        left=st.sets(st.integers(min_value=0, max_value=500), max_size=100),
-        right=st.sets(st.integers(min_value=0, max_value=500), max_size=100),
-    )
-    def test_fm_merge_commutes(self, left, right):
-        a = FlajoletMartin(num_registers=32, seed=1)
-        b = FlajoletMartin(num_registers=32, seed=1)
-        for item in left:
-            a.add(item)
-        for item in right:
-            b.add(item)
-        assert a.merge(b).estimate() == b.merge(a).estimate()
-
 
 # ----------------------------------------------------------------------
 # MinHash estimator property

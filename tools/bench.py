@@ -3,7 +3,7 @@
 
 - ``kernels``: scalar vs batch distance kernels through the same call sites
 - ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
-- ``sketch``: sketch-tier accuracy-vs-memory curve and merge-based window advance
+- ``sketch``: sketch-tier accuracy-vs-memory curve
 - ``service_slo``: seeded load through the in-process service: latency, digests, SLOs, traces
 - ``history``: indexed vs brute-force history-store lookalike queries, and compaction
 
@@ -626,104 +626,6 @@ def bench_sketch_accuracy(data, budgets, repeats: int):
     return rows, trace
 
 
-def sketch_advance_buckets(
-    num_buckets: int, bucket_size: int, num_sources: int, seed: int
-) -> list:
-    """Seeded per-bucket record batches (one label table) for the
-    advance-throughput bench."""
-    from repro.graph.batch import LabelTable, RecordBatch
-    from repro.graph.stream import EdgeRecord
-
-    rng = random.Random(seed)
-    labels = LabelTable()
-    return [
-        RecordBatch.from_records(
-            [
-                EdgeRecord(
-                    time=float(b),
-                    src=f"h{rng.randrange(num_sources)}",
-                    dst=f"e{rng.randrange(8 * num_sources)}",
-                    weight=float(rng.randrange(1, 6)),
-                )
-                for _ in range(bucket_size)
-            ],
-            labels,
-        )
-        for b in range(num_buckets)
-    ]
-
-
-def bench_sketch_advance(quick: bool, repeats: int) -> list:
-    """Merge-based ``SketchTier.advance`` vs full re-observation.
-
-    The baseline is the re-observation path the merge replaced: every
-    advance builds a fresh window builder and re-observes all retained
-    records — O(window_buckets x bucket) record updates per window,
-    against one bucket observation plus sketch merges.
-    """
-    from collections import deque
-
-    from repro.graph.batch import RecordBatch
-    from repro.service.config import ServiceConfig
-    from repro.service.shard import SketchTier
-    from repro.streaming.stream_schemes import StreamingTopTalkers
-
-    # The regime the merge path targets: shard-sized owner populations
-    # with many records per bucket, where re-observation cost scales with
-    # window_buckets x bucket while merging scales with owners.
-    window_buckets = 4 if quick else 8
-    buckets = sketch_advance_buckets(
-        num_buckets=10 if quick else 24,
-        bucket_size=1024 if quick else 4096,
-        num_sources=16 if quick else 24,
-        seed=41,
-    )
-    config = ServiceConfig(
-        scheme="tt", k=10, window_buckets=window_buckets, window_records=1
-    )
-
-    def run_merge():
-        tier = SketchTier(config)
-        for bucket in buckets:
-            tier.advance(bucket)
-        return tier.current
-
-    def run_rebuild():
-        retained: deque = deque(maxlen=window_buckets)
-        current = None
-        for bucket in buckets:
-            retained.append(bucket.canonical())
-            builder = StreamingTopTalkers(
-                k=config.k,
-                epsilon=config.streaming_epsilon,
-                delta=config.streaming_delta,
-                seed=config.seed,
-            )
-            builder.observe_batch(RecordBatch.concat(retained))
-            current = builder
-        return current
-
-    merge_wall, merge_builder = timed(run_merge, repeats=repeats)
-    rebuild_wall, rebuild_builder = timed(run_rebuild, repeats=repeats)
-    if set(merge_builder.sources) != set(rebuild_builder.sources):
-        raise AssertionError(
-            "merge-based advance tracks a different source set than rebuild"
-        )
-    return [
-        {
-            "op": "sketch_advance_throughput",
-            "windows": len(buckets),
-            "window_buckets": window_buckets,
-            "records_per_bucket": len(buckets[0]),
-            "rebuild_wall_s": round(rebuild_wall, 6),
-            "merge_wall_s": round(merge_wall, 6),
-            "speedup_vs_rebuild": round(rebuild_wall / merge_wall, 2),
-            "rebuild_windows_per_s": round(len(buckets) / rebuild_wall, 1),
-            "merge_windows_per_s": round(len(buckets) / merge_wall, 1),
-        }
-    ]
-
-
 def sketch_stage(args):
     from repro.streaming.tier import DEFAULT_BUDGET_BYTES
 
@@ -735,7 +637,6 @@ def sketch_stage(args):
     )
     rows, trace = bench_sketch_accuracy(sketch_trace(args.quick), budgets, repeats)
     default = next(row for row in rows if row["is_default_budget"])
-    rows += bench_sketch_advance(args.quick, repeats)
 
     failures = []
     if not args.quick:
