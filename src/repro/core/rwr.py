@@ -49,6 +49,24 @@ from repro.types import NodeId, Weight
 #: Extra candidates retained around the top-k cut to keep tie-breaking exact.
 _TOPK_SLACK = 32
 
+#: Bytes of one dense ``nodes x owners`` float64 array of a walk block.
+#: A block holds a few such arrays at once (occupancy, the step and its
+#: change, the converged walks), so this bounds a batch's walk memory
+#: whatever its owner count.
+_BLOCK_BYTES = 2 * 2**20
+
+
+def _column_sums(array: np.ndarray) -> np.ndarray:
+    """Column sums of a C-ordered array, each added in row order.
+
+    numpy sums a wide array's columns row by row but a single column
+    pairwise; the running sum adds one column in row order too, so a
+    column's sum does not depend on how many columns share the array.
+    """
+    if array.shape[1] == 1:
+        return np.cumsum(array[:, 0])[-1:]
+    return array.sum(axis=0)
+
 
 @register_scheme
 class RandomWalkWithResets(SignatureScheme):
@@ -159,38 +177,56 @@ class RandomWalkWithResets(SignatureScheme):
         start_rows: np.ndarray,
         num_nodes: int,
     ) -> np.ndarray:
-        """Run the power iteration for a batch of start nodes.
+        """Run the power iteration for a block of start nodes.
 
         ``start_rows[q]`` is the matrix row of query ``q``'s start node.
         Returns the dense ``num_nodes x num_queries`` occupancy matrix.
+        Every column is the walk of its start node alone: the unbounded
+        walk stops a column at the first iteration whose own L1 change
+        falls below ``tolerance`` (or at ``max_iterations``), converged
+        columns leave the active set, and every per-column sum adds in
+        row order at any block width.
         """
         num_queries = start_rows.size
-        start = np.zeros((num_nodes, num_queries))
-        start[start_rows, np.arange(num_queries)] = 1.0
-        occupancy = start.copy()
-        c = self.reset_probability
-        limit = self.max_hops if self.max_hops is not None else self.max_iterations
-        for _ in range(limit):
-            stepped = transition_t @ occupancy
-            if dangling.any():
-                # Mass sitting on dangling nodes walks "home" to the start.
-                # numpy sums a wide batch's columns row by row, but one
-                # column pairwise; the running sum adds one column in row
-                # order too, so no owner's walk depends on the batch width.
-                if num_queries == 1:
-                    lost = np.cumsum(occupancy[dangling, 0])[-1:]
-                else:
-                    lost = occupancy[dangling].sum(axis=0)
-                stepped[start_rows, np.arange(num_queries)] += lost
-            updated = (1.0 - c) * stepped + c * start
-            if self.max_hops is None:
-                delta = np.abs(updated - occupancy).sum(axis=0).max()
-                occupancy = updated
-                if delta < self.tolerance:
-                    break
-            else:
-                occupancy = updated
-        return occupancy
+        occupancy = np.zeros((num_nodes, num_queries))
+        occupancy[start_rows, np.arange(num_queries)] = 1.0
+        if self.max_hops is not None:
+            for _ in range(self.max_hops):
+                occupancy = self._step(transition_t, dangling, occupancy, start_rows)
+            return occupancy
+        walks = np.empty_like(occupancy)
+        active = np.arange(num_queries)
+        for _ in range(self.max_iterations):
+            updated = self._step(transition_t, dangling, occupancy, start_rows[active])
+            done = _column_sums(np.abs(updated - occupancy)) < self.tolerance
+            if done.any():
+                walks[:, active[done]] = updated[:, done]
+                # compress keeps the survivors C-ordered, so their column
+                # sums stay row by row.
+                updated = updated.compress(~done, axis=1)
+                active = active[~done]
+                if not active.size:
+                    return walks
+            occupancy = updated
+        walks[:, active] = occupancy
+        return walks
+
+    def _step(
+        self,
+        transition_t: sp.csr_matrix,
+        dangling: np.ndarray,
+        occupancy: np.ndarray,
+        start_rows: np.ndarray,
+    ) -> np.ndarray:
+        """One step ``(1 - c) P^T r + c s`` of every column of ``occupancy``."""
+        stepped = transition_t @ occupancy
+        columns = np.arange(start_rows.size)
+        if dangling.any():
+            # Mass sitting on dangling nodes walks "home" to the start.
+            stepped[start_rows, columns] += _column_sums(occupancy[dangling])
+        stepped *= 1.0 - self.reset_probability
+        stepped[start_rows, columns] += self.reset_probability
+        return stepped
 
     def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
         if node not in graph or graph.num_nodes == 0:
@@ -207,26 +243,16 @@ class RandomWalkWithResets(SignatureScheme):
             for index in np.flatnonzero(column > 0)
         }
 
-    def partition_batch_safe(self, graph: CommGraph) -> bool:
-        """Hop-limited walks run a fixed iteration count with column-local
-        arithmetic, so any partition of the targets reproduces the full
-        batch bit-for-bit.  The unbounded walk's convergence test maxes
-        over the whole batch — partitioning would change iteration counts
-        — so it must be dispatched as one work item."""
-        return self.max_hops is not None
-
     def _compute_batch(
         self, graph: CommGraph, targets: List[NodeId]
     ) -> Dict[NodeId, Signature]:
-        """Batched computation: one shared ``P^T``, all queries iterated together.
+        """Batched computation: one shared ``P^T``, the owners walked in
+        blocks of ``_BLOCK_BYTES`` per dense array, top-k extracted per block.
 
-        For hop-limited walks each query's occupancy column is computed
-        independently (fixed iteration count, column-local arithmetic), so
-        batching any subset of queries yields bit-identical columns — the
-        property the shared-memory engine relies on when it partitions
-        the targets.  The unbounded walk's convergence test couples the
-        batch (``max`` over columns decides the iteration count), which is
-        why :meth:`partition_batch_safe` refuses to split it.
+        Every column is its owner's walk alone (see :meth:`_iterate`), so
+        any partition of the targets gives the same bytes as one call and
+        as per-node :meth:`compute`; the blocks only bound the dense
+        ``nodes x owners`` arrays a batch holds at once.
         """
         if not targets:
             return {}
@@ -241,22 +267,23 @@ class RandomWalkWithResets(SignatureScheme):
         transition_t = self._walk_matrix(graph, position)
         dangling = np.asarray(transition_t.sum(axis=0)).ravel() == 0
         start_rows = np.asarray([position[node] for node in present])
-        occupancy = self._iterate(transition_t, dangling, start_rows, num_nodes)
 
         right_mask = None
-        left_side = None
         if isinstance(graph, BipartiteGraph):
             right = graph.right_node_set()
             right_mask = np.asarray([node in right for node in ordering])
-            left_side = {node: graph.side(node) == "left" for node in present}
 
-        node_array = ordering
-        for query_index, node in enumerate(present):
-            weights = occupancy[:, query_index].copy()
-            weights[position[node]] = 0.0
-            if right_mask is not None and left_side is not None and left_side[node]:
-                weights = np.where(right_mask, weights, 0.0)
-            signatures[node] = self._extract_top_k(node, weights, node_array)
+        width = max(1, _BLOCK_BYTES // (8 * num_nodes))
+        for lo in range(0, len(present), width):
+            occupancy = self._iterate(
+                transition_t, dangling, start_rows[lo : lo + width], num_nodes
+            )
+            for column, node in enumerate(present[lo : lo + width]):
+                weights = occupancy[:, column].copy()
+                weights[position[node]] = 0.0
+                if right_mask is not None and graph.side(node) == "left":
+                    weights = np.where(right_mask, weights, 0.0)
+                signatures[node] = self._extract_top_k(node, weights, ordering)
         return signatures
 
     def _extract_top_k(

@@ -91,9 +91,9 @@ class SignatureScheme(abc.ABC):
 
         Subclasses with batched implementations (e.g. matrix-based RWR)
         override :meth:`_compute_batch`; the contract is identical to
-        calling :meth:`compute` per node.  Schemes whose batched results
-        depend on the whole target list at once additionally override
-        :meth:`partition_batch_safe`.
+        calling :meth:`compute` per node, so an owner's signature does not
+        depend on which other owners share its batch, and any partition of
+        the targets gives the same bytes as one call.
         """
         targets: List[NodeId] = list(nodes) if nodes is not None else graph.nodes()
         if engine is None:
@@ -105,18 +105,6 @@ class SignatureScheme(abc.ABC):
         obs.counter("incremental.dirty_nodes", scheme=self.name).inc(len(targets))
         obs.counter("incremental.reused_signatures", scheme=self.name).inc(0)
         return {node: fresh[node] for node in targets}
-
-    def partition_batch_safe(self, graph: CommGraph) -> bool:
-        """Whether :meth:`_compute_batch` applied to any partition of the
-        targets (results concatenated) equals one whole-batch call.
-
-        True for every per-node scheme — the base batch is a loop over
-        :meth:`compute`.  Schemes whose batched computation couples the
-        target list (unbounded RWR: the convergence test maxes over the
-        batch) return ``False``; the shared-memory engine then dispatches
-        the batch as a single work item instead of partitioning it.
-        """
-        return True
 
     def _compute_batch(
         self, graph: CommGraph, targets: List[NodeId]

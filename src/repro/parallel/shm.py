@@ -25,10 +25,9 @@ Byte-identity is load-bearing, not best-effort: graphs are published as
 order, never canonicalised/sorted), so the reconstructed
 :class:`~repro.graph.comm_graph.CommGraph` replays every order-sensitive
 float reduction — ``sum(neighbours.values())``, matrix assembly from
-``edges()`` — bit-for-bit.  Schemes whose batched computation couples the
-whole target list (unbounded RWR convergence) report
-``partition_batch_safe() == False`` and are dispatched as a single
-whole-batch work item instead of being partitioned.
+``edges()`` — bit-for-bit.  A scheme's batch gives every owner the
+signature it would get alone, so every scheme's targets are partitioned
+by the same rule.
 
 Segment lifecycle: every segment created in this process is recorded in a
 registry that unlinks leftovers at interpreter exit (``atexit``), so even
@@ -629,23 +628,13 @@ class ShmEngine:
         """``scheme._compute_batch(graph, targets)``, fanned across the
         pool — byte-identical to the serial call, results in target order.
         ``targets=None`` means every node, as in ``compute_all``.
-
-        Schemes reporting ``partition_batch_safe(graph) == False``
-        (unbounded RWR: convergence couples the whole batch) are
-        dispatched as one whole-batch work item instead of partitioned.
         """
         self._check_open()
         targets = list(targets) if targets is not None else graph.nodes()
         if not targets:
             return {}
         manifest = self.publish_graph(graph)
-        if scheme.partition_batch_safe(graph):
-            chunk = max(
-                1,
-                min(self._message_size, math.ceil(len(targets) / self._workers)),
-            )
-        else:
-            chunk = len(targets)
+        chunk = max(1, min(self._message_size, math.ceil(len(targets) / self._workers)))
         registry = obs.get_registry()
         collect = registry.enabled
         targets_spec = None

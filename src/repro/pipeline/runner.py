@@ -86,9 +86,7 @@ class PipelineConfig:
     engine (:mod:`repro.parallel.shm`): one persistent pool of ``jobs``
     workers (``0`` = all available CPUs) recomputes each window's
     population over a zero-copy publication of the window graph.
-    Signatures are byte-identical to the serial run.  Unbounded RWR,
-    whose batch cannot be partitioned, always runs the in-process
-    per-node loop, with the deadline checked per node.
+    Signatures are byte-identical to the serial run.
 
     ``"sketch"`` answers each window from a memory-budgeted
     :class:`~repro.streaming.tier.SketchTierEngine` instead: exact
@@ -607,24 +605,13 @@ class SignaturePipeline:
     ) -> Optional[Dict[str, Signature]]:
         """Exact signatures, or ``None`` if the deadline tripped.
 
-        A partition-safe scheme computes the population as one batch,
-        ``compute_all`` through the run's engine, and the deadline is
-        checked after the batch.  Unbounded RWR keeps the per-node loop,
-        with the deadline checked per node: its batched iteration count is
-        population-coupled, so only the serial loop gives each owner the
-        walk it would get alone.
+        The population is one batch, ``compute_all`` through the run's
+        engine, and the deadline is checked after the batch.
         """
+        signatures = scheme.compute_all(graph, graph.senders(), engine=self._engine)
         deadline = self.config.window_deadline
-        if scheme.partition_batch_safe(graph):
-            signatures = scheme.compute_all(graph, graph.senders(), engine=self._engine)
-            if deadline is not None and self._clock() - started > deadline:
-                return None
-            return signatures
-        signatures = {}
-        for node in graph.senders():
-            if deadline is not None and self._clock() - started > deadline:
-                return None
-            signatures[node] = scheme.compute(graph, node)
+        if deadline is not None and self._clock() - started > deadline:
+            return None
         return signatures
 
     def _compute_degraded(self, batch: RecordBatch) -> Dict[str, Signature]:

@@ -1,16 +1,20 @@
 """Unit tests for Random Walk with Resets (Definition 5)."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.rwr as rwr_module
 from repro.core.rwr import RandomWalkWithResets
 from repro.core.top_talkers import TopTalkers
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import graph_from_edges
 from repro.graph.comm_graph import CommGraph
+from repro.parallel.shm import ShmEngine
 
 
 class TestParameters:
@@ -141,23 +145,81 @@ DANGLING_EDGES = st.lists(
 )
 
 
+#: Users talk to destinations that talk to no one: walked directed
+#: (``symmetrize=False``), every destination is dangling.
+BIPARTITE_EDGES = st.lists(
+    st.tuples(
+        st.integers(0, 11).map(lambda i: f"u{i}"),
+        st.integers(0, 23).map(lambda i: f"d{i}"),
+        st.sampled_from([1.0, 0.1, 3.0, 7.25, 0.37, 2.9]),
+    ),
+    min_size=20,
+    max_size=120,
+)
+
+
+@pytest.fixture(scope="module")
+def shm_engine():
+    with ShmEngine(jobs=2, message_size=5) as engine:
+        yield engine
+
+
+def assert_every_path_walks_alone(scheme, graph, owners, engine):
+    """Per-node ``compute``, ``compute_all`` over the whole population,
+    over every partition into widths 1, 2 and all, in blocks of three
+    owners, and through ``engine`` give the same entries."""
+    expected = {owner: scheme.compute(graph, owner).entries for owner in owners}
+    for width in (1, 2, len(owners)):
+        for lo in range(0, len(owners), width):
+            part = owners[lo : lo + width]
+            for owner, signature in scheme.compute_all(graph, part).items():
+                assert signature.entries == expected[owner], (width, owner)
+    with patch.object(rwr_module, "_BLOCK_BYTES", 3 * 8 * graph.num_nodes):
+        blocked = scheme.compute_all(graph, owners)
+    assert {owner: sig.entries for owner, sig in blocked.items()} == expected
+    parallel = scheme.compute_all(graph, owners, engine=engine)
+    assert {owner: sig.entries for owner, sig in parallel.items()} == expected
+
+
 class TestBatchWidth:
     @settings(max_examples=15, deadline=None)
     @given(edges=DANGLING_EDGES)
-    def test_every_width_equals_the_whole_batch(self, edges):
-        # A one-owner batch sums the dangling mass in the same order as a
-        # wide one, so per-node compute, an shm partition of one and a
-        # dirty set of one all give the whole batch's signature.
+    def test_every_width_equals_the_whole_batch(self, shm_engine, edges):
+        # A one-owner batch sums the dangling mass and its walk's change in
+        # the same order as a wide one, and each unbounded walk stops at
+        # its own convergence, so per-node compute, any partition, any
+        # owner block and the shm engine give the whole batch's signature.
         graph = graph_from_edges(edges)
-        scheme = RandomWalkWithResets(k=10, reset_probability=0.1, max_hops=3)
-        owners = list(graph.senders())
-        whole = scheme.compute_all(graph, owners)
-        for index, owner in enumerate(owners):
-            other = owners[index - 1]
-            expected = whole[owner].entries
-            assert scheme.compute_all(graph, [owner])[owner].entries == expected
-            assert scheme.compute_all(graph, [owner, other])[owner].entries == expected
-            assert scheme.compute(graph, owner).entries == expected
+        for max_hops in (3, None):
+            scheme = RandomWalkWithResets(k=10, reset_probability=0.1, max_hops=max_hops)
+            assert_every_path_walks_alone(scheme, graph, list(graph.senders()), shm_engine)
+
+    @pytest.mark.parametrize("symmetrize", ["auto", False])
+    @pytest.mark.parametrize("max_hops", [3, None])
+    @settings(max_examples=6, deadline=None)
+    @given(edges=BIPARTITE_EDGES)
+    def test_every_path_walks_alone_on_bipartite_graphs(
+        self, shm_engine, max_hops, symmetrize, edges
+    ):
+        graph = graph_from_edges(edges, bipartite=True)
+        scheme = RandomWalkWithResets(
+            k=10, reset_probability=0.1, max_hops=max_hops, symmetrize=symmetrize
+        )
+        owners = list(graph.nodes())
+        assert_every_path_walks_alone(scheme, graph, owners, shm_engine)
+
+    def test_each_unbounded_walk_stops_at_its_own_convergence(self):
+        # An owner in a fast-mixing clique beside one on a slow two-cycle:
+        # batched together, each keeps the iteration count it has alone.
+        graph = CommGraph([("x", "y", 1.0), ("y", "x", 1.0)])
+        for i in range(5):
+            for j in range(5):
+                if i != j:
+                    graph.add_edge(f"k{i}", f"k{j}", 1.0 + 0.1 * j)
+        scheme = RandomWalkWithResets(k=3, reset_probability=0.1)
+        batch = scheme.compute_all(graph, ["k0", "x"])
+        assert batch["k0"].entries == scheme.compute(graph, "k0").entries
+        assert batch["x"].entries == scheme.compute(graph, "x").entries
 
 
 class TestBipartiteBehaviour:

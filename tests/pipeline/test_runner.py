@@ -197,32 +197,19 @@ class TestDegradation:
             assert "memory budget" in window.reason
 
     def test_deadline_degrades_to_streaming(self, trace, tmp_path):
-        # Fake clock: every call advances one second.  TT computes the
-        # population as one batch, one tick, and the deadline is checked
-        # after it.
-        ticks = iter(range(100000))
-        config = PipelineConfig(scheme="tt", k=5, window_deadline=0.5)
-        result = make_pipeline(
-            trace, tmp_path, config, clock=lambda: float(next(ticks))
-        ).run()
-        assert result.report.degraded_windows == [0, 1, 2]
-        assert all("deadline" in w.reason for w in result.report.windows)
-
-    def test_unbounded_rwr_deadline_trips_mid_loop(self, trace, tmp_path):
-        # Unbounded RWR keeps the per-node loop, checked per node: a
-        # deadline below the population size trips mid-loop.
-        ticks = iter(range(100000))
-        config = PipelineConfig(
-            scheme="rwr",
-            k=5,
-            scheme_params={"reset_probability": 0.1, "max_hops": None},
-            window_deadline=1.5,
-        )
-        result = make_pipeline(
-            trace, tmp_path, config, clock=lambda: float(next(ticks))
-        ).run()
-        assert result.report.degraded_windows == [0, 1, 2]
-        assert all("deadline" in w.reason for w in result.report.windows)
+        # Fake clock: every call advances one second.  Every scheme,
+        # unbounded RWR included, computes the population as one batch,
+        # one tick, and the deadline is checked after it.
+        for scheme, params in [("tt", {}), ("rwr", {"reset_probability": 0.1, "max_hops": None})]:
+            ticks = iter(range(100000))
+            config = PipelineConfig(
+                scheme=scheme, k=5, scheme_params=params, window_deadline=0.5
+            )
+            result = make_pipeline(
+                trace, tmp_path / scheme, config, clock=lambda: float(next(ticks))
+            ).run()
+            assert result.report.degraded_windows == [0, 1, 2]
+            assert all("deadline" in w.reason for w in result.report.windows)
 
     def test_degraded_signatures_stay_close_to_exact(self, trace, tmp_path):
         exact = make_pipeline(trace, tmp_path / "a").run()

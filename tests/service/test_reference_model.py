@@ -395,3 +395,43 @@ def test_pipeline_and_service_sketch_a_window_alike(records_factory, tmp_path, m
     tier = supervisor.sketch_tier(supervisor.shards[0])
     assert len(built) == 1 and tier.previous is None
     assert builder_state(tier.current) == builder_state(built[0])
+
+
+@pytest.mark.parametrize(
+    "scheme,params",
+    [
+        ("tt", {}),
+        ("ut", {}),
+        ("it", {}),
+        ("rwr", {"reset_probability": 0.1, "max_hops": 3}),
+        ("rwr", {"reset_probability": 0.1, "max_hops": None}),
+    ],
+    ids=["tt", "ut", "it", "rwr-h3", "rwr"],
+)
+def test_pipeline_and_service_compute_a_window_alike(records_factory, tmp_path, scheme, params):
+    """A one-window pipeline run and a one-shard service (W = 1) compute
+    the same exact signature for every owner of the same records."""
+    records = records_factory(400, nodes=40, seed=5)
+    pipeline = SignaturePipeline(
+        IterableRecordSource(records),
+        CheckpointStore(tmp_path / "pipeline"),
+        PipelineConfig(scheme=scheme, k=5, scheme_params=params, num_windows=1),
+    )
+    computed = pipeline.run().signatures[0]
+
+    config = ServiceConfig(
+        num_shards=1,
+        window_records=len(records),
+        queue_capacity=len(records),
+        scheme=scheme,
+        k=5,
+        scheme_params=params,
+    )
+    supervisor = ShardSupervisor(config)
+    supervisor.ingest(RecordBatch.from_records(records, supervisor.labels))
+    served = supervisor.shards[0].engine.signatures
+    supervisor.close()
+    assert len(computed) == 40
+    assert {owner: sig.entries for owner, sig in served.items()} == {
+        owner: sig.entries for owner, sig in computed.items()
+    }

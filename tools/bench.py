@@ -296,9 +296,9 @@ def kernels_stage(args):
 # shm
 # ----------------------------------------------------------------------
 #: Scheme line-up for the shared-memory stage (the fig1/fig3 recompute
-#: kernels plus the service's push scheme; unbounded RWR is excluded on
-#: purpose — it is not partition-safe, so the engine runs it whole-batch
-#: and there is nothing to parallelize).  The third element names the
+#: kernels plus the service's push scheme).  Unbounded RWR has no row:
+#: the engine chunks it by the same rule as hop-limited RWR, whose row
+#: gates that path.  The third element names the
 #: gates the scheme can physically demonstrate: transport-bound schemes
 #: (cheap per-node compute, the graph dominates the wire) gate on
 #: vs-pickle, compute-bound schemes gate on vs-serial scaling.
