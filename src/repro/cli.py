@@ -24,7 +24,7 @@ import time
 from typing import Callable, Dict
 
 from repro import obs
-from repro.core.execution import DEFAULT_BUDGET_BYTES, STRATEGIES
+from repro.core.execution import STRATEGIES
 from repro.experiments import (
     ExperimentConfig,
     derive_table4,
@@ -188,7 +188,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         bipartite=args.bipartite,
         strategy=args.strategy,
         jobs=args.jobs,
-        sketch_budget_bytes=args.sketch_budget,
         error_budget=args.error_budget,
         max_memory_cells=args.memory_budget,
         window_deadline=args.window_deadline,
@@ -278,7 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         distance=args.serve_distance,
         strategy=args.strategy,
         jobs=args.jobs,
-        sketch_budget_bytes=args.sketch_budget,
         slo_similar_p99_s=args.slo_similar_p99 or None,
         slo_availability=args.slo_availability or None,
         trace_store_size=args.trace_store_size,
@@ -364,17 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch-recompute engine: 'serial' computes in-process (default), "
         "'shm' fans signature batches out over a zero-copy shared-memory "
         "worker pool sized by --jobs (0 = one worker per CPU; outputs "
-        "byte-identical to serial), 'sketch' answers from the "
-        "memory-budgeted sketch tier (--sketch-budget bytes of state; "
-        "hot sources exact, tail sketched — accuracy contract)",
-    )
-    parser.add_argument(
-        "--sketch-budget",
-        type=int,
-        default=DEFAULT_BUDGET_BYTES,
-        metavar="BYTES",
-        help="byte budget of the sketch tier under --strategy sketch "
-        "(default: 2097152 = 2 MiB)",
+        "byte-identical to serial)",
     )
     parser.add_argument(
         "--dataset",
@@ -703,8 +691,6 @@ def main(argv=None) -> int:
         parser.error(
             f"--jobs must be >= 0 (0 means one worker per CPU); got {args.jobs}"
         )
-    if args.sketch_budget < 1:
-        parser.error(f"--sketch-budget must be >= 1 byte; got {args.sketch_budget}")
     if args.obs_serve is not None and not 0 <= args.obs_serve <= 65535:
         parser.error(
             f"--obs-serve must be a TCP port (0..65535); got {args.obs_serve}"
@@ -751,7 +737,6 @@ def main(argv=None) -> int:
         scale=args.scale,
         jobs=args.jobs,
         strategy=args.strategy,
-        sketch_budget_bytes=args.sketch_budget,
     )
     commands = sorted(_COMMANDS) if args.command == "all" else [args.command]
 

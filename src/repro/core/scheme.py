@@ -84,10 +84,8 @@ class SignatureScheme(abc.ABC):
         Otherwise the targets go to ``engine.compute_batch``, a
         :class:`~repro.core.execution.ComputeEngine` the caller built
         (usually with :func:`~repro.core.execution.make_engine`) and
-        closes.  An exact engine (:class:`repro.parallel.shm.ShmEngine`)
-        is byte-identical to in-process.  A non-exact one
-        (:class:`repro.streaming.tier.SketchTierEngine`) answers under an
-        **accuracy contract** instead.
+        closes.  Every engine (:class:`repro.parallel.shm.ShmEngine`) is
+        byte-identical to in-process.
 
         Subclasses with batched implementations (e.g. matrix-based RWR)
         override :meth:`_compute_batch`; the contract is identical to

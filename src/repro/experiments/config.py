@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.execution import DEFAULT_BUDGET_BYTES, ComputeEngine, execution_error
+from repro.core.execution import ComputeEngine, execution_error
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.datasets.enterprise import EnterpriseDataset, EnterpriseFlowGenerator, EnterpriseParams
 from repro.datasets.querylog import QueryLogDataset, QueryLogGenerator, QueryLogParams
@@ -53,12 +53,7 @@ class ExperimentConfig:
     ``jobs`` workers recompute index ranges zero-copy.  With ``"shm"``
     the experiment grid itself runs serially (the worker pool is the
     parallelism), so ``jobs`` moves from grid cells to the engine;
-    results are byte-identical either way.  ``"sketch"`` routes batches
-    through the memory-budgeted sketch tier
-    (:mod:`repro.streaming.tier`, ``sketch_budget_bytes`` of state):
-    hot sources exact, tail sketched — an accuracy contract, so
-    experiment outputs *do* depend on it (that dependence is the point
-    of sketch-tier experiments).
+    results are byte-identical either way.
     """
 
     scale: str = "paper"
@@ -67,12 +62,11 @@ class ExperimentConfig:
     rwr_hops: Tuple[int, ...] = RWR_HOPS
     jobs: int = 1
     strategy: str = "serial"
-    sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
 
     def __post_init__(self) -> None:
         if self.scale not in ("paper", "small"):
             raise ExperimentError(f"unknown scale {self.scale!r}; use 'paper' or 'small'")
-        error = execution_error(self.strategy, self.jobs, self.sketch_budget_bytes)
+        error = execution_error(self.strategy, self.jobs)
         if error is not None:
             raise ExperimentError(error)
 
@@ -138,9 +132,8 @@ def consecutive_signature_maps(
 
     The two windows are disjoint, so each map is computed in full.
     ``engine`` is forwarded to ``compute_all`` so the batches can run on
-    the shared-memory worker pool, or through the budgeted sketch tier.
-    An shm engine is byte-identical to the plain serial recompute; the
-    sketch tier is not — it answers under its accuracy contract.
+    the shared-memory worker pool, byte-identical to the plain serial
+    recompute.
     """
     signatures_now = scheme.compute_all(graph_now, population, engine=engine)
     signatures_next = scheme.compute_all(graph_next, population, engine=engine)

@@ -92,9 +92,7 @@ def run_fig1(
     config = config or ExperimentConfig()
     _dataset_setup(dataset, config)  # validate the dataset name up front
     scheme_labels = list(make_schemes(1, config.reset_probability, config.rwr_hops))
-    engine = make_engine(
-        config.strategy, jobs=config.jobs, sketch_budget_bytes=config.sketch_budget_bytes
-    )
+    engine = make_engine(config.strategy, jobs=config.jobs)
     try:
         with obs.span("experiment.fig1", dataset=dataset):
             per_scheme = parallel_map(

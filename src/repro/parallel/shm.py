@@ -478,10 +478,6 @@ class ShmEngine:
     threads share the pool.
     """
 
-    #: Byte-identical to the serial path (a
-    #: :class:`~repro.core.execution.ComputeEngine`).
-    exact = True
-
     def __init__(
         self,
         jobs: int = 0,

@@ -31,13 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
-from repro.core.execution import (
-    DEFAULT_BUDGET_BYTES,
-    ComputeEngine,
-    execution_error,
-    make_engine,
-)
+from repro.core.execution import ComputeEngine, execution_error, make_engine
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
@@ -78,24 +75,17 @@ class PipelineConfig:
     check.  ``max_memory_cells`` (graph nodes + edges per window) and
     ``window_deadline`` (seconds per window) are the graceful-degradation
     triggers; exceeding either routes the window through the streaming
-    sketches instead of the exact scheme.
+    sketches instead of the exact scheme.  The cells are counted from the
+    window's records, so a window over the memory budget never builds
+    its graph.
 
-    ``strategy``, ``jobs`` and ``sketch_budget_bytes`` are read once, by
+    ``strategy`` and ``jobs`` are read once, by
     :func:`~repro.core.execution.make_engine`, when a run was not handed
     an engine.  ``"shm"`` advances windows through the shared-memory
     engine (:mod:`repro.parallel.shm`): one persistent pool of ``jobs``
     workers (``0`` = all available CPUs) recomputes each window's
     population over a zero-copy publication of the window graph.
     Signatures are byte-identical to the serial run.
-
-    ``"sketch"`` answers each window from a memory-budgeted
-    :class:`~repro.streaming.tier.SketchTierEngine` instead: exact
-    signatures for the hottest sources, budget-sized sketches for the
-    tail (``sketch_budget_bytes`` caps total tier state).  This is an
-    *accuracy* contract, not byte-identity — checkpoints record the
-    contract of the engine a run used, so a resume under a different
-    contract is refused rather than silently mixing exact and sketched
-    windows.
 
     Checkpoints are history: every completed window is a segment of the
     checkpoint directory's :class:`~repro.store.history.HistoryStore`, so
@@ -130,13 +120,12 @@ class PipelineConfig:
     sample_interval: Optional[float] = None
     strategy: str = "serial"
     jobs: int = 0
-    sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
     history_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise PipelineError(f"signature length k must be >= 1, got {self.k}")
-        error = execution_error(self.strategy, self.jobs, self.sketch_budget_bytes)
+        error = execution_error(self.strategy, self.jobs)
         if error is not None:
             raise PipelineError(error)
         if self.num_windows is not None and self.window_length is not None:
@@ -192,6 +181,23 @@ def _check_labels(window: int, labels: LabelTable) -> None:
                 f"window {window}: node label {label!r} is a "
                 f"{type(label).__name__}; checkpoints store string labels only"
             )
+
+
+def _window_counts(batch: RecordBatch, bipartite: bool) -> Optional[Tuple[int, int]]:
+    """The node and edge counts of the graph :func:`aggregate_records`
+    builds from ``batch`` (interned into a fresh label table), without
+    building it: every label is a node, and every distinct ``(src, dst)``
+    pair of a positive-weight record is an edge.  ``None`` when only the
+    per-record loop decides the graph (a negative or NaN weight, or on a
+    bipartite graph a node on both sides), which may raise."""
+    weight = batch.weight
+    if not np.all(weight >= 0) or (
+        bipartite and np.intersect1d(batch.src, batch.dst).size
+    ):
+        return None
+    positive = weight > 0
+    pairs = (batch.src[positive].astype(np.int64) << 32) | batch.dst[positive]
+    return len(batch.labels), len(np.unique(pairs))
 
 
 class SignaturePipeline:
@@ -256,10 +262,7 @@ class SignaturePipeline:
         owned = None
         if self._given_engine is None:
             owned = self._engine = make_engine(
-                self.config.strategy,
-                jobs=self.config.jobs,
-                sketch_budget_bytes=self.config.sketch_budget_bytes,
-                seed=self.config.seed,
+                self.config.strategy, jobs=self.config.jobs, seed=self.config.seed
             )
         try:
             return self._run_observed(resume)
@@ -445,18 +448,15 @@ class SignaturePipeline:
     def _run_state(self) -> Dict:
         """The run identity stamped into the checkpoint run state.
 
-        ``contract`` separates byte-identical engines (serial/shm,
-        freely interchangeable across resumes) from the sketch tier's
-        accuracy contract — resuming one onto the other would silently
-        mix exact and approximate windows in a single run directory.  It
-        comes from the engine the run uses, not from the config.
+        Every engine is byte-identical to serial, so ``contract`` is always
+        ``"exact"``; it still refuses a resume onto the ``"sketch"``
+        checkpoints of runs made when a sketch strategy existed.
         """
-        engine = self._engine
         return {
             "scheme": self.config.scheme,
             "k": self.config.k,
             "bipartite": self.config.bipartite,
-            "contract": "exact" if engine is None or engine.exact else "sketch",
+            "contract": "exact",
         }
 
     def _check_run_state(self) -> None:
@@ -536,19 +536,23 @@ class SignaturePipeline:
         batch = RecordBatch.from_records(records, LabelTable())
         _check_labels(window, batch.labels)
         batch = batch.canonical()
-        graph = aggregate_records(batch, bipartite=self.config.bipartite)
+        budget = self.config.max_memory_cells
+        # Under a memory budget the window's cells are counted from its
+        # records, so a window over budget never builds its graph.  The
+        # windows only the per-record loop decides are built (or raise)
+        # as without a budget.
+        counts = None if budget is None else _window_counts(batch, self.config.bipartite)
+        graph = None
+        if counts is None or sum(counts) <= budget:
+            graph = aggregate_records(batch, bipartite=self.config.bipartite)
+            counts = graph.num_nodes, graph.num_edges
+        num_nodes, num_edges = counts
         mode, reason = MODE_EXACT, ""
 
-        cells = graph.num_nodes + graph.num_edges
-        if (
-            self.config.max_memory_cells is not None
-            and cells > self.config.max_memory_cells
-        ):
+        cells = num_nodes + num_edges
+        if budget is not None and cells > budget:
             mode = MODE_DEGRADED
-            reason = (
-                f"memory budget: {cells} graph cells > "
-                f"{self.config.max_memory_cells}"
-            )
+            reason = f"memory budget: {cells} graph cells > {budget}"
 
         signatures: Dict[str, Signature] = {}
         if mode == MODE_EXACT:
@@ -579,8 +583,8 @@ class SignaturePipeline:
 
         meta = {
             "num_records": len(batch),
-            "num_nodes": graph.num_nodes,
-            "num_edges": graph.num_edges,
+            "num_nodes": num_nodes,
+            "num_edges": num_edges,
             "reason": reason,
         }
         entry = self._save_window(window, signatures, meta, mode, report)
@@ -589,8 +593,8 @@ class SignaturePipeline:
                 window=window,
                 mode=mode,
                 num_records=len(batch),
-                num_nodes=graph.num_nodes,
-                num_edges=graph.num_edges,
+                num_nodes=num_nodes,
+                num_edges=num_edges,
                 num_signatures=len(signatures),
                 reason=reason,
                 checkpoint_file=entry.file,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.distances import available_distances
-from repro.core.execution import DEFAULT_BUDGET_BYTES, execution_error
+from repro.core.execution import execution_error
 from repro.exceptions import ServiceError
 
 #: Shard health states reported by ``/status``.
@@ -130,14 +130,10 @@ class ServiceConfig:
     #: shard.  ``"shm"``: a :class:`repro.parallel.shm.ShmEngine` pool
     #: (``jobs`` workers, 0 = all CPUs) — shards stop serializing graphs
     #: per recompute, and signatures are byte-identical to ``"serial"``.
-    #: ``"sketch"``: a memory-budgeted
-    #: :class:`repro.streaming.tier.SketchTierEngine` — exact signatures
-    #: for each shard's hottest sources, sketches for the tail, under an
-    #: accuracy contract instead of byte-identity.
+    #: The approximate tier is not a strategy: a shard builds it from its
+    #: ingest log only when a read needs it.
     strategy: str = "serial"
     jobs: int = 0
-    #: Byte budget of the ``"sketch"`` strategy's tier (per supervisor).
-    sketch_budget_bytes: int = DEFAULT_BUDGET_BYTES
     #: Guaranteed relative error of the per-endpoint/per-shard latency
     #: digests (see :mod:`repro.obs.digest`).  All registries that merge
     #: must agree on this value.
@@ -157,7 +153,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ServiceError(f"signature length k must be >= 1, got {self.k}")
-        error = execution_error(self.strategy, self.jobs, self.sketch_budget_bytes)
+        error = execution_error(self.strategy, self.jobs)
         if error is not None:
             raise ServiceError(error)
         if self.num_shards < 1:

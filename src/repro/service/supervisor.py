@@ -117,13 +117,9 @@ class ShardSupervisor:
         self.labels = LabelTable()
         # One compute engine for the whole fleet, rebuilt shards included:
         # shards advance sequentially from the pump thread, so one shm pool
-        # serves every shard's window recompute, and one sketch tier keeps
-        # total tier state at config.sketch_budget_bytes.
+        # serves every shard's window recompute.
         self.compute_engine = make_engine(
-            self.config.strategy,
-            jobs=self.config.jobs,
-            sketch_budget_bytes=self.config.sketch_budget_bytes,
-            seed=self.config.seed,
+            self.config.strategy, jobs=self.config.jobs, seed=self.config.seed
         )
         #: Global window index; -1 before the first bucket closes.
         self.window = -1

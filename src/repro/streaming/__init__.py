@@ -17,10 +17,6 @@ from repro.streaming.stream_schemes import (
     StreamingTopTalkers,
     StreamingUnexpectedTalkers,
 )
-from repro.streaming.tier import (
-    DEFAULT_BUDGET_BYTES,
-    SketchTierEngine,
-)
 
 __all__ = [
     "HashFamily",
@@ -30,6 +26,4 @@ __all__ = [
     "SpaceSaving",
     "StreamingTopTalkers",
     "StreamingUnexpectedTalkers",
-    "DEFAULT_BUDGET_BYTES",
-    "SketchTierEngine",
 ]

@@ -237,20 +237,8 @@ class StreamingUnexpectedTalkers(StreamingTopTalkers):
         # Self-loops are excluded from the numerator (Definition 1) by the
         # base class, but a self-loop source *does* count toward the
         # destination's in-degree — matching exact ``CommGraph.in_degree``.
-        self.note_in_degree(src, dst)
-
-    def note_in_degree(self, src: NodeId, dst: NodeId) -> None:
-        """Register ``src`` in ``dst``'s in-degree sketch without building
-        any Top-Talkers state for ``src``.
-
-        The sketch tier engine scopes per-source summaries to its tail
-        owners, but ``|I(j)|`` must still count *every* source — including
-        hot ones whose signatures are computed exactly.
-        """
         if dst not in self._indegree:
-            self._indegree[dst] = FlajoletMartin(
-                num_registers=self.fm_registers, seed=self.seed
-            )
+            self._indegree[dst] = self._empty_fm()
         self._indegree[dst].add(src)
 
     def observe_batch(self, batch) -> None:

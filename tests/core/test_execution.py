@@ -3,7 +3,8 @@
 import pytest
 
 from repro import obs
-from repro.core.execution import DEFAULT_BUDGET_BYTES, make_engine
+from repro.cli import main
+from repro.core.execution import STRATEGIES, make_engine
 from repro.core.scheme import create_scheme
 from repro.exceptions import (
     ExperimentError,
@@ -16,38 +17,27 @@ from repro.graph.comm_graph import CommGraph
 from repro.parallel.shm import ShmEngine
 from repro.pipeline import PipelineConfig
 from repro.service import ServiceConfig
-from repro.streaming.tier import SketchTierEngine
 
 
 class TestMakeEngine:
     def test_serial_is_no_engine(self):
-        assert make_engine("serial", jobs=4, sketch_budget_bytes=1 << 10) is None
+        assert make_engine("serial", jobs=4) is None
 
     def test_shm_pool_sized_by_jobs(self):
-        engine = make_engine("shm", jobs=3, sketch_budget_bytes=1 << 10)
+        engine = make_engine("shm", jobs=3)
         try:
             assert isinstance(engine, ShmEngine)
-            assert engine.exact
             assert engine.workers == 3
         finally:
             engine.close()
         assert engine.closed
 
-    def test_sketch_tier_sized_by_budget_and_seed(self):
-        engine = make_engine("sketch", jobs=3, sketch_budget_bytes=1 << 14, seed=9)
-        assert isinstance(engine, SketchTierEngine)
-        assert not engine.exact
-        assert (engine.budget_bytes, engine.seed) == (1 << 14, 9)
-        assert make_engine("sketch").budget_bytes == DEFAULT_BUDGET_BYTES
-        engine.close()
+    def test_strategies_are_serial_and_shm(self):
+        assert STRATEGIES == ("serial", "shm")
+        with pytest.raises(SchemeError, match="unknown strategy 'sketch'"):
+            make_engine("sketch")
 
-    @pytest.mark.parametrize(
-        "kwargs,match",
-        [
-            ({"jobs": -1}, "jobs"),
-            ({"sketch_budget_bytes": 0}, "sketch_budget_bytes"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs,match", [({"jobs": -1}, "jobs")])
     def test_bad_parameters_rejected(self, kwargs, match):
         with pytest.raises(SchemeError, match=match):
             make_engine("shm", **kwargs)
@@ -63,8 +53,16 @@ class TestConfigsShareTheValidator:
         ],
     )
     def test_unknown_strategy_uses_own_error_type(self, config, error):
-        with pytest.raises(error, match="unknown strategy 'teleport'"):
-            config(strategy="teleport")
+        for name in ("teleport", "sketch"):
+            with pytest.raises(error, match=f"unknown strategy '{name}'"):
+                config(strategy=name)
+
+
+def test_cli_refuses_sketch_strategy(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig5", "--scale", "small", "--strategy", "sketch"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'sketch'" in capsys.readouterr().err
 
 
 def test_every_target_counts_dirty_and_none_reused():

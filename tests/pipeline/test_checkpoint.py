@@ -259,17 +259,15 @@ class TestByteIdenticalResume:
             )
 
     def test_contract_stamp_refuses_cross_strategy_resume(self, tmp_path):
+        # Checkpoints of a run under the since-removed sketch strategy carry
+        # the "sketch" contract; an exact run must not resume onto them.
         store = CheckpointStore(tmp_path / "ckpt")
-        source = IterableRecordSource(trace_records())
-        SignaturePipeline(
-            source, store, PipelineConfig(scheme="tt", k=5, num_windows=3)
-        ).run()
-        sketch_config = PipelineConfig(
-            scheme="tt", k=5, num_windows=3, strategy="sketch"
-        )
-        with pytest.raises(Exception, match="contract"):
+        config = PipelineConfig(scheme="tt", k=5, num_windows=3)
+        SignaturePipeline(IterableRecordSource(trace_records()), store, config).run()
+        store.set_run_state({**store.run_state(), "contract": "sketch"})
+        with pytest.raises(CheckpointError, match="contract: checkpoint has 'sketch'"):
             SignaturePipeline(
                 IterableRecordSource(trace_records()),
                 CheckpointStore(tmp_path / "ckpt"),
-                sketch_config,
+                config,
             ).run(resume=True)

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheme import create_scheme
-from repro.exceptions import StreamingError
+from repro.exceptions import GraphError, StreamingError
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import canonical_order
 from repro.pipeline import CheckpointStore, IterableRecordSource, PipelineConfig, SignaturePipeline
+from repro.pipeline import runner
 from repro.pipeline.report import MODE_DEGRADED
 from repro.streaming.stream_schemes import streaming_builder
 
@@ -94,6 +95,39 @@ class TestDegradedWindowsEqualObserveLoop:
             result = run(list(reversed(records)), config)
             assert result.report.degraded_windows == [0]
             assert result.signatures[0] == reference(records, config)
+
+
+class TestMemoryBudgetCountsRecords:
+    """The memory budget is checked against the window's records, before
+    any graph is built, and counts the cells that graph would hold."""
+
+    def test_over_budget_window_builds_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window over its memory budget built its graph")
+
+        monkeypatch.setattr(runner, "aggregate_records", refuse)
+        records = [EdgeRecord(0.0, "a", "x", 2.0), EdgeRecord(0.0, "b", "x", 1.0)]
+        result = run(records, PipelineConfig(scheme="tt", k=3, max_memory_cells=1))
+        assert result.report.degraded_windows == [0]
+        assert (result.report.windows[0].num_nodes, result.report.windows[0].num_edges) == (3, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=trace(bipartite=False))
+    def test_counts_match_the_graph(self, records):
+        # Zero weights and self-loops included: the degraded window reports
+        # the node and edge counts of the graph an exact window builds.
+        def counts(result):
+            return [(w.num_nodes, w.num_edges) for w in result.report.windows]
+
+        exact = run(records, PipelineConfig(scheme="tt", k=3))
+        degraded = run(records, PipelineConfig(scheme="tt", k=3, max_memory_cells=1))
+        assert counts(degraded) == counts(exact)
+
+    def test_bipartite_orientation_break_fails_under_a_budget(self):
+        records = [EdgeRecord(0.0, "a", "b", 1.0), EdgeRecord(0.0, "b", "c", 1.0)]
+        config = PipelineConfig(k=3, bipartite=True, max_memory_cells=1)
+        with pytest.raises(GraphError, match="V1 -> V2"):
+            run(records, config)
 
 
 class TestEqualLabelsShareOneColumn:

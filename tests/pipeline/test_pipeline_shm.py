@@ -120,15 +120,13 @@ class TestPipelineShmStrategy:
             for sigs in result.signatures
         ] == serial
 
-    def test_injected_engine_decides_contract(self, trace, tmp_path):
+    def test_shm_stamps_exact_contract(self, trace, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt-contract")
-        with ShmEngine(jobs=1) as engine:
-            SignaturePipeline(
-                CsvRecordSource(str(trace)),
-                store,
-                PipelineConfig(k=5, window_length=100.0, strategy="sketch"),
-                engine=engine,
-            ).run()
+        SignaturePipeline(
+            CsvRecordSource(str(trace)),
+            store,
+            PipelineConfig(k=5, window_length=100.0, strategy="shm", jobs=1),
+        ).run()
         assert store.run_state()["contract"] == "exact"
 
     def test_unknown_strategy_rejected(self):

@@ -14,7 +14,7 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.graph.batch import RecordBatch
 from repro.graph.stream import EdgeRecord
-from repro.parallel.shm import active_segment_names
+from repro.parallel.shm import ShmEngine, active_segment_names
 from repro.service import ServiceConfig, ShardSupervisor, SignatureService
 
 
@@ -83,6 +83,16 @@ class TestServiceShmStrategy:
         service = SignatureService(config)
         service.close()
         service.close()
+
+    def test_fleet_shares_one_engine(self):
+        service = SignatureService(ServiceConfig(strategy="shm", jobs=1))
+        try:
+            supervisor = service.supervisor
+            assert isinstance(supervisor.compute_engine, ShmEngine)
+            for state in supervisor.shards:
+                assert state.engine.compute_engine is supervisor.compute_engine
+        finally:
+            service.close()
 
     def test_rebuild_uses_shared_pool(self):
         config = ServiceConfig(

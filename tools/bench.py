@@ -3,7 +3,7 @@
 
 - ``kernels``: scalar vs batch distance kernels through the same call sites
 - ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
-- ``sketch``: sketch-tier accuracy-vs-memory curve
+- ``sketch``: accuracy and state of the degraded tier (``sketch_window``) against exact
 - ``service_slo``: seeded load through the in-process service: latency, digests, SLOs, traces
 - ``history``: indexed vs brute-force history-store lookalike queries, and compaction
 
@@ -64,15 +64,15 @@ HISTORY_GATE_ROWS = 100_000
 MIN_SHM_SPEEDUP = 2.0
 SHM_GATE_WORKERS = 4
 
-#: Sketch-tier acceptance gates, both evaluated at the tier's default
-#: budget on the full-mode trace: mean top-k overlap with the exact
-#: signatures, and how far tier state sits below the exact graph's
-#: adjacency (both sides priced at HOT_ENTRY_BYTES per entry, so the
-#: ratio compares like with like).  The trace must reach
-#: MIN_SKETCH_GRAPH_NODES graph nodes for the memory ratio to mean much.
+#: Degraded-tier acceptance gates: every ``sketch_window`` row (TT and UT,
+#: both windows, default sizing) keeps a mean top-k overlap with the exact
+#: signatures of at least MIN_SKETCH_OVERLAP, in quick and full mode; the
+#: full-mode trace must reach MIN_SKETCH_GRAPH_NODES graph nodes per window.
 MIN_SKETCH_OVERLAP = 0.9
-MIN_SKETCH_MEMORY_RATIO = 4.0
 MIN_SKETCH_GRAPH_NODES = 100_000
+#: Price of one exact graph cell (node or adjacency entry) in
+#: ``exact_bytes``: a node key plus a weight in a compact map.
+EXACT_CELL_BYTES = 16
 
 #: Service-SLO stage gate: a LatencyDigest built from the load run's exact
 #: latencies must land every reported quantile within its advertised
@@ -503,11 +503,9 @@ def sketch_trace(quick: bool):
     """A two-window enterprise trace plus scanner hosts.
 
     Full mode pushes the destination universe past 100k distinct graph
-    nodes per window — the regime the budgeted tier exists for (exact
-    per-source state tracks the universe; tier state tracks the budget).
-    The mix is deliberate: ~400 repeat-talker hosts the hot-set knapsack
-    can cover exactly, plus 20 scanners whose sprayed probes carry the
-    bulk of the distinct-node mass and land in the sketched tail.
+    nodes per window — the regime a memory-degraded window is in.  The
+    mix is deliberate: ~400 repeat-talker hosts, plus 20 scanners whose
+    sprayed probes carry the bulk of the distinct-node mass.
     """
     from repro.datasets.enterprise import EnterpriseFlowGenerator, EnterpriseParams
 
@@ -538,129 +536,100 @@ def sketch_trace(quick: bool):
     )
 
 
-def _mean_topk_overlap(exact: dict, approx: dict, hosts) -> float:
-    overlaps = [
-        len(exact[h].nodes & approx[h].nodes) / len(exact[h].nodes)
-        for h in hosts
-        if exact[h].nodes
-    ]
-    return sum(overlaps) / len(overlaps) if overlaps else 1.0
+def _window_batch(graph):
+    """One canonical :class:`RecordBatch` with one record per graph edge,
+    the records a degraded window sketches."""
+    from repro.graph.batch import LabelTable, RecordBatch
+    from repro.graph.stream import EdgeRecord
+
+    records = [EdgeRecord(0.0, src, dst, weight) for src, dst, weight in graph.edges()]
+    return RecordBatch.from_records(records, LabelTable()).canonical()
 
 
-def _persistence_map(now: dict, prev: dict, hosts) -> dict:
-    from repro.core.distances import get_distance
+def bench_sketch_accuracy(data, repeats: int):
+    """``sketch_window`` against exact ``compute_all``, per scheme and window.
 
-    sdice = get_distance("sdice")
-    return {
-        h: 1.0 - sdice(prev[h], now[h])
-        for h in hosts
-        if h in now and h in prev
-    }
-
-
-def bench_sketch_accuracy(data, budgets, repeats: int):
-    """Top-k overlap / persistence error / bytes across the budget curve.
-
-    Returns the rows and the trace facts the gates need.  The exact side
-    is priced at the tier's own HOT_ENTRY_BYTES per adjacency entry, so
-    the memory ratio compares idealized-compact state on both sides
-    rather than flattering the sketch with Python dict overheads.
+    Both schemes run at the pipeline's default sizing (k = 10,
+    ``streaming_epsilon``, ``streaming_delta``, ``seed``).  A row holds the
+    mean top-k overlap and mean SHel distance of the sketched signatures
+    of the trace's hosts to the exact ones, the sketch state
+    (``memory_cells() * 8`` bytes), the exact graph priced at
+    EXACT_CELL_BYTES per cell, and the best ``sketch_window`` wall time.
+    Returns the rows and the trace facts the gates need.
     """
+    from repro.core.distances import get_distance
     from repro.core.scheme import create_scheme
-    from repro.streaming.tier import (
-        DEFAULT_BUDGET_BYTES,
-        HOT_ENTRY_BYTES,
-        SketchTierEngine,
-    )
+    from repro.pipeline import PipelineConfig
+    from repro.streaming.stream_schemes import sketch_window
 
-    graph_now, graph_next = data.graphs.graphs[0], data.graphs.graphs[1]
+    defaults = PipelineConfig()
+    sizing = {
+        "k": defaults.k,
+        "epsilon": defaults.streaming_epsilon,
+        "delta": defaults.streaming_delta,
+        "seed": defaults.seed,
+    }
+    shel = get_distance("shel")
     hosts = data.local_hosts
-    scheme = create_scheme("tt", k=10)
-    exact_now = scheme.compute_all(graph_now, hosts)
-    exact_next = scheme.compute_all(graph_next, hosts)
-    exact_persistence = _persistence_map(exact_next, exact_now, hosts)
-    exact_bytes = (graph_now.num_nodes + graph_now.num_edges) * HOT_ENTRY_BYTES
-
+    graphs = data.graphs.graphs[:2]
+    batches = [_window_batch(graph) for graph in graphs]
     rows = []
-    for budget in budgets:
-        engine = SketchTierEngine(budget_bytes=budget, seed=3)
-        wall, approx_now = timed(
-            lambda: scheme.compute_all(graph_now, hosts, engine=engine),
-            repeats=repeats,
-        )
-        stats = dict(engine.last_stats)
-        approx_next = scheme.compute_all(graph_next, hosts, engine=engine)
-        overlap = (
-            _mean_topk_overlap(exact_now, approx_now, hosts)
-            + _mean_topk_overlap(exact_next, approx_next, hosts)
-        ) / 2.0
-        approx_persistence = _persistence_map(approx_next, approx_now, hosts)
-        errors = [
-            abs(exact_persistence[h] - approx_persistence[h])
-            for h in exact_persistence
-            if h in approx_persistence
-        ]
-        row = {
-            "op": "sketch_accuracy_vs_memory",
-            "budget_bytes": budget,
-            "bytes_used": int(stats["bytes_used"]),
-            "hot_nodes": int(stats["hot_nodes"]),
-            "tail_nodes": int(stats["tail_nodes"]),
-            "cm_width": int(stats["cm_width"]),
-            "topk_overlap": round(overlap, 4),
-            "persistence_mae": round(
-                sum(errors) / len(errors) if errors else 0.0, 4
-            ),
-            "exact_bytes": exact_bytes,
-            "memory_ratio_vs_exact": round(exact_bytes / stats["bytes_used"], 2),
-            "wall_s": round(wall, 6),
-            "is_default_budget": budget == DEFAULT_BUDGET_BYTES,
-        }
-        rows.append(row)
+    for name in ("tt", "ut"):
+        scheme = create_scheme(name, k=defaults.k)
+        for window, (graph, batch) in enumerate(zip(graphs, batches)):
+            exact = scheme.compute_all(graph, hosts)
+            wall, builder = timed(
+                lambda: sketch_window(name, [batch], **sizing), repeats=repeats
+            )
+            scored = [host for host in hosts if exact[host].nodes]
+            approx = {host: builder.signature(host) for host in scored}
+            overlaps = [
+                len(exact[h].nodes & approx[h].nodes) / len(exact[h].nodes)
+                for h in scored
+            ]
+            distances = [shel(exact[h], approx[h]) for h in scored]
+            rows.append(
+                {
+                    "op": "sketch_window_vs_exact",
+                    "scheme": name,
+                    "window": window,
+                    "topk_overlap": round(sum(overlaps) / len(overlaps), 4),
+                    "mean_shel": round(sum(distances) / len(distances), 4),
+                    "state_bytes": builder.memory_cells() * 8,
+                    "exact_bytes": (graph.num_nodes + graph.num_edges) * EXACT_CELL_BYTES,
+                    "wall_s": round(wall, 6),
+                }
+            )
+    graph = graphs[0]
     trace = {
         "hosts": len(hosts),
-        "graph_nodes": graph_now.num_nodes,
-        "graph_edges": graph_now.num_edges,
-        "exact_bytes": exact_bytes,
+        "graph_nodes": graph.num_nodes,
+        "graph_edges": graph.num_edges,
+        "exact_bytes": (graph.num_nodes + graph.num_edges) * EXACT_CELL_BYTES,
     }
-    return rows, trace
+    return rows, trace, sizing
 
 
 def sketch_stage(args):
-    from repro.streaming.tier import DEFAULT_BUDGET_BYTES
-
     repeats = 1 if args.quick else 2
-    budgets = (
-        (1 << 14, 1 << 17, DEFAULT_BUDGET_BYTES)
-        if args.quick
-        else (1 << 16, 1 << 18, 1 << 20, DEFAULT_BUDGET_BYTES, 1 << 22)
-    )
-    rows, trace = bench_sketch_accuracy(sketch_trace(args.quick), budgets, repeats)
-    default = next(row for row in rows if row["is_default_budget"])
+    rows, trace, sizing = bench_sketch_accuracy(sketch_trace(args.quick), repeats)
 
-    failures = []
-    if not args.quick:
-        if trace["graph_nodes"] < MIN_SKETCH_GRAPH_NODES:
-            failures.append(
-                f"trace too small for the memory gate: {trace['graph_nodes']} "
-                f"graph nodes < {MIN_SKETCH_GRAPH_NODES}"
-            )
-        if default["topk_overlap"] < MIN_SKETCH_OVERLAP:
-            failures.append(
-                f"top-k overlap {default['topk_overlap']} < "
-                f"{MIN_SKETCH_OVERLAP} at the default budget"
-            )
-        if default["memory_ratio_vs_exact"] < MIN_SKETCH_MEMORY_RATIO:
-            failures.append(
-                f"memory ratio {default['memory_ratio_vs_exact']}x < "
-                f"{MIN_SKETCH_MEMORY_RATIO}x at the default budget"
-            )
+    failures = [
+        f"{row['scheme']} window {row['window']}: top-k overlap "
+        f"{row['topk_overlap']} < {MIN_SKETCH_OVERLAP}"
+        for row in rows
+        if row["topk_overlap"] < MIN_SKETCH_OVERLAP
+    ]
+    if not args.quick and trace["graph_nodes"] < MIN_SKETCH_GRAPH_NODES:
+        failures.append(
+            f"trace too small: {trace['graph_nodes']} graph nodes < "
+            f"{MIN_SKETCH_GRAPH_NODES}"
+        )
     fields = {
         "trace": trace,
+        "sizing": sizing,
         "gate": {
-            "default_budget_bytes": DEFAULT_BUDGET_BYTES,
             "min_topk_overlap": MIN_SKETCH_OVERLAP,
-            "min_memory_ratio": MIN_SKETCH_MEMORY_RATIO,
             "min_graph_nodes": MIN_SKETCH_GRAPH_NODES,
         },
         "results": rows,
@@ -983,7 +952,7 @@ class Stage(NamedTuple):
 STAGES = {
     "kernels": Stage("distance_kernels", kernels_stage),
     "shm": Stage("shared_memory", shm_stage, ("shm.",)),
-    "sketch": Stage("sketch_tier", sketch_stage, ("sketch.",)),
+    "sketch": Stage("sketch_tier", sketch_stage),
     "service_slo": Stage("service_slo", service_slo_stage),
     "history": Stage("history_store", history_stage),
 }
