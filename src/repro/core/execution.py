@@ -57,13 +57,11 @@ def execution_error(strategy: str, jobs: int) -> Optional[str]:
     return None
 
 
-def make_engine(
-    strategy: str, *, jobs: int = 0, seed: int = 0
-) -> Optional[ComputeEngine]:
+def make_engine(strategy: str, *, jobs: int = 0) -> Optional[ComputeEngine]:
     """The engine a strategy names: ``None`` for ``"serial"``, a
     :class:`~repro.parallel.shm.ShmEngine` of ``jobs`` workers (0 = all
-    CPUs) for ``"shm"``.  Parameters the strategy does not use are
-    ignored.  The caller owns the result and closes it.
+    CPUs) for ``"shm"``; ``"serial"`` ignores ``jobs``.  The caller owns
+    the result and closes it.
     """
     error = execution_error(strategy, jobs)
     if error is not None:

@@ -262,7 +262,7 @@ class SignaturePipeline:
         owned = None
         if self._given_engine is None:
             owned = self._engine = make_engine(
-                self.config.strategy, jobs=self.config.jobs, seed=self.config.seed
+                self.config.strategy, jobs=self.config.jobs
             )
         try:
             return self._run_observed(resume)

@@ -51,15 +51,6 @@ from repro.service.frontend import (
     service_objectives,
 )
 from repro.service.http import ServiceServer, SignatureService
-from repro.service.loadgen import (
-    LoadGenerator,
-    LoadProfile,
-    LoadReport,
-    PlannedRequest,
-    build_schedule,
-    exact_quantile,
-    synthetic_records,
-)
 from repro.service.shard import ShardEngine, SketchTier
 from repro.service.supervisor import ShardState, ShardSupervisor
 
@@ -73,10 +64,6 @@ __all__ = [
     "HEALTH_HEALTHY",
     "HEALTH_STATES",
     "KillShard",
-    "LoadGenerator",
-    "LoadProfile",
-    "LoadReport",
-    "PlannedRequest",
     "STATE_CLOSED",
     "STATE_CODES",
     "STATE_HALF_OPEN",
@@ -91,11 +78,8 @@ __all__ = [
     "SignatureService",
     "SketchTier",
     "WedgeShard",
-    "build_schedule",
     "corrupt_checkpoint",
-    "exact_quantile",
     "parse_ingest_body",
     "query_storm",
     "service_objectives",
-    "synthetic_records",
 ]

@@ -44,7 +44,6 @@ class CircuitBreaker:
         name: str = "breaker",
         clock: Callable[[], float] = time.monotonic,
         registry=None,
-        digest_relative_accuracy: float | None = None,
     ) -> None:
         self.policy = policy or BreakerPolicy()
         self.name = name
@@ -60,16 +59,8 @@ class CircuitBreaker:
         # Observability exports (no-ops on the null registry): guarded-call
         # latencies by outcome, the state as a gauge, refusals as a counter.
         registry = registry if registry is not None else obs.NULL_REGISTRY
-        self._success_digest = registry.digest(
-            "breaker.latency_s",
-            relative_accuracy=digest_relative_accuracy,
-            outcome="success",
-        )
-        self._failure_digest = registry.digest(
-            "breaker.latency_s",
-            relative_accuracy=digest_relative_accuracy,
-            outcome="failure",
-        )
+        self._success_digest = registry.digest("breaker.latency_s", outcome="success")
+        self._failure_digest = registry.digest("breaker.latency_s", outcome="failure")
         self._state_gauge = registry.gauge("breaker.state")
         self._refusals = registry.counter("breaker.refusals")
         self._state_gauge.set(STATE_CODES[STATE_CLOSED])

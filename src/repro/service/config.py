@@ -134,10 +134,6 @@ class ServiceConfig:
     #: ingest log only when a read needs it.
     strategy: str = "serial"
     jobs: int = 0
-    #: Guaranteed relative error of the per-endpoint/per-shard latency
-    #: digests (see :mod:`repro.obs.digest`).  All registries that merge
-    #: must agree on this value.
-    digest_relative_accuracy: float = 0.01
     #: How many finished request traces ``GET /trace/<id>`` can look up.
     trace_store_size: int = 256
     #: Rolling windows (seconds) for SLO burn-rate evaluation.
@@ -197,11 +193,6 @@ class ServiceConfig:
         if not 0 <= self.anomaly_threshold <= 1:
             raise ServiceError(
                 f"anomaly_threshold must be in [0, 1], got {self.anomaly_threshold}"
-            )
-        if not 0 < self.digest_relative_accuracy < 1:
-            raise ServiceError(
-                f"digest_relative_accuracy must be in (0, 1), "
-                f"got {self.digest_relative_accuracy}"
             )
         if self.trace_store_size < 1:
             raise ServiceError(

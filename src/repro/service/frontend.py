@@ -192,9 +192,7 @@ class ServiceFrontend:
         instrument = self._latency_digests.get(endpoint)
         if instrument is None:
             instrument = self._latency_digests[endpoint] = self.registry.digest(
-                "service.latency_s",
-                relative_accuracy=self.config.digest_relative_accuracy,
-                endpoint=endpoint,
+                "service.latency_s", endpoint=endpoint
             )
         return instrument
 
@@ -755,13 +753,13 @@ class ServiceFrontend:
     def merged_snapshot(self) -> Dict:
         """Frontend + all shard registries as one snapshot.
 
-        This is the fleet-wide view ``/metrics`` exports and the bench
-        harness reads: per-shard digests fold together exactly like
-        counters (``breaker.latency_s`` keeps its per-shard label, so both
-        the per-shard and the cross-shard views are derivable).  It also
-        sets two gauges of ingest memory: ``service.labels``, the distinct
-        labels interned, and ``service.ingest_log_bytes``, the column bytes
-        the shards' ingest logs hold.
+        This is the fleet-wide view ``/metrics`` exports: per-shard
+        digests fold together exactly like counters (``breaker.latency_s``
+        keeps its per-shard label, so both the per-shard and the
+        cross-shard views are derivable).  It also sets two gauges of
+        ingest memory: ``service.labels``, the distinct labels interned,
+        and ``service.ingest_log_bytes``, the column bytes the shards'
+        ingest logs hold.
         """
         self.registry.gauge("service.labels").set(len(self.supervisor.labels))
         self.registry.gauge("service.ingest_log_bytes").set(

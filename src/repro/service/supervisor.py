@@ -118,9 +118,7 @@ class ShardSupervisor:
         # One compute engine for the whole fleet, rebuilt shards included:
         # shards advance sequentially from the pump thread, so one shm pool
         # serves every shard's window recompute.
-        self.compute_engine = make_engine(
-            self.config.strategy, jobs=self.config.jobs, seed=self.config.seed
-        )
+        self.compute_engine = make_engine(self.config.strategy, jobs=self.config.jobs)
         #: Global window index; -1 before the first bucket closes.
         self.window = -1
         self.shards: List[ShardState] = [
@@ -179,7 +177,6 @@ class ShardSupervisor:
                 name=f"shard-{shard_id}",
                 clock=self._clock,
                 registry=registry,
-                digest_relative_accuracy=self.config.digest_relative_accuracy,
             ),
             registry=registry,
             store=store,

@@ -4,10 +4,13 @@ The design claim under test (see :mod:`repro.service.http`): all shard
 mutation happens on the single pump thread, so any number of reader
 threads see *consistent snapshots* — a signature response is always one
 complete window's signature (never a half-built dict), and ``/status``
-never reports an impossible state.
+never reports an impossible state.  A seeded mixed load over the four
+data-plane endpoints keeps ``/slo`` and ``/metrics`` consistent for a
+concurrent scraper, and every request it makes leaves a resolvable trace.
 """
 
 import json
+import random
 import sys
 import threading
 import time
@@ -17,6 +20,7 @@ import pytest
 from repro.service import KillShard, SignatureService, SketchTier
 
 HEALTHS = {"HEALTHY", "DEGRADED", "DOWN"}
+ENDPOINTS = ("signature", "similar", "anomaly", "ingest")
 
 
 @pytest.fixture
@@ -74,6 +78,32 @@ def check_response(path, status, body, seen_windows):
         for dst, weight in document["signature"].items():
             if not isinstance(dst, str) or not isinstance(weight, (int, float)):
                 raise AssertionError(f"malformed entry {dst!r}: {weight!r}")
+
+
+def mixed_load(service, requests, seed):
+    """``requests`` seeded calls to ``respond`` spread over :data:`ENDPOINTS`,
+    pumping after each ingest; returns ``(endpoint, status, headers)`` each."""
+    rng = random.Random(seed)
+    answers = []
+    for index in range(requests):
+        endpoint = rng.choice(ENDPOINTS)
+        node = f"h{rng.randrange(12)}"
+        if endpoint == "ingest":
+            rows = [
+                [10_000.0 + 8 * index + offset, node,
+                 f"h{rng.randrange(12)}", float(1 + rng.randrange(4))]
+                for offset in range(8)
+            ]
+            status, headers, _body = service.respond(
+                "POST", "/ingest", json.dumps({"records": rows})
+            )
+            service.pump()
+        elif endpoint == "similar":
+            status, headers, _body = service.respond("GET", f"/similar/{node}?k=3")
+        else:
+            status, headers, _body = service.respond("GET", f"/{endpoint}/{node}")
+        answers.append((endpoint, status, headers))
+    return answers
 
 
 class RecordingKill(KillShard):
@@ -205,6 +235,61 @@ class TestConcurrentReads:
             service.stop_pump(drain=True)
         assert not failures, failures
         assert service.supervisor.window == 11
+
+
+class TestMixedLoad:
+    def test_concurrent_slo_scrapes_during_load(self, service):
+        """``/slo`` and ``/metrics`` stay consistent while the mixed load
+        runs on another thread."""
+        errors = []
+        done = threading.Event()
+
+        def scrape():
+            while not done.is_set():
+                try:
+                    status, _headers, body = service.respond("GET", "/slo")
+                    assert status == 200
+                    for entry in json.loads(body)["objectives"]:
+                        assert entry["verdict"] in ("pass", "fail")
+                        for window in entry["windows"]:
+                            assert window["bad"] <= window["total"]
+                    assert service.respond("GET", "/metrics")[0] == 200
+                except Exception as error:  # noqa: BLE001 - collected below
+                    errors.append(error)
+                    return
+
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        try:
+            answers = mixed_load(service, 150, seed=11)
+        finally:
+            done.set()
+            scraper.join(timeout=10.0)
+            service.close()
+        assert not scraper.is_alive()
+        assert errors == []
+        assert len(answers) == 150
+
+    @pytest.mark.parametrize("endpoint", ENDPOINTS)
+    def test_every_request_trace_resolves(self, service, endpoint):
+        """The mixed load never 5xxs, and each ``endpoint`` response's
+        ``X-Trace-Id`` resolves at ``/trace/<id>`` to its request's tree."""
+        try:
+            answers = mixed_load(service, 120, seed=2)
+            assert [answer for answer in answers if answer[1] >= 500] == []
+            traced = [headers for name, _s, headers in answers if name == endpoint]
+            assert traced
+            for headers in traced:
+                status, _headers, body = service.respond(
+                    "GET", f"/trace/{headers['X-Trace-Id']}"
+                )
+                assert status == 200
+                trace = json.loads(body)
+                assert trace["request_id"] == headers["X-Request-Id"]
+                assert trace["spans"]["name"] == "service.request"
+                assert trace["spans"]["attrs"]["endpoint"] == f"/{endpoint}"
+        finally:
+            service.close()
 
 
 class TestPumpThread:

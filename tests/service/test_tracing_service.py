@@ -3,10 +3,13 @@ and out, span trees for scatter-gather, /trace and /slo endpoints, breaker
 digests in /metrics."""
 
 import json
+import math
+import random
 
 import pytest
 
 from repro import obs
+from repro.obs.digest import DEFAULT_RELATIVE_ACCURACY, EXPORT_QUANTILES
 from repro.graph.batch import RecordBatch
 from repro.service import (
     ServiceConfig,
@@ -157,7 +160,9 @@ class TestSLOEndpoint:
         similar = entries["similar-p99"]
         assert similar["endpoint"] == "/similar"
         assert similar["windows"][0]["total"] == 10
-        assert "burn_rate" in similar
+        for entry in report["objectives"]:
+            assert entry["verdict"] in ("pass", "fail"), entry["name"]
+            assert "burn_rate" in entry, entry["name"]
         assert report["alerts_firing"] == []
 
     def test_five_hundreds_burn_availability_budget(
@@ -209,7 +214,10 @@ class TestBreakerDigests:
         ]
         shards = {labels["shard"] for labels, _state in breaker}
         assert shards == {"0", "1", "2"}
-        assert sum(state["count"] for _labels, state in breaker) > 0
+        # The cross-shard view folds the per-shard digests losslessly.
+        merged = obs.merge_digest_states(state for _labels, state in breaker)
+        assert merged.count == sum(state["count"] for _labels, state in breaker)
+        assert merged.count > 0
         gauges = {
             (name, labels.get("shard")): value
             for name, labels, value in snapshot["gauges"]
@@ -241,6 +249,47 @@ class TestBreakerDigests:
         _status, _headers, text = frontend.respond("GET", "/metrics")
         assert obs.validate_prometheus(text) == []
         assert 'repro_service_latency_s{endpoint="/similar",quantile="0.99"}' in text
+
+
+class TestLatencyDigests:
+    def test_signature_quantiles_within_relative_accuracy(
+        self, small_config, records_factory, clock
+    ):
+        """Each exported ``/signature`` quantile lies within the digest's
+        relative accuracy of the exact order statistic it targets.
+
+        Every exact query stalls the manual clock by a seeded lognormal
+        delay and nothing else moves it, so each request's latency is
+        known exactly."""
+        supervisor, frontend = build(small_config, clock)
+        fill(frontend, records_factory)
+        rng = random.Random(23)
+        latencies = []
+
+        def stall():
+            started = clock()
+            clock.advance(rng.lognormvariate(math.log(0.005), 1.0))
+            latencies.append(clock() - started)
+
+        for shard in range(small_config.num_shards):
+            supervisor.install_injector(
+                shard, WedgeShard(from_window=-1, stall=stall)
+            )
+        for _ in range(400):
+            frontend.respond("GET", f"/signature/h{rng.randrange(12)}")
+        (state,) = [
+            state
+            for name, labels, state in frontend.merged_snapshot()["digests"]
+            if name == "service.latency_s" and labels["endpoint"] == "/signature"
+        ]
+        digest = obs.LatencyDigest.from_dict(state)
+        exact = sorted(latencies)
+        assert digest.count == len(exact) == 400
+        assert (digest.min, digest.max) == (exact[0], exact[-1])
+        for q in EXPORT_QUANTILES:
+            truth = exact[math.ceil(q * (len(exact) - 1))]
+            error = abs(digest.quantile(q) - truth) / truth
+            assert error <= DEFAULT_RELATIVE_ACCURACY, (q, error)
 
 
 class TestEventLogCorrelation:

@@ -19,7 +19,6 @@ QUICK_DIR = REPO_ROOT / "benchmarks" / "perf" / "quick"
 RECORDS = {
     "kernels": "distance_kernels",
     "sketch": "sketch_tier",
-    "service_slo": "service_slo",
     "history": "history_store",
 }
 

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
-"""Perf regression harness: five gated bench stages over one driver.
+"""Perf regression harness: four gated bench stages run by one ``run_stage``.
 
 - ``kernels``: scalar vs batch distance kernels through the same call sites
 - ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
 - ``sketch``: accuracy and state of the degraded tier (``sketch_window``) against exact
-- ``service_slo``: seeded load through the in-process service: latency, digests, SLOs, traces
 - ``history``: indexed vs brute-force history-store lookalike queries, and compaction
 
 A full run writes ``benchmarks/perf/BENCH_<benchmark>.json`` and mirrors it
@@ -73,11 +72,6 @@ MIN_SKETCH_GRAPH_NODES = 100_000
 #: Price of one exact graph cell (node or adjacency entry) in
 #: ``exact_bytes``: a node key plus a weight in a compact map.
 EXACT_CELL_BYTES = 16
-
-#: Service-SLO stage gate: a LatencyDigest built from the load run's exact
-#: latencies must land every reported quantile within its advertised
-#: relative accuracy of the true order statistic (plus float slop).
-DIGEST_ERROR_SLOP = 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -638,138 +632,6 @@ def sketch_stage(args):
 
 
 # ----------------------------------------------------------------------
-# service_slo
-# ----------------------------------------------------------------------
-def service_slo_stage(args):
-    from repro.obs.digest import (
-        EXPORT_QUANTILES,
-        merge_digest_states,
-        quantile_from_state,
-    )
-    from repro.service import (
-        LoadGenerator,
-        LoadProfile,
-        ServiceConfig,
-        SignatureService,
-        exact_quantile,
-    )
-
-    if args.quick:
-        config = ServiceConfig(num_shards=2, window_records=64)
-        profile = LoadProfile(requests=200, warmup_records=256, seed=0)
-    else:
-        config = ServiceConfig(num_shards=4, window_records=128)
-        profile = LoadProfile(requests=2000, warmup_records=1024, seed=0)
-
-    service = SignatureService(config)
-    failures = []
-    try:
-        report = LoadGenerator(service, profile).run()
-        summary = report.endpoint_summary()
-
-        # Digest accuracy gate: replay each endpoint's exact measured
-        # latencies through a fresh digest and demand every exported
-        # quantile lands within the advertised relative accuracy of the
-        # true order statistic.
-        alpha = config.digest_relative_accuracy
-        digest_checks = []
-        for kind, values in sorted(report.latencies.items()):
-            digest = obs.LatencyDigest(alpha)
-            digest.observe_many(values)
-            for q in EXPORT_QUANTILES:
-                exact = exact_quantile(values, q)
-                estimate = digest.quantile(q)
-                rel_error = abs(estimate - exact) / exact if exact else 0.0
-                digest_checks.append(
-                    {
-                        "endpoint": kind,
-                        "quantile": q,
-                        "exact_s": exact,
-                        "digest_s": estimate,
-                        "rel_error": rel_error,
-                    }
-                )
-                if rel_error > alpha + DIGEST_ERROR_SLOP:
-                    failures.append(
-                        f"digest p{int(q * 100)} for {kind} off by "
-                        f"{rel_error:.4f} > alpha {alpha}"
-                    )
-
-        # The service's own merged view: the cross-shard fold of the
-        # per-shard breaker digests (merged exactly like counters).
-        breaker_states = [
-            state
-            for name, labels, state in report.snapshot.get("digests", [])
-            if name == "breaker.latency_s" and labels.get("outcome") == "success"
-        ]
-        cross_shard = merge_digest_states(breaker_states)
-        if cross_shard.count == 0:
-            failures.append("no cross-shard breaker latency samples to merge")
-
-        # SLO verdicts must exist and carry burn rates.
-        objectives = report.slo_report.get("objectives", [])
-        if not objectives:
-            failures.append("/slo returned no objectives")
-        for objective in objectives:
-            if "verdict" not in objective or "burn_rate" not in objective:
-                failures.append(
-                    f"objective {objective.get('name')} missing verdict/burn_rate"
-                )
-
-        # Trace round-trip: a real /similar scatter-gather must come back
-        # from /trace/<id> as a frontend -> shard span tree.
-        status, headers, _body = service.respond("GET", "/similar/h1?k=3")
-        trace_id = headers.get("X-Trace-Id", "")
-        t_status, _t_headers, t_body = service.respond("GET", f"/trace/{trace_id}")
-        trace_check = {"trace_id": trace_id, "status": t_status, "spans": None}
-        if t_status != 200:
-            failures.append(f"/trace/{trace_id} returned {t_status}")
-        else:
-            spans = json.loads(t_body).get("spans") or {}
-            child_names = {c["name"] for c in spans.get("children", [])}
-            trace_check["spans"] = spans
-            if spans.get("name") != "service.request":
-                failures.append("trace root span is not service.request")
-            if status == 200 and "similar.gather" not in child_names:
-                failures.append(
-                    f"similar trace has no shard gather spans: {child_names}"
-                )
-    finally:
-        service.close()
-
-    fields = {
-        "config": {
-            "num_shards": config.num_shards,
-            "window_records": config.window_records,
-            "digest_relative_accuracy": config.digest_relative_accuracy,
-            "slo_similar_p99_s": config.slo_similar_p99_s,
-            "slo_availability": config.slo_availability,
-        },
-        "profile": profile.to_dict(),
-        "duration_s": report.duration_s,
-        "endpoints": summary,
-        "digest_checks": digest_checks,
-        "cross_shard_breaker_latency": {
-            "shards_merged": len(breaker_states),
-            "count": cross_shard.count,
-            **{
-                f"p{int(q * 100)}_s": cross_shard.quantile(q)
-                for q in EXPORT_QUANTILES
-            },
-        },
-        "slo": report.slo_report,
-        "sample_traces": dict(report.sample_traces),
-        "trace_roundtrip": trace_check,
-        "gate": {
-            "max_digest_rel_error": config.digest_relative_accuracy
-            + DIGEST_ERROR_SLOP,
-        },
-    }
-    rows = [{"endpoint": kind, **entry} for kind, entry in summary.items()]
-    return fields, rows + objectives, failures
-
-
-# ----------------------------------------------------------------------
 # history
 # ----------------------------------------------------------------------
 def _history_population(num_windows: int, owners_per_window: int, seed: int):
@@ -953,7 +815,6 @@ STAGES = {
     "kernels": Stage("distance_kernels", kernels_stage),
     "shm": Stage("shared_memory", shm_stage, ("shm.",)),
     "sketch": Stage("sketch_tier", sketch_stage),
-    "service_slo": Stage("service_slo", service_slo_stage),
     "history": Stage("history_store", history_stage),
 }
 
