@@ -3,7 +3,8 @@
 Section VI leaves scalable RWR computation open; the push algorithm
 answers it with per-query work independent of |V|.  Measured here: top-k
 agreement with exact RWR, the fraction of the graph each query touches,
-and wall-clock, across epsilon settings.
+and wall-clock, across epsilon settings.  The pinned table holds the
+seeded columns; wall-clock goes to the benchmark record's ``extra_info``.
 """
 
 import time
@@ -41,11 +42,15 @@ def test_push_rwr_quality_sweep(benchmark, record_result):
         return rows
 
     rows = run_once(benchmark, sweep)
+    # Wall clock varies by host, so it stays out of the pinned table.
+    benchmark.extra_info["seconds_100_queries"] = {
+        epsilon: elapsed for epsilon, *_, elapsed in rows
+    }
     record_result(
         "ext_push_rwr",
         format_table(
-            ["epsilon", "top-k set agreement", "touched fraction", "seconds (100 queries)"],
-            rows,
+            ["epsilon", "top-k set agreement", "touched fraction"],
+            [row[:3] for row in rows],
             title="Extension X4: local-push RWR vs exact (300-host window)",
         ),
     )

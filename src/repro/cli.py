@@ -81,7 +81,11 @@ def _cmd_streaming(config: ExperimentConfig, args: argparse.Namespace) -> str:
 
 
 def _cmd_lsh(config: ExperimentConfig, args: argparse.Namespace) -> str:
-    return format_lsh_quality(run_lsh_quality(config=config))
+    result = run_lsh_quality(config=config)
+    return (
+        f"{format_lsh_quality(result)}\n"
+        f"exact {result.exact_seconds:.4f} s, lsh {result.lsh_seconds:.4f} s"
+    )
 
 
 def _cmd_selection(config: ExperimentConfig, args: argparse.Namespace) -> str:

@@ -99,7 +99,7 @@ class SignatureScheme(abc.ABC):
         else:
             fresh = engine.compute_batch(self, graph, targets)
         # benchmarks/e2e/serve.py reads reused / (dirty + reused) from
-        # /metrics; ROADMAP item 6 step 0 removes that reader and these.
+        # /metrics; ROADMAP item 7 step 0 removes that reader and these.
         obs.counter("incremental.dirty_nodes", scheme=self.name).inc(len(targets))
         obs.counter("incremental.reused_signatures", scheme=self.name).inc(0)
         return {node: fresh[node] for node in targets}

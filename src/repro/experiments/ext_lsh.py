@@ -98,7 +98,7 @@ def run_lsh_quality(
 
 
 def format_lsh_quality(result: LshQuality) -> str:
-    """Render the LSH quality summary."""
+    """Render the LSH quality summary (the seeded columns, no timings)."""
     rows = [
         [
             f"{result.bands}x{result.rows_per_band}",
@@ -106,8 +106,6 @@ def format_lsh_quality(result: LshQuality) -> str:
             result.num_near_pairs,
             result.pair_recall,
             result.candidate_ratio,
-            result.exact_seconds,
-            result.lsh_seconds,
         ]
     ]
     return format_table(
@@ -117,8 +115,6 @@ def format_lsh_quality(result: LshQuality) -> str:
             "near_pairs",
             "pair_recall",
             "candidate_ratio",
-            "exact_s",
-            "lsh_s",
         ],
         rows,
         title="Extension X2: LSH near-pair recovery vs brute force (Dist_Jac)",

@@ -197,7 +197,7 @@ class ShardEngine:
         """
         self.window = base_window
         history = self.store.history if self.store is not None else None
-        if history is not None and base_window in set(history.windows()):
+        if history is not None and base_window in history:
             self.signatures = history.load_window(base_window)
         else:
             self.signatures = {}
@@ -258,9 +258,7 @@ class ShardEngine:
         with obs.use_registry(self.registry):
             self.signatures = history.load_window(last)
             self.prev_signatures = (
-                history.load_window(last - 1)
-                if last - 1 in set(history.windows())
-                else {}
+                history.load_window(last - 1) if last - 1 in history else {}
             )
         self.window = last
         self._index = None

@@ -13,7 +13,7 @@ A :class:`HistoryStore` directory contains:
   :class:`~repro.pipeline.checkpoint.CheckpointStore` keeps the pipeline's
   ``run_state`` contract here), written atomically.
 
-**Supersede semantics.**  The live view replays the manifest in order; a
+**Supersede semantics.**  The live view folds the manifest in order; a
 line whose minimum window is ``m`` supersedes previously recorded windows
 ``>= m``.  This single rule serves both clients: pure history appends (all
 windows strictly increasing) never supersede anything, while the checkpoint
@@ -25,14 +25,16 @@ manifest back to one line per live segment.
 Queries never materialise history wholesale: "who looked like X in window
 t" probes the per-segment LSH band table (:mod:`repro.store.index`) and
 only decodes candidate rows for exact re-ranking; "trajectory of X" is a
-vectorized scan of interned owner columns.  Both touch mmap'd segments, so
-cost scales with matches, not with months of stored windows.
+vectorized scan of interned owner columns of the segments serving the
+range.  Both touch mapped segments, so cost scales with matches, not with
+months of stored windows.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -55,6 +57,10 @@ from repro.store.segments import (
 
 MANIFEST_NAME = "manifest.jsonl"
 STATE_NAME = "state.json"
+
+#: Most segments one store keeps mapped at once.  Each holds one file
+#: descriptor until it is released, least recently used first.
+OPEN_SEGMENTS = 64
 
 
 @dataclass(frozen=True)
@@ -115,10 +121,16 @@ class HistoryMatch:
 class HistoryStore:
     """Append-only columnar store of per-window signature maps.
 
-    One store instance assumes single-writer, many-reader use.  All reads
-    and the next segment's sequence number go through an in-memory catalog
-    rebuilt from the manifest (on open and on :meth:`scan`), so an append
-    never re-reads the manifest; open segments are cached and mmap'd.
+    One store instance assumes single-writer, many-reader use: one thread
+    appends (or scans, compacts, clears) while any number of threads read.
+    Every read goes through one in-memory catalog, ``{window:
+    SegmentRecord}`` in window order.  Opening and :meth:`scan` fold the
+    manifest through :meth:`_apply`, the supersede rule; an append applies
+    only its own record, so its cost does not grow with the stored history.
+    At most :data:`OPEN_SEGMENTS` segments stay mapped, least recently used
+    released first.  One lock guards the catalog's changes and the set of
+    mapped segments; a reader that walks the catalog walks a copy taken
+    under it.
     """
 
     def __init__(
@@ -133,13 +145,9 @@ class HistoryStore:
         self.index_params = index_params
         self.distance_name = distance
         self._distance = get_distance(distance)
-        self._segments: Dict[str, Segment] = {}
-        self._records: List[SegmentRecord] = []
-        self._window_to_file: Dict[int, str] = {}
-        self._issues: List[str] = []
-        #: Sequence number of the next appended segment.
-        self._next_seq = 0
-        self._load_manifest()
+        self._lock = threading.Lock()
+        records, self._issues = self._parse_manifest_lines()
+        self._fold(records)
         self._refresh_gauges()
 
     # ------------------------------------------------------------------
@@ -192,43 +200,59 @@ class HistoryStore:
             records.append(record)
         return records, issues
 
-    def _replay(
-        self, records: Iterable[SegmentRecord]
-    ) -> Tuple[List[SegmentRecord], Dict[int, str]]:
-        """Apply supersede semantics; returns live records + window map."""
-        live: List[SegmentRecord] = []
-        window_to_file: Dict[int, str] = {}
-        for record in records:
-            supersede_from = min(record.windows)
-            for window in [w for w in window_to_file if w >= supersede_from]:
-                del window_to_file[window]
-            for window in record.windows:
-                window_to_file[window] = record.file
-            live.append(record)
-        referenced = set(window_to_file.values())
-        return [r for r in live if r.file in referenced], window_to_file
-
-    def _load_manifest(self) -> None:
-        records, issues = self._parse_manifest_lines()
-        self._records, self._window_to_file = self._replay(records)
-        self._issues = issues
+    def _fold(self, records: Sequence[SegmentRecord]) -> None:
+        """Rebuild the catalog from manifest lines, in manifest order."""
+        with self._lock:
+            self._catalog: Dict[int, SegmentRecord] = {}
+            #: Mapped segments by file, least recently used first.
+            self._open_segments: Dict[str, Segment] = {}
+            self._live_segments = 0
+            self._live_bytes = 0
+            for record in records:
+                self._apply(record)
+        #: Sequence number of the next appended segment.
         self._next_seq = _seq_after(records)
-        self._segments = {
-            name: seg
-            for name, seg in self._segments.items()
-            if name in {r.file for r in self._records}
-        }
+
+    def _apply(self, record: SegmentRecord) -> None:
+        """The supersede rule: drop live windows ``>=`` the record's
+        smallest, then add its windows.  The caller holds the lock.
+
+        The catalog stays in window order, and each record's live windows
+        stay one contiguous run of it.  So the dropped windows are its
+        tail, and a dropped record stays live only if it also serves the
+        window the new tail ends on.
+        """
+        first = min(record.windows)
+        dropped: Dict[str, SegmentRecord] = {}
+        while self._catalog and next(reversed(self._catalog)) >= first:
+            gone = self._catalog.popitem()[1]
+            dropped[gone.file] = gone
+        if self._catalog:
+            dropped.pop(next(reversed(self._catalog.values())).file, None)
+        for gone in dropped.values():
+            self._live_segments -= 1
+            self._live_bytes -= gone.nbytes
+            self._open_segments.pop(gone.file, None)
+        for window in sorted(record.windows):
+            self._catalog[window] = record
+        self._live_segments += 1
+        self._live_bytes += record.nbytes
 
     def _refresh_gauges(self) -> None:
-        obs.gauge("store.segments").set(len(self._records))
-        obs.gauge("store.bytes").set(sum(r.nbytes for r in self._records))
+        obs.gauge("store.segments").set(self._live_segments)
+        obs.gauge("store.bytes").set(self._live_bytes)
 
     def _open(self, file: str) -> Segment:
-        segment = self._segments.get(file)
-        if segment is None:
-            segment = read_segment(self.directory / file)
-            self._segments[file] = segment
-        return segment
+        """The mapped segment ``file``; a miss past :data:`OPEN_SEGMENTS`
+        releases the least recently used one."""
+        with self._lock:
+            segment = self._open_segments.pop(file, None)
+            if segment is None:
+                segment = read_segment(self.directory / file)
+                if len(self._open_segments) >= OPEN_SEGMENTS:
+                    del self._open_segments[next(iter(self._open_segments))]
+            self._open_segments[file] = segment
+            return segment
 
     # ------------------------------------------------------------------
     # Writes
@@ -268,9 +292,8 @@ class HistoryStore:
         )
         append_line(self.manifest_path, record.to_line())
         self._next_seq = seq + 1
-        self._records, self._window_to_file = self._replay(
-            self._records + [record]
-        )
+        with self._lock:
+            self._apply(record)
         obs.counter("store.appends").inc()
         obs.counter("store.rows_appended").inc(record.rows)
         self._refresh_gauges()
@@ -298,17 +321,18 @@ class HistoryStore:
 
         Returns the names of removed segment files.  Queries before and
         after compaction see the identical live view: compaction rewrites
-        the manifest from the already-replayed catalog and only unlinks
-        files no live window references.
+        the manifest from the catalog and only unlinks files no live window
+        references.
         """
-        live_files = {record.file for record in self._records}
+        live = self.segment_records()
+        live_files = {record.file for record in live}
         removed: List[str] = []
         for path in sorted(self.directory.glob(f"*{SEGMENT_SUFFIX}")):
             if path.name not in live_files:
                 remove_segment(path)
                 removed.append(path.name)
         with atomic_write(self.manifest_path) as handle:
-            for record in self._records:
+            for record in live:
                 handle.write(record.to_line() + "\n")
         self._refresh_gauges()
         return removed
@@ -322,11 +346,8 @@ class HistoryStore:
                 os.unlink(path)
             except FileNotFoundError:
                 pass
-        self._records = []
-        self._window_to_file = {}
-        self._segments = {}
+        self._fold([])
         self._issues = []
-        self._next_seq = 0
         self._refresh_gauges()
 
     # ------------------------------------------------------------------
@@ -342,14 +363,12 @@ class HistoryStore:
         recovery should trust; the in-memory catalog is refreshed to it.
         """
         records, issues = self._parse_manifest_lines()
-        live, window_to_file = self._replay(records)
+        self._fold(records)
         verified: List[SegmentRecord] = []
-        bad_files = set()
-        for record in live:
+        for record in self.segment_records():
             path = self.directory / record.file
             if not path.exists():
                 issues.append(f"{record.file}: missing segment file")
-                bad_files.add(record.file)
                 continue
             actual = file_sha256(path)
             if actual != record.sha256:
@@ -357,32 +376,32 @@ class HistoryStore:
                     f"{record.file}: failed hash verification (manifest "
                     f"{record.sha256[:12]}, file {actual[:12]})"
                 )
-                bad_files.add(record.file)
                 continue
             try:
                 read_segment(path)
             except StoreError as exc:
                 issues.append(f"{record.file}: unreadable: {exc}")
-                bad_files.add(record.file)
                 continue
             verified.append(record)
-        window_to_file = {
-            window: file
-            for window, file in window_to_file.items()
-            if file not in bad_files
-        }
+        good = {record.file for record in verified}
+        with self._lock:
+            self._catalog = {
+                window: record
+                for window, record in self._catalog.items()
+                if record.file in good
+            }
+            self._live_segments = len(verified)
+            self._live_bytes = sum(record.nbytes for record in verified)
         committed = {record.file for record in records}
         for path in sorted(self.directory.glob(f"*{SEGMENT_SUFFIX}")):
             if path.name not in committed:
                 issues.append(f"{path.name}: orphan segment (not in manifest)")
-        self._records = [r for r in verified if r.file in set(window_to_file.values())]
-        self._window_to_file = window_to_file
-        self._segments = {}
         self._issues = list(issues)
-        self._next_seq = _seq_after(records)
         self._refresh_gauges()
         return StoreScan(
-            windows=dict(window_to_file), segments=list(verified), issues=issues
+            windows={window: record.file for window, record in self._catalog.items()},
+            segments=verified,
+            issues=issues,
         )
 
     # ------------------------------------------------------------------
@@ -390,52 +409,57 @@ class HistoryStore:
     # ------------------------------------------------------------------
     def windows(self) -> List[int]:
         """All live windows, ascending."""
-        return sorted(self._window_to_file)
+        with self._lock:
+            return list(self._catalog)
+
+    def __contains__(self, window: int) -> bool:
+        """Whether ``window`` is live in the store."""
+        return self._record(window) is not None
 
     def max_window(self) -> int:
         """Highest live window, ``-1`` when the store is empty."""
-        return max(self._window_to_file) if self._window_to_file else -1
+        with self._lock:
+            return next(reversed(self._catalog), -1)
 
     def issues(self) -> List[str]:
         """Problems noticed while loading the manifest (torn lines etc.)."""
         return list(self._issues)
 
     def segment_records(self) -> List[SegmentRecord]:
-        return list(self._records)
+        """The live segment records, in manifest order."""
+        with self._lock:
+            return list(dict.fromkeys(self._catalog.values()))
 
     def window_record(self, window: int) -> SegmentRecord:
         """The live segment record serving ``window`` (raises when absent)."""
-        file = self._window_to_file.get(int(window))
-        for record in self._records:
-            if record.file == file:
-                return record
-        raise StoreError(f"window {window} is not in the history store")
+        record = self._record(window)
+        if record is None:
+            raise StoreError(f"window {window} is not in the history store")
+        return record
+
+    def _record(self, window: int) -> Optional[SegmentRecord]:
+        with self._lock:
+            return self._catalog.get(int(window))
+
+    def _window_segment(self, window: int) -> Segment:
+        return self._open(self.window_record(window).file)
 
     def load_window(self, window: int) -> Dict[str, Signature]:
         """All signatures of one window (raises when the window is absent)."""
-        file = self._window_to_file.get(int(window))
-        if file is None:
-            raise StoreError(f"window {window} is not in the history store")
-        return self._open(file).signatures_for_window(int(window))
+        return self._window_segment(window).signatures_for_window(int(window))
 
     def window_meta(self, window: int) -> Dict:
-        file = self._window_to_file.get(int(window))
-        if file is None:
-            raise StoreError(f"window {window} is not in the history store")
-        return self._open(file).meta_for(int(window))
+        return self._window_segment(window).meta_for(int(window))
 
     def window_mode(self, window: int) -> str:
-        file = self._window_to_file.get(int(window))
-        if file is None:
-            raise StoreError(f"window {window} is not in the history store")
-        return self._open(file).mode_for(int(window))
+        return self._window_segment(window).mode_for(int(window))
 
     def signature(self, owner: str, window: int) -> Optional[Signature]:
         """One node's signature in one window, or ``None`` when absent."""
-        file = self._window_to_file.get(int(window))
-        if file is None:
+        record = self._record(window)
+        if record is None:
             return None
-        segment = self._open(file)
+        segment = self._open(record.file)
         lo, hi = segment.window_row_range(int(window))
         owner_id = segment.label_id(owner)
         if owner_id is None or hi <= lo:
@@ -452,24 +476,32 @@ class HistoryStore:
         start: Optional[int] = None,
         stop: Optional[int] = None,
     ) -> List[Tuple[int, Signature]]:
-        """``owner``'s signatures over live windows ``[start, stop)``.
+        """``owner``'s signatures over live windows ``[start, stop)``,
+        window-ascending.
 
-        Sub-linear in stored rows: each segment resolves the owner through
-        its interning table and one vectorized compare of the interned
-        owner column; segments that never saw the owner decode nothing.
+        Opens only the segments serving a live window in the range.  Each
+        resolves the owner through its interning table and one vectorized
+        compare of the interned owner column; segments that never saw the
+        owner decode nothing.
         """
         with obs.span("store.query", kind="trajectory"):
+            # Records serve contiguous window runs, so this groups the
+            # range's live windows by segment in window order.
+            with self._lock:
+                catalog = list(self._catalog.items())
+            live: Dict[str, set] = {}
+            for window, record in catalog:
+                if (start is None or window >= start) and (
+                    stop is None or window < stop
+                ):
+                    live.setdefault(record.file, set()).add(window)
             out: List[Tuple[int, Signature]] = []
-            for file in sorted(set(self._window_to_file.values())):
+            for file, windows in live.items():
                 segment = self._open(file)
-                live_windows = {
-                    w for w, f in self._window_to_file.items() if f == file
-                }
                 for row in segment.rows_for_owner(owner, start, stop):
                     window = int(segment.rows[row]["window"])
-                    if window in live_windows:
+                    if window in windows:
                         out.append((window, segment.signature_at(row)))
-            out.sort(key=lambda pair: pair[0])
             return out
 
     def query(
@@ -496,11 +528,11 @@ class HistoryStore:
         if k < 1:
             raise StoreError(f"k must be >= 1, got {k}")
         window = int(window)
-        file = self._window_to_file.get(window)
-        if file is None:
+        record = self._record(window)
+        if record is None:
             return []
         with obs.span("store.query", kind="lookalike"):
-            segment = self._open(file)
+            segment = self._open(record.file)
             lo, hi = segment.window_row_range(window)
             if hi <= lo:
                 return []

@@ -15,11 +15,12 @@ immutable file, laid out for zero-copy reads:
   is what makes time-travel queries sub-linear without re-sketching history.
 
 The file is ``magic | header-length | header JSON | aligned array blobs``.
-Readers :func:`numpy.memmap` the arrays straight out of the file — opening a
-multi-gigabyte segment costs one page of header I/O, and a query touches
-only the rows it slices.  Weights round-trip bit-exactly (raw float64, no
-decimal detour), which is what lets checkpoints keep the pipeline's
-byte-identical resume contract.
+A reader maps the file once, read-only, and takes each array as a view at
+its 64-byte-aligned offset — opening a multi-gigabyte segment costs one page
+of header I/O and one file descriptor, and a query touches only the rows it
+slices.  Weights round-trip bit-exactly (raw float64, no decimal detour),
+which is what lets checkpoints keep the pipeline's byte-identical resume
+contract.
 
 Segments are written atomically via :func:`repro.ioutils.atomic_write` and
 identified by the SHA-256 of their bytes; a truncated or bit-rotted file
@@ -30,6 +31,8 @@ into plausible-but-wrong signatures.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -263,7 +266,11 @@ def write_segment(
 
 
 class Segment:
-    """A read-only view over one segment file (arrays memory-mapped).
+    """A read-only view over one segment file, mapped once.
+
+    Every column is a read-only numpy view into the one mapping, which is
+    released (with its file descriptor) when the segment and every array
+    taken from it are garbage.
 
     Decoding is lazy and columnar: opening parses the JSON header only,
     the interning table is decoded once on first use,
@@ -271,10 +278,9 @@ class Segment:
     the band-hash table never materialises signatures at all.
     """
 
-    def __init__(self, path: str | Path, *, mmap: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         try:
-            size = os.path.getsize(self.path)
             with open(self.path, "rb") as handle:
                 magic = handle.read(len(SEGMENT_MAGIC))
                 if magic != SEGMENT_MAGIC:
@@ -292,6 +298,7 @@ class Segment:
                     raise StoreError(
                         f"{self.path}: unreadable segment header: {exc}"
                     ) from exc
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except OSError as exc:
             raise StoreError(f"{self.path}: cannot open segment: {exc}") from exc
         if self.header.get("version") != SEGMENT_VERSION:
@@ -300,32 +307,25 @@ class Segment:
                 f"{self.header.get('version')!r}"
             )
         self._arrays: Dict[str, np.ndarray] = {}
-        mode = "r" if mmap else None
         for name in _COLUMNS:
             spec = self.header["arrays"].get(name)
             if spec is None:
                 raise StoreError(f"{self.path}: segment header missing column {name}")
             shape = tuple(int(dim) for dim in spec["shape"])
             offset, nbytes = int(spec["offset"]), int(spec["nbytes"])
-            if offset + nbytes > size:
+            if offset + nbytes > len(mapped):
                 raise StoreError(
                     f"{self.path}: truncated segment (column {name} reaches "
-                    f"{offset + nbytes} bytes of {size})"
+                    f"{offset + nbytes} bytes of {len(mapped)})"
                 )
-            if nbytes == 0:
-                array = np.empty(shape, dtype=_DTYPES[name])
-            elif mode is not None:
-                array = np.memmap(
-                    self.path, dtype=_DTYPES[name], mode=mode,
-                    offset=offset, shape=shape,
+            if math.prod(shape) * _DTYPES[name].itemsize != nbytes:
+                raise StoreError(
+                    f"{self.path}: column {name} shape {list(shape)} does not "
+                    f"fill its {nbytes} bytes"
                 )
-            else:
-                with open(self.path, "rb") as handle:
-                    handle.seek(offset)
-                    array = np.frombuffer(
-                        handle.read(nbytes), dtype=_DTYPES[name]
-                    ).reshape(shape)
-            self._arrays[name] = array
+            self._arrays[name] = np.frombuffer(
+                mapped, dtype=_DTYPES[name], count=math.prod(shape), offset=offset
+            ).reshape(shape)
         self.blocks: List[WindowBlock] = [
             WindowBlock(
                 window=int(block["window"]),
@@ -477,9 +477,9 @@ class Segment:
         return [int(row) for row in matched[order]]
 
 
-def read_segment(path: str | Path, *, mmap: bool = True) -> Segment:
+def read_segment(path: str | Path) -> Segment:
     """Open a segment file for reading (raises :class:`StoreError` if bad)."""
-    return Segment(path, mmap=mmap)
+    return Segment(path)
 
 
 def remove_segment(path: str | Path) -> None:

@@ -139,7 +139,7 @@ class TestMinHashReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "seg.rseg"
             write_segment(path, [(0, signatures)], index_params=params)
-            segment = read_segment(path, mmap=False)
+            segment = read_segment(path)
         assert segment.band_hashes.shape == (len(signatures), bands)
         for row in range(segment.num_rows):
             members = segment.signature_at(row).nodes

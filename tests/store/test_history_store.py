@@ -8,14 +8,26 @@ into wrong answers or exceptions on the read path.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro import obs
 from repro.core.signature import Signature
 from repro.exceptions import StoreError
-from repro.store import HistoryStore, IndexParams
-from repro.store.history import MANIFEST_NAME
+from repro.store import HistoryStore, IndexParams, segments
+from repro.store.history import MANIFEST_NAME, OPEN_SEGMENTS
 from repro.store.segments import SEGMENT_SUFFIX
 
 
@@ -215,6 +227,22 @@ class TestCrashRecovery:
         with pytest.raises(StoreError):
             HistoryStore(store.directory)
 
+    def test_segment_that_cannot_be_mapped_is_reported(self, tmp_path, monkeypatch):
+        store = make_store(tmp_path)
+
+        def exhausted(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(segments.mmap, "mmap", exhausted)
+        scan = store.scan()
+        assert scan.windows == {}
+        for seq in range(3):
+            assert any(
+                issue.startswith(f"seg-{seq:06d}{SEGMENT_SUFFIX}: unreadable")
+                and "Cannot allocate memory" in issue
+                for issue in scan.issues
+            )
+
     def test_append_after_recovery_continues_sequence(self, tmp_path):
         store = make_store(tmp_path)
         target = store.directory / f"seg-000002{SEGMENT_SUFFIX}"
@@ -226,3 +254,199 @@ class TestCrashRecovery:
         reopened = HistoryStore(store.directory)
         reopened.scan()
         assert dict(reopened.load_window(2)["redo"].entries) == {"x": 1.0}
+
+
+class TestConcurrentReads:
+    def test_reads_while_appending_past_the_open_segment_bound(self, tmp_path):
+        """One thread appends (with supersedes) more windows than the store
+        keeps mapped while readers walk the catalog and map segments."""
+        store = HistoryStore(tmp_path / "hist")
+        store.append([(0, {"a": sig("a", x=1.0)})])
+        stop, errors, reads = threading.Event(), [], []
+
+        def read(reader):
+            try:
+                while not stop.is_set():
+                    windows = [w for w, _ in store.trajectory("a")]
+                    assert windows == list(range(len(windows)))
+                    for window in range(reader, store.max_window() + 1, 4):
+                        assert store.signature("a", window) is not None
+                    reads.append(reader)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        readers = [
+            threading.Thread(target=read, args=(reader,), daemon=True)
+            for reader in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for window in range(1, 3 * OPEN_SEGMENTS):
+                if window % 10 == 0:
+                    # Resume's "truncate the future": rewrite the last window.
+                    batch = [window - 1, window]
+                else:
+                    batch = [window]
+                store.append([(w, {"a": sig("a", x=1.0 + w)}) for w in batch])
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert set(reads) == set(range(4))
+        assert len(store.trajectory("a")) == 3 * OPEN_SEGMENTS
+
+
+# A child process under a 256-descriptor limit stores 200 windows, one
+# segment each, and sweeps trajectories over all of them; it prints how
+# many descriptors the sweep left open.
+OPEN_FILES_SCRIPT = textwrap.dedent(
+    """
+    import os, resource, sys, tempfile
+    from repro.core.signature import Signature
+    from repro.store import HistoryStore
+
+    resource.setrlimit(resource.RLIMIT_NOFILE, (256, 256))
+    owners = [f"h{i}" for i in range(4)]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = HistoryStore(tmp)
+        for window in range(200):
+            store.append([(window, {
+                owner: Signature(owner, {f"p{(i + window) % 13}": 1.0 + i})
+                for i, owner in enumerate(owners)
+            })])
+        before = len(os.listdir("/proc/self/fd"))
+        for owner in owners:
+            assert len(store.trajectory(owner)) == 200
+        print(len(os.listdir("/proc/self/fd")) - before)
+    """
+)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/self/fd"
+)
+def test_trajectory_sweeps_hold_a_bounded_set_of_open_files():
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", OPEN_FILES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # One descriptor per open segment, plus slack for the interpreter.
+    assert int(result.stdout) <= OPEN_SEGMENTS + 8
+
+
+# ----------------------------------------------------------------------
+# Randomized catalog: every step keeps the incremental catalog equal to
+# one folded from the manifest by a fresh store.
+# ----------------------------------------------------------------------
+catalog_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 3)),
+        st.tuples(st.just("supersede"), st.integers(0, 4), st.integers(1, 3)),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("damage"), st.integers(0, 99), st.booleans()),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _gauges(registry):
+    return {name: value for name, _, value in registry.snapshot()["gauges"]}
+
+
+def _view(store):
+    """Everything a reader can see of the store's catalog."""
+    return {
+        "windows": store.windows(),
+        "max_window": store.max_window(),
+        "records": store.segment_records(),
+        "window_records": {w: store.window_record(w) for w in store.windows()},
+        "trajectories": {
+            owner: [(w, dict(s.entries)) for w, s in store.trajectory(owner)]
+            for owner in ("a", "b")
+        },
+        "loads": {
+            w: {o: dict(s.entries) for o, s in store.load_window(w).items()}
+            for w in store.windows()
+        },
+    }
+
+
+def _fresh(directory):
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        store = HistoryStore(directory)
+    return _view(store), _gauges(registry)
+
+
+class TestRandomizedCatalog:
+    @settings(max_examples=100, deadline=None)
+    @given(steps=catalog_steps)
+    def test_incremental_catalog_matches_a_fresh_fold(self, steps):
+        registry = obs.MetricsRegistry()
+        with tempfile.TemporaryDirectory() as tmp, obs.use_registry(registry):
+            store = HistoryStore(tmp)
+            for seq, step in enumerate(steps):
+                # Content depends on the step, so a superseding append is
+                # visible in every answer.
+                def window(w):
+                    return (
+                        w,
+                        {
+                            owner: Signature(owner, {f"p{seq}": 1.0 + w})
+                            for owner in ("a", "b")[: 1 + w % 2]
+                        },
+                    )
+
+                kind = step[0]
+                if kind == "append":
+                    first = store.max_window() + 1
+                    store.append([window(first + i) for i in range(step[1])])
+                elif kind == "supersede":
+                    first = max(0, store.max_window() - step[1])
+                    store.append([window(first + i) for i in range(step[2])])
+                elif kind == "compact":
+                    store.compact()
+                else:
+                    records = store.segment_records()
+                    if not records:
+                        continue
+                    victim = records[step[1] % len(records)]
+                    path = Path(tmp) / victim.file
+                    if step[2]:
+                        path.unlink()
+                    else:
+                        path.write_bytes(path.read_bytes()[:40])
+                    scan = store.scan()
+                    assert any(victim.file in issue for issue in scan.issues)
+                    assert store.windows() == sorted(scan.windows)
+                    assert store.max_window() == scan.max_window
+                    assert store.segment_records() == scan.segments
+                    assert {
+                        w: store.window_record(w).file for w in store.windows()
+                    } == scan.windows
+                    assert _gauges(registry)["store.bytes"] == sum(
+                        record.nbytes for record in scan.segments
+                    )
+                    # Recover like a resume: recompute from the first
+                    # dropped window, superseding the damaged segment.
+                    dropped = [w for w in victim.windows if w not in scan.windows]
+                    redo = min(dropped)
+                    store.append([window(redo)])
+                view, gauges = _fresh(tmp)
+                assert _view(store) == view
+                assert _gauges(registry) == gauges

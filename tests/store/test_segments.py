@@ -7,8 +7,11 @@ signatures and extreme float weights.
 
 from __future__ import annotations
 
+import errno
 import math
+import mmap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from repro.store import (
     read_segment,
     write_segment,
 )
+from repro.store import segments
 
 # Labels exercise the interning table: ASCII, combining marks, CJK, emoji,
 # and the empty-adjacent single-codepoint cases.
@@ -62,15 +66,15 @@ def roundtrip(tmp_path, windows, **kwargs):
 
 
 def roundtrip_tmp(windows, **kwargs):
-    """Hypothesis-friendly round-trip: fresh temp dir per example (mmap off
-    so the file can be removed immediately)."""
+    """Hypothesis-friendly round-trip: fresh temp dir per example (the
+    segment's mapping outlives its removed file)."""
     import tempfile
     from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seg.rseg"
         write_segment(path, windows, **kwargs)
-        return read_segment(path, mmap=False)
+        return read_segment(path)
 
 
 class TestRoundTripProperties:
@@ -160,6 +164,35 @@ class TestEdgeCases:
         )
         assert segment.meta_for(3) == {"records": 17}
         assert segment.mode_for(3) == "degraded"
+
+
+class TestMapping:
+    def test_columns_are_read_only_views_of_one_mapping(self, tmp_path):
+        segment = roundtrip(
+            tmp_path,
+            [(0, {"n": Signature("n", {"x": 1.0}), "m": Signature("m", {})})],
+            index_params=IndexParams(bands=2, rows_per_band=2),
+        )
+        owners = set()
+        for array in segment._arrays.values():
+            assert not array.flags.writeable
+            while isinstance(array, np.ndarray):
+                array = array.base
+            mapping = array.obj  # numpy wraps the buffer in a memoryview
+            owners.add(id(mapping))
+            assert isinstance(mapping, mmap.mmap)
+        assert len(owners) == 1
+
+    def test_mapping_failure_is_a_store_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "seg.rseg"
+        write_segment(path, [(0, {"n": Signature("n", {"x": 1.0})})])
+
+        def exhausted(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(segments.mmap, "mmap", exhausted)
+        with pytest.raises(StoreError, match="seg.rseg: cannot open segment"):
+            read_segment(path)
 
 
 class TestIndexColumns:

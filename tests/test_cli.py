@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -61,7 +62,10 @@ class TestMain:
 
     def test_lsh_small(self, capsys):
         assert main(["lsh", "--scale", "small"]) == 0
-        assert "Extension X2" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Extension X2" in out
+        # The wall clock stays in the command's output, after the table.
+        assert re.search(r"^exact \d+\.\d{4} s, lsh \d+\.\d{4} s$", out, re.M)
 
     def test_fig1_querylog_small(self, capsys):
         assert main(["fig1", "--dataset", "querylog", "--scale", "small"]) == 0

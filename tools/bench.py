@@ -4,7 +4,8 @@
 - ``kernels``: scalar vs batch distance kernels through the same call sites
 - ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
 - ``sketch``: accuracy and state of the degraded tier (``sketch_window``) against exact
-- ``history``: indexed vs brute-force history-store lookalike queries, and compaction
+- ``history``: indexed vs brute-force history-store lookalike queries, compaction,
+  and how append and trajectory cost scale with stored windows
 
 A full run writes ``benchmarks/perf/BENCH_<benchmark>.json`` and mirrors it
 at the repo root, so the cross-PR trajectory diffs at a glance.  ``--quick``
@@ -54,6 +55,14 @@ MIN_KERNEL_SPEEDUP = 10.0
 #: brute-force decode of the queried window by this factor.
 MIN_HISTORY_INDEX_SPEEDUP = 5.0
 HISTORY_GATE_ROWS = 100_000
+
+#: History-store append gate (quick and full mode): the median append of a
+#: 75-owner, k = 10 window with HISTORY_SCALED_WINDOWS windows stored stays
+#: within MAX_APPEND_GROWTH of the median with HISTORY_BASE_WINDOWS stored.
+MAX_APPEND_GROWTH = 2.0
+HISTORY_BASE_WINDOWS = 10
+HISTORY_SCALED_WINDOWS = 3000
+HISTORY_SCALED_WINDOWS_QUICK = 1000
 
 #: Shared-memory engine acceptance gates, both measured at
 #: SHM_GATE_WORKERS workers.  The vs-pickle ratio compares equal
@@ -666,6 +675,59 @@ def _history_population(num_windows: int, owners_per_window: int, seed: int):
     return windows, duplicates
 
 
+def _history_scaling(stored: int) -> tuple:
+    """Append cost at HISTORY_BASE_WINDOWS and at ``stored`` windows, and
+    the wall time of a trajectory sweep over all of them."""
+    from repro.store import HistoryStore
+
+    window_map = synthetic_window(75, 10, seed=43)
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        store = HistoryStore(tmp)
+
+        def median_append_ms(first: int) -> float:
+            times = []
+            for window in range(first, first + 20):
+                started = time.perf_counter()
+                store.append([(window, window_map)])
+                times.append(time.perf_counter() - started)
+            return float(np.median(times)) * 1e3
+
+        for window in range(HISTORY_BASE_WINDOWS):
+            store.append([(window, window_map)])
+        base_ms = median_append_ms(HISTORY_BASE_WINDOWS)
+        for window in range(store.max_window() + 1, stored):
+            store.append([(window, window_map)])
+        scaled_ms = median_append_ms(stored)
+        sweep_wall, points = timed(lambda: store.trajectory("host0"))
+
+    growth = scaled_ms / base_ms
+    if growth > MAX_APPEND_GROWTH:
+        failures.append(
+            f"append at {stored} stored windows takes {growth:.2f}x the append "
+            f"at {HISTORY_BASE_WINDOWS} (gate {MAX_APPEND_GROWTH:.1f}x)"
+        )
+    fields = {
+        "append_scaling": {
+            "owners": 75,
+            "k": 10,
+            "appends": 20,
+            "base_windows": HISTORY_BASE_WINDOWS,
+            "stored_windows": stored,
+            "base_median_ms": base_ms,
+            "scaled_median_ms": scaled_ms,
+            "growth": growth,
+            "max_growth": MAX_APPEND_GROWTH,
+        },
+        "sweep": {
+            "windows": stored + 20,
+            "points": len(points),
+            "trajectory_wall_s": sweep_wall,
+        },
+    }
+    return fields, failures
+
+
 def history_stage(args):
     from repro.store import HistoryStore
 
@@ -762,6 +824,11 @@ def history_stage(args):
             lambda: store.trajectory(trajectory_probe)
         )
 
+    scaling, scaling_failures = _history_scaling(
+        HISTORY_SCALED_WINDOWS_QUICK if args.quick else HISTORY_SCALED_WINDOWS
+    )
+    failures += scaling_failures
+
     fields = {
         "population": {
             "windows": num_windows,
@@ -793,8 +860,14 @@ def history_stage(args):
             "min_rows": HISTORY_GATE_ROWS,
             "enforced": not args.quick,
         },
+        **scaling,
     }
-    return fields, [{"op": "history_query", **fields["query"]}], failures
+    rows = [
+        {"op": "history_query", **fields["query"]},
+        {"op": "history_append_scaling", **fields["append_scaling"]},
+        {"op": "history_sweep", **fields["sweep"]},
+    ]
+    return fields, rows, failures
 
 
 # ----------------------------------------------------------------------
