@@ -133,12 +133,13 @@ class Deanonymizer:
             release.graph, pseudonym_labels
         )
 
+        # Decoded once: a pack decodes a row on every read.
+        released = [released_signatures[pseudonym] for pseudonym in pseudonym_labels]
         cost = np.empty((len(identities), len(pseudonym_labels)))
         for row, identity in enumerate(identities):
-            for column, pseudonym in enumerate(pseudonym_labels):
-                cost[row, column] = self.distance(
-                    reference_signatures[identity], released_signatures[pseudonym]
-                )
+            reference = reference_signatures[identity]
+            for column, signature in enumerate(released):
+                cost[row, column] = self.distance(reference, signature)
 
         if self.strategy == "optimal":
             assignment = self._solve_optimal(cost, identities, pseudonym_labels)

@@ -115,6 +115,9 @@ class MasqueradeDetector:
         ]
         if missing:
             raise ExperimentError(f"signatures missing for population nodes: {missing[:5]}")
+        # Each suspect reads every candidate: decode once (a pack decodes a
+        # row on every read).
+        signatures_next = dict(signatures_next)
 
         self_persistence = {
             node: 1.0 - self.distance(signatures_now[node], signatures_next[node])

@@ -101,12 +101,12 @@ class MultiusageDetector:
         ``population`` restricts the candidate labels (e.g. monitored local
         hosts); pairs are returned sorted by ascending distance.
         """
-        signatures = self.signatures(graph, population)
-        labels = list(signatures)
+        # Decoded once: a pack decodes a row on every read.
+        signatures = list(self.signatures(graph, population).items())
         detected: List[MultiusagePair] = []
-        for index, first in enumerate(labels):
-            for second in labels[index + 1:]:
-                score = self.distance(signatures[first], signatures[second])
+        for index, (first, signature) in enumerate(signatures):
+            for second, other in signatures[index + 1:]:
+                score = self.distance(signature, other)
                 if score < self.threshold:
                     detected.append(MultiusagePair(first, second, score))
         detected.sort(key=lambda pair: (pair.distance, str(pair.first), str(pair.second)))

@@ -21,10 +21,10 @@ this database table's user community changed?").
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
+from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, register_scheme
-from repro.core.signature import Signature
 from repro.core.top_talkers import _row_shares
 from repro.graph.comm_graph import CommGraph
 from repro.types import NodeId, Weight
@@ -54,9 +54,7 @@ class InTalkers(SignatureScheme):
             if src != node
         }
 
-    def _compute_batch(
-        self, graph: CommGraph, targets: List[NodeId]
-    ) -> Dict[NodeId, Signature]:
+    def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         # TT's row kernel over the in-rows: the shares of the in-row
         # total, summed in in-row order as ``relevance`` sums.
         return self._compute_rows(graph, targets, _row_shares, graph.in_rows())

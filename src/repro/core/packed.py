@@ -1,12 +1,17 @@
 """Packed signature windows and vectorized batch distance kernels.
 
+A :class:`SignaturePack` is the one encoding of a window's signatures:
+contiguous member-id/weight CSR arrays plus owner and member node
+tables.  The batch kernels emit it (:func:`top_k_pack` ranks and cuts
+top-k in numpy), the shared-memory engine ships it, the history store
+writes it, and it reads as a mapping ``owner -> Signature`` that decodes
+a row only when the row is read.
+
 Every quantitative result in the paper reduces to massive numbers of
 signature-distance evaluations: all-pairs uniqueness, cross-window
 self-identification ROC and robustness are all Theta(n^2) ``Dist`` calls
-per window.  This module interns a window's signatures into a CSR-style
-pack — contiguous member-id/weight arrays plus a node-id table — and
-implements the four paper distances (Section IV-B) as batch kernels over
-scipy sparse products:
+per window.  This module implements the four paper distances
+(Section IV-B) as batch kernels over a pack's scipy sparse products:
 
 * **intersection mass** (Jaccard counts, Dice cross-mass, SHel geometric
   mass) comes from CSR dot products: ``B @ B.T``, ``W @ B.T + B @ W.T``
@@ -36,7 +41,8 @@ signatures per pack.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -45,6 +51,7 @@ from repro import obs
 from repro.core.distances import OUT_OF_RANGE_TOL, DistanceFunction, resolve_distance
 from repro.core.signature import Signature
 from repro.exceptions import DistanceError
+from repro.graph.batch import dense_ranks, first_occurrence
 from repro.types import NodeId
 
 #: Distance names with a registered batch kernel.
@@ -75,30 +82,46 @@ def batch_disabled() -> Iterator[None]:
         _batch_enabled = previous
 
 
-class SignaturePack:
+class SignaturePack(Mapping):
     """A window of signatures interned into one CSR weight matrix.
 
     Row ``i`` holds the weight vector of ``owners[i]`` over the shared
     member vocabulary ``node_table`` (column ``c`` is member node
-    ``node_table[c]``).  The original :class:`Signature` objects are kept
-    so the scalar fallback path can run against the identical inputs.
+    ``node_table[c]``), entries in signature order (weight descending,
+    then ``str`` of the member label).  Member columns are numbered in
+    first-seen order over the rows.
+
+    The pack is also a read-only mapping ``owner -> Signature`` in row
+    order: a row is decoded into a :class:`Signature` each time it is read
+    (never cached, so concurrent readers need no lock).  An owner that
+    heads several rows (a pack built from an iterable of signatures) maps
+    to its first row; :attr:`signatures` decodes every row.
     """
 
-    __slots__ = ("owners", "signatures", "node_table", "matrix", "totals", "sizes")
+    __slots__ = ("owners", "node_table", "matrix", "totals", "sizes", "_row_of")
 
     def __init__(
         self,
-        owners: Tuple[NodeId, ...],
-        signatures: Tuple[Signature, ...],
-        node_table: Tuple[NodeId, ...],
-        matrix: sparse.csr_matrix,
+        owners: Sequence[NodeId],
+        node_table: Sequence[NodeId],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        data: np.ndarray,
     ) -> None:
-        self.owners = owners
-        self.signatures = signatures
-        self.node_table = node_table
-        self.matrix = matrix
-        self.totals = np.asarray(matrix.sum(axis=1)).ravel()
-        self.sizes = np.diff(matrix.indptr).astype(np.float64)
+        self.owners = tuple(owners)
+        self.node_table = tuple(node_table)
+        self.matrix = sparse.csr_matrix(
+            (
+                np.asarray(data, dtype=np.float64),
+                np.asarray(indices, dtype=np.int64),
+                np.asarray(indptr, dtype=np.int64),
+            ),
+            shape=(len(self.owners), len(self.node_table)),
+        )
+        self.totals = np.asarray(self.matrix.sum(axis=1)).ravel()
+        self.sizes = np.diff(self.matrix.indptr).astype(np.float64)
+        # Assigned last row first, so a repeated owner keeps its first row.
+        self._row_of = dict(zip(reversed(self.owners), range(len(self.owners) - 1, -1, -1)))
 
     @classmethod
     def from_signatures(
@@ -113,7 +136,13 @@ class SignaturePack:
         signatures (rows in iteration order; ``order`` is not allowed).
         Member-node column ids are assigned in first-seen order, which is
         deterministic because signature entries iterate weight-descending.
+        A pack is taken as it is, or its ``order`` rows are taken without
+        decoding them, with the member table renumbered first-seen.
         """
+        if isinstance(signatures, SignaturePack):
+            if order is None:
+                return signatures
+            return signatures._take(order)
         if isinstance(signatures, Mapping):
             if order is not None:
                 try:
@@ -139,28 +168,84 @@ class SignaturePack:
                 indices.append(column)
                 data.append(weight)
             indptr.append(len(indices))
-        matrix = sparse.csr_matrix(
-            (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(len(rows), len(column_of)),
-        )
+        return cls([owner for owner, _signature in rows], column_of, indptr, indices, data)
+
+    @classmethod
+    def concat(cls, packs: Sequence["SignaturePack"]) -> "SignaturePack":
+        """The packs' rows one after another, over one first-seen member
+        table (each pack's table is first-seen over its own rows, so the
+        joined table adds each pack's new labels in its table order)."""
+        if len(packs) == 1:
+            return packs[0]
+        column_of: Dict[NodeId, int] = {}
+        indices: List[np.ndarray] = []
+        for pack in packs:
+            remap = np.fromiter(
+                (column_of.setdefault(node, len(column_of)) for node in pack.node_table),
+                dtype=np.int64,
+                count=len(pack.node_table),
+            )
+            indices.append(remap[pack.matrix.indices])
+        offsets = np.cumsum([0] + [pack.matrix.nnz for pack in packs[:-1]])
         return cls(
-            owners=tuple(owner for owner, _signature in rows),
-            signatures=tuple(signature for _owner, signature in rows),
-            node_table=tuple(column_of),
-            matrix=matrix,
+            [owner for pack in packs for owner in pack.owners],
+            column_of,
+            np.concatenate(
+                [[0]] + [pack.matrix.indptr[1:] + offset for pack, offset in zip(packs, offsets)]
+            ),
+            np.concatenate(indices),
+            np.concatenate([pack.matrix.data for pack in packs]),
         )
+
+    def _take(self, order: Sequence[NodeId]) -> "SignaturePack":
+        """The rows of the owners in ``order``, not decoded."""
+        try:
+            rows = np.fromiter(
+                map(self._row_of.__getitem__, order), dtype=np.int64, count=len(order)
+            )
+        except KeyError as error:
+            raise DistanceError(
+                f"no signature for node {error.args[0]!r} in pack order"
+            ) from error
+        indptr = self.matrix.indptr
+        lengths = indptr[rows + 1] - indptr[rows]
+        ends = np.cumsum(lengths)
+        entries = np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+            indptr[rows] - (ends - lengths), lengths
+        )
+        distinct, columns = first_occurrence(self.matrix.indices[entries])
+        return SignaturePack(
+            order,
+            [self.node_table[column] for column in distinct.tolist()],
+            np.concatenate([[0], ends]),
+            columns,
+            self.matrix.data[entries],
+        )
+
+    def __reduce__(self):
+        # The derived columns are rebuilt, not shipped.
+        matrix = self.matrix
+        return (type(self), (self.owners, self.node_table, matrix.indptr, matrix.indices, matrix.data))
+
+    def row(self, index: int) -> Signature:
+        """Decode row ``index`` into its :class:`Signature`."""
+        indptr = self.matrix.indptr
+        lo, hi = int(indptr[index]), int(indptr[index + 1])
+        members = map(self.node_table.__getitem__, self.matrix.indices[lo:hi].tolist())
+        return Signature(self.owners[index], dict(zip(members, self.matrix.data[lo:hi].tolist())))
+
+    @property
+    def signatures(self) -> Tuple[Signature, ...]:
+        """Every row decoded, in row order (what the scalar fallback reads)."""
+        return tuple(map(self.row, range(len(self.owners))))
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the pack's numeric arrays (CSR triple plus the
         derived per-row totals/sizes) — the footprint that matters for
-        memory accounting.  The Python-side
-        id tables (``owners``/``node_table``/``signatures``) are excluded:
-        they are interned objects, not buffers."""
+        memory accounting.  The Python-side id tables
+        (``owners``/``node_table``) are excluded: they are interned
+        objects, not buffers."""
         matrix = self.matrix
         return int(
             matrix.data.nbytes
@@ -170,6 +255,15 @@ class SignaturePack:
             + self.sizes.nbytes
         )
 
+    def __getitem__(self, owner: NodeId) -> Signature:
+        return self.row(self._row_of[owner])
+
+    def __contains__(self, owner: object) -> bool:
+        return owner in self._row_of
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self.owners)
+
     def __len__(self) -> int:
         return len(self.owners)
 
@@ -178,6 +272,50 @@ class SignaturePack:
             f"SignaturePack(n={len(self.owners)}, vocab={len(self.node_table)}, "
             f"nnz={self.matrix.nnz})"
         )
+
+
+def top_k_pack(
+    owners: Sequence[NodeId],
+    owner: np.ndarray,
+    candidate: np.ndarray,
+    weight: np.ndarray,
+    labels_of: Callable[[np.ndarray], List[NodeId]],
+    k: int,
+) -> SignaturePack:
+    """The top-``k`` signatures of ``owners`` from candidate columns.
+
+    Entry ``e`` gives owner ``owners[owner[e]]`` the candidate node at
+    position ``candidate[e]`` with relevance ``weight[e] > 0``; an owner
+    has each candidate at most once, and ``labels_of(positions)`` gives
+    the nodes' labels.  Entries rank by owner, weight descending, the
+    rank of ``str(label)`` among the distinct candidates, then entry
+    position, and each owner keeps its first ``k``: the order and cut of
+    :meth:`Signature.from_relevance` over a relevance dict holding the
+    owner's entries in position order.  Member columns are numbered
+    first-seen, so the pack equals :meth:`SignaturePack.from_signatures`
+    of the per-owner signatures.
+    """
+    num_owners = len(owners)
+    counts = np.bincount(owner, minlength=num_owners)
+    over = np.flatnonzero(counts > k)
+    if len(over):
+        # Only entries at or above their owner's k-th largest weight can
+        # make the cut, so only their labels are ranked.
+        ranked = np.lexsort((-weight, owner))
+        kth = np.zeros(num_owners)
+        kth[over] = weight[ranked[np.cumsum(counts)[over] - counts[over] + k - 1]]
+        keep = np.flatnonzero(weight >= kth[owner])
+        owner, candidate, weight = owner[keep], candidate[keep], weight[keep]
+    order = np.lexsort(
+        (dense_ranks(candidate, lambda positions: list(map(str, labels_of(positions)))), -weight, owner)
+    )
+    owner, candidate, weight = owner[order], candidate[order], weight[order]
+    counts = np.bincount(owner, minlength=num_owners)
+    top = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts) < k
+    distinct, columns = first_occurrence(candidate[top])
+    indptr = np.zeros(num_owners + 1, dtype=np.int64)
+    np.cumsum(np.minimum(counts, k), out=indptr[1:])
+    return SignaturePack(owners, labels_of(distinct), indptr, columns, weight[top])
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +546,8 @@ def pairwise_matrix(pack: SignaturePack, metric: MetricSpec = "jaccard") -> np.n
         _record_kernel(registry, "pairwise", path, label, len(pack) * len(pack))
     with registry.span("kernel.pairwise", path=path, metric=label):
         if name is None:
-            return _scalar_matrix(pack.signatures, pack.signatures, function, True)
+            signatures = pack.signatures
+            return _scalar_matrix(signatures, signatures, function, True)
         return _matrix_kernel(
             name, pack.matrix, pack.matrix, pack.totals, pack.totals, pack.sizes, pack.sizes
         )
@@ -508,11 +647,9 @@ def cross_pair_distances(
         _record_kernel(registry, "pairs", path, label, len(rows_a))
     with registry.span("kernel.pairs", path=path, metric=label):
         if name is None:
+            signatures_a, signatures_b = pack_a.signatures, pack_b.signatures
             return np.asarray(
-                [
-                    function(pack_a.signatures[i], pack_b.signatures[j])
-                    for i, j in zip(rows_a, rows_b)
-                ]
+                [function(signatures_a[i], signatures_b[j]) for i, j in zip(rows_a, rows_b)]
             )
         matrix_a, matrix_b = _aligned_matrices(pack_a, pack_b)
         return _pair_kernel(

@@ -160,10 +160,9 @@ def uniqueness_values(
             return pairwise_matrix(pack, kernel)[rows, cols].tolist()
         return pair_distances(pack, rows, cols, kernel).tolist()
     _name, function = resolve_distance(distance)
-    return [
-        function(signatures[population[i]], signatures[population[j]])
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
+    # Decoded once: a pack decodes a row on every read.
+    decoded = [signatures[node] for node in population]
+    return [function(decoded[i], decoded[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
 
 def _decode_pair_indices(

@@ -215,8 +215,10 @@ def _score_matrix(
         )
         return cross_matrix(pack_queries, pack_candidates, kernel)
     _name, function = resolve_distance(distance)
+    # Decoded once: a pack decodes a row on every read.
+    decoded = [signatures_next[candidate] for candidate in candidates]
     return (
-        [function(signatures_now[query], signatures_next[candidate]) for candidate in candidates]
+        [function(signatures_now[query], signature) for signature in decoded]
         for query in queries
     )
 

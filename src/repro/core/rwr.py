@@ -34,13 +34,13 @@ Two practical details the paper leaves implicit:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import List, Mapping, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.packed import SignaturePack, top_k_pack
 from repro.core.scheme import SignatureScheme, register_scheme
-from repro.core.signature import Signature
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
@@ -243,62 +243,66 @@ class RandomWalkWithResets(SignatureScheme):
             for index in np.flatnonzero(column > 0)
         }
 
-    def _compute_batch(
-        self, graph: CommGraph, targets: List[NodeId]
-    ) -> Dict[NodeId, Signature]:
+    def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         """Batched computation: one shared ``P^T``, the owners walked in
-        blocks of ``_BLOCK_BYTES`` per dense array, top-k extracted per block.
+        blocks of ``_BLOCK_BYTES`` per dense array, each block's columns
+        cut to their top-k candidates and ranked in one
+        :func:`~repro.core.packed.top_k_pack` call.
 
         Every column is its owner's walk alone (see :meth:`_iterate`), so
         any partition of the targets gives the same bytes as one call and
         as per-node :meth:`compute`; the blocks only bound the dense
         ``nodes x owners`` arrays a batch holds at once.
         """
-        if not targets:
-            return {}
-        missing = [node for node in targets if node not in graph]
-        signatures: Dict[NodeId, Signature] = {node: Signature(node, {}) for node in missing}
-        present = [node for node in targets if node in graph]
-        if not present:
-            return signatures
-
+        present = np.flatnonzero([node in graph for node in targets])
+        if not len(present):
+            none = np.empty(0, dtype=np.intp)
+            return top_k_pack(targets, none, none, np.empty(0), graph.node_labels, self.k)
         ordering, position = graph.node_index()
         num_nodes = len(ordering)
         transition_t = self._walk_matrix(graph, position)
         dangling = np.asarray(transition_t.sum(axis=0)).ravel() == 0
-        start_rows = np.asarray([position[node] for node in present])
-
-        right_mask = None
+        start_rows = np.asarray([position[targets[index]] for index in present])
+        not_right = None
         if isinstance(graph, BipartiteGraph):
             right = graph.right_node_set()
-            right_mask = np.asarray([node in right for node in ordering])
+            not_right = np.asarray([node not in right for node in ordering])
+            left = np.asarray([graph.side(targets[index]) == "left" for index in present])
 
         width = max(1, _BLOCK_BYTES // (8 * num_nodes))
+        owners, candidates, weights = [], [], []
         for lo in range(0, len(present), width):
-            occupancy = self._iterate(
-                transition_t, dangling, start_rows[lo : lo + width], num_nodes
-            )
-            for column, node in enumerate(present[lo : lo + width]):
-                weights = occupancy[:, column].copy()
-                weights[position[node]] = 0.0
-                if right_mask is not None and graph.side(node) == "left":
-                    weights = np.where(right_mask, weights, 0.0)
-                signatures[node] = self._extract_top_k(node, weights, ordering)
-        return signatures
+            rows = start_rows[lo : lo + width]
+            occupancy = self._iterate(transition_t, dangling, rows, num_nodes)
+            occupancy[rows, np.arange(len(rows))] = 0.0
+            if not_right is not None:
+                occupancy[np.ix_(not_right, left[lo : lo + width])] = 0.0
+            owner, candidate = self._top_candidates(occupancy)
+            owners.append(present[lo + owner])
+            candidates.append(candidate)
+            weights.append(occupancy[candidate, owner])
+        return top_k_pack(
+            targets,
+            np.concatenate(owners),
+            np.concatenate(candidates),
+            np.concatenate(weights),
+            graph.node_labels,
+            self.k,
+        )
 
-    def _extract_top_k(
-        self, owner: NodeId, weights: np.ndarray, node_array: List[NodeId]
-    ) -> Signature:
-        """Top-k of a dense weight vector with deterministic tie-breaking."""
-        positive = np.flatnonzero(weights > 0)
+    def _top_candidates(self, occupancy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(column, row)`` of each column's positive entries that can
+        make its top-k, column by column, rows ascending.
+
+        A column keeps its ``k + _TOPK_SLACK`` largest positive entries
+        and every entry tied with the weakest of them, so the exact
+        tie-break after the cut sees every contender.
+        """
         budget = self.k + _TOPK_SLACK
-        if positive.size > budget:
-            # Keep every index tied with the weakest of the top `budget`
-            # candidates so the subsequent exact tie-break stays correct.
-            partition = positive[
-                np.argpartition(weights[positive], positive.size - budget)[-budget:]
-            ]
-            threshold = weights[partition].min()
-            positive = positive[weights[positive] >= threshold]
-        candidates = {node_array[index]: float(weights[index]) for index in positive}
-        return Signature.from_relevance(owner, candidates, self.k)
+        positive = np.where(occupancy > 0, occupancy, 0.0)
+        keep = positive > 0
+        if occupancy.shape[0] > budget:
+            cut = occupancy.shape[0] - budget
+            keep &= positive >= np.partition(positive, cut, axis=0)[cut]
+        column, row = np.nonzero(keep.T)
+        return column, row

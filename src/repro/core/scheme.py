@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.execution import ComputeEngine
+from repro.core.packed import SignaturePack, top_k_pack
 from repro.core.signature import Signature
 from repro.exceptions import SchemeError, UnknownSchemeError
 from repro.graph.bipartite import BipartiteGraph
@@ -72,9 +73,10 @@ class SignatureScheme(abc.ABC):
         nodes: Iterable[NodeId] | None = None,
         *,
         engine: Optional[ComputeEngine] = None,
-    ) -> Dict[NodeId, Signature]:
-        """Signatures for ``nodes`` (default: every node in the graph),
-        keyed in target order.
+    ) -> SignaturePack:
+        """Signatures for ``nodes`` (default: every node in the graph), as
+        a :class:`~repro.core.packed.SignaturePack` mapping keyed in target
+        order (a repeated target keeps its first place).
 
         A window's signatures are a function of that window's graph
         alone: every target is computed on ``graph``, nothing carries over
@@ -94,24 +96,26 @@ class SignatureScheme(abc.ABC):
         the targets gives the same bytes as one call.
         """
         targets: List[NodeId] = list(nodes) if nodes is not None else graph.nodes()
+        # A repeated target is one owner, at its first place.
+        owners = list(dict.fromkeys(targets))
         if engine is None:
-            fresh = self._compute_batch(graph, targets)
+            pack = self._compute_batch(graph, owners)
         else:
-            fresh = engine.compute_batch(self, graph, targets)
+            pack = engine.compute_batch(self, graph, owners)
         # benchmarks/e2e/serve.py reads reused / (dirty + reused) from
         # /metrics; ROADMAP item 7 step 0 removes that reader and these.
         obs.counter("incremental.dirty_nodes", scheme=self.name).inc(len(targets))
         obs.counter("incremental.reused_signatures", scheme=self.name).inc(0)
-        return {node: fresh[node] for node in targets}
+        return pack
 
-    def _compute_batch(
-        self, graph: CommGraph, targets: List[NodeId]
-    ) -> Dict[NodeId, Signature]:
-        """Full computation for an explicit target list.
+    def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
+        """Full computation for an explicit list of distinct targets.
 
         Batched schemes override this instead of :meth:`compute_all`.
         """
-        return {node: self.compute(graph, node) for node in targets}
+        return SignaturePack.from_signatures(
+            {node: self.compute(graph, node) for node in targets}
+        )
 
     def _compute_rows(
         self,
@@ -119,19 +123,18 @@ class SignatureScheme(abc.ABC):
         targets: List[NodeId],
         relevance: Callable[[RowEntries], np.ndarray],
         rows: Optional[RowsCsr] = None,
-    ) -> Dict[NodeId, Signature]:
+    ) -> SignaturePack:
         """:meth:`_compute_batch` of a one-hop scheme whose relevance of
         ``(owner, u)`` reads the row entry ``C[owner, u]`` of ``rows``
         (default: the out-rows; an in-row scheme passes
         :meth:`~repro.graph.comm_graph.CommGraph.in_rows`).
 
         ``relevance`` gives every gathered entry's relevance (self-loops
-        and non-candidates at or below zero).  Each row's positive entries
-        at or above its k-th largest pass, in row order, to
-        :meth:`Signature.from_relevance`, whose tie-break then picks what
-        per-node :meth:`compute` picks.  The bipartite restriction is
-        skipped: a left owner's out-row only holds ``V2`` nodes, and its
-        in-row is empty.
+        and non-candidates at or below zero).  The positive entries, in
+        row order, go to :func:`~repro.core.packed.top_k_pack`, which
+        ranks and cuts them as per-node :meth:`compute` does.  The
+        bipartite restriction is skipped: a left owner's out-row only
+        holds ``V2`` nodes, and its in-row is empty.
         """
         if rows is None:
             rows = graph.out_rows()
@@ -139,24 +142,14 @@ class SignatureScheme(abc.ABC):
         with np.errstate(all="ignore"):
             weights = relevance(entries)
         candidates = np.flatnonzero(weights > 0)
-        owner = entries.owner[candidates]
-        weight = weights[candidates]
-        counts = np.bincount(owner, minlength=len(targets))
-        kth = np.zeros(len(targets))
-        over = np.flatnonzero(counts > self.k)
-        if len(over):
-            ranked = np.lexsort((-weight, owner))
-            kth[over] = weight[ranked[np.cumsum(counts)[over] - counts[over] + self.k - 1]]
-        keep = candidates[weight >= kth[owner]]
-        labels = graph.row_labels(rows, entries.index[keep])
-        kept = weights[keep].tolist()
-        bounds = np.searchsorted(entries.owner[keep], np.arange(len(targets) + 1)).tolist()
-        return {
-            node: Signature.from_relevance(
-                node, dict(zip(labels[lo:hi], kept[lo:hi])), self.k
-            )
-            for node, lo, hi in zip(targets, bounds, bounds[1:])
-        }
+        return top_k_pack(
+            targets,
+            entries.owner[candidates],
+            rows.cols[entries.index[candidates]],
+            weights[candidates],
+            graph.node_labels,
+            self.k,
+        )
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -8,12 +8,12 @@ Communities-of-Interest fraud-detection work of Cortes et al.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 import numpy as np
 
+from repro.core.packed import SignaturePack
 from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
-from repro.core.signature import Signature
 from repro.graph.comm_graph import CommGraph
 from repro.types import NodeId, Weight
 
@@ -47,9 +47,7 @@ class TopTalkers(SignatureScheme):
             if dst != node
         }
 
-    def _compute_batch(
-        self, graph: CommGraph, targets: List[NodeId]
-    ) -> Dict[NodeId, Signature]:
+    def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         return self._compute_rows(graph, targets, _row_shares)
 
 

@@ -14,13 +14,13 @@ little sensitivity to this choice, which our ablation bench verifies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 import numpy as np
 
+from repro.core.packed import SignaturePack
 from repro.core.relevance import get_scaling, scale_columns
 from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
-from repro.core.signature import Signature
 from repro.graph.comm_graph import CommGraph
 from repro.types import NodeId, Weight
 
@@ -51,9 +51,7 @@ class UnexpectedTalkers(SignatureScheme):
                 vector[dst] = scaled
         return vector
 
-    def _compute_batch(
-        self, graph: CommGraph, targets: List[NodeId]
-    ) -> Dict[NodeId, Signature]:
+    def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         in_degrees, num_nodes = np.diff(graph.in_rows().indptr), graph.num_nodes
 
         def scaled(entries: RowEntries):

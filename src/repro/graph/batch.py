@@ -16,7 +16,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,16 @@ def first_occurrence(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     rank = np.empty(len(unique), dtype=np.intp)
     rank[order] = np.arange(len(unique))
     return unique[order], rank[inverse]
+
+
+def dense_ranks(values: np.ndarray, keys_of: Callable[[np.ndarray], List]) -> np.ndarray:
+    """For each of ``values`` (ids), the rank of its key among the keys of
+    the distinct values (``keys_of(ids)`` lists the keys of ``ids``);
+    equal keys share a rank."""
+    ids, inverse = np.unique(values, return_inverse=True)
+    keys = keys_of(ids)
+    rank_of = dict(zip(sorted(set(keys)), range(len(keys))))
+    return np.fromiter(map(rank_of.__getitem__, keys), dtype=np.intp, count=len(keys))[inverse]
 
 
 class LabelTable:
@@ -125,6 +135,18 @@ def _weight_column(weights: List) -> np.ndarray:
     if column.ndim != 1 or column.dtype != np.float64 and column.dtype.kind not in "biu":
         raise TypeError("record weights must be floats, ints or bools")
     return column.astype(np.float64, copy=False)
+
+
+def validate_columns(time: np.ndarray, weight: np.ndarray) -> None:
+    """Raise :class:`DatasetError` naming the first record whose time is
+    not finite or whose weight is not finite and non-negative."""
+    bad = ~(np.isfinite(time) & np.isfinite(weight) & (weight >= 0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DatasetError(
+            f"record {row}: time must be finite and weight finite and "
+            f"non-negative, got time={time[row]!r} weight={weight[row]!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +231,7 @@ class RecordBatch:
         """The batch itself, once every time is finite and every weight
         finite and non-negative; else :class:`DatasetError` names the
         first record that is not."""
-        bad = ~(np.isfinite(self.time) & np.isfinite(self.weight) & (self.weight >= 0))
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise DatasetError(
-                f"record {row}: time must be finite and weight finite and "
-                f"non-negative, got time={self.time[row]!r} weight={self.weight[row]!r}"
-            )
+        validate_columns(self.time, self.weight)
         return self
 
     def canonical(self) -> "RecordBatch":
@@ -232,16 +248,6 @@ class RecordBatch:
         time = self.time
         if np.all(time[1:] > time[:-1]):
             return self
-        ids = np.unique(np.concatenate([self.src, self.dst]))
-        ranked = sorted(ids.tolist(), key=self.labels.__getitem__)
-        rank = np.empty(len(ids), dtype=np.intp)
-        rank[np.searchsorted(ids, ranked)] = np.arange(len(ids))
-        order = np.lexsort(
-            (
-                self.weight,
-                rank[np.searchsorted(ids, self.dst)],
-                rank[np.searchsorted(ids, self.src)],
-                time,
-            )
-        )
+        rank = dense_ranks(np.concatenate([self.src, self.dst]), self.labels.labels_of)
+        order = np.lexsort((self.weight, rank[len(self) :], rank[: len(self)], time))
         return self.take(order)

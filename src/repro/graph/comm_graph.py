@@ -37,14 +37,11 @@ from repro.types import NodeId, Weight, WeightedEdge
 
 class RowsCsr(NamedTuple):
     """Adjacency rows as CSR over a graph's node order: row ``i`` lists
-    node ``i``'s entries in row order, as neighbour positions and weights.
-    ``keys`` holds a dict-row graph's entry keys (the row dicts' own
-    objects), in the same order."""
+    node ``i``'s entries in row order, as neighbour positions and weights."""
 
     indptr: np.ndarray  # int64, one more than the number of nodes
     cols: np.ndarray  # int64 node positions
     data: np.ndarray  # float64
-    keys: Optional[List[NodeId]] = None
 
 
 def rows_to_csr(
@@ -62,7 +59,7 @@ def rows_to_csr(
             data.extend(row.values())
         indptr[i + 1] = len(keys)
     cols = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
-    return RowsCsr(indptr, cols, np.asarray(data, dtype=np.float64), keys)
+    return RowsCsr(indptr, cols, np.asarray(data, dtype=np.float64))
 
 
 def _grouped_csr(
@@ -481,14 +478,14 @@ class CommGraph:
     def _row_index(self) -> Dict[NodeId, int]:
         return self._memo("row_index", lambda: dict(zip(self._out, range(len(self._out)))))
 
-    def row_labels(self, rows: RowsCsr, entries: np.ndarray) -> List[NodeId]:
-        """The neighbour labels of the entries at ``entries`` of ``rows``
-        (this graph's :meth:`out_rows` or :meth:`in_rows`)."""
-        if rows.keys is not None:
-            return list(map(rows.keys.__getitem__, entries.tolist()))
+    def node_labels(self, positions: np.ndarray) -> List[NodeId]:
+        """The labels of the nodes at ``positions`` of the node order (the
+        positions :meth:`out_rows` and :meth:`in_rows` index)."""
         columns = self._columns
-        assert columns is not None
-        return columns.labels.labels_of(columns.nodes[rows.cols[entries]])
+        if columns is not None:
+            return columns.labels.labels_of(columns.nodes[positions])
+        ordering = self._memo("node_list", lambda: list(self._out))
+        return list(map(ordering.__getitem__, positions.tolist()))
 
     def edge_weights(self) -> List[Weight]:
         """All edge weights as a list (the paper's global weight distribution)."""

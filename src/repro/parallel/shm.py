@@ -13,10 +13,13 @@ the message-size-batched MPI master/worker fan-out in SNIPPETS.md:
 2. a persistent :class:`~concurrent.futures.ProcessPoolExecutor` receives
    *index-range work items* (manifest + ``[start, stop)``), never the
    arrays themselves;
-3. workers reattach zero-copy (attachments are cached per manifest token,
-   so a window is mapped once per worker, not once per task) and return
-   results in ``message_size``-batched chunks;
-4. the parent merges chunks **in input order**, so the assembled result is
+3. workers reattach zero-copy (the rebuilt window is cached per manifest
+   token, so a window is mapped once per worker, not once per task, and
+   unmapped once copied out) and return
+   each chunk of at most ``DEFAULT_MESSAGE_SIZE`` targets as one
+   :class:`~repro.core.packed.SignaturePack`;
+4. the parent joins the chunk packs **in input order**
+   (:meth:`SignaturePack.concat`), so the assembled pack is
    byte-identical to the serial computation regardless of worker
    scheduling.
 
@@ -61,7 +64,7 @@ import numpy as np
 from multiprocessing import shared_memory
 
 from repro import obs
-from repro.core.signature import Signature
+from repro.core.packed import SignaturePack
 from repro.exceptions import ReproError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
@@ -83,7 +86,7 @@ __all__ = [
     "release_manifest",
 ]
 
-#: Default number of per-target results per worker→parent message.
+#: Most targets per work item, so per worker→parent message.
 DEFAULT_MESSAGE_SIZE = 256
 
 #: Below this many targets the id list rides inside the work item itself;
@@ -92,7 +95,8 @@ DEFAULT_MESSAGE_SIZE = 256
 _INLINE_TARGET_LIMIT = 2048
 
 #: Worker-side attachment cache sizes (graphs are windows — a handful
-#: live at a time; blobs are per-dispatch target lists).
+#: live at a time; blobs are per-dispatch target lists).  The parent's
+#: publication cache holds as many graphs as a worker's.
 _WORKER_GRAPH_CACHE = 4
 _WORKER_BLOB_CACHE = 8
 
@@ -194,8 +198,9 @@ def _share_blob(payload: object) -> ArraySpec:
     return _share_array(np.frombuffer(pickle.dumps(payload), dtype=np.uint8))
 
 
-# Worker-side attachments, cached so a published window is mapped and
-# reconstructed once per worker process, not once per work item.
+# Worker-side attachments and what was copied out of them, cached so a
+# published window is mapped and reconstructed once per worker process,
+# not once per work item.
 _ATTACHED_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 _GRAPH_CACHE: "OrderedDict[str, CommGraph]" = OrderedDict()
 _BLOB_CACHE: "OrderedDict[str, object]" = OrderedDict()
@@ -207,6 +212,15 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         segment = shared_memory.SharedMemory(name=name)
         _ATTACHED_SEGMENTS[name] = segment
     return segment
+
+
+def _detach(specs: Sequence[ArraySpec]) -> None:
+    """Close the worker's attachments of publications it has copied out,
+    so it holds a file descriptor per segment only while reading it."""
+    for spec in specs:
+        segment = _ATTACHED_SEGMENTS.pop(spec.segment, None) if spec.segment else None
+        if segment is not None:
+            segment.close()
 
 
 def attach_array(spec: ArraySpec) -> np.ndarray:
@@ -233,6 +247,7 @@ def _cached_blob(spec: ArraySpec) -> object:
     payload = _BLOB_CACHE.get(spec.segment)
     if payload is None:
         payload = _load_blob(spec)
+        _detach([spec])
         _BLOB_CACHE[spec.segment] = payload
         while len(_BLOB_CACHE) > _WORKER_BLOB_CACHE:
             _BLOB_CACHE.popitem(last=False)
@@ -309,8 +324,8 @@ def publish_graph(graph: CommGraph) -> GraphManifest:
     engine-cached publications); the atexit registry is the backstop.
     """
     ordering = graph.nodes()
-    out_indptr, out_cols, out_data, _ = graph.out_rows()
-    in_indptr, in_cols, in_data, _ = graph.in_rows()
+    out_indptr, out_cols, out_data = graph.out_rows()
+    in_indptr, in_cols, in_data = graph.in_rows()
     is_bipartite = isinstance(graph, BipartiteGraph)
     sides_spec = None
     if is_bipartite:
@@ -394,6 +409,7 @@ def _cached_graph(manifest: GraphManifest) -> CommGraph:
     graph = _GRAPH_CACHE.get(manifest.token)
     if graph is None:
         graph = attach_graph(manifest)
+        _detach(_manifest_specs(manifest))
         _GRAPH_CACHE[manifest.token] = graph
         while len(_GRAPH_CACHE) > _WORKER_GRAPH_CACHE:
             _GRAPH_CACHE.popitem(last=False)
@@ -407,8 +423,7 @@ def _cached_graph(manifest: GraphManifest) -> CommGraph:
 # ----------------------------------------------------------------------
 class _ComputeTask:
     """Index-range signature recompute: manifest + target range, never the
-    graph.  Results travel back as compact ``(owner, entries)`` tuples —
-    one message per ≤ ``message_size`` targets."""
+    graph.  The chunk's signatures travel back as one pack."""
 
     __slots__ = (
         "manifest",
@@ -448,13 +463,9 @@ class _ComputeTask:
         if self.collect:
             registry = obs.MetricsRegistry()
             with obs.detached_span_path(), obs.use_registry(registry):
-                signatures = self.scheme._compute_batch(graph, list(chunk))
-            snapshot = registry.snapshot()
-        else:
-            signatures = self.scheme._compute_batch(graph, list(chunk))
-            snapshot = None
-        rows = [(node, signature.entries) for node, signature in signatures.items()]
-        return rows, snapshot
+                pack = self.scheme._compute_batch(graph, list(chunk))
+            return pack, registry.snapshot()
+        return self.scheme._compute_batch(graph, list(chunk)), None
 
 
 def _execute(task):
@@ -478,24 +489,8 @@ class ShmEngine:
     threads share the pool.
     """
 
-    def __init__(
-        self,
-        jobs: int = 0,
-        message_size: int = DEFAULT_MESSAGE_SIZE,
-        start_method: Optional[str] = None,
-        graph_cache_size: int = 4,
-    ) -> None:
-        if message_size < 1:
-            raise ShmError(f"message_size must be >= 1, got {message_size}")
-        if graph_cache_size < 1:
-            raise ShmError("the publication cache size must be >= 1")
+    def __init__(self, jobs: int = 0) -> None:
         self._workers = effective_jobs(jobs)
-        self._message_size = int(message_size)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._start_method = start_method
-        self._graph_cache_size = graph_cache_size
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong refs keep id() keys stable for the lifetime of the entry.
         self._graphs: "OrderedDict[Tuple[int, int], Tuple[GraphManifest, CommGraph]]" = (
@@ -509,10 +504,6 @@ class ShmEngine:
     @property
     def workers(self) -> int:
         return self._workers
-
-    @property
-    def message_size(self) -> int:
-        return self._message_size
 
     @property
     def closed(self) -> bool:
@@ -563,7 +554,8 @@ class ShmEngine:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         pool = self._pool
         if pool is None:
-            context = multiprocessing.get_context(self._start_method)
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
             pool = ProcessPoolExecutor(
                 max_workers=self._workers, mp_context=context
             )
@@ -607,7 +599,7 @@ class ShmEngine:
         with self._lock:
             self._graphs[key] = (manifest, graph)
             self._bytes_shared += manifest.nbytes
-            while len(self._graphs) > self._graph_cache_size:
+            while len(self._graphs) > _WORKER_GRAPH_CACHE:
                 old_manifest, _old_graph = self._graphs.popitem(last=False)[1]
                 evicted.append(old_manifest)
         for old in evicted:
@@ -620,17 +612,18 @@ class ShmEngine:
         scheme: "SignatureScheme",
         graph: CommGraph,
         targets: Optional[Sequence[NodeId]] = None,
-    ) -> Dict[NodeId, Signature]:
+    ) -> SignaturePack:
         """``scheme._compute_batch(graph, targets)``, fanned across the
-        pool — byte-identical to the serial call, results in target order.
-        ``targets=None`` means every node, as in ``compute_all``.
+        pool — byte-identical to the serial call, rows in target order (a
+        repeated target keeps its first place).  ``targets=None`` means
+        every node, as in ``compute_all``.
         """
         self._check_open()
-        targets = list(targets) if targets is not None else graph.nodes()
+        targets = list(dict.fromkeys(targets)) if targets is not None else graph.nodes()
         if not targets:
-            return {}
+            return SignaturePack.from_signatures({})
         manifest = self.publish_graph(graph)
-        chunk = max(1, min(self._message_size, math.ceil(len(targets) / self._workers)))
+        chunk = max(1, min(DEFAULT_MESSAGE_SIZE, math.ceil(len(targets) / self._workers)))
         registry = obs.get_registry()
         collect = registry.enabled
         targets_spec = None
@@ -652,15 +645,14 @@ class ShmEngine:
         if collect:
             registry.counter("shm.dispatches", op="compute").inc()
             registry.counter("shm.tasks", op="compute").inc(len(tasks))
-        merged: Dict[NodeId, Signature] = {}
+        packs: List[SignaturePack] = []
         try:
             with registry.span("shm.dispatch", op="compute", scheme=scheme.name):
-                for rows, snapshot in self._run(tasks):
+                for pack, snapshot in self._run(tasks):
                     if snapshot is not None:
                         obs.merge_into_active(snapshot)
-                    for node, entries in rows:
-                        merged[node] = Signature(node, dict(entries))
+                    packs.append(pack)
         finally:
             if targets_spec is not None and targets_spec.segment is not None:
                 _REGISTRY.unlink(targets_spec.segment)
-        return {node: merged[node] for node in targets}
+        return SignaturePack.concat(packs)

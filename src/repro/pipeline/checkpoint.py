@@ -90,6 +90,10 @@ class CheckpointStore:
     ) -> WindowEntry:
         """Durably persist one window as a new segment.
 
+        ``signatures`` is the window's
+        :class:`~repro.core.packed.SignaturePack`, or a
+        ``{owner: Signature}`` mapping (a degraded window's).
+
         ``window`` must be the next unwritten index, or an already-written
         index (in which case it is overwritten and any later windows are
         discarded — the resume semantics of "recompute from here").

@@ -29,12 +29,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.execution import ComputeEngine, execution_error, make_engine
+from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
@@ -162,13 +163,17 @@ class PipelineConfig:
 class PipelineResult:
     """Final signatures per window plus the full provenance report.
 
+    A computed exact window's signatures are its
+    :class:`~repro.core.packed.SignaturePack`; degraded and replayed
+    windows are ``{owner: Signature}`` dicts.  Both read alike.
+
     ``timeseries`` holds the run's metric trajectories (``{series key:
     [[t, value], ...]}``): one sample per completed window always, plus
     periodic wall-clock samples when ``config.sample_interval`` is set.
     """
 
     report: RunReport
-    signatures: List[Dict[str, Signature]] = field(default_factory=list)
+    signatures: List[Mapping[str, Signature]] = field(default_factory=list)
     timeseries: Dict[str, List[List[float]]] = field(default_factory=dict)
 
 
@@ -530,7 +535,7 @@ class SignaturePipeline:
         records: List[EdgeRecord],
         scheme: SignatureScheme,
         report: RunReport,
-    ) -> Tuple[WindowReport, Dict[str, Signature]]:
+    ) -> Tuple[WindowReport, Mapping[str, Signature]]:
         started = self._clock()
         # The window's one conversion: its records as canonical columns.
         batch = RecordBatch.from_records(records, LabelTable())
@@ -554,7 +559,7 @@ class SignaturePipeline:
             mode = MODE_DEGRADED
             reason = f"memory budget: {cells} graph cells > {budget}"
 
-        signatures: Dict[str, Signature] = {}
+        signatures: Mapping[str, Signature] = {}
         if mode == MODE_EXACT:
             exact = self._compute_exact(graph, scheme, started)
             if exact is None:
@@ -606,7 +611,7 @@ class SignaturePipeline:
 
     def _compute_exact(
         self, graph: CommGraph, scheme: SignatureScheme, started: float
-    ) -> Optional[Dict[str, Signature]]:
+    ) -> Optional[SignaturePack]:
         """Exact signatures, or ``None`` if the deadline tripped.
 
         The population is one batch, ``compute_all`` through the run's
@@ -635,7 +640,7 @@ class SignaturePipeline:
     def _save_window(
         self,
         window: int,
-        signatures: Dict[str, Signature],
+        signatures: Mapping[str, Signature],
         meta: Dict,
         mode: str,
         report: RunReport,

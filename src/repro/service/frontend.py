@@ -53,7 +53,7 @@ import numpy as np
 from repro import obs
 from repro.core.signature import Signature
 from repro.exceptions import DatasetError, PipelineError, ShardDown
-from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch, validate_columns
 from repro.service.config import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -865,13 +865,17 @@ def parse_ingest_body(body: str, labels: LabelTable) -> RecordBatch:
             sources.append(src)
             destinations.append(dst)
             weights.append(weight)
+    time = _float_column(times, "time")
+    weight = _float_column(weights, "weight")
+    validate_columns(time, weight)
+    # Interned last, so a rejected body adds no label to the table.
     return RecordBatch(
-        time=_float_column(times, "time"),
+        time=time,
         src=labels.intern(list(map(str, sources))),
         dst=labels.intern(list(map(str, destinations))),
-        weight=_float_column(weights, "weight"),
+        weight=weight,
         labels=labels,
-    ).validate()
+    )
 
 
 def _float_column(values, field: str) -> np.ndarray:

@@ -26,11 +26,12 @@ dead keeps answering — approximately, and saying so.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.core.distances import OUT_OF_RANGE_TOL, get_distance
 from repro.core.execution import ComputeEngine
+from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
 from repro.graph.batch import LabelTable, RecordBatch
@@ -92,9 +93,10 @@ class ShardEngine:
         )
         #: Index of the last applied window; -1 before any bucket arrived.
         self.window = -1
-        #: Current / previous window signatures, string-keyed.
-        self.signatures: Dict[str, Signature] = {}
-        self.prev_signatures: Dict[str, Signature] = {}
+        #: Current / previous window signatures, string-keyed: a computed
+        #: window's pack, or the dict a store load gives.
+        self.signatures: Mapping[str, Signature] = {}
+        self.prev_signatures: Mapping[str, Signature] = {}
         self._index: Optional[SignatureIndex] = None
         self._distance = get_distance(config.distance)
 
@@ -136,12 +138,10 @@ class ShardEngine:
             self.store.save_window(self.window, self.signatures, meta=meta)
             self.registry.counter("shard.checkpoint_writes").inc()
 
-    def _compute(self, graph: CommGraph) -> Dict[str, Signature]:
-        """Every sender's signature on ``graph``, string-keyed."""
-        computed = self.scheme.compute_all(
-            graph, graph.senders(), engine=self.compute_engine
-        )
-        return {str(node): sig for node, sig in computed.items()}
+    def _compute(self, graph: CommGraph) -> SignaturePack:
+        """Every sender's signature on ``graph`` (string labels: the
+        buckets are interned from the wire)."""
+        return self.scheme.compute_all(graph, graph.senders(), engine=self.compute_engine)
 
     # ------------------------------------------------------------------
     # Recovery
@@ -273,7 +273,8 @@ class ShardEngine:
         return self.signatures.get(node)
 
     def query_index(self) -> SignatureIndex:
-        """Similarity index over the current window (rebuilt lazily per window)."""
+        """Similarity index over the current window (built on the window's
+        first query, which decodes every signature once)."""
         if self._index is None:
             index = SignatureIndex(self._distance)
             index.add_all(self.signatures.values())

@@ -266,6 +266,11 @@ class HistoryStore:
     ) -> SegmentRecord:
         """Commit complete windows as one new immutable segment.
 
+        Each window's signatures are a
+        :class:`~repro.core.packed.SignaturePack` (as ``compute_all``
+        returns them) or a ``{owner: Signature}`` mapping; see
+        :func:`~repro.store.segments.encode_segment`.
+
         Windows at or after the smallest appended window that were already
         stored are superseded (the checkpoint "truncate the future" resume
         contract); purely-ascending appends supersede nothing.  The segment

@@ -22,6 +22,12 @@ slices.  Weights round-trip bit-exactly (raw float64, no decimal detour),
 which is what lets checkpoints keep the pipeline's byte-identical resume
 contract.
 
+The writer takes each window as the
+:class:`~repro.core.packed.SignaturePack` the batch kernels emit and
+gathers its CSR columns in sorted-owner order; no :class:`Signature` is
+built on the way.  A ``{owner: Signature}`` mapping is packed first, so
+it encodes to the same bytes.
+
 Segments are written atomically via :func:`repro.ioutils.atomic_write` and
 identified by the SHA-256 of their bytes; a truncated or bit-rotted file
 fails :func:`read_segment` (or its manifest hash check) instead of decoding
@@ -35,13 +41,16 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.packed import SignaturePack
 from repro.core.signature import Signature
 from repro.exceptions import StoreError
+from repro.graph.batch import LabelTable, first_occurrence
 from repro.ioutils import atomic_write, bytes_sha256, fsync_dir
 
 #: File magic; bumping the trailing digits is a format break.
@@ -98,33 +107,18 @@ def encode_segment(
 ) -> bytes:
     """Serialize complete windows into one immutable segment blob.
 
-    ``windows`` is a sequence of ``(window_index, {owner: Signature})``
-    pairs; owners within a window are stored in sorted label order so the
+    ``windows`` is a sequence of ``(window_index, signatures)`` pairs,
+    each window a :class:`~repro.core.packed.SignaturePack` or a mapping
+    ``{owner: Signature}`` (packed first, so both give the same bytes).
+    Owners within a window are stored in sorted label order so the
     encoding is a pure function of its content (equal inputs give equal
     bytes, hence equal hashes).  ``index_params`` — an
     :class:`repro.store.index.IndexParams` — enables the per-row LSH band
     columns; ``None`` stores an empty band table (queries then fall back to
     brute force on this segment).
     """
-    label_ids: Dict[str, int] = {}
-    label_list: List[str] = []
-
-    def intern(label: object) -> int:
-        if not isinstance(label, str):
-            raise StoreError(
-                f"history segments require string node labels, "
-                f"got {type(label).__name__}"
-            )
-        idx = label_ids.get(label)
-        if idx is None:
-            idx = label_ids[label] = len(label_list)
-            label_list.append(label)
-        return idx
-
     seen_windows = set()
-    row_records: List[Tuple[int, int, int, int]] = []
-    key_parts: List[int] = []
-    value_parts: List[float] = []
+    packs: List[SignaturePack] = []
     blocks: List[Dict] = []
     for window, signatures in windows:
         window = int(window)
@@ -133,42 +127,51 @@ def encode_segment(
         if window in seen_windows:
             raise StoreError(f"window {window} appears twice in one segment")
         seen_windows.add(window)
-        row_start = len(row_records)
-        for owner in sorted(signatures):
-            signature = signatures[owner]
-            if signature.owner != owner:
-                raise StoreError(
-                    f"map key {owner!r} does not match signature owner "
-                    f"{signature.owner!r}"
-                )
-            start = len(key_parts)
-            for node, weight in signature.entries:
-                key_parts.append(intern(node))
-                value_parts.append(float(weight))
-            row_records.append(
-                (intern(owner), window, start, len(key_parts) - start)
-            )
+        packs.append(_sorted_pack(signatures))
+        row_start = blocks[-1]["rows"][1] if blocks else 0
         meta = dict((metas or {}).get(window, {}) or {})
         mode = str((modes or {}).get(window, "exact"))
         blocks.append(
             {
                 "window": window,
-                "rows": [row_start, len(row_records)],
+                "rows": [row_start, row_start + len(packs[-1])],
                 "mode": mode,
                 "meta": meta,
             }
         )
+
+    pack = SignaturePack.concat(packs) if packs else SignaturePack.from_signatures({})
+    # Provisional label ids, each label checked once; the segment numbers
+    # labels first-seen over each row's members, then its owner.
+    table = LabelTable()
+    owners = table.intern(pack.owners)
+    members = table.intern(pack.node_table)
+    for label in table:
+        if not isinstance(label, str):
+            raise StoreError(
+                f"history segments require string node labels, "
+                f"got {type(label).__name__}"
+            )
+    indptr = pack.matrix.indptr
+    # Row j's owner follows its members and the j owners before it.
+    owner_at = indptr[1:] + np.arange(len(pack))
+    distinct, label_ids = first_occurrence(
+        np.insert(members[pack.matrix.indices], indptr[1:], owners)
+    )
+    label_list = table.labels_of(distinct)
+    rows = np.empty(len(pack), dtype=ROW_DTYPE)
+    rows["owner"] = label_ids[owner_at]
+    rows["window"] = np.repeat([block["window"] for block in blocks], list(map(len, packs)))
+    rows["start"] = indptr[:-1]
+    rows["count"] = np.diff(indptr)
+    keys = np.delete(label_ids, owner_at).astype("<i8")
+    values = pack.matrix.data.astype("<f8")
 
     encoded_labels = [label.encode("utf-8") for label in label_list]
     label_blob = b"".join(encoded_labels)
     label_offsets = np.zeros(len(label_list) + 1, dtype="<i8")
     if encoded_labels:
         label_offsets[1:] = np.cumsum([len(blob) for blob in encoded_labels])
-    rows = np.array(row_records, dtype=ROW_DTYPE) if row_records else np.empty(
-        0, dtype=ROW_DTYPE
-    )
-    keys = np.asarray(key_parts, dtype="<i8")
-    values = np.asarray(value_parts, dtype="<f8")
 
     index_header: Dict = {"bands": 0, "rows_per_band": 0, "seed": 0}
     if index_params is not None:
@@ -242,6 +245,20 @@ def encode_segment(
         parts.append(blob)
         parts.append(b"\0" * _pad(len(blob)))
     return b"".join(parts)
+
+
+def _sorted_pack(signatures: Mapping[str, Signature]) -> SignaturePack:
+    """One window's signatures as a pack, rows in sorted-owner order (a
+    mapping is packed once its keys are checked against its signatures'
+    owners)."""
+    if not isinstance(signatures, SignaturePack):
+        for owner, signature in signatures.items():
+            if signature.owner != owner:
+                raise StoreError(
+                    f"map key {owner!r} does not match signature owner "
+                    f"{signature.owner!r}"
+                )
+    return SignaturePack.from_signatures(signatures, order=sorted(signatures))
 
 
 def _header_bytes(header: Mapping) -> bytes:

@@ -88,6 +88,60 @@ class TestSignaturePack:
         assert np.array_equal(matrix, np.zeros((2, 2)))
 
 
+def same_fields(pack, other):
+    return (
+        pack.owners == other.owners
+        and pack.node_table == other.node_table
+        and pack.matrix.indptr.tolist() == other.matrix.indptr.tolist()
+        and pack.matrix.indices.tolist() == other.matrix.indices.tolist()
+        and pack.matrix.data.tobytes() == other.matrix.data.tobytes()
+    )
+
+
+class TestPackAsMapping:
+    """A pack reads as ``owner -> Signature``, decoding a row per read."""
+
+    def test_mapping_protocol_decodes_rows(self):
+        signatures = random_signatures(random.Random(3), 20, 6, 15)
+        pack = SignaturePack.from_signatures(signatures)
+        assert list(pack) == list(signatures) and len(pack) == len(signatures)
+        assert pack == signatures and dict(pack.items()) == signatures
+        assert "v3" in pack and "ghost" not in pack
+        assert pack.get("ghost") is None
+        assert pack["v3"] == signatures["v3"] and pack["v3"] is not pack["v3"]
+        assert pack.signatures == tuple(signatures.values())
+
+    def test_repeated_owner_maps_to_its_first_row(self):
+        pack = SignaturePack.from_signatures(
+            [Signature("dup", {"a": 1.0}), Signature("dup", {"b": 2.0})]
+        )
+        assert pack["dup"] == Signature("dup", {"a": 1.0})
+        assert pack.signatures[1] == Signature("dup", {"b": 2.0})
+
+    def test_taking_rows_equals_packing_decoded_rows(self):
+        signatures = random_signatures(random.Random(4), 30, 6, 20)
+        pack = SignaturePack.from_signatures(signatures)
+        order = random.Random(5).sample(list(signatures), 17)
+        taken = SignaturePack.from_signatures(pack, order=order)
+        assert same_fields(taken, SignaturePack.from_signatures(signatures, order=order))
+        assert SignaturePack.from_signatures(pack) is pack
+        with pytest.raises(DistanceError, match="ghost"):
+            SignaturePack.from_signatures(pack, order=["ghost"])
+
+    def test_concat_equals_one_pack_and_pickles(self):
+        import pickle
+
+        signatures = random_signatures(random.Random(6), 25, 6, 20)
+        owners = list(signatures)
+        parts = [
+            SignaturePack.from_signatures({o: signatures[o] for o in owners[lo : lo + 7]})
+            for lo in range(0, len(owners), 7)
+        ]
+        joined = SignaturePack.concat(parts)
+        assert same_fields(joined, SignaturePack.from_signatures(signatures))
+        assert same_fields(pickle.loads(pickle.dumps(joined)), joined)
+
+
 class TestPackBuffers:
     """The pack's numeric footprint."""
 

@@ -1,11 +1,14 @@
-"""The TT, UT and IT batch kernels against per-node ``compute``.
+"""The TT, UT, IT and RWR batch kernels against per-node ``compute``.
 
-``compute_all`` runs ``_compute_batch``, which for each is one pass over
-the targets' CSR out-rows (IT: in-rows): builtin row sums, one vectorised
-division or scaling, and a per-row k-th-largest cut before
-``Signature.from_relevance``.  Per-node ``compute`` (the scalar
-relevance dict) is the reference; every signature must match it entry
-for entry, labels by type and weights bit for bit.
+``compute_all`` runs ``_compute_batch``, which for the row kernels is one
+pass over the targets' CSR out-rows (IT: in-rows): builtin row sums, one
+vectorised division or scaling, and then ``top_k_pack``, the one ranker
+every batch kernel (RWR's walk blocks too) hands its candidates to.
+Per-node ``compute`` (the scalar relevance dict and
+``Signature.from_relevance``) is the reference; every signature must
+match it entry for entry, labels by type and weights bit for bit, and
+the pack must equal ``SignaturePack.from_signatures`` of the per-node
+signatures field for field, in-process and through a shm engine.
 """
 
 import struct
@@ -14,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.packed import SignaturePack
 from repro.core.scheme import create_scheme
 from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import SlidingWindowAggregator
+from repro.parallel.shm import ShmEngine
 
 #: ``1`` and ``"1"`` are different nodes whose ``str`` forms tie.
 PLAIN = ["a", "b", "c", 1, "1", 2.5]
@@ -33,7 +38,37 @@ SCHEMES = (
     [("tt", {})]
     + [("ut", {"scaling": name}) for name in ("inverse", "sqrt", "tfidf")]
     + [("it", {})]
+    + [("rwr", {"reset_probability": 0.1, "max_hops": 3}), ("rwr", {})]
 )
+
+
+#: Each scheme in-process and through a shm engine; the in-process cases
+#: keep the ids they had before the engine became a parameter.
+CASES = [
+    pytest.param(
+        name, params, strategy, id=f"{name}-params{index}" + ("-shm" if strategy == "shm" else "")
+    )
+    for strategy in ("serial", "shm")
+    for index, (name, params) in enumerate(SCHEMES)
+]
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """``engines(strategy)``: ``None`` in-process, else one shared
+    ``ShmEngine(jobs=2)``, opened on first use."""
+    opened = []
+
+    def engine(strategy):
+        if strategy == "serial":
+            return None
+        if not opened:
+            opened.append(ShmEngine(jobs=2))
+        return opened[0]
+
+    yield engine
+    for shm in opened:
+        shm.close()
 
 
 def exact(signature):
@@ -42,12 +77,28 @@ def exact(signature):
     ]
 
 
-def assert_kernel_is_per_node(graph, scheme):
-    targets = graph.nodes() + ["absent"]
-    batch = scheme.compute_all(graph, targets)
-    assert list(batch) == targets
-    for node in targets:
-        assert exact(batch[node]) == exact(scheme.compute(graph, node))
+def assert_same_pack(pack, reference):
+    """Field for field: owners and member table (labels by type), CSR
+    structure, and weights bit for bit."""
+    assert [(o, type(o)) for o in pack.owners] == [(o, type(o)) for o in reference.owners]
+    assert [(n, type(n)) for n in pack.node_table] == [
+        (n, type(n)) for n in reference.node_table
+    ]
+    assert pack.matrix.indptr.tolist() == reference.matrix.indptr.tolist()
+    assert pack.matrix.indices.tolist() == reference.matrix.indices.tolist()
+    assert pack.matrix.data.tobytes() == reference.matrix.data.tobytes()
+
+
+def assert_kernel_is_per_node(graph, scheme, engine=None, targets=None):
+    if targets is None:
+        targets = graph.nodes() + ["absent"]
+    batch = scheme.compute_all(graph, targets, engine=engine)
+    owners = list(dict.fromkeys(targets))
+    assert list(batch) == owners
+    reference = {node: scheme.compute(graph, node) for node in owners}
+    for node in owners:
+        assert exact(batch[node]) == exact(reference[node])
+    assert_same_pack(batch, SignaturePack.from_signatures(reference))
 
 
 def records_of(srcs, dsts):
@@ -55,7 +106,7 @@ def records_of(srcs, dsts):
     return st.lists(st.lists(record, max_size=14), min_size=1, max_size=5)
 
 
-@pytest.mark.parametrize("name,params", SCHEMES)
+@pytest.mark.parametrize("name,params,strategy", CASES)
 class TestKernelEqualsPerNode:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -64,7 +115,10 @@ class TestKernelEqualsPerNode:
         k=st.integers(1, 4),
         bipartite=st.booleans(),
     )
-    def test_aggregator_windows(self, name, params, buckets, window_buckets, k, bipartite):
+    def test_aggregator_windows(
+        self, name, params, strategy, engines, buckets, window_buckets, k, bipartite
+    ):
+        engine = engines(strategy)
         if bipartite:
             # Re-draw each record's ends onto the two sides.
             buckets = [
@@ -79,12 +133,15 @@ class TestKernelEqualsPerNode:
         for bucket in buckets:
             aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
             graph = aggregator.graph
-            batch = scheme.compute_all(graph, graph.nodes())
-            # The kernel ran on the columns: no dict rows were written.
-            assert "_out" not in vars(graph)
-            assert graph.cache_info().get("rows") is None
+            batch = scheme.compute_all(graph, graph.nodes(), engine=engine)
+            if name != "rwr" and engine is None:
+                # The kernel ran on the columns: no dict rows were written.
+                assert "_out" not in vars(graph)
+                assert graph.cache_info().get("rows") is None
+            reference = {node: scheme.compute(graph, node) for node in graph.nodes()}
             for node, signature in batch.items():
-                assert exact(signature) == exact(scheme.compute(graph, node))
+                assert exact(signature) == exact(reference[node])
+            assert_same_pack(batch, SignaturePack.from_signatures(reference))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -94,7 +151,8 @@ class TestKernelEqualsPerNode:
         data=st.data(),
         k=st.integers(1, 4),
     )
-    def test_mutated_dict_graphs(self, name, params, records, data, k):
+    def test_mutated_dict_graphs(self, name, params, strategy, engines, records, data, k):
+        engine = engines(strategy)
         graph = CommGraph()
         for src, dst, weight in records:
             graph.add_edge(src, dst, weight)
@@ -109,24 +167,52 @@ class TestKernelEqualsPerNode:
                 graph.decrement_edge(*data.draw(st.sampled_from(edges)), data.draw(WEIGHT))
             elif op == "remove_node" and graph.num_nodes:
                 graph.remove_node(data.draw(st.sampled_from(graph.nodes())))
-        assert_kernel_is_per_node(graph, create_scheme(name, k=k, **params))
+        assert_kernel_is_per_node(graph, create_scheme(name, k=k, **params), engine)
 
-    def test_order_sensitive_row_sum(self, name, params):
+    def test_order_sensitive_row_sum(self, name, params, strategy, engines):
+        engine = engines(strategy)
         # sum() of [1e16, 1.0, 1.0] is 1e16 left to right, but
         # 1.0000000000000002e16 compensated (Python 3.12+): the kernel
         # sums rows with the same builtin as per-node relevance.
         records = [EdgeRecord(0.0, "a", dst, w) for dst, w in (("x", 1e16), ("y", 1.0), ("z", 1.0))]
         aggregator = SlidingWindowAggregator()
         aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
-        assert_kernel_is_per_node(aggregator.graph, create_scheme(name, k=2, **params))
+        assert_kernel_is_per_node(aggregator.graph, create_scheme(name, k=2, **params), engine)
 
-    def test_ties_self_loops_and_bipartite(self, name, params):
+    def test_ties_self_loops_and_bipartite(self, name, params, strategy, engines):
+        engine = engines(strategy)
         graph = CommGraph(
             [("a", "a", 5.0), ("a", "x", 1.0), ("a", 1, 1.0), ("a", "1", 1.0), ("a", "y", 0.5)]
             + [("b", "x", 1.0), ("c", "x", 2.0), ("c", "a", 2.0)]
         )
         for k in (1, 2, 3, 10):
-            assert_kernel_is_per_node(graph, create_scheme(name, k=k, **params))
+            assert_kernel_is_per_node(graph, create_scheme(name, k=k, **params), engine)
         sides = BipartiteGraph([("a", "x", 0.1), ("a", "y", 0.2), ("b", "x", 0.7), (1, "1", 3.0)])
         sides.add_left_node("idle")
-        assert_kernel_is_per_node(sides, create_scheme(name, k=1, **params))
+        assert_kernel_is_per_node(sides, create_scheme(name, k=1, **params), engine)
+
+    def test_id_order_is_not_str_order(self, name, params, strategy, engines):
+        engine = engines(strategy)
+        # "9" is interned before "10" and the int 10 before the int 9, so
+        # neither id order nor label order is str order; 10 and "10" tie
+        # in str and keep row order.  Every weight ties.
+        ends = ["9", 10, "10", 9, "x"]
+        records = [EdgeRecord(0.0, "a", dst, 1.0) for dst in ends]
+        records += [EdgeRecord(0.0, "b", dst, 1.0) for dst in reversed(ends)]
+        aggregator = SlidingWindowAggregator()
+        aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+        graph = CommGraph(
+            [("a", dst, 1.0) for dst in ends] + [("b", dst, 1.0) for dst in reversed(ends)]
+        )
+        for k in (1, 2, 3, 5):
+            scheme = create_scheme(name, k=k, **params)
+            assert_kernel_is_per_node(aggregator.graph, scheme, engine)
+            assert_kernel_is_per_node(graph, scheme, engine)
+
+    def test_duplicate_targets_keep_their_first_place(self, name, params, strategy, engines):
+        engine = engines(strategy)
+        graph = CommGraph([("a", "x", 1.0), ("a", "y", 2.0), ("b", "x", 3.0), ("x", "a", 1.0)])
+        scheme = create_scheme(name, k=2, **params)
+        targets = ["b", "a", "b", "absent", "a", "x", "absent"]
+        assert_kernel_is_per_node(graph, scheme, engine, targets)
+        assert list(scheme.compute_all(graph, targets, engine=engine)) == ["b", "a", "absent", "x"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.rwr as rwr_module
+import repro.parallel.shm as shm_module
 from repro.core.rwr import RandomWalkWithResets
 from repro.core.top_talkers import TopTalkers
 from repro.exceptions import SchemeError
@@ -160,7 +161,7 @@ BIPARTITE_EDGES = st.lists(
 
 @pytest.fixture(scope="module")
 def shm_engine():
-    with ShmEngine(jobs=2, message_size=5) as engine:
+    with patch.object(shm_module, "DEFAULT_MESSAGE_SIZE", 5), ShmEngine(jobs=2) as engine:
         yield engine
 
 

@@ -168,6 +168,17 @@ class TestIngest:
             service.ingest(records)
         assert len(service.frontend.queue) == 0
 
+    def test_rejected_body_adds_no_label(self):
+        """Regression: the ends were interned before the weights were
+        parsed and checked, so every rejected body grew the table."""
+        labels = LabelTable()
+        parse_ingest_body('{"records": [[0.0, "a", "b", 1.0]]}', labels)
+        for number, weight in enumerate([-1.0, "x", float("nan")]):
+            body = json.dumps({"records": [[1.0, f"src-{number}", f"dst-{number}", weight]]})
+            with pytest.raises((ValueError, DatasetError), match="record 0"):
+                parse_ingest_body(body, labels)
+        assert list(labels) == ["a", "b"]
+
     def test_parse_ingest_body_coerces_node_ids(self):
         batch = parse_ingest_body('{"records": [[1.0, 7, 8, 2.0]]}', LabelTable())
         assert batch.records() == [EdgeRecord(time=1.0, src="7", dst="8", weight=2.0)]

@@ -62,6 +62,18 @@ class TestServer:
         # Exiting the context drains the queue: the window closed.
         assert service.supervisor.window == 4
 
+    def test_rejected_ingest_adds_no_label(self, service):
+        labels = service.supervisor.labels
+        known = len(labels)
+        with ServiceServer(service, port=0) as server:
+            for number, weight in enumerate([-1.0, "x", float("nan")]):
+                status, document = post(
+                    f"{server.url}/ingest",
+                    {"records": [[1.0, f"src-{number}", f"dst-{number}", weight]]},
+                )
+                assert status == 400, document
+        assert len(labels) == known
+
     def test_unknown_route_over_http(self, service):
         with ServiceServer(service, port=0) as server:
             status, document = fetch(f"{server.url}/nope")

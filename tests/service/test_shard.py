@@ -45,7 +45,8 @@ class TestApply:
         assert engine.window == 3
         assert engine.signatures
         node = next(iter(engine.signatures))
-        assert engine.signature(node) is engine.signatures[node]
+        # Each read decodes the row afresh: equal, not the same object.
+        assert engine.signature(node) == engine.signatures[node]
         assert engine.signature("no-such-node") is None
 
     def test_apply_is_order_invariant_within_bucket(self, config, buckets):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.packed import SignaturePack
 from repro.core.signature import Signature
 from repro.exceptions import StoreError
 from repro.store import (
@@ -112,6 +113,61 @@ class TestRoundTripProperties:
         second = encode_segment([(0, dict(window_map))], index_params=params)
         assert first == second
         assert first.startswith(SEGMENT_MAGIC)
+
+
+@st.composite
+def segment_inputs(draw):
+    """Windows with distinct indices, optional metas and modes, and an
+    optional index."""
+    maps = draw(st.lists(window_maps(), min_size=1, max_size=4))
+    indices = draw(
+        st.lists(st.integers(0, 50), min_size=len(maps), max_size=len(maps), unique=True)
+    )
+    metas = {w: {"n": draw(st.integers(0, 9))} for w in indices if draw(st.booleans())}
+    modes = {
+        w: draw(st.sampled_from(["exact", "degraded-streaming"]))
+        for w in indices
+        if draw(st.booleans())
+    }
+    params = draw(
+        st.none()
+        | st.builds(
+            IndexParams,
+            bands=st.integers(1, 4),
+            rows_per_band=st.integers(1, 3),
+            seed=st.integers(0, 5),
+        )
+    )
+    return list(zip(indices, maps)), dict(metas=metas, modes=modes, index_params=params)
+
+
+class TestPacksEncodeAsMappings:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=segment_inputs(), data=st.data())
+    def test_pack_and_decoded_mapping_give_equal_bytes(self, inputs, data):
+        windows, options = inputs
+        packs = []
+        for window, window_map in windows:
+            # Rows in a drawn order, taken from a pack without decoding.
+            order = data.draw(st.permutations(list(window_map)))
+            packs.append(
+                (window, SignaturePack.from_signatures(
+                    SignaturePack.from_signatures(window_map), order=order
+                ))
+            )
+        decoded = [(window, dict(pack.items())) for window, pack in packs]
+        blob = encode_segment(packs, **options)
+        assert blob == encode_segment(decoded, **options)
+        assert blob == encode_segment(windows, **options)
+
+    def test_key_owner_mismatch_rejected(self):
+        with pytest.raises(StoreError, match="does not match signature owner"):
+            encode_segment([(0, {"a": Signature("b", {"x": 1.0})})])
+
+    def test_non_string_label_in_a_pack_rejected(self):
+        pack = SignaturePack.from_signatures({"a": Signature("a", {7: 1.0})})
+        with pytest.raises(StoreError, match="string node labels"):
+            encode_segment([(0, pack)])
 
 
 class TestEdgeCases:

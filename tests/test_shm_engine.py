@@ -11,6 +11,7 @@ import os
 import random
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.core.signature import Signature
 from repro.core.top_talkers import TopTalkers
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
+import repro.parallel.shm as shm_module
 from repro.parallel.shm import (
     ShmEngine,
     ShmError,
@@ -67,7 +69,7 @@ def population(graph):
 def engine():
     # Tiny message size forces multi-chunk dispatches even on small graphs,
     # exercising the merge path; 2 workers exercises real cross-process IPC.
-    with ShmEngine(jobs=2, message_size=7) as shared:
+    with patch.object(shm_module, "DEFAULT_MESSAGE_SIZE", 7), ShmEngine(jobs=2) as shared:
         yield shared
 
 
@@ -216,6 +218,19 @@ class TestLifecycle:
         for name in names:
             assert not Path("/dev/shm", name).exists()
         assert local.segment_names() == []
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+    def test_workers_hold_no_descriptor_per_past_publication(self):
+        # Regression: a worker kept every segment it ever attached open,
+        # one descriptor each, so a long run exhausted its descriptors.
+        scheme = create_scheme("tt", k=3)
+        with ShmEngine(jobs=1) as local:
+            local.compute_batch(scheme, random_graph(60), None)
+            (pid,) = local._pool._processes
+            before = len(os.listdir(f"/proc/{pid}/fd"))
+            for seed in range(61, 81):
+                local.compute_batch(scheme, random_graph(seed), None)
+            assert len(os.listdir(f"/proc/{pid}/fd")) <= before
 
     def test_graph_version_bump_invalidates_cached_manifest(self, engine):
         scheme = create_scheme("tt", k=3)

@@ -334,19 +334,18 @@ def _pickle_chunk(task):
 
     This is exactly what a naive ``parallel_map`` port of the recompute
     loop pays per chunk — the cost the shared-memory engine exists to
-    remove.  Returns the same compact rows the shm workers return, so the
-    two baselines merge identically.
+    remove.  Returns the chunk's pack, as the shm workers do, so the two
+    baselines join identically.
     """
     graph, scheme, chunk = task
-    result = scheme._compute_batch(graph, chunk)
-    return [(node, result[node].entries) for node in result]
+    return scheme._compute_batch(graph, chunk)
 
 
 def _pickle_parallel_compute(scheme, graph, targets, workers: int, message_size: int):
     """Pickle-transport equivalent of ``ShmEngine.compute_batch``.
 
     Same chunk geometry as the engine (so the only variable is how bytes
-    reach the workers), merged in submission order for determinism.
+    reach the workers), chunk packs joined in submission order.
     """
     from repro.parallel import parallel_map
 
@@ -355,11 +354,7 @@ def _pickle_parallel_compute(scheme, graph, targets, workers: int, message_size:
         (graph, scheme, targets[start : start + chunk])
         for start in range(0, len(targets), chunk)
     ]
-    merged = {}
-    for rows in parallel_map(_pickle_chunk, tasks, jobs=workers):
-        for node, entries in rows:
-            merged[node] = Signature(node, dict(entries))
-    return {node: merged[node] for node in targets}
+    return SignaturePack.concat(parallel_map(_pickle_chunk, tasks, jobs=workers))
 
 
 def bench_shm(
