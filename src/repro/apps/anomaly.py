@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.distances import DistanceFunction
+from repro.core.properties import persistence_values
 from repro.core.scheme import SignatureScheme
 from repro.core.signature import Signature
 from repro.exceptions import ExperimentError
@@ -108,10 +109,9 @@ class AnomalyDetector:
         population = list(population)
         if not population:
             raise ExperimentError("anomaly detection needs a non-empty population")
-        persistence_by_node = {
-            node: 1.0 - self.distance(signatures_now[node], signatures_next[node])
-            for node in population
-        }
+        persistence_by_node = persistence_values(
+            signatures_now, signatures_next, self.distance, population
+        )
 
         values = np.asarray(list(persistence_by_node.values()), dtype=float)
         median = float(np.median(values))

@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.distances import DistanceFunction
+from repro.core.packed import SignaturePack, cross_matrix
 from repro.core.scheme import SignatureScheme
 from repro.exceptions import ExperimentError, PerturbationError
 from repro.graph.comm_graph import CommGraph
@@ -133,13 +134,11 @@ class Deanonymizer:
             release.graph, pseudonym_labels
         )
 
-        # Decoded once: a pack decodes a row on every read.
-        released = [released_signatures[pseudonym] for pseudonym in pseudonym_labels]
-        cost = np.empty((len(identities), len(pseudonym_labels)))
-        for row, identity in enumerate(identities):
-            reference = reference_signatures[identity]
-            for column, signature in enumerate(released):
-                cost[row, column] = self.distance(reference, signature)
+        cost = cross_matrix(
+            SignaturePack.from_signatures(reference_signatures, order=identities),
+            SignaturePack.from_signatures(released_signatures, order=pseudonym_labels),
+            self.distance,
+        )
 
         if self.strategy == "optimal":
             assignment = self._solve_optimal(cost, identities, pseudonym_labels)

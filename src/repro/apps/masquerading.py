@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.distances import DistanceFunction
+from repro.core.properties import persistence_values
 from repro.core.scheme import SignatureScheme
 from repro.core.signature import Signature
 from repro.exceptions import ExperimentError
@@ -119,10 +120,9 @@ class MasqueradeDetector:
         # row on every read).
         signatures_next = dict(signatures_next)
 
-        self_persistence = {
-            node: 1.0 - self.distance(signatures_now[node], signatures_next[node])
-            for node in population
-        }
+        self_persistence = persistence_values(
+            signatures_now, signatures_next, self.distance, population
+        )
         delta = sum(self_persistence.values()) / (self.threshold_scale * len(population))
 
         non_suspects: Set[NodeId] = set()

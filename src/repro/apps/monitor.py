@@ -21,6 +21,7 @@ import numpy as np
 from repro import obs
 from repro.apps.anomaly import AnomalyDetector, AnomalyReport
 from repro.core.distances import DistanceFunction
+from repro.core.properties import persistence_values
 from repro.core.scheme import SignatureScheme
 from repro.core.signature import Signature
 from repro.exceptions import ExperimentError
@@ -213,8 +214,6 @@ def persistence_by_lag(
         values = []
         for start in range(len(sequence) - lag):
             now, later = signature_maps[start], signature_maps[start + lag]
-            values.extend(
-                1.0 - distance(now[node], later[node]) for node in population
-            )
+            values.extend(persistence_values(now, later, distance, population).values())
         by_lag[lag] = float(np.mean(values))
     return by_lag

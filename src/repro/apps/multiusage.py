@@ -19,6 +19,7 @@ from repro.core.scheme import SignatureScheme
 from repro.core.signature import Signature
 from repro.exceptions import ExperimentError
 from repro.graph.comm_graph import CommGraph
+from repro.matching.index import SignatureIndex
 from repro.types import NodeId
 
 
@@ -101,16 +102,11 @@ class MultiusageDetector:
         ``population`` restricts the candidate labels (e.g. monitored local
         hosts); pairs are returned sorted by ascending distance.
         """
-        # Decoded once: a pack decodes a row on every read.
-        signatures = list(self.signatures(graph, population).items())
-        detected: List[MultiusagePair] = []
-        for index, (first, signature) in enumerate(signatures):
-            for second, other in signatures[index + 1:]:
-                score = self.distance(signature, other)
-                if score < self.threshold:
-                    detected.append(MultiusagePair(first, second, score))
-        detected.sort(key=lambda pair: (pair.distance, str(pair.first), str(pair.second)))
-        return MultiusageReport(pairs=tuple(detected), threshold=self.threshold)
+        index = SignatureIndex(self.signatures(graph, population), self.distance)
+        return MultiusageReport(
+            pairs=tuple(MultiusagePair(*pair) for pair in index.pairs_within(self.threshold)),
+            threshold=self.threshold,
+        )
 
     def evaluate(
         self,

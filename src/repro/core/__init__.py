@@ -34,14 +34,12 @@ from repro.core.distances import (
     resolve_distance,
 )
 from repro.core.packed import (
-    BATCH_METRICS,
     SignaturePack,
-    batch_disabled,
-    batch_metric_name,
     cross_matrix,
     cross_pair_distances,
     pair_distances,
     pairwise_matrix,
+    signature_distances,
 )
 from repro.core.properties import (
     PropertyEllipse,
@@ -84,14 +82,12 @@ __all__ = [
     "distance_name",
     "get_distance",
     "resolve_distance",
-    "BATCH_METRICS",
     "SignaturePack",
-    "batch_disabled",
-    "batch_metric_name",
     "cross_matrix",
     "cross_pair_distances",
     "pair_distances",
     "pairwise_matrix",
+    "signature_distances",
     "PropertyEllipse",
     "persistence",
     "uniqueness",

@@ -16,16 +16,28 @@ weights ``w_1j, w_2j`` (zero for non-members), the four distances are
 All return values in ``[0, 1]``.  Two empty signatures are defined to have
 distance 0 (they are indistinguishable); an empty vs. a non-empty signature
 has distance 1.
+
+Each distance has one arithmetic: every sum over shared members runs
+sequentially from ``0.0`` in ``str(label)`` order, totals are
+:func:`math.fsum` (:attr:`Signature.total_weight`), the max-over-union
+denominator is ``total_1 + total_2 - sum_shared min`` (exact for
+non-negative weights), and :func:`finish` turns the sums into the value.
+The scalar functions below and the kernel in :mod:`repro.core.packed`
+both follow it, so a distance has the same bytes on every path, in every
+process and under every ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.core.signature import Signature
 from repro.exceptions import UnknownDistanceError
+from repro.types import NodeId
 
 #: A distance between two signatures, in [0, 1].
 DistanceFunction = Callable[[Signature, Signature], float]
@@ -54,77 +66,91 @@ def _clamp01(value: float) -> float:
     return value
 
 
+def finish(name: str, *, count=0, shared=0.0, min_mass=0.0, total=0.0, size=0):
+    """The one ``[0, 1]`` finish of the registered distance ``name``.
+
+    ``count`` is the number of shared members, ``shared`` the distance's
+    own shared sum (Dice ``w_1 + w_2``, SHel ``sqrt(w_1) * sqrt(w_2)``),
+    ``min_mass`` the shared sum of ``min(w_1, w_2)``, ``total`` the sum of
+    both totals and ``size`` the sum of both sizes.  The value is
+    ``1 - numerator / denominator``, clamped, and 0 when the denominator
+    is 0 (both signatures empty).  Works on floats (the scalar functions)
+    and elementwise on arrays (the batch kernel, whose excursions count as
+    ``distance.out_of_range{path=batch}``), with the same IEEE operations.
+    """
+    if name == "jaccard":
+        numerator, denominator = count, size - count
+    elif name == "dice":
+        numerator, denominator = shared, total
+    elif name == "sdice":
+        numerator, denominator = min_mass, total - min_mass
+    else:
+        numerator, denominator = shared, total - min_mass
+    if isinstance(denominator, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.divide(numerator, denominator)
+        np.subtract(1.0, out, out=out)
+        out[denominator == 0] = 0.0
+        registry = obs.get_registry()
+        if registry.enabled:
+            bad = np.count_nonzero((out < -OUT_OF_RANGE_TOL) | (out > 1.0 + OUT_OF_RANGE_TOL))
+            if bad:
+                registry.counter("distance.out_of_range", path="batch").inc(int(bad))
+        return np.clip(out, 0.0, 1.0, out=out)
+    if denominator == 0:
+        return 0.0
+    return _clamp01(1.0 - numerator / denominator)
+
+
+def _shared_members(first: Signature, second: Signature) -> List[NodeId]:
+    """The members of both signatures, in ``str(label)`` order."""
+    return sorted(first.nodes & second.nodes, key=str)
+
+
 def dist_jaccard(first: Signature, second: Signature) -> float:
     """Set-based Jaccard distance; ignores weights entirely."""
-    set_a, set_b = first.nodes, second.nodes
-    union = len(set_a | set_b)
-    if union == 0:
-        return 0.0
-    intersection = len(set_a & set_b)
-    return _clamp01(1.0 - intersection / union)
+    return finish(
+        "jaccard", count=len(first.nodes & second.nodes), size=len(first) + len(second)
+    )
 
 
 def dist_dice(first: Signature, second: Signature) -> float:
-    """Weighted Dice distance: shared weight mass over total weight mass.
-
-    Since weights are zero outside a signature's own support, the union
-    mass ``sum_{j in S1 u S2} (w_1j + w_2j)`` equals the memoized
-    ``total_weight`` sum — only the intersection needs a pass.
-    """
-    shared = first.nodes & second.nodes
-    denominator = first.total_weight + second.total_weight
-    if denominator == 0:
-        return 0.0
-    numerator = sum(first.weight(node) + second.weight(node) for node in shared)
-    return _clamp01(1.0 - numerator / denominator)
+    """Weighted Dice distance: shared weight mass over total weight mass
+    (the union mass is the two ``total_weight`` sums)."""
+    shared = 0.0
+    for node in _shared_members(first, second):
+        shared += first.weight(node) + second.weight(node)
+    return finish("dice", shared=shared, total=first.total_weight + second.total_weight)
 
 
 def dist_scaled_dice(first: Signature, second: Signature) -> float:
-    """Scaled Dice: min over intersection vs. max over union.
-
-    Rewards signatures whose *individual* weights agree, not just their
-    membership; it is the strictest of the four distances.  Uses the
-    identity ``sum_union max = total_1 + total_2 - sum_shared min`` (exact
-    for non-negative weights) so only the intersection is iterated.
-    """
-    shared = first.nodes & second.nodes
-    total = first.total_weight + second.total_weight
-    if total == 0:
-        return 0.0
-    numerator = sum(min(first.weight(node), second.weight(node)) for node in shared)
-    denominator = total - numerator
-    if denominator == 0:
-        return 0.0
-    return _clamp01(1.0 - numerator / denominator)
+    """Scaled Dice: min over intersection vs. max over union; it rewards
+    signatures whose individual weights agree, the strictest of the four."""
+    min_mass = 0.0
+    for node in _shared_members(first, second):
+        weight_a, weight_b = first.weight(node), second.weight(node)
+        min_mass += weight_a if weight_a < weight_b else weight_b
+    return finish(
+        "sdice", min_mass=min_mass, total=first.total_weight + second.total_weight
+    )
 
 
 def dist_scaled_hellinger(first: Signature, second: Signature) -> float:
-    """Hellinger-style variant: geometric mean over intersection vs. max over union.
-
-    Softens SDice's min-penalty for unequal weights (``sqrt(ab) >= min(a, b)``).
-    The max-over-union denominator reuses the same identity as
-    :func:`dist_scaled_dice`.
-    """
-    shared = first.nodes & second.nodes
-    total = first.total_weight + second.total_weight
-    if total == 0:
-        return 0.0
-    numerator = 0.0
-    min_mass = 0.0
-    for node in shared:
+    """Hellinger-style variant: geometric mean over intersection vs. max
+    over union; softens SDice's min-penalty (``sqrt(ab) >= min(a, b)``)."""
+    shared = min_mass = 0.0
+    for node in _shared_members(first, second):
         weight_a, weight_b = first.weight(node), second.weight(node)
         # sqrt(a) * sqrt(b), not sqrt(a * b): the product overflows to inf
-        # for weights around 1e155+ (driving the distance to -inf, which the
-        # clamp used to mask as 0) and underflows to 0 below ~1e-162 (pushing
-        # the distance to 1 for near-identical signatures).  The factored
-        # form is exact over the full float range and matches the batch
-        # kernel in core.packed.
-        numerator += math.sqrt(weight_a) * math.sqrt(weight_b)
+        # for weights around 1e155+ and underflows to 0 below ~1e-162.
+        shared += math.sqrt(weight_a) * math.sqrt(weight_b)
         min_mass += weight_a if weight_a < weight_b else weight_b
-    denominator = total - min_mass
-    if denominator == 0:
-        return 0.0
-    return _clamp01(1.0 - numerator / denominator)
+    return finish(
+        "shel",
+        shared=shared,
+        min_mass=min_mass,
+        total=first.total_weight + second.total_weight,
+    )
 
 
 _DISTANCES: Dict[str, DistanceFunction] = {
@@ -159,9 +185,8 @@ def distance_name(function: DistanceFunction) -> str | None:
     """Reverse registry lookup: the name of a registered distance function.
 
     Returns ``None`` for callables not in the registry (custom lambdas,
-    wrapped functions...) — callers use this to decide whether a vectorized
-    batch kernel exists for the distance, falling back to scalar loops
-    otherwise.
+    wrapped functions...): the kernel entry points run those as a scalar
+    loop.
     """
     for name, registered in _DISTANCES.items():
         if registered is function:

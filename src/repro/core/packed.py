@@ -1,4 +1,4 @@
-"""Packed signature windows and vectorized batch distance kernels.
+"""Packed signature windows and the one shared-term distance kernel.
 
 A :class:`SignaturePack` is the one encoding of a window's signatures:
 contiguous member-id/weight CSR arrays plus owner and member node
@@ -10,37 +10,32 @@ a row only when the row is read.
 Every quantitative result in the paper reduces to massive numbers of
 signature-distance evaluations: all-pairs uniqueness, cross-window
 self-identification ROC and robustness are all Theta(n^2) ``Dist`` calls
-per window.  This module implements the four paper distances
-(Section IV-B) as batch kernels over a pack's scipy sparse products:
+per window.  This module computes the four paper distances (Section
+IV-B) with one kernel over packs.  Each distance is defined once in
+:mod:`repro.core.distances`: every shared-member sum runs sequentially
+from ``0.0`` in ``str(label)`` order, totals are :func:`math.fsum`, and
+one :func:`~repro.core.distances.finish` turns (count, shared sums,
+totals, sizes) into the value.  The kernel gathers the (pair, member)
+terms member column by member column in label order and accumulates them
+with :func:`numpy.bincount`, which adds each bin's terms one at a time in
+input order.  So :func:`pairwise_matrix`, :func:`cross_matrix`,
+:func:`cross_pair_distances`, :func:`signature_distances` and the scalar
+functions give the same bytes.
 
-* **intersection mass** (Jaccard counts, Dice cross-mass, SHel geometric
-  mass) comes from CSR dot products: ``B @ B.T``, ``W @ B.T + B @ W.T``
-  and ``sqrt(W) @ sqrt(W).T`` where ``B`` is the binary membership matrix;
-* **min/max mass** (SDice numerator, the shared max-over-union
-  denominator) uses ``min(a, b) = (a + b - |a - b|) / 2`` for explicit
-  pair lists, and an exact threshold decomposition
-  (``min(a, b) = sum_k (u_k - u_{k-1}) [a >= u_k][b >= u_k]``) expressed
-  as one sparse product for full distance matrices;
-* ``sum_{union} max = total_1 + total_2 - sum_{shared} min`` (exact for
-  non-negative weights) removes every union-side reduction.
+A full matrix between packs ``a`` and ``b`` materialises
+``sum_c m_a,c * m_b,c`` terms, where ``m_x,c`` is the number of rows of
+``x`` holding member ``c``: small for top-k signatures, quadratic in the
+population for a member every signature holds.  Terms are generated
+``_TERM_CHUNK`` at a time, so such a member costs time, not memory
+beyond the output.
 
-All kernels agree with the scalar :mod:`repro.core.distances` functions to
-well within ``1e-9``; exact cases (disjoint supports -> 1, both empty ->
-0) are bit-identical.  A dispatch layer falls back to the scalar functions
-for unregistered distances so arbitrary ``DistanceFunction`` callables
-keep working — just without the speedup.
-
-The threshold decomposition materialises ``sum_c m_c * (m_c + 1) / 2``
-expanded entries, where ``m_c`` is the number of signatures containing
-member ``c``; for top-k signatures over populations in the tens of
-thousands this is small, but a single member shared by *every* signature
-contributes quadratically — the practical ceiling is around 10^5
-signatures per pack.
+An unregistered ``DistanceFunction`` callable runs as a scalar loop over
+the decoded rows, inside the same entry points.
 """
 
 from __future__ import annotations
 
-import contextlib
+import math
 from collections.abc import Mapping
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -48,38 +43,20 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.core.distances import OUT_OF_RANGE_TOL, DistanceFunction, resolve_distance
+from repro.core.distances import DistanceFunction, finish, resolve_distance
 from repro.core.signature import Signature
 from repro.exceptions import DistanceError
 from repro.graph.batch import dense_ranks, first_occurrence
 from repro.types import NodeId
 
-#: Distance names with a registered batch kernel.
-BATCH_METRICS: Tuple[str, ...] = ("jaccard", "dice", "sdice", "shel")
-
 #: A distance spec accepted by the kernels: registry name or callable.
 MetricSpec = Union[str, DistanceFunction]
 
-#: Pairs processed per chunk by the explicit-pair kernels (memory bound).
+#: Pairs processed per chunk by the explicit-pair kernel (memory bound).
 _PAIR_CHUNK = 1 << 18
 
-_batch_enabled = True
-
-
-@contextlib.contextmanager
-def batch_disabled() -> Iterator[None]:
-    """Force the scalar fallback path inside the ``with`` block.
-
-    Used by the perf harness to time the scalar loop through the exact
-    same call sites, and by tests to compare the two paths.
-    """
-    global _batch_enabled
-    previous = _batch_enabled
-    _batch_enabled = False
-    try:
-        yield
-    finally:
-        _batch_enabled = previous
+#: (pair, member) terms generated per chunk by the matrix kernel.
+_TERM_CHUNK = 1 << 21
 
 
 class SignaturePack(Mapping):
@@ -98,7 +75,7 @@ class SignaturePack(Mapping):
     to its first row; :attr:`signatures` decodes every row.
     """
 
-    __slots__ = ("owners", "node_table", "matrix", "totals", "sizes", "_row_of")
+    __slots__ = ("owners", "node_table", "matrix", "sizes", "_row_of", "_totals", "_columns")
 
     def __init__(
         self,
@@ -118,8 +95,10 @@ class SignaturePack(Mapping):
             ),
             shape=(len(self.owners), len(self.node_table)),
         )
-        self.totals = np.asarray(self.matrix.sum(axis=1)).ravel()
         self.sizes = np.diff(self.matrix.indptr).astype(np.float64)
+        # Derived on first use by the distance kernel (a window close needs neither).
+        self._totals: np.ndarray | None = None
+        self._columns: "_MemberColumns | None" = None
         # Assigned last row first, so a repeated owner keeps its first row.
         self._row_of = dict(zip(reversed(self.owners), range(len(self.owners) - 1, -1, -1)))
 
@@ -235,8 +214,19 @@ class SignaturePack(Mapping):
         return Signature(self.owners[index], dict(zip(members, self.matrix.data[lo:hi].tolist())))
 
     @property
+    def totals(self) -> np.ndarray:
+        """Each row's weight total, :func:`math.fsum` as
+        :attr:`Signature.total_weight` is."""
+        if self._totals is None:
+            values, bounds = self.matrix.data.tolist(), self.matrix.indptr.tolist()
+            self._totals = np.array(
+                [math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dtype=float
+            )
+        return self._totals
+
+    @property
     def signatures(self) -> Tuple[Signature, ...]:
-        """Every row decoded, in row order (what the scalar fallback reads)."""
+        """Every row decoded, in row order (what the scalar loop reads)."""
         return tuple(map(self.row, range(len(self.owners))))
 
     @property
@@ -319,238 +309,301 @@ def top_k_pack(
 
 
 # ----------------------------------------------------------------------
-# Column alignment between packs
+# The shared-term kernel
 # ----------------------------------------------------------------------
-def _aligned_matrices(
-    pack_a: SignaturePack, pack_b: SignaturePack
-) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Re-index two packs onto a shared column space (union vocabulary)."""
-    if pack_a is pack_b or pack_a.node_table == pack_b.node_table:
-        return pack_a.matrix, pack_b.matrix
-    column_of = {node: column for column, node in enumerate(pack_a.node_table)}
-    for node in pack_b.node_table:
-        column_of.setdefault(node, len(column_of))
-    vocabulary = len(column_of)
-    matrix_a = sparse.csr_matrix(
-        (pack_a.matrix.data, pack_a.matrix.indices, pack_a.matrix.indptr),
-        shape=(len(pack_a), vocabulary),
-    )
-    remap = np.asarray(
-        [column_of[node] for node in pack_b.node_table], dtype=np.int64
-    )
-    matrix_b = sparse.csr_matrix(
-        (
-            pack_b.matrix.data,
-            remap[pack_b.matrix.indices] if pack_b.matrix.nnz else pack_b.matrix.indices,
-            pack_b.matrix.indptr,
-        ),
-        shape=(len(pack_b), vocabulary),
-    )
-    return matrix_a, matrix_b
+class _MemberColumns:
+    """Entries grouped by member, members numbered in ``str(label)`` order.
 
-
-def _binary(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Membership indicator matrix (same sparsity, all-ones data)."""
-    return sparse.csr_matrix(
-        (np.ones(matrix.nnz), matrix.indices, matrix.indptr), shape=matrix.shape
-    )
-
-
-def _sqrt(matrix: sparse.csr_matrix) -> sparse.csr_matrix:
-    return sparse.csr_matrix(
-        (np.sqrt(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape
-    )
-
-
-# ----------------------------------------------------------------------
-# Exact pairwise min-mass via threshold decomposition
-# ----------------------------------------------------------------------
-def _threshold_expansion(
-    matrix: sparse.csr_matrix,
-) -> Tuple[sparse.csr_matrix, np.ndarray]:
-    """Expand ``matrix`` so that min-masses become one sparse product.
-
-    Sort each column's entries by weight ascending; entry ranks define
-    thresholds ``u_1 <= ... <= u_m`` with deltas ``d_k = u_k - u_{k-1}``.
-    The expansion ``E[r, (c, k)] = 1`` iff row ``r``'s weight in column
-    ``c`` is at least ``u_k``; then ``(E * d) @ E.T`` has ``(a, b)`` entry
-    ``sum_c min(w_ac, w_bc)`` exactly (the deltas telescope back to the
-    smaller weight).
+    ``column_of`` numbers the members in label order; ``columns``,
+    ``rows`` and ``weights`` are the entries sorted by column, rows
+    ascending within a column, and column ``c`` holds entries
+    ``indptr[c]:indptr[c + 1]``.  Built over another pack's ``column_of``,
+    it keeps only the members that pack has (no other member can be
+    shared with it).
     """
-    csc = matrix.tocsc()
-    nnz = csc.nnz
-    if nnz == 0:
-        return sparse.csr_matrix((matrix.shape[0], 0)), np.empty(0)
-    counts = np.diff(csc.indptr)
-    column_ids = np.repeat(np.arange(csc.shape[1]), counts)
-    order = np.lexsort((csc.data, column_ids))
-    rows_sorted = csc.indices[order]
-    weights_sorted = csc.data[order]
-    block_starts = np.repeat(csc.indptr[:-1], counts)
-    ranks = np.arange(nnz) - block_starts
-    deltas = weights_sorted.copy()
-    later = np.nonzero(ranks > 0)[0]
-    deltas[later] -= weights_sorted[later - 1]
-    # Entry at rank k spawns indicator 1s for thresholds 0..k; expanded
-    # column (c, k) reuses the sorted position index block_start + k.
-    repeats = ranks + 1
-    total = int(repeats.sum())
-    offsets = np.arange(total) - np.repeat(np.cumsum(repeats) - repeats, repeats)
-    expanded_rows = np.repeat(rows_sorted, repeats)
-    expanded_columns = np.repeat(block_starts, repeats) + offsets
-    expansion = sparse.csr_matrix(
-        (np.ones(total), (expanded_rows, expanded_columns)),
-        shape=(matrix.shape[0], nnz),
-    )
-    return expansion, deltas
 
+    __slots__ = ("column_of", "columns", "rows", "weights", "indptr")
 
-def _min_mass_matrix(
-    matrix_a: sparse.csr_matrix, matrix_b: sparse.csr_matrix
-) -> np.ndarray:
-    """Dense ``(i, j) -> sum_c min(a_ic, b_jc)`` over aligned matrices."""
-    if matrix_a is matrix_b:
-        expansion, deltas = _threshold_expansion(matrix_a)
-        scaled = expansion.multiply(deltas[None, :]).tocsr()
-        return np.asarray((scaled @ expansion.T).todense())
-    split = matrix_a.shape[0]
-    stacked = sparse.vstack([matrix_a, matrix_b], format="csr")
-    expansion, deltas = _threshold_expansion(stacked)
-    scaled = expansion[:split].multiply(deltas[None, :]).tocsr()
-    return np.asarray((scaled @ expansion[split:].T).todense())
+    def __init__(
+        self,
+        column_of: Dict[NodeId, int],
+        columns: np.ndarray,
+        rows: np.ndarray,
+        weights: np.ndarray,
+    ) -> None:
+        # Rows arrive ascending, so a stable sort by column keeps them so.
+        order = np.argsort(columns, kind="stable")
+        self.column_of = column_of
+        self.columns = columns[order]
+        self.rows = rows[order]
+        self.weights = weights[order]
+        self.indptr = np.searchsorted(self.columns, np.arange(len(column_of) + 1))
 
+    @classmethod
+    def of(cls, pack: SignaturePack, column_of: Dict[NodeId, int] | None = None):
+        """``pack``'s entries over ``column_of`` (default: its own members,
+        computed once per pack)."""
+        if column_of is None:
+            if pack._columns is None:
+                ordered = sorted(pack.node_table, key=str)
+                pack._columns = cls.of(pack, dict(zip(ordered, range(len(ordered)))))
+            return pack._columns
+        return cls(column_of, *_entries(pack, column_of))
 
-# ----------------------------------------------------------------------
-# Matrix kernels
-# ----------------------------------------------------------------------
-def _finish(
-    numerator: np.ndarray, denominator: np.ndarray
-) -> np.ndarray:
-    """``clamp01(1 - num/den)`` with the empty-vs-empty convention.
-
-    A zero denominator only happens when both signatures are empty (all
-    weights are strictly positive), which the paper defines as distance 0.
-    """
-    out = np.zeros_like(denominator)
-    occupied = denominator > 0
-    np.divide(numerator, denominator, out=out, where=occupied)
-    np.subtract(1.0, out, out=out, where=occupied)
-    registry = obs.get_registry()
-    if registry.enabled:
-        bad = int(
-            np.count_nonzero(out < -OUT_OF_RANGE_TOL)
-            + np.count_nonzero(out > 1.0 + OUT_OF_RANGE_TOL)
+    @classmethod
+    def of_signature(cls, signature: Signature, column_of: Dict[NodeId, int]):
+        """One signature as row 0 over ``column_of``."""
+        matched = [
+            (column_of[member], weight)
+            for member, weight in signature.entries
+            if member in column_of
+        ]
+        return cls(
+            column_of,
+            np.array([column for column, _weight in matched], dtype=np.int64),
+            np.zeros(len(matched), dtype=np.int64),
+            np.array([weight for _column, weight in matched], dtype=np.float64),
         )
-        if bad:
-            registry.counter("distance.out_of_range", path="batch").inc(bad)
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
 
 
-def _matrix_kernel(
+def _entries(
+    pack: SignaturePack, column_of: Dict[NodeId, int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(columns, rows, weights)`` of ``pack``'s entries whose member is in
+    ``column_of``, in row order."""
+    remap = np.fromiter(
+        (column_of.get(node, -1) for node in pack.node_table),
+        dtype=np.int64,
+        count=len(pack.node_table),
+    )
+    matrix = pack.matrix
+    columns = remap[matrix.indices]
+    rows = np.repeat(np.arange(len(pack), dtype=np.int64), np.diff(matrix.indptr))
+    kept = columns >= 0
+    return columns[kept], rows[kept], matrix.data[kept]
+
+
+#: The shared-member terms each registered distance sums, by the
+#: :func:`~repro.core.distances.finish` argument they feed (``None``: count).
+_TERMS: Dict[str, Dict[str, Callable | None]] = {
+    "jaccard": {"count": None},
+    "dice": {"shared": np.add},
+    "sdice": {"min_mass": np.minimum},
+    "shel": {
+        "shared": lambda weight_a, weight_b: np.sqrt(weight_a) * np.sqrt(weight_b),
+        "min_mass": np.minimum,
+    },
+}
+
+
+def _shared_sums(
     name: str,
-    matrix_a: sparse.csr_matrix,
-    matrix_b: sparse.csr_matrix,
+    num_pairs: int,
+    chunks: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Dict[str, np.ndarray]:
+    """Each pair's sums of its ``(pair, weight_a, weight_b)`` terms.
+
+    :func:`numpy.bincount` adds a bin's weights one at a time in input
+    order, starting from 0.0, so a pair's sum is the sequential sum of its
+    terms in the order the chunks give them.  A later chunk first adds
+    each pair's running sum to a fresh 0.0 (exact), then its own terms.
+    """
+    sums: Dict[str, np.ndarray] = {}
+    for pair, weight_a, weight_b in chunks:
+        for key, term in _TERMS[name].items():
+            if term is None:
+                counted = np.bincount(pair, minlength=num_pairs)
+                sums[key] = sums[key] + counted if key in sums else counted
+            elif key in sums:
+                sums[key] = np.bincount(
+                    np.concatenate([np.arange(num_pairs), pair]),
+                    np.concatenate([sums[key], term(weight_a, weight_b)]),
+                    minlength=num_pairs,
+                )
+            else:
+                sums[key] = np.bincount(pair, term(weight_a, weight_b), minlength=num_pairs)
+    for key in _TERMS[name]:
+        sums.setdefault(key, np.zeros(num_pairs))
+    return sums
+
+
+def _column_terms(
+    columns_a: _MemberColumns, columns_b: _MemberColumns, num_b: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (row of a, row of b, shared member) term, member column by
+    member column in label order, about ``_TERM_CHUNK`` at a time.
+
+    Each entry of ``a`` pairs with every entry of ``b`` in its column, so
+    the terms are ``a``'s entries, each repeated once per ``b`` entry of
+    its column.  The pair id of rows ``(i, j)`` is ``i * num_b + j``.
+    """
+    first_b = columns_b.indptr[columns_a.columns]
+    repeats = columns_b.indptr[columns_a.columns + 1] - first_b
+    ends = np.cumsum(repeats)
+    lo = 0
+    while lo < len(repeats):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _TERM_CHUNK, side="right")))
+        counts = repeats[lo:hi]
+        entry_b = np.arange(int(ends[hi - 1]) - done) + np.repeat(
+            first_b[lo:hi] - (ends[lo:hi] - done - counts), counts
+        )
+        yield (
+            np.repeat(columns_a.rows[lo:hi] * num_b, counts) + columns_b.rows[entry_b],
+            np.repeat(columns_a.weights[lo:hi], counts),
+            columns_b.weights[entry_b],
+        )
+        lo = hi
+
+
+def _matrix(
+    name: str,
+    columns_a: _MemberColumns,
+    columns_b: _MemberColumns,
     totals_a: np.ndarray,
     totals_b: np.ndarray,
     sizes_a: np.ndarray,
     sizes_b: np.ndarray,
 ) -> np.ndarray:
-    binary_a, binary_b = _binary(matrix_a), _binary(matrix_b)
-    total_mass = totals_a[:, None] + totals_b[None, :]
+    """The ``len(a) x len(b)`` distance matrix through the shared-term
+    kernel, ``a`` over ``b``'s member columns."""
+    num_a, num_b = len(totals_a), len(totals_b)
+    sums = _shared_sums(name, num_a * num_b, _column_terms(columns_a, columns_b, num_b))
     if name == "jaccard":
-        intersection = np.asarray((binary_a @ binary_b.T).todense())
-        union = sizes_a[:, None] + sizes_b[None, :] - intersection
-        return _finish(intersection, union)
-    if name == "dice":
-        numerator = np.asarray(
-            (matrix_a @ binary_b.T).todense() + (binary_a @ matrix_b.T).todense()
-        )
-        return _finish(numerator, total_mass)
-    if name == "sdice":
-        minimum = _min_mass_matrix(matrix_a, matrix_b)
-        return _finish(minimum, total_mass - minimum)
-    if name == "shel":
-        numerator = np.asarray((_sqrt(matrix_a) @ _sqrt(matrix_b).T).todense())
-        minimum = _min_mass_matrix(matrix_a, matrix_b)
-        return _finish(numerator, total_mass - minimum)
-    raise DistanceError(f"no batch kernel registered for {name!r}")
+        sums["size"] = np.add.outer(sizes_a, sizes_b).ravel()
+    else:
+        sums["total"] = np.add.outer(totals_a, totals_b).ravel()
+    return finish(name, **sums).reshape(num_a, num_b)
 
 
-def _scalar_matrix(
-    signatures_a: Sequence[Signature],
-    signatures_b: Sequence[Signature],
-    function: DistanceFunction,
-    symmetric: bool,
+def _pack_matrix(name: str, pack_a: SignaturePack, pack_b: SignaturePack) -> np.ndarray:
+    columns_b = _MemberColumns.of(pack_b)
+    columns_a = columns_b if pack_a is pack_b else _MemberColumns.of(pack_a, columns_b.column_of)
+    return _matrix(
+        name, columns_a, columns_b, pack_a.totals, pack_b.totals, pack_a.sizes, pack_b.sizes
+    )
+
+
+def _label_rows(
+    pack: SignaturePack, column_of: Dict[NodeId, int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pack`` as CSR ``(indptr, columns, weights)`` over ``column_of``,
+    each row's members in label order."""
+    columns, rows, weights = _entries(pack, column_of)
+    order = np.lexsort((columns, rows))
+    indptr = np.zeros(len(pack) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(pack)), out=indptr[1:])
+    return indptr, columns[order], weights[order]
+
+
+def _expand(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair, entry)``: the entries of each of ``rows`` in turn, with the
+    position in ``rows`` they belong to."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lengths)
+    pair = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
+    entry = np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+        indptr[rows] - (ends - lengths), lengths
+    )
+    return pair, entry
+
+
+def _pairs(
+    name: str,
+    pack_a: SignaturePack,
+    pack_b: SignaturePack,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
 ) -> np.ndarray:
-    out = np.empty((len(signatures_a), len(signatures_b)))
-    if symmetric:
-        for i, first in enumerate(signatures_a):
-            for j in range(i, len(signatures_b)):
-                out[i, j] = function(first, signatures_b[j])
-                out[j, i] = out[i, j]
-        return out
-    for i, first in enumerate(signatures_a):
-        for j, second in enumerate(signatures_b):
-            out[i, j] = function(first, second)
+    """Distances for explicit row pairs through the shared-term kernel.
+
+    A pair's shared members are where its two rows' ``pair * width +
+    column`` keys meet; both key lists ascend, so the matched terms come
+    pair by pair, in label order within a pair.
+    """
+    column_of = _MemberColumns.of(pack_b).column_of
+    width = len(column_of)
+    indptr_b, columns_b, weights_b = _label_rows(pack_b, column_of)
+    if pack_a is pack_b:
+        indptr_a, columns_a, weights_a = indptr_b, columns_b, weights_b
+    else:
+        indptr_a, columns_a, weights_a = _label_rows(pack_a, column_of)
+    out = np.empty(len(rows_a))
+    for lo in range(0, len(rows_a), _PAIR_CHUNK):
+        chunk_a, chunk_b = rows_a[lo : lo + _PAIR_CHUNK], rows_b[lo : lo + _PAIR_CHUNK]
+        pair_a, entry_a = _expand(indptr_a, chunk_a)
+        pair_b, entry_b = _expand(indptr_b, chunk_b)
+        key_a = pair_a * width + columns_a[entry_a]
+        # A sentinel past every key gives each key_a a position to compare.
+        key_b = np.append(pair_b * width + columns_b[entry_b], np.iinfo(np.int64).max)
+        found = np.searchsorted(key_b, key_a)
+        shared = key_b[found] == key_a
+        terms = (
+            pair_a[shared],
+            weights_a[entry_a[shared]],
+            weights_b[entry_b[found[shared]]],
+        )
+        sums = _shared_sums(name, len(chunk_a), [terms])
+        if name == "jaccard":
+            sums["size"] = pack_a.sizes[chunk_a] + pack_b.sizes[chunk_b]
+        else:
+            sums["total"] = pack_a.totals[chunk_a] + pack_b.totals[chunk_b]
+        out[lo : lo + len(chunk_a)] = finish(name, **sums)
     return out
 
 
-def _dispatch(metric: MetricSpec) -> Tuple[str | None, DistanceFunction]:
-    """Resolve a metric to ``(batch_kernel_name | None, scalar_function)``."""
-    name, function = resolve_distance(metric)
-    if not _batch_enabled or name not in BATCH_METRICS:
-        return None, function
-    return name, function
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
+def _scalar(
+    function: DistanceFunction,
+    pack_a: SignaturePack,
+    pack_b: SignaturePack,
+    rows_a: np.ndarray,
+    rows_b: np.ndarray,
+) -> np.ndarray:
+    """The one scalar loop, for unregistered callables: ``function`` on each
+    decoded pair of rows."""
+    signatures_a = pack_a.signatures
+    signatures_b = signatures_a if pack_b is pack_a else pack_b.signatures
+    pairs = zip(rows_a.tolist(), rows_b.tolist())
+    return np.array([function(signatures_a[i], signatures_b[j]) for i, j in pairs], dtype=float)
 
 
-def _resolve_with_label(
+def _run(
+    op: str,
     metric: MetricSpec,
-) -> Tuple[str | None, DistanceFunction, str]:
-    """Like :func:`_dispatch`, plus a metric label for observability.
-
-    The label is the registry name even when the scalar fallback engages
-    (batch disabled), and ``"custom"`` for unregistered callables — so the
-    ``kernel.calls``/``kernel.pairs`` counters expose the batch-vs-scalar
-    hit rate per distance.
-    """
+    pairs: int,
+    kernel: Callable[[str], np.ndarray],
+    scalar: Callable[[DistanceFunction], np.ndarray],
+) -> np.ndarray:
+    """Resolve ``metric`` and run the kernel (registered distance) or the
+    scalar loop (any other callable), counted as ``kernel.calls`` and
+    ``kernel.pairs`` with ``path=batch|scalar``."""
     name, function = resolve_distance(metric)
-    if _batch_enabled and name in BATCH_METRICS:
-        return name, function, name
-    return None, function, (name or "custom")
-
-
-def _record_kernel(registry, op: str, path: str, metric_label: str, pairs: int) -> None:
-    """Count one kernel invocation and its pair workload (registry enabled)."""
-    registry.counter("kernel.calls", op=op, path=path, metric=metric_label).inc()
-    registry.counter("kernel.pairs", op=op, path=path, metric=metric_label).inc(pairs)
-
-
-def batch_metric_name(metric: MetricSpec) -> str | None:
-    """The batch-kernel name for a metric, or ``None`` if the scalar
-    fallback would be used (unregistered callable, or batch disabled)."""
-    name, _function = _dispatch(metric)
-    return name
+    path = "scalar" if name is None else "batch"
+    label = name or "custom"
+    registry = obs.get_registry()
+    if registry.enabled:
+        registry.counter("kernel.calls", op=op, path=path, metric=label).inc()
+        registry.counter("kernel.pairs", op=op, path=path, metric=label).inc(pairs)
+    with registry.span(f"kernel.{op}", path=path, metric=label):
+        return scalar(function) if name is None else kernel(name)
 
 
 def pairwise_matrix(pack: SignaturePack, metric: MetricSpec = "jaccard") -> np.ndarray:
-    """All-pairs distance matrix within one pack (``n x n``, symmetric).
+    """All-pairs distance matrix within one pack (``n x n``, symmetric)."""
+    count = len(pack)
 
-    Registered distances run through the batch kernels; anything else
-    falls back to the scalar functions (bit-compatible, just slower).
-    """
-    name, function, label = _resolve_with_label(metric)
-    path = "batch" if name is not None else "scalar"
-    registry = obs.get_registry()
-    if registry.enabled:
-        _record_kernel(registry, "pairwise", path, label, len(pack) * len(pack))
-    with registry.span("kernel.pairwise", path=path, metric=label):
-        if name is None:
-            signatures = pack.signatures
-            return _scalar_matrix(signatures, signatures, function, True)
-        return _matrix_kernel(
-            name, pack.matrix, pack.matrix, pack.totals, pack.totals, pack.sizes, pack.sizes
-        )
+    def scalar(function: DistanceFunction) -> np.ndarray:
+        rows, cols = np.triu_indices(count)
+        out = np.empty((count, count))
+        out[rows, cols] = out[cols, rows] = _scalar(function, pack, pack, rows, cols)
+        return out
+
+    return _run(
+        "pairwise", metric, count * count, lambda name: _pack_matrix(name, pack, pack), scalar
+    )
 
 
 def cross_matrix(
@@ -558,74 +611,43 @@ def cross_matrix(
 ) -> np.ndarray:
     """Distance matrix between two packs (``len(a) x len(b)``).
 
-    The packs need not share a vocabulary — columns are re-indexed onto
-    the union node table first.
+    The packs need not share a vocabulary: members are matched by label.
     """
-    name, function, label = _resolve_with_label(metric)
-    path = "batch" if name is not None else "scalar"
-    registry = obs.get_registry()
-    if registry.enabled:
-        _record_kernel(registry, "cross", path, label, len(pack_a) * len(pack_b))
-    with registry.span("kernel.cross", path=path, metric=label):
-        if name is None:
-            return _scalar_matrix(pack_a.signatures, pack_b.signatures, function, False)
-        matrix_a, matrix_b = _aligned_matrices(pack_a, pack_b)
-        return _matrix_kernel(
-            name, matrix_a, matrix_b, pack_a.totals, pack_b.totals, pack_a.sizes, pack_b.sizes
-        )
+    num_a, num_b = len(pack_a), len(pack_b)
+
+    def scalar(function: DistanceFunction) -> np.ndarray:
+        rows = np.repeat(np.arange(num_a), num_b)
+        cols = np.tile(np.arange(num_b), num_a)
+        return _scalar(function, pack_a, pack_b, rows, cols).reshape(num_a, num_b)
+
+    return _run(
+        "cross", metric, num_a * num_b, lambda name: _pack_matrix(name, pack_a, pack_b), scalar
+    )
 
 
-# ----------------------------------------------------------------------
-# Explicit-pair kernels
-# ----------------------------------------------------------------------
-def _pair_kernel(
-    name: str,
-    matrix_a: sparse.csr_matrix,
-    matrix_b: sparse.csr_matrix,
-    totals_a: np.ndarray,
-    totals_b: np.ndarray,
-    sizes_a: np.ndarray,
-    sizes_b: np.ndarray,
-    rows_a: np.ndarray,
-    rows_b: np.ndarray,
+def signature_distances(
+    signature: Signature, pack: SignaturePack, metric: MetricSpec = "jaccard"
 ) -> np.ndarray:
-    """Distances for explicit row pairs, chunked to bound memory.
+    """Distances from ``signature`` to every row of ``pack``: row 0 of
+    ``cross_matrix`` against a one-row pack, without packing the signature
+    (the pack's member columns are derived once, on its first query)."""
 
-    Min-mass uses the elementwise identity
-    ``sum_j min(a_j, b_j) = (total_a + total_b - |a - b|_1) / 2``
-    (valid because weights vanish outside each signature's support).
-    """
+    def kernel(name: str) -> np.ndarray:
+        columns = _MemberColumns.of(pack)
+        return _matrix(
+            name,
+            _MemberColumns.of_signature(signature, columns.column_of),
+            columns,
+            np.array([signature.total_weight]),
+            pack.totals,
+            np.array([float(len(signature))]),
+            pack.sizes,
+        )[0]
 
-    def row_sum(matrix) -> np.ndarray:
-        return np.asarray(matrix.sum(axis=1)).ravel()
+    def scalar(function: DistanceFunction) -> np.ndarray:
+        return np.array([function(signature, row) for row in pack.signatures], dtype=np.float64)
 
-    out = np.empty(len(rows_a))
-    for start in range(0, len(rows_a), _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, len(rows_a))
-        index_a, index_b = rows_a[start:stop], rows_b[start:stop]
-        chunk_a, chunk_b = matrix_a[index_a], matrix_b[index_b]
-        total_mass = totals_a[index_a] + totals_b[index_b]
-        if name == "jaccard":
-            intersection = row_sum(_binary(chunk_a).multiply(_binary(chunk_b)))
-            union = sizes_a[index_a] + sizes_b[index_b] - intersection
-            out[start:stop] = _finish(intersection, union)
-        elif name == "dice":
-            numerator = row_sum(chunk_a.multiply(_binary(chunk_b))) + row_sum(
-                _binary(chunk_a).multiply(chunk_b)
-            )
-            out[start:stop] = _finish(numerator, total_mass)
-        elif name == "sdice":
-            l1 = row_sum(abs(chunk_a - chunk_b))
-            minimum = 0.5 * (total_mass - l1)
-            out[start:stop] = _finish(minimum, total_mass - minimum)
-        elif name == "shel":
-            numerator = row_sum(_sqrt(chunk_a).multiply(_sqrt(chunk_b)))
-            l1 = row_sum(abs(chunk_a - chunk_b))
-            minimum = 0.5 * (total_mass - l1)
-            out[start:stop] = _finish(numerator, total_mass - minimum)
-        else:
-            raise DistanceError(f"no batch kernel registered for {name!r}")
-    return out
+    return _run("signature", metric, len(pack), kernel, scalar)
 
 
 def cross_pair_distances(
@@ -640,29 +662,13 @@ def cross_pair_distances(
     rows_b = np.asarray(rows_b, dtype=np.int64)
     if rows_a.shape != rows_b.shape:
         raise DistanceError("pair index arrays must have identical length")
-    name, function, label = _resolve_with_label(metric)
-    path = "batch" if name is not None else "scalar"
-    registry = obs.get_registry()
-    if registry.enabled:
-        _record_kernel(registry, "pairs", path, label, len(rows_a))
-    with registry.span("kernel.pairs", path=path, metric=label):
-        if name is None:
-            signatures_a, signatures_b = pack_a.signatures, pack_b.signatures
-            return np.asarray(
-                [function(signatures_a[i], signatures_b[j]) for i, j in zip(rows_a, rows_b)]
-            )
-        matrix_a, matrix_b = _aligned_matrices(pack_a, pack_b)
-        return _pair_kernel(
-            name,
-            matrix_a,
-            matrix_b,
-            pack_a.totals,
-            pack_b.totals,
-            pack_a.sizes,
-            pack_b.sizes,
-            rows_a,
-            rows_b,
-        )
+    return _run(
+        "pairs",
+        metric,
+        len(rows_a),
+        lambda name: _pairs(name, pack_a, pack_b, rows_a, rows_b),
+        lambda function: _scalar(function, pack_a, pack_b, rows_a, rows_b),
+    )
 
 
 def pair_distances(

@@ -20,10 +20,9 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.distances import DistanceFunction, resolve_distance
+from repro.core.distances import DistanceFunction
 from repro.core.packed import (
     SignaturePack,
-    batch_metric_name,
     cross_pair_distances,
     pair_distances,
     pairwise_matrix,
@@ -105,18 +104,11 @@ def persistence_values(
     for node in nodes:
         if node not in signatures_now or node not in signatures_next:
             raise ExperimentError(f"node {node!r} lacks a signature in one window")
-    kernel = batch_metric_name(distance)
-    if kernel is not None and len(nodes) > 1:
-        pack_now = SignaturePack.from_signatures(signatures_now, order=nodes)
-        pack_next = SignaturePack.from_signatures(signatures_next, order=nodes)
-        diagonal = np.arange(len(nodes))
-        distances = cross_pair_distances(pack_now, pack_next, diagonal, diagonal, kernel)
-        return {node: 1.0 - value for node, value in zip(nodes, distances.tolist())}
-    _name, function = resolve_distance(distance)
-    return {
-        node: persistence(signatures_now[node], signatures_next[node], function)
-        for node in nodes
-    }
+    pack_now = SignaturePack.from_signatures(signatures_now, order=nodes)
+    pack_next = SignaturePack.from_signatures(signatures_next, order=nodes)
+    diagonal = np.arange(len(nodes))
+    distances = cross_pair_distances(pack_now, pack_next, diagonal, diagonal, distance)
+    return {node: 1.0 - value for node, value in zip(nodes, distances.tolist())}
 
 
 def uniqueness_values(
@@ -137,8 +129,8 @@ def uniqueness_values(
     approaches the total pair count (a rejection-sampling loop would
     degrade badly there).  Sampling is seeded and deterministic.
 
-    Registered distances are evaluated through the batch kernels of
-    :mod:`repro.core.packed`; custom callables use the scalar loop.
+    Distances come from the kernel entry points of :mod:`repro.core.packed`
+    (custom callables run their scalar loop there).
     """
     population = list(nodes) if nodes is not None else list(signatures)
     count = len(population)
@@ -151,18 +143,12 @@ def uniqueness_values(
         rows, cols = _decode_pair_indices(np.asarray(flat, dtype=np.int64), count)
     else:
         rows, cols = np.triu_indices(count, k=1)
-    kernel = batch_metric_name(distance)
-    if kernel is not None:
-        pack = SignaturePack.from_signatures(signatures, order=population)
-        if not sampled and count <= _FULL_MATRIX_MAX_NODES:
-            # Full enumeration: one n x n kernel invocation beats gathering
-            # the O(n^2) explicit pair list row by row.
-            return pairwise_matrix(pack, kernel)[rows, cols].tolist()
-        return pair_distances(pack, rows, cols, kernel).tolist()
-    _name, function = resolve_distance(distance)
-    # Decoded once: a pack decodes a row on every read.
-    decoded = [signatures[node] for node in population]
-    return [function(decoded[i], decoded[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    pack = SignaturePack.from_signatures(signatures, order=population)
+    if not sampled and count <= _FULL_MATRIX_MAX_NODES:
+        # Full enumeration: one n x n kernel invocation beats gathering
+        # the O(n^2) explicit pair list row by row.
+        return pairwise_matrix(pack, distance)[rows, cols].tolist()
+    return pair_distances(pack, rows, cols, distance).tolist()
 
 
 def _decode_pair_indices(

@@ -23,8 +23,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.distances import DistanceFunction, resolve_distance
-from repro.core.packed import SignaturePack, batch_metric_name, cross_matrix
+from repro.core.distances import DistanceFunction
+from repro.core.packed import SignaturePack, cross_matrix
 from repro.core.signature import Signature
 from repro.exceptions import ExperimentError
 from repro.types import NodeId
@@ -158,9 +158,8 @@ def roc_identity(
     Queries default to nodes with signatures in both windows; candidates
     default to all nodes with a ``t+1`` signature.
 
-    When ``distance`` is a registered distance, the full query-candidate
-    score matrix is computed in one shot through the batch kernels of
-    :mod:`repro.core.packed`; otherwise the scalar loop runs.
+    The full query-candidate score matrix is one
+    :func:`~repro.core.packed.cross_matrix` call.
     """
     if queries is None:
         queries = [node for node in signatures_now if node in signatures_next]
@@ -201,26 +200,12 @@ def _score_matrix(
     distance: DistanceFunction | str,
     queries: Sequence[NodeId],
     candidates: Sequence[NodeId],
-) -> Iterable[Sequence[float]]:
-    """Rows of ``Dist(sigma_t(query), sigma_{t+1}(candidate))`` scores.
-
-    Batch path: one :func:`~repro.core.packed.cross_matrix` call; scalar
-    path: lazy per-query rows (generator) so memory stays per-row.
-    """
-    kernel = batch_metric_name(distance)
-    if kernel is not None and candidates:
-        pack_queries = SignaturePack.from_signatures(signatures_now, order=queries)
-        pack_candidates = SignaturePack.from_signatures(
-            signatures_next, order=candidates
-        )
-        return cross_matrix(pack_queries, pack_candidates, kernel)
-    _name, function = resolve_distance(distance)
-    # Decoded once: a pack decodes a row on every read.
-    decoded = [signatures_next[candidate] for candidate in candidates]
-    return (
-        [function(signatures_now[query], signature) for signature in decoded]
-        for query in queries
-    )
+) -> np.ndarray:
+    """The ``Dist(sigma_t(query), sigma_{t+1}(candidate))`` score matrix,
+    one :func:`~repro.core.packed.cross_matrix` call."""
+    pack_queries = SignaturePack.from_signatures(signatures_now, order=queries)
+    pack_candidates = SignaturePack.from_signatures(signatures_next, order=candidates)
+    return cross_matrix(pack_queries, pack_candidates, distance)
 
 
 @dataclass(frozen=True)

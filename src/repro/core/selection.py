@@ -123,19 +123,12 @@ def measure_scheme_properties(
             )
         )
     )
-    robustness = float(
-        np.mean(
-            [
-                1.0 - distance(signatures_now[node], signatures_perturbed[node])
-                for node in population
-            ]
-        )
-    )
+    robustness = persistence_values(signatures_now, signatures_perturbed, distance, population)
     return PropertyProfile(
         scheme_label=scheme_label or scheme.describe(),
         persistence=persistence,
         uniqueness=uniqueness,
-        robustness=robustness,
+        robustness=float(np.mean(list(robustness.values()))),
     )
 
 

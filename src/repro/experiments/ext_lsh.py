@@ -56,8 +56,7 @@ def run_lsh_quality(
     population = data.local_hosts
     signatures = create_scheme("tt", k=NETWORK_K).compute_all(graph, population)
 
-    exact_index = SignatureIndex(dist_jaccard)
-    exact_index.add_all(signatures.values())
+    exact_index = SignatureIndex(signatures, dist_jaccard)
     start = time.perf_counter()
     near_pairs: Set[Tuple] = {
         (first, second) for first, second, _score in exact_index.pairs_within(near_threshold)

@@ -85,15 +85,10 @@ def derive_table4(
         # saturates at 1.0 for highly unique signatures (a node still
         # matches itself best after losing half its signature), so the
         # ranking must come from 1 - Dist(sig, sig_hat) itself.
-        measured["robustness"][label] = float(
-            np.mean(
-                [
-                    1.0
-                    - distance(signatures_now[node], perturbed_signatures[node])
-                    for node in population
-                ]
-            )
+        robustness = persistence_values(
+            signatures_now, perturbed_signatures, distance, population
         )
+        measured["robustness"][label] = float(np.mean(list(robustness.values())))
 
     grid: Dict[str, Dict[str, str]] = {}
     for property_name, per_scheme in measured.items():

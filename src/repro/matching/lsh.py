@@ -10,8 +10,8 @@ fold the history store also persists per row (:mod:`repro.store.index`).
 Equal slices always fold to equal hashes; unequal slices collide with
 probability ~2^-64 per band, which the exact re-ranking step absorbs.
 
-:class:`ApproxSignatureIndex` wraps this into a drop-in (approximate)
-replacement for :class:`~repro.matching.index.SignatureIndex`: LSH produces
+:class:`ApproxSignatureIndex` wraps this into an approximate, mutable
+counterpart of :class:`~repro.matching.index.SignatureIndex`: LSH produces
 a candidate set, which is then re-ranked by the *exact* distance.
 """
 
@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 import numpy as np
 
 from repro.core.distances import DistanceFunction, dist_jaccard
-from repro.core.packed import SignaturePack, batch_metric_name, cross_matrix
+from repro.core.packed import SignaturePack, signature_distances
 from repro.core.signature import Signature
 from repro.exceptions import MatchingError
 from repro.matching.minhash import MinHasher
@@ -175,25 +175,14 @@ class ApproxSignatureIndex:
     def _rerank(
         self, signature: Signature, candidates: Set[Hashable]
     ) -> List[Tuple[NodeId, float]]:
-        """Exact distances for the LSH candidate set.
-
-        Registered distances go through one batch
-        :func:`~repro.core.packed.cross_matrix` call (query row against
-        the packed candidate signatures); custom callables fall back to
-        the scalar loop.
-        """
+        """Exact distances for the LSH candidate set: one
+        :func:`~repro.core.packed.signature_distances` call against the
+        packed candidate signatures."""
         if not candidates:
             return []
-        kernel = batch_metric_name(self.distance)
-        if kernel is None:
-            return [
-                (owner, self.distance(signature, self._signatures[owner]))
-                for owner in candidates
-            ]
         candidate_list = list(candidates)
-        pack_query = SignaturePack.from_signatures([signature])
         pack_candidates = SignaturePack.from_signatures(
             [self._signatures[owner] for owner in candidate_list]
         )
-        distances = cross_matrix(pack_query, pack_candidates, kernel)[0]
+        distances = signature_distances(signature, pack_candidates, self.distance)
         return list(zip(candidate_list, distances.tolist()))

@@ -248,7 +248,7 @@ class ServiceFrontend:
         with obs.use_trace(context):
             with obs.trace_span("service.request", endpoint=endpoint):
                 try:
-                    response = self._dispatch(
+                    response = self._handle_request(
                         method, raw_path, query_string, body, started
                     )
                 except Exception as error:  # noqa: BLE001 - must answer the socket
@@ -301,7 +301,7 @@ class ServiceFrontend:
                 return route.rstrip("/") or route
         return None
 
-    def _dispatch(
+    def _handle_request(
         self,
         method: str,
         path: str,

@@ -273,12 +273,10 @@ class ShardEngine:
         return self.signatures.get(node)
 
     def query_index(self) -> SignatureIndex:
-        """Similarity index over the current window (built on the window's
-        first query, which decodes every signature once)."""
+        """Similarity index over the current window's pack, built on the
+        window's first query (a store-loaded dict is packed once)."""
         if self._index is None:
-            index = SignatureIndex(self._distance)
-            index.add_all(self.signatures.values())
-            self._index = index
+            self._index = SignatureIndex(self.signatures, self._distance)
         return self._index
 
     def persistence(self, node: str) -> Optional[float]:

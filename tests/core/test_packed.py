@@ -5,17 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import packed
 from repro.core.distances import available_distances, get_distance
 from repro.core.packed import (
-    BATCH_METRICS,
     SignaturePack,
-    batch_disabled,
-    batch_metric_name,
     cross_matrix,
     cross_pair_distances,
     pair_distances,
     pairwise_matrix,
+    signature_distances,
 )
 from repro.core.signature import Signature
 from repro.exceptions import DistanceError
@@ -162,7 +159,8 @@ class TestPackBuffers:
 
 @pytest.mark.parametrize("metric", available_distances())
 class TestBatchScalarAgreement:
-    """Property-style agreement: batch kernels vs. scalar loops, <= 1e-9."""
+    """Property-style agreement: the batch kernel vs. the scalar functions,
+    bit for bit."""
 
     def scalar_reference(self, signatures_a, signatures_b, metric):
         function = get_distance(metric)
@@ -177,7 +175,7 @@ class TestBatchScalarAgreement:
         pack = SignaturePack.from_signatures(signatures)
         batch = pairwise_matrix(pack, metric)
         scalar = self.scalar_reference(pack.signatures, pack.signatures, metric)
-        assert np.abs(batch - scalar).max() <= 1e-9
+        assert batch.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_cross_matrix_aligns_different_vocabularies(self, metric, seed):
@@ -187,7 +185,7 @@ class TestBatchScalarAgreement:
         batch = cross_matrix(pack_a, pack_b, metric)
         scalar = self.scalar_reference(pack_a.signatures, pack_b.signatures, metric)
         assert batch.shape == (25, 30)
-        assert np.abs(batch - scalar).max() <= 1e-9
+        assert batch.tobytes() == scalar.tobytes()
 
     def test_pair_distances_agree(self, metric):
         rng = random.Random(99)
@@ -203,7 +201,7 @@ class TestBatchScalarAgreement:
                 for i, j in zip(rows, cols)
             ]
         )
-        assert np.abs(batch - scalar).max() <= 1e-9
+        assert batch.tobytes() == scalar.tobytes()
 
     def test_cross_pair_distances_agree(self, metric):
         rng = random.Random(17)
@@ -219,7 +217,7 @@ class TestBatchScalarAgreement:
                 for i, j in zip(rows, cols)
             ]
         )
-        assert np.abs(batch - scalar).max() <= 1e-9
+        assert batch.tobytes() == scalar.tobytes()
 
     def test_exact_cases_bit_identical(self, metric):
         pack = SignaturePack.from_signatures(
@@ -237,16 +235,10 @@ class TestBatchScalarAgreement:
 
 
 class TestDispatch:
-    def test_batch_metric_name_for_registered(self):
-        assert batch_metric_name("sdice") == "sdice"
-        assert batch_metric_name(get_distance("shel")) == "shel"
-        assert set(BATCH_METRICS) == set(available_distances())
-
     def test_unregistered_callable_falls_back_to_scalar(self):
         def half_jaccard(first, second):
             return 0.5 * get_distance("jaccard")(first, second)
 
-        assert batch_metric_name(half_jaccard) is None
         rng = random.Random(5)
         pack = SignaturePack.from_signatures(random_signatures(rng, 12, 4, 10))
         matrix = pairwise_matrix(pack, half_jaccard)
@@ -255,17 +247,16 @@ class TestDispatch:
         )
         # The fallback runs the callable itself: bit-identical, not approx.
         assert np.array_equal(matrix, expected)
-
-    def test_batch_disabled_forces_scalar_path(self):
-        rng = random.Random(6)
-        pack = SignaturePack.from_signatures(random_signatures(rng, 15, 5, 12))
-        with batch_disabled():
-            assert batch_metric_name("jaccard") is None
-            scalar = pairwise_matrix(pack, "jaccard")
-        assert batch_metric_name("jaccard") == "jaccard"
-        batch = pairwise_matrix(pack, "jaccard")
-        # Jaccard is integer-ratio arithmetic on both paths: bit-identical.
-        assert np.array_equal(scalar, batch)
+        other = SignaturePack.from_signatures(random_signatures(rng, 7, 4, 10))
+        cross = cross_matrix(pack, other, half_jaccard)
+        assert np.array_equal(
+            cross,
+            [[half_jaccard(a, b) for b in other.signatures] for a in pack.signatures],
+        )
+        pairs = cross_pair_distances(pack, other, [0, 11, 3], [6, 0, 3], half_jaccard)
+        assert pairs.tolist() == [cross[0, 6], cross[11, 0], cross[3, 3]]
+        row = signature_distances(pack.signatures[2], other, half_jaccard)
+        assert np.array_equal(row, cross[2])
 
     def test_pair_index_length_mismatch(self):
         pack = SignaturePack.from_signatures([Signature("a", {"x": 1.0})])
@@ -276,36 +267,3 @@ class TestDispatch:
         pack = SignaturePack.from_signatures([Signature("a", {"x": 1.0})])
         with pytest.raises(Exception):
             pairwise_matrix(pack, "euclid")
-
-
-class TestThresholdExpansion:
-    def test_min_mass_matches_bruteforce(self):
-        rng = random.Random(11)
-        pack = SignaturePack.from_signatures(random_signatures(rng, 20, 6, 15))
-        minimum = packed._min_mass_matrix(pack.matrix, pack.matrix)
-        dense = pack.matrix.toarray()
-        expected = np.minimum(dense[:, None, :], dense[None, :, :]).sum(axis=-1)
-        assert np.abs(minimum - expected).max() <= 1e-9
-
-    def test_min_mass_cross_block(self):
-        rng = random.Random(12)
-        pack_a = SignaturePack.from_signatures(random_signatures(rng, 9, 5, 12))
-        pack_b = SignaturePack.from_signatures(random_signatures(rng, 7, 5, 12))
-        matrix_a, matrix_b = packed._aligned_matrices(pack_a, pack_b)
-        minimum = packed._min_mass_matrix(matrix_a, matrix_b)
-        dense_a, dense_b = matrix_a.toarray(), matrix_b.toarray()
-        expected = np.minimum(dense_a[:, None, :], dense_b[None, :, :]).sum(axis=-1)
-        assert np.abs(minimum - expected).max() <= 1e-9
-
-    def test_duplicate_weights_in_column(self):
-        pack = SignaturePack.from_signatures(
-            [
-                Signature("a", {"x": 2.0, "y": 1.0}),
-                Signature("b", {"x": 2.0}),
-                Signature("c", {"x": 2.0, "y": 3.0}),
-            ]
-        )
-        minimum = packed._min_mass_matrix(pack.matrix, pack.matrix)
-        dense = pack.matrix.toarray()
-        expected = np.minimum(dense[:, None, :], dense[None, :, :]).sum(axis=-1)
-        assert np.abs(minimum - expected).max() <= 1e-12

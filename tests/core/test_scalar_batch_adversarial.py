@@ -4,7 +4,7 @@ Clamping to [0, 1] can silently mask kernel bugs: a numerator overflowing
 to ``inf`` drives ``1 - num/den`` to ``-inf``, which a bare clamp reports
 as a perfectly confident 0.0.  These fixtures push both distance paths
 through the inputs where that happened (float extremes, duplicate
-entries, empty rows) and assert (a) the two paths agree, (b) the
+entries, empty rows) and assert (a) the two paths agree bit for bit, (b) the
 ``distance.out_of_range`` counters stay at zero on correct kernels and
 fire when a result really escapes [0, 1].
 """
@@ -20,11 +20,11 @@ from repro.core.distances import (
     _clamp01,
     available_distances,
     dist_scaled_hellinger,
+    finish,
     get_distance,
 )
 from repro.core.packed import (
     SignaturePack,
-    _finish,
     cross_matrix,
     pair_distances,
     pairwise_matrix,
@@ -60,7 +60,7 @@ class TestScalarBatchAgreementAdversarial:
         scalar = scalar_matrix(ADVERSARIAL_WINDOW, metric)
         assert np.all(np.isfinite(batch))
         assert np.all((batch >= 0.0) & (batch <= 1.0))
-        assert batch == pytest.approx(scalar, abs=1e-9)
+        assert batch.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("metric", DISTANCES)
     def test_cross_and_pair_kernels_agree(self, metric):
@@ -69,12 +69,12 @@ class TestScalarBatchAgreementAdversarial:
         n = len(ADVERSARIAL_WINDOW)
         rows_i, rows_j = np.triu_indices(n)
         pairs = pair_distances(pack, rows_i, rows_j, metric)
-        assert pairs == pytest.approx(full[rows_i, rows_j], abs=1e-9)
+        assert pairs.tobytes() == full[rows_i, rows_j].tobytes()
 
     @pytest.mark.parametrize("metric", DISTANCES)
     def test_duplicate_owners_and_duplicate_weights(self, metric):
-        # Duplicate owners are distinct rows; tied weights exercise the
-        # threshold decomposition's equal-rank branches.
+        # Duplicate owners are distinct rows; tied weights give equal
+        # min-mass terms.
         window = [
             Signature("dup", {"a": 5.0, "b": 5.0}),
             Signature("dup", {"a": 5.0, "b": 5.0}),
@@ -84,7 +84,7 @@ class TestScalarBatchAgreementAdversarial:
         assert pack.owners == ("dup", "dup", "dup")
         batch = pairwise_matrix(pack, metric)
         scalar = scalar_matrix(window, metric)
-        assert batch == pytest.approx(scalar, abs=1e-12)
+        assert batch.tobytes() == scalar.tobytes()
         assert batch[0, 1] == 0.0  # identical rows
 
     def test_no_out_of_range_on_correct_kernels(self):
@@ -127,7 +127,7 @@ class TestSHelFloatExtremeRegression:
             batch = float(cross_matrix(pack, pack, "shel")[0, 1])
             scalar = dist_scaled_hellinger(window[0], window[1])
             assert math.isfinite(scalar)
-            assert scalar == pytest.approx(batch, abs=1e-9), scale
+            assert scalar == batch, scale
 
 
 class TestOutOfRangeCounters:
@@ -152,21 +152,21 @@ class TestOutOfRangeCounters:
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
             # num/den = 2 -> distance -1: one real excursion, clamped to 0.
-            out = _finish(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
+            out = finish("dice", shared=np.array([2.0, 0.5]), total=np.array([1.0, 1.0]))
         assert out == pytest.approx([0.0, 0.5])
         assert registry.counter_value("distance.out_of_range", path="batch") == 1
 
     def test_batch_finish_silent_on_roundoff(self):
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            out = _finish(
-                np.array([1.0 + OUT_OF_RANGE_TOL / 10]), np.array([1.0])
+            out = finish(
+                "dice", shared=np.array([1.0 + OUT_OF_RANGE_TOL / 10]), total=np.array([1.0])
             )
         assert out == pytest.approx([0.0])
         assert registry.counter_total("distance.out_of_range") == 0
 
     def test_counting_disabled_registry_costs_nothing(self):
         # Under the null registry the counters simply vanish.
-        out = _finish(np.array([2.0]), np.array([1.0]))
+        out = finish("dice", shared=np.array([2.0]), total=np.array([1.0]))
         assert out == pytest.approx([0.0])
         assert obs.NULL_REGISTRY.counter_total("distance.out_of_range") == 0

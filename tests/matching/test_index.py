@@ -1,8 +1,11 @@
 """Unit tests for the exact nearest-neighbour signature index."""
 
+import numpy as np
+
 import pytest
 
-from repro.core.distances import dist_jaccard
+from repro.core.distances import dist_jaccard, get_distance
+from repro.core.packed import SignaturePack
 from repro.core.signature import Signature
 from repro.exceptions import MatchingError
 from repro.matching.index import SignatureIndex
@@ -14,15 +17,14 @@ def sig(owner, *members):
 
 @pytest.fixture
 def index():
-    idx = SignatureIndex(dist_jaccard)
-    idx.add_all(
+    return SignatureIndex(
         [
             sig("v1", "a", "b", "c"),
             sig("v2", "a", "b", "d"),
             sig("v3", "x", "y", "z"),
-        ]
+        ],
+        dist_jaccard,
     )
-    return idx
 
 
 class TestStorage:
@@ -35,10 +37,13 @@ class TestStorage:
         with pytest.raises(MatchingError):
             index.get("ghost")
 
-    def test_add_replaces(self, index):
-        index.add(sig("v1", "q"))
-        assert index.get("v1").nodes == {"q"}
-        assert len(index) == 3
+    def test_mapping_and_pack_inputs(self, index):
+        signatures = {owner: index.get(owner) for owner in index.owners()}
+        for source in (signatures, SignaturePack.from_signatures(signatures)):
+            other = SignatureIndex(source, "jaccard")
+            assert other.owners() == ["v1", "v2", "v3"]
+            probe = sig("probe", "a", "x")
+            assert other.query(probe, k=3) == index.query(probe, k=3)
 
     def test_owners(self, index):
         assert set(index.owners()) == {"v1", "v2", "v3"}
@@ -62,6 +67,32 @@ class TestQuery:
         distances = [distance for _owner, distance in results]
         assert distances == sorted(distances)
 
+    def test_ties_ordered_by_str_owner(self):
+        idx = SignatureIndex(
+            [sig(owner, "x", "y") for owner in ("c", 10, "b", 2)], dist_jaccard
+        )
+        results = idx.query(sig("probe", "x"), k=4)
+        assert [owner for owner, _d in results] == [10, 2, "b", "c"]
+        assert len({distance for _owner, distance in results}) == 1
+
+    def test_distances_equal_the_scalar_bytes(self):
+        rng = np.random.default_rng(3)
+        members = [f"m{i}" for i in range(12)]
+        stored = [
+            Signature(
+                f"v{i}",
+                {m: float(rng.uniform(0.1, 9.0)) for m in rng.choice(members, 5, replace=False)},
+            )
+            for i in range(20)
+        ]
+        probe = stored[4]
+        for metric in ("jaccard", "dice", "sdice", "shel"):
+            function = get_distance(metric)
+            results = SignatureIndex(stored, metric).query(probe, k=20, exclude_self=False)
+            assert {owner: d for owner, d in results} == {
+                other.owner: function(probe, other) for other in stored
+            }
+
     def test_invalid_k(self, index):
         with pytest.raises(MatchingError):
             index.query(sig("probe", "a"), k=0)
@@ -81,13 +112,13 @@ class TestPairsWithin:
             index.pairs_within(1.5)
 
     def test_sorted_by_distance(self):
-        idx = SignatureIndex(dist_jaccard)
-        idx.add_all(
+        idx = SignatureIndex(
             [
                 sig("a", "1", "2"),
                 sig("b", "1", "2"),
                 sig("c", "1", "3"),
-            ]
+            ],
+            dist_jaccard,
         )
         pairs = idx.pairs_within(1.0)
         distances = [d for _x, _y, d in pairs]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf regression harness: four gated bench stages run by one ``run_stage``.
 
-- ``kernels``: scalar vs batch distance kernels through the same call sites
+- ``kernels``: the batch distance kernel vs the scalar loop through the same call sites
 - ``shm``: shared-memory engine vs serial and pickle-``parallel_map`` recompute
 - ``sketch``: accuracy and state of the degraded tier (``sketch_window``) against exact
 - ``history``: indexed vs brute-force history-store lookalike queries, compaction,
@@ -37,15 +37,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np
 
 from repro import obs
-from repro.core.distances import available_distances
-from repro.core.packed import SignaturePack, batch_disabled, cross_matrix
+from repro.core.distances import available_distances, get_distance
+from repro.core.packed import SignaturePack, cross_matrix
 from repro.core.properties import uniqueness_values
 from repro.core.signature import Signature
 
 PERF_DIR = REPO_ROOT / "benchmarks" / "perf"
 #: Quick-mode records land here (git-ignored), never over a committed record.
 QUICK_DIR = PERF_DIR / "quick"
-AGREEMENT_TOLERANCE = 1e-9
+#: The batch kernel and the scalar loop must agree bit for bit.
+AGREEMENT_TOLERANCE = 0.0
 
 #: Kernels acceptance gate (full mode): all-pairs uniqueness at n=2000.
 MIN_KERNEL_SPEEDUP = 10.0
@@ -134,12 +135,18 @@ def check_agreement(op: str, distance: str, batch_values, scalar_values) -> floa
     batch_array = np.asarray(batch_values, dtype=np.float64)
     scalar_array = np.asarray(scalar_values, dtype=np.float64)
     worst = float(np.abs(batch_array - scalar_array).max()) if batch_array.size else 0.0
-    if worst > AGREEMENT_TOLERANCE:
+    if worst > AGREEMENT_TOLERANCE or batch_array.tobytes() != scalar_array.tobytes():
         raise AssertionError(
-            f"{op}/{distance}: batch and scalar disagree by {worst:.3e} "
-            f"(tolerance {AGREEMENT_TOLERANCE:.0e})"
+            f"{op}/{distance}: batch and scalar differ (largest difference {worst:.3e})"
         )
     return worst
+
+
+def scalar_baseline(distance: str):
+    """An unregistered wrapper of the registered ``distance`` function: the
+    kernel entry points run it as their scalar loop."""
+    function = get_distance(distance)
+    return lambda first, second: function(first, second)
 
 
 def warm_up() -> None:
@@ -159,8 +166,7 @@ def _scalar_vs_batch(op: str, n: int, pairs: int, compute, repeats: int) -> list
     rows = []
     for distance in available_distances():
         batch_wall, batch_result = timed(lambda: compute(distance), repeats=repeats)
-        with batch_disabled():
-            scalar_wall, scalar_result = timed(lambda: compute(distance))
+        scalar_wall, scalar_result = timed(lambda: compute(scalar_baseline(distance)))
         worst = check_agreement(op, distance, batch_result, scalar_result)
         rows.append(
             {
@@ -206,34 +212,6 @@ def bench_cross_identification(n: int, k: int, repeats: int) -> list:
     )
 
 
-def bench_experiments() -> list:
-    """End-to-end fig1/fig3 at small scale, scalar vs. batch paths."""
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.fig1_properties import run_fig1
-    from repro.experiments.fig3_auc import run_fig3
-
-    config = ExperimentConfig(scale="small")
-    rows = []
-    for op, runner in [
-        ("fig1_end_to_end", lambda: run_fig1("network", config)),
-        ("fig3_end_to_end", lambda: run_fig3("network", config)),
-    ]:
-        batch_wall, _ = timed(runner)
-        with batch_disabled():
-            scalar_wall, _ = timed(runner)
-        rows.append(
-            {
-                "op": op,
-                "distance": "all",
-                "n": "small-scale",
-                "scalar_wall_s": round(scalar_wall, 6),
-                "batch_wall_s": round(batch_wall, 6),
-                "speedup": round(scalar_wall / batch_wall, 2),
-            }
-        )
-    return rows
-
-
 def bench_obs_overhead(n: int, k: int, repeats: int) -> list:
     """Cost of the observability instrumentation on the hot kernel path.
 
@@ -274,8 +252,6 @@ def kernels_stage(args):
     warm_up()
     rows = bench_uniqueness(n, args.k, repeats)
     rows += bench_cross_identification(min(n, 1000), args.k, repeats)
-    if not args.quick:
-        rows += bench_experiments()
     rows += bench_obs_overhead(n, args.k, repeats)
     slow = [
         row["distance"]
