@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Tuple
 
+from repro.core.packed import SignaturePack
 from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, StoreError
 from repro.ioutils import file_sha256
@@ -91,8 +92,8 @@ class CheckpointStore:
         """Durably persist one window as a new segment.
 
         ``signatures`` is the window's
-        :class:`~repro.core.packed.SignaturePack`, or a
-        ``{owner: Signature}`` mapping (a degraded window's).
+        :class:`~repro.core.packed.SignaturePack` (or any
+        ``{owner: Signature}`` mapping, packed on write).
 
         ``window`` must be the next unwritten index, or an already-written
         index (in which case it is overwritten and any later windows are
@@ -165,8 +166,9 @@ class CheckpointStore:
             )
         return scan
 
-    def load_window(self, window: int) -> Tuple[Dict[str, Signature], Dict]:
-        """Load one window's signatures and metadata.
+    def load_window(self, window: int) -> Tuple[SignaturePack, Dict]:
+        """Load one window's signatures (a pack over its segment's
+        columns) and metadata.
 
         Verifies the segment's SHA-256 against the manifest first, so bit
         rot that still decodes (a flipped byte in a float64 weight, say)

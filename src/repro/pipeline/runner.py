@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro import obs
 from repro.core.execution import ComputeEngine, execution_error, make_engine
 from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, create_scheme
-from repro.core.signature import Signature
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
@@ -163,9 +162,10 @@ class PipelineConfig:
 class PipelineResult:
     """Final signatures per window plus the full provenance report.
 
-    A computed exact window's signatures are its
-    :class:`~repro.core.packed.SignaturePack`; degraded and replayed
-    windows are ``{owner: Signature}`` dicts.  Both read alike.
+    Every window's signatures are a
+    :class:`~repro.core.packed.SignaturePack`: an exact window's as
+    ``compute_all`` emits it, a degraded window's packed from its sketch
+    signatures, and a replayed window's loaded from its checkpoint.
 
     ``timeseries`` holds the run's metric trajectories (``{series key:
     [[t, value], ...]}``): one sample per completed window always, plus
@@ -173,7 +173,7 @@ class PipelineResult:
     """
 
     report: RunReport
-    signatures: List[Mapping[str, Signature]] = field(default_factory=list)
+    signatures: List[SignaturePack] = field(default_factory=list)
     timeseries: Dict[str, List[List[float]]] = field(default_factory=dict)
 
 
@@ -535,7 +535,7 @@ class SignaturePipeline:
         records: List[EdgeRecord],
         scheme: SignatureScheme,
         report: RunReport,
-    ) -> Tuple[WindowReport, Mapping[str, Signature]]:
+    ) -> Tuple[WindowReport, SignaturePack]:
         started = self._clock()
         # The window's one conversion: its records as canonical columns.
         batch = RecordBatch.from_records(records, LabelTable())
@@ -559,7 +559,6 @@ class SignaturePipeline:
             mode = MODE_DEGRADED
             reason = f"memory budget: {cells} graph cells > {budget}"
 
-        signatures: Mapping[str, Signature] = {}
         if mode == MODE_EXACT:
             exact = self._compute_exact(graph, scheme, started)
             if exact is None:
@@ -623,7 +622,7 @@ class SignaturePipeline:
             return None
         return signatures
 
-    def _compute_degraded(self, batch: RecordBatch) -> Dict[str, Signature]:
+    def _compute_degraded(self, batch: RecordBatch) -> SignaturePack:
         """One-pass sketched signatures for the window (Section VI path):
         :func:`sketch_window` over its one canonical bucket, as the
         service's sketch tier sketches a window."""
@@ -635,12 +634,12 @@ class SignaturePipeline:
             delta=self.config.streaming_delta,
             seed=self.config.seed,
         )
-        return {source: builder.signature(source) for source in builder.sources}
+        return SignaturePack.from_signatures(map(builder.signature, builder.sources))
 
     def _save_window(
         self,
         window: int,
-        signatures: Mapping[str, Signature],
+        signatures: SignaturePack,
         meta: Dict,
         mode: str,
         report: RunReport,

@@ -26,7 +26,7 @@ dead keeps answering — approximately, and saying so.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.core.distances import OUT_OF_RANGE_TOL, get_distance
@@ -41,6 +41,9 @@ from repro.matching.index import SignatureIndex
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.service.config import ServiceConfig
 from repro.streaming.stream_schemes import StreamingTopTalkers, sketch_window
+
+#: The signatures of a shard with no window yet.
+_NO_SIGNATURES = SignaturePack.from_signatures({})
 
 
 def _clamp_persistence(value: float, counter) -> float:
@@ -94,9 +97,9 @@ class ShardEngine:
         #: Index of the last applied window; -1 before any bucket arrived.
         self.window = -1
         #: Current / previous window signatures, string-keyed: a computed
-        #: window's pack, or the dict a store load gives.
-        self.signatures: Mapping[str, Signature] = {}
-        self.prev_signatures: Mapping[str, Signature] = {}
+        #: or store-loaded window's pack.
+        self.signatures: SignaturePack = _NO_SIGNATURES
+        self.prev_signatures: SignaturePack = _NO_SIGNATURES
         self._index: Optional[SignatureIndex] = None
         self._distance = get_distance(config.distance)
 
@@ -200,7 +203,7 @@ class ShardEngine:
         if history is not None and base_window in history:
             self.signatures = history.load_window(base_window)
         else:
-            self.signatures = {}
+            self.signatures = _NO_SIGNATURES
 
     def _replay(
         self,
@@ -258,7 +261,7 @@ class ShardEngine:
         with obs.use_registry(self.registry):
             self.signatures = history.load_window(last)
             self.prev_signatures = (
-                history.load_window(last - 1) if last - 1 in history else {}
+                history.load_window(last - 1) if last - 1 in history else _NO_SIGNATURES
             )
         self.window = last
         self._index = None
@@ -274,7 +277,7 @@ class ShardEngine:
 
     def query_index(self) -> SignatureIndex:
         """Similarity index over the current window's pack, built on the
-        window's first query (a store-loaded dict is packed once)."""
+        window's first query."""
         if self._index is None:
             self._index = SignatureIndex(self.signatures, self._distance)
         return self._index

@@ -23,8 +23,9 @@ replaced become garbage; :meth:`compact` removes them and folds the
 manifest back to one line per live segment.
 
 Queries never materialise history wholesale: "who looked like X in window
-t" probes the per-segment LSH band table (:mod:`repro.store.index`) and
-only decodes candidate rows for exact re-ranking; "trajectory of X" is a
+t" probes the per-segment LSH band table (:mod:`repro.store.index`),
+gathers the candidate rows into a pack, ranks them with the distance
+kernel and decodes only the rows it returns; "trajectory of X" is a
 vectorized scan of interned owner columns of the segments serving the
 range.  Both touch mapped segments, so cost scales with matches, not with
 months of stored windows.
@@ -42,6 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.packed import SignaturePack, signature_distances
 from repro.core.signature import Signature
 from repro.exceptions import StoreError
 from repro.ioutils import append_line, atomic_write, file_sha256
@@ -449,8 +451,9 @@ class HistoryStore:
     def _window_segment(self, window: int) -> Segment:
         return self._open(self.window_record(window).file)
 
-    def load_window(self, window: int) -> Dict[str, Signature]:
-        """All signatures of one window (raises when the window is absent)."""
+    def load_window(self, window: int) -> SignaturePack:
+        """All signatures of one window as a pack over its segment's
+        columns (raises when the window is absent)."""
         return self._window_segment(window).signatures_for_window(int(window))
 
     def window_meta(self, window: int) -> Dict:
@@ -465,15 +468,8 @@ class HistoryStore:
         if record is None:
             return None
         segment = self._open(record.file)
-        lo, hi = segment.window_row_range(int(window))
-        owner_id = segment.label_id(owner)
-        if owner_id is None or hi <= lo:
-            return None
-        owners = segment.rows["owner"][lo:hi]
-        matches = np.flatnonzero(owners == owner_id)
-        if matches.size == 0:
-            return None
-        return segment.signature_at(lo + int(matches[0]))
+        rows = segment.rows_for_owner(owner, int(window), int(window) + 1)
+        return segment.signature_at(rows[0]) if rows else None
 
     def trajectory(
         self,
@@ -486,8 +482,8 @@ class HistoryStore:
 
         Opens only the segments serving a live window in the range.  Each
         resolves the owner through its interning table and one vectorized
-        compare of the interned owner column; segments that never saw the
-        owner decode nothing.
+        compare of the interned owner column and gathers the matching rows
+        into one pack; segments that never saw the owner decode nothing.
         """
         with obs.span("store.query", kind="trajectory"):
             # Records serve contiguous window runs, so this groups the
@@ -503,10 +499,13 @@ class HistoryStore:
             out: List[Tuple[int, Signature]] = []
             for file, windows in live.items():
                 segment = self._open(file)
-                for row in segment.rows_for_owner(owner, start, stop):
-                    window = int(segment.rows[row]["window"])
-                    if window in windows:
-                        out.append((window, segment.signature_at(row)))
+                rows = [
+                    row
+                    for row in segment.rows_for_owner(owner, start, stop)
+                    if int(segment.rows[row]["window"]) in windows
+                ]
+                stored = segment.rows["window"][rows].tolist()
+                out.extend(zip(stored, segment.pack_rows(rows).signatures))
             return out
 
     def query(
@@ -521,14 +520,14 @@ class HistoryStore:
         masquerading/forensics primitive, answered from history.
 
         With the LSH index (the default), only rows sharing at least one
-        MinHash band with the query are decoded and exactly re-ranked by
-        the store's distance; ``exhaustive=True`` (or an unindexed
-        segment) decodes the whole window.  Results are sorted by
-        ``(distance, owner)`` and truncated to ``k`` — the ordering
-        contract of :class:`repro.matching.index.SignatureIndex.query`,
-        over the LSH candidate set rather than the full population (rows
-        sharing no MinHash band with the query are never materialised;
-        that is where the sub-linearity comes from).
+        MinHash band with the query are ranked, exactly, by the store's
+        distance through :func:`~repro.core.packed.signature_distances`;
+        ``exhaustive=True`` (or an unindexed segment) ranks the whole
+        window.  Results are sorted by ``(distance, owner)`` and truncated
+        to ``k`` — the ordering contract of
+        :class:`repro.matching.index.SignatureIndex.query`, over the LSH
+        candidate set (that is where the sub-linearity comes from).  Only
+        the ``k`` returned rows are decoded.
         """
         if k < 1:
             raise StoreError(f"k must be >= 1, got {k}")
@@ -557,17 +556,18 @@ class HistoryStore:
             else:
                 rows = np.arange(lo, hi, dtype=np.int64)
             obs.counter("store.rows_considered").inc(int(rows.size))
-            matches = [
+            pack = segment.pack_rows(rows)
+            distances = signature_distances(signature, pack, self._distance).tolist()
+            ranked = sorted(range(len(pack)), key=lambda row: (distances[row], pack.owners[row]))
+            return [
                 HistoryMatch(
-                    owner=stored.owner,
+                    owner=pack.owners[row],
                     window=window,
-                    distance=float(self._distance(signature, stored)),
-                    signature=stored,
+                    distance=distances[row],
+                    signature=pack.row(row),
                 )
-                for stored in (segment.signature_at(int(row)) for row in rows)
+                for row in ranked[:k]
             ]
-            matches.sort(key=lambda m: (m.distance, str(m.owner)))
-            return matches[:k]
 
 
 def _seq_after(records: Iterable[SegmentRecord]) -> int:

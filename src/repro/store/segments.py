@@ -41,7 +41,6 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -291,8 +290,8 @@ class Segment:
 
     Decoding is lazy and columnar: opening parses the JSON header only,
     the interning table is decoded once on first use,
-    :meth:`signatures_for_window` touches just that window's row slice, and
-    the band-hash table never materialises signatures at all.
+    :meth:`signatures_for_window` gathers just that window's row slice into
+    a pack, and the band-hash table never materialises signatures at all.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -375,10 +374,6 @@ class Segment:
         return int(self._arrays["rows"].shape[0])
 
     @property
-    def num_labels(self) -> int:
-        return int(self._arrays["label_offsets"].shape[0]) - 1
-
-    @property
     def nbytes(self) -> int:
         return int(os.path.getsize(self.path))
 
@@ -398,15 +393,6 @@ class Segment:
             ]
         return self._labels
 
-    def label(self, label_id: int) -> str:
-        """Decode one interned label."""
-        if not 0 <= label_id < self.num_labels:
-            raise StoreError(
-                f"{self.path}: label id {label_id} out of range "
-                f"[0, {self.num_labels})"
-            )
-        return self.labels()[label_id]
-
     def label_id(self, label: str) -> Optional[int]:
         """Interned id of ``label``, or ``None`` when absent."""
         if self._label_index is None:
@@ -414,42 +400,46 @@ class Segment:
         return self._label_index.get(label)
 
     # ------------------------------------------------------------------
-    # Rows -> signatures
+    # Rows -> packs
     # ------------------------------------------------------------------
-    def _decode(self, rows: np.ndarray) -> List[Signature]:
-        """Materialise the signatures of a slice of the row table.
+    def pack_rows(self, rows: np.ndarray) -> SignaturePack:
+        """The signatures of ``rows`` (row-table positions) as a
+        :class:`~repro.core.packed.SignaturePack` over the stored columns.
 
-        The slice's entry columns are converted to Python values once, not
-        element by element, so decoding costs about what building the
-        :class:`Signature` objects does.
+        Owners come in ``rows`` order and each row's entries in stored
+        signature order with their stored float64 weights; member columns
+        are numbered first-seen, as the pack requires.  No
+        :class:`Signature` is built: a row is decoded when it is read.
         """
-        if len(rows) == 0:
-            return []
+        table = self._arrays["rows"][np.asarray(rows, dtype=np.int64)]
+        starts, counts = table["start"], table["count"]
+        keys = self._arrays["keys"]
+        if len(table) and (
+            counts.min() < 0 or starts.min() < 0 or (starts + counts).max() > len(keys)
+        ):
+            raise StoreError(f"{self.path}: row entries out of range [0, {len(keys)})")
+        indptr = np.zeros(len(table) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        owners, members = table["owner"], keys[entries]
         labels = self.labels()
-        owners = rows["owner"].tolist()
-        starts = rows["start"].tolist()
-        counts = rows["count"].tolist()
-        base = min(starts)
-        stop = max(start + count for start, count in zip(starts, counts))
-        keys = self._arrays["keys"][base:stop].tolist()
-        values = self._arrays["values"][base:stop].tolist()
-        ids = owners + keys
-        if min(ids) < 0 or max(ids) >= len(labels):
-            raise StoreError(
-                f"{self.path}: label id out of range [0, {len(labels)})"
-            )
-        decoded = []
-        for owner, start, count in zip(owners, starts, counts):
-            lo = start - base
-            entries = zip(keys[lo : lo + count], values[lo : lo + count])
-            decoded.append(
-                Signature(labels[owner], {labels[key]: value for key, value in entries})
-            )
-        return decoded
+        for ids in (owners, members):
+            if len(ids) and (ids.min() < 0 or ids.max() >= len(labels)):
+                raise StoreError(
+                    f"{self.path}: label id out of range [0, {len(labels)})"
+                )
+        distinct, columns = first_occurrence(members)
+        return SignaturePack(
+            list(map(labels.__getitem__, owners.tolist())),
+            list(map(labels.__getitem__, distinct.tolist())),
+            indptr,
+            columns,
+            self._arrays["values"][entries],
+        )
 
     def signature_at(self, row: int) -> Signature:
-        """Materialise the signature stored in row ``row``."""
-        return self._decode(self._arrays["rows"][row : row + 1])[0]
+        """Decode the signature stored in row ``row``."""
+        return self.pack_rows([row]).row(0)
 
     def window_row_range(self, window: int) -> Tuple[int, int]:
         """Row slice ``[lo, hi)`` of ``window``; ``(0, 0)`` when absent."""
@@ -458,11 +448,10 @@ class Segment:
             return (0, 0)
         return (block.row_start, block.row_stop)
 
-    def signatures_for_window(self, window: int) -> Dict[str, Signature]:
-        """All signatures of one window, keyed by owner label."""
-        lo, hi = self.window_row_range(window)
-        rows = self._arrays["rows"][lo:hi]
-        return {signature.owner: signature for signature in self._decode(rows)}
+    def signatures_for_window(self, window: int) -> SignaturePack:
+        """All signatures of one window as a pack, owners in stored
+        (sorted) order; empty when the window is absent."""
+        return self.pack_rows(np.arange(*self.window_row_range(window)))
 
     def meta_for(self, window: int) -> Dict:
         block = self._by_window.get(int(window))

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.packed import SignaturePack
 from repro.exceptions import CheckpointError
 from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.pipeline import (
@@ -99,6 +100,34 @@ class TestResume:
         assert checkpoint_bytes(tmp_path / "crashed") == checkpoint_bytes(
             tmp_path / "baseline"
         )
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["exact", "degraded"])
+    def test_resumed_windows_are_packs_equal_to_the_uninterrupted_run(
+        self, trace, tmp_path, budget
+    ):
+        def pipeline(directory, hooks=()):
+            config = PipelineConfig(scheme="tt", k=5, max_memory_cells=budget)
+            return SignaturePipeline(
+                CsvRecordSource(trace), CheckpointStore(directory), config, hooks=hooks
+            )
+
+        baseline = pipeline(tmp_path / "baseline").run()
+        with pytest.raises(Boom):
+            pipeline(tmp_path / "crashed", hooks=[crash_at(2)]).run()
+        resumed = pipeline(tmp_path / "crashed").run(resume=True)
+
+        assert resumed.report.resumed_from == 3
+        modes = {window.mode for window in baseline.report.windows}
+        assert modes == {"degraded-streaming" if budget else "exact"}
+        assert len(resumed.signatures) == len(baseline.signatures) == 6
+        for got, want in zip(resumed.signatures, baseline.signatures):
+            assert isinstance(got, SignaturePack) and isinstance(want, SignaturePack)
+            assert sorted(got) == sorted(want)
+            for owner in want:
+                # Weights bit for bit, entries in signature order.
+                assert [(m, w.hex()) for m, w in got[owner].entries] == [
+                    (m, w.hex()) for m, w in want[owner].entries
+                ]
 
     def test_fresh_run_after_crash_also_identical(self, trace, tmp_path):
         baseline = make_pipeline(trace, tmp_path / "baseline").run()

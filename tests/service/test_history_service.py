@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.packed import SignaturePack
 from repro.service import STATE_CLOSED, ServiceConfig
 from repro.service.http import SignatureService
 
@@ -119,6 +120,33 @@ class TestServiceRestart:
             status, payload = get(revived, f"/history/{node}")
             assert status == 200
             assert payload["matches"] == histories[node]["matches"]
+        revived.close()
+
+    def test_restart_answers_every_read_endpoint_unchanged(self, config, tmp_path, fill):
+        service = make_service(config, tmp_path)
+        fill(service, count=64)
+        nodes = sorted(
+            {owner for state in service.supervisor.shards for owner in state.engine.signatures}
+        )
+        paths = [
+            f"/{endpoint}/{node}"
+            for node in nodes
+            for endpoint in ("signature", "anomaly", "similar", "history")
+        ] + [f"/similar/{node}?k=20" for node in nodes] + [
+            f"/history/{node}?k=20&window=5" for node in nodes
+        ]
+        before = {path: service.respond("GET", path)[::2] for path in paths}
+        window = service.supervisor.window
+        service.close()
+
+        revived = make_service(config, tmp_path)
+        assert revived.supervisor.window == window
+        for state in revived.supervisor.shards:
+            # The restored windows are pack views over the stored columns.
+            assert isinstance(state.engine.signatures, SignaturePack)
+            assert isinstance(state.engine.prev_signatures, SignaturePack)
+        assert {path: revived.respond("GET", path)[::2] for path in paths} == before
+        assert sum(status == 200 for status, _body in before.values()) > 3 * len(nodes)
         revived.close()
 
     def test_ingest_after_restart_continues_numbering(self, config, tmp_path, fill):

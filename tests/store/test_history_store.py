@@ -9,6 +9,7 @@ into wrong answers or exceptions on the read path.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -18,16 +19,21 @@ import textwrap
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro import obs
+from repro.core.distances import get_distance
+from repro.core.packed import SignaturePack
 from repro.core.signature import Signature
-from repro.exceptions import StoreError
+from repro.exceptions import CheckpointError, StoreError
+from repro.pipeline import CheckpointStore
 from repro.store import HistoryStore, IndexParams, segments
 from repro.store.history import MANIFEST_NAME, OPEN_SEGMENTS
+from repro.store.index import candidate_rows, query_band_hashes
 from repro.store.segments import SEGMENT_SUFFIX
 
 
@@ -142,6 +148,81 @@ class TestTimeTravel:
         with pytest.raises(StoreError, match="k must be >= 1"):
             store.query(sig("probe", q=1.0), 0, k=0)
 
+    def test_load_window_is_a_pack(self, tmp_path):
+        store = make_store(tmp_path)
+        pack = store.load_window(1)
+        assert isinstance(pack, SignaturePack)
+        assert pack.owners == ("a", "b")
+        assert pack == {"a": sig("a", x=2.0, y=2.0), "b": sig("b", z=0.5)}
+
+
+_MEMBERS = [f"n{i}" for i in range(8)] + ["ü", "节"]
+_WEIGHTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def lookalike_windows(draw):
+    """A window over a small member vocabulary (overlaps and weight ties
+    are common), and a query signature over the same members."""
+
+    def signature(owner):
+        entries = draw(st.dictionaries(st.sampled_from(_MEMBERS), _WEIGHTS, max_size=5))
+        entries.pop(owner, None)
+        return Signature(owner, entries)
+
+    owners = draw(st.lists(st.sampled_from(_MEMBERS + ["o1", "o2", "o3"]), unique=True, max_size=12))
+    return {owner: signature(owner) for owner in owners}, signature("probe")
+
+
+def stored_rows(segment, rows):
+    """``(owner, Signature)`` of each row, decoded straight from the
+    segment's columns."""
+    keys, values, labels = segment._arrays["keys"], segment._arrays["values"], segment.labels()
+    decoded = []
+    for row in rows:
+        owner, _window, start, count = segment.rows[row].tolist()
+        entries = zip(keys[start : start + count].tolist(), values[start : start + count].tolist())
+        decoded.append((labels[owner], Signature(labels[owner], {labels[k]: v for k, v in entries})))
+    return decoded
+
+
+def rerank(store, probe, window, k, exhaustive):
+    """The scalar re-ranking oracle: the rows ``query`` considers, each
+    decoded and scored with the store's scalar distance."""
+    segment = segments.read_segment(store.directory / store.window_record(window).file)
+    lo, hi = segment.window_row_range(window)
+    rows = np.arange(lo, hi)
+    if not exhaustive:
+        bands = query_band_hashes(probe, store.index_params)
+        rows = lo + candidate_rows(np.asarray(segment.band_hashes[lo:hi]), bands)
+    distance = get_distance(store.distance_name)
+    scored = [
+        (float(distance(probe, stored)), owner, stored)
+        for owner, stored in stored_rows(segment, rows.tolist())
+    ]
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return [(owner, score.hex(), stored) for score, owner, stored in scored[:k]]
+
+
+class TestQueryMatchesScalarReranking:
+    @pytest.mark.parametrize("distance", ["jaccard", "dice", "sdice", "shel"])
+    @settings(max_examples=25, deadline=None)
+    @given(case=lookalike_windows(), k=st.integers(1, 6), exhaustive=st.booleans())
+    def test_owners_and_distance_bits(self, distance, case, k, exhaustive):
+        window_map, probe = case
+        with tempfile.TemporaryDirectory() as tmp:
+            store = HistoryStore(
+                tmp, index_params=IndexParams(bands=8, rows_per_band=1), distance=distance
+            )
+            # Window 1's rows follow window 0's in the segment.
+            before = {"z": Signature("z", {"n1": 1.0, "n2": 0.5})}
+            store.append([(0, before), (1, window_map)])
+            hits = store.query(probe, 1, k=k, exhaustive=exhaustive)
+            assert [
+                (hit.owner, hit.distance.hex(), hit.signature) for hit in hits
+            ] == rerank(store, probe, 1, k, exhaustive)
+            assert all(hit.window == 1 for hit in hits)
+
 
 class TestCompaction:
     def test_compact_removes_dead_segments_only(self, tmp_path):
@@ -254,6 +335,44 @@ class TestCrashRecovery:
         reopened = HistoryStore(store.directory)
         reopened.scan()
         assert dict(reopened.load_window(2)["redo"].entries) == {"x": 1.0}
+
+
+def plant_out_of_range_key(directory):
+    """Point the first stored key of the first segment past its label
+    table, then stamp the manifest with the damaged file's SHA-256, so only
+    the decoder can notice.  Returns the segment's file name."""
+    manifest = directory / MANIFEST_NAME
+    record = json.loads(manifest.read_text(encoding="utf-8").splitlines()[0])
+    path = directory / record["file"]
+    segment = segments.read_segment(path)
+    at, bad_id = segment.header["arrays"]["keys"]["offset"], len(segment.labels()) + 3
+    del segment
+    blob = bytearray(path.read_bytes())
+    blob[at : at + 8] = bad_id.to_bytes(8, "little")
+    path.write_bytes(bytes(blob))
+    damaged_sha = hashlib.sha256(bytes(blob)).hexdigest()
+    manifest.write_text(
+        manifest.read_text(encoding="utf-8").replace(record["sha256"], damaged_sha),
+        encoding="utf-8",
+    )
+    return record["file"]
+
+
+class TestOutOfRangeLabelIds:
+    def test_history_load_raises_a_store_error_naming_the_file(self, tmp_path):
+        make_store(tmp_path)
+        file = plant_out_of_range_key(tmp_path / "hist")
+        store = HistoryStore(tmp_path / "hist")
+        with pytest.raises(StoreError, match=rf"{file}: label id out of range"):
+            store.load_window(0)
+
+    def test_checkpoint_load_raises_a_checkpoint_error(self, tmp_path):
+        make_store(tmp_path)
+        file = plant_out_of_range_key(tmp_path / "hist")
+        store = CheckpointStore(tmp_path / "hist")
+        assert [entry.window for entry in store.scan().good] == [0, 1, 2]
+        with pytest.raises(CheckpointError, match=rf"{file}: label id out of range"):
+            store.load_window(0)
 
 
 class TestConcurrentReads:

@@ -10,6 +10,10 @@ from __future__ import annotations
 import errno
 import math
 import mmap
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,14 +50,18 @@ weights = st.one_of(
 )
 
 
+# Weights that tie often, so entries order by label within a weight.
+tied_weights = st.one_of(weights, st.sampled_from([0.25, 1.0, 3.0]))
+
+
 @st.composite
-def window_maps(draw):
+def window_maps(draw, weight=weights):
     """One window's ``{owner: Signature}`` map (possibly-empty signatures)."""
     owners = draw(st.lists(node_labels, min_size=0, max_size=6, unique=True))
     out = {}
     for owner in owners:
         entries = draw(
-            st.dictionaries(node_labels, weights, min_size=0, max_size=5)
+            st.dictionaries(node_labels, weight, min_size=0, max_size=5)
         )
         entries.pop(owner, None)  # a signature cannot contain its owner
         out[owner] = Signature(owner, entries)
@@ -69,12 +77,14 @@ def roundtrip(tmp_path, windows, **kwargs):
 def roundtrip_tmp(windows, **kwargs):
     """Hypothesis-friendly round-trip: fresh temp dir per example (the
     segment's mapping outlives its removed file)."""
-    import tempfile
-    from pathlib import Path
+    return segment_of(encode_segment(windows, **kwargs))
 
+
+def segment_of(blob):
+    """The segment read back from encoded bytes (fresh temp dir per call)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "seg.rseg"
-        write_segment(path, windows, **kwargs)
+        path.write_bytes(blob)
         return read_segment(path)
 
 
@@ -116,10 +126,10 @@ class TestRoundTripProperties:
 
 
 @st.composite
-def segment_inputs(draw):
+def segment_inputs(draw, weight=weights):
     """Windows with distinct indices, optional metas and modes, and an
     optional index."""
-    maps = draw(st.lists(window_maps(), min_size=1, max_size=4))
+    maps = draw(st.lists(window_maps(weight), min_size=1, max_size=4))
     indices = draw(
         st.lists(st.integers(0, 50), min_size=len(maps), max_size=len(maps), unique=True)
     )
@@ -168,6 +178,114 @@ class TestPacksEncodeAsMappings:
         pack = SignaturePack.from_signatures({"a": Signature("a", {7: 1.0})})
         with pytest.raises(StoreError, match="string node labels"):
             encode_segment([(0, pack)])
+
+
+def stored_options(segment):
+    """The metas, modes and index parameters a segment was written with."""
+    index = segment.header["index"]
+    params = None
+    if index["bands"]:
+        params = IndexParams(index["bands"], index["rows_per_band"], index["seed"])
+    windows = segment.windows()
+    return dict(
+        metas={w: segment.meta_for(w) for w in windows},
+        modes={w: segment.mode_for(w) for w in windows},
+        index_params=params,
+    )
+
+
+@contextmanager
+def counting_signatures():
+    """Count the :class:`Signature` objects built inside the block."""
+    built = [0]
+    original = Signature.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    with mock.patch.object(Signature, "__init__", counted):
+        yield built
+
+
+class TestLoadedWindowsArePacks:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=segment_inputs(tied_weights))
+    def test_loaded_packs_encode_to_the_segment_bytes(self, inputs):
+        windows, options = inputs
+        blob = encode_segment(windows, **options)
+        segment = segment_of(blob)
+        with counting_signatures() as built:
+            loaded = [(w, segment.signatures_for_window(w)) for w in segment.windows()]
+        assert built == [0]
+        assert all(isinstance(pack, SignaturePack) for _window, pack in loaded)
+        assert encode_segment(loaded, **stored_options(segment)) == blob
+
+    def test_unicode_ties_and_an_empty_window(self):
+        windows = [
+            (0, {
+                "naïve-节点": Signature("naïve-节点", {"ψ": 1.0, "🛰": 1.0, "a": 2.0}),
+                "Ω": Signature("Ω", {}),
+                "b": Signature("b", {"🛰": 1.0, "naïve-节点": 5e-324}),
+            }),
+            (1, {}),
+        ]
+        blob = encode_segment(windows, index_params=IndexParams(bands=2, rows_per_band=2))
+        segment = segment_of(blob)
+        pack = segment.signatures_for_window(0)
+        # Owners in stored (sorted) order, entries in signature order with
+        # ties by label, members numbered first-seen.
+        assert pack.owners == ("b", "naïve-节点", "Ω")
+        assert pack.node_table == ("🛰", "naïve-节点", "a", "ψ")
+        assert pack.matrix.data.tolist() == [1.0, 5e-324, 2.0, 1.0, 1.0]
+        assert pack["naïve-节点"].entries == (("a", 2.0), ("ψ", 1.0), ("🛰", 1.0))
+        assert len(segment.signatures_for_window(1)) == 0
+        assert len(segment.signatures_for_window(7)) == 0
+        loaded = [(w, segment.signatures_for_window(w)) for w in segment.windows()]
+        assert encode_segment(loaded, **stored_options(segment)) == blob
+
+    def test_one_row_decodes_through_the_pack(self):
+        segment = segment_of(
+            encode_segment([(0, {"n": Signature("n", {"x": 1.0, "y": 2.0})})])
+        )
+        with mock.patch.object(
+            SignaturePack, "row", autospec=True, side_effect=SignaturePack.row
+        ) as row:
+            assert segment.signature_at(0) == Signature("n", {"x": 1.0, "y": 2.0})
+        assert row.call_count == 1
+
+
+def patched_column(blob, segment, name, value, position=0):
+    """``blob`` with element ``position`` of int64 column ``name`` set to
+    ``value``."""
+    spec = segment.header["arrays"][name]
+    at = spec["offset"] + 8 * position
+    return blob[:at] + int(value).to_bytes(8, "little", signed=True) + blob[at + 8 :]
+
+
+class TestDamagedColumns:
+    def blob_and_segment(self):
+        blob = encode_segment(
+            [(0, {"a": Signature("a", {"x": 1.0, "y": 0.5}), "b": Signature("b", {"x": 2.0})})]
+        )
+        return blob, segment_of(blob)
+
+    @pytest.mark.parametrize("label_id", [-1, 4, 99])
+    def test_out_of_range_key_is_a_store_error(self, label_id):
+        blob, segment = self.blob_and_segment()
+        damaged = segment_of(patched_column(blob, segment, "keys", label_id, position=1))
+        with pytest.raises(StoreError, match=r"seg\.rseg: label id out of range \[0, 4\)"):
+            damaged.signatures_for_window(0)
+        with pytest.raises(StoreError, match="label id out of range"):
+            damaged.signature_at(0)
+
+    def test_rows_past_the_entry_columns_are_a_store_error(self):
+        blob, segment = self.blob_and_segment()
+        # Row 1's start is field 2 of the second (owner, window, start,
+        # count) record: point it past the 3 stored entries.
+        damaged = segment_of(patched_column(blob, segment, "rows", 3, position=6))
+        with pytest.raises(StoreError, match=r"row entries out of range \[0, 3\)"):
+            damaged.signatures_for_window(0)
 
 
 class TestEdgeCases:
