@@ -122,16 +122,17 @@ def test_noop_registry_adds_no_measurable_overhead(window):
 
 def test_compute_all_not_slower_than_per_node_loop():
     """``compute_all`` must agree with the raw per-node loop and stay close
-    to it in cost: its batch dispatch, counters and versioned-cache
-    plumbing may not tax the computation.  The 1.5x bound is generous —
+    to it in cost: its batch dispatch and counters may not tax the
+    computation.  The 1.5x bound is generous —
     the two paths should be near-identical."""
     from repro.core.scheme import create_scheme
-    from repro.graph.comm_graph import CommGraph
+    from repro.graph.comm_graph import GraphBuilder
 
     rng = __import__("random").Random(13)
-    graph = CommGraph()
+    builder = GraphBuilder()
     for _ in range(4000):
-        graph.add_edge(f"n{rng.randrange(400)}", f"n{rng.randrange(400)}", 1.0)
+        builder.add_edge(f"n{rng.randrange(400)}", f"n{rng.randrange(400)}", 1.0)
+    graph = builder.build()
     scheme = create_scheme("tt", k=10)
     nodes = graph.nodes()
 

@@ -9,7 +9,7 @@ detector find it.
 Run:  python examples/anomaly_monitoring.py
 """
 
-from repro import AnomalyDetector, EnterpriseFlowGenerator, EnterpriseParams
+from repro import AnomalyDetector, EnterpriseFlowGenerator, EnterpriseParams, GraphBuilder
 from repro.core.distances import get_distance
 from repro.core.scheme import create_scheme
 
@@ -33,12 +33,14 @@ def main() -> None:
 
     rng = np.random.default_rng(4)
     victim = hosts[7]
-    window_next = window_next.copy()
-    for destination in list(window_next.out_neighbors(victim)):
-        window_next.remove_edge(victim, destination)
+    builder = GraphBuilder.of_nodes(window_next)
+    for src, destination, weight in window_next.edges():
+        if src != victim:
+            builder.add_edge(src, destination, weight)
     for _ in range(25):
         destination = f"ext-{rng.integers(0, params.num_external):05d}"
-        window_next.add_edge(victim, destination, float(rng.integers(1, 6)))
+        builder.add_edge(victim, destination, float(rng.integers(1, 6)))
+    window_next = builder.build()
     print(f"injected behaviour replacement on {victim}")
     print()
 

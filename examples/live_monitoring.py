@@ -17,7 +17,7 @@ import io
 import json
 import urllib.request
 
-from repro import EnterpriseFlowGenerator, EnterpriseParams, SequenceMonitor, obs
+from repro import EnterpriseFlowGenerator, EnterpriseParams, GraphBuilder, SequenceMonitor, obs
 from repro.apps.monitor import node_persistence_key
 from repro.core.distances import get_distance
 from repro.core.scheme import create_scheme
@@ -29,12 +29,13 @@ def break_behaviour(graph, node, seed):
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    modified = graph.copy()
-    for destination in list(modified.out_neighbors(node)):
-        modified.remove_edge(node, destination)
+    builder = GraphBuilder.of_nodes(graph)
+    for src, dst, weight in graph.edges():
+        if src != node:
+            builder.add_edge(src, dst, weight)
     for index in range(25):
-        modified.add_edge(node, f"strange-{seed}-{index}", float(rng.integers(1, 6)))
-    return modified
+        builder.add_edge(node, f"strange-{seed}-{index}", float(rng.integers(1, 6)))
+    return builder.build()
 
 
 def main() -> None:

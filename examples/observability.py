@@ -10,16 +10,16 @@ Run:  python examples/observability.py
 
 import json
 
-from repro import CommGraph, create_scheme, obs
+from repro import CommGraph, GraphBuilder, create_scheme, obs
 from repro.core.properties import uniqueness_values
 
 
 def build_window(num_hosts: int = 12) -> CommGraph:
-    graph = CommGraph()
+    builder = GraphBuilder()
     for i in range(num_hosts):
         for j in range(1, 4):
-            graph.add_edge(f"host{i}", f"peer{(i * j + j) % 9}", float(j))
-    return graph
+            builder.add_edge(f"host{i}", f"peer{(i * j + j) % 9}", float(j))
+    return builder.build()
 
 
 def main() -> None:

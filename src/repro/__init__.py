@@ -37,6 +37,7 @@ from repro.graph import (
     BipartiteGraph,
     CommGraph,
     EdgeRecord,
+    GraphBuilder,
     GraphSequence,
     ReadReport,
     RejectedRow,
@@ -138,6 +139,7 @@ __all__ = [
     # graph substrate
     "CommGraph",
     "BipartiteGraph",
+    "GraphBuilder",
     "EdgeRecord",
     "ReadReport",
     "RejectedRow",

@@ -26,7 +26,7 @@ from repro.core.scheme import SignatureScheme
 from repro.core.signature import Signature
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.types import NodeId
 
 
@@ -79,41 +79,34 @@ class HistorySignatureBuilder:
         edges pruned), then the window's edges are added at full weight.
         The aggregate becomes bipartite iff every contributing window was.
         """
-        if self._aggregate is None:
-            base: CommGraph = (
-                BipartiteGraph() if isinstance(window, BipartiteGraph) else CommGraph()
-            )
-        else:
-            keep_bipartite = isinstance(self._aggregate, BipartiteGraph) and isinstance(
-                window, BipartiteGraph
-            )
-            base = BipartiteGraph() if keep_bipartite else CommGraph()
-            for node in self._aggregate.nodes():
-                if isinstance(base, BipartiteGraph) and isinstance(
-                    self._aggregate, BipartiteGraph
-                ):
-                    if self._aggregate.side(node) == "left":
-                        base.add_left_node(node)
-                    else:
-                        base.add_right_node(node)
-                else:
-                    base.add_node(node)
-            for src, dst, weight in self._aggregate.edges():
+        previous = self._aggregate
+        bipartite = isinstance(window, BipartiteGraph) and (
+            previous is None or isinstance(previous, BipartiteGraph)
+        )
+        builder = GraphBuilder(bipartite)
+        if previous is not None:
+            self._add_nodes(builder, previous)
+            for src, dst, weight in previous.edges():
                 decayed = weight * self.decay
                 if decayed > self.prune_below:
-                    base.add_edge(src, dst, decayed)
-        for node in window.nodes():
-            if isinstance(base, BipartiteGraph) and isinstance(window, BipartiteGraph):
-                if window.side(node) == "left":
-                    base.add_left_node(node)
-                else:
-                    base.add_right_node(node)
-            else:
-                base.add_node(node)
+                    builder.add_edge(src, dst, decayed)
+        self._add_nodes(builder, window)
         for src, dst, weight in window.edges():
-            base.add_edge(src, dst, weight)
-        self._aggregate = base
+            builder.add_edge(src, dst, weight)
+        self._aggregate = builder.build()
         self._windows_seen += 1
+
+    @staticmethod
+    def _add_nodes(builder: GraphBuilder, graph: CommGraph) -> None:
+        """Add ``graph``'s nodes, on their sides when both are bipartite."""
+        sided = isinstance(graph, BipartiteGraph) and builder.bipartite
+        for node in graph.nodes():
+            if not sided:
+                builder.add_node(node)
+            elif graph.side(node) == "left":
+                builder.add_left_node(node)
+            else:
+                builder.add_right_node(node)
 
     # ------------------------------------------------------------------
     def signature(self, node: NodeId) -> Signature:

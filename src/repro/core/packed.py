@@ -75,7 +75,7 @@ class SignaturePack(Mapping):
     to its first row; :attr:`signatures` decodes every row.
     """
 
-    __slots__ = ("owners", "node_table", "matrix", "sizes", "_row_of", "_totals", "_columns")
+    __slots__ = ("owners", "node_table", "matrix", "sizes", "_row_of", "_totals", "_members")
 
     def __init__(
         self,
@@ -98,7 +98,7 @@ class SignaturePack(Mapping):
         self.sizes = np.diff(self.matrix.indptr).astype(np.float64)
         # Derived on first use by the distance kernel (a window close needs neither).
         self._totals: np.ndarray | None = None
-        self._columns: "_MemberColumns | None" = None
+        self._members: "_MemberColumns | None" = None
         # Assigned last row first, so a repeated owner keeps its first row.
         self._row_of = dict(zip(reversed(self.owners), range(len(self.owners) - 1, -1, -1)))
 
@@ -344,10 +344,10 @@ class _MemberColumns:
         """``pack``'s entries over ``column_of`` (default: its own members,
         computed once per pack)."""
         if column_of is None:
-            if pack._columns is None:
+            if pack._members is None:
                 ordered = sorted(pack.node_table, key=str)
-                pack._columns = cls.of(pack, dict(zip(ordered, range(len(ordered)))))
-            return pack._columns
+                pack._members = cls.of(pack, dict(zip(ordered, range(len(ordered)))))
+            return pack._members
         return cls(column_of, *_entries(pack, column_of))
 
     @classmethod

@@ -138,28 +138,11 @@ class RandomWalkWithResets(SignatureScheme):
             return isinstance(graph, BipartiteGraph)
         return bool(self.symmetrize)
 
-    def _walk_matrix(self, graph: CommGraph, position: Mapping[NodeId, int]) -> sp.csr_matrix:
-        """``P^T`` (column = source) for the walk, after optional symmetrisation.
-
-        Cached on the graph's versioned cache for the default node
-        ordering, so repeated signature computation on an unmutated graph
-        (e.g. both transitions touching ``G_t`` in the monitor) reuses the
-        sparse build.
-        """
-        symmetrize = self._should_symmetrize(graph)
-        if graph._is_default_position(position):
-            key = f"rwr.walk_t[sym={symmetrize}]"
-            return graph.versioned_cache(
-                key, lambda: self._build_walk_matrix(graph, position, symmetrize)
-            )
-        return self._build_walk_matrix(graph, position, symmetrize)
-
-    @staticmethod
-    def _build_walk_matrix(
-        graph: CommGraph, position: Mapping[NodeId, int], symmetrize: bool
-    ) -> sp.csr_matrix:
-        if symmetrize:
-            adjacency = graph.to_adjacency_csr(position)
+    def _walk_matrix(self, graph: CommGraph) -> sp.csr_matrix:
+        """``P^T`` (column = source) for the walk over the graph's node
+        order, after optional symmetrisation."""
+        if self._should_symmetrize(graph):
+            adjacency = graph.to_adjacency_csr()
             adjacency = (adjacency + adjacency.T).tocsr()
             row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
             inverse = np.zeros_like(row_sums)
@@ -167,7 +150,7 @@ class RandomWalkWithResets(SignatureScheme):
             inverse[nonzero] = 1.0 / row_sums[nonzero]
             transition = (sp.diags(inverse) @ adjacency).tocsr()
         else:
-            transition = graph.to_transition_csr(position)
+            transition = graph.to_transition_csr()
         return transition.T.tocsr()
 
     def _iterate(
@@ -232,7 +215,7 @@ class RandomWalkWithResets(SignatureScheme):
         if node not in graph or graph.num_nodes == 0:
             return {}
         ordering, position = graph.node_index()
-        transition_t = self._walk_matrix(graph, position)
+        transition_t = self._walk_matrix(graph)
         dangling = np.asarray(transition_t.sum(axis=0)).ravel() == 0
         occupancy = self._iterate(
             transition_t, dangling, np.asarray([position[node]]), len(ordering)
@@ -260,7 +243,7 @@ class RandomWalkWithResets(SignatureScheme):
             return top_k_pack(targets, none, none, np.empty(0), graph.node_labels, self.k)
         ordering, position = graph.node_index()
         num_nodes = len(ordering)
-        transition_t = self._walk_matrix(graph, position)
+        transition_t = self._walk_matrix(graph)
         dangling = np.asarray(transition_t.sum(axis=0)).ravel() == 0
         start_rows = np.asarray([position[targets[index]] for index in present])
         not_right = None

@@ -169,8 +169,8 @@ class SignatureScheme(abc.ABC):
             return vector
         if node not in graph or graph.side(node) != "left":
             return vector
-        # Cached per graph version: one set construction per compute_all,
-        # not one per node.
+        # Built once per graph: one set construction per compute_all, not
+        # one per node.
         right = graph.right_node_set()
         return {candidate: weight for candidate, weight in vector.items() if candidate in right}
 

@@ -32,6 +32,7 @@ import numpy as np
 from repro.datasets.profiles import BehaviorProfile, zipf_weights
 from repro.exceptions import DatasetError
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.comm_graph import GraphBuilder
 from repro.graph.windows import GraphSequence
 
 
@@ -259,7 +260,7 @@ class EnterpriseFlowGenerator:
         user_labels: Dict[str, List[str]],
         user_profiles: Dict[str, BehaviorProfile],
     ) -> BipartiteGraph:
-        graph = BipartiteGraph()
+        graph = GraphBuilder(bipartite=True)
         for host in hosts:
             graph.add_left_node(host)
         for user, labels in user_labels.items():
@@ -282,4 +283,4 @@ class EnterpriseFlowGenerator:
                 )
                 for destination, sessions in counts.items():
                     graph.add_edge(label, destination, sessions)
-        return graph
+        return graph.build()

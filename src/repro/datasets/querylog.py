@@ -23,6 +23,7 @@ import numpy as np
 from repro.datasets.profiles import BehaviorProfile, zipf_weights
 from repro.exceptions import DatasetError
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.comm_graph import GraphBuilder
 from repro.graph.windows import GraphSequence
 
 
@@ -101,14 +102,14 @@ class QueryLogGenerator:
 
         windows: List[BipartiteGraph] = []
         for _ in range(params.num_windows):
-            graph = BipartiteGraph()
+            graph = GraphBuilder(bipartite=True)
             for user in users:
                 graph.add_left_node(user)
             for user in users:
                 counts = profiles[user].sample_window(rng, noise_universe=tables)
                 for table, accesses in counts.items():
                     graph.add_edge(user, table, accesses)
-            windows.append(graph)
+            windows.append(graph.build())
 
         return QueryLogDataset(
             graphs=GraphSequence(graphs=list(windows)),

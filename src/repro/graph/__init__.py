@@ -6,7 +6,7 @@ aggregated over time windows, a bipartite specialisation, edge-record
 streams, window splitting and summary statistics.
 """
 
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.stream import (
     EdgeRecord,
@@ -32,6 +32,7 @@ from repro.graph.stats import GraphSummary, estimate_effective_diameter, summari
 __all__ = [
     "CommGraph",
     "BipartiteGraph",
+    "GraphBuilder",
     "EdgeRecord",
     "ReadReport",
     "RejectedRow",

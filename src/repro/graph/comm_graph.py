@@ -3,33 +3,23 @@
 A :class:`CommGraph` stores the aggregate of communications observed in one
 time window: a directed edge ``(v, u)`` with weight ``C[v, u]`` reflecting
 the volume (e.g. number of TCP sessions, calls, queries) from ``v`` to
-``u``.  The class is a purpose-built adjacency-map structure rather than a
+``u``.  A graph is a value: it is built once — by ``aggregate_records`` or
+by a :class:`GraphBuilder` — and never changes, so a perturbation returns a
+new graph.  It is held as columns (:class:`WindowColumns`) rather than a
 :mod:`networkx` graph because the signature schemes need fast weighted
-in/out-neighbour access and repeated conversion to sparse matrices; a
-:meth:`to_networkx` bridge is provided for interoperability.
+in/out-neighbour access and sparse matrices; a :meth:`to_networkx` bridge
+is provided for interoperability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.batch import LabelTable
 from repro.types import NodeId, Weight, WeightedEdge
@@ -44,24 +34,6 @@ class RowsCsr(NamedTuple):
     data: np.ndarray  # float64
 
 
-def rows_to_csr(
-    rows: Mapping[NodeId, Mapping[NodeId, float]], position: Mapping[NodeId, int]
-) -> RowsCsr:
-    """``rows`` (a graph's out-rows or in-rows) as CSR over the node order
-    ``position`` gives."""
-    indptr = np.zeros(len(position) + 1, dtype=np.int64)
-    keys: List[NodeId] = []
-    data: List[float] = []
-    for i, node in enumerate(position):
-        row = rows[node]
-        if row:
-            keys.extend(row)
-            data.extend(row.values())
-        indptr[i + 1] = len(keys)
-    cols = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
-    return RowsCsr(indptr, cols, np.asarray(data, dtype=np.float64))
-
-
 def _grouped_csr(
     rows: np.ndarray, cols: np.ndarray, data: np.ndarray, order: np.ndarray, num_nodes: int
 ) -> RowsCsr:
@@ -74,16 +46,13 @@ def _grouped_csr(
 
 @dataclass(frozen=True, eq=False)
 class WindowColumns:
-    """A window graph as columns over one :class:`LabelTable`.
+    """A graph as columns over one :class:`LabelTable`.
 
     ``nodes`` holds label ids in node order.  Edge ``e`` goes from node
-    position ``src[e]`` to ``dst[e]`` with summed weight ``weight[e] > 0``,
-    edges in first-positive-record order; every out-row and in-row lists
-    its entries in this edge order.  ``num_records`` counts the
-    positive-weight records, and ``sides`` holds a bipartite graph's
-    ``(left, right)`` label ids.  ``edge_labels``, when set, holds each
-    edge's ``(src, dst)`` row keys where they are not the table's objects
-    (see ``aggregate_records``).
+    position ``src[e]`` to ``dst[e]`` with summed weight ``weight[e]``,
+    edges in build order; every out-row and in-row lists its entries in
+    this edge order.  ``sides`` holds a bipartite graph's ``(left, right)``
+    membership masks over node positions.
     """
 
     labels: LabelTable
@@ -91,19 +60,12 @@ class WindowColumns:
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    total_weight: float
-    num_records: int
     sides: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    edge_labels: Optional[List[Tuple[NodeId, NodeId]]] = None
-
-    @cached_property
-    def out_order(self) -> np.ndarray:
-        """Edge indices in out-row order (sources in node order)."""
-        return np.argsort(self.src, kind="stable")
 
     @cached_property
     def out_rows(self) -> RowsCsr:
-        return _grouped_csr(self.src, self.dst, self.weight, self.out_order, len(self.nodes))
+        order = np.argsort(self.src, kind="stable")
+        return _grouped_csr(self.src, self.dst, self.weight, order, len(self.nodes))
 
     @cached_property
     def in_rows(self) -> RowsCsr:
@@ -124,6 +86,141 @@ class WindowColumns:
         return np.where(self.nodes[at] == ids, at, -1)
 
 
+class GraphArrays(NamedTuple):
+    """A graph as plain arrays (:meth:`CommGraph.to_arrays`): its node
+    labels in node order, its edges in build order as node positions
+    ``src``/``dst`` (int64) and ``weight`` (float64), and a bipartite
+    graph's ``(left, right)`` boolean side masks over node positions."""
+
+    nodes: List[NodeId]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    sides: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
+class GraphBuilder:
+    """Builds one graph, a node or an edge at a time, then :meth:`build`.
+
+    This is the per-record reference: one :meth:`add_edge` per record
+    gives the graph ``aggregate_records`` builds from the records' columns
+    (node order, row orders, weights bit for bit, sides, and errors).
+    Nodes come in first-added order, each kept as the label object first
+    added; edges come in first-positive-weight order, and repeated
+    contributions to one edge add in call order.  A bipartite builder
+    keeps every edge ``V1 -> V2``.
+    """
+
+    def __init__(self, bipartite: bool = False) -> None:
+        self._nodes: Dict[NodeId, int] = {}
+        self._edges: Dict[Tuple[int, int], Weight] = {}
+        self._sides: Optional[Tuple[Set[NodeId], Set[NodeId]]] = (
+            (set(), set()) if bipartite else None
+        )
+
+    @property
+    def bipartite(self) -> bool:
+        """Whether :meth:`build` gives a :class:`BipartiteGraph`."""
+        return self._sides is not None
+
+    @classmethod
+    def of_nodes(cls, graph: "CommGraph", nodes: Optional[Iterable[NodeId]] = None) -> "GraphBuilder":
+        """A builder of ``graph``'s kind holding ``nodes`` (default: all of
+        ``graph``'s, in its order), each on its side in ``graph``, and no
+        edges."""
+        sides = graph._columns.sides
+        builder = cls(bipartite=sides is not None)
+        ordering, position = graph.node_index()
+        for node in ordering if nodes is None else nodes:
+            builder.add_node(node)
+        if builder._sides is not None and sides is not None:
+            for members, mask in zip(builder._sides, sides):
+                members.update(node for node in builder._nodes if mask[position[node]])
+        return builder
+
+    def add_node(self, node: NodeId) -> None:
+        """Ensure ``node`` exists in ``V`` (no-op if already present).  On
+        a bipartite builder the node has no side until an edge or
+        :meth:`add_left_node`/:meth:`add_right_node` gives it one."""
+        self._nodes.setdefault(node, len(self._nodes))
+
+    def add_left_node(self, node: NodeId) -> None:
+        """Add ``node`` to ``V1`` (no edges)."""
+        left, right = self._partition()
+        if node in right:
+            raise GraphError(f"node {node!r} already in right partition")
+        left.add(node)
+        self.add_node(node)
+
+    def add_right_node(self, node: NodeId) -> None:
+        """Add ``node`` to ``V2`` (no edges)."""
+        left, right = self._partition()
+        if node in left:
+            raise GraphError(f"node {node!r} already in left partition")
+        right.add(node)
+        self.add_node(node)
+
+    def add_edge(self, src: NodeId, dst: NodeId, weight: Weight = 1.0) -> None:
+        """Accumulate ``weight`` onto the directed edge ``(src, dst)``.
+
+        Creates the edge (and endpoints) if absent; a zero weight only
+        creates the endpoints.  Self-loops are allowed at the graph level
+        but signature schemes exclude ``u = v`` per Definition 1.
+        """
+        if self._sides is not None:
+            left, right = self._sides
+            if src in right:
+                raise GraphError(
+                    f"edge source {src!r} is in the right partition; edges must go V1 -> V2"
+                )
+            if dst in left:
+                raise GraphError(
+                    f"edge destination {dst!r} is in the left partition; edges must go V1 -> V2"
+                )
+            left.add(src)
+            right.add(dst)
+        if weight < 0:
+            raise GraphError(f"edge weight must be non-negative, got {weight}")
+        self.add_node(src)
+        self.add_node(dst)
+        if weight == 0:
+            return
+        key = (self._nodes[src], self._nodes[dst])
+        self._edges[key] = self._edges.get(key, 0.0) + weight
+
+    def _partition(self) -> Tuple[Set[NodeId], Set[NodeId]]:
+        if self._sides is None:
+            raise GraphError("only a bipartite builder has partitions")
+        return self._sides
+
+    def _columns(self) -> WindowColumns:
+        """The graph built so far, as columns over a fresh label table."""
+        labels = LabelTable()
+        nodes = labels.intern(list(self._nodes))
+        keys = np.array(list(self._edges), dtype=np.int64).reshape(-1, 2)
+        sides = None
+        if self._sides is not None:
+            sides = tuple(
+                np.fromiter((node in side for node in self._nodes), dtype=bool, count=len(nodes))
+                for side in self._sides
+            )
+        weight = np.fromiter(self._edges.values(), dtype=np.float64, count=len(keys))
+        return WindowColumns(labels, nodes, keys[:, 0], keys[:, 1], weight, sides)
+
+    def build(self) -> "CommGraph":
+        """The graph: a :class:`BipartiteGraph` from a bipartite builder."""
+        from repro.graph.bipartite import BipartiteGraph  # which imports this module
+
+        return (CommGraph if self._sides is None else BipartiteGraph)._of(self._columns())
+
+
+def _columns_of(edges: Optional[Iterable[WeightedEdge]], bipartite: bool) -> WindowColumns:
+    builder = GraphBuilder(bipartite)
+    for src, dst, weight in edges or ():
+        builder.add_edge(src, dst, weight)
+    return builder._columns()
+
+
 class CommGraph:
     """A weighted directed multigraph aggregated into simple weighted edges.
 
@@ -131,239 +228,45 @@ class CommGraph:
     single edge whose weight is the total volume, matching the flow-record
     aggregation the paper performs (Call Detail Records, NetFlow).
 
-    Nodes exist independently of edges: a node added via :meth:`add_node`
-    (or left behind after edge removal) participates in ``V`` even with no
+    Nodes exist independently of edges: a node added via
+    :meth:`GraphBuilder.add_node` participates in ``V`` even with no
     incident edges, mirroring hosts that are registered but silent in a
-    window.
+    window.  ``CommGraph(edges)`` builds the graph of ``(src, dst,
+    weight)`` triples, one :meth:`GraphBuilder.add_edge` each.
     """
 
-    #: Attributes a column-backed graph writes on first use.
-    _ROW_FIELDS: Tuple[str, ...] = ("_out", "_in")
-
     def __init__(self, edges: Iterable[WeightedEdge] | None = None) -> None:
-        #: The columns this graph equals, or ``None``; any mutation drops them.
-        self._columns: Optional[WindowColumns] = None
-        self._out: Dict[NodeId, Dict[NodeId, Weight]] = {}
-        self._in: Dict[NodeId, Dict[NodeId, Weight]] = {}
-        self._num_edges = 0
-        self._total_weight = 0.0
-        self._version = 0
-        self._cache: Dict[str, Tuple[int, Any]] = {}
-        self._cache_stats: Dict[str, Dict[str, int]] = {}
-        if edges is not None:
-            for src, dst, weight in edges:
-                self.add_edge(src, dst, weight)
-
-    # ------------------------------------------------------------------
-    # Versioning and the derived-structure cache
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotonically-increasing mutation counter.
-
-        Every structural or weight mutation bumps it; derived structures
-        (CSR matrices, node orderings) are cached keyed on this value.
-        """
-        return self._version
-
-    def _bump_version(self) -> None:
-        self._version += 1
-        self._columns = None
+        self._columns = _columns_of(edges, bipartite=False)
 
     @classmethod
-    def _from_columns(cls, columns: WindowColumns) -> "CommGraph":
-        """The graph of ``columns``; its dict rows are written on first use."""
+    def _of(cls, columns: WindowColumns) -> "CommGraph":
         graph = cls.__new__(cls)
         graph._columns = columns
-        graph._num_edges = len(columns.weight)
-        graph._total_weight = columns.total_weight
-        graph._version = len(columns.nodes) + columns.num_records
-        graph._cache = {}
-        graph._cache_stats = {}
         return graph
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only for an attribute not set: the rows of a
-        # column-backed graph.
-        if name in self._ROW_FIELDS and self.__dict__.get("_columns") is not None:
-            self.versioned_cache("rows", self._load_columns)
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @classmethod
+    def from_arrays(cls, arrays: GraphArrays) -> "CommGraph":
+        """The graph :meth:`to_arrays` gave ``arrays`` (a
+        :class:`BipartiteGraph` needs its side masks)."""
+        labels = LabelTable()
+        nodes = labels.intern(arrays.nodes)
+        return cls._of(WindowColumns(labels, nodes, arrays.src, arrays.dst, arrays.weight, arrays.sides))
 
-    def _load_columns(self) -> None:
+    def to_arrays(self) -> GraphArrays:
+        """The graph as :class:`GraphArrays` (callers must not mutate the
+        arrays).  Only the graph's own labels are listed, never the rest
+        of a label table it shares."""
         columns = self._columns
-        assert columns is not None
-        nodes = columns.labels.labels_of(columns.nodes)
-        edges = columns.edge_labels
-        if edges is None:
-            label = nodes.__getitem__
-            edges = zip(map(label, columns.src.tolist()), map(label, columns.dst.tolist()))
-        self._load_aggregated(nodes, edges, columns.weight.tolist())
+        return GraphArrays(self.nodes(), columns.src, columns.dst, columns.weight, columns.sides)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # The label table does not pickle: a copy carries dict rows.
-        if self._columns is not None:
-            self._out  # noqa: B018 - writes the rows
-        return {**self.__dict__, "_columns": None}
-
-    def versioned_cache(self, key: str, build: Callable[[], Any]) -> Any:
-        """Return ``build()`` memoised against the current :attr:`version`.
-
-        Derived structures (adjacency/transition CSR, node orderings,
-        partition sets, schemes' walk matrices) are invalidated by any
-        mutation; hit/miss traffic is exported as
-        ``matrix_cache.{hits,misses}`` obs counters labelled by ``key``.
-        """
-        stats = self._cache_stats.setdefault(key, {"hits": 0, "misses": 0})
-        entry = self._cache.get(key)
-        if entry is not None and entry[0] == self._version:
-            stats["hits"] += 1
-            obs.counter("matrix_cache.hits", key=key).inc()
-            return entry[1]
-        stats["misses"] += 1
-        obs.counter("matrix_cache.misses", key=key).inc()
-        value = build()
-        self._cache[key] = (self._version, value)
-        return value
-
-    def _memo(self, key: str, build: Callable[[], Any]) -> Any:
-        """:meth:`versioned_cache` without the hit/miss counters.
-
-        For the CSR rows of a dict-row graph: batch kernels look them up
-        once per batch, so counting would make the counters follow how a
-        batch was split across workers.
-        """
-        entry = self._cache.get(key)
-        if entry is None or entry[0] != self._version:
-            entry = self._cache[key] = (self._version, build())
-        return entry[1]
-
-    def cache_info(self) -> Dict[str, Dict[str, int]]:
-        """Per-key hit/miss counts of the versioned cache (for tests)."""
-        return {key: dict(stats) for key, stats in self._cache_stats.items()}
-
-    # ------------------------------------------------------------------
-    # Construction and mutation
-    # ------------------------------------------------------------------
-    def add_node(self, node: NodeId) -> None:
-        """Ensure ``node`` exists in ``V`` (no-op if already present)."""
-        if node not in self._out:
-            self._out[node] = {}
-            self._in[node] = {}
-            self._bump_version()
-
-    def add_edge(self, src: NodeId, dst: NodeId, weight: Weight = 1.0) -> None:
-        """Accumulate ``weight`` onto the directed edge ``(src, dst)``.
-
-        Creates the edge (and endpoints) if absent.  Self-loops are allowed
-        at the graph level but signature schemes exclude ``u = v`` per
-        Definition 1.
-        """
-        if weight < 0:
-            raise GraphError(f"edge weight must be non-negative, got {weight}")
-        if weight == 0:
-            # Zero-weight contribution still materialises the endpoints,
-            # matching "observed but empty" records.
-            self.add_node(src)
-            self.add_node(dst)
-            return
-        self.add_node(src)
-        self.add_node(dst)
-        out_row = self._out[src]
-        if dst not in out_row:
-            self._num_edges += 1
-            out_row[dst] = 0.0
-            self._in[dst][src] = 0.0
-        out_row[dst] += weight
-        self._in[dst][src] += weight
-        self._total_weight += weight
-        self._bump_version()
-
-    def set_edge_weight(self, src: NodeId, dst: NodeId, weight: Weight) -> None:
-        """Set (replace) the weight of edge ``(src, dst)``.
-
-        A weight of zero removes the edge.  Endpoints are created if needed.
-        """
-        if weight < 0:
-            raise GraphError(f"edge weight must be non-negative, got {weight}")
-        current = self.weight(src, dst)
-        if current > 0:
-            self._remove_edge_entry(src, dst, current)
-        if weight > 0:
-            self.add_edge(src, dst, weight)
-        else:
-            self.add_node(src)
-            self.add_node(dst)
-
-    def remove_edge(self, src: NodeId, dst: NodeId) -> None:
-        """Remove edge ``(src, dst)``; endpoints remain in ``V``."""
-        current = self.weight(src, dst)
-        if current == 0:
-            raise GraphError(f"edge ({src!r}, {dst!r}) not present")
-        self._remove_edge_entry(src, dst, current)
-
-    def decrement_edge(self, src: NodeId, dst: NodeId, amount: Weight = 1.0) -> None:
-        """Decrease the weight of edge ``(src, dst)`` by ``amount``.
-
-        This is the unit operation of the paper's deletion perturbation:
-        "sampled existing edges proportional to their edge weights and
-        decremented the weight by one unit".  The edge disappears when the
-        weight reaches zero; decrementing below zero clamps at removal.
-        """
-        if amount < 0:
-            raise GraphError(f"decrement amount must be non-negative, got {amount}")
-        current = self.weight(src, dst)
-        if current == 0:
-            raise GraphError(f"edge ({src!r}, {dst!r}) not present")
-        new_weight = current - amount
-        if new_weight > 0:
-            self._out[src][dst] = new_weight
-            self._in[dst][src] = new_weight
-            self._total_weight -= amount
-            self._bump_version()
-        else:
-            self._remove_edge_entry(src, dst, current)
-
-    def remove_node(self, node: NodeId) -> None:
-        """Remove ``node`` and all incident edges."""
-        if node not in self._out:
-            raise NodeNotFoundError(node)
-        for dst in list(self._out[node]):
-            self._remove_edge_entry(node, dst, self._out[node][dst])
-        for src in list(self._in[node]):
-            self._remove_edge_entry(src, node, self._out[src][node])
-        del self._out[node]
-        del self._in[node]
-        self._bump_version()
-
-    def _load_aggregated(
-        self,
-        nodes: Iterable[NodeId],
-        edges: Iterable[Tuple[NodeId, NodeId]],
-        weights: Iterable[Weight],
-    ) -> None:
-        """Write the dict rows of this column-backed graph: ``nodes`` in
-        node order, then each edge ``(src, dst)`` with its ``weights``
-        entry, in row order, into ``src``'s out-row and ``dst``'s in-row."""
-        out = {node: {} for node in nodes}
-        into = {node: {} for node in out}
-        for (src, dst), weight in zip(edges, weights):
-            out[src][dst] = weight
-            into[dst][src] = weight
-        self._out, self._in = out, into
-
-    def _remove_edge_entry(self, src: NodeId, dst: NodeId, weight: Weight) -> None:
-        del self._out[src][dst]
-        del self._in[dst][src]
-        self._num_edges -= 1
-        self._total_weight -= weight
-        self._bump_version()
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (type(self).from_arrays, (self.to_arrays(),))
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._out
+        return node in self.node_index()[1]
 
     def __len__(self) -> int:
         return self.num_nodes
@@ -374,61 +277,82 @@ class CommGraph:
     @property
     def num_nodes(self) -> int:
         """``|V|``: number of nodes (including isolated ones)."""
-        if self._columns is not None:
-            return len(self._columns.nodes)
-        return len(self._out)
+        return len(self._columns.nodes)
 
     @property
     def num_edges(self) -> int:
         """``|E_t|``: number of distinct weighted directed edges."""
-        return self._num_edges
+        return len(self._columns.weight)
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
-        """Sum of all edge weights (total communication volume)."""
-        return self._total_weight
+        """Sum of all edge weights (total communication volume), added
+        in :meth:`edges` order."""
+        data = self.out_rows().data
+        return float(np.cumsum(data)[-1]) if len(data) else 0.0
 
     def nodes(self) -> List[NodeId]:
         """All node labels, in insertion order."""
-        if self._columns is not None:
-            return self._columns.labels.labels_of(self._columns.nodes)
-        return list(self._out)
+        return self._columns.labels.labels_of(self._columns.nodes)
 
     def edges(self) -> Iterator[WeightedEdge]:
-        """Iterate over ``(src, dst, weight)`` triples."""
-        for src, row in self._out.items():
-            for dst, weight in row.items():
-                yield (src, dst, weight)
+        """Iterate over ``(src, dst, weight)`` triples, out-row by out-row
+        in node order."""
+        label = self.nodes().__getitem__
+        indptr, cols, data = self.out_rows()
+        srcs = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+        return zip(map(label, srcs.tolist()), map(label, cols.tolist()), data.tolist())
+
+    def _position(self, node: NodeId) -> int:
+        position = self.node_index()[1].get(node)
+        if position is None:
+            raise NodeNotFoundError(node)
+        return position
+
+    def _edge(self, src: NodeId, dst: NodeId) -> Optional[int]:
+        """The out-row entry of edge ``(src, dst)``, or ``None``."""
+        position = self.node_index()[1]
+        if src not in position or dst not in position:
+            return None
+        indptr, cols, _ = self.out_rows()
+        lo, hi = indptr[position[src]], indptr[position[src] + 1]
+        hit = np.flatnonzero(cols[lo:hi] == position[dst])
+        return int(lo + hit[0]) if len(hit) else None
 
     def has_edge(self, src: NodeId, dst: NodeId) -> bool:
-        return src in self._out and dst in self._out[src]
+        return self._edge(src, dst) is not None
 
     def weight(self, src: NodeId, dst: NodeId) -> Weight:
         """``C[src, dst]``; zero when the edge is absent."""
-        row = self._out.get(src)
-        if row is None:
-            return 0.0
-        return row.get(dst, 0.0)
+        entry = self._edge(src, dst)
+        return 0.0 if entry is None else float(self.out_rows().data[entry])
+
+    def _row(self, rows: RowsCsr, node: NodeId) -> Dict[NodeId, Weight]:
+        position = self._position(node)
+        lo, hi = rows.indptr[position], rows.indptr[position + 1]
+        label = self.node_index()[0].__getitem__
+        return dict(zip(map(label, rows.cols[lo:hi].tolist()), rows.data[lo:hi].tolist()))
 
     def out_neighbors(self, node: NodeId) -> Mapping[NodeId, Weight]:
-        """``O(v)`` with weights: mapping destination -> ``C[v, dst]``."""
-        if node not in self._out:
-            raise NodeNotFoundError(node)
-        return self._out[node]
+        """``O(v)`` with weights: mapping destination -> ``C[v, dst]``, in
+        row order, keyed by the neighbours' own labels."""
+        return self._row(self.out_rows(), node)
 
     def in_neighbors(self, node: NodeId) -> Mapping[NodeId, Weight]:
         """``I(v)`` with weights: mapping source -> ``C[src, v]``."""
-        if node not in self._in:
-            raise NodeNotFoundError(node)
-        return self._in[node]
+        return self._row(self.in_rows(), node)
 
     def out_degree(self, node: NodeId) -> int:
         """``|O(v)|``: number of distinct destinations of ``node``."""
-        return len(self.out_neighbors(node))
+        position = self._position(node)
+        indptr = self.out_rows().indptr
+        return int(indptr[position + 1] - indptr[position])
 
     def in_degree(self, node: NodeId) -> int:
         """``|I(v)|``: number of distinct sources communicating to ``node``."""
-        return len(self.in_neighbors(node))
+        position = self._position(node)
+        indptr = self.in_rows().indptr
+        return int(indptr[position + 1] - indptr[position])
 
     def out_strength(self, node: NodeId) -> Weight:
         """Total outgoing volume ``sum_u C[node, u]``."""
@@ -439,107 +363,59 @@ class CommGraph:
         return sum(self.in_neighbors(node).values())
 
     def senders(self) -> List[NodeId]:
-        """Nodes with positive total outgoing volume, in insertion order.
-
-        The signature owners of a window.  A column-backed graph reads
-        them off its edge sources; dict rows cost a walk over every
-        node's row.
-        """
+        """Nodes with positive total outgoing volume, in node order: the
+        signature owners of a window."""
         columns = self._columns
-        if columns is not None:
-            # Every edge weighs more than 0, so a source sends.
-            return columns.labels.labels_of(columns.nodes[np.unique(columns.src)])
-        return [node for node, row in self._out.items() if row and sum(row.values()) > 0]
+        sending = np.zeros(self.num_nodes, dtype=bool)
+        sending[columns.src] = True
+        # Every other weight is positive; a NaN makes its row sum NaN.
+        sending[columns.src[np.isnan(columns.weight)]] = False
+        return self.node_labels(np.flatnonzero(sending))
 
     # ------------------------------------------------------------------
-    # CSR rows (the batch kernels' and the window diff's input)
+    # CSR rows (the batch kernels' input)
     # ------------------------------------------------------------------
     def out_rows(self) -> RowsCsr:
-        """The out-rows as CSR over the node order, built once per
-        :attr:`version` (callers must not mutate it)."""
-        if self._columns is not None:
-            return self._columns.out_rows
-        return self._memo("out_rows", lambda: rows_to_csr(self._out, self._row_index()))
+        """The out-rows as CSR over the node order (callers must not
+        mutate it)."""
+        return self._columns.out_rows
 
     def in_rows(self) -> RowsCsr:
         """The in-rows as CSR over the node order, as :meth:`out_rows`."""
-        if self._columns is not None:
-            return self._columns.in_rows
-        return self._memo("in_rows", lambda: rows_to_csr(self._in, self._row_index()))
+        return self._columns.in_rows
 
     def row_positions(self, nodes: Iterable[NodeId]) -> np.ndarray:
         """The CSR row of each of ``nodes`` (int64), ``-1`` for a node not
         in the graph."""
-        if self._columns is not None:
-            return self._columns.positions(nodes)
-        get = self._row_index().get
-        return np.array([get(node, -1) for node in nodes], dtype=np.int64)
-
-    def _row_index(self) -> Dict[NodeId, int]:
-        return self._memo("row_index", lambda: dict(zip(self._out, range(len(self._out)))))
+        return self._columns.positions(nodes)
 
     def node_labels(self, positions: np.ndarray) -> List[NodeId]:
         """The labels of the nodes at ``positions`` of the node order (the
         positions :meth:`out_rows` and :meth:`in_rows` index)."""
-        columns = self._columns
-        if columns is not None:
-            return columns.labels.labels_of(columns.nodes[positions])
-        ordering = self._memo("node_list", lambda: list(self._out))
-        return list(map(ordering.__getitem__, positions.tolist()))
+        return self._columns.labels.labels_of(self._columns.nodes[positions])
 
     def edge_weights(self) -> List[Weight]:
-        """All edge weights as a list (the paper's global weight distribution)."""
-        return [w for _, _, w in self.edges()]
+        """All edge weights as a list, in :meth:`edges` order (the paper's
+        global weight distribution)."""
+        return self.out_rows().data.tolist()
 
     # ------------------------------------------------------------------
-    # Copies and conversions
+    # Conversions
     # ------------------------------------------------------------------
-    def copy(self) -> "CommGraph":
-        """Deep copy of the graph (nodes, edges and weights).
-
-        Structural clone: the adjacency rows are copied verbatim, so node
-        order and per-row neighbour order — and therefore any
-        order-sensitive float reduction over the rows — are preserved
-        bit-for-bit.  (Replaying ``edges()`` instead would rebuild the
-        in-rows in out-traversal order, silently perturbing reductions.)
-        The clone starts with a fresh version counter and an empty
-        derived-structure cache.
-        """
-        clone = type(self)()
-        clone._clone_state_from(self)
-        return clone
-
-    def _clone_state_from(self, other: "CommGraph") -> None:
-        self._out = {src: dict(row) for src, row in other._out.items()}
-        self._in = {dst: dict(row) for dst, row in other._in.items()}
-        self._num_edges = other._num_edges
-        self._total_weight = other._total_weight
-
     def node_index(self) -> Tuple[List[NodeId], Dict[NodeId, int]]:
         """Stable node ordering for matrix computations.
 
         Returns ``(ordering, position)`` where ``ordering[i]`` is the node
-        at row/column ``i`` and ``position[node] = i``.  Cached per
-        :attr:`version`, so repeated calls on an unmutated graph return the
-        *same* objects — callers may rely on identity.
+        at row/column ``i`` and ``position[node] = i``.  Built once, so
+        repeated calls return the *same* objects (callers must not mutate
+        them).
         """
-        return self.versioned_cache("node_index", self._build_node_index)
+        return self._node_index
 
-    def _build_node_index(self) -> Tuple[List[NodeId], Dict[NodeId, int]]:
+    @cached_property
+    def _node_index(self) -> Tuple[List[NodeId], Dict[NodeId, int]]:
         ordering = self.nodes()
-        position = {node: i for i, node in enumerate(ordering)}
-        return ordering, position
-
-    def _is_default_position(self, position: Mapping[NodeId, int] | None) -> bool:
-        """Whether ``position`` is (identically) the default node ordering."""
-        if position is None:
-            return True
-        cached = self._cache.get("node_index")
-        return (
-            cached is not None
-            and cached[0] == self._version
-            and position is cached[1][1]
-        )
+        return ordering, dict(zip(ordering, range(len(ordering))))
 
     def to_adjacency_csr(
         self, position: Mapping[NodeId, int] | None = None
@@ -547,32 +423,26 @@ class CommGraph:
         """Weighted adjacency matrix ``C`` as a ``|V| x |V|`` CSR matrix.
 
         ``position`` may supply an externally fixed node ordering (it must
-        cover every node); by default :meth:`node_index` order is used.
-        The default-ordering matrix is cached per :attr:`version` (callers
-        must not mutate it); custom orderings are built fresh, except when
-        ``position`` *is* the cached :meth:`node_index` mapping.
+        cover every node); by default :meth:`node_index` order is used,
+        and that matrix is built once (callers must not mutate it).
         """
-        if self._is_default_position(position):
-            return self.versioned_cache(
-                "adjacency_csr",
-                lambda: self._build_adjacency_csr(self.node_index()[1]),
-            )
-        assert position is not None
-        return self._build_adjacency_csr(position)
-
-    def _build_adjacency_csr(self, position: Mapping[NodeId, int]) -> sp.csr_matrix:
-        n = len(position)
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for src, dst, weight in self.edges():
-            rows.append(position[src])
-            cols.append(position[dst])
-            data.append(weight)
+        if position is None or position is self.node_index()[1]:
+            return self._adjacency
+        order = np.fromiter(map(position.__getitem__, self.node_index()[0]), dtype=np.int64)
+        columns = self._columns
         return sp.csr_matrix(
-            (np.asarray(data), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(n, n),
+            (columns.weight, (order[columns.src], order[columns.dst])),
+            shape=(len(position), len(position)),
         )
+
+    @cached_property
+    def _adjacency(self) -> sp.csr_matrix:
+        indptr, cols, data = self.out_rows()
+        adjacency = sp.csr_matrix(
+            (data, cols, indptr), shape=(self.num_nodes, self.num_nodes), copy=True
+        )
+        adjacency.sort_indices()
+        return adjacency
 
     def to_transition_csr(
         self, position: Mapping[NodeId, int] | None = None
@@ -581,25 +451,15 @@ class CommGraph:
 
         Rows for nodes with no outgoing edges are left all-zero (the random
         walk "stalls" there; the RWR reset term keeps total mass bounded).
-        Cached per :attr:`version` for the default ordering.
+        Built once for the default ordering.
         """
-        if self._is_default_position(position):
-            return self.versioned_cache(
-                "transition_csr",
-                lambda: self._build_transition_csr(None),
-            )
-        return self._build_transition_csr(position)
+        if position is None or position is self.node_index()[1]:
+            return self._transition
+        return _row_normalised(self.to_adjacency_csr(position))
 
-    def _build_transition_csr(
-        self, position: Mapping[NodeId, int] | None
-    ) -> sp.csr_matrix:
-        adjacency = self.to_adjacency_csr(position)
-        row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
-        inverse = np.zeros_like(row_sums)
-        nonzero = row_sums > 0
-        inverse[nonzero] = 1.0 / row_sums[nonzero]
-        scaling = sp.diags(inverse)
-        return (scaling @ adjacency).tocsr()
+    @cached_property
+    def _transition(self) -> sp.csr_matrix:
+        return _row_normalised(self._adjacency)
 
     def to_networkx(self):
         """Convert to a :class:`networkx.DiGraph` with ``weight`` attributes."""
@@ -613,12 +473,12 @@ class CommGraph:
     @classmethod
     def from_networkx(cls, nx_graph) -> "CommGraph":
         """Build from any networkx graph; missing ``weight`` attributes default to 1."""
-        graph = cls()
+        builder = GraphBuilder()
         for node in nx_graph.nodes():
-            graph.add_node(node)
+            builder.add_node(node)
         for src, dst, attrs in nx_graph.edges(data=True):
-            graph.add_edge(src, dst, attrs.get("weight", 1.0))
-        return graph
+            builder.add_edge(src, dst, attrs.get("weight", 1.0))
+        return builder.build()
 
     # ------------------------------------------------------------------
     # Comparisons / debugging
@@ -635,3 +495,12 @@ class CommGraph:
             f"{type(self).__name__}(|V|={self.num_nodes}, |E|={self.num_edges}, "
             f"total_weight={self.total_weight:g})"
         )
+
+
+def _row_normalised(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+    """``adjacency`` with each non-zero row divided by its sum."""
+    row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
+    inverse = np.zeros_like(row_sums)
+    nonzero = row_sums > 0
+    inverse[nonzero] = 1.0 / row_sums[nonzero]
+    return (sp.diags(inverse) @ adjacency).tocsr()

@@ -222,10 +222,10 @@ class SlidingWindowAggregator:
     afresh with ``aggregate_records`` of the retained buckets' columns.
 
     Exactness contract, at every ``window_buckets``: :attr:`graph` is
-    identical to one ``add_edge`` call per retained record, in bucket and
-    record order — node order, out-row and in-row order, weights
-    bit for bit, ``total_weight``, edge count, version and bipartite
-    sides.  So a window's graph depends only on its own records, never
+    identical to one :meth:`~repro.graph.comm_graph.GraphBuilder.add_edge`
+    call per retained record, in bucket and record order — node order,
+    out-row and in-row order, weights bit for bit, edge count and
+    bipartite sides.  So a window's graph depends only on its own records, never
     on the windows before it.
     """
 
@@ -253,8 +253,8 @@ class SlidingWindowAggregator:
         the window's :attr:`graph`.
 
         When a record cannot be added (a bipartite orientation violation,
-        a negative weight), the error is the one the per-record
-        ``add_edge`` loop raises, and the aggregator is left as it was.
+        a negative weight), the error is the one the per-record builder
+        raises, and the aggregator is left as it was.
         """
         self._check_labels(batch)
         retained = [*self._buckets, batch][-self.window_buckets:]

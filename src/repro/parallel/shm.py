@@ -6,8 +6,8 @@ through a pipe — fine for grids of small self-describing cells, fatal for
 itself dominates the payload.  This module takes the other route, after
 the message-size-batched MPI master/worker fan-out in SNIPPETS.md:
 
-1. the parent *publishes* large inputs once — graph adjacency rows as
-   insertion-ordered CSR buffers, long target lists — into named
+1. the parent *publishes* large inputs once — a graph's edge columns in
+   build order, long target lists — into named
    :mod:`multiprocessing.shared_memory` segments, described by a small
    picklable *manifest* (segment names, dtypes, shapes, byte counts);
 2. a persistent :class:`~concurrent.futures.ProcessPoolExecutor` receives
@@ -24,11 +24,11 @@ the message-size-batched MPI master/worker fan-out in SNIPPETS.md:
    scheduling.
 
 Byte-identity is load-bearing, not best-effort: graphs are published as
-*insertion-ordered* CSR (rows and columns in adjacency-dict iteration
-order, never canonicalised/sorted), so the reconstructed
-:class:`~repro.graph.comm_graph.CommGraph` replays every order-sensitive
-float reduction — ``sum(neighbours.values())``, matrix assembly from
-``edges()`` — bit-for-bit.  A scheme's batch gives every owner the
+their :meth:`~repro.graph.comm_graph.CommGraph.to_arrays` (node order and
+edges in build order, never canonicalised/sorted), so the reconstructed
+:class:`~repro.graph.comm_graph.CommGraph` has the same rows and replays
+every order-sensitive float reduction — ``sum(neighbours.values())``,
+the row kernels — bit-for-bit.  A scheme's batch gives every owner the
 signature it would get alone, so every scheme's targets are partitioned
 by the same rule.
 
@@ -67,7 +67,7 @@ from repro import obs
 from repro.core.packed import SignaturePack
 from repro.exceptions import ReproError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphArrays
 from repro.parallel.pmap import effective_jobs
 from repro.types import NodeId
 
@@ -257,7 +257,7 @@ def _cached_blob(spec: ArraySpec) -> object:
 
 
 # ----------------------------------------------------------------------
-# Graph publication: insertion-ordered CSR manifests
+# Graph publication: edge-column manifests
 # ----------------------------------------------------------------------
 _TOKENS = itertools.count()
 
@@ -268,28 +268,20 @@ def _next_token(prefix: str) -> str:
 
 @dataclass(frozen=True)
 class GraphManifest:
-    """A published :class:`CommGraph`: node-id blob + two insertion-ordered
-    CSR triples (out-rows, in-rows) + exact scalar state.
-
-    The CSR is **not** canonical sparse form — rows follow adjacency-dict
-    insertion order and columns follow per-row neighbour insertion order —
-    precisely so :func:`attach_graph` rebuilds dicts whose iteration order
-    (and therefore every order-sensitive float reduction downstream) is
-    bit-identical to the published graph.
+    """A published :class:`CommGraph`: its :meth:`~CommGraph.to_arrays` —
+    the node-label blob, the edge columns in build order and a bipartite
+    graph's side masks — so :func:`attach_graph` rebuilds a graph whose
+    rows, and so every order-sensitive float reduction downstream, are
+    bit-identical to the published graph's.
     """
 
     token: str
     bipartite: bool
-    num_edges: int
-    total_weight: float
-    nodes: ArraySpec  # pickled node-id list, insertion order
-    out_indptr: ArraySpec
-    out_cols: ArraySpec
-    out_data: ArraySpec
-    in_indptr: ArraySpec
-    in_cols: ArraySpec
-    in_data: ArraySpec
-    sides: Optional[ArraySpec]  # uint8 per node: 0=left, 1=right, 2=unassigned
+    nodes: ArraySpec  # pickled node-label list, node order
+    src: ArraySpec
+    dst: ArraySpec
+    weight: ArraySpec
+    sides: Optional[ArraySpec]  # bool, 2 x nodes: left and right masks
 
     @property
     def nbytes(self) -> int:
@@ -323,86 +315,37 @@ def publish_graph(graph: CommGraph) -> GraphManifest:
     :func:`release_manifest` (or :meth:`ShmEngine.close` for
     engine-cached publications); the atexit registry is the backstop.
     """
-    ordering = graph.nodes()
-    out_indptr, out_cols, out_data = graph.out_rows()
-    in_indptr, in_cols, in_data = graph.in_rows()
-    is_bipartite = isinstance(graph, BipartiteGraph)
-    sides_spec = None
-    if is_bipartite:
-        codes = np.full(len(ordering), 2, dtype=np.uint8)
-        for i, node in enumerate(ordering):
-            if node in graph._left:
-                codes[i] = 0
-            elif node in graph._right:
-                codes[i] = 1
-        sides_spec = _share_array(codes)
+    arrays = graph.to_arrays()
     return GraphManifest(
         token=_next_token("graph"),
-        bipartite=is_bipartite,
-        num_edges=graph.num_edges,
-        total_weight=graph.total_weight,
-        nodes=_share_blob(ordering),
-        out_indptr=_share_array(out_indptr),
-        out_cols=_share_array(out_cols),
-        out_data=_share_array(out_data),
-        in_indptr=_share_array(in_indptr),
-        in_cols=_share_array(in_cols),
-        in_data=_share_array(in_data),
-        sides=sides_spec,
+        bipartite=isinstance(graph, BipartiteGraph),
+        nodes=_share_blob(arrays.nodes),
+        src=_share_array(arrays.src),
+        dst=_share_array(arrays.dst),
+        weight=_share_array(arrays.weight),
+        sides=None if arrays.sides is None else _share_array(np.stack(arrays.sides)),
     )
-
-
-def _csr_to_rows(
-    ordering: List[NodeId],
-    indptr: np.ndarray,
-    cols: np.ndarray,
-    data: np.ndarray,
-) -> Dict[NodeId, Dict[NodeId, float]]:
-    col_list = cols.tolist()
-    data_list = data.tolist()  # Python floats, bit-exact
-    bounds = indptr.tolist()
-    rows: Dict[NodeId, Dict[NodeId, float]] = {}
-    for i, node in enumerate(ordering):
-        start, stop = bounds[i], bounds[i + 1]
-        rows[node] = {
-            ordering[col_list[j]]: data_list[j] for j in range(start, stop)
-        }
-    return rows
 
 
 def attach_graph(manifest: GraphManifest) -> CommGraph:
-    """Reconstruct the published graph, bit-identical in iteration order.
+    """Reconstruct the published graph, bit-identical in every row order.
 
-    The adjacency dicts are materialised (schemes need dict access), but
-    from a single shared read — no pickled graph ever crosses a pipe, and
-    workers cache the reconstruction per manifest token.
+    The arrays are copied out of one shared read — no pickled graph ever
+    crosses a pipe, and workers cache the reconstruction per manifest
+    token.
     """
-    ordering: List[NodeId] = _load_blob(manifest.nodes)  # type: ignore[assignment]
-    cls = BipartiteGraph if manifest.bipartite else CommGraph
-    graph = cls.__new__(cls)
-    graph._columns = None
-    graph._out = _csr_to_rows(
-        ordering,
-        attach_array(manifest.out_indptr),
-        attach_array(manifest.out_cols),
-        attach_array(manifest.out_data),
+    sides = None
+    if manifest.sides is not None:
+        left, right = attach_array(manifest.sides).copy()
+        sides = left, right
+    arrays = GraphArrays(
+        _load_blob(manifest.nodes),  # type: ignore[arg-type]
+        attach_array(manifest.src).copy(),
+        attach_array(manifest.dst).copy(),
+        attach_array(manifest.weight).copy(),
+        sides,
     )
-    graph._in = _csr_to_rows(
-        ordering,
-        attach_array(manifest.in_indptr),
-        attach_array(manifest.in_cols),
-        attach_array(manifest.in_data),
-    )
-    graph._num_edges = manifest.num_edges
-    graph._total_weight = manifest.total_weight
-    graph._version = 0
-    graph._cache = {}
-    graph._cache_stats = {}
-    if manifest.bipartite and manifest.sides is not None:
-        codes = attach_array(manifest.sides).tolist()
-        graph._left = {node for node, code in zip(ordering, codes) if code == 0}
-        graph._right = {node for node, code in zip(ordering, codes) if code == 1}
-    return graph
+    return (BipartiteGraph if manifest.bipartite else CommGraph).from_arrays(arrays)
 
 
 def _cached_graph(manifest: GraphManifest) -> CommGraph:
@@ -481,9 +424,8 @@ class ShmEngine:
     One engine owns one pool and one publication cache; create it once per
     run (pipeline run, experiment, shard supervisor), dispatch many times,
     then :meth:`close` — or use it as a context manager.  Publications are
-    cached per ``(graph identity, graph version)`` so a graph is
-    republished exactly when it mutates, and the
-    previous window's segments are evicted once the cache overflows.
+    cached per graph (a graph never changes), and the previous window's
+    segments are evicted once the cache overflows.
 
     Thread-safe for publication bookkeeping; dispatches from multiple
     threads share the pool.
@@ -493,7 +435,7 @@ class ShmEngine:
         self._workers = effective_jobs(jobs)
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong refs keep id() keys stable for the lifetime of the entry.
-        self._graphs: "OrderedDict[Tuple[int, int], Tuple[GraphManifest, CommGraph]]" = (
+        self._graphs: "OrderedDict[int, Tuple[GraphManifest, CommGraph]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -586,9 +528,14 @@ class ShmEngine:
 
     # -- publication ---------------------------------------------------
     def publish_graph(self, graph: CommGraph) -> GraphManifest:
-        """Publish (or return the cached publication of) ``graph``."""
+        """Publish (or return the cached publication of) ``graph``.
+
+        Publications are keyed by graph identity: a graph never changes,
+        and the cache entry holds the graph, so its id is not reused while
+        the entry lives.
+        """
         self._check_open()
-        key = (id(graph), graph.version)
+        key = id(graph)
         with self._lock:
             entry = self._graphs.get(key)
             if entry is not None:

@@ -24,13 +24,15 @@ indistinguishable for unit decrements when weights exceed one.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.exceptions import PerturbationError
-from repro.graph.comm_graph import CommGraph
-from repro.types import NodeId
+from repro.graph.comm_graph import CommGraph, GraphBuilder
+from repro.types import NodeId, Weight
+
+Edges = Dict[Tuple[NodeId, NodeId], Weight]
 
 
 def _resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -39,24 +41,43 @@ def _resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def edges_in_build_order(graph: CommGraph) -> Edges:
+    """``graph``'s edges ``(src, dst) -> weight`` in build order, the
+    order every out-row and in-row lists them in."""
+    nodes, src, dst, weight, _sides = graph.to_arrays()
+    label = nodes.__getitem__
+    return dict(zip(zip(map(label, src.tolist()), map(label, dst.tolist())), weight.tolist()))
+
+
+def rebuilt(graph: CommGraph, edges: Edges, nodes: List[NodeId] | None = None) -> CommGraph:
+    """A graph of ``nodes`` (default: all of ``graph``'s), in ``graph``'s
+    order and on its sides, with ``edges`` in their order: a row lists its
+    entries in that order."""
+    builder = GraphBuilder.of_nodes(graph, nodes)
+    for (src, dst), weight in edges.items():
+        builder.add_edge(src, dst, weight)
+    return builder.build()
+
+
 def insert_random_edges(
     graph: CommGraph,
     count: int,
     rng: np.random.Generator | int | None = None,
 ) -> CommGraph:
-    """Return a copy of ``graph`` with ``count`` randomly inserted/overwritten edges.
+    """Return ``graph`` with ``count`` randomly inserted/overwritten edges.
 
     Sources are drawn proportional to out-degree, destinations proportional
     to in-degree, and each sampled pair has its weight *assigned* from the
     empirical distribution of all original edge weights (the paper's
-    procedure).  Self-pairs are rejected and resampled.
+    procedure); an assigned edge moves to the end of both of its rows.
+    Self-pairs are rejected and resampled.
     """
     if count < 0:
         raise PerturbationError(f"insertion count must be non-negative, got {count}")
     rng = _resolve_rng(rng)
-    perturbed = graph.copy()
+    edges = edges_in_build_order(graph)
     if count == 0:
-        return perturbed
+        return rebuilt(graph, edges)
 
     nodes = graph.nodes()
     out_degrees = np.asarray([graph.out_degree(node) for node in nodes], dtype=float)
@@ -82,11 +103,13 @@ def insert_random_edges(
         for src_index, dst_index, weight in zip(sources, destinations, weights):
             if src_index == dst_index:
                 continue  # reject self-pairs; the while loop resamples
-            perturbed.set_edge_weight(nodes[src_index], nodes[dst_index], float(weight))
+            pair = (nodes[src_index], nodes[dst_index])
+            edges.pop(pair, None)
+            edges[pair] = float(weight)
             inserted += 1
             if inserted == count:
                 break
-    return perturbed
+    return rebuilt(graph, edges)
 
 
 def delete_weight_units(
@@ -94,7 +117,7 @@ def delete_weight_units(
     count: int,
     rng: np.random.Generator | int | None = None,
 ) -> CommGraph:
-    """Return a copy of ``graph`` with ``count`` weight units deleted.
+    """Return ``graph`` with ``count`` weight units deleted.
 
     Each unit is removed from an edge sampled proportional to its
     (remaining) weight; edges vanish when their weight hits zero.
@@ -102,9 +125,9 @@ def delete_weight_units(
     if count < 0:
         raise PerturbationError(f"deletion count must be non-negative, got {count}")
     rng = _resolve_rng(rng)
-    perturbed = graph.copy()
+    remaining = edges_in_build_order(graph)
     if count == 0:
-        return perturbed
+        return rebuilt(graph, remaining)
 
     edges: List[Tuple[NodeId, NodeId, float]] = list(graph.edges())
     if not edges:
@@ -128,10 +151,13 @@ def delete_weight_units(
         removals = rng.multinomial(effective, probabilities)
         removals = np.minimum(removals, np.floor(weights).astype(np.int64))
 
-    for (src, dst, _weight), removed in zip(edges, removals):
+    for (src, dst, weight), removed in zip(edges, removals):
         if removed > 0:
-            perturbed.decrement_edge(src, dst, float(removed))
-    return perturbed
+            if weight - float(removed) > 0:
+                remaining[src, dst] = weight - float(removed)
+            else:
+                del remaining[src, dst]
+    return rebuilt(graph, remaining)
 
 
 def perturb_graph(

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence
 
 from repro.exceptions import PerturbationError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.types import NodeId
 
 
@@ -54,7 +54,7 @@ def _random_derangement(items: Sequence[NodeId], rng: random.Random) -> Dict[Nod
 
 
 def relabel_graph(graph: CommGraph, mapping: Dict[NodeId, NodeId]) -> CommGraph:
-    """Copy ``graph`` with node labels substituted per ``mapping``.
+    """``graph`` with node labels substituted per ``mapping``.
 
     Labels absent from ``mapping`` are unchanged.  The mapping must be
     injective on its domain and must not collide with unmapped labels
@@ -73,20 +73,18 @@ def relabel_graph(graph: CommGraph, mapping: Dict[NodeId, NodeId]) -> CommGraph:
     def rename(node: NodeId) -> NodeId:
         return mapping.get(node, node)
 
-    relabelled: CommGraph
+    builder = GraphBuilder(isinstance(graph, BipartiteGraph))
     if isinstance(graph, BipartiteGraph):
-        relabelled = BipartiteGraph()
         for node in graph.left_nodes:
-            relabelled.add_left_node(rename(node))
+            builder.add_left_node(rename(node))
         for node in graph.right_nodes:
-            relabelled.add_right_node(rename(node))
+            builder.add_right_node(rename(node))
     else:
-        relabelled = CommGraph()
         for node in graph.nodes():
-            relabelled.add_node(rename(node))
+            builder.add_node(rename(node))
     for src, dst, weight in graph.edges():
-        relabelled.add_edge(rename(src), rename(dst), weight)
-    return relabelled
+        builder.add_edge(rename(src), rename(dst), weight)
+    return builder.build()
 
 
 def apply_masquerade(
@@ -96,7 +94,7 @@ def apply_masquerade(
     candidates: Sequence[NodeId] | None = None,
     seed: int | None = None,
 ) -> tuple[CommGraph, MasqueradePlan]:
-    """Simulate masquerading on ``graph``; returns the relabelled copy and plan.
+    """Simulate masquerading on ``graph``; returns the relabelled graph and plan.
 
     Either ``fraction`` (select ``round(f * |candidates|)`` nodes at random)
     or an explicit ``nodes`` list must be given.  ``candidates`` restricts
@@ -133,7 +131,7 @@ def apply_masquerade(
     if missing:
         raise PerturbationError(f"selected nodes not in graph: {missing[:5]}")
     if not selected:
-        return graph.copy(), MasqueradePlan(mapping={}, perturbed_nodes=frozenset())
+        return graph, MasqueradePlan(mapping={}, perturbed_nodes=frozenset())
     if len(selected) < 2:
         raise PerturbationError("masquerading requires at least two selected nodes")
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import PerturbationError
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
+from repro.perturb.edge_perturbation import edges_in_build_order, rebuilt
 
 
 def _resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -28,26 +29,18 @@ def jitter_weights(
     """Multiply every edge weight by an independent lognormal factor.
 
     ``relative_std`` controls the dispersion of the multiplicative noise
-    (``0`` returns an exact copy).  Weights stay strictly positive so no
+    (``0`` keeps every weight).  Weights stay strictly positive so no
     edges are created or destroyed — this perturbs *volumes* only, isolating
     the weighted distances' sensitivity from membership churn.
     """
     if relative_std < 0:
         raise PerturbationError(f"relative_std must be non-negative, got {relative_std}")
     rng = _resolve_rng(rng)
-    jittered = CommGraph() if type(graph) is CommGraph else graph.copy()
-    if type(graph) is CommGraph:
-        for node in graph.nodes():
-            jittered.add_node(node)
-        for src, dst, weight in graph.edges():
-            factor = float(rng.lognormal(mean=0.0, sigma=relative_std)) if relative_std else 1.0
-            jittered.add_edge(src, dst, weight * factor)
-        return jittered
-    # For subclasses (bipartite), mutate the copy in place to keep partitions.
+    builder = GraphBuilder.of_nodes(graph)
     for src, dst, weight in graph.edges():
         factor = float(rng.lognormal(mean=0.0, sigma=relative_std)) if relative_std else 1.0
-        jittered.set_edge_weight(src, dst, weight * factor)
-    return jittered
+        builder.add_edge(src, dst, weight * factor)
+    return builder.build()
 
 
 def drop_random_nodes(
@@ -63,12 +56,11 @@ def drop_random_nodes(
     if not 0 <= fraction <= 1:
         raise PerturbationError(f"fraction must be in [0, 1], got {fraction}")
     rng = _resolve_rng(rng)
-    survivor = graph.copy()
     nodes = graph.nodes()
     count = round(fraction * len(nodes))
-    if count == 0:
-        return survivor
-    victims = rng.choice(len(nodes), size=count, replace=False)
-    for index in victims:
-        survivor.remove_node(nodes[int(index)])
-    return survivor
+    victims = set()
+    if count:
+        victims = {nodes[int(index)] for index in rng.choice(len(nodes), size=count, replace=False)}
+    edges = edges_in_build_order(graph).items()
+    kept = {edge: weight for edge, weight in edges if victims.isdisjoint(edge)}
+    return rebuilt(graph, kept, [node for node in nodes if node not in victims])

@@ -7,6 +7,7 @@ from repro.apps.anomaly import AnomalyDetector
 from repro.core.distances import dist_scaled_hellinger
 from repro.core.scheme import create_scheme
 from repro.exceptions import ExperimentError
+from repro.graph.comm_graph import GraphBuilder
 
 
 @pytest.fixture
@@ -19,12 +20,13 @@ def detector():
 def inject_behaviour_replacement(graph, node, seed=0, contacts=25):
     """Replace a node's outgoing edges with fresh random destinations."""
     rng = np.random.default_rng(seed)
-    modified = graph.copy()
-    for destination in list(modified.out_neighbors(node)):
-        modified.remove_edge(node, destination)
+    builder = GraphBuilder.of_nodes(graph)
+    for src, dst, weight in graph.edges():
+        if src != node:
+            builder.add_edge(src, dst, weight)
     for index in range(contacts):
-        modified.add_edge(node, f"anomalous-dst-{index}", float(rng.integers(1, 6)))
-    return modified
+        builder.add_edge(node, f"anomalous-dst-{index}", float(rng.integers(1, 6)))
+    return builder.build()
 
 
 class TestParameters:

@@ -7,6 +7,7 @@ from repro.apps.monitor import SequenceMonitor, persistence_by_lag
 from repro.core.distances import dist_scaled_hellinger
 from repro.core.scheme import create_scheme
 from repro.exceptions import ExperimentError
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.graph.windows import GraphSequence
 
 
@@ -21,14 +22,15 @@ def monitor():
 
 def replace_behaviour(graph, node, seed=0):
     rng = np.random.default_rng(seed)
-    modified = graph.copy()
-    for destination in list(modified.out_neighbors(node)):
-        modified.remove_edge(node, destination)
+    builder = GraphBuilder.of_nodes(graph)
+    for src, dst, weight in graph.edges():
+        if src != node:
+            builder.add_edge(src, dst, weight)
     # Seed-qualified destination names: repeated breaks of the same node
     # produce genuinely different behaviours each time.
     for index in range(25):
-        modified.add_edge(node, f"strange-{seed}-{index}", float(rng.integers(1, 6)))
-    return modified
+        builder.add_edge(node, f"strange-{seed}-{index}", float(rng.integers(1, 6)))
+    return builder.build()
 
 
 class TestSequenceMonitor:
@@ -130,26 +132,14 @@ class TestPersistenceByLag:
 
 
 def steady_graph():
-    from repro.graph.comm_graph import CommGraph
-
-    graph = CommGraph()
-    for index in range(6):
-        node = f"host{index}"
-        for peer in range(4):
-            graph.add_edge(node, f"peer{peer}", 3.0)
-    return graph
+    return CommGraph([(f"host{index}", f"peer{peer}", 3.0) for index in range(6) for peer in range(4)])
 
 
 def broken_graph(tag):
     """Every host talks to a fresh peer set: persistence collapses to ~0."""
-    from repro.graph.comm_graph import CommGraph
-
-    graph = CommGraph()
-    for index in range(6):
-        node = f"host{index}"
-        for peer in range(4):
-            graph.add_edge(node, f"odd-{tag}-{peer}", 3.0)
-    return graph
+    return CommGraph(
+        [(f"host{index}", f"odd-{tag}-{peer}", 3.0) for index in range(6) for peer in range(4)]
+    )
 
 
 class TestMonitorAlerting:

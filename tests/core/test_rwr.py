@@ -14,7 +14,7 @@ from repro.core.top_talkers import TopTalkers
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import graph_from_edges
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.parallel.shm import ShmEngine
 
 
@@ -212,11 +212,10 @@ class TestBatchWidth:
     def test_each_unbounded_walk_stops_at_its_own_convergence(self):
         # An owner in a fast-mixing clique beside one on a slow two-cycle:
         # batched together, each keeps the iteration count it has alone.
-        graph = CommGraph([("x", "y", 1.0), ("y", "x", 1.0)])
-        for i in range(5):
-            for j in range(5):
-                if i != j:
-                    graph.add_edge(f"k{i}", f"k{j}", 1.0 + 0.1 * j)
+        graph = CommGraph(
+            [("x", "y", 1.0), ("y", "x", 1.0)]
+            + [(f"k{i}", f"k{j}", 1.0 + 0.1 * j) for i in range(5) for j in range(5) if i != j]
+        )
         scheme = RandomWalkWithResets(k=3, reset_probability=0.1)
         batch = scheme.compute_all(graph, ["k0", "x"])
         assert batch["k0"].entries == scheme.compute(graph, "k0").entries
@@ -282,12 +281,13 @@ class TestHopLimitedMetadata:
 class TestTopKExtraction:
     def test_extraction_matches_exhaustive_sort(self):
         rng = np.random.default_rng(0)
-        graph = CommGraph()
+        builder = GraphBuilder()
         nodes = [f"n{i}" for i in range(80)]
         for i, src in enumerate(nodes):
             for dst in rng.choice(nodes, size=6, replace=False):
                 if dst != src:
-                    graph.add_edge(src, dst, float(rng.integers(1, 9)))
+                    builder.add_edge(src, dst, float(rng.integers(1, 9)))
+        graph = builder.build()
         scheme = RandomWalkWithResets(k=5, reset_probability=0.1, max_hops=3)
         batch = scheme.compute_all(graph, nodes=nodes[:10])
         for node in nodes[:10]:

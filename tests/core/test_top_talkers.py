@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.top_talkers import TopTalkers
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 
 
 class TestRelevance:
@@ -18,8 +18,9 @@ class TestRelevance:
         assert TopTalkers().relevance(triangle_graph, "zzz") == {}
 
     def test_silent_node_empty(self):
-        graph = CommGraph()
-        graph.add_node("mute")
+        builder = GraphBuilder()
+        builder.add_node("mute")
+        graph = builder.build()
         assert TopTalkers().relevance(graph, "mute") == {}
 
     def test_self_loop_excluded_from_weights(self):

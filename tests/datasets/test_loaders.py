@@ -5,7 +5,7 @@ import pytest
 from repro.datasets.loaders import load_graph_sequence_csv, save_graph_sequence_csv
 from repro.exceptions import DatasetError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.graph.windows import GraphSequence
 
@@ -53,8 +53,10 @@ class TestRoundTrip:
         assert loaded[1].num_edges == 0
 
     def test_isolated_nodes_documented_loss(self, tmp_path):
-        graph = CommGraph([("a", "b", 1.0)])
-        graph.add_node("lonely")
+        builder = GraphBuilder()
+        builder.add_edge("a", "b", 1.0)
+        builder.add_node("lonely")
+        graph = builder.build()
         path = tmp_path / "iso.csv"
         save_graph_sequence_csv(GraphSequence(graphs=[graph]), path)
         loaded = load_graph_sequence_csv(path)

@@ -1,8 +1,9 @@
 """The batch record path against its per-record references.
 
 ``aggregate_records`` converts records into a ``RecordBatch`` and builds the
-graph from its columns; it must build exactly what one ``add_edge`` call per
-record builds, from records and from a batch alike.  ``window_indices`` / ``bucket_records``
+graph from its columns; it must build exactly what one
+``GraphBuilder.add_edge`` call per record builds, from records and from a
+batch alike.  ``window_indices`` / ``bucket_records``
 bucket a whole trace with numpy; every index must equal the scalar
 ``window_index_of``.
 """
@@ -21,7 +22,7 @@ from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import GraphBuilder
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import bucket_records, window_index_of, window_indices
 
@@ -43,10 +44,10 @@ Timed = namedtuple("Timed", "time src dst weight")
 
 def reference(records, bipartite):
     """The per-record path: one ``add_edge`` call per record."""
-    graph = BipartiteGraph() if bipartite else CommGraph()
+    builder = GraphBuilder(bipartite)
     for record in records:
-        graph.add_edge(record.src, record.dst, record.weight)
-    return graph
+        builder.add_edge(record.src, record.dst, record.weight)
+    return builder.build()
 
 
 def bits(value):
@@ -62,7 +63,6 @@ def state(graph):
     nodes = graph.nodes()
     snapshot = {
         "nodes": typed(nodes),
-        "in_nodes": typed(graph._in),
         "out": [
             [(dst, type(dst), bits(w)) for dst, w in graph.out_neighbors(n).items()]
             for n in nodes
@@ -73,11 +73,10 @@ def state(graph):
         ],
         "total_weight": bits(graph.total_weight),
         "num_edges": graph.num_edges,
-        "version": graph.version,
     }
     if isinstance(graph, BipartiteGraph):
-        snapshot["left"] = typed(graph._left)
-        snapshot["right"] = typed(graph._right)
+        snapshot["left"] = typed(graph.left_nodes)
+        snapshot["right"] = typed(graph.right_nodes)
     return snapshot
 
 
@@ -110,7 +109,6 @@ class TestAggregateEqualsPerRecord:
     @settings(max_examples=150, deadline=None)
     @given(records_of(st.sampled_from(LEFT + RIGHT), st.sampled_from(LEFT + RIGHT), POSITIVE))
     def test_comm_graph_positive_weights_take_the_batch_path(self, records):
-        assert aggregate_records(records)._columns is not None
         assert_same(records, bipartite=False)
 
     @settings(max_examples=150, deadline=None)
@@ -140,7 +138,7 @@ class TestAggregateEqualsPerRecord:
         records = [EdgeRecord(0.0, "a", "a", 1.0)]
         assert_same(records, bipartite=True)
         graph = aggregate_records(records, bipartite=True)
-        assert graph.side("a") == "left" and "a" in graph._right
+        assert graph.side("a") == "left" and graph.right_nodes == ["a"]
 
     @pytest.mark.parametrize(
         "records,bipartite",

@@ -1,9 +1,20 @@
 """Unit tests for the bipartite communication graph."""
 
+import copy
+
 import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.comm_graph import GraphBuilder
+
+
+def extended(graph, *edges):
+    """``graph`` plus ``edges``, built afresh."""
+    builder = GraphBuilder.of_nodes(graph)
+    for src, dst, weight in [*graph.edges(), *edges]:
+        builder.add_edge(src, dst, weight)
+    return builder.build()
 
 
 class TestPartitions:
@@ -22,60 +33,68 @@ class TestPartitions:
             small_bipartite.side("unknown")
 
     def test_explicit_partition_nodes(self):
-        graph = BipartiteGraph()
-        graph.add_left_node("host")
-        graph.add_right_node("dest")
+        builder = GraphBuilder(bipartite=True)
+        builder.add_left_node("host")
+        builder.add_right_node("dest")
+        graph = builder.build()
+        assert isinstance(graph, BipartiteGraph)
         assert graph.side("host") == "left"
         assert graph.num_nodes == 2
 
     def test_partition_conflict_rejected(self, small_bipartite):
+        builder = GraphBuilder.of_nodes(small_bipartite)
         with pytest.raises(GraphError):
-            small_bipartite.add_left_node("d-shared")
+            builder.add_left_node("d-shared")
         with pytest.raises(GraphError):
-            small_bipartite.add_right_node("u1")
+            builder.add_right_node("u1")
 
 
 class TestEdgeConstraint:
     def test_right_to_left_edge_rejected(self, small_bipartite):
         with pytest.raises(GraphError):
-            small_bipartite.add_edge("d-shared", "u1", 1.0)
+            extended(small_bipartite, ("d-shared", "u1", 1.0))
 
     def test_left_to_left_edge_rejected(self, small_bipartite):
         with pytest.raises(GraphError):
-            small_bipartite.add_edge("u1", "u2", 1.0)
+            extended(small_bipartite, ("u1", "u2", 1.0))
 
     def test_valid_edge_accepted(self, small_bipartite):
-        small_bipartite.add_edge("u1", "d-private2", 1.0)
-        assert small_bipartite.weight("u1", "d-private2") == 1.0
+        graph = extended(small_bipartite, ("u1", "d-private2", 1.0))
+        assert graph.weight("u1", "d-private2") == 1.0
 
     def test_new_nodes_via_edge_get_sides(self):
-        graph = BipartiteGraph()
-        graph.add_edge("newhost", "newdest", 2.0)
+        graph = BipartiteGraph([("newhost", "newdest", 2.0)])
         assert graph.side("newhost") == "left"
         assert graph.side("newdest") == "right"
 
 
 class TestCopyRemove:
     def test_copy_preserves_partitions(self, small_bipartite):
-        clone = small_bipartite.copy()
+        clone = copy.deepcopy(small_bipartite)
         assert isinstance(clone, BipartiteGraph)
         assert clone == small_bipartite
-        assert set(clone.left_nodes) == set(small_bipartite.left_nodes)
-        # Copies are independent.
-        clone.add_edge("u1", "d-new", 1.0)
-        assert "d-new" not in small_bipartite
+        assert clone.left_nodes == small_bipartite.left_nodes
+        assert clone.right_nodes == small_bipartite.right_nodes
 
     def test_copy_preserves_isolated_partition_members(self):
-        graph = BipartiteGraph()
-        graph.add_left_node("silent-host")
-        clone = graph.copy()
+        builder = GraphBuilder(bipartite=True)
+        builder.add_left_node("silent-host")
+        clone = copy.deepcopy(builder.build())
         assert clone.side("silent-host") == "left"
 
     def test_remove_node_clears_partition(self, small_bipartite):
-        small_bipartite.remove_node("u1")
-        assert "u1" not in small_bipartite
+        rest = [node for node in small_bipartite.nodes() if node != "u1"]
+        graph = GraphBuilder.of_nodes(small_bipartite, rest).build()
+        assert "u1" not in graph
+        assert graph.left_nodes == ["u2"]
         with pytest.raises(GraphError):
-            small_bipartite.side("u1")
+            graph.side("u1")
+
+    def test_unassigned_node_has_no_side(self):
+        builder = GraphBuilder(bipartite=True)
+        builder.add_node("loose")
+        with pytest.raises(GraphError):
+            builder.build().side("loose")
 
     def test_repr_mentions_partition_sizes(self, small_bipartite):
         text = repr(small_bipartite)

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records, combine_with_decay, graph_from_edges
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.graph.stream import EdgeRecord
 
 
@@ -63,8 +63,9 @@ class TestCombineWithDecay:
         assert combined.weight("a", "b") == pytest.approx(6.0)
 
     def test_preserves_isolated_nodes(self):
-        old = CommGraph()
-        old.add_node("silent")
+        builder = GraphBuilder()
+        builder.add_node("silent")
+        old = builder.build()
         new = CommGraph([("a", "b", 1.0)])
         combined = combine_with_decay([old, new])
         assert "silent" in combined

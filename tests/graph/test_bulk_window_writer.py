@@ -1,12 +1,11 @@
 """The sliding-window builder against the per-record calls.
 
 ``SlidingWindowAggregator.advance`` builds each window graph with
-``aggregate_records`` of the retained buckets' columns; reading its dict
-rows writes them through ``CommGraph._load_columns``.  One ``add_edge``
-call per retained record is the reference (and the fallback when the
-columns cannot build the graph exactly); both must agree on every order,
-bit, count and partition set — and on errors, after which the aggregator
-is left as it was.
+``aggregate_records`` of the retained buckets' columns.  One
+``GraphBuilder.add_edge`` call per retained record is the reference (and
+the fallback when the columns cannot build the graph exactly); both must
+agree on every order, bit, count, label object and partition set — and
+on errors, after which the aggregator is left as it was.
 """
 
 import struct
@@ -17,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.batch import RecordBatch
+from repro.graph.builders import aggregate_records, graph_from_edges
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import GraphBuilder
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import SlidingWindowAggregator
 
@@ -41,33 +41,34 @@ def typed(labels):
 
 
 def graph_state(graph):
-    """Node order, row orders, weight bits, counts and partition sets."""
+    """Node order, row orders, weight bits, counts, partition sets and the
+    label objects throughout."""
+    nodes = graph.nodes()
     state = {
         "out": [
-            (node, type(node), [(dst, type(dst), bits(w)) for dst, w in row.items()])
-            for node, row in graph._out.items()
+            (node, type(node), [(dst, type(dst), bits(w)) for dst, w in graph.out_neighbors(node).items()])
+            for node in nodes
         ],
         "in": [
-            (node, type(node), [(src, type(src), bits(w)) for src, w in row.items()])
-            for node, row in graph._in.items()
+            (node, type(node), [(src, type(src), bits(w)) for src, w in graph.in_neighbors(node).items()])
+            for node in nodes
         ],
         "total_weight": bits(graph.total_weight),
         "num_edges": graph.num_edges,
-        "version": graph.version,
     }
     if isinstance(graph, BipartiteGraph):
-        state["left"] = sorted(typed(graph._left), key=repr)
-        state["right"] = sorted(typed(graph._right), key=repr)
+        state["left"] = typed(graph.left_nodes)
+        state["right"] = typed(graph.right_nodes)
     return state
 
 
 def per_record(batches, bipartite):
     """The reference: one ``add_edge`` call per retained record."""
-    graph = BipartiteGraph() if bipartite else CommGraph()
+    builder = GraphBuilder(bipartite)
     for batch in batches:
         for record in batch.records():
-            graph.add_edge(record.src, record.dst, record.weight)
-    return graph
+            builder.add_edge(record.src, record.dst, record.weight)
+    return builder.build()
 
 
 def outcome(build):
@@ -159,8 +160,27 @@ def test_window_graph_pickles_as_its_rows():
     import pickle
 
     aggregator = SlidingWindowAggregator(bipartite=True)
+    # Labels of an earlier bucket stay in the shared table.
+    aggregator.advance(RecordBatch.from_records([EdgeRecord(0.0, "old", "gone", 1.0)], aggregator.labels))
     records = [EdgeRecord(0.0, "a", "x", 1.0), EdgeRecord(0.0, "b", "y", 0.0)]
     aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
-    # The label table does not pickle; the copy carries dict rows.
-    clone = pickle.loads(pickle.dumps(aggregator.graph))
+    payload = pickle.dumps(aggregator.graph)
+    # The graph ships its own labels, never the shard's shared table.
+    assert b"old" not in payload and b"gone" not in payload
+    clone = pickle.loads(payload)
     assert graph_state(clone) == graph_state(aggregator.graph)
+
+
+def test_row_keys_are_the_nodes_own_labels():
+    # 1 and True are equal labels of different types: the node is the
+    # object met first, and every row entry is keyed by that same object.
+    records = [EdgeRecord(0.0, "a", 1, 1.0), EdgeRecord(0.0, "b", True, 2.0)]
+    edges = [(record.src, record.dst, record.weight) for record in records]
+    for graph in (aggregate_records(records), graph_from_edges(edges)):
+        (node,) = [node for node in graph.nodes() if node == 1]
+        assert type(node) is int
+        for src in ("a", "b"):
+            (key,) = graph.out_neighbors(src)
+            assert key is node
+        assert [type(key) for key in graph.in_neighbors(1)] == [str, str]
+        assert all(dst is node for _, dst, _ in graph.edges())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import EmptyGraphError
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.graph.stats import (
     gini_coefficient,
     in_degree_distribution,
@@ -56,8 +56,9 @@ class TestSummarize:
             summarize_graph(CommGraph())
 
     def test_isolated_node_graph(self):
-        graph = CommGraph()
-        graph.add_node("x")
+        builder = GraphBuilder()
+        builder.add_node("x")
+        graph = builder.build()
         summary = summarize_graph(graph)
         assert summary.num_edges == 0
         assert summary.mean_edge_weight == 0.0

@@ -1,11 +1,13 @@
 """Unit tests for the paper's insert/delete robustness perturbation."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.exceptions import PerturbationError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.perturb.edge_perturbation import (
     delete_weight_units,
     insert_random_edges,
@@ -15,11 +17,9 @@ from repro.perturb.edge_perturbation import (
 
 @pytest.fixture
 def weighted_graph():
-    graph = CommGraph()
-    for i in range(10):
-        for j in range(3):
-            graph.add_edge(f"src{i}", f"dst{(i + j) % 12}", float(j + 1))
-    return graph
+    return CommGraph(
+        (f"src{i}", f"dst{(i + j) % 12}", float(j + 1)) for i in range(10) for j in range(3)
+    )
 
 
 class TestInsertions:
@@ -37,7 +37,7 @@ class TestInsertions:
         assert perturbed is not weighted_graph
 
     def test_original_untouched(self, weighted_graph):
-        snapshot = weighted_graph.copy()
+        snapshot = copy.deepcopy(weighted_graph)
         insert_random_edges(weighted_graph, count=20, rng=1)
         assert weighted_graph == snapshot
 
@@ -118,9 +118,7 @@ class TestDeletions:
     def test_weight_proportional_bias(self):
         # One massive edge and many tiny ones: deletions should overwhelmingly
         # hit the massive edge.
-        graph = CommGraph([("a", "heavy", 1000.0)])
-        for i in range(10):
-            graph.add_edge("a", f"light{i}", 1.0)
+        graph = CommGraph([("a", "heavy", 1000.0)] + [("a", f"light{i}", 1.0) for i in range(10)])
         perturbed = delete_weight_units(graph, count=100, rng=0)
         assert perturbed.weight("a", "heavy") < 1000.0
         survivors = sum(1 for i in range(10) if perturbed.has_edge("a", f"light{i}"))
@@ -206,8 +204,9 @@ class TestPerturbationEdgeCases:
             delete_weight_units(empty, count=1, rng=0)
 
     def test_singleton_graph(self):
-        single = CommGraph()
-        single.add_node("loner")
+        builder = GraphBuilder()
+        builder.add_node("loner")
+        single = builder.build()
         perturbed = perturb_graph(single, 0.4, 0.4, rng=0)
         assert perturbed.nodes() == ["loner"]
         assert perturbed.num_edges == 0

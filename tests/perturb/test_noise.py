@@ -1,5 +1,7 @@
 """Unit tests for auxiliary noise models."""
 
+import copy
+
 import pytest
 
 from repro.exceptions import PerturbationError
@@ -58,6 +60,6 @@ class TestDropRandomNodes:
             drop_random_nodes(triangle_graph, fraction=1.5)
 
     def test_original_untouched(self, triangle_graph):
-        snapshot = triangle_graph.copy()
+        snapshot = copy.deepcopy(triangle_graph)
         drop_random_nodes(triangle_graph, fraction=0.5, rng=0)
         assert triangle_graph == snapshot

@@ -153,10 +153,7 @@ class TestSelfLoopParity:
     def exact_graph(self):
         from repro.graph.comm_graph import CommGraph
 
-        graph = CommGraph()
-        for src, dst, weight in self.edges():
-            graph.add_edge(src, dst, weight)
-        return graph
+        return CommGraph(self.edges())
 
     def test_self_loop_counts_toward_streaming_in_degree(self):
         """Regression: the streaming UT builder dropped ``src == dst``
@@ -195,8 +192,7 @@ class TestSelfLoopParity:
         drops them entirely — both yield empty signatures."""
         from repro.graph.comm_graph import CommGraph
 
-        graph = CommGraph()
-        graph.add_edge("a", "b", 0.0)
+        graph = CommGraph([("a", "b", 0.0)])
         exact = create_scheme("ut", k=3).compute(graph, "a")
         builder = StreamingUnexpectedTalkers(k=3)
         builder.observe("a", "b", 0.0)

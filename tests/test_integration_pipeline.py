@@ -11,6 +11,7 @@ import pytest
 from repro import (
     AnomalyDetector,
     Deanonymizer,
+    GraphBuilder,
     HistorySignatureBuilder,
     MasqueradeDetector,
     MultiusageDetector,
@@ -84,13 +85,15 @@ class TestHistoryBackedMonitoring:
         builder.push(tiny_enterprise.graphs[1])
         before = builder.signatures(hosts)
 
-        broken = tiny_enterprise.graphs[2].copy()
+        window = tiny_enterprise.graphs[2]
+        broken = GraphBuilder.of_nodes(window)
+        for src, dst, weight in window.edges():
+            if src != victim:
+                broken.add_edge(src, dst, weight)
         rng = np.random.default_rng(0)
-        for destination in list(broken.out_neighbors(victim)):
-            broken.remove_edge(victim, destination)
         for index in range(25):
             broken.add_edge(victim, f"weird-{index}", float(rng.integers(1, 6)))
-        builder.push(broken)
+        builder.push(broken.build())
         after = builder.signatures(hosts)
 
         drops = {

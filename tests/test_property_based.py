@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import copy
 import math
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestGraphProperties:
     @given(edges=edge_lists)
     def test_copy_equals_original(self, edges):
         graph = CommGraph((s, d, float(w)) for s, d, w in edges)
-        assert graph.copy() == graph
+        assert copy.deepcopy(graph) == graph
 
     @given(edges=edge_lists)
     def test_transition_rows_stochastic(self, edges):

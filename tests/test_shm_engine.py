@@ -20,7 +20,7 @@ from repro.core.scheme import create_scheme
 from repro.core.signature import Signature
 from repro.core.top_talkers import TopTalkers
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import CommGraph
+from repro.graph.comm_graph import GraphBuilder
 import repro.parallel.shm as shm_module
 from repro.parallel.shm import (
     ShmEngine,
@@ -42,23 +42,23 @@ SCHEME_GRID = [
 
 def random_graph(seed, num_nodes=40, num_edges=160):
     rng = random.Random(seed)
-    graph = CommGraph()
+    builder = GraphBuilder()
     for _ in range(num_edges):
         src = f"h{rng.randrange(num_nodes)}"
         dst = f"h{rng.randrange(num_nodes)}"
         if src != dst:
-            graph.add_edge(src, dst, rng.uniform(0.25, 9.0))
-    return graph
+            builder.add_edge(src, dst, rng.uniform(0.25, 9.0))
+    return builder.build()
 
 
 def random_bipartite(seed, users=12, hosts=8, num_edges=60):
     rng = random.Random(seed)
-    graph = BipartiteGraph()
+    builder = GraphBuilder(bipartite=True)
     for _ in range(num_edges):
-        graph.add_edge(
+        builder.add_edge(
             f"u{rng.randrange(users)}", f"s{rng.randrange(hosts)}", rng.uniform(0.5, 4.0)
         )
-    return graph
+    return builder.build()
 
 
 def population(graph):
@@ -232,15 +232,10 @@ class TestLifecycle:
                 local.compute_batch(scheme, random_graph(seed), None)
             assert len(os.listdir(f"/proc/{pid}/fd")) <= before
 
-    def test_graph_version_bump_invalidates_cached_manifest(self, engine):
-        scheme = create_scheme("tt", k=3)
+    def test_republishing_a_graph_reuses_its_manifest(self, engine):
         graph = random_graph(44)
-        before = engine.compute_batch(scheme, graph, None)
-        assert before == scheme.compute_all(graph)
-        graph.add_edge("fresh-src", "fresh-dst", 5.0)
-        after = engine.compute_batch(scheme, graph, None)
-        assert after == scheme.compute_all(graph)
-        assert "fresh-src" in after
+        assert engine.publish_graph(graph) is engine.publish_graph(graph)
+        assert engine.publish_graph(random_graph(44)) is not engine.publish_graph(graph)
 
 
 class TestObservability:

@@ -292,17 +292,17 @@ SHM_SCHEMES = [
 
 def shm_graph(num_nodes: int, out_degree: int, seed: int):
     """A seeded communication graph heavy enough to expose transport cost."""
-    from repro.graph.comm_graph import CommGraph
+    from repro.graph.comm_graph import GraphBuilder
 
     rng = random.Random(seed)
-    graph = CommGraph()
+    builder = GraphBuilder()
     for i in range(num_nodes):
         src = f"h{i}"
         for _ in range(out_degree):
             dst = f"h{rng.randrange(num_nodes)}"
             if dst != src:
-                graph.add_edge(src, dst, rng.uniform(0.5, 8.0))
-    return graph
+                builder.add_edge(src, dst, rng.uniform(0.5, 8.0))
+    return builder.build()
 
 
 def _pickle_chunk(task):
@@ -458,17 +458,24 @@ def _add_scanner_hosts(data, num_scanners, draws_per_window, universe, seed):
     ``draws_per_window`` uniform probes into its own ``wild-*`` address
     space, fresh every window.
     """
+    from repro.graph.comm_graph import GraphBuilder
+
     rng = np.random.default_rng(seed)
     scanners = [f"scan-{index:03d}" for index in range(num_scanners)]
-    for graph in data.graphs.graphs:
+    graphs = data.graphs.graphs
+    for index, graph in enumerate(graphs):
+        builder = GraphBuilder.of_nodes(graph)
+        for src, dst, weight in graph.edges():
+            builder.add_edge(src, dst, weight)
         for host in scanners:
-            graph.add_left_node(host)
+            builder.add_left_node(host)
             targets, counts = np.unique(
                 rng.integers(0, universe, size=draws_per_window),
                 return_counts=True,
             )
             for address, count in zip(targets.tolist(), counts.tolist()):
-                graph.add_edge(host, f"wild-{address:07d}", float(count))
+                builder.add_edge(host, f"wild-{address:07d}", float(count))
+        graphs[index] = builder.build()
     data.local_hosts.extend(scanners)
     return data
 
