@@ -85,21 +85,22 @@ class HistorySignatureBuilder:
         )
         builder = GraphBuilder(bipartite)
         if previous is not None:
-            self._add_nodes(builder, previous)
+            self._add_nodes(builder, previous, bipartite)
             for src, dst, weight in previous.edges():
                 decayed = weight * self.decay
                 if decayed > self.prune_below:
                     builder.add_edge(src, dst, decayed)
-        self._add_nodes(builder, window)
+        self._add_nodes(builder, window, bipartite)
         for src, dst, weight in window.edges():
             builder.add_edge(src, dst, weight)
         self._aggregate = builder.build()
         self._windows_seen += 1
 
     @staticmethod
-    def _add_nodes(builder: GraphBuilder, graph: CommGraph) -> None:
-        """Add ``graph``'s nodes, on their sides when both are bipartite."""
-        sided = isinstance(graph, BipartiteGraph) and builder.bipartite
+    def _add_nodes(builder: GraphBuilder, graph: CommGraph, bipartite: bool) -> None:
+        """Add ``graph``'s nodes, on their sides when both it and the
+        aggregate are bipartite."""
+        sided = bipartite and isinstance(graph, BipartiteGraph)
         for node in graph.nodes():
             if not sided:
                 builder.add_node(node)

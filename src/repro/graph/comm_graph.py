@@ -118,13 +118,10 @@ class GraphBuilder:
             (set(), set()) if bipartite else None
         )
 
-    @property
-    def bipartite(self) -> bool:
-        """Whether :meth:`build` gives a :class:`BipartiteGraph`."""
-        return self._sides is not None
-
     @classmethod
-    def of_nodes(cls, graph: "CommGraph", nodes: Optional[Iterable[NodeId]] = None) -> "GraphBuilder":
+    def of_nodes(
+        cls, graph: "CommGraph", nodes: Optional[Iterable[NodeId]] = None
+    ) -> "GraphBuilder":
         """A builder of ``graph``'s kind holding ``nodes`` (default: all of
         ``graph``'s, in its order), each on its side in ``graph``, and no
         edges."""
@@ -250,7 +247,8 @@ class CommGraph:
         :class:`BipartiteGraph` needs its side masks)."""
         labels = LabelTable()
         nodes = labels.intern(arrays.nodes)
-        return cls._of(WindowColumns(labels, nodes, arrays.src, arrays.dst, arrays.weight, arrays.sides))
+        columns = WindowColumns(labels, nodes, arrays.src, arrays.dst, arrays.weight, arrays.sides)
+        return cls._of(columns)
 
     def to_arrays(self) -> GraphArrays:
         """The graph as :class:`GraphArrays` (callers must not mutate the

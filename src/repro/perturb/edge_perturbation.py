@@ -35,7 +35,7 @@ from repro.types import NodeId, Weight
 Edges = Dict[Tuple[NodeId, NodeId], Weight]
 
 
-def _resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
+def resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
@@ -74,7 +74,7 @@ def insert_random_edges(
     """
     if count < 0:
         raise PerturbationError(f"insertion count must be non-negative, got {count}")
-    rng = _resolve_rng(rng)
+    rng = resolve_rng(rng)
     edges = edges_in_build_order(graph)
     if count == 0:
         return rebuilt(graph, edges)
@@ -124,7 +124,7 @@ def delete_weight_units(
     """
     if count < 0:
         raise PerturbationError(f"deletion count must be non-negative, got {count}")
-    rng = _resolve_rng(rng)
+    rng = resolve_rng(rng)
     remaining = edges_in_build_order(graph)
     if count == 0:
         return rebuilt(graph, remaining)
@@ -173,7 +173,7 @@ def perturb_graph(
     """
     if alpha < 0 or beta < 0:
         raise PerturbationError(f"alpha and beta must be non-negative, got {alpha}, {beta}")
-    rng = _resolve_rng(rng)
+    rng = resolve_rng(rng)
     num_edges = graph.num_edges
     inserted = insert_random_edges(graph, round(alpha * num_edges), rng)
     return delete_weight_units(inserted, round(beta * num_edges), rng)

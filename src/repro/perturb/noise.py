@@ -12,13 +12,7 @@ import numpy as np
 
 from repro.exceptions import PerturbationError
 from repro.graph.comm_graph import CommGraph, GraphBuilder
-from repro.perturb.edge_perturbation import edges_in_build_order, rebuilt
-
-
-def _resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+from repro.perturb.edge_perturbation import edges_in_build_order, rebuilt, resolve_rng
 
 
 def jitter_weights(
@@ -35,7 +29,7 @@ def jitter_weights(
     """
     if relative_std < 0:
         raise PerturbationError(f"relative_std must be non-negative, got {relative_std}")
-    rng = _resolve_rng(rng)
+    rng = resolve_rng(rng)
     builder = GraphBuilder.of_nodes(graph)
     for src, dst, weight in graph.edges():
         factor = float(rng.lognormal(mean=0.0, sigma=relative_std)) if relative_std else 1.0
@@ -55,12 +49,11 @@ def drop_random_nodes(
     """
     if not 0 <= fraction <= 1:
         raise PerturbationError(f"fraction must be in [0, 1], got {fraction}")
-    rng = _resolve_rng(rng)
+    rng = resolve_rng(rng)
     nodes = graph.nodes()
     count = round(fraction * len(nodes))
-    victims = set()
-    if count:
-        victims = {nodes[int(index)] for index in rng.choice(len(nodes), size=count, replace=False)}
+    chosen = rng.choice(len(nodes), size=count, replace=False) if count else []
+    victims = {nodes[int(index)] for index in chosen}
     edges = edges_in_build_order(graph).items()
     kept = {edge: weight for edge, weight in edges if victims.isdisjoint(edge)}
     return rebuilt(graph, kept, [node for node in nodes if node not in victims])

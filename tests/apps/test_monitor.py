@@ -132,7 +132,9 @@ class TestPersistenceByLag:
 
 
 def steady_graph():
-    return CommGraph([(f"host{index}", f"peer{peer}", 3.0) for index in range(6) for peer in range(4)])
+    return CommGraph(
+        [(f"host{index}", f"peer{peer}", 3.0) for index in range(6) for peer in range(4)]
+    )
 
 
 def broken_graph(tag):

@@ -162,8 +162,9 @@ class TestKernelEqualsPerNode:
         graph = CommGraph(records)
         for _ in range(data.draw(st.integers(0, 4))):
             perturb = data.draw(st.sampled_from(PERTURBATIONS))
+            count, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**16))
             try:
-                graph = perturb(graph, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**16)))
+                graph = perturb(graph, count, seed)
             except PerturbationError:
                 pass  # no pair to insert an edge on
         assert_kernel_is_per_node(graph, create_scheme(name, k=k, **params), engine)

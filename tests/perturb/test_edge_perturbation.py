@@ -231,7 +231,7 @@ class TestGeneratorPlumbing:
     advance between draws, never be silently re-seeded."""
 
     def test_generator_instance_passes_through_default_rng(self):
-        # np.random.default_rng(gen) is gen — the contract _resolve_rng
+        # np.random.default_rng(gen) is gen — the contract resolve_rng
         # relies on: passing a Generator must not reset its stream.
         generator = np.random.default_rng(3)
         assert np.random.default_rng(generator) is generator
