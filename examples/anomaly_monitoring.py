@@ -9,7 +9,13 @@ detector find it.
 Run:  python examples/anomaly_monitoring.py
 """
 
-from repro import AnomalyDetector, EnterpriseFlowGenerator, EnterpriseParams, GraphBuilder
+from repro import (
+    AnomalyDetector,
+    EnterpriseFlowGenerator,
+    EnterpriseParams,
+    edges_in_build_order,
+    rebuilt,
+)
 from repro.core.distances import get_distance
 from repro.core.scheme import create_scheme
 
@@ -33,14 +39,12 @@ def main() -> None:
 
     rng = np.random.default_rng(4)
     victim = hosts[7]
-    builder = GraphBuilder.of_nodes(window_next)
-    for src, destination, weight in window_next.edges():
-        if src != victim:
-            builder.add_edge(src, destination, weight)
+    edges = edges_in_build_order(window_next)
+    edges = {edge: weight for edge, weight in edges.items() if edge[0] != victim}
     for _ in range(25):
-        destination = f"ext-{rng.integers(0, params.num_external):05d}"
-        builder.add_edge(victim, destination, float(rng.integers(1, 6)))
-    window_next = builder.build()
+        edge = (victim, f"ext-{rng.integers(0, params.num_external):05d}")
+        edges[edge] = edges.get(edge, 0.0) + float(rng.integers(1, 6))
+    window_next = rebuilt(window_next, edges)
     print(f"injected behaviour replacement on {victim}")
     print()
 

@@ -17,7 +17,14 @@ import io
 import json
 import urllib.request
 
-from repro import EnterpriseFlowGenerator, EnterpriseParams, GraphBuilder, SequenceMonitor, obs
+from repro import (
+    EnterpriseFlowGenerator,
+    EnterpriseParams,
+    SequenceMonitor,
+    edges_in_build_order,
+    obs,
+    rebuilt,
+)
 from repro.apps.monitor import node_persistence_key
 from repro.core.distances import get_distance
 from repro.core.scheme import create_scheme
@@ -29,13 +36,11 @@ def break_behaviour(graph, node, seed):
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder.of_nodes(graph)
-    for src, dst, weight in graph.edges():
-        if src != node:
-            builder.add_edge(src, dst, weight)
+    edges = edges_in_build_order(graph)
+    edges = {edge: weight for edge, weight in edges.items() if edge[0] != node}
     for index in range(25):
-        builder.add_edge(node, f"strange-{seed}-{index}", float(rng.integers(1, 6)))
-    return builder.build()
+        edges[node, f"strange-{seed}-{index}"] = float(rng.integers(1, 6))
+    return rebuilt(graph, edges)
 
 
 def main() -> None:

@@ -43,8 +43,10 @@ from repro.graph import (
     RejectedRow,
     aggregate_records,
     combine_with_decay,
+    edges_in_build_order,
     graph_from_edges,
     read_edge_records,
+    rebuilt,
     split_records_into_windows,
     summarize_graph,
     write_edge_records,
@@ -140,6 +142,8 @@ __all__ = [
     "CommGraph",
     "BipartiteGraph",
     "GraphBuilder",
+    "edges_in_build_order",
+    "rebuilt",
     "EdgeRecord",
     "ReadReport",
     "RejectedRow",

@@ -140,18 +140,8 @@ class RandomWalkWithResets(SignatureScheme):
 
     def _walk_matrix(self, graph: CommGraph) -> sp.csr_matrix:
         """``P^T`` (column = source) for the walk over the graph's node
-        order, after optional symmetrisation."""
-        if self._should_symmetrize(graph):
-            adjacency = graph.to_adjacency_csr()
-            adjacency = (adjacency + adjacency.T).tocsr()
-            row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
-            inverse = np.zeros_like(row_sums)
-            nonzero = row_sums > 0
-            inverse[nonzero] = 1.0 / row_sums[nonzero]
-            transition = (sp.diags(inverse) @ adjacency).tocsr()
-        else:
-            transition = graph.to_transition_csr()
-        return transition.T.tocsr()
+        order, after optional symmetrisation; built once per graph."""
+        return graph.walk_matrix(self._should_symmetrize(graph))
 
     def _iterate(
         self,

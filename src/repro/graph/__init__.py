@@ -6,7 +6,7 @@ aggregated over time windows, a bipartite specialisation, edge-record
 streams, window splitting and summary statistics.
 """
 
-from repro.graph.comm_graph import CommGraph, GraphBuilder
+from repro.graph.comm_graph import CommGraph, GraphBuilder, edges_in_build_order, rebuilt
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.stream import (
     EdgeRecord,
@@ -33,6 +33,8 @@ __all__ = [
     "CommGraph",
     "BipartiteGraph",
     "GraphBuilder",
+    "edges_in_build_order",
+    "rebuilt",
     "EdgeRecord",
     "ReadReport",
     "RejectedRow",

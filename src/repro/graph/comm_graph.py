@@ -24,6 +24,8 @@ from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.batch import LabelTable
 from repro.types import NodeId, Weight, WeightedEdge
 
+_Row = Dict[NodeId, Weight]
+
 
 class RowsCsr(NamedTuple):
     """Adjacency rows as CSR over a graph's node order: row ``i`` lists
@@ -118,23 +120,6 @@ class GraphBuilder:
             (set(), set()) if bipartite else None
         )
 
-    @classmethod
-    def of_nodes(
-        cls, graph: "CommGraph", nodes: Optional[Iterable[NodeId]] = None
-    ) -> "GraphBuilder":
-        """A builder of ``graph``'s kind holding ``nodes`` (default: all of
-        ``graph``'s, in its order), each on its side in ``graph``, and no
-        edges."""
-        sides = graph._columns.sides
-        builder = cls(bipartite=sides is not None)
-        ordering, position = graph.node_index()
-        for node in ordering if nodes is None else nodes:
-            builder.add_node(node)
-        if builder._sides is not None and sides is not None:
-            for members, mask in zip(builder._sides, sides):
-                members.update(node for node in builder._nodes if mask[position[node]])
-        return builder
-
     def add_node(self, node: NodeId) -> None:
         """Ensure ``node`` exists in ``V`` (no-op if already present).  On
         a bipartite builder the node has no side until an edge or
@@ -209,6 +194,39 @@ class GraphBuilder:
         from repro.graph.bipartite import BipartiteGraph  # which imports this module
 
         return (CommGraph if self._sides is None else BipartiteGraph)._of(self._columns())
+
+
+def edges_in_build_order(graph: "CommGraph") -> Dict[Tuple[NodeId, NodeId], Weight]:
+    """``graph``'s edges ``(src, dst) -> weight`` in build order, the
+    order every out-row and in-row lists them in."""
+    nodes, src, dst, weight, _sides = graph.to_arrays()
+    label = nodes.__getitem__
+    return dict(zip(zip(map(label, src.tolist()), map(label, dst.tolist())), weight.tolist()))
+
+
+def rebuilt(
+    graph: "CommGraph",
+    edges: Mapping[Tuple[NodeId, NodeId], Weight],
+    nodes: Optional[Iterable[NodeId]] = None,
+) -> "CommGraph":
+    """A graph of ``graph``'s kind with ``nodes`` (default: all of
+    ``graph``'s), in ``graph``'s order and on its sides, and ``edges`` in
+    their order: a row lists its entries in that order.
+
+    To change a graph, edit :func:`edges_in_build_order` and rebuild: an
+    edge kept in place keeps its row positions, a new edge comes last.
+    """
+    sides = graph._columns.sides
+    builder = GraphBuilder(bipartite=sides is not None)
+    ordering, position = graph.node_index()
+    for node in ordering if nodes is None else nodes:
+        builder.add_node(node)
+    if builder._sides is not None and sides is not None:
+        for members, mask in zip(builder._sides, sides):
+            members.update(node for node in builder._nodes if mask[position[node]])
+    for (src, dst), weight in edges.items():
+        builder.add_edge(src, dst, weight)
+    return builder.build()
 
 
 def _columns_of(edges: Optional[Iterable[WeightedEdge]], bipartite: bool) -> WindowColumns:
@@ -302,7 +320,7 @@ class CommGraph:
         return zip(map(label, srcs.tolist()), map(label, cols.tolist()), data.tolist())
 
     def _position(self, node: NodeId) -> int:
-        position = self.node_index()[1].get(node)
+        position = self._node_index[1].get(node)
         if position is None:
             raise NodeNotFoundError(node)
         return position
@@ -325,20 +343,35 @@ class CommGraph:
         entry = self._edge(src, dst)
         return 0.0 if entry is None else float(self.out_rows().data[entry])
 
-    def _row(self, rows: RowsCsr, node: NodeId) -> Dict[NodeId, Weight]:
+    def _row(self, rows: RowsCsr, views: List[Optional[_Row]], node: NodeId) -> _Row:
+        """Row ``node`` of ``rows`` as a dict, built on its first read and
+        kept in ``views``."""
         position = self._position(node)
-        lo, hi = rows.indptr[position], rows.indptr[position + 1]
-        label = self.node_index()[0].__getitem__
-        return dict(zip(map(label, rows.cols[lo:hi].tolist()), rows.data[lo:hi].tolist()))
+        view = views[position]
+        if view is None:
+            lo, hi = rows.indptr[position], rows.indptr[position + 1]
+            view = dict(zip(self.node_labels(rows.cols[lo:hi]), rows.data[lo:hi].tolist()))
+            views[position] = view
+        return view
+
+    @cached_property
+    def _out_views(self) -> List[Optional[_Row]]:
+        return [None] * self.num_nodes
+
+    @cached_property
+    def _in_views(self) -> List[Optional[_Row]]:
+        return [None] * self.num_nodes
 
     def out_neighbors(self, node: NodeId) -> Mapping[NodeId, Weight]:
         """``O(v)`` with weights: mapping destination -> ``C[v, dst]``, in
-        row order, keyed by the neighbours' own labels."""
-        return self._row(self.out_rows(), node)
+        row order, keyed by the neighbours' own labels.  Built on first
+        read and kept (callers must not mutate it)."""
+        return self._row(self.out_rows(), self._out_views, node)
 
     def in_neighbors(self, node: NodeId) -> Mapping[NodeId, Weight]:
-        """``I(v)`` with weights: mapping source -> ``C[src, v]``."""
-        return self._row(self.in_rows(), node)
+        """``I(v)`` with weights: mapping source -> ``C[src, v]``, as
+        :meth:`out_neighbors`."""
+        return self._row(self.in_rows(), self._in_views, node)
 
     def out_degree(self, node: NodeId) -> int:
         """``|O(v)|``: number of distinct destinations of ``node``."""
@@ -458,6 +491,21 @@ class CommGraph:
     @cached_property
     def _transition(self) -> sp.csr_matrix:
         return _row_normalised(self._adjacency)
+
+    def walk_matrix(self, symmetric: bool = False) -> sp.csr_matrix:
+        """``P^T`` over the node order (column = source): the transposed
+        transition matrix of the graph, or with ``symmetric`` of the graph
+        plus its reverse, so a walk may cross an edge either way.  Built
+        once per flag (callers must not mutate it)."""
+        return self._symmetric_walk if symmetric else self._walk
+
+    @cached_property
+    def _walk(self) -> sp.csr_matrix:
+        return self._transition.T.tocsr()
+
+    @cached_property
+    def _symmetric_walk(self) -> sp.csr_matrix:
+        return _row_normalised((self._adjacency + self._adjacency.T).tocsr()).T.tocsr()
 
     def to_networkx(self):
         """Convert to a :class:`networkx.DiGraph` with ``weight`` attributes."""

@@ -24,39 +24,19 @@ indistinguishable for unit decrements when weights exceed one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.exceptions import PerturbationError
-from repro.graph.comm_graph import CommGraph, GraphBuilder
-from repro.types import NodeId, Weight
-
-Edges = Dict[Tuple[NodeId, NodeId], Weight]
+from repro.graph.comm_graph import CommGraph, edges_in_build_order, rebuilt
+from repro.types import NodeId
 
 
 def resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def edges_in_build_order(graph: CommGraph) -> Edges:
-    """``graph``'s edges ``(src, dst) -> weight`` in build order, the
-    order every out-row and in-row lists them in."""
-    nodes, src, dst, weight, _sides = graph.to_arrays()
-    label = nodes.__getitem__
-    return dict(zip(zip(map(label, src.tolist()), map(label, dst.tolist())), weight.tolist()))
-
-
-def rebuilt(graph: CommGraph, edges: Edges, nodes: List[NodeId] | None = None) -> CommGraph:
-    """A graph of ``nodes`` (default: all of ``graph``'s), in ``graph``'s
-    order and on its sides, with ``edges`` in their order: a row lists its
-    entries in that order."""
-    builder = GraphBuilder.of_nodes(graph, nodes)
-    for (src, dst), weight in edges.items():
-        builder.add_edge(src, dst, weight)
-    return builder.build()
 
 
 def insert_random_edges(

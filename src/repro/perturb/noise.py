@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import PerturbationError
-from repro.graph.comm_graph import CommGraph, GraphBuilder
-from repro.perturb.edge_perturbation import edges_in_build_order, rebuilt, resolve_rng
+from repro.graph.comm_graph import CommGraph, edges_in_build_order, rebuilt
+from repro.perturb.edge_perturbation import resolve_rng
 
 
 def jitter_weights(
@@ -30,11 +30,11 @@ def jitter_weights(
     if relative_std < 0:
         raise PerturbationError(f"relative_std must be non-negative, got {relative_std}")
     rng = resolve_rng(rng)
-    builder = GraphBuilder.of_nodes(graph)
+    jittered = {}
     for src, dst, weight in graph.edges():
         factor = float(rng.lognormal(mean=0.0, sigma=relative_std)) if relative_std else 1.0
-        builder.add_edge(src, dst, weight * factor)
-    return builder.build()
+        jittered[src, dst] = weight * factor
+    return rebuilt(graph, jittered)
 
 
 def drop_random_nodes(

@@ -7,7 +7,7 @@ from repro.apps.anomaly import AnomalyDetector
 from repro.core.distances import dist_scaled_hellinger
 from repro.core.scheme import create_scheme
 from repro.exceptions import ExperimentError
-from repro.graph.comm_graph import GraphBuilder
+from repro.graph.comm_graph import edges_in_build_order, rebuilt
 
 
 @pytest.fixture
@@ -20,13 +20,11 @@ def detector():
 def inject_behaviour_replacement(graph, node, seed=0, contacts=25):
     """Replace a node's outgoing edges with fresh random destinations."""
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder.of_nodes(graph)
-    for src, dst, weight in graph.edges():
-        if src != node:
-            builder.add_edge(src, dst, weight)
+    edges = edges_in_build_order(graph)
+    edges = {edge: weight for edge, weight in edges.items() if edge[0] != node}
     for index in range(contacts):
-        builder.add_edge(node, f"anomalous-dst-{index}", float(rng.integers(1, 6)))
-    return builder.build()
+        edges[node, f"anomalous-dst-{index}"] = float(rng.integers(1, 6))
+    return rebuilt(graph, edges)
 
 
 class TestParameters:

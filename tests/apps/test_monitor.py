@@ -7,7 +7,7 @@ from repro.apps.monitor import SequenceMonitor, persistence_by_lag
 from repro.core.distances import dist_scaled_hellinger
 from repro.core.scheme import create_scheme
 from repro.exceptions import ExperimentError
-from repro.graph.comm_graph import CommGraph, GraphBuilder
+from repro.graph.comm_graph import CommGraph, edges_in_build_order, rebuilt
 from repro.graph.windows import GraphSequence
 
 
@@ -22,15 +22,13 @@ def monitor():
 
 def replace_behaviour(graph, node, seed=0):
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder.of_nodes(graph)
-    for src, dst, weight in graph.edges():
-        if src != node:
-            builder.add_edge(src, dst, weight)
+    edges = edges_in_build_order(graph)
+    edges = {edge: weight for edge, weight in edges.items() if edge[0] != node}
     # Seed-qualified destination names: repeated breaks of the same node
     # produce genuinely different behaviours each time.
     for index in range(25):
-        builder.add_edge(node, f"strange-{seed}-{index}", float(rng.integers(1, 6)))
-    return builder.build()
+        edges[node, f"strange-{seed}-{index}"] = float(rng.integers(1, 6))
+    return rebuilt(graph, edges)
 
 
 class TestSequenceMonitor:

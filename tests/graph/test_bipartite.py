@@ -6,15 +6,13 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.comm_graph import GraphBuilder
+from repro.graph.comm_graph import GraphBuilder, edges_in_build_order, rebuilt
 
 
 def extended(graph, *edges):
-    """``graph`` plus ``edges``, built afresh."""
-    builder = GraphBuilder.of_nodes(graph)
-    for src, dst, weight in [*graph.edges(), *edges]:
-        builder.add_edge(src, dst, weight)
-    return builder.build()
+    """``graph`` plus new ``edges``, built afresh."""
+    added = {(src, dst): weight for src, dst, weight in edges}
+    return rebuilt(graph, {**edges_in_build_order(graph), **added})
 
 
 class TestPartitions:
@@ -41,8 +39,9 @@ class TestPartitions:
         assert graph.side("host") == "left"
         assert graph.num_nodes == 2
 
-    def test_partition_conflict_rejected(self, small_bipartite):
-        builder = GraphBuilder.of_nodes(small_bipartite)
+    def test_partition_conflict_rejected(self):
+        builder = GraphBuilder(bipartite=True)
+        builder.add_edge("u1", "d-shared", 1.0)
         with pytest.raises(GraphError):
             builder.add_left_node("d-shared")
         with pytest.raises(GraphError):
@@ -84,7 +83,9 @@ class TestCopyRemove:
 
     def test_remove_node_clears_partition(self, small_bipartite):
         rest = [node for node in small_bipartite.nodes() if node != "u1"]
-        graph = GraphBuilder.of_nodes(small_bipartite, rest).build()
+        edges = edges_in_build_order(small_bipartite)
+        edges = {edge: weight for edge, weight in edges.items() if "u1" not in edge}
+        graph = rebuilt(small_bipartite, edges, rest)
         assert "u1" not in graph
         assert graph.left_nodes == ["u2"]
         with pytest.raises(GraphError):

@@ -133,8 +133,9 @@ class TestRun:
     def test_full_window_builds_no_dict_rows(
         self, trace, tmp_path, monkeypatch, scheme, bipartite
     ):
-        # A fresh window is built from its columns and its TT/UT kernel
-        # reads their CSR rows (a graph has no other representation).
+        # A fresh window is built from its columns, never by the per-record
+        # fallback, and its TT/UT kernel reads their CSR rows.
+        from repro.graph import builders
         from repro.pipeline import runner
 
         graphs = []
@@ -143,7 +144,11 @@ class TestRun:
             graphs.append(aggregate_records(records, bipartite=bipartite))
             return graphs[-1]
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("a window fell back to the per-record builder")
+
         monkeypatch.setattr(runner, "aggregate_records", build)
+        monkeypatch.setattr(builders, "graph_from_edges", refuse)
         config = PipelineConfig(scheme=scheme, k=5, bipartite=bipartite)
         result = make_pipeline(trace, tmp_path, config).run()
         assert len(graphs) == 3

@@ -431,9 +431,15 @@ class TestSketchTier:
 
 
 @pytest.mark.parametrize("scheme", ["tt", "ut", "it"])
-def test_close_builds_no_dict_rows(records_factory, scheme):
-    # The window close runs on the columns: build, then the row kernel
-    # (a graph has no other representation).
+def test_close_builds_no_dict_rows(records_factory, scheme, monkeypatch):
+    # The window close runs on the columns: build, never by the per-record
+    # fallback, then the row kernel.
+    from repro.graph import builders
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window fell back to the per-record builder")
+
+    monkeypatch.setattr(builders, "graph_from_edges", refuse)
     labels = LabelTable()
     records = records_factory(200, nodes=12, seed=5)
     config = ServiceConfig(

@@ -11,7 +11,6 @@ import pytest
 from repro import (
     AnomalyDetector,
     Deanonymizer,
-    GraphBuilder,
     HistorySignatureBuilder,
     MasqueradeDetector,
     MultiusageDetector,
@@ -19,8 +18,10 @@ from repro import (
     anonymize_graph,
     apply_masquerade,
     create_scheme,
+    edges_in_build_order,
     get_distance,
     masquerade_accuracy,
+    rebuilt,
 )
 from repro.datasets.loaders import load_graph_sequence_csv, save_graph_sequence_csv
 from repro.matching.lsh import ApproxSignatureIndex
@@ -86,14 +87,12 @@ class TestHistoryBackedMonitoring:
         before = builder.signatures(hosts)
 
         window = tiny_enterprise.graphs[2]
-        broken = GraphBuilder.of_nodes(window)
-        for src, dst, weight in window.edges():
-            if src != victim:
-                broken.add_edge(src, dst, weight)
+        edges = edges_in_build_order(window)
+        edges = {edge: weight for edge, weight in edges.items() if edge[0] != victim}
         rng = np.random.default_rng(0)
         for index in range(25):
-            broken.add_edge(victim, f"weird-{index}", float(rng.integers(1, 6)))
-        builder.push(broken.build())
+            edges[victim, f"weird-{index}"] = float(rng.integers(1, 6))
+        builder.push(rebuilt(window, edges))
         after = builder.signatures(hosts)
 
         drops = {

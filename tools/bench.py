@@ -458,24 +458,21 @@ def _add_scanner_hosts(data, num_scanners, draws_per_window, universe, seed):
     ``draws_per_window`` uniform probes into its own ``wild-*`` address
     space, fresh every window.
     """
-    from repro.graph.comm_graph import GraphBuilder
+    from repro.graph.comm_graph import edges_in_build_order, rebuilt
 
     rng = np.random.default_rng(seed)
     scanners = [f"scan-{index:03d}" for index in range(num_scanners)]
     graphs = data.graphs.graphs
     for index, graph in enumerate(graphs):
-        builder = GraphBuilder.of_nodes(graph)
-        for src, dst, weight in graph.edges():
-            builder.add_edge(src, dst, weight)
+        edges = edges_in_build_order(graph)
         for host in scanners:
-            builder.add_left_node(host)
             targets, counts = np.unique(
                 rng.integers(0, universe, size=draws_per_window),
                 return_counts=True,
             )
             for address, count in zip(targets.tolist(), counts.tolist()):
-                builder.add_edge(host, f"wild-{address:07d}", float(count))
-        graphs[index] = builder.build()
+                edges[host, f"wild-{address:07d}"] = float(count)
+        graphs[index] = rebuilt(graph, edges)
     data.local_hosts.extend(scanners)
     return data
 
