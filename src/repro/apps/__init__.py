@@ -1,40 +1,23 @@
 """Application layer (Sections II-D and V of the paper).
 
-Three signature-driven detectors, plus the framework's Table I mapping of
+Three signature-driven detectors, plus the framework"s Table I mapping of
 applications to required signature properties.
 """
 
-from repro.apps.requirements import APPLICATION_REQUIREMENTS, Requirement
-from repro.apps.multiusage import MultiusageDetector, MultiusageReport
-from repro.apps.masquerading import (
-    MasqueradeDetectionResult,
-    MasqueradeDetector,
-    masquerade_accuracy,
-)
-from repro.apps.anomaly import AnomalyDetector, AnomalyReport
-from repro.apps.monitor import MonitorResult, SequenceMonitor, persistence_by_lag
-from repro.apps.deanonymize import (
-    AnonymizedRelease,
-    DeanonymizationResult,
-    Deanonymizer,
-    anonymize_graph,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "APPLICATION_REQUIREMENTS",
-    "Requirement",
-    "MultiusageDetector",
-    "MultiusageReport",
-    "MasqueradeDetector",
-    "MasqueradeDetectionResult",
-    "masquerade_accuracy",
-    "AnomalyDetector",
-    "AnomalyReport",
-    "SequenceMonitor",
-    "MonitorResult",
-    "persistence_by_lag",
-    "Deanonymizer",
-    "DeanonymizationResult",
-    "AnonymizedRelease",
-    "anonymize_graph",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".requirements": ("APPLICATION_REQUIREMENTS", "Requirement"),
+        ".multiusage": ("MultiusageDetector", "MultiusageReport"),
+        ".masquerading": (
+            "MasqueradeDetectionResult", "MasqueradeDetector", "masquerade_accuracy",
+        ),
+        ".anomaly": ("AnomalyDetector", "AnomalyReport"),
+        ".monitor": ("MonitorResult", "SequenceMonitor", "persistence_by_lag"),
+        ".deanonymize": (
+            "AnonymizedRelease", "DeanonymizationResult", "Deanonymizer", "anonymize_graph",
+        ),
+    },
+)

@@ -21,66 +21,66 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro import obs
 from repro.core.execution import STRATEGIES
-from repro.experiments import (
-    ExperimentConfig,
-    derive_table4,
-    format_fig1,
-    format_fig2,
-    format_fig3,
-    format_fig4,
-    format_fig5,
-    format_fig6,
-    format_lsh_quality,
-    format_streaming_fidelity,
-    format_table4,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_lsh_quality,
-    run_streaming_fidelity,
-)
+
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig
 
 
 def _cmd_fig1(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_fig1, run_fig1
+
     return format_fig1(run_fig1(args.dataset, config), args.dataset)
 
 
 def _cmd_fig2(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_fig2, run_fig2
+
     return format_fig2(run_fig2(args.distance, config))
 
 
 def _cmd_fig3(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_fig3, run_fig3
+
     return format_fig3(run_fig3(args.dataset, config))
 
 
 def _cmd_fig4(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_fig4, run_fig4
+
     return format_fig4(run_fig4(config=config))
 
 
 def _cmd_fig5(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_fig5, run_fig5
+
     return format_fig5(run_fig5(config=config))
 
 
 def _cmd_fig6(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_fig6, run_fig6
+
     return format_fig6(run_fig6(config=config))
 
 
 def _cmd_table4(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import derive_table4, format_table4
+
     return format_table4(derive_table4(config=config))
 
 
 def _cmd_streaming(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_streaming_fidelity, run_streaming_fidelity
+
     return format_streaming_fidelity(run_streaming_fidelity(config=config))
 
 
 def _cmd_lsh(config: ExperimentConfig, args: argparse.Namespace) -> str:
+    from repro.experiments import format_lsh_quality, run_lsh_quality
+
     result = run_lsh_quality(config=config)
     return (
         f"{format_lsh_quality(result)}\n"
@@ -737,6 +737,8 @@ def main(argv=None) -> int:
             parser.error(f"--serve-for must be >= 0; got {args.serve_for}")
         _run_with_observability(args, lambda: _cmd_serve(args))
         return 0
+    from repro.experiments.config import ExperimentConfig
+
     config = ExperimentConfig(
         scale=args.scale,
         jobs=args.jobs,

@@ -40,7 +40,6 @@ from collections.abc import Mapping
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.core.distances import DistanceFunction, finish, resolve_distance
@@ -60,13 +59,14 @@ _TERM_CHUNK = 1 << 21
 
 
 class SignaturePack(Mapping):
-    """A window of signatures interned into one CSR weight matrix.
+    """A window of signatures interned into CSR weight arrays.
 
     Row ``i`` holds the weight vector of ``owners[i]`` over the shared
-    member vocabulary ``node_table`` (column ``c`` is member node
-    ``node_table[c]``), entries in signature order (weight descending,
-    then ``str`` of the member label).  Member columns are numbered in
-    first-seen order over the rows.
+    member vocabulary ``node_table``: its entries are
+    ``indices[indptr[i]:indptr[i + 1]]`` (column ``c`` is member node
+    ``node_table[c]``) with weights ``data`` at the same positions, in
+    signature order (weight descending, then ``str`` of the member
+    label).  Member columns are numbered in first-seen order over the rows.
 
     The pack is also a read-only mapping ``owner -> Signature`` in row
     order: a row is decoded into a :class:`Signature` each time it is read
@@ -75,7 +75,10 @@ class SignaturePack(Mapping):
     to its first row; :attr:`signatures` decodes every row.
     """
 
-    __slots__ = ("owners", "node_table", "matrix", "sizes", "_row_of", "_totals", "_members")
+    __slots__ = (
+        "owners", "node_table", "indptr", "indices", "data", "sizes", "_row_of", "_totals",
+        "_members",
+    )
 
     def __init__(
         self,
@@ -87,15 +90,10 @@ class SignaturePack(Mapping):
     ) -> None:
         self.owners = tuple(owners)
         self.node_table = tuple(node_table)
-        self.matrix = sparse.csr_matrix(
-            (
-                np.asarray(data, dtype=np.float64),
-                np.asarray(indices, dtype=np.int64),
-                np.asarray(indptr, dtype=np.int64),
-            ),
-            shape=(len(self.owners), len(self.node_table)),
-        )
-        self.sizes = np.diff(self.matrix.indptr).astype(np.float64)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.sizes = np.diff(self.indptr).astype(np.float64)
         # Derived on first use by the distance kernel (a window close needs neither).
         self._totals: np.ndarray | None = None
         self._members: "_MemberColumns | None" = None
@@ -164,16 +162,16 @@ class SignaturePack(Mapping):
                 dtype=np.int64,
                 count=len(pack.node_table),
             )
-            indices.append(remap[pack.matrix.indices])
-        offsets = np.cumsum([0] + [pack.matrix.nnz for pack in packs[:-1]])
+            indices.append(remap[pack.indices])
+        offsets = np.cumsum([0] + [len(pack.data) for pack in packs[:-1]])
         return cls(
             [owner for pack in packs for owner in pack.owners],
             column_of,
             np.concatenate(
-                [[0]] + [pack.matrix.indptr[1:] + offset for pack, offset in zip(packs, offsets)]
+                [[0]] + [pack.indptr[1:] + offset for pack, offset in zip(packs, offsets)]
             ),
             np.concatenate(indices),
-            np.concatenate([pack.matrix.data for pack in packs]),
+            np.concatenate([pack.data for pack in packs]),
         )
 
     def _take(self, order: Sequence[NodeId]) -> "SignaturePack":
@@ -186,39 +184,37 @@ class SignaturePack(Mapping):
             raise DistanceError(
                 f"no signature for node {error.args[0]!r} in pack order"
             ) from error
-        indptr = self.matrix.indptr
+        indptr = self.indptr
         lengths = indptr[rows + 1] - indptr[rows]
         ends = np.cumsum(lengths)
         entries = np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
             indptr[rows] - (ends - lengths), lengths
         )
-        distinct, columns = first_occurrence(self.matrix.indices[entries])
+        distinct, columns = first_occurrence(self.indices[entries])
         return SignaturePack(
             order,
             [self.node_table[column] for column in distinct.tolist()],
             np.concatenate([[0], ends]),
             columns,
-            self.matrix.data[entries],
+            self.data[entries],
         )
 
     def __reduce__(self):
         # The derived columns are rebuilt, not shipped.
-        matrix = self.matrix
-        return (type(self), (self.owners, self.node_table, matrix.indptr, matrix.indices, matrix.data))
+        return (type(self), (self.owners, self.node_table, self.indptr, self.indices, self.data))
 
     def row(self, index: int) -> Signature:
         """Decode row ``index`` into its :class:`Signature`."""
-        indptr = self.matrix.indptr
-        lo, hi = int(indptr[index]), int(indptr[index + 1])
-        members = map(self.node_table.__getitem__, self.matrix.indices[lo:hi].tolist())
-        return Signature(self.owners[index], dict(zip(members, self.matrix.data[lo:hi].tolist())))
+        lo, hi = int(self.indptr[index]), int(self.indptr[index + 1])
+        members = map(self.node_table.__getitem__, self.indices[lo:hi].tolist())
+        return Signature(self.owners[index], dict(zip(members, self.data[lo:hi].tolist())))
 
     @property
     def totals(self) -> np.ndarray:
         """Each row's weight total, :func:`math.fsum` as
         :attr:`Signature.total_weight` is."""
         if self._totals is None:
-            values, bounds = self.matrix.data.tolist(), self.matrix.indptr.tolist()
+            values, bounds = self.data.tolist(), self.indptr.tolist()
             self._totals = np.array(
                 [math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dtype=float
             )
@@ -236,11 +232,10 @@ class SignaturePack(Mapping):
         memory accounting.  The Python-side id tables
         (``owners``/``node_table``) are excluded: they are interned
         objects, not buffers."""
-        matrix = self.matrix
         return int(
-            matrix.data.nbytes
-            + matrix.indices.nbytes
-            + matrix.indptr.nbytes
+            self.data.nbytes
+            + self.indices.nbytes
+            + self.indptr.nbytes
             + self.totals.nbytes
             + self.sizes.nbytes
         )
@@ -260,7 +255,7 @@ class SignaturePack(Mapping):
     def __repr__(self) -> str:
         return (
             f"SignaturePack(n={len(self.owners)}, vocab={len(self.node_table)}, "
-            f"nnz={self.matrix.nnz})"
+            f"nnz={len(self.data)})"
         )
 
 
@@ -376,11 +371,10 @@ def _entries(
         dtype=np.int64,
         count=len(pack.node_table),
     )
-    matrix = pack.matrix
-    columns = remap[matrix.indices]
-    rows = np.repeat(np.arange(len(pack), dtype=np.int64), np.diff(matrix.indptr))
+    columns = remap[pack.indices]
+    rows = np.repeat(np.arange(len(pack), dtype=np.int64), np.diff(pack.indptr))
     kept = columns >= 0
-    return columns[kept], rows[kept], matrix.data[kept]
+    return columns[kept], rows[kept], pack.data[kept]
 
 
 #: The shared-member terms each registered distance sums, by the

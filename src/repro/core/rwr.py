@@ -34,10 +34,9 @@ Two practical details the paper leaves implicit:
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.packed import SignaturePack, top_k_pack
 from repro.core.scheme import SignatureScheme, register_scheme
@@ -45,6 +44,9 @@ from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
 from repro.types import NodeId, Weight
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Extra candidates retained around the top-k cut to keep tie-breaking exact.
 _TOPK_SLACK = 32

@@ -7,43 +7,22 @@ regenerate every table and figure; ``repro.cli`` exposes them on the
 command line.
 """
 
-from repro.experiments.config import (
-    ExperimentConfig,
-    get_enterprise_dataset,
-    get_querylog_dataset,
-    make_schemes,
-)
-from repro.experiments.fig1_properties import run_fig1, format_fig1
-from repro.experiments.fig2_roc import run_fig2, format_fig2
-from repro.experiments.fig3_auc import run_fig3, format_fig3
-from repro.experiments.fig4_robustness import run_fig4, format_fig4
-from repro.experiments.fig5_multiusage import run_fig5, format_fig5
-from repro.experiments.fig6_masquerading import run_fig6, format_fig6
-from repro.experiments.tables import derive_table4, format_table4
-from repro.experiments.ext_streaming import run_streaming_fidelity, format_streaming_fidelity
-from repro.experiments.ext_lsh import run_lsh_quality, format_lsh_quality
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "get_enterprise_dataset",
-    "get_querylog_dataset",
-    "make_schemes",
-    "run_fig1",
-    "format_fig1",
-    "run_fig2",
-    "format_fig2",
-    "run_fig3",
-    "format_fig3",
-    "run_fig4",
-    "format_fig4",
-    "run_fig5",
-    "format_fig5",
-    "run_fig6",
-    "format_fig6",
-    "derive_table4",
-    "format_table4",
-    "run_streaming_fidelity",
-    "format_streaming_fidelity",
-    "run_lsh_quality",
-    "format_lsh_quality",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": (
+            "ExperimentConfig", "get_enterprise_dataset", "get_querylog_dataset", "make_schemes",
+        ),
+        ".fig1_properties": ("run_fig1", "format_fig1"),
+        ".fig2_roc": ("run_fig2", "format_fig2"),
+        ".fig3_auc": ("run_fig3", "format_fig3"),
+        ".fig4_robustness": ("run_fig4", "format_fig4"),
+        ".fig5_multiusage": ("run_fig5", "format_fig5"),
+        ".fig6_masquerading": ("run_fig6", "format_fig6"),
+        ".tables": ("derive_table4", "format_table4"),
+        ".ext_streaming": ("run_streaming_fidelity", "format_streaming_fidelity"),
+        ".ext_lsh": ("run_lsh_quality", "format_lsh_quality"),
+    },
+)

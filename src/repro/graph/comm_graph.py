@@ -15,14 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple,
+)
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graph.batch import LabelTable
 from repro.types import NodeId, Weight, WeightedEdge
+
+if TYPE_CHECKING:
+    # scipy is imported where a matrix is built, so a run that builds
+    # none never loads it.
+    import scipy.sparse as sp
 
 _Row = Dict[NodeId, Weight]
 
@@ -459,6 +465,8 @@ class CommGraph:
         """
         if position is None or position is self.node_index()[1]:
             return self._adjacency
+        import scipy.sparse as sp
+
         order = np.fromiter(map(position.__getitem__, self.node_index()[0]), dtype=np.int64)
         columns = self._columns
         return sp.csr_matrix(
@@ -468,6 +476,8 @@ class CommGraph:
 
     @cached_property
     def _adjacency(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         indptr, cols, data = self.out_rows()
         adjacency = sp.csr_matrix(
             (data, cols, indptr), shape=(self.num_nodes, self.num_nodes), copy=True
@@ -545,6 +555,8 @@ class CommGraph:
 
 def _row_normalised(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """``adjacency`` with each non-zero row divided by its sum."""
+    import scipy.sparse as sp
+
     row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
     inverse = np.zeros_like(row_sums)
     nonzero = row_sums > 0

@@ -7,14 +7,13 @@ banding index giving sub-linear approximate nearest-neighbour queries for
 the Jaccard distance (the approach the paper points to via Indyk-Motwani).
 """
 
-from repro.matching.index import SignatureIndex
-from repro.matching.minhash import MinHasher, estimate_jaccard_distance
-from repro.matching.lsh import LshIndex, ApproxSignatureIndex
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SignatureIndex",
-    "MinHasher",
-    "estimate_jaccard_distance",
-    "LshIndex",
-    "ApproxSignatureIndex",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".index": ("SignatureIndex",),
+        ".minhash": ("MinHasher", "estimate_jaccard_distance"),
+        ".lsh": ("LshIndex", "ApproxSignatureIndex"),
+    },
+)

@@ -25,159 +25,49 @@ When no registry / event log is installed, every helper routes to a
 shared no-op, so instrumented code pays a single attribute read.
 """
 
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Digest,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-    counter,
-    current_span_path,
-    detached_span_path,
-    digest,
-    enabled,
-    gauge,
-    get_registry,
-    histogram,
-    merge_into_active,
-    render_key,
-    span,
-    use_registry,
-)
-from repro.obs.digest import (
-    DEFAULT_RELATIVE_ACCURACY,
-    EXPORT_QUANTILES,
-    LatencyDigest,
-    merge_digest_states,
-    quantile_from_state,
-)
-from repro.obs.tracing import (
-    RequestContext,
-    TraceSpan,
-    TraceStore,
-    current_trace,
-    new_trace_id,
-    trace_span,
-    use_trace,
-)
-from repro.obs.slo import (
-    DEFAULT_WINDOWS_S,
-    KIND_AVAILABILITY,
-    KIND_LATENCY,
-    ServiceObjective,
-    SLOTracker,
-    burn_rate_rule,
-)
-from repro.obs.export import (
-    SCHEMA_ID,
-    build_payload,
-    format_profile_report,
-    to_prometheus,
-    validate_payload,
-    validate_prometheus,
-    write_json,
-    write_prometheus,
-)
-from repro.obs.profiling import format_hotspots
-from repro.obs.logs import (
-    EventLog,
-    LEVELS,
-    NULL_EVENT_LOG,
-    NullEventLog,
-    StdlibBridgeHandler,
-    attach_stdlib,
-    emit,
-    get_event_log,
-    new_run_id,
-    read_events,
-    use_event_log,
-)
-from repro.obs.timeseries import (
-    DEFAULT_QUANTILES,
-    Sampler,
-    Series,
-    TimeSeriesStore,
-    quantile_from_buckets,
-)
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObsServer
-from repro.obs.alerts import (
-    AlertEvent,
-    AlertManager,
-    AlertRule,
-    persistence_drop_rule,
+from repro._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".registry": (
+            "DEFAULT_BUCKETS", "Counter", "Digest", "Gauge", "Histogram", "MetricsRegistry",
+            "NullRegistry", "NULL_REGISTRY", "counter", "current_span_path", "detached_span_path",
+            "digest", "enabled", "gauge", "get_registry", "histogram", "merge_into_active",
+            "render_key", "span", "use_registry",
+        ),
+        ".digest": (
+            "DEFAULT_RELATIVE_ACCURACY", "EXPORT_QUANTILES", "LatencyDigest",
+            "merge_digest_states", "quantile_from_state",
+        ),
+        ".tracing": (
+            "RequestContext", "TraceSpan", "TraceStore", "current_trace", "new_trace_id",
+            "trace_span", "use_trace",
+        ),
+        ".slo": (
+            "DEFAULT_WINDOWS_S", "KIND_AVAILABILITY", "KIND_LATENCY", "ServiceObjective",
+            "SLOTracker", "burn_rate_rule",
+        ),
+        ".export": (
+            "SCHEMA_ID", "build_payload", "format_profile_report", "to_prometheus",
+            "validate_payload", "validate_prometheus", "write_json", "write_prometheus",
+        ),
+        ".profiling": ("format_hotspots",),
+        ".logs": (
+            "EventLog", "LEVELS", "NULL_EVENT_LOG", "NullEventLog", "StdlibBridgeHandler",
+            "attach_stdlib", "emit", "get_event_log", "new_run_id", "read_events",
+            "use_event_log",
+        ),
+        ".timeseries": (
+            "DEFAULT_QUANTILES", "Sampler", "Series", "TimeSeriesStore", "quantile_from_buckets",
+        ),
+        ".server": ("PROMETHEUS_CONTENT_TYPE", "ObsServer"),
+        ".alerts": ("AlertEvent", "AlertManager", "AlertRule", "persistence_drop_rule"),
+    },
 )
 
-__all__ = [
-    "AlertEvent",
-    "AlertManager",
-    "AlertRule",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_QUANTILES",
-    "DEFAULT_RELATIVE_ACCURACY",
-    "DEFAULT_WINDOWS_S",
-    "Counter",
-    "Digest",
-    "EventLog",
-    "EXPORT_QUANTILES",
-    "Gauge",
-    "Histogram",
-    "KIND_AVAILABILITY",
-    "KIND_LATENCY",
-    "LEVELS",
-    "LatencyDigest",
-    "MetricsRegistry",
-    "NullEventLog",
-    "NullRegistry",
-    "NULL_EVENT_LOG",
-    "NULL_REGISTRY",
-    "ObsServer",
-    "PROMETHEUS_CONTENT_TYPE",
-    "RequestContext",
-    "Sampler",
-    "SCHEMA_ID",
-    "SLOTracker",
-    "Series",
-    "ServiceObjective",
-    "StdlibBridgeHandler",
-    "TimeSeriesStore",
-    "TraceSpan",
-    "TraceStore",
-    "attach_stdlib",
-    "build_payload",
-    "burn_rate_rule",
-    "counter",
-    "current_span_path",
-    "current_trace",
-    "detached_span_path",
-    "digest",
-    "emit",
-    "enabled",
-    "format_hotspots",
-    "format_profile_report",
-    "gauge",
-    "get_event_log",
-    "get_registry",
-    "histogram",
-    "merge_digest_states",
-    "merge_into_active",
-    "new_run_id",
-    "new_trace_id",
-    "persistence_drop_rule",
-    "quantile_from_buckets",
-    "quantile_from_state",
-    "read_events",
-    "render_key",
-    "span",
-    "to_prometheus",
-    "trace_span",
-    "use_event_log",
-    "use_registry",
-    "use_trace",
-    "validate_payload",
-    "validate_prometheus",
-    "write_json",
-    "write_prometheus",
-]
+# Importing the submodule ``repro.obs.digest`` binds the package attribute
+# ``digest`` to that module, hiding the function exported under the same
+# name; importing the function now (every span loads the registry anyway)
+# binds it after the submodule, as an eager import did.
+from repro.obs.registry import digest  # noqa: E402

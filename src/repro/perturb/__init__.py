@@ -1,27 +1,19 @@
 """Graph perturbation models.
 
-Implements the paper's robustness perturbation (Section IV-C: random
+Implements the paper"s robustness perturbation (Section IV-C: random
 degree-proportional edge insertion with weights drawn from the global edge
 weight distribution, plus weight-proportional unit deletions), the label
 masquerading simulation (Section V), and auxiliary noise models used in
 failure-injection tests.
 """
 
-from repro.perturb.edge_perturbation import (
-    delete_weight_units,
-    insert_random_edges,
-    perturb_graph,
-)
-from repro.perturb.masquerade import MasqueradePlan, apply_masquerade, relabel_graph
-from repro.perturb.noise import jitter_weights, drop_random_nodes
+from repro._exports import lazy_exports
 
-__all__ = [
-    "perturb_graph",
-    "insert_random_edges",
-    "delete_weight_units",
-    "MasqueradePlan",
-    "apply_masquerade",
-    "relabel_graph",
-    "jitter_weights",
-    "drop_random_nodes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".edge_perturbation": ("delete_weight_units", "insert_random_edges", "perturb_graph"),
+        ".masquerade": ("MasqueradePlan", "apply_masquerade", "relabel_graph"),
+        ".noise": ("jitter_weights", "drop_random_nodes"),
+    },
+)

@@ -33,6 +33,11 @@ from repro.graph.comm_graph import CommGraph, edges_in_build_order, rebuilt
 from repro.types import NodeId
 
 
+#: ``Generator.multivariate_hypergeometric`` refuses a draw over this many
+#: units or more, so a heavier integral graph takes the multinomial draw.
+_HYPERGEOMETRIC_UNITS = 10**9
+
+
 def resolve_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -117,7 +122,7 @@ def delete_weight_units(
     effective = min(count, int(np.floor(total_units)))
 
     integral = np.allclose(weights, np.round(weights))
-    if integral:
+    if integral and total_units < _HYPERGEOMETRIC_UNITS:
         # Exact: deleting weight units without replacement is a multivariate
         # hypergeometric draw over the per-edge unit counts.
         unit_counts = np.round(weights).astype(np.int64)

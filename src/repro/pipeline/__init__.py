@@ -1,6 +1,6 @@
 """Fault-tolerant windowed-signature pipeline (engineering robustness).
 
-The paper's central property is that good signatures are robust to graph
+The paper"s central property is that good signatures are robust to graph
 perturbation; this subpackage supplies the data-layer counterpart: an
 ingestion-to-checkpoint pipeline that tolerates dirty rows, transient IO
 failures, crashes and resource pressure without losing work or producing
@@ -8,49 +8,18 @@ silently wrong output.  See :mod:`repro.pipeline.runner` for the pipeline
 itself and :mod:`repro.pipeline.faults` for the chaos-testing harness.
 """
 
-from repro.pipeline.checkpoint import (
-    CheckpointScan,
-    CheckpointStore,
-    WindowEntry,
-)
-from repro.pipeline.report import (
-    MODE_CACHED,
-    MODE_DEGRADED,
-    MODE_EXACT,
-    RunReport,
-    WindowReport,
-    mean_topk_overlap,
-    topk_overlap,
-)
-from repro.pipeline.retry import RetryPolicy, call_with_retry
-from repro.pipeline.runner import (
-    PipelineConfig,
-    PipelineResult,
-    SignaturePipeline,
-)
-from repro.pipeline.sources import (
-    CsvRecordSource,
-    IterableRecordSource,
-    RecordSource,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CheckpointScan",
-    "CheckpointStore",
-    "WindowEntry",
-    "MODE_CACHED",
-    "MODE_DEGRADED",
-    "MODE_EXACT",
-    "RunReport",
-    "WindowReport",
-    "mean_topk_overlap",
-    "topk_overlap",
-    "RetryPolicy",
-    "call_with_retry",
-    "PipelineConfig",
-    "PipelineResult",
-    "SignaturePipeline",
-    "RecordSource",
-    "CsvRecordSource",
-    "IterableRecordSource",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".checkpoint": ("CheckpointScan", "CheckpointStore", "WindowEntry"),
+        ".report": (
+            "MODE_CACHED", "MODE_DEGRADED", "MODE_EXACT", "RunReport", "WindowReport",
+            "mean_topk_overlap", "topk_overlap",
+        ),
+        ".retry": ("RetryPolicy", "call_with_retry"),
+        ".runner": ("PipelineConfig", "PipelineResult", "SignaturePipeline"),
+        ".sources": ("CsvRecordSource", "IterableRecordSource", "RecordSource"),
+    },
+)

@@ -21,65 +21,27 @@ The headline feature is the failure envelope, not the happy path:
   checkpoint corruption and query storms that the test suite runs.
 """
 
-from repro.service.breaker import (
-    STATE_CLOSED,
-    STATE_CODES,
-    STATE_HALF_OPEN,
-    STATE_OPEN,
-    CircuitBreaker,
-)
-from repro.service.chaos import (
-    BreakSketch,
-    KillShard,
-    ShardFaultInjector,
-    WedgeShard,
-    corrupt_checkpoint,
-    query_storm,
-)
-from repro.service.config import (
-    HEALTH_DEGRADED,
-    HEALTH_DOWN,
-    HEALTH_HEALTHY,
-    HEALTH_STATES,
-    BreakerPolicy,
-    ServiceConfig,
-)
-from repro.service.frontend import (
-    BoundedIngestQueue,
-    ServiceFrontend,
-    parse_ingest_body,
-    service_objectives,
-)
-from repro.service.http import ServiceServer, SignatureService
-from repro.service.shard import ShardEngine, SketchTier
-from repro.service.supervisor import ShardState, ShardSupervisor
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BoundedIngestQueue",
-    "BreakSketch",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "HEALTH_DEGRADED",
-    "HEALTH_DOWN",
-    "HEALTH_HEALTHY",
-    "HEALTH_STATES",
-    "KillShard",
-    "STATE_CLOSED",
-    "STATE_CODES",
-    "STATE_HALF_OPEN",
-    "STATE_OPEN",
-    "ServiceConfig",
-    "ServiceFrontend",
-    "ServiceServer",
-    "ShardEngine",
-    "ShardFaultInjector",
-    "ShardState",
-    "ShardSupervisor",
-    "SignatureService",
-    "SketchTier",
-    "WedgeShard",
-    "corrupt_checkpoint",
-    "parse_ingest_body",
-    "query_storm",
-    "service_objectives",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".breaker": (
+            "STATE_CLOSED", "STATE_CODES", "STATE_HALF_OPEN", "STATE_OPEN", "CircuitBreaker",
+        ),
+        ".chaos": (
+            "BreakSketch", "KillShard", "ShardFaultInjector", "WedgeShard", "corrupt_checkpoint",
+            "query_storm",
+        ),
+        ".config": (
+            "HEALTH_DEGRADED", "HEALTH_DOWN", "HEALTH_HEALTHY", "HEALTH_STATES", "BreakerPolicy",
+            "ServiceConfig",
+        ),
+        ".frontend": (
+            "BoundedIngestQueue", "ServiceFrontend", "parse_ingest_body", "service_objectives",
+        ),
+        ".http": ("ServiceServer", "SignatureService"),
+        ".shard": ("ShardEngine", "SketchTier"),
+        ".supervisor": ("ShardState", "ShardSupervisor"),
+    },
+)

@@ -151,11 +151,11 @@ def encode_segment(
                 f"history segments require string node labels, "
                 f"got {type(label).__name__}"
             )
-    indptr = pack.matrix.indptr
+    indptr = pack.indptr
     # Row j's owner follows its members and the j owners before it.
     owner_at = indptr[1:] + np.arange(len(pack))
     distinct, label_ids = first_occurrence(
-        np.insert(members[pack.matrix.indices], indptr[1:], owners)
+        np.insert(members[pack.indices], indptr[1:], owners)
     )
     label_list = table.labels_of(distinct)
     rows = np.empty(len(pack), dtype=ROW_DTYPE)
@@ -164,7 +164,7 @@ def encode_segment(
     rows["start"] = indptr[:-1]
     rows["count"] = np.diff(indptr)
     keys = np.delete(label_ids, owner_at).astype("<i8")
-    values = pack.matrix.data.astype("<f8")
+    values = pack.data.astype("<f8")
 
     encoded_labels = [label.encode("utf-8") for label in label_list]
     label_blob = b"".join(encoded_labels)

@@ -9,21 +9,15 @@ approximate Top Talkers and Unexpected Talkers signatures from a one-pass
 edge stream.
 """
 
-from repro.streaming.hashing import HashFamily, stable_hash64
-from repro.streaming.countmin import CountMinSketch
-from repro.streaming.fm import FlajoletMartin
-from repro.streaming.spacesaving import SpaceSaving
-from repro.streaming.stream_schemes import (
-    StreamingTopTalkers,
-    StreamingUnexpectedTalkers,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HashFamily",
-    "stable_hash64",
-    "CountMinSketch",
-    "FlajoletMartin",
-    "SpaceSaving",
-    "StreamingTopTalkers",
-    "StreamingUnexpectedTalkers",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".hashing": ("HashFamily", "stable_hash64"),
+        ".countmin": ("CountMinSketch",),
+        ".fm": ("FlajoletMartin",),
+        ".spacesaving": ("SpaceSaving",),
+        ".stream_schemes": ("StreamingTopTalkers", "StreamingUnexpectedTalkers"),
+    },
+)

@@ -68,7 +68,7 @@ class TestSignaturePack:
         signatures = [Signature("a", {"x": 1.0}), Signature("b", {"x": 2.0, "y": 1.0})]
         pack = SignaturePack.from_signatures(signatures)
         assert pack.owners == ("a", "b")
-        assert pack.matrix.shape == (2, 2)
+        assert (len(pack.indptr) - 1, len(pack.node_table)) == (2, 2)
         assert pack.totals == pytest.approx([1.0, 3.0])
         assert pack.sizes == pytest.approx([1.0, 2.0])
 
@@ -89,9 +89,9 @@ def same_fields(pack, other):
     return (
         pack.owners == other.owners
         and pack.node_table == other.node_table
-        and pack.matrix.indptr.tolist() == other.matrix.indptr.tolist()
-        and pack.matrix.indices.tolist() == other.matrix.indices.tolist()
-        and pack.matrix.data.tobytes() == other.matrix.data.tobytes()
+        and pack.indptr.tolist() == other.indptr.tolist()
+        and pack.indices.tolist() == other.indices.tolist()
+        and pack.data.tobytes() == other.data.tobytes()
     )
 
 
@@ -147,9 +147,9 @@ class TestPackBuffers:
             [Signature("a", {"x": 1.0, "y": 2.0}), Signature("b", {"x": 3.0})]
         )
         expected = (
-            pack.matrix.data.nbytes
-            + pack.matrix.indices.nbytes
-            + pack.matrix.indptr.nbytes
+            pack.data.nbytes
+            + pack.indices.nbytes
+            + pack.indptr.nbytes
             + pack.totals.nbytes
             + pack.sizes.nbytes
         )

@@ -93,9 +93,9 @@ def assert_same_pack(pack, reference):
     assert [(n, type(n)) for n in pack.node_table] == [
         (n, type(n)) for n in reference.node_table
     ]
-    assert pack.matrix.indptr.tolist() == reference.matrix.indptr.tolist()
-    assert pack.matrix.indices.tolist() == reference.matrix.indices.tolist()
-    assert pack.matrix.data.tobytes() == reference.matrix.data.tobytes()
+    assert pack.indptr.tolist() == reference.indptr.tolist()
+    assert pack.indices.tolist() == reference.indices.tolist()
+    assert pack.data.tobytes() == reference.data.tobytes()
 
 
 def assert_kernel_is_per_node(graph, scheme, engine=None, targets=None):

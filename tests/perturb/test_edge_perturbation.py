@@ -102,6 +102,18 @@ class TestDeletions:
         assert perturbed.total_weight <= graph.total_weight
         assert perturbed.total_weight >= graph.total_weight - 3 - 1e-9
 
+    @pytest.mark.parametrize("weight", [2.0**30, 1e16])
+    def test_a_billion_integral_units_take_the_multinomial_draw(self, weight):
+        # numpy's hypergeometric draw refuses 1e9 units or more.
+        graph = CommGraph([("a", "b", weight), ("a", "c", weight), ("b", "c", 3.0)])
+        perturbed = delete_weight_units(graph, count=10, rng=0)
+        assert perturbed.num_edges == 3
+        assert all(perturbed.weight(s, d) <= w for s, d, w in graph.edges())
+        # Each heavy edge's new weight rounds to a multiple of its spacing.
+        assert perturbed.total_weight == pytest.approx(
+            graph.total_weight - 10, abs=2 * np.spacing(weight)
+        )
+
     def test_deterministic_with_seed(self, weighted_graph):
         first = delete_weight_units(weighted_graph, count=7, rng=9)
         second = delete_weight_units(weighted_graph, count=7, rng=9)

@@ -237,7 +237,7 @@ class TestLoadedWindowsArePacks:
         # ties by label, members numbered first-seen.
         assert pack.owners == ("b", "naïve-节点", "Ω")
         assert pack.node_table == ("🛰", "naïve-节点", "a", "ψ")
-        assert pack.matrix.data.tolist() == [1.0, 5e-324, 2.0, 1.0, 1.0]
+        assert pack.data.tolist() == [1.0, 5e-324, 2.0, 1.0, 1.0]
         assert pack["naïve-节点"].entries == (("a", 2.0), ("ψ", 1.0), ("🛰", 1.0))
         assert len(segment.signatures_for_window(1)) == 0
         assert len(segment.signatures_for_window(7)) == 0
