@@ -19,8 +19,8 @@ def lazy_exports(
 ) -> Tuple[List[str], Callable[[str], object], Callable[[], List[str]]]:
     """``(__all__, __getattr__, __dir__)`` for ``package``.
 
-    ``exports`` maps each defining module (absolute, or relative to
-    ``package``) to the public names it gives the package.
+    ``exports`` maps each defining module, relative to ``package``, to
+    the public names it gives the package.
     """
     module_of = {name: module for module, names in exports.items() for name in names}
     namespace = sys.modules[package].__dict__
