@@ -15,6 +15,7 @@ import pytest
 import repro
 from test_import_footprint import run_python
 
+
 class TestSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
