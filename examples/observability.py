@@ -41,7 +41,7 @@ def main() -> None:
     for key, value in registry.counters_flat("kernel.").items():
         print(f"  {key} = {value:g}")
 
-    # 3. Export: a JSON payload (schema repro.obs/v1) with a nested span
+    # 3. Export: a JSON payload (schema repro.obs/v2) with a nested span
     #    tree, and Prometheus text exposition for scrapers.
     payload = obs.build_payload(registry.snapshot(), meta={"example": "observability"})
     problems = obs.validate_payload(payload)

@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="collect metrics/spans during the run and write the JSON "
-        "payload (schema repro.obs/v1) to PATH",
+        "payload (schema repro.obs/v2) to PATH",
     )
     obs_group.add_argument(
         "--obs-prom",

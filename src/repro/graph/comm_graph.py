@@ -220,18 +220,28 @@ def rebuilt(
     their order: a row lists its entries in that order.
 
     To change a graph, edit :func:`edges_in_build_order` and rebuild: an
-    edge kept in place keeps its row positions, a new edge comes last.
+    edge kept in place keeps its row positions, a new edge comes last.  A
+    bipartite edge is checked against the sides as
+    :meth:`GraphBuilder.add_edge` checks it.
     """
     sides = graph._columns.sides
     builder = GraphBuilder(bipartite=sides is not None)
     ordering, position = graph.node_index()
     for node in ordering if nodes is None else nodes:
         builder.add_node(node)
+    both: List[NodeId] = []
     if builder._sides is not None and sides is not None:
-        for members, mask in zip(builder._sides, sides):
+        left, right = sides
+        # Only a lone self-loop puts a node on both sides; it joins them
+        # after the edges, so its loop passes the check as it did in the build.
+        both = [node for node in builder._nodes if left[position[node]] and right[position[node]]]
+        for members, mask in zip(builder._sides, (left & ~right, right & ~left)):
             members.update(node for node in builder._nodes if mask[position[node]])
     for (src, dst), weight in edges.items():
         builder.add_edge(src, dst, weight)
+    if builder._sides is not None:
+        for members in builder._sides:
+            members.update(both)
     return builder.build()
 
 

@@ -31,15 +31,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".registry": (
-            "DEFAULT_BUCKETS", "Counter", "Digest", "Gauge", "Histogram", "MetricsRegistry",
-            "NullRegistry", "NULL_REGISTRY", "counter", "current_span_path", "detached_span_path",
-            "digest", "enabled", "gauge", "get_registry", "histogram", "merge_into_active",
-            "render_key", "span", "use_registry",
+            "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
+            "counter", "current_span_path", "detached_span_path", "enabled", "gauge",
+            "get_registry", "histogram", "merge_into_active", "render_key", "span",
+            "use_registry",
         ),
-        ".digest": (
-            "DEFAULT_RELATIVE_ACCURACY", "EXPORT_QUANTILES", "LatencyDigest",
-            "merge_digest_states", "quantile_from_state",
-        ),
+        ".digest": ("DEFAULT_RELATIVE_ACCURACY", "EXPORT_QUANTILES", "LatencyDigest"),
         ".tracing": (
             "RequestContext", "TraceSpan", "TraceStore", "current_trace", "new_trace_id",
             "trace_span", "use_trace",
@@ -58,16 +55,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "attach_stdlib", "emit", "get_event_log", "new_run_id", "read_events",
             "use_event_log",
         ),
-        ".timeseries": (
-            "DEFAULT_QUANTILES", "Sampler", "Series", "TimeSeriesStore", "quantile_from_buckets",
-        ),
+        ".timeseries": ("DEFAULT_QUANTILES", "Sampler", "Series", "TimeSeriesStore"),
         ".server": ("PROMETHEUS_CONTENT_TYPE", "ObsServer"),
         ".alerts": ("AlertEvent", "AlertManager", "AlertRule", "persistence_drop_rule"),
     },
 )
-
-# Importing the submodule ``repro.obs.digest`` binds the package attribute
-# ``digest`` to that module, hiding the function exported under the same
-# name; importing the function now (every span loads the registry anyway)
-# binds it after the submodule, as an eager import did.
-from repro.obs.registry import digest  # noqa: E402

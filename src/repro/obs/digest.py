@@ -1,9 +1,9 @@
 """Mergeable log-bucketed quantile digests with guaranteed relative error.
 
-Fixed-bucket histograms (:class:`repro.obs.registry.Histogram`) answer
-"how many requests were slower than 100 ms", but their quantile estimates
-are only as good as the hand-picked edges — a p99 that lands between two
-coarse edges can be off by the whole bucket.  :class:`LatencyDigest` is a
+Every distribution the registry records (:class:`repro.obs.registry.Histogram`)
+is one of these.  Fixed bucket edges would bound a quantile estimate only
+as well as the hand-picked edges — a p99 that lands between two coarse
+edges can be off by the whole bucket.  :class:`LatencyDigest` is a
 DDSketch-style sketch (Masson, Rim & Lee, VLDB 2019): values map to
 geometric buckets ``gamma^(i-1) < v <= gamma^i`` with
 ``gamma = (1 + alpha) / (1 - alpha)``, so *every* quantile estimate is
@@ -202,24 +202,6 @@ def _quantile_label(q: float) -> str:
     if math.isclose(scaled, round(scaled)):
         return str(int(round(scaled)))
     return f"{scaled:g}"
-
-
-def merge_digest_states(states: Iterable[Dict]) -> LatencyDigest:
-    """Merge plain-data digest states (as found in registry snapshots).
-
-    No states merge to an empty digest (count 0, quantiles 0.0), so
-    callers folding a possibly-absent label family need no special case.
-    """
-    merged: LatencyDigest | None = None
-    for state in states:
-        digest = LatencyDigest.from_dict(state)
-        merged = digest if merged is None else merged.merge(digest)
-    return merged if merged is not None else LatencyDigest()
-
-
-def quantile_from_state(state: Dict, q: float) -> float:
-    """Quantile straight off a snapshot's plain-data digest state."""
-    return LatencyDigest.from_dict(state).quantile(q)
 
 
 #: Quantiles the service exports per endpoint/shard.

@@ -1,10 +1,12 @@
 """Exporters for registry snapshots: JSON payload, Prometheus text, and a
 dependency-free structural validator for the JSON payload.
 
-The JSON payload (``schema: repro.obs/v1``) nests the flat span records
+The JSON payload (``schema: repro.obs/v2``) nests the flat span records
 from :meth:`MetricsRegistry.snapshot` into a parent/child tree and keys
 counters/gauges/histograms by their rendered ``name{label=value,...}``
-form, so the file is stable, diffable, and greppable.
+form, so the file is stable, diffable, and greppable.  Every histogram is
+a :class:`~repro.obs.digest.LatencyDigest` state plus its quantiles; in
+Prometheus text it is a ``summary`` family.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.obs.digest import EXPORT_QUANTILES, LatencyDigest
 from repro.obs.profiling import format_hotspots
 from repro.obs.registry import render_key
 
-SCHEMA_ID = "repro.obs/v1"
+SCHEMA_ID = "repro.obs/v2"
 
 
 def _rendered(entries) -> Dict[str, object]:
@@ -55,27 +57,20 @@ def _span_tree(records: List[Dict]) -> List[Dict]:
 
 def build_payload(snapshot: Dict, meta: Optional[Dict] = None) -> Dict:
     """JSON-ready payload from a registry snapshot."""
-    payload = {
+    return {
         "schema": SCHEMA_ID,
         "meta": dict(meta or {}),
         "counters": _rendered(snapshot.get("counters", [])),
         "gauges": _rendered(snapshot.get("gauges", [])),
         "histograms": {
-            render_key(name, tuple(sorted(labels.items()))): dict(state)
+            render_key(name, tuple(sorted(labels.items()))): _histogram_entry(state)
             for name, labels, state in snapshot.get("histograms", [])
         },
         "spans": _span_tree(snapshot.get("spans", [])),
     }
-    digests = snapshot.get("digests")
-    if digests:
-        payload["digests"] = {
-            render_key(name, tuple(sorted(labels.items()))): _digest_entry(state)
-            for name, labels, state in digests
-        }
-    return payload
 
 
-def _digest_entry(state: Dict) -> Dict:
+def _histogram_entry(state: Dict) -> Dict:
     """Digest state plus ready-to-read quantile estimates."""
     entry = dict(state)
     entry["quantiles"] = LatencyDigest.from_dict(state).quantiles(EXPORT_QUANTILES)
@@ -139,21 +134,6 @@ def to_prometheus(snapshot: Dict) -> str:
         lines.append(f"{prom}{_prom_labels(labels)} {value:g}")
     for name, labels, state in snapshot.get("histograms", []):
         prom = _prom_name(name)
-        _type_line(prom, "histogram")
-        cumulative = 0
-        for edge, count in zip(state["buckets"], state["counts"]):
-            cumulative += count
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = f"{edge:g}"
-            lines.append(f"{prom}_bucket{_prom_labels(bucket_labels)} {cumulative}")
-        cumulative += state["counts"][-1]
-        inf_labels = dict(labels)
-        inf_labels["le"] = "+Inf"
-        lines.append(f"{prom}_bucket{_prom_labels(inf_labels)} {cumulative}")
-        lines.append(f"{prom}_sum{_prom_labels(labels)} {state['sum']:g}")
-        lines.append(f"{prom}_count{_prom_labels(labels)} {state['count']}")
-    for name, labels, state in snapshot.get("digests", []):
-        prom = _prom_name(name)
         _type_line(prom, "summary")
         digest = LatencyDigest.from_dict(state)
         for q in EXPORT_QUANTILES:
@@ -183,7 +163,7 @@ def write_prometheus(path, snapshot: Dict) -> str:
 # ----------------------------------------------------------------------
 
 def validate_payload(payload: Dict) -> List[str]:
-    """Validate a ``repro.obs/v1`` JSON payload; return a list of problems
+    """Validate a ``repro.obs/v2`` JSON payload; return a list of problems
     (empty when valid)."""
     errors: List[str] = []
 
@@ -212,43 +192,20 @@ def validate_payload(payload: Dict) -> List[str]:
             if not isinstance(state, dict):
                 errors.append(f"histograms[{key!r}] must be an object")
                 continue
-            for field in ("buckets", "counts", "sum", "count"):
-                _expect(field in state, f"histograms[{key!r}] missing {field!r}")
-            buckets = state.get("buckets", [])
-            counts = state.get("counts", [])
-            _expect(isinstance(buckets, list) and isinstance(counts, list),
-                    f"histograms[{key!r}] buckets/counts must be arrays")
-            if isinstance(buckets, list) and isinstance(counts, list):
-                _expect(len(counts) == len(buckets) + 1,
-                        f"histograms[{key!r}] needs len(counts) == len(buckets)+1")
-                _expect(list(buckets) == sorted(buckets),
-                        f"histograms[{key!r}] buckets must be sorted")
-                total = sum(count for count in counts if isinstance(count, int))
-                _expect(total == state.get("count"),
-                        f"histograms[{key!r}] bucket counts must sum to count")
-
-    digests = payload.get("digests")
-    if digests is not None:  # optional section: pre-digest payloads omit it
-        _expect(isinstance(digests, dict), "digests must be an object")
-    if isinstance(digests, dict):
-        for key, state in digests.items():
-            if not isinstance(state, dict):
-                errors.append(f"digests[{key!r}] must be an object")
-                continue
             for field in ("relative_accuracy", "buckets", "zero_count",
                           "count", "sum"):
-                _expect(field in state, f"digests[{key!r}] missing {field!r}")
+                _expect(field in state, f"histograms[{key!r}] missing {field!r}")
             accuracy = state.get("relative_accuracy")
             if isinstance(accuracy, (int, float)):
                 _expect(0.0 < accuracy < 1.0,
-                        f"digests[{key!r}] relative_accuracy must be in (0, 1)")
+                        f"histograms[{key!r}] relative_accuracy must be in (0, 1)")
             buckets = state.get("buckets")
             _expect(isinstance(buckets, list),
-                    f"digests[{key!r}] buckets must be an array")
+                    f"histograms[{key!r}] buckets must be an array")
             if isinstance(buckets, list):
                 indices = [pair[0] for pair in buckets if isinstance(pair, list)]
                 _expect(indices == sorted(indices),
-                        f"digests[{key!r}] bucket indices must be sorted")
+                        f"histograms[{key!r}] bucket indices must be sorted")
                 total = sum(
                     pair[1] for pair in buckets
                     if isinstance(pair, list) and len(pair) == 2
@@ -257,7 +214,7 @@ def validate_payload(payload: Dict) -> List[str]:
                 if isinstance(state.get("zero_count"), int):
                     total += state["zero_count"]
                 _expect(total == state.get("count"),
-                        f"digests[{key!r}] bucket counts must sum to count")
+                        f"histograms[{key!r}] bucket counts must sum to count")
 
     def _check_span(node, where: str) -> None:
         if not isinstance(node, dict):
@@ -317,21 +274,27 @@ def validate_prometheus(text: str) -> List[str]:
     """Validate Prometheus text exposition; return problems (empty if valid).
 
     Checks each line against the exposition grammar (metric name, quoted
-    and escaped label values, parseable sample value) plus the histogram
-    invariants a concurrent-scrape bug would break: cumulative ``_bucket``
-    counts must be non-decreasing toward ``+Inf``, and the ``+Inf`` bucket
-    must equal the matching ``_count`` sample.
+    and escaped label values, parseable sample value) plus the summary
+    invariants a concurrent-scrape bug would break: quantile values must
+    be non-decreasing in the quantile, and every summary needs a
+    ``_count`` sample.  Every distribution is exported as a summary, so a
+    ``histogram`` TYPE line or a ``_bucket`` sample is an error.
     """
     errors: List[str] = []
-    buckets: Dict[tuple, List[tuple]] = {}
     counts: Dict[tuple, float] = {}
     quantiles: Dict[tuple, List[tuple]] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
         if line.startswith("#"):
-            if line.startswith("# TYPE") and not _PROM_TYPE.match(line):
-                errors.append(f"line {number}: malformed TYPE comment: {line!r}")
+            if line.startswith("# TYPE"):
+                match = _PROM_TYPE.match(line)
+                if match is None:
+                    errors.append(f"line {number}: malformed TYPE comment: {line!r}")
+                elif match.group(2) == "histogram":
+                    errors.append(
+                        f"line {number}: histograms are exported as summaries: {line!r}"
+                    )
             continue
         match = _PROM_SAMPLE.match(line)
         if match is None:
@@ -355,12 +318,11 @@ def validate_prometheus(text: str) -> List[str]:
                 f"line {number}: unparseable value {match.group('value')!r}"
             )
             continue
-        if name.endswith("_bucket") and "le" in labels:
-            family = name[: -len("_bucket")]
-            rest = tuple(sorted(
-                (key, val) for key, val in labels.items() if key != "le"
-            ))
-            buckets.setdefault((family, rest), []).append((labels["le"], value))
+        if name.endswith("_bucket"):
+            errors.append(
+                f"line {number}: bucket sample {name!r}: histograms are "
+                f"exported as summaries"
+            )
         elif name.endswith("_count"):
             family = name[: -len("_count")]
             rest = tuple(sorted(labels.items()))
@@ -371,20 +333,6 @@ def validate_prometheus(text: str) -> List[str]:
             ))
             quantiles.setdefault((name, rest), []).append(
                 (labels["quantile"], value, number)
-            )
-    for (family, rest), series in buckets.items():
-        cumulative = [value for _le, value in series]
-        if cumulative != sorted(cumulative):
-            errors.append(
-                f"{family}{dict(rest)}: bucket counts not cumulative: {series}"
-            )
-        inf_values = [value for le, value in series if le == "+Inf"]
-        if not inf_values:
-            errors.append(f"{family}{dict(rest)}: missing +Inf bucket")
-        elif (family, rest) in counts and inf_values[0] != counts[(family, rest)]:
-            errors.append(
-                f"{family}{dict(rest)}: +Inf bucket {inf_values[0]} != "
-                f"_count {counts[(family, rest)]}"
             )
     for (family, rest), series in quantiles.items():
         parsed = []

@@ -10,6 +10,7 @@ fault harness) can exercise every path without real waiting.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -43,6 +44,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise PipelineError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        for name in ("base_delay", "max_delay", "multiplier", "deadline"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise PipelineError(f"{name} must be finite, got {value}")
         if self.base_delay < 0 or self.max_delay < 0:
             raise PipelineError("delays must be non-negative")
         if self.multiplier < 1:
@@ -56,7 +61,13 @@ class RetryPolicy:
         """Jittered backoff delay preceding ``attempt`` (2-based)."""
         if attempt <= 1:
             return 0.0
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 2))
+        try:
+            raw = self.base_delay * self.multiplier ** (attempt - 2)
+        except OverflowError:
+            # The power is past every float, so the delay is past the cap
+            # (a zero base stays zero).
+            raw = math.inf if self.base_delay else 0.0
+        raw = min(self.max_delay, raw)
         if self.jitter == 0:
             return raw
         # Re-apply the cap after jitter: the upward jitter factor used to be

@@ -59,8 +59,8 @@ class CircuitBreaker:
         # Observability exports (no-ops on the null registry): guarded-call
         # latencies by outcome, the state as a gauge, refusals as a counter.
         registry = registry if registry is not None else obs.NULL_REGISTRY
-        self._success_digest = registry.digest("breaker.latency_s", outcome="success")
-        self._failure_digest = registry.digest("breaker.latency_s", outcome="failure")
+        self._success_latency = registry.histogram("breaker.latency_s", outcome="success")
+        self._failure_latency = registry.histogram("breaker.latency_s", outcome="failure")
         self._state_gauge = registry.gauge("breaker.state")
         self._refusals = registry.counter("breaker.refusals")
         self._state_gauge.set(STATE_CODES[STATE_CLOSED])
@@ -111,7 +111,7 @@ class CircuitBreaker:
         if slow:
             self.record_failure(latency_s)
             return
-        self._success_digest.observe(latency_s)
+        self._success_latency.observe(latency_s)
         with self._lock:
             self._maybe_half_open()
             if self._state == STATE_HALF_OPEN:
@@ -125,7 +125,7 @@ class CircuitBreaker:
 
     def record_failure(self, latency_s: float = 0.0) -> None:
         """Record a failed (or over-deadline) call; may trip the breaker."""
-        self._failure_digest.observe(latency_s)
+        self._failure_latency.observe(latency_s)
         with self._lock:
             self._maybe_half_open()
             if self._state == STATE_HALF_OPEN:

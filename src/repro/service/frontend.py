@@ -31,8 +31,8 @@ Observability implemented here (the PR 9 layer):
   ``obs.trace_span``, the finished tree is stored in a bounded
   :class:`repro.obs.TraceStore`, and ``GET /trace/<id>`` returns it.
   Responses carry ``X-Trace-Id`` / ``X-Request-Id`` headers.
-* **Latency digests** — per-endpoint ``service.latency_s`` digests with
-  guaranteed relative error, merged across shard registries into
+* **Latency histograms** — per-endpoint ``service.latency_s`` histograms
+  with guaranteed relative error, merged across shard registries into
   ``/metrics`` exactly like counters.
 * **SLOs** — declarative objectives from the config evaluated as
   multi-window error-budget burn rates at ``GET /slo``, wired into an
@@ -186,12 +186,12 @@ class ServiceFrontend:
             clock=clock,
             alert_manager=self.alerts,
         )
-        self._latency_digests: Dict[str, obs.Digest] = {}
+        self._latency_histograms: Dict[str, obs.Histogram] = {}
 
-    def _latency_digest(self, endpoint: str) -> obs.Digest:
-        instrument = self._latency_digests.get(endpoint)
+    def _latency_histogram(self, endpoint: str) -> obs.Histogram:
+        instrument = self._latency_histograms.get(endpoint)
         if instrument is None:
-            instrument = self._latency_digests[endpoint] = self.registry.digest(
+            instrument = self._latency_histograms[endpoint] = self.registry.histogram(
                 "service.latency_s", endpoint=endpoint
             )
         return instrument
@@ -286,8 +286,7 @@ class ServiceFrontend:
         self.traces.put(context)
         elapsed = self._clock() - started
         status = response[0]
-        self.registry.histogram("service.request_s").observe(elapsed)
-        self._latency_digest(endpoint).observe(elapsed)
+        self._latency_histogram(endpoint).observe(elapsed)
         self.slo.record(endpoint, elapsed, ok=status < 500)
         response_headers = dict(response[1])
         response_headers["X-Trace-Id"] = context.trace_id
@@ -754,7 +753,7 @@ class ServiceFrontend:
         """Frontend + all shard registries as one snapshot.
 
         This is the fleet-wide view ``/metrics`` exports: per-shard
-        digests fold together exactly like counters (``breaker.latency_s``
+        histograms fold together exactly like counters (``breaker.latency_s``
         keeps its per-shard label, so both the per-shard and the
         cross-shard views are derivable).  It also sets two gauges of
         ingest memory: ``service.labels``, the distinct labels interned,

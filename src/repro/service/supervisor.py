@@ -492,10 +492,6 @@ class ShardSupervisor:
                         (name, {**labels, "shard": label}, payload)
                         for name, labels, payload in snapshot["histograms"]
                     ],
-                    "digests": [
-                        (name, {**labels, "shard": label}, payload)
-                        for name, labels, payload in snapshot.get("digests", [])
-                    ],
                     "spans": snapshot["spans"],
                 },
                 prefix=(f"shard-{state.shard_id}",),

@@ -6,7 +6,10 @@ import pytest
 
 from repro.exceptions import GraphError
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import GraphBuilder, edges_in_build_order, rebuilt
+from repro.graph.stream import EdgeRecord
+from repro.perturb import delete_weight_units, drop_random_nodes
 
 
 def extended(graph, *edges):
@@ -100,3 +103,41 @@ class TestCopyRemove:
     def test_repr_mentions_partition_sizes(self, small_bipartite):
         text = repr(small_bipartite)
         assert "|V1|=2" in text and "|V2|=3" in text
+
+
+class TestLoneSelfLoop:
+    """A lone self-loop puts its node on both sides; a rebuild keeps it there."""
+
+    @pytest.fixture
+    def looped(self):
+        return aggregate_records(
+            [EdgeRecord(0, "a", "a", 2.0), EdgeRecord(0, "b", "x", 3.0)], bipartite=True
+        )
+
+    def test_identity_rebuild_is_the_same_graph(self, looped):
+        graph = rebuilt(looped, edges_in_build_order(looped))
+        assert graph == looped
+        assert (graph.left_nodes, graph.right_nodes) == (["a", "b"], ["a", "x"])
+        for mine, theirs in zip(graph.to_arrays(), looped.to_arrays()):
+            assert repr(mine) == repr(theirs)
+
+    def test_delete_weight_units(self, looped):
+        graph = delete_weight_units(looped, 1, rng=0)
+        assert graph.total_weight == looped.total_weight - 1
+        assert graph.left_nodes == ["a", "b"]
+
+    def test_drop_random_nodes(self, looped):
+        graph = drop_random_nodes(looped, 0.3, rng=1)
+        assert set(graph.nodes()) < set(looped.nodes())
+        assert set(graph.left_nodes) | set(graph.right_nodes) == set(graph.nodes())
+
+    @pytest.mark.parametrize(
+        "edge", [("x", "b"), ("b", "a"), ("x", "a"), ("b", "b")],
+    )
+    def test_an_edge_against_the_sides_still_raises(self, looped, edge):
+        with pytest.raises(GraphError, match="partition"):
+            extended(looped, (*edge, 1.0))
+
+    def test_an_out_edge_after_the_loop_raises_as_in_the_build(self, looped):
+        with pytest.raises(GraphError, match="edge source 'a' is in the right partition"):
+            extended(looped, ("a", "x", 1.0))

@@ -14,8 +14,6 @@ from repro.obs import (
     LatencyDigest,
     MetricsRegistry,
     NULL_REGISTRY,
-    merge_digest_states,
-    quantile_from_state,
 )
 
 
@@ -81,6 +79,13 @@ class TestAccuracy:
     def test_empty_digest_quantile_is_zero(self):
         assert LatencyDigest().quantile(0.99) == 0.0
 
+    def test_rejects_bad_quantile(self):
+        digest = LatencyDigest()
+        digest.observe(1.0)
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="quantile must be in"):
+                digest.quantile(bad)
+
 
 class TestMerge:
     def test_merge_matches_single_digest(self):
@@ -135,18 +140,6 @@ class TestMerge:
         digest.merge(LatencyDigest())
         assert digest.to_dict() == before
 
-    def test_merge_digest_states_helper(self):
-        digests = []
-        for seed in range(3):
-            digest = LatencyDigest()
-            digest.observe_many(lognormal_values(100, seed + 50))
-            digests.append(digest)
-        merged = merge_digest_states([d.to_dict() for d in digests])
-        assert merged.count == 300
-        state = digests[0].to_dict()
-        assert quantile_from_state(state, 0.5) == digests[0].quantile(0.5)
-        assert merge_digest_states([]).count == 0
-
 
 class TestSerialization:
     def test_round_trip(self):
@@ -169,11 +162,11 @@ class TestSerialization:
 class TestRegistryIntegration:
     def test_digest_instrument_snapshot_and_merge(self):
         registry = MetricsRegistry()
-        instrument = registry.digest("request.latency_s", endpoint="/similar")
+        instrument = registry.histogram("request.latency_s", endpoint="/similar")
         for value in (0.01, 0.02, 0.04):
             instrument.observe(value)
         snapshot = registry.snapshot()
-        entries = snapshot["digests"]
+        entries = snapshot["histograms"]
         assert len(entries) == 1
         name, labels, state = entries[0]
         assert name == "request.latency_s"
@@ -183,31 +176,35 @@ class TestRegistryIntegration:
         other = MetricsRegistry()
         other.merge(snapshot)
         other.merge(snapshot)
-        merged_state = other.digest_state("request.latency_s", endpoint="/similar")
-        assert merged_state.count == 6
+        [[_name, _labels, merged_state]] = other.snapshot()["histograms"]
+        assert merged_state["count"] == 6
 
     def test_digest_accuracy_conflict_raises(self):
+        """A snapshot's histogram at another accuracy does not merge; the
+        error names the histogram."""
         registry = MetricsRegistry()
-        registry.digest("latency", relative_accuracy=0.01)
-        with pytest.raises(ValueError):
-            registry.digest("latency", relative_accuracy=0.05)
+        registry.histogram("latency").observe(0.5)
+        coarse = LatencyDigest(0.05)
+        coarse.observe(0.5)
+        with pytest.raises(ValueError, match="'latency'.*relative accuracies differ"):
+            registry.merge({"histograms": [["latency", {}, coarse.to_dict()]]})
 
     def test_default_accuracy(self):
         registry = MetricsRegistry()
-        registry.digest("latency").observe(0.1)
-        state = registry.digest_state("latency")
-        assert state.relative_accuracy == DEFAULT_RELATIVE_ACCURACY
+        registry.histogram("latency").observe(0.1)
+        [[_name, _labels, state]] = registry.snapshot()["histograms"]
+        assert state["relative_accuracy"] == DEFAULT_RELATIVE_ACCURACY
 
     def test_null_registry_digest_is_noop(self):
-        NULL_REGISTRY.digest("latency").observe(0.5)
-        assert NULL_REGISTRY.digest_state("latency") is None
-        # The null snapshot shape is a frozen contract (no digests key).
+        NULL_REGISTRY.histogram("latency").observe(0.5)
+        # The null snapshot has the collecting registry's keys, all empty.
         assert NULL_REGISTRY.snapshot() == {
             "counters": [],
             "gauges": [],
             "histograms": [],
             "spans": [],
         }
+        assert set(NULL_REGISTRY.snapshot()) == set(MetricsRegistry().snapshot())
 
     def test_merge_accepts_pre_digest_snapshots(self):
         registry = MetricsRegistry()
@@ -215,7 +212,7 @@ class TestRegistryIntegration:
         old_snapshot = {
             key: value
             for key, value in registry.snapshot().items()
-            if key != "digests"
+            if key != "histograms"
         }
         fresh = MetricsRegistry()
         fresh.merge(old_snapshot)  # must not KeyError

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.obs.export import (
     SCHEMA_ID,
     build_payload,
@@ -14,13 +15,20 @@ from repro.obs.export import (
     write_json,
     write_prometheus,
 )
+from repro.pipeline import (
+    CheckpointStore,
+    CsvRecordSource,
+    PipelineConfig,
+    SignaturePipeline,
+)
+from repro.pipeline.faults import FlakySource
 
 
 def sample_registry() -> obs.MetricsRegistry:
     registry = obs.MetricsRegistry()
     registry.counter("kernel.calls", op="pairwise", path="batch").inc(3)
     registry.gauge("parallel.workers").set(4)
-    registry.histogram("retry.delay_s", buckets=(0.1, 1.0)).observe(0.5)
+    registry.histogram("retry.delay_s").observe(0.5)
     with obs.use_registry(registry):
         with obs.span("experiment", dataset="network"):
             with obs.span("cell", scheme="TT", pairs=100):
@@ -77,17 +85,26 @@ class TestValidator:
 
     def test_rejects_histogram_count_mismatch(self):
         registry = obs.MetricsRegistry()
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
+        registry.histogram("h").observe(0.5)
         payload = build_payload(registry.snapshot())
         payload["histograms"]["h"]["count"] = 99
         assert any("sum to count" in error for error in validate_payload(payload))
 
     def test_rejects_unsorted_histogram_buckets(self):
         registry = obs.MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
+        registry.histogram("h").observe(0.5)
+        registry.histogram("h").observe(2.0)
         payload = build_payload(registry.snapshot())
-        payload["histograms"]["h"]["buckets"] = [2.0, 1.0]
+        payload["histograms"]["h"]["buckets"].reverse()
         assert any("sorted" in error for error in validate_payload(payload))
+
+    def test_rejects_fixed_bucket_histogram_state(self):
+        payload = build_payload(obs.MetricsRegistry().snapshot())
+        payload["histograms"]["h"] = {
+            "buckets": [1.0], "counts": [1, 0], "sum": 0.5, "count": 1,
+        }
+        problems = validate_payload(payload)
+        assert any("missing 'relative_accuracy'" in error for error in problems)
 
     def test_rejects_span_timing_violation(self):
         registry = obs.MetricsRegistry()
@@ -115,16 +132,17 @@ class TestPrometheus:
         assert 'repro_kernel_calls_total{op="pairwise",path="batch"} 3' in text
         assert "repro_parallel_workers 4" in text
 
-    def test_histogram_is_cumulative(self):
+    def test_histogram_is_a_summary(self):
         registry = obs.MetricsRegistry()
-        histogram = registry.histogram("delay", buckets=(1.0, 10.0))
+        histogram = registry.histogram("delay")
         for value in (0.5, 5.0, 100.0):
             histogram.observe(value)
         text = to_prometheus(registry.snapshot())
-        assert 'repro_delay_bucket{le="1"} 1' in text
-        assert 'repro_delay_bucket{le="10"} 2' in text
-        assert 'repro_delay_bucket{le="+Inf"} 3' in text
+        assert "# TYPE repro_delay summary" in text
+        assert 'repro_delay{quantile="0.5"} 5' in text
         assert "repro_delay_count 3" in text
+        assert "_bucket" not in text and " histogram" not in text
+        assert obs.validate_prometheus(text) == []
 
     def test_spans_exported_as_summaries(self):
         text = to_prometheus(sample_registry().snapshot())
@@ -252,12 +270,12 @@ class TestValidatePrometheus:
             "h_count 3\n"
         )
         problems = obs.validate_prometheus(bad)
-        assert any("not cumulative" in problem for problem in problems)
+        assert sum("bucket sample" in problem for problem in problems) == 3
 
     def test_rejects_missing_inf_bucket(self):
         bad = 'h_bucket{le="0.1"} 5\n'
         problems = obs.validate_prometheus(bad)
-        assert any("+Inf" in problem for problem in problems)
+        assert any("bucket sample" in problem for problem in problems)
 
     def test_rejects_inf_bucket_count_mismatch(self):
         bad = (
@@ -266,7 +284,25 @@ class TestValidatePrometheus:
             "h_count 4\n"
         )
         problems = obs.validate_prometheus(bad)
-        assert any("!= _count" in problem for problem in problems)
+        assert any("bucket sample" in problem for problem in problems)
+
+    def test_rejects_bucket_samples(self):
+        """A well-formed cumulative histogram is still an error: every
+        distribution is exported as a summary."""
+        bad = (
+            'h_bucket{le="0.1"} 2\n'
+            'h_bucket{le="+Inf"} 3\n'
+            "h_sum 1\n"
+            "h_count 3\n"
+        )
+        problems = obs.validate_prometheus(bad)
+        assert len(problems) == 2
+        assert all("bucket sample 'h_bucket'" in problem for problem in problems)
+
+    def test_rejects_histogram_type_line(self):
+        problems = obs.validate_prometheus("# TYPE h histogram\nh_count 3\n")
+        assert len(problems) == 1
+        assert "exported as summaries" in problems[0]
 
     def test_rejects_malformed_type_comment(self):
         assert obs.validate_prometheus("# TYPE weird kind-of-thing\n")
@@ -277,7 +313,7 @@ class TestValidatePrometheus:
 
 def digest_registry() -> obs.MetricsRegistry:
     registry = obs.MetricsRegistry()
-    digest = registry.digest("service.latency_s", endpoint="/similar")
+    digest = registry.histogram("service.latency_s", endpoint="/similar")
     for value in (0.010, 0.020, 0.040, 0.080, 0.500):
         digest.observe(value)
     return registry
@@ -287,7 +323,7 @@ class TestDigestExport:
     def test_payload_carries_states_and_quantiles(self):
         payload = build_payload(digest_registry().snapshot())
         assert validate_payload(payload) == []
-        entries = payload["digests"]
+        entries = payload["histograms"]
         assert list(entries) == ["service.latency_s{endpoint=/similar}"]
         entry = entries["service.latency_s{endpoint=/similar}"]
         assert entry["count"] == 5
@@ -296,8 +332,10 @@ class TestDigestExport:
         assert quantiles["p99"] == pytest.approx(0.500, rel=0.011)
 
     def test_payload_omits_digests_when_absent(self):
-        payload = build_payload(sample_registry().snapshot())
+        """One ``histograms`` section; the v1 ``digests`` section is gone."""
+        payload = build_payload(digest_registry().snapshot())
         assert "digests" not in payload
+        assert payload["schema"] == "repro.obs/v2"
         assert validate_payload(payload) == []
 
     def test_payload_round_trips_through_json(self, tmp_path):
@@ -305,9 +343,13 @@ class TestDigestExport:
         write_json(path, digest_registry().snapshot())
         restored = json.loads(path.read_text())
         assert validate_payload(restored) == []
-        (state,) = restored["digests"].values()
-        merged = obs.merge_digest_states([state, state])
-        assert merged.count == 10
+        (state,) = restored["histograms"].values()
+        merged = obs.MetricsRegistry()
+        snapshot = {"histograms": [["service.latency_s", {}, state]]}
+        merged.merge(snapshot)
+        merged.merge(snapshot)
+        [[_name, _labels, merged_state]] = merged.snapshot()["histograms"]
+        assert merged_state["count"] == 10
 
     def test_prometheus_summary_lines(self):
         text = to_prometheus(digest_registry().snapshot())
@@ -321,15 +363,15 @@ class TestDigestExport:
 
     def test_validate_payload_rejects_corrupt_digest(self):
         payload = build_payload(digest_registry().snapshot())
-        (entry,) = payload["digests"].values()
+        (entry,) = payload["histograms"].values()
         entry["count"] = 99  # buckets no longer sum to count
         assert any(
-            "digest" in problem for problem in validate_payload(payload)
+            "histograms[" in problem for problem in validate_payload(payload)
         )
 
     def test_validate_payload_rejects_bad_accuracy(self):
         payload = build_payload(digest_registry().snapshot())
-        (entry,) = payload["digests"].values()
+        (entry,) = payload["histograms"].values()
         entry["relative_accuracy"] = 1.5
         assert validate_payload(payload)
 
@@ -362,3 +404,35 @@ class TestValidatePrometheusSummaries:
             "s_count 2\n"
         )
         assert obs.validate_prometheus(good) == []
+
+
+class TestPipelineRetryExport:
+    def test_retry_delay_exports_as_a_v2_histogram(self, tmp_path):
+        """A retried source read leaves ``retry.delay_s`` as a digest
+        histogram whose payload validates under ``repro.obs/v2``."""
+        trace = tmp_path / "trace.csv"
+        write_edge_records(
+            [EdgeRecord(float(w), f"h{i % 4}", f"e{(i + w) % 7}", 1.0)
+             for w in range(2) for i in range(20)],
+            trace,
+        )
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            result = SignaturePipeline(
+                FlakySource(CsvRecordSource(trace), failures=1),
+                CheckpointStore(tmp_path / "ckpt"),
+                PipelineConfig(scheme="tt", k=3),
+                sleep=lambda _s: None,
+            ).run()
+        assert result.report.retries == 1
+
+        payload = build_payload(registry.snapshot())
+        assert payload["schema"] == "repro.obs/v2"
+        assert validate_payload(payload) == []
+        entry = payload["histograms"]["retry.delay_s"]
+        assert entry["count"] == 1
+        assert entry["relative_accuracy"] == obs.DEFAULT_RELATIVE_ACCURACY
+        assert set(entry["quantiles"]) == {"p50", "p95", "p99"}
+        text = to_prometheus(registry.snapshot())
+        assert "# TYPE repro_retry_delay_s summary" in text
+        assert obs.validate_prometheus(text) == []

@@ -71,46 +71,37 @@ class TestGauge:
 
 class TestHistogram:
     def test_bucket_assignment_and_stats(self):
+        """Values land in the log buckets of a digest at the default accuracy."""
         registry = obs.MetricsRegistry()
-        histogram = registry.histogram("delay", buckets=(1.0, 10.0))
-        for value in (0.5, 1.0, 5.0, 100.0):
+        histogram = registry.histogram("delay")
+        values = (0.5, 1.0, 5.0, 100.0)
+        for value in values:
             histogram.observe(value)
         [[name, _labels, state]] = registry.snapshot()["histograms"]
         assert name == "delay"
-        # upper edges are inclusive; 100.0 lands in the implicit +inf bucket
-        assert state["counts"] == [2, 1, 1]
+        expected = obs.LatencyDigest(obs.DEFAULT_RELATIVE_ACCURACY)
+        expected.observe_many(values)
+        assert state == expected.to_dict()
         assert state["count"] == 4
         assert state["sum"] == pytest.approx(106.5)
-        assert state["min"] == 0.5
-        assert state["max"] == 100.0
+        assert (state["min"], state["max"]) == (0.5, 100.0)
 
-    def test_unsorted_buckets_rejected(self):
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_rejects_values_a_digest_cannot_hold(self, value):
         registry = obs.MetricsRegistry()
-        with pytest.raises(ValueError, match="sorted"):
-            registry.histogram("delay", buckets=(2.0, 1.0))
-
-    def test_conflicting_buckets_rejected(self):
-        registry = obs.MetricsRegistry()
-        registry.histogram("delay", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="already exists"):
-            registry.histogram("delay", buckets=(1.0, 3.0))
-
-    def test_merge_requires_matching_edges(self):
-        first = obs.MetricsRegistry()
-        second = obs.MetricsRegistry()
-        first.histogram("delay", buckets=(1.0,)).observe(0.5)
-        second.histogram("delay", buckets=(2.0,)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket edges differ"):
-            first.merge(second.snapshot())
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            registry.histogram("delay").observe(value)
 
     def test_merge_sums_buckets_and_extremes(self):
         first = obs.MetricsRegistry()
         second = obs.MetricsRegistry()
-        first.histogram("delay", buckets=(1.0,)).observe(0.5)
-        second.histogram("delay", buckets=(1.0,)).observe(3.0)
+        first.histogram("delay").observe(0.5)
+        second.histogram("delay").observe(3.0)
         first.merge(second.snapshot())
         [[_name, _labels, state]] = first.snapshot()["histograms"]
-        assert state["counts"] == [1, 1]
+        expected = obs.LatencyDigest()
+        expected.observe_many([0.5, 3.0])
+        assert state == expected.to_dict()
         assert state["count"] == 2
         assert state["min"] == 0.5
         assert state["max"] == 3.0
@@ -201,7 +192,7 @@ class TestMerge:
             registry = obs.MetricsRegistry()
             for value in values:
                 registry.counter("n").inc(value)
-                registry.histogram("v", buckets=(1.0, 2.0)).observe(value)
+                registry.histogram("v").observe(value)
             return registry
 
         ab = obs.MetricsRegistry()
@@ -232,7 +223,7 @@ class TestMerge:
     def test_snapshot_is_picklable_and_json_plain(self):
         registry = obs.MetricsRegistry()
         registry.counter("hits", kind="a").inc()
-        registry.histogram("delay", buckets=(1.0,)).observe(0.5)
+        registry.histogram("delay").observe(0.5)
         with obs.use_registry(registry):
             with obs.span("root"):
                 pass

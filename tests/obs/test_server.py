@@ -2,9 +2,9 @@
 
 The concurrency test is the acceptance check for the live layer: a thread
 hammering ``/metrics`` while a fig1 run mutates the registry must always
-receive parseable exposition text with internally consistent histograms
-(snapshots are taken under the registry lock, so a scrape can never see a
-half-updated bucket array).
+receive parseable exposition text with internally consistent histogram
+summaries (snapshots are taken under the registry lock, so a scrape can
+never see a half-updated digest).
 """
 
 import io
@@ -29,7 +29,7 @@ def registry():
     registry = obs.MetricsRegistry()
     registry.counter("pipeline.windows", mode="exact").inc(2)
     registry.gauge("parallel.workers").set(3)
-    registry.histogram("latency", buckets=(0.1, 1.0)).observe(0.5)
+    registry.histogram("latency").observe(0.5)
     return registry
 
 
@@ -178,7 +178,7 @@ class TestScrapeDuringUpdate:
         bad = []
 
         def mutate():
-            histogram = registry.histogram("work", buckets=(0.01, 0.1, 1.0))
+            histogram = registry.histogram("work")
             counter = registry.counter("work.calls")
             step = 0
             while not done.is_set():

@@ -6,12 +6,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs.timeseries import (
-    Sampler,
-    Series,
-    TimeSeriesStore,
-    quantile_from_buckets,
-)
+from repro.obs.timeseries import Sampler, Series, TimeSeriesStore
 
 
 class TestSeries:
@@ -40,33 +35,6 @@ class TestSeries:
             Series("x", max_points=0)
 
 
-class TestQuantileFromBuckets:
-    def test_empty_histogram(self):
-        assert quantile_from_buckets([1.0, 2.0], [0, 0, 0], 0.5) == 0.0
-
-    def test_interpolates_within_bucket(self):
-        # 10 observations all landing in (1.0, 2.0]: p50 is mid-bucket.
-        assert quantile_from_buckets([1.0, 2.0], [0, 10, 0], 0.5) == pytest.approx(1.5)
-        assert quantile_from_buckets([1.0, 2.0], [0, 10, 0], 0.9) == pytest.approx(1.9)
-
-    def test_first_bucket_starts_at_zero(self):
-        assert quantile_from_buckets([4.0], [10, 0], 0.5) == pytest.approx(2.0)
-
-    def test_overflow_bucket_reports_highest_edge(self):
-        # Everything in +inf: refuse to extrapolate past the last edge.
-        assert quantile_from_buckets([1.0, 2.0], [0, 0, 5], 0.99) == 2.0
-
-    def test_spread_across_buckets(self):
-        buckets = [1.0, 2.0, 4.0]
-        counts = [2, 2, 2, 0]
-        assert quantile_from_buckets(buckets, counts, 0.5) <= 2.0
-        assert quantile_from_buckets(buckets, counts, 1.0) == pytest.approx(4.0)
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            quantile_from_buckets([1.0], [1, 0], 1.5)
-
-
 class TestTimeSeriesStore:
     def test_record_and_retrieve(self):
         store = TimeSeriesStore()
@@ -82,7 +50,7 @@ class TestTimeSeriesStore:
         registry = obs.MetricsRegistry()
         registry.counter("pipeline.windows", mode="exact").inc(3)
         registry.gauge("parallel.workers").set(4)
-        histogram = registry.histogram("latency", buckets=(1.0, 2.0))
+        histogram = registry.histogram("latency")
         histogram.observe(1.5)
         histogram.observe(1.5)
 
@@ -93,8 +61,27 @@ class TestTimeSeriesStore:
         assert store.last("latency:count") == (7.0, 2.0)
         assert store.last("latency:mean") == (7.0, 1.5)
         t, p50 = store.last("latency:p50")
-        assert t == 7.0 and 1.0 <= p50 <= 2.0
+        assert t == 7.0
+        assert p50 == pytest.approx(1.5, rel=obs.DEFAULT_RELATIVE_ACCURACY)
         assert store.last("latency:p99") is not None
+
+    def test_histogram_quantiles_read_through_the_digest(self):
+        registry = obs.MetricsRegistry()
+        values = [0.001 * (step + 1) ** 2 for step in range(50)]
+        for value in values:
+            registry.histogram("latency", endpoint="/similar").observe(value)
+        registry.histogram("idle")
+
+        store = TimeSeriesStore()
+        store.sample(registry, t=1.0, quantiles=(0.5, 0.99))
+        digest = obs.LatencyDigest()
+        digest.observe_many(values)
+        key = "latency{endpoint=/similar}"
+        assert store.last(f"{key}:p50") == (1.0, digest.quantile(0.5))
+        assert store.last(f"{key}:p99") == (1.0, digest.quantile(0.99))
+        # An unobserved histogram has a count and nothing to estimate.
+        assert store.last("idle:count") == (1.0, 0.0)
+        assert [key for key in store.keys() if key.startswith("idle")] == ["idle:count"]
 
     def test_repeated_samples_build_trajectories(self):
         registry = obs.MetricsRegistry()

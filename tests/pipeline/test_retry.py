@@ -47,6 +47,36 @@ class TestRetryPolicy:
         with pytest.raises(PipelineError):
             RetryPolicy(deadline=0.0)
 
+    @pytest.mark.parametrize("field", ["base_delay", "max_delay", "multiplier", "deadline"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_delays(self, field, value):
+        with pytest.raises(PipelineError, match=f"{field} must be finite"):
+            RetryPolicy(**{field: value})
+
+    @pytest.mark.parametrize("attempt", [1100, 2000, 10**6])
+    def test_late_attempts_cap_without_overflow(self, attempt):
+        rng = random.Random(0)
+        assert RetryPolicy().delay_before(attempt, rng) <= 2.0
+        assert RetryPolicy(jitter=0.0).delay_before(attempt, rng) == 2.0
+        assert RetryPolicy(multiplier=10.0, jitter=0.0).delay_before(attempt, rng) == 2.0
+
+    def test_zero_base_stays_zero_past_overflow(self):
+        policy = RetryPolicy(base_delay=0.0, jitter=0.0)
+        assert policy.delay_before(2000, random.Random(0)) == 0.0
+
+    def test_thousands_of_attempts_observe_capped_delays(self):
+        clock = FakeClock()
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            result = call_with_retry(
+                Flaky(failures=1999), RetryPolicy(max_attempts=2000),
+                sleep=clock.sleep, clock=clock, rng=0,
+            )
+        assert result == "ok"
+        [[name, _labels, state]] = registry.snapshot()["histograms"]
+        assert (name, state["count"]) == ("retry.delay_s", 1999)
+        assert state["max"] <= 2.0
+
     def test_backoff_grows_and_caps(self):
         policy = RetryPolicy(base_delay=1.0, multiplier=2.0, max_delay=3.0, jitter=0.0)
         rng = random.Random(0)

@@ -1,10 +1,11 @@
 """End-to-end tracing and SLO behavior at the service edge: trace ids in
 and out, span trees for scatter-gather, /trace and /slo endpoints, breaker
-digests in /metrics."""
+and latency histograms in /metrics."""
 
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -209,13 +210,15 @@ class TestBreakerDigests:
         snapshot = frontend.merged_snapshot()
         breaker = [
             (labels, state)
-            for name, labels, state in snapshot["digests"]
+            for name, labels, state in snapshot["histograms"]
             if name == "breaker.latency_s" and labels["outcome"] == "success"
         ]
         shards = {labels["shard"] for labels, _state in breaker}
         assert shards == {"0", "1", "2"}
         # The cross-shard view folds the per-shard digests losslessly.
-        merged = obs.merge_digest_states(state for _labels, state in breaker)
+        merged = obs.LatencyDigest()
+        for _labels, state in breaker:
+            merged.merge(obs.LatencyDigest.from_dict(state))
         assert merged.count == sum(state["count"] for _labels, state in breaker)
         assert merged.count > 0
         gauges = {
@@ -235,10 +238,12 @@ class TestBreakerDigests:
             breaker.record_failure(0.01)
         gauges = {name: value for name, _l, value in registry.snapshot()["gauges"]}
         assert gauges["breaker.state"] == STATE_CODES["OPEN"]
-        state = registry.digest_state(
-            "breaker.latency_s", outcome="failure"
-        )
-        assert state.count == 4
+        (state,) = [
+            state
+            for name, labels, state in registry.snapshot()["histograms"]
+            if name == "breaker.latency_s" and labels["outcome"] == "failure"
+        ]
+        assert state["count"] == 4
 
     def test_prometheus_scrape_includes_service_digests(
         self, small_config, records_factory
@@ -249,6 +254,47 @@ class TestBreakerDigests:
         _status, _headers, text = frontend.respond("GET", "/metrics")
         assert obs.validate_prometheus(text) == []
         assert 'repro_service_latency_s{endpoint="/similar",quantile="0.99"}' in text
+
+
+class TestMetricsExposition:
+    def test_every_distribution_is_a_summary(self, small_config, records_factory):
+        """``/metrics`` after N requests over several endpoints: summaries
+        only, per-endpoint latency counts that add up to N (unrouted paths
+        included), and one breaker summary per shard."""
+        assert small_config.num_shards >= 2
+        _supervisor, frontend = build(small_config)
+        fill(frontend, records_factory)
+        paths = [
+            "/status", "/signature/h1", "/similar/h1?k=3", "/anomaly/h2",
+            "/slo", "/no-such-route",
+        ]
+        requests = 0
+        for _ in range(4):
+            for path in paths:
+                frontend.respond("GET", path)
+                requests += 1
+        _status, _headers, text = frontend.respond("GET", "/metrics")
+
+        assert obs.validate_prometheus(text) == []
+        assert "_bucket" not in text
+        assert not re.search(r"^# TYPE \S+ histogram$", text, re.MULTILINE)
+        counts = {
+            match.group(1): float(match.group(2))
+            for match in re.finditer(
+                r'^repro_service_latency_s_count\{endpoint="([^"]*)"\} (\S+)$',
+                text, re.MULTILINE,
+            )
+        }
+        assert {"/status", "/signature", "/similar", "/anomaly", "/slo", "unknown"} <= set(counts)
+        assert sum(counts.values()) == requests
+        assert "repro_service_request_s" not in text
+
+        assert "# TYPE repro_breaker_latency_s summary" in text
+        shards = set(re.findall(
+            r'^repro_breaker_latency_s\{outcome="success",quantile="0\.99",shard="(\d+)"\} ',
+            text, re.MULTILINE,
+        ))
+        assert shards == {str(shard) for shard in range(small_config.num_shards)}
 
 
 class TestLatencyDigests:
@@ -279,7 +325,7 @@ class TestLatencyDigests:
             frontend.respond("GET", f"/signature/h{rng.randrange(12)}")
         (state,) = [
             state
-            for name, labels, state in frontend.merged_snapshot()["digests"]
+            for name, labels, state in frontend.merged_snapshot()["histograms"]
             if name == "service.latency_s" and labels["endpoint"] == "/signature"
         ]
         digest = obs.LatencyDigest.from_dict(state)

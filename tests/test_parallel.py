@@ -206,7 +206,7 @@ class TestEffectiveJobs:
 def count_and_square(value):
     """Worker that leaves deterministic tracks on the active registry."""
     obs.counter("test.calls").inc()
-    obs.histogram("test.value", buckets=(1.0, 4.0, 16.0)).observe(value)
+    obs.histogram("test.value").observe(value)
     with obs.span("test.task"):
         pass
     return value * value

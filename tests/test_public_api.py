@@ -134,17 +134,17 @@ PUBLIC_NAMES = {
         ApproxSignatureIndex LshIndex MinHasher SignatureIndex estimate_jaccard_distance
     """.split(),
     "repro.obs": """
-        AlertEvent AlertManager AlertRule Counter DEFAULT_BUCKETS DEFAULT_QUANTILES
-        DEFAULT_RELATIVE_ACCURACY DEFAULT_WINDOWS_S Digest EXPORT_QUANTILES EventLog Gauge
-        Histogram KIND_AVAILABILITY KIND_LATENCY LEVELS LatencyDigest MetricsRegistry
-        NULL_EVENT_LOG NULL_REGISTRY NullEventLog NullRegistry ObsServer PROMETHEUS_CONTENT_TYPE
-        RequestContext SCHEMA_ID SLOTracker Sampler Series ServiceObjective StdlibBridgeHandler
-        TimeSeriesStore TraceSpan TraceStore attach_stdlib build_payload burn_rate_rule counter
-        current_span_path current_trace detached_span_path digest emit enabled format_hotspots
-        format_profile_report gauge get_event_log get_registry histogram merge_digest_states
-        merge_into_active new_run_id new_trace_id persistence_drop_rule quantile_from_buckets
-        quantile_from_state read_events render_key span to_prometheus trace_span use_event_log
-        use_registry use_trace validate_payload validate_prometheus write_json write_prometheus
+        AlertEvent AlertManager AlertRule Counter DEFAULT_QUANTILES DEFAULT_RELATIVE_ACCURACY
+        DEFAULT_WINDOWS_S EXPORT_QUANTILES EventLog Gauge Histogram KIND_AVAILABILITY
+        KIND_LATENCY LEVELS LatencyDigest MetricsRegistry NULL_EVENT_LOG NULL_REGISTRY
+        NullEventLog NullRegistry ObsServer PROMETHEUS_CONTENT_TYPE RequestContext SCHEMA_ID
+        SLOTracker Sampler Series ServiceObjective StdlibBridgeHandler TimeSeriesStore TraceSpan
+        TraceStore attach_stdlib build_payload burn_rate_rule counter current_span_path
+        current_trace detached_span_path emit enabled format_hotspots format_profile_report
+        gauge get_event_log get_registry histogram merge_into_active new_run_id new_trace_id
+        persistence_drop_rule read_events render_key span to_prometheus trace_span
+        use_event_log use_registry use_trace validate_payload validate_prometheus write_json
+        write_prometheus
     """.split(),
     "repro.parallel": """
         MapExecutor ON_ERROR_POLICIES SerialExecutor ShmEngine active_segment_names attach_graph
