@@ -21,6 +21,7 @@ this database table's user community changed?").
 
 from __future__ import annotations
 
+import math
 from typing import List, Mapping
 
 from repro.core.packed import SignaturePack
@@ -42,7 +43,7 @@ class InTalkers(SignatureScheme):
         if node not in graph:
             return {}
         neighbours = graph.in_neighbors(node)
-        total = sum(neighbours.values())
+        total = math.fsum(neighbours.values())
         if total == 0:
             return {}
         denominator = total - neighbours.get(node, 0.0)
@@ -56,6 +57,6 @@ class InTalkers(SignatureScheme):
 
     def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         # TT's row kernel over the in-rows: the shares of the in-row
-        # total, summed in in-row order as ``relevance`` sums.
+        # total, ``math.fsum`` of the in-row as ``relevance`` totals it.
         return self._compute_rows(graph, targets, _row_shares, graph.in_rows())
 

@@ -8,6 +8,7 @@ Communities-of-Interest fraud-detection work of Cortes et al.
 
 from __future__ import annotations
 
+import math
 from typing import List, Mapping
 
 import numpy as np
@@ -30,7 +31,7 @@ class TopTalkers(SignatureScheme):
         if node not in graph:
             return {}
         neighbours = graph.out_neighbors(node)
-        total = sum(neighbours.values())
+        total = math.fsum(neighbours.values())
         if total == 0:
             return {}
         # Self-loops are excluded downstream (Definition 1, u != v) but we
@@ -54,14 +55,13 @@ class TopTalkers(SignatureScheme):
 def _row_shares(entries: RowEntries) -> np.ndarray:
     """:meth:`TopTalkers.relevance` of every entry (and, over in-rows,
     :meth:`~repro.core.in_talkers.InTalkers.relevance`), bit for bit: row totals
-    are the builtin ``sum`` over the row in order, as ``relevance`` sums
-    (compensated since Python 3.12, so no numpy reduction matches it on
-    every Python), then one vectorised division."""
+    are ``math.fsum`` of the row, as ``relevance`` totals it (correctly
+    rounded, so the same on every Python), then one vectorised division."""
     data = entries.data
     values = data.tolist()
     ends = np.cumsum(entries.lengths).tolist()
     totals = np.array(
-        [sum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)], dtype=np.float64
+        [math.fsum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)], dtype=np.float64
     )
     own = entries.own()
     denominators = totals.copy()

@@ -64,7 +64,9 @@ class LabelTable:
     may intern at once: new labels are added under a lock, and a label is
     stored before its id is published, so every id a reader can see maps
     back to its label.  :meth:`fingerprints` adds each label's
-    ``stable_hash64`` (8 B per label), computed on first use.
+    ``stable_hash64`` (8 B per label), computed on first use.  A table
+    never forgets a label; :meth:`RecordBatch.interned_into` moves a batch
+    into another table, such as a fresh one.
     """
 
     def __init__(self) -> None:
@@ -214,6 +216,15 @@ class RecordBatch:
         return RecordBatch(
             self.time[index], self.src[index], self.dst[index], self.weight[index], self.labels
         )
+
+    def interned_into(self, labels: LabelTable) -> "RecordBatch":
+        """The batch over ``labels``: itself when it already is, else with
+        its labels interned there."""
+        if self.labels is labels:
+            return self
+        ends, inverse = np.unique(np.concatenate([self.src, self.dst]), return_inverse=True)
+        ids = labels.intern(self.labels.labels_of(ends))[inverse]
+        return RecordBatch(self.time, ids[: len(self)], ids[len(self) :], self.weight, labels)
 
     def records(self) -> List[EdgeRecord]:
         """The batch as :class:`EdgeRecord` objects (the reference form)."""

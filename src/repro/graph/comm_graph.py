@@ -13,6 +13,7 @@ is provided for interoperability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -402,12 +403,12 @@ class CommGraph:
         return int(indptr[position + 1] - indptr[position])
 
     def out_strength(self, node: NodeId) -> Weight:
-        """Total outgoing volume ``sum_u C[node, u]``."""
-        return sum(self.out_neighbors(node).values())
+        """Total outgoing volume ``sum_u C[node, u]`` (``math.fsum``)."""
+        return math.fsum(self.out_neighbors(node).values())
 
     def in_strength(self, node: NodeId) -> Weight:
-        """Total incoming volume ``sum_u C[u, node]``."""
-        return sum(self.in_neighbors(node).values())
+        """Total incoming volume ``sum_u C[u, node]`` (``math.fsum``)."""
+        return math.fsum(self.in_neighbors(node).values())
 
     def senders(self) -> List[NodeId]:
         """Nodes with positive total outgoing volume, in node order: the

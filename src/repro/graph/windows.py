@@ -248,6 +248,15 @@ class SlidingWindowAggregator:
         """Number of buckets currently inside the window (ramp-up aware)."""
         return len(self._buckets)
 
+    def relabel(self, labels: LabelTable) -> None:
+        """Intern the window's buckets into ``labels`` and hold them there;
+        :attr:`graph` keeps the table it was built over."""
+        self._buckets = deque(
+            (batch.interned_into(labels) for batch in self._buckets),
+            maxlen=self.window_buckets,
+        )
+        self.labels = labels
+
     def advance(self, batch: RecordBatch) -> None:
         """Slide the window forward by one bucket of records and build
         the window's :attr:`graph`.

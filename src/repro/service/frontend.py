@@ -101,10 +101,15 @@ class BoundedIngestQueue:
         self.arrived.set()
         return True
 
-    def take(self, count: int, force: bool = False) -> Optional[RecordBatch]:
-        """Pop the oldest ``count`` records as one batch, splitting a batch
-        that straddles the boundary; with ``force`` pop a short remainder
-        too.  ``None`` when nothing (eligible) is queued."""
+    def take(
+        self, count: int, labels: LabelTable, force: bool = False
+    ) -> Optional[RecordBatch]:
+        """Pop the oldest ``count`` records as one batch over ``labels``,
+        splitting a batch that straddles the boundary; with ``force`` pop a
+        short remainder too.  ``None`` when nothing (eligible) is queued.
+
+        A part interned into another table (an older generation of
+        ``labels``) is interned into ``labels`` first."""
         with self._lock:
             if not self._queued or (self._queued < count and not force):
                 return None
@@ -118,7 +123,7 @@ class BoundedIngestQueue:
                 parts.append(batch)
                 wanted -= len(batch)
             self._queued -= count - wanted
-        return RecordBatch.concat(parts)
+        return RecordBatch.concat([part.interned_into(labels) for part in parts])
 
     def __len__(self) -> int:
         with self._lock:
@@ -207,7 +212,9 @@ class ServiceFrontend:
         """
         closed = 0
         while True:
-            bucket = self.queue.take(self.config.window_records, force=force)
+            bucket = self.queue.take(
+                self.config.window_records, self.supervisor.labels, force=force
+            )
             if bucket is None:
                 break
             self.supervisor.ingest(bucket)
@@ -756,9 +763,9 @@ class ServiceFrontend:
         histograms fold together exactly like counters (``breaker.latency_s``
         keeps its per-shard label, so both the per-shard and the
         cross-shard views are derivable).  It also sets two gauges of
-        ingest memory: ``service.labels``, the distinct labels interned,
-        and ``service.ingest_log_bytes``, the column bytes the shards'
-        ingest logs hold.
+        ingest memory: ``service.labels``, the labels in the current
+        generation of the label table, and ``service.ingest_log_bytes``,
+        the column bytes the shards' ingest logs hold.
         """
         self.registry.gauge("service.labels").set(len(self.supervisor.labels))
         self.registry.gauge("service.ingest_log_bytes").set(

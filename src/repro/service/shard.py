@@ -9,17 +9,19 @@ wire), so computed signatures and the string-keyed checkpoint payloads
 coincide.
 
 :meth:`ShardEngine.rebuild` is the recovery path: given the shard's
-acknowledged ingest log (every bucket the supervisor accepted for it), it
-produces only the windows it must.  Those are the last two, which answer
+acknowledged ingest log (the buckets the supervisor still keeps for it),
+it produces only the windows it must.  Those are the last two, which answer
 queries, and, with a store, every window from the first one without a
-hash-verified checkpoint, which it recomputes and re-persists.  A window's
+hash-verified checkpoint whose buckets the log still holds in full, which
+it recomputes and re-persists.  A window's
 graph depends only on its own buckets, so the rebuild starts
 ``window_buckets - 1`` buckets before the first window it produces and
 reproduces the graph and signatures of a shard that never crashed.
 
 :class:`SketchTier` is the degraded tier: the Count-Min / SpaceSaving (and
 Flajolet-Martin, for ``ut``) sketches of a shard's last two published
-windows, built from the shard's ingest log only when a read needs them.
+windows, built from the last ``window_buckets + 1`` buckets of the shard's
+ingest log only when a read needs them.
 It reads the log, not the exact engine, so a shard whose exact engine is
 dead keeps answering — approximately, and saying so.
 """
@@ -154,6 +156,7 @@ class ShardEngine:
         buckets: Sequence[RecordBatch],
         *,
         base_window: int = -1,
+        whole_from: Optional[int] = None,
     ) -> List[str]:
         """Restore engine state from the acknowledged ingest log.
 
@@ -165,12 +168,22 @@ class ShardEngine:
         the scan issues encountered (corrupt/missing checkpoints), so the
         supervisor can surface them as health events.
 
-        ``base_window`` handles the restarted-process case: when this
-        process began by restoring window ``base_window`` from the store,
-        its ingest log only covers windows after that point, so
-        bucket ``i`` replays as global window ``base_window + 1 + i`` (and
-        window ``base_window`` itself is re-seeded from the store when it
-        is one of the last two).
+        ``base_window`` is the window before the log's first bucket: the
+        window a restarted process restored from the store, or the last
+        window the supervisor trimmed away.  Bucket ``i`` replays as global
+        window ``base_window + 1 + i`` (and windows ``base_window`` and the
+        one before are re-seeded from the store when the log holds fewer
+        than two buckets).
+
+        ``whole_from`` is the first window whose buckets the log holds in
+        full: ``base_window + 1`` (the default) for a log that starts at a
+        restart, since the engine that applied those windows held no
+        earlier bucket either, and ``base_window + window_buckets`` for a
+        log the supervisor trimmed.  A window before it is never
+        recomputed, because its graph would miss buckets: a damaged
+        checkpoint there stays a reported issue.  The supervisor trims only
+        a HEALTHY shard, whose every window is checkpointed, and keeps the
+        ``window_buckets + 1`` buckets the last two windows need.
         """
         issues: List[str] = []
         last = base_window + len(buckets)
@@ -181,7 +194,7 @@ class ShardEngine:
             issues.extend(scan.issues)
             verified = min(scan.next_window, last + 1)
             first = min(first, verified)
-        first = max(first, base_window + 1)
+        first = max(first, base_window + 1 if whole_from is None else whole_from)
         with obs.use_registry(self.registry):
             if base_window >= 0 and len(buckets) < 2:
                 self._seed_from_history(base_window)
@@ -192,18 +205,23 @@ class ShardEngine:
         return issues
 
     def _seed_from_history(self, base_window: int) -> None:
-        """Re-seed query state at ``base_window`` before replaying the log.
+        """Re-seed query state at ``base_window`` — its signatures and the
+        window before's — before replaying the log.
 
         Lenient on a damaged store (the window may have been compacted
         away or corrupted): the engine then serves the replayed suffix
         only, but global window numbering stays correct.
         """
-        self.window = base_window
         history = self.store.history if self.store is not None else None
-        if history is not None and base_window in history:
-            self.signatures = history.load_window(base_window)
-        else:
-            self.signatures = _NO_SIGNATURES
+
+        def load(window: int) -> SignaturePack:
+            if history is not None and window in history:
+                return history.load_window(window)
+            return _NO_SIGNATURES
+
+        self.window = base_window
+        self.prev_signatures = load(base_window - 1)
+        self.signatures = load(base_window)
 
     def _replay(
         self,
@@ -252,18 +270,11 @@ class ShardEngine:
         only buckets applied after the restart.
         Returns whether any window was restored.
         """
-        if self.store is None:
-            return False
-        history = self.store.history
-        last = history.max_window()
+        last = self.store.history.max_window() if self.store is not None else -1
         if last < 0:
             return False
         with obs.use_registry(self.registry):
-            self.signatures = history.load_window(last)
-            self.prev_signatures = (
-                history.load_window(last - 1) if last - 1 in history else _NO_SIGNATURES
-            )
-        self.window = last
+            self._seed_from_history(last)
         self._index = None
         self.registry.counter("shard.history_restores").inc()
         return True
@@ -302,7 +313,9 @@ class SketchTier:
     bucket is that window's.  ``current`` sketches the last
     ``window_buckets`` buckets and ``previous`` the window before, each
     with :func:`~repro.streaming.stream_schemes.sketch_window`; either is
-    ``None`` when the log holds none of its buckets.
+    ``None`` when the log holds none of its buckets.  Only the last
+    ``window_buckets + 1`` buckets are read, which is what the supervisor
+    keeps of a HEALTHY shard's log.
     """
 
     def __init__(

@@ -15,25 +15,42 @@ lockstep.  Its job is the failure envelope:
   the shard's ingest log on the first approximate read of a published
   window (:meth:`ShardSupervisor.sketch_tier`), so a shard whose exact tier
   serves never builds one; if that build fails the shard is **DOWN** — it
-  stops answering, but its ingest log keeps accumulating so a later heal
-  can recover everything, and no other shard is affected.
+  stops answering, but its ingest log keeps every bucket from then on, so a
+  later heal recovers every window it missed, and no other shard is
+  affected.
 
 Acknowledged-ingest durability: a bucket is appended to the shard's log
 *before* the engine sees it, so a crash mid-apply can never lose accepted
 records — the rebuild replays the log including the in-flight bucket.
 
+Bounded memory: a window's graph depends only on its own buckets, so
+after each close a HEALTHY shard keeps only the last ``window_buckets +
+1`` buckets — the sketch tier's two windows, which also cover a rebuild
+of the last two (every earlier window is already checkpointed, by the
+apply or by the rebuild that re-persisted it).  A checkpoint that is
+damaged on disk afterwards, in a window whose buckets the log no longer
+holds in full (before :attr:`IngestLog.whole_from`), is never recomputed
+from a partial window: it stays a reported issue.  A DEGRADED or DOWN
+shard keeps its whole log until a rebuild or :meth:`ShardSupervisor.heal`
+succeeds.
+
 Buckets are :class:`~repro.graph.batch.RecordBatch` columns interned into
-the supervisor's one :class:`~repro.graph.batch.LabelTable`, so the log
-holds 24 bytes per record and routing is one array lookup per bucket.
+the supervisor's :class:`~repro.graph.batch.LabelTable`, so the log holds
+24 bytes per record and routing is one array lookup per bucket.  The
+table has generations: once it has grown past twice what was live after
+the last one, the pump re-interns every retained bucket into a fresh
+table (:meth:`~repro.graph.batch.RecordBatch.interned_into`) and swaps it
+in with the trim.  Node order, canonical order and routing depend on
+labels, never on id values, so stores stay byte-identical across a swap.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +71,32 @@ from repro.service.shard import ShardEngine, SketchTier
 from repro.streaming.hashing import stable_hash64
 
 
+@dataclass(frozen=True)
+class IngestLog:
+    """One shard's acknowledged ingest log: ``buckets[i]`` is the shard's
+    bucket of global window ``base + 1 + i``.
+
+    ``base`` is the window before the first bucket: -1 in a fresh
+    process, the window restored from history in a restarted one, and
+    moved on by every trim.  ``whole_from`` is the first window whose
+    buckets the log holds in full, the first a rebuild may recompute:
+    ``base + 1`` until the first trim (the engine held no earlier bucket
+    either), ``base + window_buckets`` after it.  A trim or a label-table
+    generation replaces the whole log, so a reader that reads
+    :attr:`ShardState.log` once sees one base with its buckets; the pump
+    only appends to ``buckets``.
+    """
+
+    base: int = -1
+    buckets: List[RecordBatch] = field(default_factory=list)
+    whole_from: int = 0
+
+    @property
+    def end(self) -> int:
+        """The window of the last bucket (``base`` when there is none)."""
+        return self.base + len(self.buckets)
+
+
 @dataclass
 class ShardState:
     """Everything the supervisor tracks about one shard."""
@@ -68,15 +111,11 @@ class ShardState:
     #: Supervision verdict from the ingest path (the breaker adds the
     #: query-path view on top; see :meth:`ShardSupervisor.shard_health`).
     health: str = HEALTH_HEALTHY
-    #: Acknowledged ingest log: every bucket routed to this shard, in order.
-    buckets: List[RecordBatch] = field(default_factory=list)
-    #: Records and column bytes in the ingest log.
+    #: Acknowledged ingest log: the buckets a rebuild and the sketch tier
+    #: read, trimmed after each close (see the module docstring).
+    log: IngestLog = field(default_factory=IngestLog)
+    #: Records routed to this shard since the process started.
     records_ingested: int = 0
-    log_bytes: int = 0
-    #: Window restored from history at process start (-1 for a fresh
-    #: process).  The ingest log only covers windows after this point, so
-    #: rebuilds replay bucket ``i`` as global window ``window_base + 1 + i``.
-    window_base: int = -1
     restarts: int = 0
     last_error: str = ""
     #: The sketch tier of the published window, once a read has built it
@@ -86,6 +125,11 @@ class ShardState:
     sketch_lock: threading.Lock = field(default_factory=threading.Lock)
     #: Chaos hook; ``None`` in production.
     injector: Optional[object] = None
+
+    @property
+    def log_bytes(self) -> int:
+        """Column bytes of the buckets the ingest log holds."""
+        return sum(bucket.nbytes for bucket in self.log.buckets)
 
 
 class ShardSupervisor:
@@ -113,8 +157,13 @@ class ShardSupervisor:
         )
         self._clock = clock
         self._sleep = sleep
-        #: The one label table every bucket of this service is interned into.
+        #: The label table the current generation of buckets is interned
+        #: into; :attr:`generation` counts the swaps.
         self.labels = LabelTable()
+        self.generation = 0
+        # Labels live after the last swap: the table swaps again once it
+        # holds twice as many, or twice the records the logs retain.
+        self._live_labels = 0
         # One compute engine for the whole fleet, rebuilt shards included:
         # shards advance sequentially from the pump thread, so one shm pool
         # serves every shard's window recompute.
@@ -137,8 +186,9 @@ class ShardSupervisor:
         restored = -1
         for state in self.shards:
             if state.engine is not None and state.engine.restore_from_history():
-                state.window_base = state.engine.window
-                restored = max(restored, state.engine.window)
+                window = state.engine.window
+                state.log = IngestLog(base=window, whole_from=window + 1)
+                restored = max(restored, window)
         if restored >= 0:
             self.window = restored
             obs.emit(
@@ -209,6 +259,10 @@ class ShardSupervisor:
         applied the bucket or failed on it: cross-shard answers carry it,
         while an answer from one shard carries that shard's own window.
         Publishing it drops every shard's sketch tier of an earlier window.
+
+        Then the logs are trimmed (see :meth:`_retire`): a HEALTHY shard
+        keeps the last ``window_buckets + 1`` buckets, and the label table
+        may move to its next generation.
         """
         window = self.window + 1
         if bucket.labels is not self.labels:
@@ -223,9 +277,8 @@ class ShardSupervisor:
                 sub = routed[state.shard_id]
                 # Acknowledge durability first: once logged, the records
                 # survive any engine crash below (the rebuild replays the log).
-                state.buckets.append(sub)
+                state.log.buckets.append(sub)
                 state.records_ingested += len(sub)
-                state.log_bytes += sub.nbytes
                 self._advance_engine(state, sub, window)
         finally:
             self.window = window
@@ -236,12 +289,71 @@ class ShardSupervisor:
                     tier = state.sketch
                     if tier is not None and tier.window != self.published_window(state):
                         state.sketch = None
+        self._retire()
+
+    def _retire(self) -> None:
+        """Drop what no reader needs any more, once a window is published
+        (see the module docstring): trim every HEALTHY shard's log to its
+        last ``window_buckets + 1`` buckets, and move the retained buckets
+        to the label table's next generation when it is due.  Each new
+        log is installed with one assignment, after the window it serves
+        was published (see :meth:`_published`).
+        """
+        keep = self.config.window_buckets + 1
+        logs = []
+        for state in self.shards:
+            log = state.log
+            drop = len(log.buckets) - keep
+            if drop > 0 and state.health == HEALTH_HEALTHY:
+                base = log.base + drop
+                log = IngestLog(base, log.buckets[drop:], base + keep - 1)
+            logs.append(log)
+        floor = self.config.window_records * keep
+        if len(self.labels) > 2 * max(self._live_labels, floor):
+            logs = self._next_generation(logs)
+        for state, log in zip(self.shards, logs):
+            state.log = log
+
+    def _next_generation(self, logs: Sequence[IngestLog]) -> List[IngestLog]:
+        """Intern ``logs`` and every engine's window buckets into a fresh
+        label table, make it :attr:`labels`, and return the moved logs.
+        Batches still interned into an older table (parsed before the
+        swap) are interned again when the pump takes them."""
+        previous = len(self.labels)
+        labels = LabelTable()
+        logs = [
+            replace(log, buckets=[bucket.interned_into(labels) for bucket in log.buckets])
+            for log in logs
+        ]
+        for state in self.shards:
+            if state.engine is not None:
+                state.engine.aggregator.relabel(labels)
+        self.labels = labels
+        self._live_labels = len(labels)
+        self.generation += 1
+        obs.emit(
+            "service.labels.generation",
+            level="debug",
+            generation=self.generation,
+            labels=len(labels),
+            dropped=previous - len(labels),
+        )
+        return logs
 
     def published_window(self, state: ShardState) -> int:
         """The shard's last published window, from its ingest log: bucket
-        ``i`` is window ``window_base + 1 + i``, and a bucket still being
+        ``i`` is window ``log.base + 1 + i``, and a bucket still being
         applied belongs to no published window."""
-        return min(self.window, state.window_base + len(state.buckets))
+        return self._published(state.log)
+
+    def _published(self, log: IngestLog) -> int:
+        """The published window a reader of ``log`` may serve.
+
+        ``log`` must be read before :attr:`window`: a log installed after
+        window ``w`` was published holds the buckets of ``w`` and the
+        window before, and the window read after it is at least ``w``.
+        """
+        return min(self.window, log.end)
 
     def sketch_tier(self, state: ShardState) -> SketchTier:
         """The shard's sketch tier at its published window.
@@ -254,7 +366,8 @@ class ShardSupervisor:
         :class:`~repro.exceptions.ShardDown`.
         """
         with state.sketch_lock:
-            window = self.published_window(state)
+            log = state.log
+            window = self._published(log)
             tier = state.sketch
             if tier is not None and tier.window == window:
                 return tier
@@ -263,7 +376,7 @@ class ShardSupervisor:
                     state.injector.on_sketch(state.shard_id, window)
                 tier = SketchTier(
                     self.config,
-                    state.buckets[:window - state.window_base],
+                    log.buckets[: window - log.base],
                     window,
                     registry=state.registry,
                 )
@@ -329,7 +442,10 @@ class ShardSupervisor:
                 compute_engine=self.compute_engine,
                 labels=self.labels,
             )
-            issues = engine.rebuild(state.buckets, base_window=state.window_base)
+            log = state.log
+            issues = engine.rebuild(
+                log.buckets, base_window=log.base, whole_from=log.whole_from
+            )
             for issue in issues:
                 obs.emit(
                     "service.shard.checkpoint_issue",
@@ -406,7 +522,9 @@ class ShardSupervisor:
 
         Returns whether the shard is HEALTHY afterwards.  The cached
         sketch tier is dropped, so the next approximate read builds it
-        afresh from the ingest log.
+        afresh from the ingest log.  What a heal recovers is what the log
+        still holds: every window a DEGRADED or DOWN shard missed, since
+        such a shard keeps its whole log.
         """
         state = self.shards[shard_id]
         state.sketch = None

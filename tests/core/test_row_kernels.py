@@ -1,7 +1,7 @@
 """The TT, UT, IT and RWR batch kernels against per-node ``compute``.
 
 ``compute_all`` runs ``_compute_batch``, which for the row kernels is one
-pass over the targets' CSR out-rows (IT: in-rows): builtin row sums, one
+pass over the targets' CSR out-rows (IT: in-rows): ``math.fsum`` row totals, one
 vectorised division or scaling, and then ``top_k_pack``, the one ranker
 every batch kernel (RWR's walk blocks too) hands its candidates to.
 Per-node ``compute`` (the scalar relevance dict and
@@ -11,6 +11,7 @@ the pack must equal ``SignaturePack.from_signatures`` of the per-node
 signatures field for field, in-process and through a shm engine.
 """
 
+import math
 import struct
 from unittest import mock
 
@@ -224,3 +225,46 @@ class TestKernelEqualsPerNode:
         targets = ["b", "a", "b", "absent", "a", "x", "absent"]
         assert_kernel_is_per_node(graph, scheme, engine, targets)
         assert list(scheme.compute_all(graph, targets, engine=engine)) == ["b", "a", "absent", "x"]
+
+
+class TestRowTotals:
+    """Every row total is ``math.fsum`` of the row, so TT and IT bytes are
+    the same on every Python (the builtin float ``sum`` is compensated
+    only from 3.12 on)."""
+
+    def test_total_is_correctly_rounded(self):
+        # Summed left to right, 2**53 + 1 rounds back to 2**53 twice; the
+        # exact total 2**53 + 2 is a float.
+        big = float(2**53)
+        graph = CommGraph([("v", "x", big), ("v", "y", 1.0), ("v", "z", 1.0)])
+        reversed_graph = CommGraph([("x", "v", big), ("y", "v", 1.0), ("z", "v", 1.0)])
+        assert graph.out_strength("v") == reversed_graph.in_strength("v") == big + 2
+        for scheme, owner in (("tt", graph), ("it", reversed_graph)):
+            scheme = create_scheme(scheme, k=3)
+            for signature in (scheme.compute(owner, "v"), scheme.compute_all(owner, ["v"])["v"]):
+                assert dict(signature.entries)["y"] == 1.0 / (big + 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d"]),
+                st.sampled_from(["a", "b", "c", "d", "e"]),
+                st.one_of(WEIGHT, st.sampled_from([2.0**53, 2.0**60, 3.0])),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_every_kernel_row_total_is_fsum(self, edges):
+        graph = CommGraph(edges)
+        for name, rows in (("tt", graph.out_neighbors), ("it", graph.in_neighbors)):
+            pack = create_scheme(name, k=5).compute_all(graph, graph.nodes())
+            for node, signature in pack.items():
+                row = rows(node)
+                denominator = math.fsum(row.values()) - row.get(node, 0.0)
+                for member, weight in signature.entries:
+                    assert weight == row[member] / denominator, (name, node, member)
+        for node in graph.nodes():
+            assert graph.out_strength(node) == math.fsum(graph.out_neighbors(node).values())
+            assert graph.in_strength(node) == math.fsum(graph.in_neighbors(node).values())

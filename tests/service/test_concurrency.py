@@ -7,8 +7,11 @@ complete window's signature (never a half-built dict), and ``/status``
 never reports an impossible state.  A seeded mixed load over the four
 data-plane endpoints keeps ``/slo`` and ``/metrics`` consistent for a
 concurrent scraper, and every request it makes leaves a resolvable trace.
+HTTP threads that parse bodies into a label table the pump then retires
+give the answers and stores of a single-threaded run.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -157,11 +160,13 @@ class TestConcurrentReads:
         assert answers and injector.builds
         assert len(injector.builds) == len(set(injector.builds))
         state = service.supervisor.shards[0]
+        # A shard whose engine never comes back keeps its whole log.
+        assert state.log.base == -1 and len(state.log.buckets) == 20
         tiers = {}
         for node, document in answers:
             window = document["window"]
             if window not in tiers:
-                tiers[window] = SketchTier(small_config, state.buckets[:window + 1], window)
+                tiers[window] = SketchTier(small_config, state.log.buckets[:window + 1], window)
             want = tiers[window].current.signature(node)
             assert document["approximate"] is True
             assert document["signature"] == {str(dst): w for dst, w in want.entries}
@@ -310,3 +315,81 @@ class TestPumpThread:
             stopping = time.monotonic()
             service.stop_pump(drain=False)
         assert time.monotonic() - stopping < 5.0
+
+
+def churning_body(window, size=30):
+    """Window ``window``'s ``/ingest`` body: five hosts to externals new in
+    the window, at times ``100 * window + i``."""
+    rows = [
+        [100.0 * window + index, f"h{index % 5}", f"ext-{window}-{index % 23}", 1.0 + index % 3]
+        for index in range(size)
+    ]
+    return json.dumps({"records": rows})
+
+
+def segment_digests(directory):
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*.rseg"))
+    }
+
+
+class TestParsingAcrossGenerations:
+    def test_threads_parsing_into_older_generations_answer_as_one_thread(
+        self, small_config, tmp_path
+    ):
+        """Four HTTP threads parse window bodies while the pump thread
+        closes windows and swaps label tables.  Offers keep window order
+        (a body waits until the pump has closed every earlier window), so
+        a body is often parsed into a table retired before its offer; the
+        stores and answers equal a single-threaded run's."""
+        windows = 40
+        single = SignatureService(small_config, history_dir=tmp_path / "single")
+        for window in range(windows):
+            assert single.respond("POST", "/ingest", churning_body(window))[0] == 202
+            single.pump()
+
+        threaded = SignatureService(small_config, history_dir=tmp_path / "threaded")
+        supervisor, offer = threaded.supervisor, threaded.frontend.queue.offer
+        turn = threading.Condition()
+        progress = {"next": 0, "stale": 0}
+
+        def ordered_offer(batch):
+            window = int(batch.time[0]) // 100
+            deadline = time.monotonic() + 30.0
+            with turn:
+                while progress["next"] != window or supervisor.window != window - 1:
+                    assert time.monotonic() < deadline, "offers stalled"
+                    turn.wait(0.001)
+                progress["stale"] += batch.labels is not supervisor.labels
+                accepted = offer(batch)
+                progress["next"] += 1
+                turn.notify_all()
+            return accepted
+
+        threaded.frontend.queue.offer = ordered_offer
+        statuses = []
+
+        def post(first):
+            for window in range(first, windows, 4):
+                statuses.append(threaded.respond("POST", "/ingest", churning_body(window))[0])
+
+        posters = [threading.Thread(target=post, args=(first,), daemon=True) for first in range(4)]
+        threaded.start_pump(interval_s=0.001)
+        try:
+            for poster in posters:
+                poster.start()
+            for poster in posters:
+                poster.join(timeout=60)
+        finally:
+            threaded.stop_pump(drain=True)
+        assert not any(poster.is_alive() for poster in posters)
+        assert statuses == [202] * windows
+        assert supervisor.window == single.supervisor.window == windows - 1
+        assert supervisor.generation > 0 and progress["stale"] > 0
+        assert segment_digests(tmp_path / "threaded") == segment_digests(tmp_path / "single")
+        nodes = [f"h{i}" for i in range(5)] + [f"ext-{windows - 1}-{i}" for i in range(3)]
+        for path in [f"/{endpoint}/{node}" for node in nodes for endpoint in ("signature", "anomaly")]:
+            assert threaded.respond("GET", path)[::2] == single.respond("GET", path)[::2]
+        threaded.close()
+        single.close()

@@ -74,11 +74,20 @@ class TestQueue:
         # Two batches: the first window takes one whole and splits the other.
         queue.offer(numbered(0, 3, labels))
         queue.offer(numbered(3, 7, labels))
-        assert queue.take(5).time.tolist() == [0, 1, 2, 3, 4]
-        assert queue.take(5) is None
-        assert queue.take(5, force=True).time.tolist() == [5, 6]
-        assert queue.take(5, force=True) is None
+        assert queue.take(5, labels).time.tolist() == [0, 1, 2, 3, 4]
+        assert queue.take(5, labels) is None
+        assert queue.take(5, labels, force=True).time.tolist() == [5, 6]
+        assert queue.take(5, labels, force=True) is None
         assert len(queue) == 0
+
+    def test_take_interns_parts_of_older_tables_into_the_given_one(self):
+        queue, old, new = BoundedIngestQueue(10), LabelTable(), LabelTable()
+        new.intern(["b", "x"])
+        queue.offer(numbered(0, 3, old))
+        queue.offer(numbered(3, 5, new))
+        batch = queue.take(5, new)
+        assert batch.labels is new and len(new) == 3
+        assert batch.records() == numbered(0, 5, LabelTable()).records()
 
     def test_occupancy(self):
         queue = BoundedIngestQueue(10)
@@ -167,6 +176,34 @@ class TestIngest:
         with pytest.raises(DatasetError, match="record 1"):
             service.ingest(records)
         assert len(service.frontend.queue) == 0
+
+    def test_body_parsed_before_a_label_generation_is_interned_again(self, small_config):
+        """A body parsed into a table that a window close then retires (a
+        slow HTTP thread) is interned into the new generation when the
+        pump takes it: its window equals one parsed after the swap."""
+        late = [[float(i), f"h{i % 3}", f"late-{i % 4}", 2.0] for i in range(30)]
+        body = json.dumps({"records": late})
+        supervisors = []
+        for early in (True, False):
+            supervisor, frontend = build(small_config)
+            if early:
+                assert frontend.respond("POST", "/ingest", body)[0] == 202
+                parsed_into = supervisor.labels
+            for window in range(6):
+                churn = [
+                    EdgeRecord(float(i), f"h{i % 3}", f"ext-{window}-{i}", 1.0) for i in range(30)
+                ]
+                supervisor.ingest(RecordBatch.from_records(churn, supervisor.labels))
+            if not early:
+                assert frontend.respond("POST", "/ingest", body)[0] == 202
+            assert frontend.pump() == 1
+            supervisors.append(supervisor)
+        early_run, late_run = supervisors
+        assert early_run.generation > 0 and parsed_into is not early_run.labels
+        assert early_run.window == late_run.window == 6
+        for early_state, late_state in zip(early_run.shards, late_run.shards):
+            assert early_state.engine.signatures == late_state.engine.signatures
+            assert early_state.engine.prev_signatures == late_state.engine.prev_signatures
 
     def test_rejected_body_adds_no_label(self):
         """Regression: the ends were interned before the weights were
@@ -499,14 +536,15 @@ class TestProtocol:
         frontend.pump()
         labels = {record.src for record in records} | {record.dst for record in records}
         gauges = {name: value for name, _labels, value in frontend.merged_snapshot()["gauges"]}
-        # Distinct labels, not records; 24 column bytes per logged record.
+        # Distinct labels, not records; 24 column bytes per retained
+        # record: the last window_buckets + 1 = 2 windows of 30.
         assert gauges["service.labels"] == len(labels) == len(supervisor.labels)
-        assert gauges["service.ingest_log_bytes"] == 24 * len(records)
+        assert gauges["service.ingest_log_bytes"] == 24 * 60
         offer(frontend, records_factory(120, nodes=12, seed=6, start=500.0))
         frontend.pump()
         _status, _headers, body = frontend.respond("GET", "/metrics")
         assert f"repro_service_labels {len(supervisor.labels)}" in body
-        assert f"repro_service_ingest_log_bytes {24 * 240}" in body
+        assert f"repro_service_ingest_log_bytes {24 * 60}" in body
 
     def test_status_service_rollup(self, small_config, records_factory):
         supervisor, frontend = build(small_config)

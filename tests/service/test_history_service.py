@@ -214,6 +214,27 @@ class TestServiceRestart:
             )
         revived.close()
 
+    def test_heal_before_any_ingest_after_restart_keeps_both_windows(
+        self, config, tmp_path, fill
+    ):
+        """Regression: a rebuild over an empty log re-seeded only the
+        restored window, so a heal right after a restart lost the window
+        before it and ``/anomaly`` answered no persistence."""
+        service = make_service(config, tmp_path)
+        fill(service, count=64)
+        nodes = sorted(
+            {owner for state in service.supervisor.shards for owner in state.engine.signatures}
+        )
+        service.close()
+
+        revived = make_service(config, tmp_path)
+        before = {node: revived.respond("GET", f"/anomaly/{node}")[::2] for node in nodes}
+        for shard in range(config.num_shards):
+            assert revived.supervisor.heal(shard)
+        assert {node: revived.respond("GET", f"/anomaly/{node}")[::2] for node in nodes} == before
+        assert any(json.loads(body)["persistence"] is not None for _, body in before.values())
+        revived.close()
+
     def test_checkpoint_dir_alone_restores_and_answers_history(
         self, config, tmp_path, fill
     ):

@@ -6,8 +6,13 @@ surface: posts whose times repeat and arrive out of order, duplicate edges,
 zero weights, self-loops and non-ASCII labels, posts that straddle window
 boundaries, ``window_buckets`` from 1 to 3, shard crashes (rebuilt from the
 ingest log), wedged shards (breaker open: reads fall back to the sketch
-tier) and broken sketch builds (the shard goes DOWN until ``heal()``).
-After every step it reads ``/signature`` and ``/anomaly`` for every label.
+tier), broken sketch builds (the shard goes DOWN until ``heal()``) and
+process restarts (a new supervisor on the same history directory, after
+DOWN shards are healed; records still queued die with the process).  Most
+labels churn with the window index, so the shards trim their ingest logs
+and the label table moves through generations while all of this happens.
+After every step it reads ``/signature`` and ``/anomaly`` for every label
+of the last two windows.
 The model keeps every admitted record as an :class:`EdgeRecord` and, per
 shard and window, runs the reference paths: ``canonical_order``, then one
 ``add_edge`` per retained record (``graph_from_edges``, not the column
@@ -16,7 +21,8 @@ builder the shards use) and the scheme's ``compute_all``; and one
 SHA-256-equal to the model's, exact answers equal the model's signatures,
 approximate answers equal the model's sketch of the shard's published
 window, and the sketch tier's Count-Min, SpaceSaving and Flajolet-Martin
-state is identical.
+state is identical.  After a restart a window holds only buckets the new
+process ingested, and the sketch tier only sketches those.
 
 Weights include non-dyadic values and 1e16 at every ``window_buckets``:
 the shards' window graphs are fresh aggregation of the retained buckets,
@@ -30,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import repro.pipeline.runner as runner_module
@@ -54,7 +60,10 @@ from repro.streaming.hashing import stable_hash64
 from repro.streaming.stream_schemes import streaming_builder
 
 NUM_SHARDS = 3
-LABELS = ["h0", "h1", "hôte-ü", "节点-7", "emoji-🛰", "ключ"]
+#: Labels that every window shares, and names whose labels are new in
+#: every window (``label_of``).
+STABLE = ["h0", "h1", "hôte-ü"]
+CHURNING = ["节点-7", "emoji-🛰", "ключ"] + [f"ext-{index}" for index in range(9)]
 WEIGHTS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1e16]
 
 
@@ -77,23 +86,26 @@ class ScriptedFaults(ShardFaultInjector):
 def scenarios(draw):
     window_buckets = draw(st.integers(1, 3))
     window_records = draw(st.integers(4, 14))
+    label = st.integers(0, len(STABLE) + len(CHURNING) - 1)
     row = st.tuples(
         st.integers(0, 5),
-        st.sampled_from(LABELS),
-        st.sampled_from(LABELS),
+        label,
+        label,
         st.sampled_from(WEIGHTS),
         st.booleans(),  # send the row as an object instead of a list
     )
     # A post's rows, then more records on its first row's edge: an edge
     # summed from several weights in an order-sensitive way.
     post = st.tuples(
-        st.lists(row, min_size=1, max_size=2 * window_records),
+        st.lists(row, min_size=1, max_size=3 * window_records),
         st.lists(st.sampled_from(WEIGHTS), max_size=3),
     )
+    # Posts weigh double, so windows close often enough to swap tables.
     step = st.one_of(
         st.tuples(st.just("post"), post),
+        st.tuples(st.just("post"), post),
         st.tuples(
-            st.sampled_from(["crash", "break", "heal", "wedge"]),
+            st.sampled_from(["crash", "break", "heal", "wedge", "restart"]),
             st.integers(0, NUM_SHARDS - 1),
         ),
     )
@@ -102,8 +114,21 @@ def scenarios(draw):
         window_records,
         draw(st.sampled_from(["tt", "ut"])),
         draw(st.booleans()),  # strictly increasing times: the unsorted path
-        draw(st.lists(step, min_size=1, max_size=12)),
+        draw(st.lists(step, min_size=1, max_size=20)),
     )
+
+
+def label_of(index, window):
+    """Pool label ``index`` as sent in ``window``."""
+    if index < len(STABLE):
+        return STABLE[index]
+    return f"{CHURNING[index - len(STABLE)]}·{window}"
+
+
+def labels_near(window):
+    """Every label the last two windows up to ``window`` can hold."""
+    names = range(len(STABLE), len(STABLE) + len(CHURNING))
+    return STABLE + [label_of(index, w) for w in (window - 1, window) for index in names]
 
 
 def bits(value):
@@ -136,6 +161,7 @@ class Model:
         self.recovered = {shard: set() for shard in range(NUM_SHARDS)}
         self.wedged = set()  # shards whose breaker is open for good
         self.built = {}  # shard -> window of its cached sketch tier
+        self.restored = []  # the window each restart restored
         self.scheme = create_scheme(config.scheme, k=config.k)
         self.distance = get_distance(config.distance)
         self._signatures = {}
@@ -152,8 +178,16 @@ class Model:
             ]
         )
 
-    def retained(self, shard, window):
-        first = max(0, window - self.config.window_buckets + 1)
+    def floor(self, window):
+        """The first window whose bucket the process that closed
+        ``window`` ingested."""
+        return 1 + max([-1] + [r for r in self.restored if r < window])
+
+    def retained(self, shard, window, floor=None):
+        """The shard's buckets of ``window`` that its process holds; a
+        reader of a later window's log passes that log's ``floor``."""
+        floor = self.floor(window) if floor is None else floor
+        first = max(floor, window - self.config.window_buckets + 1)
         return [self.bucket(shard, w) for w in range(first, window + 1)]
 
     def graph(self, shard, window):
@@ -186,13 +220,14 @@ class Model:
             }
         return self.signatures(shard, window), meta
 
-    def sketch(self, shard, window):
-        """The one-pass sketch of a closed window: one ``observe_records``
-        over its retained records, bucket by bucket; ``None`` before
-        window 0."""
-        if window < 0:
+    def sketch(self, shard, window, floor):
+        """The one-pass sketch of a closed window from a log starting at
+        window ``floor``: one ``observe_records`` over its retained
+        records, bucket by bucket; ``None`` when the log holds none of
+        them."""
+        if window < floor:
             return None
-        if (shard, window) not in self._sketches:
+        if (shard, window, floor) not in self._sketches:
             builder = streaming_builder(
                 self.config.scheme,
                 k=self.config.k,
@@ -200,9 +235,16 @@ class Model:
                 delta=self.config.streaming_delta,
                 seed=self.config.seed,
             )
-            builder.observe_records(r for part in self.retained(shard, window) for r in part)
-            self._sketches[shard, window] = builder
-        return self._sketches[shard, window]
+            parts = self.retained(shard, window, floor)
+            builder.observe_records(r for part in parts for r in part)
+            self._sketches[shard, window, floor] = builder
+        return self._sketches[shard, window, floor]
+
+    def sketches(self, shard):
+        """The sketch tier's ``(current, previous)`` at the published window."""
+        window = self.windows - 1
+        floor = self.floor(window + 1)
+        return self.sketch(shard, window, floor), self.sketch(shard, window - 1, floor)
 
     def close_windows(self, faults):
         while len(self.records) >= (self.windows + 1) * self.config.window_records:
@@ -216,6 +258,15 @@ class Model:
         self.built.pop(shard, None)
         start = self.down_since.pop(shard, self.windows)
         self.recovered[shard].update(range(start, self.windows))
+
+    def restart(self):
+        """A new process restores the last window; what it had queued is
+        gone, and its breakers and sketch tiers start afresh."""
+        assert not self.down_since
+        del self.records[self.windows * self.config.window_records:]
+        self.restored.append(self.windows - 1)
+        self.wedged.clear()
+        self.built.clear()
 
     def applied(self, shard):
         """Windows the shard's exact engine has applied."""
@@ -241,7 +292,7 @@ class Model:
                 self.down_since[shard] = self.windows
                 return 503, {}
             self.built[shard] = window
-        current, previous = self.sketch(shard, window), self.sketch(shard, window - 1)
+        current, previous = self.sketches(shard)
         now = current.signature(node) if current and node in current.sources else None
         prev = previous.signature(node) if previous and node in previous.sources else None
         return self._answer(endpoint, window, True, now, prev)
@@ -259,7 +310,7 @@ class Model:
 
 
 def read_all(frontend, model, faults):
-    for node in LABELS:
+    for node in labels_near(model.windows - 1):
         for endpoint in ("signature", "anomaly"):
             want_status, want = model.read(node, endpoint, faults)
             status, _headers, body = frontend.respond("GET", f"/{endpoint}/{node}")
@@ -288,22 +339,15 @@ def check(supervisor, model, directory):
             # The on-demand tier, read directly (faults are uninstalled).
             tier = supervisor.sketch_tier(state)
             assert tier.window == model.windows - 1
-            for built, want in (
-                (tier.current, model.sketch(shard, model.windows - 1)),
-                (tier.previous, model.sketch(shard, model.windows - 2)),
-            ):
+            for built, want in zip((tier.current, tier.previous), model.sketches(shard)):
                 assert (built is None) == (want is None)
                 if want is not None:
                     assert builder_state(built) == builder_state(want)
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(scenarios())
-def test_service_matches_reference_model(scenario):
+def run_scenario(scenario):
+    """Drive one scenario against the model; returns the label-table
+    generations the service went through."""
     window_buckets, window_records, scheme, ordered, steps = scenario
     config = ServiceConfig(
         num_shards=NUM_SHARDS,
@@ -315,17 +359,22 @@ def test_service_matches_reference_model(scenario):
     )
     model = Model(config)
     faults = [ScriptedFaults() for _ in range(NUM_SHARDS)]
+    generations = 0
     with tempfile.TemporaryDirectory() as directory:
-        # A frozen clock: an opened breaker never half-opens.
-        supervisor = ShardSupervisor(
-            config,
-            history_dir=Path(directory) / "service",
-            clock=lambda: 0.0,
-            sleep=lambda _s: None,
-        )
-        frontend = ServiceFrontend(supervisor, config)
-        for shard, injector in enumerate(faults):
-            supervisor.install_injector(shard, injector)
+
+        def start():
+            # A frozen clock: an opened breaker never half-opens.
+            supervisor = ShardSupervisor(
+                config,
+                history_dir=Path(directory) / "service",
+                clock=lambda: 0.0,
+                sleep=lambda _s: None,
+            )
+            for shard, injector in enumerate(faults):
+                supervisor.install_injector(shard, injector)
+            return supervisor, ServiceFrontend(supervisor, config)
+
+        supervisor, frontend = start()
         for kind, argument in steps:
             if kind == "post":
                 rows, repeats = argument
@@ -333,6 +382,8 @@ def test_service_matches_reference_model(scenario):
                 rows = rows + [(first[0], first[1], first[2], w, first[4]) for w in repeats]
                 wire = []
                 for time, src, dst, weight, as_object in rows:
+                    window = len(model.records) // window_records
+                    src, dst = label_of(src, window), label_of(dst, window)
                     if ordered:
                         time = len(model.records)
                     record = EdgeRecord(float(time), src, dst, weight)
@@ -357,15 +408,47 @@ def test_service_matches_reference_model(scenario):
                 while breaker.state == STATE_CLOSED:
                     breaker.record_failure()
                 model.wedged.add(argument)
-            else:
+            elif kind == "heal":
                 supervisor.heal(argument)
                 model.heal(argument)
+            else:
+                # A planned restart: DOWN shards are healed first, so every
+                # store holds the last window.
+                for shard in sorted(model.down_since):
+                    assert supervisor.heal(shard)
+                    model.heal(shard)
+                generations += supervisor.generation
+                supervisor.close()
+                supervisor, frontend = start()
+                model.restart()
             read_all(frontend, model, faults)
         assert supervisor.window == model.windows - 1
         for shard in range(NUM_SHARDS):
             supervisor.install_injector(shard, None)
         check(supervisor, model, directory)
         supervisor.close()
+    return generations + supervisor.generation
+
+
+def test_service_matches_reference_model():
+    """Every generated scenario matches the model, and label tables really
+    move through generations in the generated scenarios."""
+    generations = []
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(scenarios())
+    def matches(scenario):
+        generations.append(run_scenario(scenario))
+        event(f"label-table generations: {min(generations[-1], 3)}{'+' * (generations[-1] > 3)}")
+
+    matches()
+    # Counted over the run: some generated scenarios swap (about one in
+    # ten to one in four, by the events above).
+    assert any(generations), generations
 
 
 @pytest.mark.parametrize("scheme", ["tt", "ut"])

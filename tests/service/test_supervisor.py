@@ -1,5 +1,6 @@
 """Supervision: routing, lockstep windows, restart budget, escalation, heal."""
 
+import hashlib
 import io
 import json
 
@@ -9,6 +10,7 @@ import repro.service.shard as shard_module
 from repro import obs
 from repro.exceptions import ShardDown
 from repro.graph.batch import RecordBatch
+from repro.graph.stream import EdgeRecord
 from repro.service import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -16,7 +18,10 @@ from repro.service import (
     STATE_CLOSED,
     BreakSketch,
     KillShard,
+    ServiceConfig,
+    ServiceFrontend,
     ShardSupervisor,
+    corrupt_checkpoint,
 )
 from repro.service.chaos import ShardFaultInjector
 
@@ -53,7 +58,7 @@ class TestRouting:
         supervisor = ShardSupervisor(small_config)
         supervisor.ingest(as_batch(supervisor, traffic[0]))
         for state in supervisor.shards:
-            for record in state.buckets[0].records():
+            for record in state.log.buckets[0].records():
                 assert supervisor.shard_for(record.src) == state.shard_id
 
     def test_lockstep_windows(self, small_config, traffic):
@@ -64,7 +69,8 @@ class TestRouting:
         for state in supervisor.shards:
             assert state.engine.window == 3
             assert supervisor.sketch_tier(state).window == 3
-            assert len(state.buckets) == 4
+            # The last window_buckets + 1 buckets: windows 2 and 3.
+            assert len(state.log.buckets) == 2 and state.log.base == 1
 
     def test_shards_cover_all_signatures(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
@@ -155,7 +161,7 @@ class TestRecovery:
         supervisor.ingest(as_batch(supervisor, traffic[2]))
         assert state.health == HEALTH_DOWN
         # Ingest log keeps accumulating while DOWN...
-        assert len(state.buckets) == 3
+        assert len(state.log.buckets) == 3
         # ...so an explicit heal rebuilds both tiers completely.
         supervisor.install_injector(2, None)
         assert supervisor.heal(2)
@@ -212,6 +218,115 @@ class TestRecovery:
         assert state.health == HEALTH_HEALTHY
         assert state.engine.window == supervisor.window == 3
         assert state.registry.counter_total("shard.down_transitions") == 0
+
+
+def churning_window(window, size=30):
+    """One window of records from 5 hosts to externals seen only in it."""
+    return [
+        EdgeRecord(float(index), f"host-{index % 5}", f"ext-{window}-{index % 17}", 1.0 + index % 3)
+        for index in range(size)
+    ]
+
+
+def segment_digests(directory):
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*.rseg"))
+    }
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("window_buckets", [1, 2])
+    def test_log_and_label_table_stay_bounded(self, window_buckets):
+        """Over 10 x (window_buckets + 2) windows of churning labels the
+        logs hold the last window_buckets + 1 windows, and the label table
+        at most twice two labels per retained record: it swaps once it
+        passes twice what is live."""
+        config = ServiceConfig(
+            num_shards=3, window_records=30, window_buckets=window_buckets, k=5
+        )
+        supervisor = ShardSupervisor(config)
+        frontend = ServiceFrontend(supervisor, config)
+        retained = (window_buckets + 1) * config.window_records
+        for window in range(10 * (window_buckets + 2)):
+            supervisor.ingest(as_batch(supervisor, churning_window(window)))
+            gauges = {name: value for name, _labels, value in frontend.merged_snapshot()["gauges"]}
+            assert gauges["service.ingest_log_bytes"] <= 24 * retained
+            assert gauges["service.labels"] <= 4 * retained
+        assert supervisor.generation > 0
+        for state in supervisor.shards:
+            assert len(state.log.buckets) == window_buckets + 1
+            assert state.log.end == supervisor.window
+        assert sum(state.records_ingested for state in supervisor.shards) == 30 * (
+            10 * (window_buckets + 2)
+        )
+
+    @pytest.mark.parametrize("damaged", [3, 7])
+    def test_rebuild_over_a_trimmed_log_recomputes_only_whole_windows(self, tmp_path, damaged):
+        """At window_buckets = 2 a log trimmed to base 6 (windows 7, 8, 9)
+        holds only the second of window 7's buckets.  A checkpoint damaged
+        at or before window 7, then a crash, leaves the damaged window a
+        reported issue: the rebuild recomputes from window 8, the log's
+        first whole window, and every window the store holds reads as a
+        run without faults'."""
+        config = ServiceConfig(num_shards=3, window_records=30, window_buckets=2, k=5)
+        reference = ShardSupervisor(config, history_dir=tmp_path / "reference")
+        chaotic = ShardSupervisor(config, history_dir=tmp_path / "chaotic")
+        state = chaotic.shards[1]
+        for window in range(11):
+            if window == 10:
+                corrupt_checkpoint(tmp_path / "chaotic" / "shard-01", window=damaged)
+                chaotic.install_injector(1, KillShard(at_window=10))
+            for supervisor in (reference, chaotic):
+                supervisor.ingest(as_batch(supervisor, churning_window(window)))
+            if window == 9:
+                assert (state.log.base, state.log.whole_from) == (6, 8)
+        assert state.health == HEALTH_HEALTHY
+        assert state.registry.counter_total("shard.checkpoint_issues") >= 1
+        assert damaged not in state.store.history
+        assert state.engine.signatures == reference.shards[1].engine.signatures
+        for window in range(11):
+            if window != damaged:
+                signatures, meta = state.store.load_window(window)
+                assert signatures == reference.shards[1].store.load_window(window)[0]
+                assert meta.get("recovered", False) == (window >= 8)
+
+    def test_down_shard_keeps_its_log_across_generations(self, small_config, tmp_path):
+        """A DOWN shard keeps every bucket while the others trim and the
+        table swaps; heal() then recovers every window it missed: its
+        store holds a run without faults' signatures (the recovered
+        windows say so in their meta), and every other store its bytes."""
+        reference = ShardSupervisor(small_config, history_dir=tmp_path / "reference")
+        chaotic = ShardSupervisor(small_config, history_dir=tmp_path / "chaotic")
+        chaotic.install_injector(2, BreakSketch(at_window=1))
+        state = chaotic.shards[2]
+        for window in range(12):
+            for supervisor in (reference, chaotic):
+                supervisor.ingest(as_batch(supervisor, churning_window(window)))
+            if window == 1:
+                open_breaker(state)
+                with pytest.raises(ShardDown):
+                    chaotic.sketch_tier(state)
+        assert state.health == HEALTH_DOWN
+        assert chaotic.generation > 0
+        assert len(state.log.buckets) == 12 and state.log.base == -1
+        assert len(chaotic.shards[0].log.buckets) == 2
+        chaotic.install_injector(2, None)
+        assert chaotic.heal(2)
+        for supervisor in (reference, chaotic):
+            supervisor.ingest(as_batch(supervisor, churning_window(12)))
+        assert len(state.log.buckets) == 2
+        for shard in range(small_config.num_shards):
+            name = f"shard-{shard:02d}"
+            chaotic_store, reference_store = chaotic.shards[shard].store, reference.shards[shard].store
+            if shard != 2:
+                assert segment_digests(tmp_path / "chaotic" / name) == segment_digests(
+                    tmp_path / "reference" / name
+                )
+            for window in range(13):
+                signatures, meta = chaotic_store.load_window(window)
+                assert signatures == reference_store.load_window(window)[0]
+                assert meta.get("recovered", False) == (shard == 2 and 2 <= window < 12)
 
 
 class WindowSpy(ShardFaultInjector):

@@ -6,7 +6,9 @@ exact Python big-int arithmetic, so any change to the hash arithmetic, the
 fingerprints or the segment encoding that moves a single bit fails these
 tests.  The service pin covers a whole window close — routing, canonical
 order, the sliding aggregator, the sketch tier and the segments — and was
-computed on the per-record ``EdgeRecord`` service path.
+computed on the per-record ``EdgeRecord`` service path.  Its weights are
+fractional, so its TT row totals are ``math.fsum``'s: the same bytes on
+every Python.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ LABELS = [f"10.0.{i // 256}.{i % 256}" for i in range(120)] + [
 
 SEGMENT_SHA256 = "a76496a9baebc4c305e86e27170b27aecaf7f3e772a707d7d718fd3001b40dd4"
 COUNT_MIN_SHA256 = "59e40b9e360d0d4e2b9836127048bc67034ce48aef9849908edf7735baed9255"
-SERVICE_SEGMENTS_SHA256 = "d6c256fe5803d5b4c499c541e505d2aa0fff9a17ce397b2fc5de69b4f0cfec15"
+SERVICE_SEGMENTS_SHA256 = "f5833bf811cbe148c2805069f0dabe301ce85030b1168a4937e1ab5429d318d9"
 SERVICE_COUNT_MIN_SHA256 = "411499d2ddf70988da79b891028f851da445bda51a97abb02dec10bc4560ed75"
 
 
