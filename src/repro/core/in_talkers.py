@@ -21,14 +21,13 @@ this database table's user community changed?").
 
 from __future__ import annotations
 
-import math
-from typing import List, Mapping
+from typing import List
 
 from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, register_scheme
 from repro.core.top_talkers import _row_shares
 from repro.graph.comm_graph import CommGraph
-from repro.types import NodeId, Weight
+from repro.types import NodeId
 
 
 @register_scheme
@@ -39,24 +38,7 @@ class InTalkers(SignatureScheme):
     characteristics = ("locality", "engagement")
     target_properties = ("uniqueness", "robustness")
 
-    def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
-        if node not in graph:
-            return {}
-        neighbours = graph.in_neighbors(node)
-        total = math.fsum(neighbours.values())
-        if total == 0:
-            return {}
-        denominator = total - neighbours.get(node, 0.0)
-        if denominator <= 0:
-            return {}
-        return {
-            src: weight / denominator
-            for src, weight in neighbours.items()
-            if src != node
-        }
-
     def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
-        # TT's row kernel over the in-rows: the shares of the in-row
-        # total, ``math.fsum`` of the in-row as ``relevance`` totals it.
+        # TT's row kernel over the in-rows: the shares of the in-row total.
         return self._compute_rows(graph, targets, _row_shares, graph.in_rows())
 

@@ -274,11 +274,12 @@ def top_k_pack(
     has each candidate at most once, and ``labels_of(positions)`` gives
     the nodes' labels.  Entries rank by owner, weight descending, the
     rank of ``str(label)`` among the distinct candidates, then entry
-    position, and each owner keeps its first ``k``: the order and cut of
-    :meth:`Signature.from_relevance` over a relevance dict holding the
-    owner's entries in position order.  Member columns are numbered
-    first-seen, so the pack equals :meth:`SignaturePack.from_signatures`
-    of the per-owner signatures.
+    position, and each owner keeps its first ``k``; member columns are
+    numbered first-seen in that order.  :meth:`Signature.from_relevance`,
+    the per-owner ranker (rwr-push, the streaming builders), ranks and
+    cuts the same way: given each owner's entries as a relevance dict in
+    entry order, :meth:`SignaturePack.from_signatures` of its signatures
+    equals this pack field for field.
     """
     num_owners = len(owners)
     counts = np.bincount(owner, minlength=num_owners)

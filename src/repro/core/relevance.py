@@ -11,54 +11,9 @@ variation in results for different scaling functions" — our ablation bench
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.exceptions import SchemeError
-
-#: A novelty scaling: (edge_weight, in_degree_of_dst, num_nodes) -> scaled weight.
-ScalingFunction = Callable[[float, int, int], float]
-
-
-def inverse_indegree(edge_weight: float, in_degree: int, num_nodes: int) -> float:
-    """The paper's UT weighting: ``C[i,j] / |I(j)|`` (Definition 4)."""
-    if in_degree <= 0:
-        return 0.0
-    return edge_weight / in_degree
-
-
-def tfidf(edge_weight: float, in_degree: int, num_nodes: int) -> float:
-    """TF-IDF analogue: ``C[i,j] * log(|V| / |I(j)|)``.
-
-    Falls back to zero for degenerate inputs (empty graph, in-degree
-    exceeding ``|V|`` cannot happen in simple graphs but is clamped
-    defensively so the weight never goes negative).
-    """
-    if in_degree <= 0 or num_nodes <= 0:
-        return 0.0
-    ratio = num_nodes / in_degree
-    if ratio <= 1.0:
-        return 0.0
-    return edge_weight * math.log(ratio)
-
-
-def sqrt_indegree(edge_weight: float, in_degree: int, num_nodes: int) -> float:
-    """Milder novelty discount: ``C[i,j] / sqrt(|I(j)|)``.
-
-    Not in the paper; included as an intermediate point for the scaling
-    ablation (between raw TT weights and the full inverse discount).
-    """
-    if in_degree <= 0:
-        return 0.0
-    return edge_weight / math.sqrt(in_degree)
-
-
-_SCALINGS: Dict[str, ScalingFunction] = {
-    "inverse": inverse_indegree,
-    "tfidf": tfidf,
-    "sqrt": sqrt_indegree,
-}
 
 
 def _tfidf_columns(weights: np.ndarray, in_degrees: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -82,21 +37,20 @@ _COLUMN_SCALINGS = {
 def scale_columns(
     name: str, weights: np.ndarray, in_degrees: np.ndarray, num_nodes: int
 ) -> np.ndarray:
-    """The scaling ``name`` of every ``(weight, in_degree)`` pair, bit for
-    bit the scalar function's value; ``in_degrees`` are positive (each
-    weighs an out-row entry, whose destination it counts)."""
+    """The novelty scaling ``name`` of every ``(C[i, j], |I(j)|)`` pair,
+    ``in_degrees`` positive (each weighs an out-row entry, whose
+    destination it counts):
+
+    - ``"inverse"``: ``C[i, j] / |I(j)|``, the paper's UT weighting
+      (Definition 4);
+    - ``"sqrt"``: ``C[i, j] / sqrt(|I(j)|)``, a milder discount, not in
+      the paper (an intermediate point for the scaling ablation);
+    - ``"tfidf"``: ``C[i, j] * log(|V| / |I(j)|)``, zero where
+      ``|I(j)| >= |V|`` so a weight never goes negative.
+    """
     return _COLUMN_SCALINGS[name](weights, in_degrees.astype(np.float64), num_nodes)
 
 
 def available_scalings() -> Tuple[str, ...]:
     """Names of the registered novelty scalings, sorted."""
-    return tuple(sorted(_SCALINGS))
-
-
-def get_scaling(name: str) -> ScalingFunction:
-    """Look up a scaling function by name."""
-    if name not in _SCALINGS:
-        raise SchemeError(
-            f"unknown novelty scaling {name!r}; known: {', '.join(sorted(_SCALINGS))}"
-        )
-    return _SCALINGS[name]
+    return tuple(sorted(_COLUMN_SCALINGS))

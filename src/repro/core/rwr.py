@@ -34,7 +34,7 @@ Two practical details the paper leaves implicit:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Mapping, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.core.scheme import SignatureScheme, register_scheme
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
-from repro.types import NodeId, Weight
+from repro.types import NodeId
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -203,21 +203,6 @@ class RandomWalkWithResets(SignatureScheme):
         stepped[start_rows, columns] += self.reset_probability
         return stepped
 
-    def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
-        if node not in graph or graph.num_nodes == 0:
-            return {}
-        ordering, position = graph.node_index()
-        transition_t = self._walk_matrix(graph)
-        dangling = np.asarray(transition_t.sum(axis=0)).ravel() == 0
-        occupancy = self._iterate(
-            transition_t, dangling, np.asarray([position[node]]), len(ordering)
-        )
-        column = occupancy[:, 0]
-        return {
-            ordering[index]: float(column[index])
-            for index in np.flatnonzero(column > 0)
-        }
-
     def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         """Batched computation: one shared ``P^T``, the owners walked in
         blocks of ``_BLOCK_BYTES`` per dense array, each block's columns
@@ -225,9 +210,13 @@ class RandomWalkWithResets(SignatureScheme):
         :func:`~repro.core.packed.top_k_pack` call.
 
         Every column is its owner's walk alone (see :meth:`_iterate`), so
-        any partition of the targets gives the same bytes as one call and
-        as per-node :meth:`compute`; the blocks only bound the dense
-        ``nodes x owners`` arrays a batch holds at once.
+        any partition of the targets gives the same bytes as one call; the
+        blocks only bound the dense ``nodes x owners`` arrays a batch
+        holds at once.  A ``V1`` owner of a bipartite graph keeps only
+        ``V2`` candidates (Section II-B: "When the graph is bipartite, we
+        may restrict the signature for nodes in V1 to consist only of
+        nodes in V2"), which a multi-hop walk needs, as it spreads
+        relevance over both partitions.
         """
         present = np.flatnonzero([node in graph for node in targets])
         if not len(present):
@@ -240,9 +229,8 @@ class RandomWalkWithResets(SignatureScheme):
         start_rows = np.asarray([position[targets[index]] for index in present])
         not_right = None
         if isinstance(graph, BipartiteGraph):
-            right = graph.right_node_set()
-            not_right = np.asarray([node not in right for node in ordering])
-            left = np.asarray([graph.side(targets[index]) == "left" for index in present])
+            left, right = graph.to_arrays().sides
+            not_right, left = ~right, left[start_rows]
 
         width = max(1, _BLOCK_BYTES // (8 * num_nodes))
         owners, candidates, weights = [], [], []

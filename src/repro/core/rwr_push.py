@@ -29,14 +29,23 @@ scheme ``"rwr-push"``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Dict, Mapping
+from typing import Dict, List, Tuple
 
+import numpy as np
+
+from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, register_scheme
+from repro.core.signature import Signature
 from repro.exceptions import SchemeError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph
-from repro.types import NodeId, Weight
+from repro.types import NodeId
+
+#: A node's walk neighbourhood: neighbour positions, their weights (in
+#: the same order) and the weights' ``math.fsum`` volume.
+_Neighbourhood = Tuple[List[int], List[float], float]
 
 
 @register_scheme
@@ -88,37 +97,42 @@ class PushRandomWalk(SignatureScheme):
             return isinstance(graph, BipartiteGraph)
         return bool(self.symmetrize)
 
-    def _neighbours(self, graph: CommGraph, node: NodeId) -> Dict[NodeId, float]:
-        """The walk's weighted neighbour view of ``node`` (symmetrised or not)."""
+    def _neighbourhood(self, graph: CommGraph, position: int) -> _Neighbourhood:
+        """The walk's weighted neighbours of the node at ``position``: its
+        out-row in row order, then (symmetrised) the in-row's sources not
+        already listed, a source in both rows weighing ``out + in``."""
+        out = graph.out_rows()
+        lo, hi = out.indptr[position], out.indptr[position + 1]
+        combined = dict(zip(out.cols[lo:hi].tolist(), out.data[lo:hi].tolist()))
         if self._should_symmetrize(graph):
-            combined: Dict[NodeId, float] = dict(graph.out_neighbors(node))
-            for src, weight in graph.in_neighbors(node).items():
+            rows = graph.in_rows()
+            lo, hi = rows.indptr[position], rows.indptr[position + 1]
+            for src, weight in zip(rows.cols[lo:hi].tolist(), rows.data[lo:hi].tolist()):
                 combined[src] = combined.get(src, 0.0) + weight
-            return combined
-        return dict(graph.out_neighbors(node))
+        return list(combined), list(combined.values()), math.fsum(combined.values())
 
-    def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
-        """Sparse approximate PPR vector from ``node`` via residual pushes."""
-        if node not in graph or graph.num_nodes == 0:
-            return {}
+    def _push(
+        self, graph: CommGraph, start: int, neighbourhoods: Dict[int, _Neighbourhood]
+    ) -> Dict[int, float]:
+        """Sparse approximate PPR vector from the node at position
+        ``start`` via residual pushes: each node's positive estimate, keyed
+        by position in first-push order.  ``neighbourhoods`` caches each
+        visited node's :meth:`_neighbourhood` across calls on one graph."""
         c = self.reset_probability
-        estimate: Dict[NodeId, float] = {}
-        residual: Dict[NodeId, float] = {node: 1.0}
+        estimate: Dict[int, float] = {}
+        residual: Dict[int, float] = {start: 1.0}
         # Queue of nodes that may violate the threshold (lazily validated).
-        queue = deque([node])
-        queued = {node}
+        queue = deque([start])
+        queued = {start}
         pushes = 0
-        neighbour_cache: Dict[NodeId, Dict[NodeId, float]] = {}
-        volume_cache: Dict[NodeId, float] = {}
 
         while queue and pushes < self.max_pushes:
             current = queue.popleft()
             queued.discard(current)
             mass = residual.get(current, 0.0)
-            if current not in neighbour_cache:
-                neighbour_cache[current] = self._neighbours(graph, current)
-                volume_cache[current] = sum(neighbour_cache[current].values())
-            volume = volume_cache[current]
+            if current not in neighbourhoods:
+                neighbourhoods[current] = self._neighbourhood(graph, current)
+            neighbours, weights, volume = neighbourhoods[current]
             threshold = self.epsilon * max(volume, 1.0)
             if mass <= threshold:
                 continue
@@ -127,8 +141,7 @@ class PushRandomWalk(SignatureScheme):
             estimate[current] = estimate.get(current, 0.0) + c * mass
             spread = (1.0 - c) * mass
             if volume > 0:
-                neighbours = neighbour_cache[current]
-                for neighbour, weight in neighbours.items():
+                for neighbour, weight in zip(neighbours, weights):
                     residual[neighbour] = residual.get(neighbour, 0.0) + (
                         spread * weight / volume
                     )
@@ -137,15 +150,30 @@ class PushRandomWalk(SignatureScheme):
                         queued.add(neighbour)
             else:
                 # Dangling: the walk returns home, as in the exact scheme.
-                residual[node] = residual.get(node, 0.0) + spread
-                if node not in queued:
-                    queue.append(node)
-                    queued.add(node)
-        return {
-            candidate: value for candidate, value in estimate.items() if value > 0
-        }
+                residual[start] = residual.get(start, 0.0) + spread
+                if start not in queued:
+                    queue.append(start)
+                    queued.add(start)
+        return {candidate: value for candidate, value in estimate.items() if value > 0}
+
+    def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
+        """One push per owner, each ranked by
+        :meth:`~repro.core.signature.Signature.from_relevance`; a ``V1``
+        owner of a bipartite graph keeps only ``V2`` candidates, as
+        :class:`~repro.core.rwr.RandomWalkWithResets` does."""
+        sides = graph.to_arrays().sides if isinstance(graph, BipartiteGraph) else None
+        neighbourhoods: Dict[int, _Neighbourhood] = {}
+        signatures = {}
+        for node, start in zip(targets, graph.row_positions(targets).tolist()):
+            estimate = self._push(graph, start, neighbourhoods) if start >= 0 else {}
+            if sides is not None and start >= 0 and sides[0][start]:
+                estimate = {member: value for member, value in estimate.items() if sides[1][member]}
+            members = graph.node_labels(np.fromiter(estimate, dtype=np.int64, count=len(estimate)))
+            relevance = dict(zip(members, estimate.values()))
+            signatures[node] = Signature.from_relevance(node, relevance, self.k)
+        return SignaturePack.from_signatures(signatures)
 
     def touched_size(self, graph: CommGraph, node: NodeId) -> int:
         """Number of nodes with non-zero estimate for a query (work proxy)."""
-        return len(self.relevance(graph, node))
-
+        start = int(graph.row_positions([node])[0])
+        return len(self._push(graph, start, {})) if start >= 0 else 0

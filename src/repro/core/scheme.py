@@ -2,8 +2,10 @@
 
 A *scheme* maps ``(graph, node)`` to a :class:`~repro.core.signature.Signature`
 by computing a relevance vector ``w_v`` and keeping its top-k (Definition 1).
-Schemes declare which graph characteristics they exploit and which signature
-properties they target, reproducing the paper's Table III metadata.
+Each scheme computes a batch of owners at once (:meth:`SignatureScheme.compute_all`);
+one owner's signature is the one row of that batch.  Schemes declare which
+graph characteristics they exploit and which signature properties they
+target, reproducing the paper's Table III metadata.
 
 Schemes are registered by name so experiments and the CLI can instantiate
 them from strings such as ``"tt"`` or ``"rwr"``.
@@ -12,7 +14,7 @@ them from strings such as ``"tt"`` or ``"rwr"``.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -21,18 +23,20 @@ from repro.core.execution import ComputeEngine
 from repro.core.packed import SignaturePack, top_k_pack
 from repro.core.signature import Signature
 from repro.exceptions import SchemeError, UnknownSchemeError
-from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph, RowsCsr
-from repro.types import NodeId, Weight
+from repro.types import NodeId
 
 
 class SignatureScheme(abc.ABC):
     """Base class for signature schemes.
 
-    Subclasses implement :meth:`relevance` (the per-node relevance vector);
-    top-k truncation, self-exclusion and the bipartite restriction (keep
-    only right-partition candidates for left-partition owners) are handled
-    uniformly here.
+    Subclasses implement :meth:`_compute_batch`, the signatures of a list
+    of owners: a one-hop scheme through :meth:`_compute_rows`, any other
+    by ranking each owner's relevance into a
+    :class:`~repro.core.packed.SignaturePack` (``top_k_pack`` over
+    candidate columns, or ``SignaturePack.from_signatures`` of
+    :meth:`Signature.from_relevance`).  :meth:`compute` and
+    :meth:`compute_all` are defined here, once, on top of it.
 
     Class attributes reproduce the paper's Table III:
 
@@ -57,15 +61,10 @@ class SignatureScheme(abc.ABC):
     # ------------------------------------------------------------------
     # Interface
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
-        """Relevance vector ``w_node`` over candidate nodes (pre-truncation)."""
-
     def compute(self, graph: CommGraph, node: NodeId) -> Signature:
-        """Signature of ``node`` in ``graph`` (top-k of :meth:`relevance`)."""
-        vector = self.relevance(graph, node)
-        vector = self._restrict_bipartite(graph, node, vector)
-        return Signature.from_relevance(node, vector, self.k)
+        """Signature of ``node`` in ``graph``: the one row of
+        ``compute_all(graph, [node])``."""
+        return self.compute_all(graph, [node])[node]
 
     def compute_all(
         self,
@@ -89,11 +88,9 @@ class SignatureScheme(abc.ABC):
         closes.  Every engine (:class:`repro.parallel.shm.ShmEngine`) is
         byte-identical to in-process.
 
-        Subclasses with batched implementations (e.g. matrix-based RWR)
-        override :meth:`_compute_batch`; the contract is identical to
-        calling :meth:`compute` per node, so an owner's signature does not
-        depend on which other owners share its batch, and any partition of
-        the targets gives the same bytes as one call.
+        An owner's signature does not depend on which other owners share
+        its batch (see :meth:`_compute_batch`), so any partition of the
+        targets gives the same bytes as one call.
         """
         targets: List[NodeId] = list(nodes) if nodes is not None else graph.nodes()
         # A repeated target is one owner, at its first place.
@@ -108,14 +105,17 @@ class SignatureScheme(abc.ABC):
         obs.counter("incremental.reused_signatures", scheme=self.name).inc(0)
         return pack
 
+    @abc.abstractmethod
     def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
-        """Full computation for an explicit list of distinct targets.
+        """The signatures of ``targets`` (distinct, possibly absent from
+        ``graph``: an empty signature) as a pack in target order.
 
-        Batched schemes override this instead of :meth:`compute_all`.
+        This is the one implementation of a scheme, and the method a
+        custom scheme implements.  An owner's row must depend only on the
+        graph and the owner, never on the other targets, so that
+        :meth:`compute` and every partition of a batch (the shm engine's
+        included) give the same bytes.
         """
-        return SignaturePack.from_signatures(
-            {node: self.compute(graph, node) for node in targets}
-        )
 
     def _compute_rows(
         self,
@@ -132,9 +132,8 @@ class SignatureScheme(abc.ABC):
         ``relevance`` gives every gathered entry's relevance (self-loops
         and non-candidates at or below zero).  The positive entries, in
         row order, go to :func:`~repro.core.packed.top_k_pack`, which
-        ranks and cuts them as per-node :meth:`compute` does.  The
-        bipartite restriction is skipped: a left owner's out-row only
-        holds ``V2`` nodes, and its in-row is empty.
+        ranks and cuts them.  No bipartite restriction is needed: a left
+        owner's out-row only holds ``V2`` nodes, and its in-row is empty.
         """
         if rows is None:
             rows = graph.out_rows()
@@ -150,29 +149,6 @@ class SignatureScheme(abc.ABC):
             graph.node_labels,
             self.k,
         )
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _restrict_bipartite(
-        graph: CommGraph, node: NodeId, vector: Mapping[NodeId, Weight]
-    ) -> Mapping[NodeId, Weight]:
-        """Keep only ``V2`` candidates for a ``V1`` owner of a bipartite graph.
-
-        Section II-B: "When the graph is bipartite, we may restrict the
-        signature for nodes in V1 to consist only of nodes in V2".  For
-        one-hop schemes this is automatic (out-neighbours of V1 are in V2),
-        but multi-hop schemes spread relevance over both partitions.
-        """
-        if not isinstance(graph, BipartiteGraph):
-            return vector
-        if node not in graph or graph.side(node) != "left":
-            return vector
-        # Built once per graph: one set construction per compute_all, not
-        # one per node.
-        right = graph.right_node_set()
-        return {candidate: weight for candidate, weight in vector.items() if candidate in right}
 
     def describe(self) -> str:
         """Human-readable parameterised name, e.g. ``"rwr(c=0.1, h=3)"``."""

@@ -9,14 +9,14 @@ Communities-of-Interest fraud-detection work of Cortes et al.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping
+from typing import List
 
 import numpy as np
 
 from repro.core.packed import SignaturePack
 from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
 from repro.graph.comm_graph import CommGraph
-from repro.types import NodeId, Weight
+from repro.types import NodeId
 
 
 @register_scheme
@@ -27,36 +27,20 @@ class TopTalkers(SignatureScheme):
     characteristics = ("locality", "engagement")
     target_properties = ("uniqueness", "robustness")
 
-    def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
-        if node not in graph:
-            return {}
-        neighbours = graph.out_neighbors(node)
-        total = math.fsum(neighbours.values())
-        if total == 0:
-            return {}
-        # Self-loops are excluded downstream (Definition 1, u != v) but we
-        # keep them out of the denominator too: the paper's sum runs over
-        # edges (i, v), which includes a self-loop if present; communication
-        # graphs essentially never contain them, and excluding them keeps
-        # weights interpretable as "fraction of talk directed at u".
-        denominator = total - neighbours.get(node, 0.0)
-        if denominator <= 0:
-            return {}
-        return {
-            dst: weight / denominator
-            for dst, weight in neighbours.items()
-            if dst != node
-        }
-
     def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         return self._compute_rows(graph, targets, _row_shares)
 
 
 def _row_shares(entries: RowEntries) -> np.ndarray:
-    """:meth:`TopTalkers.relevance` of every entry (and, over in-rows,
-    :meth:`~repro.core.in_talkers.InTalkers.relevance`), bit for bit: row totals
-    are ``math.fsum`` of the row, as ``relevance`` totals it (correctly
-    rounded, so the same on every Python), then one vectorised division."""
+    """TT's relevance of every entry (over in-rows, IT's): the entry's
+    share of its row total less the owner's self-loop, zero for the
+    self-loop itself.  Row totals are ``math.fsum`` of the row (correctly
+    rounded, so the same on every Python), then one vectorised division.
+
+    The self-loop stays out of the denominator too: the paper's sum runs
+    over edges ``(i, v)``, which includes a self-loop if present, but
+    communication graphs essentially never hold one, and leaving it out
+    keeps a weight the "fraction of talk directed at u"."""
     data = entries.data
     values = data.tolist()
     ends = np.cumsum(entries.lengths).tolist()

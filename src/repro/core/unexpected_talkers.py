@@ -14,15 +14,16 @@ little sensitivity to this choice, which our ablation bench verifies.
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List
 
 import numpy as np
 
 from repro.core.packed import SignaturePack
-from repro.core.relevance import get_scaling, scale_columns
+from repro.core.relevance import available_scalings, scale_columns
 from repro.core.scheme import RowEntries, SignatureScheme, register_scheme
+from repro.exceptions import SchemeError
 from repro.graph.comm_graph import CommGraph
-from repro.types import NodeId, Weight
+from repro.types import NodeId
 
 
 @register_scheme
@@ -35,21 +36,11 @@ class UnexpectedTalkers(SignatureScheme):
 
     def __init__(self, k: int = 10, scaling: str = "inverse") -> None:
         super().__init__(k=k)
+        if scaling not in available_scalings():
+            raise SchemeError(
+                f"unknown novelty scaling {scaling!r}; known: {', '.join(available_scalings())}"
+            )
         self.scaling_name = scaling
-        self._scaling = get_scaling(scaling)
-
-    def relevance(self, graph: CommGraph, node: NodeId) -> Mapping[NodeId, Weight]:
-        if node not in graph:
-            return {}
-        num_nodes = graph.num_nodes
-        vector = {}
-        for dst, weight in graph.out_neighbors(node).items():
-            if dst == node:
-                continue
-            scaled = self._scaling(weight, graph.in_degree(dst), num_nodes)
-            if scaled > 0:
-                vector[dst] = scaled
-        return vector
 
     def _compute_batch(self, graph: CommGraph, targets: List[NodeId]) -> SignaturePack:
         in_degrees, num_nodes = np.diff(graph.in_rows().indptr), graph.num_nodes

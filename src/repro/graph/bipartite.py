@@ -12,7 +12,7 @@ signatures of ``V1`` nodes to members of ``V2``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -46,19 +46,6 @@ class BipartiteGraph(CommGraph):
     def right_nodes(self) -> List[NodeId]:
         """``V2`` members in node order."""
         return self.node_labels(np.flatnonzero(self._sides[1]))
-
-    @cached_property
-    def _right_node_set(self) -> FrozenSet[NodeId]:
-        return frozenset(self.right_nodes)
-
-    def right_node_set(self) -> FrozenSet[NodeId]:
-        """``V2`` as a frozen set, built once per graph.
-
-        The signature machinery restricts left-node signatures to ``V2``
-        members; building the set once (instead of once per node) keeps
-        ``compute_all`` linear in the population.
-        """
-        return self._right_node_set
 
     def side(self, node: NodeId) -> str:
         """Return ``"left"`` or ``"right"`` for a known node."""

@@ -31,9 +31,6 @@ if TYPE_CHECKING:
     # none never loads it.
     import scipy.sparse as sp
 
-_Row = Dict[NodeId, Weight]
-
-
 class RowsCsr(NamedTuple):
     """Adjacency rows as CSR over a graph's node order: row ``i`` lists
     node ``i``'s entries in row order, as neighbour positions and weights."""
@@ -360,55 +357,42 @@ class CommGraph:
         entry = self._edge(src, dst)
         return 0.0 if entry is None else float(self.out_rows().data[entry])
 
-    def _row(self, rows: RowsCsr, views: List[Optional[_Row]], node: NodeId) -> _Row:
-        """Row ``node`` of ``rows`` as a dict, built on its first read and
-        kept in ``views``."""
+    def _row(self, rows: RowsCsr, node: NodeId) -> Tuple[np.ndarray, np.ndarray]:
+        """Row ``node`` of ``rows``: its neighbour positions and weights."""
         position = self._position(node)
-        view = views[position]
-        if view is None:
-            lo, hi = rows.indptr[position], rows.indptr[position + 1]
-            view = dict(zip(self.node_labels(rows.cols[lo:hi]), rows.data[lo:hi].tolist()))
-            views[position] = view
-        return view
+        lo, hi = rows.indptr[position], rows.indptr[position + 1]
+        return rows.cols[lo:hi], rows.data[lo:hi]
 
-    @cached_property
-    def _out_views(self) -> List[Optional[_Row]]:
-        return [None] * self.num_nodes
-
-    @cached_property
-    def _in_views(self) -> List[Optional[_Row]]:
-        return [None] * self.num_nodes
+    def _neighbors(self, rows: RowsCsr, node: NodeId) -> Dict[NodeId, Weight]:
+        cols, data = self._row(rows, node)
+        return dict(zip(self.node_labels(cols), data.tolist()))
 
     def out_neighbors(self, node: NodeId) -> Mapping[NodeId, Weight]:
         """``O(v)`` with weights: mapping destination -> ``C[v, dst]``, in
-        row order, keyed by the neighbours' own labels.  Built on first
-        read and kept (callers must not mutate it)."""
-        return self._row(self.out_rows(), self._out_views, node)
+        row order, keyed by the neighbours' own labels.  Built on each
+        call from the CSR out-row."""
+        return self._neighbors(self.out_rows(), node)
 
     def in_neighbors(self, node: NodeId) -> Mapping[NodeId, Weight]:
         """``I(v)`` with weights: mapping source -> ``C[src, v]``, as
         :meth:`out_neighbors`."""
-        return self._row(self.in_rows(), self._in_views, node)
+        return self._neighbors(self.in_rows(), node)
 
     def out_degree(self, node: NodeId) -> int:
         """``|O(v)|``: number of distinct destinations of ``node``."""
-        position = self._position(node)
-        indptr = self.out_rows().indptr
-        return int(indptr[position + 1] - indptr[position])
+        return len(self._row(self.out_rows(), node)[0])
 
     def in_degree(self, node: NodeId) -> int:
         """``|I(v)|``: number of distinct sources communicating to ``node``."""
-        position = self._position(node)
-        indptr = self.in_rows().indptr
-        return int(indptr[position + 1] - indptr[position])
+        return len(self._row(self.in_rows(), node)[0])
 
     def out_strength(self, node: NodeId) -> Weight:
         """Total outgoing volume ``sum_u C[node, u]`` (``math.fsum``)."""
-        return math.fsum(self.out_neighbors(node).values())
+        return math.fsum(self._row(self.out_rows(), node)[1].tolist())
 
     def in_strength(self, node: NodeId) -> Weight:
         """Total incoming volume ``sum_u C[u, node]`` (``math.fsum``)."""
-        return math.fsum(self.in_neighbors(node).values())
+        return math.fsum(self._row(self.in_rows(), node)[1].tolist())
 
     def senders(self) -> List[NodeId]:
         """Nodes with positive total outgoing volume, in node order: the

@@ -9,10 +9,10 @@ from repro.graph.comm_graph import CommGraph
 
 class TestRelevance:
     def test_weights_are_incoming_fractions(self, triangle_graph):
-        relevance = InTalkers(k=5).relevance(triangle_graph, "c")
+        signature = InTalkers(k=5).compute(triangle_graph, "c")
         # c receives 2.0 from a and 1.0 from b.
-        assert relevance["a"] == pytest.approx(2.0 / 3.0)
-        assert relevance["b"] == pytest.approx(1.0 / 3.0)
+        assert signature.weight("a") == pytest.approx(2.0 / 3.0)
+        assert signature.weight("b") == pytest.approx(1.0 / 3.0)
 
     def test_mirror_of_top_talkers_on_transpose(self, triangle_graph):
         transposed = CommGraph(
@@ -24,20 +24,20 @@ class TestRelevance:
             assert it.compute(triangle_graph, node) == tt.compute(transposed, node)
 
     def test_no_incoming_edges_empty(self, star_graph):
-        assert InTalkers(k=3).relevance(star_graph, "h") == {}
+        assert len(InTalkers(k=3).compute(star_graph, "h")) == 0
 
     def test_unknown_node_empty(self, triangle_graph):
-        assert InTalkers().relevance(triangle_graph, "zzz") == {}
+        assert len(InTalkers().compute(triangle_graph, "zzz")) == 0
 
     def test_self_loop_excluded(self):
         graph = CommGraph([("v", "v", 5.0), ("a", "v", 1.0)])
-        relevance = InTalkers().relevance(graph, "v")
-        assert "v" not in relevance
-        assert relevance["a"] == pytest.approx(1.0)
+        signature = InTalkers().compute(graph, "v")
+        assert "v" not in signature
+        assert signature.weight("a") == pytest.approx(1.0)
 
     def test_only_self_loop_empty(self):
         graph = CommGraph([("v", "v", 5.0)])
-        assert InTalkers().relevance(graph, "v") == {}
+        assert len(InTalkers().compute(graph, "v")) == 0
 
 
 class TestUsage:

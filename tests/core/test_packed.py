@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.distances import available_distances, get_distance
 from repro.core.packed import (
@@ -13,6 +15,7 @@ from repro.core.packed import (
     pair_distances,
     pairwise_matrix,
     signature_distances,
+    top_k_pack,
 )
 from repro.core.signature import Signature
 from repro.exceptions import DistanceError
@@ -93,6 +96,73 @@ def same_fields(pack, other):
         and pack.indices.tolist() == other.indices.tolist()
         and pack.data.tobytes() == other.data.tobytes()
     )
+
+
+#: A node table whose ``str`` forms tie (``1`` and ``"1"``) and whose
+#: order is neither ``str`` order nor type order.
+TABLE = ["b", 1, "1", "a", 2.5, "10", 10, "x"]
+#: Few distinct weights, so entries tie; zero is not a candidate.
+RANK_WEIGHT = st.sampled_from([0.0, 1.0, 0.5, 2.0, 1 / 3, 1e-300])
+
+
+def typed(labels):
+    return [(label, type(label)) for label in labels]
+
+
+class TestTopKPackRanksAsFromRelevance:
+    """``top_k_pack``, the kernels' ranker, against
+    ``Signature.from_relevance``, the per-owner one (rwr-push and the
+    streaming builders): the same relevance gives the same pack, field
+    for field.  A relevance dict lists its candidates in row order; the
+    ranker gets what a kernel hands it, the positive entries other than
+    the owner's own, in that order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, len(TABLE)),  # the owner; len(TABLE) is absent
+                st.lists(
+                    st.tuples(st.integers(0, len(TABLE) - 1), RANK_WEIGHT),
+                    max_size=len(TABLE),
+                    unique_by=lambda entry: entry[0],
+                ),
+            ),
+            max_size=5,
+            unique_by=lambda row: row[0],
+        ),
+        k=st.integers(1, 5),
+    )
+    def test_same_pack_as_from_relevance(self, rows, k):
+        # An absent owner has no row.
+        rows = [(owner, entries if owner < len(TABLE) else []) for owner, entries in rows]
+        owners = [TABLE[owner] if owner < len(TABLE) else "absent" for owner, _ in rows]
+        columns = [
+            (row, candidate, weight)
+            for row, (owner, entries) in enumerate(rows)
+            for candidate, weight in entries
+            if weight > 0 and candidate != owner
+        ]
+        owner_of, candidate, weight = (
+            np.array([column[index] for column in columns], dtype=dtype)
+            for index, dtype in ((0, np.int64), (1, np.int64), (2, np.float64))
+        )
+        pack = top_k_pack(
+            owners, owner_of, candidate, weight, lambda positions: [TABLE[p] for p in positions], k
+        )
+        reference = SignaturePack.from_signatures(
+            {
+                node: Signature.from_relevance(
+                    node, {TABLE[candidate]: weight for candidate, weight in entries}, k
+                )
+                for node, (_, entries) in zip(owners, rows)
+            }
+        )
+        assert typed(pack.owners) == typed(reference.owners)
+        assert typed(pack.node_table) == typed(reference.node_table)
+        assert pack.indptr.tolist() == reference.indptr.tolist()
+        assert pack.indices.tolist() == reference.indices.tolist()
+        assert pack.data.tobytes() == reference.data.tobytes()
 
 
 class TestPackAsMapping:

@@ -18,6 +18,26 @@ from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.parallel.shm import ShmEngine
 
 
+def occupancies(scheme, graph, owners):
+    """``_iterate``'s columns, one per owner of the graph, each its
+    owner's walk alone: ``node -> mass`` over the nodes it reaches, the
+    owner included."""
+    ordering, position = graph.node_index()
+    transition_t = scheme._walk_matrix(graph)
+    dangling = np.asarray(transition_t.sum(axis=0)).ravel() == 0
+    starts = np.asarray([position[owner] for owner in owners], dtype=np.int64)
+    columns = scheme._iterate(transition_t, dangling, starts, len(ordering))
+    return [
+        {ordering[index]: float(column[index]) for index in np.flatnonzero(column > 0)}
+        for column in columns.T
+    ]
+
+
+def occupancy(scheme, graph, owner):
+    """``owner``'s walk alone (empty for a node not in the graph)."""
+    return occupancies(scheme, graph, [owner])[0] if owner in graph else {}
+
+
 class TestParameters:
     @pytest.mark.parametrize("c", [-0.1, 1.1])
     def test_invalid_reset_probability(self, c):
@@ -61,8 +81,8 @@ class TestPaperIdentities:
         bounded = RandomWalkWithResets(k=3, reset_probability=0.1, max_hops=500)
         unbounded = RandomWalkWithResets(k=3, reset_probability=0.1)
         for node in triangle_graph.nodes():
-            relevance_bounded = bounded.relevance(triangle_graph, node)
-            relevance_unbounded = unbounded.relevance(triangle_graph, node)
+            relevance_bounded = occupancy(bounded, triangle_graph, node)
+            relevance_unbounded = occupancy(unbounded, triangle_graph, node)
             for key in set(relevance_bounded) | set(relevance_unbounded):
                 assert relevance_bounded.get(key, 0.0) == pytest.approx(
                     relevance_unbounded.get(key, 0.0), abs=1e-6
@@ -71,7 +91,7 @@ class TestPaperIdentities:
     def test_large_c_concentrates_near_start(self, triangle_graph):
         """With c close to 1, the walk barely leaves the one-hop neighbourhood."""
         nearly_reset = RandomWalkWithResets(k=3, reset_probability=0.95, max_hops=50)
-        relevance = nearly_reset.relevance(triangle_graph, "a")
+        relevance = occupancy(nearly_reset, triangle_graph, "a")
         # Mass at the start node dominates; distant node mass is tiny.
         assert relevance["a"] > 0.9
 
@@ -79,7 +99,7 @@ class TestPaperIdentities:
 class TestOccupancySemantics:
     def test_occupancy_is_probability_vector(self, triangle_graph):
         scheme = RandomWalkWithResets(k=3, reset_probability=0.2, max_hops=4)
-        relevance = scheme.relevance(triangle_graph, "a")
+        relevance = occupancy(scheme, triangle_graph, "a")
         assert sum(relevance.values()) == pytest.approx(1.0)
         assert all(value >= 0 for value in relevance.values())
 
@@ -88,7 +108,7 @@ class TestOccupancySemantics:
         # so no probability mass leaks (the reset keeps the chain aperiodic).
         graph = CommGraph([("a", "b", 1.0)])
         scheme = RandomWalkWithResets(k=2, reset_probability=0.2, max_hops=10)
-        relevance = scheme.relevance(graph, "a")
+        relevance = occupancy(scheme, graph, "a")
         assert sum(relevance.values()) == pytest.approx(1.0)
         assert relevance["b"] > 0
 
@@ -96,16 +116,16 @@ class TestOccupancySemantics:
         # Chain a -> b -> c -> d: with h=2 the walk cannot reach 'd'.
         graph = CommGraph([("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
         scheme = RandomWalkWithResets(k=5, reset_probability=0.1, max_hops=2)
-        relevance = scheme.relevance(graph, "a")
+        relevance = occupancy(scheme, graph, "a")
         assert relevance.get("d", 0.0) == 0.0
         assert relevance.get("c", 0.0) > 0.0
 
     def test_unknown_node_empty(self, triangle_graph):
-        assert RandomWalkWithResets().relevance(triangle_graph, "zzz") == {}
+        assert len(RandomWalkWithResets().compute(triangle_graph, "zzz")) == 0
 
     def test_empty_graph(self):
         scheme = RandomWalkWithResets()
-        assert scheme.relevance(CommGraph(), "a") == {}
+        assert len(scheme.compute(CommGraph(), "a")) == 0
 
 
 class TestBatchedComputeAll:
@@ -113,12 +133,7 @@ class TestBatchedComputeAll:
         scheme = RandomWalkWithResets(k=3, reset_probability=0.1, max_hops=3)
         batch = scheme.compute_all(triangle_graph)
         for node in triangle_graph.nodes():
-            single = scheme.compute(triangle_graph, node)
-            assert batch[node].nodes == single.nodes
-            for member in single.nodes:
-                assert batch[node].weight(member) == pytest.approx(
-                    single.weight(member)
-                )
+            assert batch[node].entries == scheme.compute(triangle_graph, node).entries
 
     def test_missing_nodes_get_empty_signatures(self, triangle_graph):
         scheme = RandomWalkWithResets(k=3)
@@ -166,9 +181,9 @@ def shm_engine():
 
 
 def assert_every_path_walks_alone(scheme, graph, owners, engine):
-    """Per-node ``compute``, ``compute_all`` over the whole population,
-    over every partition into widths 1, 2 and all, in blocks of three
-    owners, and through ``engine`` give the same entries."""
+    """``compute`` (a one-owner batch), ``compute_all`` over the whole
+    population, over every partition into widths 1, 2 and all, in blocks
+    of three owners, and through ``engine`` give the same entries."""
     expected = {owner: scheme.compute(graph, owner).entries for owner in owners}
     for width in (1, 2, len(owners)):
         for lo in range(0, len(owners), width):
@@ -188,7 +203,7 @@ class TestBatchWidth:
     def test_every_width_equals_the_whole_batch(self, shm_engine, edges):
         # A one-owner batch sums the dangling mass and its walk's change in
         # the same order as a wide one, and each unbounded walk stops at
-        # its own convergence, so per-node compute, any partition, any
+        # its own convergence, so compute, any partition, any
         # owner block and the shm engine give the whole batch's signature.
         graph = graph_from_edges(edges)
         for max_hops in (3, None):
@@ -249,9 +264,8 @@ class TestBipartiteBehaviour:
         scheme = RandomWalkWithResets(
             k=2, reset_probability=0.1, max_hops=2, symmetrize=True
         )
-        relevance = scheme.relevance(graph, "b")
         # Symmetrised, 'b' can reach 'a' despite only an a->b edge existing.
-        assert relevance.get("a", 0.0) > 0
+        assert "a" in scheme.compute(graph, "b")
 
 
 class TestHopLimitedMetadata:
@@ -291,7 +305,7 @@ class TestTopKExtraction:
         scheme = RandomWalkWithResets(k=5, reset_probability=0.1, max_hops=3)
         batch = scheme.compute_all(graph, nodes=nodes[:10])
         for node in nodes[:10]:
-            relevance = scheme.relevance(graph, node)
+            relevance = occupancy(scheme, graph, node)
             expected = sorted(
                 ((candidate, weight) for candidate, weight in relevance.items() if candidate != node),
                 key=lambda item: (-item[1], str(item[0])),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.packed import SignaturePack
 from repro.core.scheme import (
     SignatureScheme,
     available_schemes,
@@ -31,8 +32,8 @@ class TestRegistry:
 
     def test_register_requires_name(self):
         class Nameless(SignatureScheme):
-            def relevance(self, graph, node):
-                return {}
+            def _compute_batch(self, graph, targets):
+                return SignaturePack.from_signatures([Signature(node) for node in targets])
 
         with pytest.raises(SchemeError):
             register_scheme(Nameless)
@@ -41,8 +42,8 @@ class TestRegistry:
         class Imposter(SignatureScheme):
             name = "tt"
 
-            def relevance(self, graph, node):
-                return {}
+            def _compute_batch(self, graph, targets):
+                return SignaturePack.from_signatures([Signature(node) for node in targets])
 
         with pytest.raises(SchemeError):
             register_scheme(Imposter)
@@ -52,18 +53,46 @@ class TestRegistry:
             create_scheme("tt", k=0)
 
 
+class Constant(SignatureScheme):
+    """A custom scheme: every other node is equally relevant.  It records
+    the targets of each batch it computes."""
+
+    name = "constant-test"
+
+    def __init__(self, k: int = 10) -> None:
+        super().__init__(k=k)
+        self.batches = []
+
+    def _compute_batch(self, graph, targets):
+        self.batches.append(list(targets))
+        return SignaturePack.from_signatures(
+            {
+                node: Signature.from_relevance(node, dict.fromkeys(graph.nodes(), 1.0), self.k)
+                for node in targets
+            }
+        )
+
+
 class TestBaseBehaviour:
-    def test_compute_applies_topk_and_self_exclusion(self, triangle_graph):
-        class Constant(SignatureScheme):
-            name = "constant-test"
-
-            def relevance(self, graph, node):
-                return {other: 1.0 for other in graph.nodes()}
-
+    def test_compute_is_one_row_of_compute_all(self, triangle_graph):
         scheme = Constant(k=2)
         signature = scheme.compute(triangle_graph, "a")
+        assert scheme.batches == [["a"]]
         assert "a" not in signature
         assert len(signature) == 2
+        assert signature == scheme.compute_all(triangle_graph)["a"]
+
+    def test_compute_all_passes_distinct_targets(self, triangle_graph):
+        scheme = Constant(k=2)
+        assert list(scheme.compute_all(triangle_graph, ["b", "a", "b"])) == ["b", "a"]
+        assert scheme.batches == [["b", "a"]]
+
+    def test_a_scheme_must_implement_its_batch(self):
+        class Bare(SignatureScheme):
+            name = "bare-test"
+
+        with pytest.raises(TypeError):
+            Bare()
 
     def test_compute_all_defaults_to_all_nodes(self, triangle_graph):
         scheme = create_scheme("tt", k=2)
@@ -75,20 +104,27 @@ class TestBaseBehaviour:
         scheme = create_scheme("tt", k=3)
         assert "tt(k=3)" in repr(scheme)
 
-    def test_bipartite_restriction_ignores_plain_graphs(self, triangle_graph):
-        # On a non-bipartite graph the restriction hook is a no-op.
-        vector = {"b": 1.0, "c": 2.0}
-        restricted = SignatureScheme._restrict_bipartite(triangle_graph, "a", vector)
-        assert restricted == vector
+    # The bipartite restriction (Section II-B) matters for the multi-hop
+    # schemes, whose walks spread relevance over both partitions.
+    MULTI_HOP = [
+        ("rwr", {"reset_probability": 0.1, "max_hops": 3}),
+        ("rwr-push", {"reset_probability": 0.1, "epsilon": 1e-8}),
+    ]
+
+    def test_bipartite_restriction_ignores_plain_graphs(self, small_bipartite):
+        # The same edges on a plain graph, walked both ways: a left
+        # owner's signature keeps the other left node.
+        plain = CommGraph(small_bipartite.edges())
+        for name, params in self.MULTI_HOP:
+            scheme = create_scheme(name, k=5, symmetrize=True, **params)
+            assert "u2" in scheme.compute(plain, "u1"), name
 
     def test_bipartite_restriction_right_node_unrestricted(self, small_bipartite):
-        vector = {"u1": 1.0, "d-shared": 2.0}
-        restricted = SignatureScheme._restrict_bipartite(
-            small_bipartite, "d-shared", vector
-        )
-        assert restricted == vector
+        for name, params in self.MULTI_HOP:
+            signature = create_scheme(name, k=5, **params).compute(small_bipartite, "d-shared")
+            assert {"u1", "u2"} <= signature.nodes, name
 
     def test_bipartite_restriction_left_node_filtered(self, small_bipartite):
-        vector = {"u2": 1.0, "d-shared": 2.0}
-        restricted = SignatureScheme._restrict_bipartite(small_bipartite, "u1", vector)
-        assert restricted == {"d-shared": 2.0}
+        for name, params in self.MULTI_HOP:
+            signature = create_scheme(name, k=5, **params).compute(small_bipartite, "u1")
+            assert signature.nodes == {"d-shared", "d-private1", "d-private2"}, name

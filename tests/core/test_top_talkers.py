@@ -7,31 +7,32 @@ from repro.graph.comm_graph import CommGraph, GraphBuilder
 
 
 class TestRelevance:
+    """TT's weights, read off signatures long enough to keep every candidate."""
+
     def test_weights_are_volume_fractions(self, triangle_graph):
-        scheme = TopTalkers(k=5)
-        relevance = scheme.relevance(triangle_graph, "a")
-        assert relevance["b"] == pytest.approx(5.0 / 7.0)
-        assert relevance["c"] == pytest.approx(2.0 / 7.0)
-        assert sum(relevance.values()) == pytest.approx(1.0)
+        signature = TopTalkers(k=5).compute(triangle_graph, "a")
+        assert signature.weight("b") == pytest.approx(5.0 / 7.0)
+        assert signature.weight("c") == pytest.approx(2.0 / 7.0)
+        assert signature.total_weight == pytest.approx(1.0)
 
     def test_unknown_node_empty(self, triangle_graph):
-        assert TopTalkers().relevance(triangle_graph, "zzz") == {}
+        assert len(TopTalkers().compute(triangle_graph, "zzz")) == 0
 
     def test_silent_node_empty(self):
         builder = GraphBuilder()
         builder.add_node("mute")
         graph = builder.build()
-        assert TopTalkers().relevance(graph, "mute") == {}
+        assert len(TopTalkers().compute(graph, "mute")) == 0
 
     def test_self_loop_excluded_from_weights(self):
         graph = CommGraph([("a", "a", 10.0), ("a", "b", 5.0)])
-        relevance = TopTalkers().relevance(graph, "a")
-        assert "a" not in relevance
-        assert relevance["b"] == pytest.approx(1.0)
+        signature = TopTalkers().compute(graph, "a")
+        assert "a" not in signature
+        assert signature.weight("b") == pytest.approx(1.0)
 
     def test_only_self_loop_gives_empty(self):
         graph = CommGraph([("a", "a", 10.0)])
-        assert TopTalkers().relevance(graph, "a") == {}
+        assert len(TopTalkers().compute(graph, "a")) == 0
 
 
 class TestCompute:

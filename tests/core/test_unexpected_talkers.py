@@ -1,8 +1,11 @@
 """Unit tests for the Unexpected Talkers scheme (Definition 4)."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.core.relevance import available_scalings, get_scaling, inverse_indegree, sqrt_indegree, tfidf
+from repro.core.relevance import available_scalings, scale_columns
 from repro.core.unexpected_talkers import UnexpectedTalkers
 from repro.exceptions import SchemeError
 from repro.graph.comm_graph import CommGraph
@@ -26,14 +29,14 @@ def popularity_graph():
 
 class TestRelevance:
     def test_popular_nodes_downweighted(self, popularity_graph):
-        relevance = UnexpectedTalkers(k=5).relevance(popularity_graph, "v")
+        signature = UnexpectedTalkers(k=5).compute(popularity_graph, "v")
         # hub has in-degree 4, obscure in-degree 1.
-        assert relevance["hub"] == pytest.approx(6.0 / 4.0)
-        assert relevance["obscure"] == pytest.approx(6.0)
-        assert relevance["obscure"] > relevance["hub"]
+        assert signature.weight("hub") == pytest.approx(6.0 / 4.0)
+        assert signature.weight("obscure") == pytest.approx(6.0)
+        assert signature.weight("obscure") > signature.weight("hub")
 
     def test_unknown_node_empty(self, popularity_graph):
-        assert UnexpectedTalkers().relevance(popularity_graph, "zzz") == {}
+        assert len(UnexpectedTalkers().compute(popularity_graph, "zzz")) == 0
 
     def test_top_k_prefers_obscure(self, popularity_graph):
         signature = UnexpectedTalkers(k=1).compute(popularity_graph, "v")
@@ -41,8 +44,9 @@ class TestRelevance:
 
     def test_self_loop_excluded(self):
         graph = CommGraph([("v", "v", 5.0), ("v", "a", 1.0)])
-        relevance = UnexpectedTalkers().relevance(graph, "v")
-        assert "v" not in relevance
+        signature = UnexpectedTalkers().compute(graph, "v")
+        assert "v" not in signature
+        assert signature.weight("a") == pytest.approx(1.0)
 
 
 class TestScalings:
@@ -50,24 +54,21 @@ class TestScalings:
         assert set(available_scalings()) == {"inverse", "tfidf", "sqrt"}
 
     def test_get_unknown(self):
-        with pytest.raises(SchemeError):
-            get_scaling("bogus")
+        with pytest.raises(SchemeError, match="known: inverse, sqrt, tfidf"):
+            UnexpectedTalkers(scaling="bogus")
 
     def test_inverse(self):
-        assert inverse_indegree(6.0, 3, 100) == pytest.approx(2.0)
-        assert inverse_indegree(6.0, 0, 100) == 0.0
+        scaled = scale_columns("inverse", np.array([6.0]), np.array([3]), 100)
+        assert scaled.tolist() == pytest.approx([2.0])
 
     def test_tfidf(self):
-        import math
-
-        assert tfidf(2.0, 10, 100) == pytest.approx(2.0 * math.log(10.0))
+        scaled = scale_columns("tfidf", np.array([2.0, 2.0]), np.array([10, 100]), 100)
         # A node everyone talks to carries no information.
-        assert tfidf(2.0, 100, 100) == 0.0
-        assert tfidf(2.0, 0, 100) == 0.0
+        assert scaled.tolist() == pytest.approx([2.0 * math.log(10.0), 0.0])
 
     def test_sqrt(self):
-        assert sqrt_indegree(6.0, 4, 100) == pytest.approx(3.0)
-        assert sqrt_indegree(6.0, 0, 100) == 0.0
+        scaled = scale_columns("sqrt", np.array([6.0]), np.array([4]), 100)
+        assert scaled.tolist() == pytest.approx([3.0])
 
     def test_tfidf_scheme_end_to_end(self, popularity_graph):
         scheme = UnexpectedTalkers(k=2, scaling="tfidf")
@@ -78,10 +79,8 @@ class TestScalings:
 
     def test_all_scalings_preserve_obscure_over_hub(self, popularity_graph):
         for scaling in available_scalings():
-            relevance = UnexpectedTalkers(scaling=scaling).relevance(
-                popularity_graph, "v"
-            )
-            assert relevance["obscure"] > relevance.get("hub", 0.0)
+            signature = UnexpectedTalkers(scaling=scaling).compute(popularity_graph, "v")
+            assert signature.weight("obscure") > signature.weight("hub")
 
 
 class TestMetadata:

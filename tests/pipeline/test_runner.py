@@ -86,7 +86,8 @@ class TestRun:
     )
     def test_windows_equal_per_owner_compute(self, trace, tmp_path, scheme, params):
         # Every window, batched through compute_all, equals the scheme's
-        # per-node compute on a reference build of that window's records.
+        # compute, one owner at a time, on a reference build of that
+        # window's records.
         config = PipelineConfig(scheme=scheme, k=5, scheme_params=params)
         result = make_pipeline(trace, tmp_path, config).run()
         reference = create_scheme(scheme, k=5, **params)
