@@ -24,7 +24,6 @@ import time
 from typing import TYPE_CHECKING, Callable, Dict
 
 from repro import obs
-from repro.core.execution import STRATEGIES
 
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentConfig
@@ -190,7 +189,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         num_windows=args.num_windows,
         window_length=args.window_length,
         bipartite=args.bipartite,
-        strategy=args.strategy,
         jobs=args.jobs,
         error_budget=args.error_budget,
         max_memory_cells=args.memory_budget,
@@ -279,7 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         queue_capacity=args.queue_capacity,
         max_restarts=args.serve_max_restarts,
         distance=args.serve_distance,
-        strategy=args.strategy,
         jobs=args.jobs,
         slo_similar_p99_s=args.slo_similar_p99 or None,
         slo_availability=args.slo_availability or None,
@@ -355,18 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the experiment grid: 1 = serial (default), "
-        "N > 1 = up to N processes, 0 = one per CPU; results are "
-        "deterministic regardless of the setting",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="serial",
-        help="batch-recompute engine: 'serial' computes in-process (default), "
-        "'shm' fans signature batches out over a zero-copy shared-memory "
-        "worker pool sized by --jobs (0 = one worker per CPU; outputs "
-        "byte-identical to serial)",
+        help="worker processes: experiments fan out their grid cells, "
+        "'pipeline' and 'serve' their signature batches (over a zero-copy "
+        "shared-memory pool); 1 = in-process (default), N > 1 = up to N "
+        "processes, 0 = one per CPU; outputs are identical at every setting",
     )
     parser.add_argument(
         "--dataset",
@@ -742,7 +731,6 @@ def main(argv=None) -> int:
     config = ExperimentConfig(
         scale=args.scale,
         jobs=args.jobs,
-        strategy=args.strategy,
     )
     commands = sorted(_COMMANDS) if args.command == "all" else [args.command]
 

@@ -13,7 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".signature": ("Signature",),
-        ".execution": ("STRATEGIES", "ComputeEngine", "make_engine"),
+        ".execution": ("ComputeEngine", "make_engine"),
         ".scheme": ("SignatureScheme", "available_schemes", "create_scheme", "register_scheme"),
         ".top_talkers": ("TopTalkers",),
         ".unexpected_talkers": ("UnexpectedTalkers",),

@@ -6,10 +6,11 @@ caller's loop: the shared-memory worker pool
 (:class:`repro.parallel.shm.ShmEngine`, byte-identical to serial).
 In-process serial computation is no engine at all: ``None``.
 
-The strategy name (``"serial"``, ``"shm"``) is a config value read in
-exactly one place, :func:`make_engine`.  Owners — a pipeline run, a shard
-supervisor, an experiment run — build the engine once, pass it down as
-``engine=``, and close what they built.
+The worker count ``jobs`` is the one execution setting, and it is read
+in exactly one place, :func:`make_engine`: one worker computes
+in-process, more use the pool.  Owners — a pipeline run, a shard
+supervisor — build the engine once, pass it down as ``engine=``, and
+close what they built.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scheme import SignatureScheme
     from repro.core.signature import Signature
     from repro.graph.comm_graph import CommGraph
-
-#: Every execution strategy a config may name.
-STRATEGIES = ("serial", "shm")
-
 
 class ComputeEngine(Protocol):
     """What ``compute_all(engine=...)`` and the engine owners rely on:
@@ -44,30 +41,30 @@ class ComputeEngine(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def execution_error(strategy: str, jobs: int) -> Optional[str]:
-    """Why these execution settings are invalid, or ``None`` when valid.
+def execution_error(jobs: int) -> Optional[str]:
+    """Why this worker count is invalid, or ``None`` when valid.
 
     Shared by the pipeline, service and experiment configs, which each
     raise their own error type with the message.
     """
-    if strategy not in STRATEGIES:
-        return f"unknown strategy {strategy!r}; use 'serial' or 'shm'"
     if jobs < 0:
         return f"jobs must be >= 0 (0 = all CPUs), got {jobs}"
     return None
 
 
-def make_engine(strategy: str, *, jobs: int = 0) -> Optional[ComputeEngine]:
-    """The engine a strategy names: ``None`` for ``"serial"``, a
-    :class:`~repro.parallel.shm.ShmEngine` of ``jobs`` workers (0 = all
-    CPUs) for ``"shm"``; ``"serial"`` ignores ``jobs``.  The caller owns
-    the result and closes it.
+def make_engine(jobs: int = 1) -> Optional[ComputeEngine]:
+    """The engine ``jobs`` workers need: ``None`` (in-process) when that
+    resolves to one worker — ``jobs=1``, or ``jobs=0`` on a one-CPU host
+    — else a :class:`~repro.parallel.shm.ShmEngine` of ``jobs`` workers
+    (0 = all CPUs).  The caller owns the result and closes it.
     """
-    error = execution_error(strategy, jobs)
+    error = execution_error(jobs)
     if error is not None:
         raise SchemeError(error)
-    if strategy == "shm":
-        from repro.parallel.shm import ShmEngine
+    from repro.parallel.pmap import effective_jobs
 
-        return ShmEngine(jobs=jobs)
-    return None
+    if effective_jobs(jobs) == 1:
+        return None
+    from repro.parallel.shm import ShmEngine
+
+    return ShmEngine(jobs=jobs)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.core.execution import ComputeEngine, execution_error
+from repro.core.execution import execution_error
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.datasets.enterprise import EnterpriseDataset, EnterpriseFlowGenerator, EnterpriseParams
 from repro.datasets.querylog import QueryLogDataset, QueryLogGenerator, QueryLogParams
@@ -44,16 +44,7 @@ class ExperimentConfig:
     worker processes via :mod:`repro.parallel`: ``1`` runs serially,
     ``N > 1`` uses up to ``N`` processes, ``0`` uses every CPU.
     Results are assembled in deterministic order regardless of ``jobs``.
-
-    ``strategy`` names the compute engine that
-    :func:`~repro.core.execution.make_engine` builds once per experiment
-    run and hands to every grid cell: ``"serial"``
-    computes in-process, ``"shm"`` through the shared-memory engine
-    (:mod:`repro.parallel.shm`) — the graph is published once and
-    ``jobs`` workers recompute index ranges zero-copy.  With ``"shm"``
-    the experiment grid itself runs serially (the worker pool is the
-    parallelism), so ``jobs`` moves from grid cells to the engine;
-    results are byte-identical either way.
+    Each cell computes its signatures in-process.
     """
 
     scale: str = "paper"
@@ -61,21 +52,13 @@ class ExperimentConfig:
     reset_probability: float = RESET_PROBABILITY
     rwr_hops: Tuple[int, ...] = RWR_HOPS
     jobs: int = 1
-    strategy: str = "serial"
 
     def __post_init__(self) -> None:
         if self.scale not in ("paper", "small"):
             raise ExperimentError(f"unknown scale {self.scale!r}; use 'paper' or 'small'")
-        error = execution_error(self.strategy, self.jobs)
+        error = execution_error(self.jobs)
         if error is not None:
             raise ExperimentError(error)
-
-    @property
-    def cell_jobs(self) -> int:
-        """Process fan-out for grid cells: ``jobs`` under the serial
-        strategy, ``1`` under ``"shm"`` (the engine's pool owns the CPUs
-        — nesting a grid pool over it would oversubscribe)."""
-        return 1 if self.strategy == "shm" else self.jobs
 
 
 _ENTERPRISE_PARAMS: Dict[str, EnterpriseParams] = {
@@ -126,17 +109,13 @@ def consecutive_signature_maps(
     graph_now,
     graph_next,
     population,
-    engine: Optional[ComputeEngine] = None,
 ):
     """Signature maps of ``population`` for a consecutive window pair.
 
     The two windows are disjoint, so each map is computed in full.
-    ``engine`` is forwarded to ``compute_all`` so the batches can run on
-    the shared-memory worker pool, byte-identical to the plain serial
-    recompute.
     """
-    signatures_now = scheme.compute_all(graph_now, population, engine=engine)
-    signatures_next = scheme.compute_all(graph_next, population, engine=engine)
+    signatures_now = scheme.compute_all(graph_now, population)
+    signatures_next = scheme.compute_all(graph_next, population)
     return signatures_now, signatures_next
 
 

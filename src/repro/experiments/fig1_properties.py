@@ -9,11 +9,10 @@ and lowest on persistence, RWR^h the opposite, TT in between.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import obs
 from repro.core.distances import DISPLAY_NAMES, get_distance
-from repro.core.execution import ComputeEngine, make_engine
 from repro.core.properties import PropertyEllipse, property_ellipse
 from repro.exceptions import ExperimentError
 from repro.experiments.config import (
@@ -44,16 +43,14 @@ def _dataset_setup(dataset: str, config: ExperimentConfig):
 
 
 def _scheme_ellipses(
-    task: Tuple[str, ExperimentConfig, str, Optional[ComputeEngine]]
+    task: Tuple[str, ExperimentConfig, str]
 ) -> List[PropertyEllipse]:
     """One grid cell of the parallel fan-out: all ellipses for one scheme.
 
     Module-level and config-driven so it pickles cleanly to worker
-    processes; datasets are deterministic and cached per process.  The
-    run's compute engine rides in the task (a sketch tier pickles; an
-    shm pool never leaves the process, since its cells run in-process).
+    processes; datasets are deterministic and cached per process.
     """
-    dataset, config, scheme_label, engine = task
+    dataset, config, scheme_label = task
     with obs.span("fig1.cell", scheme=scheme_label):
         graph_now, graph_next, population, k = _dataset_setup(dataset, config)
         scheme = make_schemes(k, config.reset_probability, config.rwr_hops)[scheme_label]
@@ -62,7 +59,6 @@ def _scheme_ellipses(
             graph_now,
             graph_next,
             population,
-            engine=engine,
         )
         return [
             property_ellipse(
@@ -92,18 +88,13 @@ def run_fig1(
     config = config or ExperimentConfig()
     _dataset_setup(dataset, config)  # validate the dataset name up front
     scheme_labels = list(make_schemes(1, config.reset_probability, config.rwr_hops))
-    engine = make_engine(config.strategy, jobs=config.jobs)
-    try:
-        with obs.span("experiment.fig1", dataset=dataset):
-            per_scheme = parallel_map(
-                _scheme_ellipses,
-                [(dataset, config, label, engine) for label in scheme_labels],
-                jobs=config.cell_jobs,
-                executor=executor,
-            )
-    finally:
-        if engine is not None:
-            engine.close()
+    with obs.span("experiment.fig1", dataset=dataset):
+        per_scheme = parallel_map(
+            _scheme_ellipses,
+            [(dataset, config, label) for label in scheme_labels],
+            jobs=config.jobs,
+            executor=executor,
+        )
     return [ellipse for ellipses in per_scheme for ellipse in ellipses]
 
 

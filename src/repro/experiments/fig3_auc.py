@@ -10,10 +10,9 @@ schemes are near-perfect on the query logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro import obs
-from repro.core.execution import ComputeEngine, make_engine
 from repro.core.roc import roc_identity
 from repro.exceptions import ExperimentError
 from repro.experiments.config import (
@@ -50,12 +49,12 @@ def _dataset_setup(dataset: str, config: ExperimentConfig):
 
 
 def _scheme_aucs(
-    task: Tuple[str, ExperimentConfig, str, Optional[ComputeEngine]]
+    task: Tuple[str, ExperimentConfig, str]
 ) -> Dict[str, float]:
     """Parallel grid cell: mean self-identification AUC per distance for
-    one scheme, computed on the run's engine.  Signatures are computed
+    one scheme.  Signatures are computed
     once and scored through the batch kernels for every distance."""
-    dataset, config, scheme_label, engine = task
+    dataset, config, scheme_label = task
     with obs.span("fig3.cell", scheme=scheme_label, dataset=dataset):
         graph_now, graph_next, population, k = _dataset_setup(dataset, config)
         scheme = make_schemes(k, config.reset_probability, config.rwr_hops)[scheme_label]
@@ -64,7 +63,6 @@ def _scheme_aucs(
             graph_now,
             graph_next,
             population,
-            engine=engine,
         )
         return {
             distance_name: roc_identity(
@@ -92,18 +90,13 @@ def run_fig3(
     config = config or ExperimentConfig()
     _dataset_setup(dataset, config)  # validate the dataset name up front
     scheme_labels = list(make_schemes(1, config.reset_probability, config.rwr_hops))
-    engine = make_engine(config.strategy, jobs=config.jobs)
-    try:
-        with obs.span("experiment.fig3", dataset=dataset):
-            per_scheme = parallel_map(
-                _scheme_aucs,
-                [(dataset, config, label, engine) for label in scheme_labels],
-                jobs=config.cell_jobs,
-                executor=executor,
-            )
-    finally:
-        if engine is not None:
-            engine.close()
+    with obs.span("experiment.fig3", dataset=dataset):
+        per_scheme = parallel_map(
+            _scheme_aucs,
+            [(dataset, config, label) for label in scheme_labels],
+            jobs=config.jobs,
+            executor=executor,
+        )
     auc: Dict[str, Dict[str, float]] = {
         distance_name: {
             label: result[distance_name]

@@ -5,7 +5,7 @@ Two complementary engines live here:
 :mod:`repro.parallel.pmap`
     :func:`parallel_map` — stateless fan-out of picklable tasks over a
     :class:`~concurrent.futures.ProcessPoolExecutor`, results in input
-    order.  Every task"s inputs travel through a pipe, so it suits grids
+    order.  Every task's inputs travel through a pipe, so it suits grids
     of small, self-describing cells (the experiment grid).
 
 :mod:`repro.parallel.shm`
@@ -14,9 +14,6 @@ Two complementary engines live here:
     once, then dispatches *index ranges* to workers that reattach
     zero-copy.  It suits repeated recomputation over one large shared
     input (window recompute, dirty-set partitions).
-
-The historical ``repro.parallel`` module API is preserved verbatim at the
-package root.
 """
 
 from repro._exports import lazy_exports
@@ -25,8 +22,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         ".pmap": (
-            "MapExecutor", "ON_ERROR_POLICIES", "SerialExecutor", "available_cpus",
-            "effective_jobs", "parallel_map",
+            "MapExecutor", "SerialExecutor", "available_cpus", "effective_jobs",
+            "parallel_map",
         ),
         ".shm": ("ShmEngine", "active_segment_names", "attach_graph", "publish_graph"),
     },

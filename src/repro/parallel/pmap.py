@@ -34,7 +34,6 @@ failure are still merged and the original exception propagates.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Protocol, Sequence, Tuple, TypeVar
 
 from repro import obs
@@ -94,27 +93,6 @@ def effective_jobs(jobs: int) -> int:
     return jobs
 
 
-#: Accepted ``on_error`` policies for :func:`parallel_map`.
-ON_ERROR_POLICIES = ("raise", "skip", "retry")
-
-
-class _CapturedTask:
-    """Picklable wrapper that captures a task's exception instead of letting
-    it abort the whole map: returns ``(True, payload)`` or ``(False, error)``
-    so the parent can apply its ``on_error`` policy per slot."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function: Callable) -> None:
-        self.function = function
-
-    def __call__(self, task: TaskT) -> Tuple[bool, object]:
-        try:
-            return True, self.function(task)
-        except Exception as error:  # noqa: BLE001 - policy applied by parent
-            return False, error
-
-
 class _InstrumentedTask:
     """Picklable wrapper: run the task under a fresh worker registry and
     return ``(result, registry snapshot)`` so the parent can merge it."""
@@ -147,37 +125,19 @@ def parallel_map(
     tasks: Sequence[TaskT],
     jobs: int = 1,
     executor: MapExecutor | None = None,
-    on_error: str = "raise",
-    retries: int = 1,
 ) -> List[ResultT]:
     """Apply ``function`` to every task, results in input order.
 
     With ``executor`` given, it is used as-is (injectable for tests).
     Otherwise ``jobs`` picks between a plain in-process loop and a
     :class:`~concurrent.futures.ProcessPoolExecutor`; ``Executor.map``
-    preserves input order, so results are deterministic either way.
-
-    ``on_error`` decides what a failing task does to the rest of the map:
-
-    * ``"raise"`` (default) — the exception propagates unchanged and the
-      map is abandoned, exactly the historical behaviour;
-    * ``"skip"`` — failed tasks are dropped from the result list (the
-      survivors keep input order), each skip logged as a
-      ``parallel.task_skipped`` event and counted in
-      ``parallel.tasks_skipped``;
-    * ``"retry"`` — failed tasks are re-run up to ``retries`` more times
-      (counted in ``parallel.task_retries``); a task still failing after
-      its last retry raises.
+    preserves input order, so results are deterministic either way.  A
+    failing task's exception propagates unchanged and the map is
+    abandoned.
 
     An empty ``tasks`` returns ``[]`` without touching the executor or
     resolving ``jobs``.
     """
-    if on_error not in ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
-        )
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     tasks = list(tasks)
     if not tasks:
         return []
@@ -186,85 +146,24 @@ def parallel_map(
     if collect:
         registry.counter("parallel.maps").inc()
         registry.counter("parallel.tasks").inc(len(tasks))
-    if on_error == "raise":
-        if executor is not None:
-            if collect:
-                return _consume_merging(
-                    executor.map(_InstrumentedTask(function), tasks)
-                )
-            return list(executor.map(function, tasks))
-        workers = effective_jobs(jobs)
-        if workers <= 1 or len(tasks) <= 1:
-            # Serial path: run under the caller's registry directly — spans
-            # nest into the active span naturally, matching what the parallel
-            # path reconstructs via prefix grafting.
-            return [function(task) for task in tasks]
-        if collect:
-            registry.gauge("parallel.workers").set(min(workers, len(tasks)))
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            if collect:
-                return _consume_merging(pool.map(_InstrumentedTask(function), tasks))
-            return list(pool.map(function, tasks))
-    # Capturing paths: task exceptions come back as data, the policy is
-    # applied per input slot in the parent.
-    captured = _CapturedTask(_InstrumentedTask(function) if collect else function)
     if executor is not None:
-        return _map_captured(captured, tasks, executor.map, on_error, retries, collect)
+        if collect:
+            return _consume_merging(executor.map(_InstrumentedTask(function), tasks))
+        return list(executor.map(function, tasks))
     workers = effective_jobs(jobs)
     if workers <= 1 or len(tasks) <= 1:
-        serial = SerialExecutor()
-        return _map_captured(captured, tasks, serial.map, on_error, retries, collect)
+        # Serial path: run under the caller's registry directly — spans
+        # nest into the active span naturally, matching what the parallel
+        # path reconstructs via prefix grafting.
+        return [function(task) for task in tasks]
     if collect:
         registry.gauge("parallel.workers").set(min(workers, len(tasks)))
+    # Imported here, not at module level: every pipeline run reads
+    # effective_jobs from this module, and a one-worker run must not load
+    # multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return _map_captured(captured, tasks, pool.map, on_error, retries, collect)
-
-
-def _map_captured(
-    captured: _CapturedTask,
-    tasks: List[TaskT],
-    map_fn: Callable,
-    on_error: str,
-    retries: int,
-    collect: bool,
-) -> List[ResultT]:
-    """Run the capturing map and apply the skip/retry policy slot by slot."""
-    registry = obs.get_registry()
-    outcomes = list(map_fn(captured, tasks))
-    if on_error == "retry":
-        for _attempt in range(retries):
-            pending = [index for index, (ok, _payload) in enumerate(outcomes) if not ok]
-            if not pending:
-                break
-            if collect:
-                registry.counter("parallel.task_retries").inc(len(pending))
-            obs.emit(
-                "parallel.tasks_retried", level="warning", tasks=len(pending)
-            )
-            redone = list(map_fn(captured, [tasks[index] for index in pending]))
-            for slot, outcome in zip(pending, redone):
-                outcomes[slot] = outcome
-        for ok, payload in outcomes:
-            if not ok:
-                raise payload
-    results: List[ResultT] = []
-    skipped = 0
-    for index, (ok, payload) in enumerate(outcomes):
-        if not ok:
-            skipped += 1
-            obs.emit(
-                "parallel.task_skipped",
-                level="warning",
-                index=index,
-                error=str(payload),
-            )
-            continue
         if collect:
-            result, snapshot = payload
-            obs.merge_into_active(snapshot)
-            results.append(result)
-        else:
-            results.append(payload)
-    if skipped and collect:
-        registry.counter("parallel.tasks_skipped").inc(skipped)
-    return results
+            return _consume_merging(pool.map(_InstrumentedTask(function), tasks))
+        return list(pool.map(function, tasks))

@@ -6,13 +6,13 @@ through a pipe — fine for grids of small self-describing cells, fatal for
 itself dominates the payload.  This module takes the other route, after
 the message-size-batched MPI master/worker fan-out in SNIPPETS.md:
 
-1. the parent *publishes* large inputs once — a graph's edge columns in
-   build order, long target lists — into named
+1. the parent *publishes* a graph once — its edge columns in build order
+   and its node-label table — into named
    :mod:`multiprocessing.shared_memory` segments, described by a small
    picklable *manifest* (segment names, dtypes, shapes, byte counts);
 2. a persistent :class:`~concurrent.futures.ProcessPoolExecutor` receives
-   *index-range work items* (manifest + ``[start, stop)``), never the
-   arrays themselves;
+   *work items* (manifest + at most ``DEFAULT_MESSAGE_SIZE`` target ids),
+   never the arrays themselves;
 3. workers reattach zero-copy (the rebuilt window is cached per manifest
    token, so a window is mapped once per worker, not once per task, and
    unmapped once copied out) and return
@@ -41,8 +41,8 @@ Tests assert emptiness via :func:`active_segment_names`.
 Observability (when a collecting registry is active in the caller): a
 ``shm.workers`` gauge, ``shm.bytes_shared`` / ``shm.dispatches`` /
 ``shm.tasks`` counters, a ``shm.dispatch`` span per fan-out, and worker
-span trees grafted under the caller's active span in input order, exactly
-like :func:`parallel_map`.
+span trees grafted under the caller's active span in input order, through
+the same worker wrapper as :func:`parallel_map`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 from multiprocessing import shared_memory
@@ -68,7 +68,7 @@ from repro.core.packed import SignaturePack
 from repro.exceptions import ReproError
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph, GraphArrays
-from repro.parallel.pmap import effective_jobs
+from repro.parallel.pmap import _consume_merging, _InstrumentedTask, effective_jobs
 from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,16 +89,10 @@ __all__ = [
 #: Most targets per work item, so per worker→parent message.
 DEFAULT_MESSAGE_SIZE = 256
 
-#: Below this many targets the id list rides inside the work item itself;
-#: above it, the list is published once as a shared pickle blob and tasks
-#: carry only ``[start, stop)``.
-_INLINE_TARGET_LIMIT = 2048
-
-#: Worker-side attachment cache sizes (graphs are windows — a handful
-#: live at a time; blobs are per-dispatch target lists).  The parent's
-#: publication cache holds as many graphs as a worker's.
+#: Worker-side graph cache size (graphs are windows — a handful live at
+#: a time).  The parent's publication cache holds as many graphs as a
+#: worker's.
 _WORKER_GRAPH_CACHE = 4
-_WORKER_BLOB_CACHE = 8
 
 
 class ShmError(ReproError):
@@ -193,8 +187,8 @@ def _share_array(array: np.ndarray) -> ArraySpec:
 
 
 def _share_blob(payload: object) -> ArraySpec:
-    """Pickle an arbitrary object (node-id tables, target lists) into a
-    segment — shipped once, not per task."""
+    """Pickle an arbitrary object (a node-label table) into a segment —
+    shipped once, not per task."""
     return _share_array(np.frombuffer(pickle.dumps(payload), dtype=np.uint8))
 
 
@@ -203,7 +197,6 @@ def _share_blob(payload: object) -> ArraySpec:
 # not once per work item.
 _ATTACHED_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 _GRAPH_CACHE: "OrderedDict[str, CommGraph]" = OrderedDict()
-_BLOB_CACHE: "OrderedDict[str, object]" = OrderedDict()
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -240,20 +233,6 @@ def attach_array(spec: ArraySpec) -> np.ndarray:
 
 def _load_blob(spec: ArraySpec) -> object:
     return pickle.loads(attach_array(spec).tobytes())
-
-
-def _cached_blob(spec: ArraySpec) -> object:
-    assert spec.segment is not None
-    payload = _BLOB_CACHE.get(spec.segment)
-    if payload is None:
-        payload = _load_blob(spec)
-        _detach([spec])
-        _BLOB_CACHE[spec.segment] = payload
-        while len(_BLOB_CACHE) > _WORKER_BLOB_CACHE:
-            _BLOB_CACHE.popitem(last=False)
-    else:
-        _BLOB_CACHE.move_to_end(spec.segment)
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -364,55 +343,13 @@ def _cached_graph(manifest: GraphManifest) -> CommGraph:
 # ----------------------------------------------------------------------
 # Work items
 # ----------------------------------------------------------------------
-class _ComputeTask:
-    """Index-range signature recompute: manifest + target range, never the
-    graph.  The chunk's signatures travel back as one pack."""
-
-    __slots__ = (
-        "manifest",
-        "scheme",
-        "targets_spec",
-        "inline_targets",
-        "start",
-        "stop",
-        "collect",
-    )
-
-    def __init__(
-        self,
-        manifest: GraphManifest,
-        scheme: "SignatureScheme",
-        targets_spec: Optional[ArraySpec],
-        inline_targets: Optional[List[NodeId]],
-        start: int,
-        stop: int,
-        collect: bool,
-    ) -> None:
-        self.manifest = manifest
-        self.scheme = scheme
-        self.targets_spec = targets_spec
-        self.inline_targets = inline_targets
-        self.start = start
-        self.stop = stop
-        self.collect = collect
-
-    def run(self):
-        graph = _cached_graph(self.manifest)
-        if self.inline_targets is not None:
-            chunk = self.inline_targets
-        else:
-            targets: List[NodeId] = _cached_blob(self.targets_spec)  # type: ignore[assignment]
-            chunk = targets[self.start : self.stop]
-        if self.collect:
-            registry = obs.MetricsRegistry()
-            with obs.detached_span_path(), obs.use_registry(registry):
-                pack = self.scheme._compute_batch(graph, list(chunk))
-            return pack, registry.snapshot()
-        return self.scheme._compute_batch(graph, list(chunk)), None
-
-
-def _execute(task):
-    return task.run()
+def _compute_chunk(
+    task: Tuple[GraphManifest, "SignatureScheme", List[NodeId]]
+) -> SignaturePack:
+    """One work item: a chunk's signatures over a published graph, as one
+    pack — the manifest travels, never the graph."""
+    manifest, scheme, chunk = task
+    return scheme._compute_batch(_cached_graph(manifest), chunk)
 
 
 # ----------------------------------------------------------------------
@@ -510,8 +447,9 @@ class ShmEngine:
         if pool is not None:
             pool.shutdown(wait=False)
 
-    def _run(self, tasks: List) -> List:
-        """Submit tasks and collect results in input order.
+    def _run(self, function: Callable, tasks: List) -> List:
+        """Submit ``function`` over the tasks and collect results in input
+        order.
 
         A dead worker poisons the whole pool (``BrokenProcessPool``): the
         pool is discarded so the next dispatch starts a fresh one, and the
@@ -520,7 +458,7 @@ class ShmEngine:
         """
         pool = self._ensure_pool()
         try:
-            futures = [pool.submit(_execute, task) for task in tasks]
+            futures = [pool.submit(function, task) for task in tasks]
             return [future.result() for future in futures]
         except BrokenProcessPool:
             self._discard_pool()
@@ -571,35 +509,20 @@ class ShmEngine:
             return SignaturePack.from_signatures({})
         manifest = self.publish_graph(graph)
         chunk = max(1, min(DEFAULT_MESSAGE_SIZE, math.ceil(len(targets) / self._workers)))
-        registry = obs.get_registry()
-        collect = registry.enabled
-        targets_spec = None
-        inline = len(targets) <= _INLINE_TARGET_LIMIT
-        if not inline:
-            targets_spec = _share_blob(targets)
         tasks = [
-            _ComputeTask(
-                manifest,
-                scheme,
-                targets_spec,
-                targets[start : start + chunk] if inline else None,
-                start,
-                min(start + chunk, len(targets)),
-                collect,
-            )
+            (manifest, scheme, targets[start : start + chunk])
             for start in range(0, len(targets), chunk)
         ]
+        registry = obs.get_registry()
+        collect = registry.enabled
         if collect:
             registry.counter("shm.dispatches", op="compute").inc()
             registry.counter("shm.tasks", op="compute").inc(len(tasks))
-        packs: List[SignaturePack] = []
-        try:
-            with registry.span("shm.dispatch", op="compute", scheme=scheme.name):
-                for pack, snapshot in self._run(tasks):
-                    if snapshot is not None:
-                        obs.merge_into_active(snapshot)
-                    packs.append(pack)
-        finally:
-            if targets_spec is not None and targets_spec.segment is not None:
-                _REGISTRY.unlink(targets_spec.segment)
+        with registry.span("shm.dispatch", op="compute", scheme=scheme.name):
+            if collect:
+                packs = _consume_merging(
+                    self._run(_InstrumentedTask(_compute_chunk), tasks)
+                )
+            else:
+                packs = self._run(_compute_chunk, tasks)
         return SignaturePack.concat(packs)

@@ -79,13 +79,12 @@ class PipelineConfig:
     window's records, so a window over the memory budget never builds
     its graph.
 
-    ``strategy`` and ``jobs`` are read once, by
-    :func:`~repro.core.execution.make_engine`, when a run was not handed
-    an engine.  ``"shm"`` advances windows through the shared-memory
-    engine (:mod:`repro.parallel.shm`): one persistent pool of ``jobs``
-    workers (``0`` = all available CPUs) recomputes each window's
-    population over a zero-copy publication of the window graph.
-    Signatures are byte-identical to the serial run.
+    ``jobs`` is read once, by :func:`~repro.core.execution.make_engine`,
+    when a run was not handed an engine.  One worker computes in-process;
+    more (``0`` = all available CPUs) advance windows through the
+    shared-memory engine (:mod:`repro.parallel.shm`): one persistent pool
+    recomputes each window's population over a zero-copy publication of
+    the window graph.  Signatures are byte-identical either way.
 
     Checkpoints are history: every completed window is a segment of the
     checkpoint directory's :class:`~repro.store.history.HistoryStore`, so
@@ -118,14 +117,13 @@ class PipelineConfig:
     seed: int = 0
     obs_port: Optional[int] = None
     sample_interval: Optional[float] = None
-    strategy: str = "serial"
-    jobs: int = 0
+    jobs: int = 1
     history_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise PipelineError(f"signature length k must be >= 1, got {self.k}")
-        error = execution_error(self.strategy, self.jobs)
+        error = execution_error(self.jobs)
         if error is not None:
             raise PipelineError(error)
         if self.num_windows is not None and self.window_length is not None:
@@ -266,9 +264,7 @@ class SignaturePipeline:
         """
         owned = None
         if self._given_engine is None:
-            owned = self._engine = make_engine(
-                self.config.strategy, jobs=self.config.jobs
-            )
+            owned = self._engine = make_engine(self.config.jobs)
         try:
             return self._run_observed(resume)
         finally:

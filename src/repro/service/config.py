@@ -125,15 +125,13 @@ class ServiceConfig:
     streaming_epsilon: float = 0.005
     streaming_delta: float = 0.01
     seed: int = 0
-    #: The compute engine the supervisor builds once, with
+    #: Workers of the compute engine the supervisor builds once, with
     #: :func:`repro.core.execution.make_engine`, and shares with every
-    #: shard.  ``"shm"``: a :class:`repro.parallel.shm.ShmEngine` pool
-    #: (``jobs`` workers, 0 = all CPUs) — shards stop serializing graphs
-    #: per recompute, and signatures are byte-identical to ``"serial"``.
-    #: The approximate tier is not a strategy: a shard builds it from its
-    #: ingest log only when a read needs it.
-    strategy: str = "serial"
-    jobs: int = 0
+    #: shard.  One computes in-process; more (0 = all CPUs) run a
+    #: :class:`repro.parallel.shm.ShmEngine` pool, and signatures are
+    #: byte-identical either way.  The approximate tier is not an engine:
+    #: a shard builds it from its ingest log only when a read needs it.
+    jobs: int = 1
     #: How many finished request traces ``GET /trace/<id>`` can look up.
     trace_store_size: int = 256
     #: Rolling windows (seconds) for SLO burn-rate evaluation.
@@ -149,7 +147,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ServiceError(f"signature length k must be >= 1, got {self.k}")
-        error = execution_error(self.strategy, self.jobs)
+        error = execution_error(self.jobs)
         if error is not None:
             raise ServiceError(error)
         if self.num_shards < 1:

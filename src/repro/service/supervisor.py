@@ -167,7 +167,7 @@ class ShardSupervisor:
         # One compute engine for the whole fleet, rebuilt shards included:
         # shards advance sequentially from the pump thread, so one shm pool
         # serves every shard's window recompute.
-        self.compute_engine = make_engine(self.config.strategy, jobs=self.config.jobs)
+        self.compute_engine = make_engine(self.config.jobs)
         #: Global window index; -1 before the first bucket closes.
         self.window = -1
         self.shards: List[ShardState] = [

@@ -1,6 +1,7 @@
 """Pipeline integration of the shared-memory recompute engine.
 
-``strategy="shm"`` must leave every pipeline output byte-identical —
+Running on more than one worker must leave every pipeline output
+byte-identical —
 window signatures, checkpoints, report — on general and bipartite
 windows, and the run must release its worker pool and segments whether
 it succeeds or dies mid-window.
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from repro.exceptions import PipelineError
+from repro.parallel import pmap
 from repro.parallel.shm import ShmEngine, active_segment_names
 from repro.pipeline import (
     CheckpointStore,
@@ -69,14 +71,14 @@ class TestPipelineShmStrategy:
         shm = run_pipeline(
             trace, tmp_path, f"p-{scheme}",
             scheme=scheme, scheme_params=params, bipartite=bipartite,
-            strategy="shm", jobs=2,
+            jobs=2,
         )
         assert shm == serial
         assert active_segment_names() == []
 
     def test_injected_engine_is_not_closed(self, trace, tmp_path):
         with ShmEngine(jobs=2) as engine:
-            config = PipelineConfig(k=5, window_length=100.0, strategy="shm")
+            config = PipelineConfig(k=5, window_length=100.0)
             pipeline = SignaturePipeline(
                 CsvRecordSource(str(trace)),
                 CheckpointStore(tmp_path / "ckpt-injected"),
@@ -89,7 +91,7 @@ class TestPipelineShmStrategy:
         assert engine.closed
 
     def test_owned_engine_released_after_run(self, trace, tmp_path):
-        config = PipelineConfig(k=5, window_length=100.0, strategy="shm", jobs=2)
+        config = PipelineConfig(k=5, window_length=100.0, jobs=2)
         pipeline = SignaturePipeline(
             CsvRecordSource(str(trace)),
             CheckpointStore(tmp_path / "ckpt-owned"),
@@ -122,16 +124,33 @@ class TestPipelineShmStrategy:
 
     def test_shm_stamps_exact_contract(self, trace, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt-contract")
-        SignaturePipeline(
-            CsvRecordSource(str(trace)),
-            store,
-            PipelineConfig(k=5, window_length=100.0, strategy="shm", jobs=1),
-        ).run()
+        with ShmEngine(jobs=1) as engine:
+            SignaturePipeline(
+                CsvRecordSource(str(trace)),
+                store,
+                PipelineConfig(k=5, window_length=100.0),
+                engine=engine,
+            ).run()
         assert store.run_state()["contract"] == "exact"
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(PipelineError, match="strategy"):
-            PipelineConfig(strategy="smoke-signals")
+    def test_all_cpus_on_a_one_cpu_host_stays_in_process(
+        self, trace, tmp_path, monkeypatch
+    ):
+        serial = run_pipeline(trace, tmp_path, "serial-one-cpu")
+        monkeypatch.setattr(pmap, "available_cpus", lambda: 1)
+        pipeline = SignaturePipeline(
+            CsvRecordSource(str(trace)),
+            CheckpointStore(tmp_path / "ckpt-one-cpu"),
+            PipelineConfig(k=5, window_length=100.0, jobs=0),
+        )
+        result = pipeline.run()
+        assert not any(
+            key.startswith("shm.") for key in result.report.metrics
+        )
+        assert [
+            {node: sig.entries for node, sig in sigs.items()}
+            for sigs in result.signatures
+        ] == serial
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(PipelineError, match="jobs"):

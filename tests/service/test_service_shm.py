@@ -1,7 +1,7 @@
 """Service integration of the shared-memory recompute engine.
 
 The supervisor owns one :class:`ShmEngine` pool for the whole shard fleet
-(``strategy="shm"``); shards borrow it per window advance.  Signatures —
+(``jobs`` above one); shards borrow it per window advance.  Signatures —
 including after a crash/rebuild cycle — must be byte-identical to the
 serial service, and closing the service must release the pool.
 """
@@ -14,6 +14,7 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.graph.batch import RecordBatch
 from repro.graph.stream import EdgeRecord
+from repro.parallel import pmap
 from repro.parallel.shm import ShmEngine, active_segment_names
 from repro.service import ServiceConfig, ShardSupervisor, SignatureService
 
@@ -31,14 +32,13 @@ def make_bucket(size, seed):
     ]
 
 
-def run_service(strategy, buckets=3):
+def run_service(jobs, buckets=3):
     config = ServiceConfig(
         scheme="tt",
         k=5,
         num_shards=2,
         window_records=32,
-        strategy=strategy,
-        jobs=2,
+        jobs=jobs,
     )
     service = SignatureService(config)
     try:
@@ -57,15 +57,15 @@ def run_service(strategy, buckets=3):
 
 class TestServiceShmStrategy:
     def test_byte_identical_to_serial(self):
-        assert run_service("shm") == run_service("serial")
+        assert run_service(jobs=2) == run_service(jobs=1)
 
     def test_close_releases_segments(self):
-        run_service("shm")
+        run_service(jobs=2)
         assert active_segment_names() == []
 
     def test_supervisor_close_stops_workers(self):
         supervisor = ShardSupervisor(
-            ServiceConfig(k=5, num_shards=2, window_records=32, strategy="shm", jobs=2)
+            ServiceConfig(k=5, num_shards=2, window_records=32, jobs=2)
         )
         try:
             for seed in range(2):
@@ -79,13 +79,13 @@ class TestServiceShmStrategy:
         assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self):
-        config = ServiceConfig(strategy="shm", jobs=1)
+        config = ServiceConfig(jobs=2)
         service = SignatureService(config)
         service.close()
         service.close()
 
     def test_fleet_shares_one_engine(self):
-        service = SignatureService(ServiceConfig(strategy="shm", jobs=1))
+        service = SignatureService(ServiceConfig(jobs=2))
         try:
             supervisor = service.supervisor
             assert isinstance(supervisor.compute_engine, ShmEngine)
@@ -96,8 +96,7 @@ class TestServiceShmStrategy:
 
     def test_rebuild_uses_shared_pool(self):
         config = ServiceConfig(
-            scheme="tt", k=5, num_shards=1, window_records=32,
-            strategy="shm", jobs=2,
+            scheme="tt", k=5, num_shards=1, window_records=32, jobs=2,
         )
         service = SignatureService(config)
         try:
@@ -123,9 +122,20 @@ class TestServiceShmStrategy:
         finally:
             service.close()
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ServiceError, match="strategy"):
-            ServiceConfig(strategy="osmosis")
+    def test_all_cpus_follows_the_host(self, monkeypatch):
+        monkeypatch.setattr(pmap, "available_cpus", lambda: 1)
+        supervisor = ShardSupervisor(ServiceConfig(jobs=0))
+        try:
+            assert supervisor.compute_engine is None
+        finally:
+            supervisor.close()
+        monkeypatch.setattr(pmap, "available_cpus", lambda: 2)
+        supervisor = ShardSupervisor(ServiceConfig(jobs=0))
+        try:
+            assert isinstance(supervisor.compute_engine, ShmEngine)
+            assert supervisor.compute_engine.workers == 2
+        finally:
+            supervisor.close()
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ServiceError, match="jobs"):

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment fan-out (`repro.parallel`)."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -76,92 +77,17 @@ class TestParallelMap:
         with pytest.raises(ValueError, match="boom"):
             parallel_map(fail_on_three, [1, 2, 3, 4], jobs=2)
 
+    def test_failing_task_releases_the_pool(self):
+        with pytest.raises(ValueError, match="boom"):
+            parallel_map(fail_on_three, list(range(1, 9)), jobs=2)
+        assert multiprocessing.active_children() == []
 
-def die_on_five(value):
-    if value == 5:
-        raise RuntimeError("task 5 died")
-    return value * 10
-
-
-class FlakyCounter:
-    """Picklable worker that fails until a file holds ``succeed_after`` marks.
-
-    The file is the cross-process state: every call appends one line, so
-    retried runs (same or different worker process) see prior attempts.
-    """
-
-    def __init__(self, path, succeed_after):
-        self.path = str(path)
-        self.succeed_after = succeed_after
-
-    def __call__(self, value):
-        if value != 5:
-            return value * 10
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write("attempt\n")
-        with open(self.path, "r", encoding="utf-8") as handle:
-            attempts = len(handle.readlines())
-        if attempts < self.succeed_after:
-            raise RuntimeError(f"flaky: attempt {attempts}")
-        return value * 10
-
-
-class TestOnErrorPolicies:
-    def test_skip_kills_one_of_eight(self):
-        # The regression the policy exists for: one poisoned task out of
-        # eight must not take down the whole map — the seven survivors come
-        # back, deterministic and in input order.
-        tasks = list(range(1, 9))
-        expected = [value * 10 for value in tasks if value != 5]
-        assert parallel_map(die_on_five, tasks, jobs=1, on_error="skip") == expected
-        assert parallel_map(die_on_five, tasks, jobs=2, on_error="skip") == expected
-        assert (
-            parallel_map(die_on_five, tasks, executor=SerialExecutor(), on_error="skip")
-            == expected
-        )
-
-    def test_skip_is_counted_and_logged(self):
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            result = parallel_map(
-                die_on_five, [4, 5, 6], jobs=1, on_error="skip"
-            )
-        assert result == [40, 60]
-        assert registry.counter_value("parallel.tasks_skipped") == 1
-
-    def test_retry_recovers_transient_failure(self, tmp_path):
-        flaky = FlakyCounter(tmp_path / "attempts", succeed_after=2)
-        result = parallel_map(flaky, [4, 5, 6], jobs=1, on_error="retry", retries=1)
-        assert result == [40, 50, 60]
-
-    def test_retry_recovers_across_processes(self, tmp_path):
-        flaky = FlakyCounter(tmp_path / "attempts", succeed_after=2)
-        result = parallel_map(flaky, [4, 5, 6], jobs=2, on_error="retry", retries=1)
-        assert result == [40, 50, 60]
-
-    def test_retry_exhaustion_raises_original_error(self, tmp_path):
-        flaky = FlakyCounter(tmp_path / "attempts", succeed_after=100)
-        with pytest.raises(RuntimeError, match="flaky"):
-            parallel_map(flaky, [5], jobs=1, on_error="retry", retries=2)
-
-    def test_retry_counts_attempts(self, tmp_path):
-        flaky = FlakyCounter(tmp_path / "attempts", succeed_after=3)
-        registry = obs.MetricsRegistry()
-        with obs.use_registry(registry):
-            parallel_map(flaky, [5], jobs=1, on_error="retry", retries=2)
-        assert registry.counter_value("parallel.task_retries") == 2
-
-    def test_raise_policy_is_default_and_unchanged(self):
-        with pytest.raises(RuntimeError, match="task 5 died"):
-            parallel_map(die_on_five, [1, 5], jobs=1)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            parallel_map(square, [1], on_error="ignore")
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError, match="retries"):
-            parallel_map(square, [1], on_error="retry", retries=-1)
+    def test_error_policy_keywords_are_gone(self):
+        # A failing task always abandons the map; there is no skip/retry.
+        with pytest.raises(TypeError, match="on_error"):
+            parallel_map(square, [1], on_error="skip")
+        with pytest.raises(TypeError, match="retries"):
+            parallel_map(square, [1], retries=1)
 
 
 class TestEffectiveJobs:

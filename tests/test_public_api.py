@@ -104,7 +104,7 @@ PUBLIC_NAMES = {
     """.split(),
     "repro.core": """
         ComputeEngine DistanceFunction HistorySignatureBuilder InTalkers PropertyEllipse
-        PropertyProfile PushRandomWalk RandomWalkWithResets RocCurve STRATEGIES SchemeRanking
+        PropertyProfile PushRandomWalk RandomWalkWithResets RocCurve SchemeRanking
         Signature SignaturePack SignatureScheme TopTalkers UnexpectedTalkers auc_from_ranks
         available_distances available_schemes create_scheme cross_matrix cross_pair_distances
         dist_dice dist_jaccard dist_scaled_dice dist_scaled_hellinger distance_name get_distance
@@ -147,7 +147,7 @@ PUBLIC_NAMES = {
         write_prometheus
     """.split(),
     "repro.parallel": """
-        MapExecutor ON_ERROR_POLICIES SerialExecutor ShmEngine active_segment_names attach_graph
+        MapExecutor SerialExecutor ShmEngine active_segment_names attach_graph
         available_cpus effective_jobs parallel_map publish_graph
     """.split(),
     "repro.perturb": """

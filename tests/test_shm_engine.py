@@ -82,6 +82,17 @@ class CrashScheme(TopTalkers):
         os._exit(13)
 
 
+class TracedScheme(TopTalkers):
+    """Top talkers whose batch kernel leaves a counter and a span."""
+
+    name = "traced"
+
+    def _compute_batch(self, graph, nodes):
+        obs.counter("test.kernel_calls").inc()
+        with obs.span("test.kernel"):
+            return super()._compute_batch(graph, nodes)
+
+
 class TestManifestRoundTrip:
     def test_graph_roundtrip_is_exact(self):
         graph = random_graph(3)
@@ -141,6 +152,20 @@ class TestComputeEquivalence:
         parallel = engine.compute_batch(scheme, graph, targets)
         assert parallel == serial
 
+    @pytest.mark.parametrize("name,params", [("tt", {}), ("rwr", {"max_hops": 3})])
+    def test_target_list_of_thousands_byte_identical(self, name, params):
+        # Every work item carries its own slice of the targets, however
+        # long the list: 2,500 targets make ten full 256-target items.
+        scheme = create_scheme(name, k=4, **params)
+        graph = random_graph(17, num_nodes=2600, num_edges=7800)
+        targets = population(graph)
+        assert len(targets) > 2048
+        serial = scheme.compute_all(graph, targets)
+        with ShmEngine(jobs=2) as local:
+            parallel = local.compute_batch(scheme, graph, targets)
+        assert list(parallel) == list(serial)
+        assert parallel == serial
+
     def test_strategy_kwarg_routes_through_engine(self, engine):
         scheme = create_scheme("tt", k=5)
         graph = random_graph(13)
@@ -159,13 +184,6 @@ class TestComputeEquivalence:
                 serial = scheme.compute_all(graph, targets)
                 parallel = engine.compute_batch(scheme, graph, targets)
                 assert parallel == serial, (seed, name, params)
-
-    def test_unknown_strategy_rejected(self):
-        from repro.core.execution import make_engine
-        from repro.exceptions import SchemeError
-
-        with pytest.raises(SchemeError, match="strategy"):
-            make_engine("carrier-pigeon")
 
 
 class TestUnboundedRwr:
@@ -276,6 +294,24 @@ class TestObservability:
         }
         serial_counts = dict(serial_registry.counters_flat())
         assert shm_counts == serial_counts
+
+    def test_worker_spans_graft_under_the_dispatch(self, engine):
+        scheme = TracedScheme(k=3)
+        graph = random_graph(55)
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            with obs.span("caller"):
+                engine.compute_batch(scheme, graph, population(graph))
+        tasks = registry.counter_value("shm.tasks", op="compute")
+        assert tasks >= 2
+        assert registry.counter_value("test.kernel_calls") == tasks
+        spans = {
+            tuple(span["path"]): span["count"]
+            for span in registry.snapshot()["spans"]
+        }
+        dispatch = "shm.dispatch{op=compute,scheme=traced}"
+        assert spans[("caller", dispatch, "test.kernel")] == tasks
+        assert ("test.kernel",) not in spans
 
     def test_disabled_registry_stays_silent(self, engine):
         scheme = create_scheme("tt", k=3)
