@@ -1,9 +1,9 @@
-"""Observability: collect metrics, spans and profiles from a signature run.
+"""Observability: collect metrics and spans from a signature run.
 
 The :mod:`repro.obs` registry is off by default (a shared no-op), so
 nothing below changes how the library behaves elsewhere — activating a
 collecting registry with ``obs.use_registry`` is all it takes to see the
-kernel traffic, span tree and hotspots of any computation.
+kernel traffic and span tree of any computation.
 
 Run:  python examples/observability.py
 """
@@ -28,9 +28,9 @@ def main() -> None:
     scheme = create_scheme("tt", k=5)
 
     # 1. Collect: route instrumentation to a registry for the block.
-    registry = obs.MetricsRegistry(profile=True)
+    registry = obs.MetricsRegistry()
     with obs.use_registry(registry):
-        with obs.span("example.run", profile=True):
+        with obs.span("example.run"):
             signatures = scheme.compute_all(graph, hosts)
             for distance in ("jaccard", "shel"):
                 with obs.span("example.uniqueness", distance=distance):
@@ -53,9 +53,11 @@ def main() -> None:
     for line in obs.to_prometheus(registry.snapshot()).splitlines()[:4]:
         print(f"  {line}")
 
-    # 4. Profile: spans opting in with profile=True carry cProfile hotspots.
-    print("\nhotspots:")
-    print(obs.format_profile_report(payload))
+    # 4. Time: every span node carries its call count and wall time.  For
+    #    function-level hotspots, run a CLI command with --obs-profile.
+    print("\nspan timings:")
+    for child in root["children"]:
+        print(f"  {child['name']}: {child['count']} call(s), {child['total_s']:.4f}s")
 
     # 5. The merged payload is plain JSON — ship it wherever you like.
     print(f"\npayload bytes: {len(json.dumps(payload))}")

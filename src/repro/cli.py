@@ -194,12 +194,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         max_memory_cells=args.memory_budget,
         window_deadline=args.window_deadline,
         history_dir=args.history_dir,
-        # --obs-serve / --obs-sample attach to the pipeline's own live
-        # registry, so scrapes during the run see windows as they complete
-        # (the CLI-level registry only receives the merged result at the
-        # end); the CLI serves the merged registry during --obs-serve-linger.
-        obs_port=args.obs_serve,
-        sample_interval=args.obs_sample,
     )
     pipeline = SignaturePipeline(
         source, store, config, retry=RetryPolicy(max_attempts=args.max_attempts)
@@ -386,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_group.add_argument(
         "--obs-profile",
         action="store_true",
-        help="enable per-span cProfile capture (spans opting in via "
-        "profile=True) and print the top-N hotspot tables",
+        help="profile the command with cProfile and print its top-N "
+        "functions by cumulative time",
     )
     obs_group.add_argument(
         "--obs-serve",
@@ -595,16 +589,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _profile_table(profiler, top: int = 10) -> str:
+    """The ``top`` functions of a finished cProfile run by cumulative time."""
+    import pstats
+
+    rows = sorted(
+        (
+            (f"{filename}:{lineno}({name})", ncalls, tottime, cumtime)
+            for (filename, lineno, name), (_cc, ncalls, tottime, cumtime, _callers)
+            in pstats.Stats(profiler).stats.items()
+        ),
+        key=lambda row: (-row[3], row[0]),
+    )
+    lines = [f"{'ncalls':>8} {'tottime':>9} {'cumtime':>9}  function"]
+    for label, ncalls, tottime, cumtime in rows[:top]:
+        lines.append(f"{ncalls:>8} {tottime:>9.4f} {cumtime:>9.4f}  {label}")
+    return "\n".join(lines)
+
+
 def _run_with_observability(args: argparse.Namespace, body: Callable[[], None]) -> None:
     """Run ``body`` under a collecting registry when any --obs flag is set,
     then write the requested exports.
 
-    ``--obs-serve`` additionally exposes the registry over HTTP for the
-    duration of the run (plus ``--obs-serve-linger`` seconds afterwards,
-    so pull-based scrapers can take a final sample before the process
-    exits).  For the ``pipeline`` command the in-run server is started by
-    the pipeline itself on its live registry (see ``PipelineConfig``); the
-    CLI then serves the merged end state during the linger window.
+    Every command, ``pipeline`` included, records into this one registry
+    as it runs.  ``--obs-serve`` exposes it over HTTP on one port from the
+    start of the run to the end of ``--obs-serve-linger`` (so pull-based
+    scrapers can take a final sample before the process exits), and
+    ``--obs-sample`` samples it into the series that server's
+    ``/series.json`` answers.  ``--obs-profile`` runs ``body`` under
+    cProfile and prints its hottest functions.
     """
     wants_obs = bool(
         args.obs_out
@@ -617,22 +630,19 @@ def _run_with_observability(args: argparse.Namespace, body: Callable[[], None]) 
     if not wants_obs:
         body()
         return
-    registry = obs.MetricsRegistry(profile=args.obs_profile)
+    registry = obs.MetricsRegistry()
     store = obs.TimeSeriesStore()
     event_log = obs.EventLog(args.obs_log) if args.obs_log else obs.NULL_EVENT_LOG
     meta = {"command": args.command, "scale": args.scale, "jobs": args.jobs}
-    # The pipeline command serves its own live registry mid-run; starting a
-    # second CLI-level server on the same port would collide.
-    serve_during_body = args.obs_serve is not None and args.command != "pipeline"
-    server = sampler = None
+    server = sampler = profiler = None
     try:
         with obs.use_event_log(event_log), obs.use_registry(registry):
-            if serve_during_body:
+            if args.obs_serve is not None:
                 server = obs.ObsServer(
                     registry, store=store, port=args.obs_serve, meta=meta
                 ).start()
                 print(f"obs server listening on {server.url}")
-            if args.obs_sample is not None and args.command != "pipeline":
+            if args.obs_sample is not None:
                 sampler = obs.Sampler(
                     registry, store=store, interval=args.obs_sample
                 ).start()
@@ -642,20 +652,22 @@ def _run_with_observability(args: argparse.Namespace, body: Callable[[], None]) 
                 scale=args.scale,
                 jobs=args.jobs,
             )
+            if args.obs_profile:
+                import cProfile
+
+                profiler = cProfile.Profile()
             try:
-                with obs.span(f"cli.{args.command}", profile=args.obs_profile):
-                    body()
+                with obs.span(f"cli.{args.command}"):
+                    if profiler is None:
+                        body()
+                    else:
+                        profiler.runcall(body)
             finally:
                 if sampler is not None:
                     sampler.stop()
                     sampler = None
                 obs.emit("cli.run.finish", command=args.command)
-            if args.obs_serve is not None and args.obs_serve_linger > 0:
-                if server is None:
-                    server = obs.ObsServer(
-                        registry, store=store, port=args.obs_serve, meta=meta
-                    ).start()
-                    print(f"obs server listening on {server.url} (linger)")
+            if server is not None:
                 time.sleep(args.obs_serve_linger)
     finally:
         if server is not None:
@@ -663,17 +675,15 @@ def _run_with_observability(args: argparse.Namespace, body: Callable[[], None]) 
         event_log.close()
     snapshot = registry.snapshot()
     if args.obs_out:
-        payload = obs.write_json(args.obs_out, snapshot, meta=meta)
+        obs.write_json(args.obs_out, snapshot, meta=meta)
         print(f"observability payload written to {args.obs_out}")
-    else:
-        payload = obs.build_payload(snapshot, meta=meta)
     if args.obs_prom:
         obs.write_prometheus(args.obs_prom, snapshot)
         print(f"prometheus metrics written to {args.obs_prom}")
     if args.obs_log:
         print(f"event log appended to {args.obs_log} (run_id={event_log.run_id})")
-    if args.obs_profile:
-        print(obs.format_profile_report(payload))
+    if profiler is not None:
+        print(_profile_table(profiler))
 
 
 def main(argv=None) -> int:
@@ -724,6 +734,12 @@ def main(argv=None) -> int:
             parser.error(f"--port must be a TCP port (0..65535); got {args.port}")
         if args.serve_for is not None and args.serve_for < 0:
             parser.error(f"--serve-for must be >= 0; got {args.serve_for}")
+        for flag in ("obs_serve", "obs_sample", "obs_out", "obs_prom"):
+            if getattr(args, flag) is not None:
+                parser.error(
+                    f"serve does not take --{flag.replace('_', '-')}: the "
+                    "service answers /metrics itself"
+                )
         _run_with_observability(args, lambda: _cmd_serve(args))
         return 0
     from repro.experiments.config import ExperimentConfig

@@ -582,7 +582,7 @@ def _run(
     if registry.enabled:
         registry.counter("kernel.calls", op=op, path=path, metric=label).inc()
         registry.counter("kernel.pairs", op=op, path=path, metric=label).inc(pairs)
-    with registry.span(f"kernel.{op}", path=path, metric=label):
+    with obs.span(f"kernel.{op}", path=path, metric=label):
         return scalar(function) if name is None else kernel(name)
 
 

@@ -1,4 +1,4 @@
-"""Observability for the reproduction: metrics, tracing, profiling hooks,
+"""Observability for the reproduction: metrics, spans, request tracing,
 structured event logging, time-series sampling, live HTTP export and
 threshold alerting.
 
@@ -12,6 +12,10 @@ Usage sketch::
             run_fig1(config)
     payload = obs.build_payload(registry.snapshot(), meta={"cmd": "fig1"})
 
+``obs.span`` is the one span call: it times its block on the active
+registry and, inside a request trace (``obs.use_trace``), also adds a
+node to that request's span tree.
+
 Live layer::
 
     store = obs.TimeSeriesStore()
@@ -21,8 +25,10 @@ Live layer::
          obs.Sampler(registry, store=store, interval=1.0):
         long_running_monitoring()          # scrape localhost:9464/metrics
 
-When no registry / event log is installed, every helper routes to a
-shared no-op, so instrumented code pays a single attribute read.
+Library code records into whatever registry its caller installed (a
+pipeline run included), so the server and sampler see work as it
+happens.  When no registry / event log is installed, every helper routes
+to a shared no-op, so instrumented code pays a single attribute read.
 """
 
 from repro._exports import lazy_exports
@@ -39,17 +45,16 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".digest": ("DEFAULT_RELATIVE_ACCURACY", "EXPORT_QUANTILES", "LatencyDigest"),
         ".tracing": (
             "RequestContext", "TraceSpan", "TraceStore", "current_trace", "new_trace_id",
-            "trace_span", "use_trace",
+            "use_trace",
         ),
         ".slo": (
             "DEFAULT_WINDOWS_S", "KIND_AVAILABILITY", "KIND_LATENCY", "ServiceObjective",
             "SLOTracker", "burn_rate_rule",
         ),
         ".export": (
-            "SCHEMA_ID", "build_payload", "format_profile_report", "to_prometheus",
+            "SCHEMA_ID", "build_payload", "to_prometheus",
             "validate_payload", "validate_prometheus", "write_json", "write_prometheus",
         ),
-        ".profiling": ("format_hotspots",),
         ".logs": (
             "EventLog", "LEVELS", "NULL_EVENT_LOG", "NullEventLog", "StdlibBridgeHandler",
             "attach_stdlib", "emit", "get_event_log", "new_run_id", "read_events",

@@ -16,7 +16,6 @@ import re
 from typing import Dict, List, Optional
 
 from repro.obs.digest import EXPORT_QUANTILES, LatencyDigest
-from repro.obs.profiling import format_hotspots
 from repro.obs.registry import render_key
 
 SCHEMA_ID = "repro.obs/v2"
@@ -44,8 +43,6 @@ def _span_tree(records: List[Dict]) -> List[Dict]:
             "values": dict(record.get("values", {})),
             "children": [],
         }
-        if record.get("hotspots") is not None:
-            node["hotspots"] = record["hotspots"]
         nodes[path] = node
         parent = nodes.get(path[:-1])
         if parent is not None:
@@ -358,21 +355,3 @@ def validate_prometheus(text: str) -> List[str]:
             errors.append(f"{family}{dict(rest)}: summary missing _count sample")
     return errors
 
-
-def format_profile_report(payload: Dict) -> str:
-    """Human-readable top-N hotspot tables for every profiled span."""
-    sections: List[str] = []
-
-    def _walk(node: Dict, path: str) -> None:
-        here = f"{path}/{node['name']}" if path else node["name"]
-        if "hotspots" in node:
-            sections.append(f"{here} ({node['total_s']:.4f}s over {node['count']} calls)")
-            sections.append(format_hotspots(node["hotspots"], indent="  "))
-        for child in node.get("children", []):
-            _walk(child, here)
-
-    for node in payload.get("spans", []):
-        _walk(node, "")
-    if not sections:
-        return "(no profiled spans — pass profile=True to obs.span under --obs-profile)"
-    return "\n".join(sections)

@@ -24,6 +24,8 @@ identity is its name plus its *string-valued* attributes (so
 ``span("fig1.cell", scheme="TT")`` and ``scheme="UT"`` are distinct tree
 nodes), while *numeric* attributes accumulate as per-span totals (so
 ``span("kernel.pairwise", pairs=n * n)`` sums the workload across calls).
+:func:`span` is the one span call: inside a request trace
+(:mod:`repro.obs.tracing`) it also adds a node to that request's tree.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.obs.digest import DEFAULT_RELATIVE_ACCURACY, LatencyDigest
-from repro.obs.profiling import capture_profile
 
 _LabelsKey = Tuple[Tuple[str, str], ...]
 _InstrumentKey = Tuple[str, _LabelsKey]
@@ -125,8 +126,8 @@ class _NullSpan:
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullSpan":
-        return self
+    def __enter__(self) -> None:
+        return None
 
     def __exit__(self, *exc_info) -> None:
         return None
@@ -138,6 +139,11 @@ _NULL_SPAN = _NullSpan()
 #: The ambient span path (tuple of span keys), shared by all registries so
 #: spans nest naturally across subsystem boundaries.
 _SPAN_PATH: ContextVar[Tuple[str, ...]] = ContextVar("repro_obs_span_path", default=())
+
+#: The active request trace (a :class:`~repro.obs.tracing.RequestContext`);
+#: ``None`` outside any traced request.  It lives here, beside the span
+#: path, so :func:`span` reads it without importing the tracing module.
+_TRACE: ContextVar = ContextVar("repro_obs_trace", default=None)
 
 
 def current_span_path() -> Tuple[str, ...]:
@@ -177,40 +183,26 @@ def _span_key(name: str, attrs: Dict[str, object]) -> Tuple[str, Dict[str, float
 class _Span:
     """Live span: times the ``with`` body and records into the registry."""
 
-    __slots__ = ("_registry", "_key", "_values", "_profile", "_token", "_start", "_profiler")
+    __slots__ = ("_registry", "_key", "_values", "_token", "_start")
 
     def __init__(
-        self,
-        registry: "MetricsRegistry",
-        key: str,
-        values: Dict[str, float],
-        profile: bool,
+        self, registry: "MetricsRegistry", key: str, values: Dict[str, float]
     ) -> None:
         self._registry = registry
         self._key = key
         self._values = values
-        self._profile = profile
         self._token = None
         self._start = 0.0
-        self._profiler = None
 
-    def __enter__(self) -> "_Span":
+    def __enter__(self) -> None:
         self._token = _SPAN_PATH.set(_SPAN_PATH.get() + (self._key,))
-        if self._profile and self._registry.profile:
-            self._profiler = capture_profile()
-            if self._profiler is not None:
-                self._profiler.enable()
         self._start = time.perf_counter()
-        return self
 
     def __exit__(self, *exc_info) -> None:
         elapsed = time.perf_counter() - self._start
-        hotspots = None
-        if self._profiler is not None:
-            hotspots = self._profiler.finish(self._registry.profile_top)
         path = _SPAN_PATH.get()
         _SPAN_PATH.reset(self._token)
-        self._registry._record_span(path, elapsed, self._values, hotspots)
+        self._registry._record_span(path, elapsed, self._values)
 
 
 def _new_span_stats() -> Dict:
@@ -220,7 +212,6 @@ def _new_span_stats() -> Dict:
         "min_s": float("inf"),
         "max_s": 0.0,
         "values": {},
-        "hotspots": None,
     }
 
 
@@ -229,9 +220,7 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, profile: bool = False, profile_top: int = 10) -> None:
-        self.profile = profile
-        self.profile_top = profile_top
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[_InstrumentKey, float] = {}
         self._gauges: Dict[_InstrumentKey, float] = {}
@@ -254,16 +243,12 @@ class MetricsRegistry:
                 self._histograms[key] = LatencyDigest(DEFAULT_RELATIVE_ACCURACY)
         return Histogram(self, key)
 
-    def span(self, name: str, profile: bool = False, **attrs) -> _Span:
+    def _span(self, name: str, attrs: Dict[str, object]) -> _Span:
         key, values = _span_key(name, attrs)
-        return _Span(self, key, values, profile)
+        return _Span(self, key, values)
 
     def _record_span(
-        self,
-        path: Tuple[str, ...],
-        elapsed: float,
-        values: Dict[str, float],
-        hotspots: Optional[List] = None,
+        self, path: Tuple[str, ...], elapsed: float, values: Dict[str, float]
     ) -> None:
         with self._lock:
             stats = self._spans.setdefault(path, _new_span_stats())
@@ -273,8 +258,6 @@ class MetricsRegistry:
             stats["max_s"] = max(stats["max_s"], elapsed)
             for key, value in values.items():
                 stats["values"][key] = stats["values"].get(key, 0.0) + value
-            if hotspots is not None:
-                stats["hotspots"] = hotspots
 
     # ------------------------------------------------------------------
     # Snapshots and merging
@@ -303,7 +286,6 @@ class MetricsRegistry:
                         "min_s": stats["min_s"],
                         "max_s": stats["max_s"],
                         "values": dict(stats["values"]),
-                        "hotspots": stats["hotspots"],
                     }
                     for path, stats in sorted(self._spans.items())
                 ],
@@ -346,8 +328,6 @@ class MetricsRegistry:
                 stats["max_s"] = max(stats["max_s"], record["max_s"])
                 for key, value in record.get("values", {}).items():
                     stats["values"][key] = stats["values"].get(key, 0.0) + value
-                if record.get("hotspots") is not None and stats["hotspots"] is None:
-                    stats["hotspots"] = record["hotspots"]
 
     # ------------------------------------------------------------------
     # Convenience accessors (tests and report plumbing)
@@ -379,8 +359,6 @@ class NullRegistry:
     """The default, do-nothing registry.  All instruments are shared no-ops."""
 
     enabled = False
-    profile = False
-    profile_top = 0
 
     def counter(self, name: str, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -391,7 +369,7 @@ class NullRegistry:
     def histogram(self, name: str, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def span(self, name: str, profile: bool = False, **attrs) -> _NullSpan:
+    def _span(self, name: str, attrs: Dict[str, object]) -> _NullSpan:
         return _NULL_SPAN
 
     def snapshot(self) -> Dict:
@@ -450,9 +428,24 @@ def histogram(name: str, **labels):
     return _ACTIVE.get().histogram(name, **labels)
 
 
-def span(name: str, profile: bool = False, **attrs):
-    """Span on the active registry (shared no-op CM when observability is off)."""
-    return _ACTIVE.get().span(name, profile=profile, **attrs)
+def span(name: str, **attrs):
+    """The one span call: times the ``with`` body on the active registry
+    (a shared no-op when observability is off) and, while a request trace
+    is active, adds a node for it to that trace's tree.
+
+    Yields the trace node inside a request, ``None`` otherwise.
+    """
+    registry_span = _ACTIVE.get()._span(name, attrs)
+    trace = _TRACE.get()
+    if trace is None:
+        return registry_span
+    return _traced_span(trace, name, attrs, registry_span)
+
+
+@contextmanager
+def _traced_span(trace, name: str, attrs: Dict[str, object], registry_span) -> Iterator:
+    with trace.span(name, **attrs) as node, registry_span:
+        yield node
 
 
 def merge_into_active(snapshot: Dict) -> None:

@@ -12,9 +12,9 @@ every signature.
 
 Three consumers hang off the active trace:
 
-* :func:`trace_span` opens a span on the active trace **and** on the
-  active metrics registry, so one ``with`` block feeds both the
-  per-request tree and the merged aggregate tracer.
+* :func:`repro.obs.span` adds a node to the active trace as well as
+  timing the block on the active metrics registry, so one ``with`` block
+  feeds both the per-request tree and the merged aggregate.
 * :class:`repro.obs.logs.EventLog` stamps ``trace_id`` / ``request_id``
   onto every record emitted while a trace is active.
 * :class:`TraceStore` keeps the last N finished traces in memory for
@@ -33,7 +33,6 @@ import time
 import uuid
 from collections import OrderedDict
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import registry as _registry
@@ -44,7 +43,6 @@ __all__ = [
     "TraceStore",
     "current_trace",
     "new_trace_id",
-    "trace_span",
     "use_trace",
 ]
 
@@ -193,43 +191,19 @@ class RequestContext:
             return record
 
 
-#: The active request context; ``None`` outside any traced request.
-_TRACE: ContextVar[Optional[RequestContext]] = ContextVar(
-    "repro_obs_trace", default=None
-)
-
-
 def current_trace() -> Optional[RequestContext]:
     """The request context in scope, or ``None``."""
-    return _TRACE.get()
+    return _registry._TRACE.get()
 
 
 @contextmanager
 def use_trace(context: Optional[RequestContext]) -> Iterator[Optional[RequestContext]]:
     """Make ``context`` the active trace for the block (``None`` clears it)."""
-    token = _TRACE.set(context)
+    token = _registry._TRACE.set(context)
     try:
         yield context
     finally:
-        _TRACE.reset(token)
-
-
-@contextmanager
-def trace_span(name: str, **attrs) -> Iterator[Optional[TraceSpan]]:
-    """Span on the active trace *and* the active metrics registry.
-
-    With no trace in scope this degrades to a plain registry span (a
-    shared no-op when observability is off entirely), so library code can
-    use it unconditionally.  String attrs become registry span identity,
-    numeric attrs accumulate — same contract as ``obs.span``.
-    """
-    trace = _TRACE.get()
-    if trace is None:
-        with _registry.span(name, **attrs):
-            yield None
-        return
-    with trace.span(name, **attrs) as node, _registry.span(name, **attrs):
-        yield node
+        _registry._TRACE.reset(token)
 
 
 class TraceStore:

@@ -518,7 +518,7 @@ class ShmEngine:
         if collect:
             registry.counter("shm.dispatches", op="compute").inc()
             registry.counter("shm.tasks", op="compute").inc(len(tasks))
-        with registry.span("shm.dispatch", op="compute", scheme=scheme.name):
+        with obs.span("shm.dispatch", op="compute", scheme=scheme.name):
             if collect:
                 packs = _consume_merging(
                     self._run(_InstrumentedTask(_compute_chunk), tasks)

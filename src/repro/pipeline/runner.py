@@ -93,14 +93,6 @@ class PipelineConfig:
     ``history_dir`` other than the ``store`` argument's directory replaces
     it: the pipeline checkpoints into ``CheckpointStore(history_dir)`` and
     the argument's directory stays empty.
-
-    Live observability opt-ins: ``obs_port`` serves the run's *own*
-    metrics registry over HTTP (``/metrics``, ``/healthz``,
-    ``/snapshot.json``, ``/series.json``; 0 binds an ephemeral port) for
-    the duration of the run, and ``sample_interval`` adds a background
-    sampler recording wall-clock metric trajectories at that period.  The
-    per-window trajectory samples in ``result.timeseries`` are always
-    recorded — they cost one registry snapshot per window.
     """
 
     scheme: str = "tt"
@@ -115,8 +107,6 @@ class PipelineConfig:
     streaming_epsilon: float = 0.005
     streaming_delta: float = 0.01
     seed: int = 0
-    obs_port: Optional[int] = None
-    sample_interval: Optional[float] = None
     jobs: int = 1
     history_dir: Optional[str] = None
 
@@ -146,14 +136,6 @@ class PipelineConfig:
             raise PipelineError(
                 f"window_deadline must be positive, got {self.window_deadline}"
             )
-        if self.obs_port is not None and not 0 <= self.obs_port <= 65535:
-            raise PipelineError(
-                f"obs_port must be a TCP port (0..65535), got {self.obs_port}"
-            )
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise PipelineError(
-                f"sample_interval must be positive, got {self.sample_interval}"
-            )
 
 
 @dataclass
@@ -164,15 +146,10 @@ class PipelineResult:
     :class:`~repro.core.packed.SignaturePack`: an exact window's as
     ``compute_all`` emits it, a degraded window's packed from its sketch
     signatures, and a replayed window's loaded from its checkpoint.
-
-    ``timeseries`` holds the run's metric trajectories (``{series key:
-    [[t, value], ...]}``): one sample per completed window always, plus
-    periodic wall-clock samples when ``config.sample_interval`` is set.
     """
 
     report: RunReport
     signatures: List[SignaturePack] = field(default_factory=list)
-    timeseries: Dict[str, List[List[float]]] = field(default_factory=dict)
 
 
 def _check_labels(window: int, labels: LabelTable) -> None:
@@ -251,10 +228,10 @@ class SignaturePipeline:
         A fresh run (``resume=False``) clears any prior checkpoint state so
         the directory always reflects exactly one run.
 
-        The run always collects its own ``pipeline.*``/``retry.*`` counters
-        into ``result.report.metrics`` (even with observability off
-        globally); when a collecting registry is active in the caller, the
-        run's full metrics and span tree are merged into it as well.
+        The run records its metrics and spans into the caller's active
+        registry as it goes, under the caller's active span; with none
+        active it records into a fresh one.  ``result.report.metrics``
+        holds the counters the run added either way.
 
         Faults worth grepping for — retries, quarantined rows,
         degradations, a tripped error budget — are additionally emitted as
@@ -266,18 +243,20 @@ class SignaturePipeline:
         if self._given_engine is None:
             owned = self._engine = make_engine(self.config.jobs)
         try:
-            return self._run_observed(resume)
+            if obs.enabled():
+                return self._run_observed(resume)
+            with obs.use_registry(obs.MetricsRegistry()):
+                return self._run_observed(resume)
         finally:
             if owned is not None:
                 owned.close()
             self._engine = self._given_engine
 
     def _run_observed(self, resume: bool) -> PipelineResult:
-        """The body of :meth:`run`, once the compute engine is in place."""
-        parent = obs.get_registry()
-        local = obs.MetricsRegistry(profile=getattr(parent, "profile", False))
-        store = obs.TimeSeriesStore()
-        server = sampler = None
+        """The body of :meth:`run`, once the compute engine and a collecting
+        registry are in place."""
+        registry = obs.get_registry()
+        before = registry.counters_flat()
         obs.emit(
             "pipeline.run.start",
             level="info",
@@ -285,30 +264,13 @@ class SignaturePipeline:
             source=self.source.describe(),
             resume=resume,
         )
-        # Detach the ambient span path while collecting locally: the local
-        # registry must record paths relative to its own root, because the
-        # merge below grafts them under the caller's current span path —
-        # without the reset that prefix would be applied twice.
-        with obs.detached_span_path(), obs.use_registry(local):
-            if self.config.obs_port is not None:
-                server = obs.ObsServer(
-                    local, store=store, port=self.config.obs_port,
-                    meta={"pipeline": self.source.describe()},
-                ).start()
-            if self.config.sample_interval is not None:
-                sampler = obs.Sampler(
-                    local, store=store, interval=self.config.sample_interval
-                ).start()
-            try:
-                with obs.span("pipeline.run", scheme=self.config.scheme):
-                    result = self._run(resume, store)
-            finally:
-                if sampler is not None:
-                    sampler.stop()
-                if server is not None:
-                    server.stop()
-        result.report.metrics = local.counters_flat()
-        result.timeseries = store.to_dict()
+        with obs.span("pipeline.run", scheme=self.config.scheme):
+            result = self._run(resume)
+        result.report.metrics = {
+            key: value - before.get(key, 0.0)
+            for key, value in registry.counters_flat().items()
+            if before.get(key) != value
+        }
         obs.emit(
             "pipeline.run.finish",
             level="info",
@@ -317,11 +279,9 @@ class SignaturePipeline:
             degraded=len(result.report.degraded_windows),
             retries=result.report.retries,
         )
-        if parent.enabled:
-            parent.merge(local.snapshot(), prefix=obs.current_span_path())
         return result
 
-    def _run(self, resume: bool, series: "obs.TimeSeriesStore") -> PipelineResult:
+    def _run(self, resume: bool) -> PipelineResult:
         report = RunReport(
             source=self.source.describe(),
             scheme=self.config.scheme,
@@ -384,9 +344,6 @@ class SignaturePipeline:
                 signatures=window_report.num_signatures,
                 records=window_report.num_records,
             )
-            # One trajectory point per completed window, so even a run
-            # without a background sampler records how its counters moved.
-            series.sample(obs.get_registry())
             for hook in self.hooks:
                 hook(window, window_report)
         return result

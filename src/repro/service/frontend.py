@@ -28,7 +28,7 @@ Observability implemented here (the PR 9 layer):
 * **Request tracing** — every request is served under a fresh
   :class:`repro.obs.RequestContext` (or one continuing the caller's
   ``X-Trace-Id``); frontend and shard code attach spans via
-  ``obs.trace_span``, the finished tree is stored in a bounded
+  ``obs.span``, the finished tree is stored in a bounded
   :class:`repro.obs.TraceStore`, and ``GET /trace/<id>`` returns it.
   Responses carry ``X-Trace-Id`` / ``X-Request-Id`` headers.
 * **Latency histograms** — per-endpoint ``service.latency_s`` histograms
@@ -253,7 +253,7 @@ class ServiceFrontend:
             endpoint=endpoint,
         )
         with obs.use_trace(context):
-            with obs.trace_span("service.request", endpoint=endpoint):
+            with obs.span("service.request", endpoint=endpoint):
                 try:
                     response = self._handle_request(
                         method, raw_path, query_string, body, started
@@ -437,7 +437,7 @@ class ServiceFrontend:
             raise ShardDown(state.shard_id)
         if state.health == HEALTH_HEALTHY and state.engine is not None:
             if state.breaker.allow():
-                with obs.trace_span(
+                with obs.span(
                     "shard.query", shard=str(state.shard_id), tier="exact"
                 ) as span_node:
                     started = self._clock()
@@ -461,7 +461,7 @@ class ServiceFrontend:
                     else:
                         state.breaker.record_success(self._clock() - started)
                         return answer, False, window
-        with obs.trace_span(
+        with obs.span(
             "sketch.fallback", shard=str(state.shard_id), tier="sketch"
         ):
             tier = self.supervisor.sketch_tier(state)
@@ -539,7 +539,7 @@ class ServiceFrontend:
             ):
                 skipped.append(state.shard_id)
                 continue
-            with obs.trace_span("similar.gather", shard=str(state.shard_id)):
+            with obs.span("similar.gather", shard=str(state.shard_id)):
                 scored.extend(
                     (str(owner), score)
                     for owner, score in state.engine.query_index().query(
@@ -657,7 +657,7 @@ class ServiceFrontend:
             if state.store is None:
                 skipped.append(state.shard_id)
                 continue
-            with obs.trace_span("history.gather", shard=str(state.shard_id)):
+            with obs.span("history.gather", shard=str(state.shard_id)):
                 try:
                     hits = state.store.history.query(signature, window, k=k)
                 except Exception:  # noqa: BLE001 - partial results beat a 500
@@ -698,7 +698,7 @@ class ServiceFrontend:
             stop = int(params["to"][0]) if "to" in params else None
         except ValueError:
             return self._json(400, {"error": "from/to must be integers"})
-        with obs.trace_span("trajectory.gather", shard=str(home.shard_id)):
+        with obs.span("trajectory.gather", shard=str(home.shard_id)):
             points = home.store.history.trajectory(node, start, stop)
         if not points:
             return self._json(

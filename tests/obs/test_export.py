@@ -9,7 +9,6 @@ from repro.graph.stream import EdgeRecord, write_edge_records
 from repro.obs.export import (
     SCHEMA_ID,
     build_payload,
-    format_profile_report,
     to_prometheus,
     validate_payload,
     write_json,
@@ -156,55 +155,6 @@ class TestPrometheus:
         text = write_prometheus(path, sample_registry().snapshot())
         assert path.read_text() == text
         assert text.endswith("\n")
-
-
-def busy_work() -> float:
-    total = 0.0
-    for i in range(20000):
-        total += i * 0.5
-    return total
-
-
-class TestProfiling:
-    def test_hotspots_captured_on_opted_in_span(self):
-        registry = obs.MetricsRegistry(profile=True, profile_top=5)
-        with obs.use_registry(registry):
-            with obs.span("hot", profile=True):
-                busy_work()
-        [record] = registry.snapshot()["spans"]
-        hotspots = record["hotspots"]
-        assert hotspots is not None
-        assert len(hotspots) <= 5
-        assert any("busy_work" in row[0] for row in hotspots)
-
-    def test_no_capture_when_registry_profiling_off(self):
-        registry = obs.MetricsRegistry(profile=False)
-        with obs.use_registry(registry):
-            with obs.span("hot", profile=True):
-                busy_work()
-        [record] = registry.snapshot()["spans"]
-        assert record["hotspots"] is None
-
-    def test_no_capture_when_span_not_opted_in(self):
-        registry = obs.MetricsRegistry(profile=True)
-        with obs.use_registry(registry):
-            with obs.span("cold"):
-                busy_work()
-        [record] = registry.snapshot()["spans"]
-        assert record["hotspots"] is None
-
-    def test_profile_report_lists_hotspot_table(self):
-        registry = obs.MetricsRegistry(profile=True)
-        with obs.use_registry(registry):
-            with obs.span("hot", profile=True):
-                busy_work()
-        report = format_profile_report(build_payload(registry.snapshot()))
-        assert "hot (" in report
-        assert "busy_work" in report
-
-    def test_profile_report_empty_message(self):
-        payload = build_payload(obs.MetricsRegistry().snapshot())
-        assert "no profiled spans" in format_profile_report(payload)
 
 
 class TestPrometheusLabelEscaping:

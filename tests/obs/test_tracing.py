@@ -15,7 +15,6 @@ from repro.obs import (
     TraceStore,
     current_trace,
     new_trace_id,
-    trace_span,
     use_trace,
 )
 
@@ -97,20 +96,20 @@ class TestContextVar:
             assert current_trace() is context
         assert current_trace() is None
 
-    def test_trace_span_records_to_trace_and_registry(self):
+    def test_span_records_to_trace_and_registry(self):
         registry = obs.MetricsRegistry()
         context = RequestContext()
         with obs.use_registry(registry), use_trace(context):
-            with trace_span("shard.query", shard="0") as node:
+            with obs.span("shard.query", shard="0") as node:
                 assert node is not None
         assert context.to_dict()["spans"]["name"] == "shard.query"
         spans = registry.snapshot()["spans"]
         assert any(entry["path"] == ["shard.query{shard=0}"] for entry in spans)
 
-    def test_trace_span_without_trace_degrades_to_registry_span(self):
+    def test_span_without_trace_records_to_registry_only(self):
         registry = obs.MetricsRegistry()
         with obs.use_registry(registry):
-            with trace_span("lonely") as node:
+            with obs.span("lonely") as node:
                 assert node is None
         assert any(
             e["path"] == ["lonely"] for e in registry.snapshot()["spans"]

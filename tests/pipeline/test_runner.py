@@ -349,7 +349,8 @@ class TestRunObservability:
 
 
 class TestLiveObservability:
-    """Event-log routing, per-window time series, and the in-run server."""
+    """Event-log routing, and a caller's hook, server and sampler seeing
+    the run live."""
 
     def run_with_log(self, pipeline):
         import io
@@ -455,72 +456,67 @@ class TestLiveObservability:
         [resumed] = [e for e in events if e["event"] == "pipeline.resumed"]
         assert resumed["windows"] == 3
 
-    def test_timeseries_records_per_window_trajectory(self, trace, tmp_path):
-        result = make_pipeline(trace, tmp_path).run()
-        series = result.timeseries["pipeline.windows{mode=exact}"]
-        assert [value for _t, value in series] == [1.0, 2.0, 3.0]
-        accepted = result.timeseries["pipeline.records_accepted"]
-        assert accepted[-1][1] == 120.0
+    def test_window_hook_samples_a_per_window_trajectory(self, trace, tmp_path):
+        from repro import obs
 
-    def test_obs_port_serves_live_registry_mid_run(self, trace, tmp_path):
-        import json
+        registry = obs.MetricsRegistry()
+        series = obs.TimeSeriesStore()
+        pipeline = make_pipeline(
+            trace, tmp_path, hooks=[lambda _window, _report: series.sample(registry)]
+        )
+        with obs.use_registry(registry):
+            pipeline.run()
+        trajectory = series.to_dict()
+        exact = trajectory["pipeline.windows{mode=exact}"]
+        assert [value for _t, value in exact] == [1.0, 2.0, 3.0]
+        assert trajectory["pipeline.records_accepted"][-1][1] == 120.0
+
+    def test_caller_server_serves_the_run_mid_run(self, trace, tmp_path):
         import urllib.request
 
         from repro import obs
 
+        registry = obs.MetricsRegistry()
         scrapes = []
 
-        def scrape(url):
-            with urllib.request.urlopen(url, timeout=10) as response:
-                return response.read().decode("utf-8")
-
         class SpyStore(CheckpointStore):
-            """Scrapes the pipeline's own server from inside the run.
-
-            Each checkpoint write happens mid-run, after the server started;
-            the ephemeral port is read from the ``obs.server.started`` event.
-            """
+            """Scrapes the caller's server from inside the run: each
+            checkpoint write happens mid-run."""
 
             def save_window(self, window, signatures, meta, mode):
-                for line in buffer.getvalue().splitlines():
-                    event = json.loads(line)
-                    if event["event"] == "obs.server.started":
-                        port = int(event["url"].rsplit(":", 1)[1])
-                        scrapes.append(
-                            scrape(f"http://127.0.0.1:{port}/metrics")
-                        )
-                        break
+                with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as reply:
+                    scrapes.append(reply.read().decode("utf-8"))
                 return super().save_window(window, signatures, meta, mode=mode)
 
-        config = PipelineConfig(scheme="tt", k=5, obs_port=0)
-        import io
-
-        buffer = io.StringIO()
-        log = obs.EventLog(buffer, run_id="p", clock=lambda: 0.0)
-        store = SpyStore(tmp_path / "ckpt")
-        pipeline = SignaturePipeline(CsvRecordSource(trace), store, config)
-        with obs.use_event_log(log):
+        pipeline = SignaturePipeline(
+            CsvRecordSource(trace), SpyStore(tmp_path / "ckpt"), PipelineConfig(scheme="tt", k=5)
+        )
+        with obs.use_registry(registry), obs.ObsServer(registry, port=0) as server:
             result = pipeline.run()
-        assert scrapes, "server never scraped mid-run"
+        assert len(scrapes) == 3
         for body in scrapes:
             assert obs.validate_prometheus(body) == []
+        # The last write follows two closed windows, already in the registry.
         assert "repro_pipeline_windows_total" in scrapes[-1]
         assert result.report.metrics["pipeline.windows{mode=exact}"] == 3
 
-    def test_sampler_attaches_when_interval_configured(self, trace, tmp_path):
-        config = PipelineConfig(scheme="tt", k=5, sample_interval=0.005)
-        result = make_pipeline(trace, tmp_path, config).run()
-        # Both the per-window samples and the background sampler land in the
-        # same store; the trajectory still ends at the final totals.
-        assert result.timeseries["pipeline.records_accepted"][-1][1] == 120.0
+    def test_caller_sampler_records_the_run(self, trace, tmp_path):
+        from repro import obs
+
+        registry = obs.MetricsRegistry()
+        with obs.use_registry(registry):
+            sampler = obs.Sampler(registry, interval=0.005).start()
+            make_pipeline(trace, tmp_path).run()
+            series = sampler.stop().to_dict()
+        assert series["pipeline.records_accepted"][-1][1] == 120.0
 
     def test_config_validation(self):
-        with pytest.raises(PipelineError):
-            PipelineConfig(obs_port=-1)
-        with pytest.raises(PipelineError):
-            PipelineConfig(obs_port=65536)
-        with pytest.raises(PipelineError):
-            PipelineConfig(sample_interval=0.0)
+        # The run records into the caller's registry; serving and sampling
+        # it are the caller's, so the config has no fields for them.
+        with pytest.raises(TypeError):
+            PipelineConfig(obs_port=0)
+        with pytest.raises(TypeError):
+            PipelineConfig(sample_interval=1.0)
 
 
 class TestNodeLabels:

@@ -85,6 +85,20 @@ class TestTraceEndpoint:
         assert len(gathers) == small_config.num_shards
         assert {g["attrs"]["shard"] for g in gathers} == {"0", "1", "2"}
 
+    def test_similar_gather_traces_its_kernel_call(self, small_config, records_factory):
+        # A span opened below the frontend (here the distance kernel the
+        # shard index runs) joins the request's tree under its caller.
+        _supervisor, frontend = build(small_config)
+        fill(frontend, records_factory)
+        _status, headers, _body = frontend.respond("GET", "/similar/h1?k=3")
+        _t, trace = get_trace(frontend, headers["X-Trace-Id"])
+        gathers = [c for c in trace["spans"]["children"] if c["name"] == "similar.gather"]
+        assert gathers
+        for gather in gathers:
+            [kernel] = gather["children"]
+            assert kernel["name"] == "kernel.signature"
+            assert kernel["attrs"]["path"] == "batch"
+
     def test_sketch_fallback_span_when_shard_degraded(
         self, small_config, records_factory
     ):

@@ -296,6 +296,57 @@ class TestLiveObservabilityCli:
         assert "pipeline.window" in names
         assert "pipeline.run.finish" in names
 
+    def test_pipeline_series_served_during_linger(self, tmp_path, capsys):
+        import json
+        import threading
+        import urllib.request
+
+        from repro.graph.stream import EdgeRecord, write_edge_records
+
+        trace = tmp_path / "trace.csv"
+        records = [
+            EdgeRecord(time=float(w), src=f"h{i % 4}", dst=f"e{i % 9}", weight=1.0)
+            for w in range(2)
+            for i in range(20)
+        ]
+        write_edge_records(records, trace)
+        probed = {"stdout": ""}
+
+        def probe():
+            # The run summary prints as the body ends; the sampler's final
+            # sample follows at once, then the 2 s linger starts.
+            for _ in range(1000):
+                probed["stdout"] += capsys.readouterr().out
+                if "pipeline run:" in probed["stdout"]:
+                    break
+                threading.Event().wait(0.01)
+            threading.Event().wait(0.5)
+            [url] = [
+                line.rsplit(" ", 1)[-1]
+                for line in probed["stdout"].splitlines()
+                if line.startswith("obs server listening on")
+            ]
+            with urllib.request.urlopen(f"{url}/series.json", timeout=5) as reply:
+                probed["series"] = json.loads(reply.read())["series"]
+
+        prober = threading.Thread(target=probe, daemon=True)
+        prober.start()
+        assert (
+            main(
+                [
+                    "pipeline", "run",
+                    "--input", str(trace),
+                    "--checkpoint-dir", str(tmp_path / "ckpt"),
+                    "--obs-serve", "0", "--obs-sample", "0.01",
+                    "--obs-serve-linger", "2",
+                ]
+            )
+            == 0
+        )
+        prober.join(timeout=5)
+        points = probed["series"]["pipeline.windows{mode=exact}"]
+        assert points and points[-1][1] == 2.0
+
     def test_obs_sample_records_series_alongside_snapshot(self, tmp_path, capsys):
         out = tmp_path / "obs.json"
         assert (
@@ -309,6 +360,27 @@ class TestLiveObservabilityCli:
             == 0
         )
         assert out.exists()
+
+
+class TestProfileCli:
+    """``--obs-profile`` profiles the command body, not individual spans."""
+
+    def test_table_names_a_function_the_command_ran(self, capsys):
+        assert main(["fig5", "--scale", "small", "--obs-profile"]) == 0
+        output = capsys.readouterr().out
+        [header] = [line for line in output.splitlines() if line.lstrip().startswith("ncalls")]
+        assert header.split() == ["ncalls", "tottime", "cumtime", "function"]
+        assert "run_fig5" in output
+
+    def test_no_table_without_the_flag(self, tmp_path, capsys):
+        assert main(["fig5", "--scale", "small", "--obs-out", str(tmp_path / "o.json")]) == 0
+        assert "cumtime" not in capsys.readouterr().out
+
+    def test_registry_takes_no_profile_option(self):
+        from repro import obs
+
+        with pytest.raises(TypeError):
+            obs.MetricsRegistry(profile=True)
 
 
 class TestServeCli:
@@ -348,6 +420,21 @@ class TestServeCli:
             main(["serve", "--port", "70000", "--serve-for", "0"])
         with pytest.raises(SystemExit):
             main(["serve", "--serve-for", "-1"])
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--obs-serve", "0"),
+            ("--obs-sample", "1"),
+            ("--obs-out", "o.json"),
+            ("--obs-prom", "o.prom"),
+        ],
+    )
+    def test_serve_refuses_cli_registry_surfaces(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", flag, value, "--serve-for", "0"])
+        assert exit_info.value.code == 2
+        assert "answers /metrics itself" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_distance(self):
         with pytest.raises(SystemExit):

@@ -18,8 +18,13 @@ UNUSED_BY_TT = (
     "scipy",
     "http.server",
     "multiprocessing",
+    "cProfile",
+    "pstats",
     "repro.apps",
     "repro.experiments",
+    "repro.obs.profiling",
+    "repro.obs.server",
+    "repro.obs.timeseries",
     "repro.service",
 )
 
