@@ -192,7 +192,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> str:
         jobs=args.jobs,
         error_budget=args.error_budget,
         max_memory_cells=args.memory_budget,
-        window_deadline=args.window_deadline,
         history_dir=args.history_dir,
     )
     pipeline = SignaturePipeline(
@@ -465,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="max graph cells per window before degrading to sketches",
-    )
-    pipeline_group.add_argument(
-        "--window-deadline",
-        type=float,
-        default=None,
-        help="seconds per window before degrading to sketches",
     )
     pipeline_group.add_argument(
         "--max-attempts",

@@ -91,11 +91,10 @@ def finish(name: str, *, count=0, shared=0.0, min_mass=0.0, total=0.0, size=0):
             out = np.divide(numerator, denominator)
         np.subtract(1.0, out, out=out)
         out[denominator == 0] = 0.0
-        registry = obs.get_registry()
-        if registry.enabled:
+        if obs.enabled():
             bad = np.count_nonzero((out < -OUT_OF_RANGE_TOL) | (out > 1.0 + OUT_OF_RANGE_TOL))
             if bad:
-                registry.counter("distance.out_of_range", path="batch").inc(int(bad))
+                obs.counter("distance.out_of_range", path="batch").inc(int(bad))
         return np.clip(out, 0.0, 1.0, out=out)
     if denominator == 0:
         return 0.0

@@ -578,10 +578,8 @@ def _run(
     name, function = resolve_distance(metric)
     path = "scalar" if name is None else "batch"
     label = name or "custom"
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter("kernel.calls", op=op, path=path, metric=label).inc()
-        registry.counter("kernel.pairs", op=op, path=path, metric=label).inc(pairs)
+    obs.counter("kernel.calls", op=op, path=path, metric=label).inc()
+    obs.counter("kernel.pairs", op=op, path=path, metric=label).inc(pairs)
     with obs.span(f"kernel.{op}", path=path, metric=label):
         return scalar(function) if name is None else kernel(name)
 

@@ -26,8 +26,10 @@ Live layer::
         long_running_monitoring()          # scrape localhost:9464/metrics
 
 Library code records into whatever registry its caller installed (a
-pipeline run included), so the server and sampler see work as it
-happens.  When no registry / event log is installed, every helper routes
+pipeline run and a signature service included), so the server and
+sampler see work as it happens.  ``obs.use_labels(shard="0")`` adds
+labels to every counter, gauge and histogram a block creates, which is
+how one registry keeps per-shard series apart.  When no registry / event log is installed, every helper routes
 to a shared no-op, so instrumented code pays a single attribute read.
 """
 
@@ -40,7 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
             "counter", "current_span_path", "detached_span_path", "enabled", "gauge",
             "get_registry", "histogram", "merge_into_active", "render_key", "span",
-            "use_registry",
+            "use_labels", "use_registry",
         ),
         ".digest": ("DEFAULT_RELATIVE_ACCURACY", "EXPORT_QUANTILES", "LatencyDigest"),
         ".tracing": (

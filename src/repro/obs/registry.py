@@ -413,19 +413,46 @@ def use_registry(registry) -> Iterator:
         _ACTIVE.reset(token)
 
 
+#: Labels every instrument created through :func:`counter`, :func:`gauge`
+#: and :func:`histogram` carries (see :func:`use_labels`).
+_LABELS: ContextVar[Dict[str, str]] = ContextVar("repro_obs_labels", default={})
+
+
+@contextmanager
+def use_labels(**labels) -> Iterator[None]:
+    """Add ``labels`` to every counter, gauge and histogram the block
+    creates through the module-level helpers; a label the call site names
+    itself wins.  Scopes nest (the inner one wins too).  Spans are
+    unchanged: their string attributes already name what they time.
+
+    The service runs each shard's work under ``use_labels(shard=...)``, so
+    one registry keeps per-shard series apart.
+    """
+    token = _LABELS.set({**_LABELS.get(), **labels})
+    try:
+        yield
+    finally:
+        _LABELS.reset(token)
+
+
+def _scoped(labels: Dict[str, object]) -> Dict[str, object]:
+    scope = _LABELS.get()
+    return {**scope, **labels} if scope else labels
+
+
 def counter(name: str, **labels):
     """Counter on the active registry (no-op when observability is off)."""
-    return _ACTIVE.get().counter(name, **labels)
+    return _ACTIVE.get().counter(name, **_scoped(labels))
 
 
 def gauge(name: str, **labels):
     """Gauge on the active registry (no-op when observability is off)."""
-    return _ACTIVE.get().gauge(name, **labels)
+    return _ACTIVE.get().gauge(name, **_scoped(labels))
 
 
 def histogram(name: str, **labels):
     """Histogram on the active registry (no-op when observability is off)."""
-    return _ACTIVE.get().histogram(name, **labels)
+    return _ACTIVE.get().histogram(name, **_scoped(labels))
 
 
 def span(name: str, **attrs):

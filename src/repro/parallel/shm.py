@@ -513,11 +513,10 @@ class ShmEngine:
             (manifest, scheme, targets[start : start + chunk])
             for start in range(0, len(targets), chunk)
         ]
-        registry = obs.get_registry()
-        collect = registry.enabled
+        collect = obs.enabled()
         if collect:
-            registry.counter("shm.dispatches", op="compute").inc()
-            registry.counter("shm.tasks", op="compute").inc(len(tasks))
+            obs.counter("shm.dispatches", op="compute").inc()
+            obs.counter("shm.tasks", op="compute").inc(len(tasks))
         with obs.span("shm.dispatch", op="compute", scheme=scheme.name):
             if collect:
                 packs = _consume_merging(

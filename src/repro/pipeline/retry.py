@@ -103,31 +103,25 @@ def call_with_retry(
     policy = policy or RetryPolicy()
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    registry = obs.get_registry()
     start = clock()
     attempt = 0
     while True:
         attempt += 1
-        if registry.enabled:
-            registry.counter("retry.attempts").inc()
+        obs.counter("retry.attempts").inc()
         try:
             return fn()
         except retry_on as exc:
-            if registry.enabled:
-                registry.counter("retry.transient_failures").inc()
+            obs.counter("retry.transient_failures").inc()
             if attempt >= policy.max_attempts:
-                if registry.enabled:
-                    registry.counter("retry.exhausted").inc()
+                obs.counter("retry.exhausted").inc()
                 raise
             delay = policy.delay_before(attempt + 1, rng)
             if policy.deadline is not None and (clock() - start) + delay > policy.deadline:
-                if registry.enabled:
-                    registry.counter("retry.deadline_abandoned").inc()
+                obs.counter("retry.deadline_abandoned").inc()
                 raise
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
-            if registry.enabled:
-                registry.counter("retry.sleeps").inc()
-                registry.histogram("retry.delay_s").observe(delay)
+            obs.counter("retry.sleeps").inc()
+            obs.histogram("retry.delay_s").observe(delay)
             if delay > 0:
                 sleep(delay)

@@ -18,7 +18,7 @@ package models:
   deterministic computation makes the resumed output byte-identical to an
   uninterrupted run.
 * **Resource pressure** — when a window exceeds the memory budget (graph
-  cells) or the per-window deadline, the pipeline *degrades gracefully*
+  cells), the pipeline *degrades gracefully*
   from the exact scheme to the one-pass streaming sketches of
   :mod:`repro.streaming` (Section VI), recording the degradation in the
   run report instead of failing or silently slowing down.
@@ -40,7 +40,6 @@ from repro.core.scheme import SignatureScheme, create_scheme
 from repro.exceptions import CheckpointError, ErrorBudgetExceeded, GraphError, PipelineError
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records
-from repro.graph.comm_graph import CommGraph
 from repro.graph.stream import EdgeRecord, ReadReport
 from repro.graph.windows import bucket_records
 from repro.pipeline.checkpoint import CheckpointStore
@@ -53,7 +52,11 @@ from repro.pipeline.report import (
 )
 from repro.pipeline.retry import RetryPolicy, call_with_retry
 from repro.pipeline.sources import RecordSource
-from repro.streaming.stream_schemes import SKETCHABLE_SCHEMES, sketch_window
+from repro.streaming.stream_schemes import (
+    SKETCHABLE_SCHEMES,
+    StreamingTopTalkers,
+    sketch_window,
+)
 
 #: Hook signature: called after each window is checkpointed.
 WindowHook = Callable[[int, WindowReport], None]
@@ -72,12 +75,11 @@ class PipelineConfig:
 
     ``error_budget`` bounds rejected rows: a value below 1.0 is a fraction
     of examined rows, a value >= 1 an absolute count; ``None`` disables the
-    check.  ``max_memory_cells`` (graph nodes + edges per window) and
-    ``window_deadline`` (seconds per window) are the graceful-degradation
-    triggers; exceeding either routes the window through the streaming
-    sketches instead of the exact scheme.  The cells are counted from the
-    window's records, so a window over the memory budget never builds
-    its graph.
+    check.  ``max_memory_cells`` (graph nodes + edges per window) is the
+    graceful-degradation trigger: a window over it goes through the
+    streaming sketches instead of the exact scheme.  The cells are counted
+    from the window's records, so a window over the memory budget never
+    builds its graph.
 
     ``jobs`` is read once, by :func:`~repro.core.execution.make_engine`,
     when a run was not handed an engine.  One worker computes in-process;
@@ -103,7 +105,6 @@ class PipelineConfig:
     bipartite: bool = False
     error_budget: Optional[float] = None
     max_memory_cells: Optional[int] = None
-    window_deadline: Optional[float] = None
     streaming_epsilon: float = 0.005
     streaming_delta: float = 0.01
     seed: int = 0
@@ -131,10 +132,6 @@ class PipelineConfig:
         if self.max_memory_cells is not None and self.max_memory_cells < 1:
             raise PipelineError(
                 f"max_memory_cells must be >= 1, got {self.max_memory_cells}"
-            )
-        if self.window_deadline is not None and self.window_deadline <= 0:
-            raise PipelineError(
-                f"window_deadline must be positive, got {self.window_deadline}"
             )
 
 
@@ -505,26 +502,20 @@ class SignaturePipeline:
             graph = aggregate_records(batch, bipartite=self.config.bipartite)
             counts = graph.num_nodes, graph.num_edges
         num_nodes, num_edges = counts
-        mode, reason = MODE_EXACT, ""
-
         cells = num_nodes + num_edges
-        if budget is not None and cells > budget:
+        if budget is None or cells <= budget:
+            # The population is one batch: ``compute_all`` through the
+            # run's engine.
+            mode, reason = MODE_EXACT, ""
+            signatures = scheme.compute_all(graph, graph.senders(), engine=self._engine)
+        else:
             mode = MODE_DEGRADED
             reason = f"memory budget: {cells} graph cells > {budget}"
-
-        if mode == MODE_EXACT:
-            exact = self._compute_exact(graph, scheme, started)
-            if exact is None:
-                mode = MODE_DEGRADED
-                reason = (
-                    f"deadline: window exceeded {self.config.window_deadline}s "
-                    f"during exact computation"
-                )
-            else:
-                signatures = exact
-        if mode == MODE_DEGRADED:
             obs.counter("pipeline.degradations").inc()
-            signatures = self._compute_degraded(batch)
+            builder = self._sketch(batch)
+            signatures = SignaturePack.from_signatures(
+                map(builder.signature, builder.sources)
+            )
             if self.config.scheme not in SKETCHABLE_SCHEMES:
                 reason += (
                     f"; streaming fallback approximates 'tt', not "
@@ -536,6 +527,8 @@ class SignaturePipeline:
                 window=window,
                 reason=reason,
                 scheme=self.config.scheme,
+                sketch_cells=builder.memory_cells(),
+                budget=budget,
             )
 
         meta = {
@@ -561,25 +554,11 @@ class SignaturePipeline:
             signatures,
         )
 
-    def _compute_exact(
-        self, graph: CommGraph, scheme: SignatureScheme, started: float
-    ) -> Optional[SignaturePack]:
-        """Exact signatures, or ``None`` if the deadline tripped.
-
-        The population is one batch, ``compute_all`` through the run's
-        engine, and the deadline is checked after the batch.
-        """
-        signatures = scheme.compute_all(graph, graph.senders(), engine=self._engine)
-        deadline = self.config.window_deadline
-        if deadline is not None and self._clock() - started > deadline:
-            return None
-        return signatures
-
-    def _compute_degraded(self, batch: RecordBatch) -> SignaturePack:
-        """One-pass sketched signatures for the window (Section VI path):
+    def _sketch(self, batch: RecordBatch) -> StreamingTopTalkers:
+        """The window's one-pass sketches (Section VI path):
         :func:`sketch_window` over its one canonical bucket, as the
         service's sketch tier sketches a window."""
-        builder = sketch_window(
+        return sketch_window(
             self.config.scheme,
             [batch],
             k=self.config.k,
@@ -587,7 +566,6 @@ class SignaturePipeline:
             delta=self.config.streaming_delta,
             seed=self.config.seed,
         )
-        return SignaturePack.from_signatures(map(builder.signature, builder.sources))
 
     def _save_window(
         self,

@@ -43,7 +43,6 @@ class CircuitBreaker:
         *,
         name: str = "breaker",
         clock: Callable[[], float] = time.monotonic,
-        registry=None,
     ) -> None:
         self.policy = policy or BreakerPolicy()
         self.name = name
@@ -56,13 +55,14 @@ class CircuitBreaker:
         self._probes_in_flight = 0
         self._probe_successes = 0
         self.opened_count = 0
-        # Observability exports (no-ops on the null registry): guarded-call
-        # latencies by outcome, the state as a gauge, refusals as a counter.
-        registry = registry if registry is not None else obs.NULL_REGISTRY
-        self._success_latency = registry.histogram("breaker.latency_s", outcome="success")
-        self._failure_latency = registry.histogram("breaker.latency_s", outcome="failure")
-        self._state_gauge = registry.gauge("breaker.state")
-        self._refusals = registry.counter("breaker.refusals")
+        # Observability exports: guarded-call latencies by outcome, the
+        # state as a gauge, refusals as a counter.  They bind to the registry
+        # and label scope active here (the service creates each shard's
+        # breaker under its install and the shard's labels).
+        self._success_latency = obs.histogram("breaker.latency_s", outcome="success")
+        self._failure_latency = obs.histogram("breaker.latency_s", outcome="failure")
+        self._state_gauge = obs.gauge("breaker.state")
+        self._refusals = obs.counter("breaker.refusals")
         self._state_gauge.set(STATE_CODES[STATE_CLOSED])
 
     # ------------------------------------------------------------------

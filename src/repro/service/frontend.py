@@ -31,9 +31,13 @@ Observability implemented here (the PR 9 layer):
   ``obs.span``, the finished tree is stored in a bounded
   :class:`repro.obs.TraceStore`, and ``GET /trace/<id>`` returns it.
   Responses carry ``X-Trace-Id`` / ``X-Request-Id`` headers.
-* **Latency histograms** — per-endpoint ``service.latency_s`` histograms
-  with guaranteed relative error, merged across shard registries into
-  ``/metrics`` exactly like counters.
+* **Metrics** — every endpoint, shard and store records through ``obs.*``
+  into the active registry, which ``/metrics`` exports: the service's one
+  registry, installed on every thread that runs service code
+  (:class:`repro.service.http.SignatureService`).  Shard-scoped work runs
+  under ``obs.use_labels(shard=...)``, so per-shard series keep a
+  ``shard`` label; per-endpoint ``service.latency_s`` histograms carry
+  guaranteed relative error.
 * **SLOs** — declarative objectives from the config evaluated as
   multi-window error-budget burn rates at ``GET /slo``, wired into an
   :class:`repro.obs.AlertManager`.
@@ -171,13 +175,11 @@ class ServiceFrontend:
         supervisor: ShardSupervisor,
         config: ServiceConfig | None = None,
         *,
-        registry: Optional[obs.MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.supervisor = supervisor
         self.config = config or supervisor.config
         self.queue = BoundedIngestQueue(self.config.queue_capacity)
-        self.registry = registry if registry is not None else obs.MetricsRegistry()
         self._clock = clock
         self._started_at = clock()
         self.traces = obs.TraceStore(self.config.trace_store_size)
@@ -191,15 +193,6 @@ class ServiceFrontend:
             clock=clock,
             alert_manager=self.alerts,
         )
-        self._latency_histograms: Dict[str, obs.Histogram] = {}
-
-    def _latency_histogram(self, endpoint: str) -> obs.Histogram:
-        instrument = self._latency_histograms.get(endpoint)
-        if instrument is None:
-            instrument = self._latency_histograms[endpoint] = self.registry.histogram(
-                "service.latency_s", endpoint=endpoint
-            )
-        return instrument
 
     # ------------------------------------------------------------------
     # Window pump
@@ -219,7 +212,7 @@ class ServiceFrontend:
                 break
             self.supervisor.ingest(bucket)
             closed += 1
-            self.registry.counter("service.windows").inc()
+            obs.counter("service.windows").inc()
         return closed
 
     # ------------------------------------------------------------------
@@ -243,7 +236,7 @@ class ServiceFrontend:
         raw_path, _, query_string = path.partition("?")
         route = self._route_of(raw_path)
         endpoint = route or "unknown"
-        self.registry.counter("service.requests", route=endpoint).inc()
+        obs.counter("service.requests", route=endpoint).inc()
         context = obs.RequestContext(
             trace_id=_incoming_trace_id(headers),
             deadline_s=self.config.request_deadline_s,
@@ -263,14 +256,14 @@ class ServiceFrontend:
                         "service.error", level="error",
                         path=raw_path, error=str(error),
                     )
-                    self.registry.counter("service.errors").inc()
+                    obs.counter("service.errors").inc()
                     response = self._json(500, {"error": str(error)})
             if (
                 self.config.request_deadline_s is not None
                 and self._clock() - started > self.config.request_deadline_s
                 and response[0] < 500
             ):
-                self.registry.counter("service.deadline_exceeded").inc()
+                obs.counter("service.deadline_exceeded").inc()
                 obs.emit("service.deadline_exceeded", level="warning", path=raw_path)
                 response = self._json(
                     504,
@@ -293,7 +286,7 @@ class ServiceFrontend:
         self.traces.put(context)
         elapsed = self._clock() - started
         status = response[0]
-        self._latency_histogram(endpoint).observe(elapsed)
+        obs.histogram("service.latency_s", endpoint=endpoint).observe(elapsed)
         self.slo.record(endpoint, elapsed, ok=status < 500)
         response_headers = dict(response[1])
         response_headers["X-Trace-Id"] = context.trace_id
@@ -356,7 +349,7 @@ class ServiceFrontend:
         """Shed query traffic (503) while the ingest queue is under pressure."""
         if self.queue.occupancy() < self.config.shed_fraction:
             return None
-        self.registry.counter("service.shed_queries").inc()
+        obs.counter("service.shed_queries").inc()
         obs.emit(
             "service.query_shed",
             level="warning",
@@ -386,7 +379,7 @@ class ServiceFrontend:
         if not records:
             return self._json(400, {"error": "no records in ingest body"})
         if not self.queue.offer(records):
-            self.registry.counter("service.ingest_rejected").inc(len(records))
+            obs.counter("service.ingest_rejected").inc(len(records))
             obs.emit(
                 "service.backpressure",
                 level="warning",
@@ -403,7 +396,7 @@ class ServiceFrontend:
                 },
                 headers={"Retry-After": self._retry_after()},
             )
-        self.registry.counter("service.ingest_accepted").inc(len(records))
+        obs.counter("service.ingest_accepted").inc(len(records))
         return self._json(
             202,
             {
@@ -435,11 +428,14 @@ class ServiceFrontend:
         """
         if state.health == HEALTH_DOWN:
             raise ShardDown(state.shard_id)
-        if state.health == HEALTH_HEALTHY and state.engine is not None:
-            if state.breaker.allow():
-                with obs.span(
-                    "shard.query", shard=str(state.shard_id), tier="exact"
-                ) as span_node:
+        shard = str(state.shard_id)
+        with obs.use_labels(shard=shard):
+            if (
+                state.health == HEALTH_HEALTHY
+                and state.engine is not None
+                and state.breaker.allow()
+            ):
+                with obs.span("shard.query", shard=shard, tier="exact") as span_node:
                     started = self._clock()
                     try:
                         if state.injector is not None:
@@ -448,7 +444,7 @@ class ServiceFrontend:
                         answer = exact()
                     except Exception as error:  # noqa: BLE001 - breaker accounting
                         state.breaker.record_failure(self._clock() - started)
-                        state.registry.counter("shard.query_failures").inc()
+                        obs.counter("shard.query_failures").inc()
                         if span_node is not None:
                             span_node.error = str(error)
                         obs.emit(
@@ -461,12 +457,10 @@ class ServiceFrontend:
                     else:
                         state.breaker.record_success(self._clock() - started)
                         return answer, False, window
-        with obs.span(
-            "sketch.fallback", shard=str(state.shard_id), tier="sketch"
-        ):
-            tier = self.supervisor.sketch_tier(state)
-            answer = sketch(tier)
-        self.registry.counter("service.approximate_answers").inc()
+            with obs.span("sketch.fallback", shard=shard, tier="sketch"):
+                tier = self.supervisor.sketch_tier(state)
+                answer = sketch(tier)
+        obs.counter("service.approximate_answers").inc()
         return answer, True, tier.window
 
     def _shard_signature(
@@ -539,7 +533,8 @@ class ServiceFrontend:
             ):
                 skipped.append(state.shard_id)
                 continue
-            with obs.span("similar.gather", shard=str(state.shard_id)):
+            shard = str(state.shard_id)
+            with obs.span("similar.gather", shard=shard), obs.use_labels(shard=shard):
                 scored.extend(
                     (str(owner), score)
                     for owner, score in state.engine.query_index().query(
@@ -657,7 +652,8 @@ class ServiceFrontend:
             if state.store is None:
                 skipped.append(state.shard_id)
                 continue
-            with obs.span("history.gather", shard=str(state.shard_id)):
+            shard = str(state.shard_id)
+            with obs.span("history.gather", shard=shard), obs.use_labels(shard=shard):
                 try:
                     hits = state.store.history.query(signature, window, k=k)
                 except Exception:  # noqa: BLE001 - partial results beat a 500
@@ -698,7 +694,8 @@ class ServiceFrontend:
             stop = int(params["to"][0]) if "to" in params else None
         except ValueError:
             return self._json(400, {"error": "from/to must be integers"})
-        with obs.span("trajectory.gather", shard=str(home.shard_id)):
+        shard = str(home.shard_id)
+        with obs.span("trajectory.gather", shard=shard), obs.use_labels(shard=shard):
             points = home.store.history.trajectory(node, start, stop)
         if not points:
             return self._json(
@@ -756,33 +753,24 @@ class ServiceFrontend:
             status["service"] = HEALTH_DEGRADED
         return self._json(200, status)
 
-    def merged_snapshot(self) -> Dict:
-        """Frontend + all shard registries as one snapshot.
-
-        This is the fleet-wide view ``/metrics`` exports: per-shard
-        histograms fold together exactly like counters (``breaker.latency_s``
-        keeps its per-shard label, so both the per-shard and the
-        cross-shard views are derivable).  It also sets two gauges of
-        ingest memory: ``service.labels``, the labels in the current
-        generation of the label table, and ``service.ingest_log_bytes``,
-        the column bytes the shards' ingest logs hold.
-        """
-        self.registry.gauge("service.labels").set(len(self.supervisor.labels))
-        self.registry.gauge("service.ingest_log_bytes").set(
-            sum(state.log_bytes for state in self.supervisor.shards)
-        )
-        merged = obs.MetricsRegistry()
-        merged.merge(self.registry.snapshot())
-        merged.merge(self.supervisor.metrics_snapshot())
-        return merged.snapshot()
-
     def _handle_metrics(self) -> Response:
+        """The active registry in the Prometheus text format.
+
+        Two gauges of ingest memory are set first: ``service.labels``, the
+        labels in the current generation of the label table, and
+        ``service.ingest_log_bytes``, the column bytes the shards' ingest
+        logs hold.
+        """
         from repro.obs.export import to_prometheus
 
+        obs.gauge("service.labels").set(len(self.supervisor.labels))
+        obs.gauge("service.ingest_log_bytes").set(
+            sum(state.log_bytes for state in self.supervisor.shards)
+        )
         return (
             200,
             {"Content-Type": obs.PROMETHEUS_CONTENT_TYPE},
-            to_prometheus(self.merged_snapshot()),
+            to_prometheus(obs.get_registry().snapshot()),
         )
 
     def _handle_slo(self) -> Response:
@@ -807,7 +795,7 @@ class ServiceFrontend:
     # Helpers
     # ------------------------------------------------------------------
     def _down_response(self, state: ShardState) -> Response:
-        self.registry.counter("service.down_answers").inc()
+        obs.counter("service.down_answers").inc()
         return self._json(
             503,
             {

@@ -14,6 +14,14 @@ shard fleet from a single thread — shard engines never see concurrent
 mutation, while any number of handler threads read consistent snapshots.
 A handler thread whose read needs a shard's sketch tier builds it from
 the shard's ingest log, under the shard's lock.
+
+Observability has one context per service: one metrics registry (the
+caller's active one when it collects, else a fresh one) and the event
+log active at construction.  :class:`SignatureService` installs both on
+every thread where service code runs — the constructor's history
+restore, the pump thread, and every ``ingest``/``pump``/``respond``/
+``close`` call (HTTP handler threads included) — so ``/metrics`` and the
+event log see shard, store, kernel and alert signals from all of them.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro import obs
 from repro.graph.batch import RecordBatch
@@ -42,24 +51,31 @@ class SignatureService:
         *,
         checkpoint_dir: Optional[str | Path] = None,
         history_dir: Optional[str | Path] = None,
-        registry: Optional[obs.MetricsRegistry] = None,
         clock=time.monotonic,
         sleep=time.sleep,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.supervisor = ShardSupervisor(
-            self.config,
-            checkpoint_dir=checkpoint_dir,
-            history_dir=history_dir,
-            clock=clock,
-            sleep=sleep,
-        )
-        self.frontend = ServiceFrontend(
-            self.supervisor, self.config, registry=registry, clock=clock
-        )
+        active = obs.get_registry()
+        self._registry = active if active.enabled else obs.MetricsRegistry()
+        self._events = obs.get_event_log()
+        with self._installed():
+            self.supervisor = ShardSupervisor(
+                self.config,
+                checkpoint_dir=checkpoint_dir,
+                history_dir=history_dir,
+                clock=clock,
+                sleep=sleep,
+            )
+            self.frontend = ServiceFrontend(self.supervisor, self.config, clock=clock)
         self._pump_thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._pump_lock = threading.Lock()
+
+    @contextmanager
+    def _installed(self) -> Iterator[None]:
+        """Run the block under the service's registry and event log."""
+        with obs.use_registry(self._registry), obs.use_event_log(self._events):
+            yield
 
     # ------------------------------------------------------------------
     # Synchronous conveniences (tests, examples, CLI replay)
@@ -72,12 +88,13 @@ class SignatureService:
         :class:`~repro.exceptions.DatasetError` naming it, as ``/ingest``
         answers 400.
         """
-        batch = RecordBatch.from_records(records, self.supervisor.labels)
-        return self.frontend.queue.offer(batch.validate())
+        with self._installed():
+            batch = RecordBatch.from_records(records, self.supervisor.labels)
+            return self.frontend.queue.offer(batch.validate())
 
     def pump(self, force: bool = False) -> int:
         """Close all currently fillable windows (serialized with the thread)."""
-        with self._pump_lock:
+        with self._pump_lock, self._installed():
             return self.frontend.pump(force=force)
 
     def respond(
@@ -87,7 +104,8 @@ class SignatureService:
         body: Optional[str] = None,
         headers: Optional[dict] = None,
     ) -> Response:
-        return self.frontend.respond(method, path, body, headers=headers)
+        with self._installed():
+            return self.frontend.respond(method, path, body, headers=headers)
 
     # ------------------------------------------------------------------
     # Background pump
@@ -104,10 +122,11 @@ class SignatureService:
         arrived = self.frontend.queue.arrived
 
         def loop() -> None:
-            while not self._stop.is_set():
-                if self.pump() == 0:
-                    arrived.wait(interval_s)
-                    arrived.clear()
+            with self._installed():
+                while not self._stop.is_set():
+                    if self.pump() == 0:
+                        arrived.wait(interval_s)
+                        arrived.clear()
 
         self._pump_thread = threading.Thread(
             target=loop, name="repro-service-pump", daemon=True
@@ -127,8 +146,9 @@ class SignatureService:
     def close(self) -> None:
         """Shut the service down: stop the pump (draining a final short
         window) and release the supervisor's shared-memory pool, if any."""
-        self.stop_pump(drain=True)
-        self.supervisor.close()
+        with self._installed():
+            self.stop_pump(drain=True)
+            self.supervisor.close()
 
 
 class ServiceServer:
@@ -153,7 +173,6 @@ class ServiceServer:
         self.pump_interval_s = pump_interval_s
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
-        self._log = obs.NULL_EVENT_LOG
 
     @property
     def running(self) -> bool:
@@ -169,9 +188,6 @@ class ServiceServer:
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
         self._httpd.daemon_threads = True
-        # Handler threads start with a fresh contextvar context; capture the
-        # event log active now so request-path events still land somewhere.
-        self._log = obs.get_event_log()
         self.port = self._httpd.server_address[1]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -204,36 +220,33 @@ class ServiceServer:
 
 
 def _make_handler(server: ServiceServer):
-    frontend = server.service.frontend
+    service = server.service
 
     class _Handler(BaseHTTPRequestHandler):
-        # Load tests hammer the endpoints; per-request stderr noise helps
-        # nobody — route it to the captured event log instead.
+        # Handler threads start with a fresh contextvar context, so what
+        # they record goes through the service's install.  Load tests
+        # hammer the endpoints; per-request stderr noise helps nobody —
+        # route it to the service's event log instead.
         def log_message(self, format: str, *args) -> None:
-            server._log.emit(
-                "service.server.request",
-                level="debug",
-                client=self.address_string(),
-                detail=format % args,
-            )
+            with service._installed():
+                obs.emit(
+                    "service.server.request",
+                    level="debug",
+                    client=self.address_string(),
+                    detail=format % args,
+                )
 
         def _serve(self, method: str, body: Optional[str]) -> None:
             try:
-                # Handler threads get a fresh contextvar context, so the
-                # event log active at start() must be re-installed here for
-                # request-path events (deadline warnings, trace-stamped
-                # completions) to land in it.
-                with obs.use_event_log(server._log):
-                    status, headers, payload = frontend.respond(
-                        method, self.path, body, headers=dict(self.headers)
-                    )
+                status, headers, payload = service.respond(
+                    method, self.path, body, headers=dict(self.headers)
+                )
             except Exception as error:  # noqa: BLE001 - must answer the socket
                 status = 500
                 headers = {"Content-Type": "application/json"}
                 payload = json.dumps({"error": str(error)}) + "\n"
-                server._log.emit(
-                    "service.server.error", level="error", error=str(error)
-                )
+                with service._installed():
+                    obs.emit("service.server.error", level="error", error=str(error))
             encoded = payload.encode("utf-8")
             self.send_response(status)
             for name, value in headers.items():

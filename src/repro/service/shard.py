@@ -1,8 +1,10 @@
 """One shard of the online signature service.
 
 :class:`ShardEngine` is the exact tier: it owns a sliding-window
-aggregator, the scheme, a per-shard checkpoint store (which is also the
-shard's signature history) and a per-shard metrics registry.  Every window
+aggregator, the scheme and a per-shard checkpoint store (which is also the
+shard's signature history).  It records through ``obs.*`` into the active
+registry, under a ``shard`` label scope (:func:`repro.obs.use_labels`), so
+one registry keeps every shard's series apart.  Every window
 close builds the window's graph and computes its signatures afresh with
 ``compute_all``.  Service node ids are strings (they arrive over the
 wire), so computed signatures and the string-keyed checkpoint payloads
@@ -48,8 +50,9 @@ from repro.streaming.stream_schemes import StreamingTopTalkers, sketch_window
 _NO_SIGNATURES = SignaturePack.from_signatures({})
 
 
-def _clamp_persistence(value: float, counter) -> float:
-    """Clamp ``1 - distance`` to [0, 1], counting genuine excursions.
+def _clamp_persistence(value: float, path: str) -> float:
+    """Clamp ``1 - distance`` to [0, 1], counting genuine excursions as
+    ``distance.out_of_range{path}``.
 
     Registered distances clamp themselves, but custom distances (or a
     distance that exceeds 1 on disjoint supports) would otherwise surface
@@ -57,11 +60,11 @@ def _clamp_persistence(value: float, counter) -> float:
     """
     if value < 0.0:
         if value < -OUT_OF_RANGE_TOL:
-            counter.inc()
+            obs.counter("distance.out_of_range", path=path).inc()
         return 0.0
     if value > 1.0:
         if value > 1.0 + OUT_OF_RANGE_TOL:
-            counter.inc()
+            obs.counter("distance.out_of_range", path=path).inc()
         return 1.0
     return value
 
@@ -75,7 +78,6 @@ class ShardEngine:
         config: ServiceConfig,
         *,
         store: Optional[CheckpointStore] = None,
-        registry: Optional[obs.MetricsRegistry] = None,
         compute_engine: Optional[ComputeEngine] = None,
         labels: Optional[LabelTable] = None,
     ) -> None:
@@ -88,7 +90,6 @@ class ShardEngine:
         # Supervisor-owned compute engine (``None``: in-process); the
         # shard never closes it — its lifecycle belongs to whoever shares it.
         self.compute_engine = compute_engine
-        self.registry = registry if registry is not None else obs.MetricsRegistry()
         self.scheme: SignatureScheme = create_scheme(
             config.scheme, k=config.k, **config.scheme_params
         )
@@ -116,7 +117,7 @@ class ShardEngine:
         exactly as the pipeline does), then every sender's signature is
         computed.
         """
-        with obs.use_registry(self.registry):
+        with obs.use_labels(shard=str(self.shard_id)):
             self._apply(bucket.canonical())
 
     def _apply(self, records: RecordBatch) -> None:
@@ -129,10 +130,10 @@ class ShardEngine:
         # with it.
         self.window += 1
         self._index = None
-        self.registry.counter("shard.windows").inc()
-        self.registry.counter("shard.records").inc(len(records))
-        self.registry.gauge("shard.nodes").set(graph.num_nodes)
-        self.registry.gauge("shard.edges").set(graph.num_edges)
+        obs.counter("shard.windows").inc()
+        obs.counter("shard.records").inc(len(records))
+        obs.gauge("shard.nodes").set(graph.num_nodes)
+        obs.gauge("shard.edges").set(graph.num_edges)
         meta = {
             "shard": self.shard_id,
             "num_records": len(records),
@@ -141,7 +142,7 @@ class ShardEngine:
         }
         if self.store is not None:
             self.store.save_window(self.window, self.signatures, meta=meta)
-            self.registry.counter("shard.checkpoint_writes").inc()
+            obs.counter("shard.checkpoint_writes").inc()
 
     def _compute(self, graph: CommGraph) -> SignaturePack:
         """Every sender's signature on ``graph`` (string labels: the
@@ -195,13 +196,13 @@ class ShardEngine:
             verified = min(scan.next_window, last + 1)
             first = min(first, verified)
         first = max(first, base_window + 1 if whole_from is None else whole_from)
-        with obs.use_registry(self.registry):
+        with obs.use_labels(shard=str(self.shard_id)):
             if base_window >= 0 and len(buckets) < 2:
                 self._seed_from_history(base_window)
             self._replay(buckets, first - base_window - 1, verified, base_window)
-        if issues:
-            self.registry.counter("shard.checkpoint_issues").inc(len(issues))
-        self.registry.counter("shard.rebuilds").inc()
+            if issues:
+                obs.counter("shard.checkpoint_issues").inc(len(issues))
+            obs.counter("shard.rebuilds").inc()
         return issues
 
     def _seed_from_history(self, base_window: int) -> None:
@@ -273,10 +274,10 @@ class ShardEngine:
         last = self.store.history.max_window() if self.store is not None else -1
         if last < 0:
             return False
-        with obs.use_registry(self.registry):
+        with obs.use_labels(shard=str(self.shard_id)):
             self._seed_from_history(last)
+            obs.counter("shard.history_restores").inc()
         self._index = None
-        self.registry.counter("shard.history_restores").inc()
         return True
 
     # ------------------------------------------------------------------
@@ -300,10 +301,7 @@ class ShardEngine:
         prev = self.prev_signatures.get(node)
         if now is None or prev is None:
             return None
-        return _clamp_persistence(
-            1.0 - self._distance(prev, now),
-            self.registry.counter("distance.out_of_range", path="shard.persistence"),
-        )
+        return _clamp_persistence(1.0 - self._distance(prev, now), "shard.persistence")
 
 
 class SketchTier:
@@ -323,12 +321,9 @@ class SketchTier:
         config: ServiceConfig,
         log: Sequence[RecordBatch],
         window: int,
-        *,
-        registry: Optional[obs.MetricsRegistry] = None,
     ) -> None:
         self.config = config
         self.window = window
-        self.registry = registry if registry is not None else obs.MetricsRegistry()
         span = config.window_buckets
         log = [bucket.canonical() for bucket in log[-span - 1:]]
         self.current = self._sketch(log[-span:]) if log else None
@@ -359,5 +354,5 @@ class SketchTier:
         distance = get_distance(self.config.distance)
         return _clamp_persistence(
             1.0 - distance(self.previous.signature(node), self.current.signature(node)),
-            self.registry.counter("distance.out_of_range", path="sketch.persistence"),
+            "sketch.persistence",
         )

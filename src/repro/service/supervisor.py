@@ -60,7 +60,7 @@ from repro.exceptions import ServiceError, ShardDown
 from repro.graph.batch import LabelTable, RecordBatch
 from repro.pipeline.checkpoint import CheckpointStore
 from repro.pipeline.retry import RetryPolicy, call_with_retry
-from repro.service.breaker import STATE_CLOSED, STATE_CODES, CircuitBreaker
+from repro.service.breaker import STATE_CLOSED, CircuitBreaker
 from repro.service.config import (
     HEALTH_DEGRADED,
     HEALTH_DOWN,
@@ -104,7 +104,6 @@ class ShardState:
     shard_id: int
     engine: Optional[ShardEngine]
     breaker: CircuitBreaker
-    registry: obs.MetricsRegistry
     #: Per-shard checkpoints and signature history (``None`` without a
     #: checkpoint or history directory).
     store: Optional[CheckpointStore] = None
@@ -208,29 +207,26 @@ class ShardSupervisor:
             self.compute_engine.close()
 
     def _new_state(self, shard_id: int) -> ShardState:
-        store = None
-        if self.store_dir is not None:
-            store = CheckpointStore(self.store_dir / f"shard-{shard_id:02d}")
-        registry = obs.MetricsRegistry()
-        return ShardState(
-            shard_id=shard_id,
-            engine=ShardEngine(
-                shard_id,
-                self.config,
+        # Under the shard's labels: the store publishes its gauges on open,
+        # and the breaker's instruments bind to the labels active here.
+        with obs.use_labels(shard=str(shard_id)):
+            store = None
+            if self.store_dir is not None:
+                store = CheckpointStore(self.store_dir / f"shard-{shard_id:02d}")
+            return ShardState(
+                shard_id=shard_id,
+                engine=ShardEngine(
+                    shard_id,
+                    self.config,
+                    store=store,
+                    compute_engine=self.compute_engine,
+                    labels=self.labels,
+                ),
+                breaker=CircuitBreaker(
+                    self.config.breaker, name=f"shard-{shard_id}", clock=self._clock
+                ),
                 store=store,
-                registry=registry,
-                compute_engine=self.compute_engine,
-                labels=self.labels,
-            ),
-            breaker=CircuitBreaker(
-                self.config.breaker,
-                name=f"shard-{shard_id}",
-                clock=self._clock,
-                registry=registry,
-            ),
-            registry=registry,
-            store=store,
-        )
+            )
 
     # ------------------------------------------------------------------
     # Routing
@@ -279,7 +275,8 @@ class ShardSupervisor:
                 # survive any engine crash below (the rebuild replays the log).
                 state.log.buckets.append(sub)
                 state.records_ingested += len(sub)
-                self._advance_engine(state, sub, window)
+                with obs.use_labels(shard=str(state.shard_id)):
+                    self._advance_engine(state, sub, window)
         finally:
             self.window = window
             for state in self.shards:
@@ -365,7 +362,7 @@ class ShardSupervisor:
         raises marks the shard DOWN and raises
         :class:`~repro.exceptions.ShardDown`.
         """
-        with state.sketch_lock:
+        with state.sketch_lock, obs.use_labels(shard=str(state.shard_id)):
             log = state.log
             window = self._published(log)
             tier = state.sketch
@@ -374,12 +371,7 @@ class ShardSupervisor:
             try:
                 if state.injector is not None:
                     state.injector.on_sketch(state.shard_id, window)
-                tier = SketchTier(
-                    self.config,
-                    log.buckets[: window - log.base],
-                    window,
-                    registry=state.registry,
-                )
+                tier = SketchTier(self.config, log.buckets[: window - log.base], window)
             except Exception as error:  # noqa: BLE001 - escalation, not masking
                 state.health = HEALTH_DOWN
                 state.last_error = str(error)
@@ -390,7 +382,7 @@ class ShardSupervisor:
                     window=window,
                     error=str(error),
                 )
-                state.registry.counter("shard.down_transitions").inc()
+                obs.counter("shard.down_transitions").inc()
                 raise ShardDown(state.shard_id) from error
             state.sketch = tier
             return tier
@@ -416,7 +408,7 @@ class ShardSupervisor:
                 window=window,
                 error=str(error),
             )
-            state.registry.counter("shard.crashes").inc()
+            obs.counter("shard.crashes").inc()
             self._try_restart(state, opportunistic=False, window=window)
 
     def _try_restart(
@@ -438,7 +430,6 @@ class ShardSupervisor:
                 state.shard_id,
                 self.config,
                 store=state.store,
-                registry=state.registry,
                 compute_engine=self.compute_engine,
                 labels=self.labels,
             )
@@ -456,7 +447,7 @@ class ShardSupervisor:
             return engine
 
         def count_restart(attempt_no: int, error: BaseException, delay: float) -> None:
-            state.registry.counter("shard.restart_retries").inc()
+            obs.counter("shard.restart_retries").inc()
             obs.emit(
                 "service.shard.restart_retry",
                 level="warning",
@@ -491,7 +482,7 @@ class ShardSupervisor:
                     window=window,
                     error=str(error),
                 )
-                state.registry.counter("shard.degradations").inc()
+                obs.counter("shard.degradations").inc()
             return
         state.engine = engine
         if state.health != HEALTH_HEALTHY:
@@ -502,7 +493,7 @@ class ShardSupervisor:
                 window=window,
             )
         state.health = HEALTH_HEALTHY
-        state.registry.counter("shard.restarts").inc()
+        obs.counter("shard.restarts").inc()
         obs.emit(
             "service.shard.restarted",
             level="info",
@@ -530,7 +521,8 @@ class ShardSupervisor:
         state.sketch = None
         if state.health == HEALTH_DOWN:
             state.health = HEALTH_DEGRADED
-        self._try_restart(state, opportunistic=True)
+        with obs.use_labels(shard=str(shard_id)):
+            self._try_restart(state, opportunistic=True)
         return state.health == HEALTH_HEALTHY
 
     # ------------------------------------------------------------------
@@ -562,9 +554,6 @@ class ShardSupervisor:
         shards = []
         for state in self.shards:
             breaker_state = state.breaker.state
-            state.registry.gauge("shard.breaker_state").set(
-                STATE_CODES[breaker_state]
-            )
             shards.append(
                 {
                     "shard": state.shard_id,
@@ -584,34 +573,3 @@ class ShardSupervisor:
             "num_shards": len(self.shards),
             "shards": shards,
         }
-
-    def metrics_snapshot(self) -> Dict:
-        """All shard registries merged into one snapshot (for ``/metrics``).
-
-        Each shard's metrics gain a ``shard`` label before merging, so
-        per-shard series stay distinguishable the Prometheus way instead
-        of blurring into one fleet-wide sum.
-        """
-        merged = obs.MetricsRegistry()
-        for state in self.shards:
-            snapshot = state.registry.snapshot()
-            label = str(state.shard_id)
-            merged.merge(
-                {
-                    "counters": [
-                        (name, {**labels, "shard": label}, value)
-                        for name, labels, value in snapshot["counters"]
-                    ],
-                    "gauges": [
-                        (name, {**labels, "shard": label}, value)
-                        for name, labels, value in snapshot["gauges"]
-                    ],
-                    "histograms": [
-                        (name, {**labels, "shard": label}, payload)
-                        for name, labels, payload in snapshot["histograms"]
-                    ],
-                    "spans": snapshot["spans"],
-                },
-                prefix=(f"shard-{state.shard_id}",),
-            )
-        return merged.snapshot()

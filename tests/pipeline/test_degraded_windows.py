@@ -142,9 +142,8 @@ class TestEqualLabelsShareOneColumn:
             pipeline = SignaturePipeline(
                 IterableRecordSource(records), CheckpointStore(directory), config
             )
-            degraded = pipeline._compute_degraded(
-                RecordBatch.from_records(records, LabelTable())
-            )
+            builder = pipeline._sketch(RecordBatch.from_records(records, LabelTable()))
+            degraded = {source: builder.signature(source) for source in builder.sources}
         exact = create_scheme("tt", k=3).compute(aggregate_records(records), "a")
         assert degraded == {"a": exact}
         assert exact.entries == ((1, 1.0),)

@@ -64,7 +64,9 @@ class TestConfigValidation:
             PipelineConfig(error_budget=-0.1)
         with pytest.raises(PipelineError):
             PipelineConfig(max_memory_cells=0)
-        with pytest.raises(PipelineError):
+        # The per-window deadline is gone: it was checked only after the
+        # exact computation had returned.
+        with pytest.raises(TypeError):
             PipelineConfig(window_deadline=0.0)
 
 
@@ -199,21 +201,6 @@ class TestDegradation:
         for window in result.report.windows:
             assert window.mode == MODE_DEGRADED
             assert "memory budget" in window.reason
-
-    def test_deadline_degrades_to_streaming(self, trace, tmp_path):
-        # Fake clock: every call advances one second.  Every scheme,
-        # unbounded RWR included, computes the population as one batch,
-        # one tick, and the deadline is checked after it.
-        for scheme, params in [("tt", {}), ("rwr", {"reset_probability": 0.1, "max_hops": None})]:
-            ticks = iter(range(100000))
-            config = PipelineConfig(
-                scheme=scheme, k=5, scheme_params=params, window_deadline=0.5
-            )
-            result = make_pipeline(
-                trace, tmp_path / scheme, config, clock=lambda: float(next(ticks))
-            ).run()
-            assert result.report.degraded_windows == [0, 1, 2]
-            assert all("deadline" in w.reason for w in result.report.windows)
 
     def test_degraded_signatures_stay_close_to_exact(self, trace, tmp_path):
         exact = make_pipeline(trace, tmp_path / "a").run()
@@ -436,6 +423,30 @@ class TestLiveObservability:
         degraded = [e for e in events if e["event"] == "pipeline.degraded"]
         assert [event["window"] for event in degraded] == [0, 1, 2]
         assert all("memory budget" in event["reason"] for event in degraded)
+
+    @pytest.mark.parametrize("scheme", ["tt", "ut"])
+    def test_degradation_event_reports_sketch_size(self, trace, tmp_path, scheme):
+        """``pipeline.degraded`` carries the budget and the cells of the
+        sketch that replaced the graph, as the builder counts them."""
+        from repro.graph.batch import LabelTable, RecordBatch
+        from repro.streaming.stream_schemes import sketch_window
+
+        config = PipelineConfig(scheme=scheme, k=5, max_memory_cells=10)
+        _result, events = self.run_with_log(make_pipeline(trace, tmp_path, config))
+        degraded = [e for e in events if e["event"] == "pipeline.degraded"]
+        assert [event["budget"] for event in degraded] == [10, 10, 10]
+        for event in degraded:
+            window = [r for r in make_records() if r.time == float(event["window"])]
+            batch = RecordBatch.from_records(window, LabelTable()).canonical()
+            builder = sketch_window(
+                scheme,
+                [batch],
+                k=5,
+                epsilon=config.streaming_epsilon,
+                delta=config.streaming_delta,
+                seed=config.seed,
+            )
+            assert event["sketch_cells"] == builder.memory_cells() > 10
 
     def test_resume_event_routed(self, trace, tmp_path):
         make_pipeline(trace, tmp_path).run()

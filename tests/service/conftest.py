@@ -8,6 +8,7 @@ from typing import List
 
 import pytest
 
+from repro import obs
 from repro.graph.stream import EdgeRecord
 from repro.service import BreakerPolicy, ServiceConfig
 
@@ -45,6 +46,16 @@ def make_records(
             )
         )
     return records
+
+
+@pytest.fixture
+def registry() -> obs.MetricsRegistry:
+    """A collecting registry installed for the whole test: a bare
+    supervisor or frontend records into it (breakers bind to it when they
+    are built), and a ``SignatureService`` adopts it."""
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        yield registry
 
 
 @pytest.fixture

@@ -158,7 +158,7 @@ class TestIngest:
             "overflow-time", "text-weight", "object-nan", "object-negative",
         ],
     )
-    def test_invalid_values_are_400_naming_the_row(self, small_config, row):
+    def test_invalid_values_are_400_naming_the_row(self, small_config, registry, row):
         """Regression: a negative weight answered 500 (counted against the
         availability SLO) and NaN or infinite values were admitted, which
         made the sketch tier's Count-Min sums infinite."""
@@ -168,7 +168,7 @@ class TestIngest:
         assert status == 400
         assert "record 2" in json.loads(body)["error"]
         assert len(frontend.queue) == 0
-        assert frontend.registry.counter_total("service.errors") == 0
+        assert registry.counter_total("service.errors") == 0
 
     def test_service_ingest_refuses_invalid_records(self, small_config):
         service = SignatureService(small_config)
@@ -385,7 +385,7 @@ class TestDegradedAnswers:
 
     @pytest.mark.parametrize("endpoint", ["signature", "anomaly"])
     def test_failed_exact_query_is_accounted_alike(
-        self, small_config, records_factory, endpoint
+        self, small_config, records_factory, registry, endpoint
     ):
         supervisor, frontend = build(small_config)
         supervisor.install_injector(0, WedgeShard(from_window=0))
@@ -399,8 +399,9 @@ class TestDegradedAnswers:
             status, headers, body = frontend.respond("GET", f"/{endpoint}/{node}")
         assert status == 200
         assert json.loads(body)["approximate"] is True
-        assert state.registry.counter_value("shard.query_failures") == 1
-        assert frontend.registry.counter_value("service.approximate_answers") == 1
+        assert registry.counter_value("shard.query_failures", shard="0") == 1
+        assert registry.counter_total("shard.query_failures") == 1
+        assert registry.counter_value("service.approximate_answers") == 1
         failed = [
             json.loads(line)
             for line in buffer.getvalue().splitlines()
@@ -426,7 +427,7 @@ class TestDegradedAnswers:
         assert document["approximate"] is True
 
 
-    def test_failed_sketch_build_answers_down(self, small_config, records_factory):
+    def test_failed_sketch_build_answers_down(self, small_config, records_factory, registry):
         supervisor, frontend = build(small_config)
         supervisor.install_injector(2, BreakSketch(at_window=3))
         fill(frontend, records_factory)
@@ -443,17 +444,17 @@ class TestDegradedAnswers:
         assert status == 503
         assert document["health"] == HEALTH_DOWN
         assert state.health == HEALTH_DOWN
-        assert state.registry.counter_value("shard.down_transitions") == 1
+        assert registry.counter_value("shard.down_transitions", shard="2") == 1
         down = [
             json.loads(line)
             for line in buffer.getvalue().splitlines()
             if json.loads(line)["event"] == "service.shard.down"
         ]
         assert [(event["shard"], event["window"]) for event in down] == [(2, 3)]
-        assert frontend.registry.counter_value("service.approximate_answers") == 0
+        assert registry.counter_value("service.approximate_answers") == 0
 
     def test_sketch_persistence_excursion_reaches_metrics(
-        self, small_config, records_factory, monkeypatch
+        self, small_config, records_factory, registry, monkeypatch
     ):
         """Regression: the sketch tier counted an out-of-range distance on
         the request thread's (null) registry, so /metrics never showed it."""
@@ -517,7 +518,7 @@ class TestProtocol:
         assert status == 504
         assert "deadline" in json.loads(body)["error"]
 
-    def test_metrics_endpoint(self, small_config, records_factory):
+    def test_metrics_endpoint(self, small_config, records_factory, registry):
         _supervisor, frontend = build(small_config)
         fill(frontend, records_factory)
         get_json(frontend, "/status")
@@ -528,14 +529,15 @@ class TestProtocol:
         assert "shard_windows" in body
 
     def test_metrics_export_label_table_and_ingest_log_gauges(
-        self, small_config, records_factory
+        self, small_config, records_factory, registry
     ):
         supervisor, frontend = build(small_config)
         records = records_factory(120, nodes=12, seed=5)
         offer(frontend, records)
         frontend.pump()
         labels = {record.src for record in records} | {record.dst for record in records}
-        gauges = {name: value for name, _labels, value in frontend.merged_snapshot()["gauges"]}
+        frontend.respond("GET", "/metrics")
+        gauges = {name: value for name, _labels, value in registry.snapshot()["gauges"]}
         # Distinct labels, not records; 24 column bytes per retained
         # record: the last window_buckets + 1 = 2 windows of 30.
         assert gauges["service.labels"] == len(labels) == len(supervisor.labels)

@@ -101,16 +101,17 @@ class TestServer:
                 deadline -= 1
             assert window == before + 1
 
-    def test_handler_threads_inherit_event_log(self, service, tmp_path):
-        """Handler threads get fresh contextvar contexts; the server must
-        re-install the log captured at start() so request-path events
-        (trace-stamped completions) reach it — regression for events lost
-        in live serving mode."""
+    def test_handler_threads_inherit_event_log(self, small_config, tmp_path):
+        """Handler threads get fresh contextvar contexts; the service
+        installs the log active at its construction on them, so
+        request-path events (trace-stamped completions) reach it —
+        regression for events lost in live serving mode."""
         from repro import obs
 
         path = tmp_path / "events.jsonl"
         log = obs.EventLog(path, run_id="http", level="debug")
         with log, obs.use_event_log(log):
+            service = SignatureService(small_config)
             with ServiceServer(service, port=0) as server:
                 request = urllib.request.Request(
                     f"{server.url}/status",

@@ -202,17 +202,18 @@ class TestCorruptCheckpoint:
     def test_corruption_detected_and_recovery_exact(
         self, small_config, records_factory, tmp_path
     ):
-        chaotic = build_service(small_config, checkpoint_dir=tmp_path / "chaos")
+        # The service records into the event log active at its construction.
+        events = []
+        with obs.use_event_log(_ListLog(events)):
+            chaotic = build_service(small_config, checkpoint_dir=tmp_path / "chaos")
         run_windows(chaotic, records_factory, count=60)
         # Corrupt shard 1's window-1 checkpoint on disk, then crash the
         # shard: the rebuild must detect the damage (hash verification),
         # recompute that window, and still converge byte-identically.
         corrupt_checkpoint(tmp_path / "chaos" / "shard-01", window=1)
         chaotic.supervisor.install_injector(1, KillShard(at_window=2))
-        events = []
-        with obs.use_event_log(_ListLog(events)):
-            assert chaotic.ingest(records_factory(60, nodes=12, seed=5, start=60.0))
-            chaotic.pump()
+        assert chaotic.ingest(records_factory(60, nodes=12, seed=5, start=60.0))
+        chaotic.pump()
         issue_events = [
             event for event in events
             if event["event"] == "service.shard.checkpoint_issue"

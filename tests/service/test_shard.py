@@ -81,7 +81,7 @@ class TestApply:
         assert value is not None and 0.0 <= value <= 1.0
 
     def test_persistence_clamped_when_distance_exceeds_one(
-        self, config, buckets, monkeypatch
+        self, config, buckets, registry, monkeypatch
     ):
         import repro.service.shard as shard_module
 
@@ -94,7 +94,7 @@ class TestApply:
         survivors = [n for n in engine.signatures if n in engine.prev_signatures]
         assert survivors
         assert engine.persistence(survivors[0]) == 0.0
-        assert engine.registry.counter_total("distance.out_of_range") == 1.0
+        assert registry.counter_value("distance.out_of_range", path="shard.persistence") == 1.0
 
     def test_query_index_matches_signatures(self, config, buckets):
         engine = ShardEngine(0, config, labels=buckets[0].labels)
@@ -403,12 +403,12 @@ class TestSketchTier:
             ]
 
     def test_persistence_clamped_when_distance_exceeds_one(
-        self, config, buckets, monkeypatch
+        self, config, buckets, registry, monkeypatch
     ):
         """Regression: the sketch tier computed ``1 - distance`` without the
         range clamp the exact path got, so a distance > 1 surfaced as a
         negative persistence in /anomaly responses.  The excursion counts
-        on the tier's (the shard's) registry, as the exact path's does."""
+        on the active registry, as the exact path's does."""
         import repro.service.shard as shard_module
 
         monkeypatch.setattr(
@@ -418,7 +418,7 @@ class TestSketchTier:
         node = next(record.src for record in buckets[0].records())
         value = tier.persistence(node)
         assert value == 0.0
-        assert tier.registry.counter_total("distance.out_of_range") == 1.0
+        assert registry.counter_value("distance.out_of_range", path="sketch.persistence") == 1.0
 
     def test_ut_scheme_uses_unexpected_talkers(self, buckets):
         from repro.streaming.stream_schemes import StreamingUnexpectedTalkers

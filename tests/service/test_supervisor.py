@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -207,7 +208,9 @@ class TestRecovery:
         assert builds == []
         assert all(state.sketch is None for state in supervisor.shards)
 
-    def test_broken_sketch_does_not_stop_a_serving_exact_tier(self, small_config, traffic):
+    def test_broken_sketch_does_not_stop_a_serving_exact_tier(
+        self, small_config, traffic, registry
+    ):
         """The sketch tier is built only for a read the exact tier cannot
         serve, so a scripted sketch failure leaves a healthy shard alone."""
         supervisor = ShardSupervisor(small_config)
@@ -217,7 +220,7 @@ class TestRecovery:
         state = supervisor.shards[2]
         assert state.health == HEALTH_HEALTHY
         assert state.engine.window == supervisor.window == 3
-        assert state.registry.counter_total("shard.down_transitions") == 0
+        assert registry.counter_total("shard.down_transitions") == 0
 
 
 def churning_window(window, size=30):
@@ -237,7 +240,7 @@ def segment_digests(directory):
 
 class TestBoundedMemory:
     @pytest.mark.parametrize("window_buckets", [1, 2])
-    def test_log_and_label_table_stay_bounded(self, window_buckets):
+    def test_log_and_label_table_stay_bounded(self, window_buckets, registry):
         """Over 10 x (window_buckets + 2) windows of churning labels the
         logs hold the last window_buckets + 1 windows, and the label table
         at most twice two labels per retained record: it swaps once it
@@ -250,7 +253,8 @@ class TestBoundedMemory:
         retained = (window_buckets + 1) * config.window_records
         for window in range(10 * (window_buckets + 2)):
             supervisor.ingest(as_batch(supervisor, churning_window(window)))
-            gauges = {name: value for name, _labels, value in frontend.merged_snapshot()["gauges"]}
+            frontend.respond("GET", "/metrics")
+            gauges = {name: value for name, _labels, value in registry.snapshot()["gauges"]}
             assert gauges["service.ingest_log_bytes"] <= 24 * retained
             assert gauges["service.labels"] <= 4 * retained
         assert supervisor.generation > 0
@@ -262,7 +266,9 @@ class TestBoundedMemory:
         )
 
     @pytest.mark.parametrize("damaged", [3, 7])
-    def test_rebuild_over_a_trimmed_log_recomputes_only_whole_windows(self, tmp_path, damaged):
+    def test_rebuild_over_a_trimmed_log_recomputes_only_whole_windows(
+        self, tmp_path, registry, damaged
+    ):
         """At window_buckets = 2 a log trimmed to base 6 (windows 7, 8, 9)
         holds only the second of window 7's buckets.  A checkpoint damaged
         at or before window 7, then a crash, leaves the damaged window a
@@ -282,7 +288,7 @@ class TestBoundedMemory:
             if window == 9:
                 assert (state.log.base, state.log.whole_from) == (6, 8)
         assert state.health == HEALTH_HEALTHY
-        assert state.registry.counter_total("shard.checkpoint_issues") >= 1
+        assert registry.counter_value("shard.checkpoint_issues", shard="1") >= 1
         assert damaged not in state.store.history
         assert state.engine.signatures == reference.shards[1].engine.signatures
         for window in range(11):
@@ -415,14 +421,14 @@ class TestStatus:
             state.breaker.record_failure()
         assert supervisor.shard_health(state) == HEALTH_DEGRADED
 
-    def test_metrics_snapshot_prefixes_shards(self, small_config, traffic):
+    def test_metrics_label_shards(self, small_config, traffic, registry):
+        """One registry: each shard's series carries its ``shard`` label."""
         supervisor = ShardSupervisor(small_config)
+        frontend = ServiceFrontend(supervisor, small_config)
         for bucket in traffic:
             supervisor.ingest(as_batch(supervisor, bucket))
-        snapshot = supervisor.metrics_snapshot()
-        windows = {
-            labels["shard"]: value
-            for name, labels, value in snapshot["counters"]
-            if name == "shard.windows"
-        }
-        assert windows == {"0": 4.0, "1": 4.0, "2": 4.0}
+        _status, _headers, text = frontend.respond("GET", "/metrics")
+        windows = dict(
+            re.findall(r'^repro_shard_windows_total\{shard="(\d+)"\} (\S+)$', text, re.M)
+        )
+        assert windows == {"0": "4", "1": "4", "2": "4"}

@@ -215,13 +215,13 @@ class TestSLOEndpoint:
 
 class TestBreakerDigests:
     def test_metrics_export_per_shard_breaker_digests(
-        self, small_config, records_factory
+        self, small_config, records_factory, registry
     ):
         _supervisor, frontend = build(small_config)
         fill(frontend, records_factory)
         for _ in range(5):
             frontend.respond("GET", "/signature/h1")
-        snapshot = frontend.merged_snapshot()
+        snapshot = registry.snapshot()
         breaker = [
             (labels, state)
             for name, labels, state in snapshot["histograms"]
@@ -241,13 +241,10 @@ class TestBreakerDigests:
         }
         assert gauges[("breaker.state", "0")] == 0.0  # CLOSED
 
-    def test_breaker_state_gauge_tracks_transitions(self, small_config, clock):
+    def test_breaker_state_gauge_tracks_transitions(self, small_config, clock, registry):
         from repro.service import STATE_CODES, CircuitBreaker
 
-        registry = obs.MetricsRegistry()
-        breaker = CircuitBreaker(
-            small_config.breaker, clock=clock, registry=registry
-        )
+        breaker = CircuitBreaker(small_config.breaker, clock=clock)
         for _ in range(4):
             breaker.record_failure(0.01)
         gauges = {name: value for name, _l, value in registry.snapshot()["gauges"]}
@@ -260,7 +257,7 @@ class TestBreakerDigests:
         assert state["count"] == 4
 
     def test_prometheus_scrape_includes_service_digests(
-        self, small_config, records_factory
+        self, small_config, records_factory, registry
     ):
         _supervisor, frontend = build(small_config)
         fill(frontend, records_factory)
@@ -271,7 +268,7 @@ class TestBreakerDigests:
 
 
 class TestMetricsExposition:
-    def test_every_distribution_is_a_summary(self, small_config, records_factory):
+    def test_every_distribution_is_a_summary(self, small_config, records_factory, registry):
         """``/metrics`` after N requests over several endpoints: summaries
         only, per-endpoint latency counts that add up to N (unrouted paths
         included), and one breaker summary per shard."""
@@ -313,7 +310,7 @@ class TestMetricsExposition:
 
 class TestLatencyDigests:
     def test_signature_quantiles_within_relative_accuracy(
-        self, small_config, records_factory, clock
+        self, small_config, records_factory, clock, registry
     ):
         """Each exported ``/signature`` quantile lies within the digest's
         relative accuracy of the exact order statistic it targets.
@@ -339,7 +336,7 @@ class TestLatencyDigests:
             frontend.respond("GET", f"/signature/h{rng.randrange(12)}")
         (state,) = [
             state
-            for name, labels, state in frontend.merged_snapshot()["histograms"]
+            for name, labels, state in registry.snapshot()["histograms"]
             if name == "service.latency_s" and labels["endpoint"] == "/signature"
         ]
         digest = obs.LatencyDigest.from_dict(state)

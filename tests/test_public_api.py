@@ -142,7 +142,7 @@ PUBLIC_NAMES = {
         TraceStore attach_stdlib build_payload burn_rate_rule counter current_span_path
         current_trace detached_span_path emit enabled gauge get_event_log get_registry
         histogram merge_into_active new_run_id new_trace_id persistence_drop_rule read_events
-        render_key span to_prometheus use_event_log use_registry use_trace validate_payload validate_prometheus write_json
+        render_key span to_prometheus use_event_log use_labels use_registry use_trace validate_payload validate_prometheus write_json
         write_prometheus
     """.split(),
     "repro.parallel": """
