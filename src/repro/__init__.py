@@ -42,7 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "UnexpectedTalkers", "available_distances", "available_schemes", "create_scheme",
             "dist_dice", "dist_jaccard", "dist_scaled_dice", "dist_scaled_hellinger",
             "get_distance", "persistence", "property_ellipse", "robustness", "roc_identity",
-            "roc_set_query", "uniqueness", "HistorySignatureBuilder", "InTalkers",
+            "roc_set_query", "uniqueness", "InTalkers",
             "SignaturePack", "cross_matrix", "load_signatures", "measure_scheme_properties",
             "pair_distances", "pairwise_matrix", "save_signatures", "select_scheme",
         ),

@@ -20,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ".rwr": ("RandomWalkWithResets",),
         ".in_talkers": ("InTalkers",),
         ".rwr_push": ("PushRandomWalk",),
-        ".history": ("HistorySignatureBuilder",),
         ".signature_io": ("load_signatures", "save_signatures"),
         ".distances": (
             "DistanceFunction", "available_distances", "dist_dice", "dist_jaccard",

@@ -139,18 +139,28 @@ def combine_with_decay(
     paper treats it as orthogonal, so no experiment depends on it, but it
     is exposed for users who want history-aware signatures.
 
-    ``decay`` must lie in ``(0, 1]``; ``decay=1`` is a plain sum.
+    ``decay`` must lie in ``(0, 1]``; ``decay=1`` is a plain sum.  The
+    result is bipartite iff every window is, with each node on its side.
     """
     if not graphs:
         raise GraphError("combine_with_decay requires at least one graph")
     if not 0 < decay <= 1:
         raise GraphError(f"decay must be in (0, 1], got {decay}")
-    builder = GraphBuilder(all(isinstance(graph, BipartiteGraph) for graph in graphs))
+    bipartite = all(isinstance(graph, BipartiteGraph) for graph in graphs)
+    builder = GraphBuilder(bipartite)
     horizon = len(graphs)
     for age_index, graph in enumerate(graphs):
         factor = decay ** (horizon - 1 - age_index)
+        # A bipartite result keeps every node on its side, edgeless ones too.
+        left = set(graph.left_nodes) if bipartite else set()
+        right = set(graph.right_nodes) if bipartite else set()
         for node in graph.nodes():
-            builder.add_node(node)
+            if node in left:
+                builder.add_left_node(node)
+            elif node in right:
+                builder.add_right_node(node)
+            else:
+                builder.add_node(node)
         for src, dst, weight in graph.edges():
             builder.add_edge(src, dst, weight * factor)
     return builder.build()

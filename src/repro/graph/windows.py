@@ -10,27 +10,25 @@ Every window graph is built by ``aggregate_records``, two ways round:
 
 - :func:`split_records_into_windows` aggregates every bucket on its own
   (simple, stateless);
-- :class:`SlidingWindowAggregator` builds each window graph from the
-  retained buckets' columns (the service shards slide one over their
-  ingest log).
+- :class:`SlidingWindowAggregator` builds each window graph as its
+  bucket arrives (the service shards advance one per window close).
 
-With one bucket per window both produce identical graphs, node and row
-orders included.  A window's graph, and so its signatures, depend only on
-that window's records.
+Both produce identical graphs, node and row orders included.  A window's
+graph, and so its signatures, depend only on that window's records;
+combining several windows is :func:`~repro.graph.builders.combine_with_decay`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Deque, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.batch import RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import CommGraph
@@ -214,77 +212,31 @@ class GraphSequence:
 
 
 class SlidingWindowAggregator:
-    """The graph of the ``window_buckets`` most recent record buckets.
+    """The graph of the latest window, built from that window's bucket alone.
 
-    Each bucket is a :class:`~repro.graph.batch.RecordBatch` interned into
-    :attr:`labels` (pass one ``LabelTable`` to share it).  :meth:`advance`
-    pushes the next bucket, drops the oldest and builds the window's graph
-    afresh with ``aggregate_records`` of the retained buckets' columns.
-
-    Exactness contract, at every ``window_buckets``: :attr:`graph` is
-    identical to one :meth:`~repro.graph.comm_graph.GraphBuilder.add_edge`
-    call per retained record, in bucket and record order — node order,
-    out-row and in-row order, weights bit for bit, edge count and
-    bipartite sides.  So a window's graph depends only on its own records, never
-    on the windows before it.
+    Each bucket is a :class:`~repro.graph.batch.RecordBatch`; :meth:`advance`
+    builds the window's graph afresh with ``aggregate_records`` of its
+    columns, so :attr:`graph` is identical to one
+    :meth:`~repro.graph.comm_graph.GraphBuilder.add_edge` call per record,
+    in record order — node order, out-row and in-row order, weights bit
+    for bit, edge count and bipartite sides — and never depends on the
+    windows before it.
     """
 
-    def __init__(
-        self,
-        window_buckets: int = 1,
-        bipartite: bool = False,
-        labels: Optional[LabelTable] = None,
-    ) -> None:
-        if window_buckets < 1:
-            raise GraphError(f"window_buckets must be >= 1, got {window_buckets}")
-        self.window_buckets = window_buckets
+    # A class with ``advance``: the end-to-end benchmark's tracer wraps it as ``graph.advance``.
+
+    def __init__(self, bipartite: bool = False) -> None:
         self.bipartite = bipartite
-        self.labels = labels if labels is not None else LabelTable()
         self.graph: CommGraph = BipartiteGraph() if bipartite else CommGraph()
-        self._buckets: Deque[RecordBatch] = deque(maxlen=window_buckets)
-
-    @property
-    def buckets_held(self) -> int:
-        """Number of buckets currently inside the window (ramp-up aware)."""
-        return len(self._buckets)
-
-    def relabel(self, labels: LabelTable) -> None:
-        """Intern the window's buckets into ``labels`` and hold them there;
-        :attr:`graph` keeps the table it was built over."""
-        self._buckets = deque(
-            (batch.interned_into(labels) for batch in self._buckets),
-            maxlen=self.window_buckets,
-        )
-        self.labels = labels
 
     def advance(self, batch: RecordBatch) -> None:
-        """Slide the window forward by one bucket of records and build
-        the window's :attr:`graph`.
+        """Build the next window's :attr:`graph` from its bucket.
 
         When a record cannot be added (a bipartite orientation violation,
         a negative weight), the error is the one the per-record builder
-        raises, and the aggregator is left as it was.
+        raises, and :attr:`graph` is left as it was.
         """
-        self._check_labels(batch)
-        retained = [*self._buckets, batch][-self.window_buckets:]
-        self.graph = aggregate_records(RecordBatch.concat(retained), self.bipartite)
-        self._buckets.append(batch)
-
-    def hold(self, batch: RecordBatch) -> None:
-        """Slide the window forward by one bucket without building its
-        graph: :attr:`graph` is stale until the next :meth:`advance`.
-
-        A rebuild holds the ``window_buckets - 1`` buckets before the first
-        window it must produce; that window's graph depends only on its
-        own buckets, so it equals the one an aggregator that advanced
-        through every bucket builds.
-        """
-        self._check_labels(batch)
-        self._buckets.append(batch)
-
-    def _check_labels(self, batch: RecordBatch) -> None:
-        if batch.labels is not self.labels:
-            raise GraphError("the batch is interned into another label table")
+        self.graph = aggregate_records(batch, self.bipartite)
 
 
 def split_records_into_windows(

@@ -560,7 +560,7 @@ class SignaturePipeline:
         service's sketch tier sketches a window."""
         return sketch_window(
             self.config.scheme,
-            [batch],
+            batch,
             k=self.config.k,
             epsilon=self.config.streaming_epsilon,
             delta=self.config.streaming_delta,

@@ -80,8 +80,7 @@ class ServiceConfig:
         the record's source node.  Every ``window_records`` accepted
         records close one global window: all shards advance in lockstep
         (some with empty sub-buckets), so window indices are comparable
-        across shards.  ``window_buckets`` widens each window to the most
-        recent N buckets, exactly as in the sliding-window aggregator.
+        across shards.  A window's graph is built from its own records.
 
     Backpressure
         The ingest queue holds at most ``queue_capacity`` accepted-but-not-
@@ -112,7 +111,6 @@ class ServiceConfig:
     scheme_params: Dict = field(default_factory=dict)
     num_shards: int = 4
     window_records: int = 256
-    window_buckets: int = 1
     queue_capacity: int = 4096
     shed_fraction: float = 0.8
     retry_after_s: float = 1.0
@@ -155,10 +153,6 @@ class ServiceConfig:
         if self.window_records < 1:
             raise ServiceError(
                 f"window_records must be >= 1, got {self.window_records}"
-            )
-        if self.window_buckets < 1:
-            raise ServiceError(
-                f"window_buckets must be >= 1, got {self.window_buckets}"
             )
         if self.queue_capacity < self.window_records:
             raise ServiceError(

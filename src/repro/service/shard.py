@@ -13,17 +13,15 @@ coincide.
 :meth:`ShardEngine.rebuild` is the recovery path: given the shard's
 acknowledged ingest log (the buckets the supervisor still keeps for it),
 it produces only the windows it must.  Those are the last two, which answer
-queries, and, with a store, every window from the first one without a
-hash-verified checkpoint whose buckets the log still holds in full, which
-it recomputes and re-persists.  A window's
-graph depends only on its own buckets, so the rebuild starts
-``window_buckets - 1`` buckets before the first window it produces and
-reproduces the graph and signatures of a shard that never crashed.
+queries, and, with a store, every window the log holds from the first one
+without a hash-verified checkpoint, which it recomputes and re-persists.
+A window's graph is its own bucket's, so the rebuild reproduces the graph
+and signatures of a shard that never crashed.
 
 :class:`SketchTier` is the degraded tier: the Count-Min / SpaceSaving (and
 Flajolet-Martin, for ``ut``) sketches of a shard's last two published
-windows, built from the last ``window_buckets + 1`` buckets of the shard's
-ingest log only when a read needs them.
+windows, built from the last two buckets of the shard's ingest log only
+when a read needs them.
 It reads the log, not the exact engine, so a shard whose exact engine is
 dead keeps answering — approximately, and saying so.
 """
@@ -38,7 +36,7 @@ from repro.core.execution import ComputeEngine
 from repro.core.packed import SignaturePack
 from repro.core.scheme import SignatureScheme, create_scheme
 from repro.core.signature import Signature
-from repro.graph.batch import LabelTable, RecordBatch
+from repro.graph.batch import RecordBatch
 from repro.graph.comm_graph import CommGraph
 from repro.graph.windows import SlidingWindowAggregator
 from repro.matching.index import SignatureIndex
@@ -79,7 +77,6 @@ class ShardEngine:
         *,
         store: Optional[CheckpointStore] = None,
         compute_engine: Optional[ComputeEngine] = None,
-        labels: Optional[LabelTable] = None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
@@ -93,10 +90,7 @@ class ShardEngine:
         self.scheme: SignatureScheme = create_scheme(
             config.scheme, k=config.k, **config.scheme_params
         )
-        # Buckets arrive interned into ``labels`` (the service's one table).
-        self.aggregator = SlidingWindowAggregator(
-            window_buckets=config.window_buckets, labels=labels
-        )
+        self.aggregator = SlidingWindowAggregator()
         #: Index of the last applied window; -1 before any bucket arrived.
         self.window = -1
         #: Current / previous window signatures, string-keyed: a computed
@@ -141,8 +135,23 @@ class ShardEngine:
             "num_edges": graph.num_edges,
         }
         if self.store is not None:
-            self.store.save_window(self.window, self.signatures, meta=meta)
+            self._persist(self.window, self.signatures, meta)
             obs.counter("shard.checkpoint_writes").inc()
+
+    def _persist(self, window: int, signatures: SignaturePack, meta: dict) -> None:
+        """Checkpoint ``window`` in the shard's store.
+
+        A shard that lagged when its process restarted resumes at the
+        fleet's window, so its first window after the gap skips the ones
+        it missed: that one append goes to the history store directly,
+        because ``CheckpointStore.save_window`` refuses a gap, as the
+        pipeline's windows need.
+        """
+        assert self.store is not None
+        if window > self.store.history.max_window() + 1:
+            self.store.history.append([(window, signatures)], metas={window: meta})
+        else:
+            self.store.save_window(window, signatures, meta=meta)
 
     def _compute(self, graph: CommGraph) -> SignaturePack:
         """Every sender's signature on ``graph`` (string labels: the
@@ -157,15 +166,14 @@ class ShardEngine:
         buckets: Sequence[RecordBatch],
         *,
         base_window: int = -1,
-        whole_from: Optional[int] = None,
     ) -> List[str]:
         """Restore engine state from the acknowledged ingest log.
 
         Produces only the windows it must: the last two (``signatures``
-        and ``prev_signatures``) and, with a store, every window from the
-        first one not covered by the longest hash-verified checkpoint
-        prefix, which is recomputed and re-persisted.  A produced window
-        with a verified checkpoint is *loaded*, not recomputed.  Returns
+        and ``prev_signatures``) and, with a store, every window of the
+        log from the first one without a hash-verified checkpoint, which
+        is recomputed and re-persisted.  A produced window with a verified
+        checkpoint is *loaded*, not recomputed.  Returns
         the scan issues encountered (corrupt/missing checkpoints), so the
         supervisor can surface them as health events.
 
@@ -174,28 +182,23 @@ class ShardEngine:
         window the supervisor trimmed away.  Bucket ``i`` replays as global
         window ``base_window + 1 + i`` (and windows ``base_window`` and the
         one before are re-seeded from the store when the log holds fewer
-        than two buckets).
-
-        ``whole_from`` is the first window whose buckets the log holds in
-        full: ``base_window + 1`` (the default) for a log that starts at a
-        restart, since the engine that applied those windows held no
-        earlier bucket either, and ``base_window + window_buckets`` for a
-        log the supervisor trimmed.  A window before it is never
-        recomputed, because its graph would miss buckets: a damaged
-        checkpoint there stays a reported issue.  The supervisor trims only
-        a HEALTHY shard, whose every window is checkpointed, and keeps the
-        ``window_buckets + 1`` buckets the last two windows need.
+        than two buckets).  A window at or before ``base_window`` is never
+        recomputed: a damaged checkpoint there stays a reported issue.
         """
         issues: List[str] = []
         last = base_window + len(buckets)
         first = last - 1
         verified = 0
         if self.store is not None:
-            scan = self.store.scan()
+            scan = self.store.history.scan()
             issues.extend(scan.issues)
-            verified = min(scan.next_window, last + 1)
+            # Only the log's windows count: a shard that lagged at a
+            # restart has a gap before them.
+            verified = base_window + 1
+            while verified <= last and verified in scan.windows:
+                verified += 1
             first = min(first, verified)
-        first = max(first, base_window + 1 if whole_from is None else whole_from)
+        first = max(first, base_window + 1)
         with obs.use_labels(shard=str(self.shard_id)):
             if base_window >= 0 and len(buckets) < 2:
                 self._seed_from_history(base_window)
@@ -209,9 +212,9 @@ class ShardEngine:
         """Re-seed query state at ``base_window`` — its signatures and the
         window before's — before replaying the log.
 
-        Lenient on a damaged store (the window may have been compacted
-        away or corrupted): the engine then serves the replayed suffix
-        only, but global window numbering stays correct.
+        Lenient on a store without the window (compacted away, corrupted,
+        or missed while the shard lagged): the engine then serves the
+        replayed suffix only, but global window numbering stays correct.
         """
         history = self.store.history if self.store is not None else None
 
@@ -231,11 +234,7 @@ class ShardEngine:
         verified: int,
         base_window: int,
     ) -> None:
-        """Produce the windows of ``buckets[start:]``, first holding the
-        earlier buckets that the window of ``buckets[start]`` covers."""
-        held = max(0, start - self.config.window_buckets + 1)
-        for bucket in buckets[held:start]:
-            self.aggregator.hold(bucket.canonical())
+        """Produce the windows of ``buckets[start:]``."""
         for offset in range(start, len(buckets)):
             index = base_window + 1 + offset
             self.aggregator.advance(buckets[offset].canonical())
@@ -251,34 +250,27 @@ class ShardEngine:
                 if self.store is not None:
                     # Heal the store: re-persist the recomputed window so the
                     # history converges back to the uninterrupted run's.
-                    self.store.save_window(
-                        index,
-                        signatures,
-                        meta={"shard": self.shard_id, "recovered": True},
+                    self._persist(
+                        index, signatures, {"shard": self.shard_id, "recovered": True}
                     )
             self.prev_signatures = self.signatures
             self.signatures = signatures
         self._index = None
 
-    def restore_from_history(self) -> bool:
-        """Restore query state from the shard's store alone.
+    def restore_from_history(self, window: int) -> None:
+        """Resume at ``window`` from the shard's store alone.
 
         The path a restarted *process* takes before any ingest log exists:
-        the last two recorded windows become ``signatures`` /
-        ``prev_signatures``, so ``/signature``, ``/history`` and
-        ``/anomaly`` answer immediately from durable state.  The
-        aggregator's buckets are gone, so the next window's graph holds
-        only buckets applied after the restart.
-        Returns whether any window was restored.
+        ``window`` (the fleet's last recorded window) and the one before
+        become ``signatures`` / ``prev_signatures``, so ``/signature``,
+        ``/history`` and ``/anomaly`` answer immediately from durable
+        state.  A shard whose store lags (it was DEGRADED or DOWN when the
+        process died) has neither window and answers from its next one.
         """
-        last = self.store.history.max_window() if self.store is not None else -1
-        if last < 0:
-            return False
         with obs.use_labels(shard=str(self.shard_id)):
-            self._seed_from_history(last)
+            self._seed_from_history(window)
             obs.counter("shard.history_restores").inc()
         self._index = None
-        return True
 
     # ------------------------------------------------------------------
     # Queries
@@ -308,13 +300,15 @@ class SketchTier:
     """The one-pass sketches of a shard's last two published windows.
 
     ``log`` is the shard's ingest log up to window ``window``: its last
-    bucket is that window's.  ``current`` sketches the last
-    ``window_buckets`` buckets and ``previous`` the window before, each
-    with :func:`~repro.streaming.stream_schemes.sketch_window`; either is
-    ``None`` when the log holds none of its buckets.  Only the last
-    ``window_buckets + 1`` buckets are read, which is what the supervisor
-    keeps of a HEALTHY shard's log.
+    bucket is that window's.  ``current`` sketches the last bucket and
+    ``previous`` the one before, each with
+    :func:`~repro.streaming.stream_schemes.sketch_window`; either is
+    ``None`` when the log does not hold its bucket.  Only those two
+    buckets are read, which is what the supervisor keeps of a HEALTHY
+    shard's log.
     """
+
+    # A class, not a function: the end-to-end benchmark's tracer resolves it by name.
 
     def __init__(
         self,
@@ -324,15 +318,13 @@ class SketchTier:
     ) -> None:
         self.config = config
         self.window = window
-        span = config.window_buckets
-        log = [bucket.canonical() for bucket in log[-span - 1:]]
-        self.current = self._sketch(log[-span:]) if log else None
-        self.previous = self._sketch(log[:-1][-span:]) if len(log) > 1 else None
+        self.current = self._sketch(log[-1]) if log else None
+        self.previous = self._sketch(log[-2]) if len(log) > 1 else None
 
-    def _sketch(self, buckets: Sequence[RecordBatch]) -> StreamingTopTalkers:
+    def _sketch(self, bucket: RecordBatch) -> StreamingTopTalkers:
         return sketch_window(
             self.config.scheme,
-            buckets,
+            bucket.canonical(),
             k=self.config.k,
             epsilon=self.config.streaming_epsilon,
             delta=self.config.streaming_delta,

@@ -23,16 +23,21 @@ Acknowledged-ingest durability: a bucket is appended to the shard's log
 *before* the engine sees it, so a crash mid-apply can never lose accepted
 records — the rebuild replays the log including the in-flight bucket.
 
-Bounded memory: a window's graph depends only on its own buckets, so
-after each close a HEALTHY shard keeps only the last ``window_buckets +
-1`` buckets — the sketch tier's two windows, which also cover a rebuild
-of the last two (every earlier window is already checkpointed, by the
-apply or by the rebuild that re-persisted it).  A checkpoint that is
-damaged on disk afterwards, in a window whose buckets the log no longer
-holds in full (before :attr:`IngestLog.whole_from`), is never recomputed
-from a partial window: it stays a reported issue.  A DEGRADED or DOWN
-shard keeps its whole log until a rebuild or :meth:`ShardSupervisor.heal`
+Bounded memory: a window's graph is its own bucket's, so after each
+close a HEALTHY shard keeps only its last two buckets — the sketch tier's
+two windows, which also cover a rebuild of the last two (every earlier
+window is already checkpointed, by the apply or by the rebuild that
+re-persisted it).  A checkpoint that is damaged on disk afterwards, in a
+window the log no longer holds (at or before :attr:`IngestLog.base`), is
+never recomputed: it stays a reported issue.  A DEGRADED or DOWN shard
+keeps its whole log until a rebuild or :meth:`ShardSupervisor.heal`
 succeeds.
+
+Restart: a restarted process resumes every shard's log and engine at the
+fleet's restored window, the highest any shard's store holds.  A shard
+whose store lags (it was DEGRADED or DOWN when the process died) lost the
+windows in between: its store skips them, and its next window is stored
+under the fleet's number.
 
 Buckets are :class:`~repro.graph.batch.RecordBatch` columns interned into
 the supervisor's :class:`~repro.graph.batch.LabelTable`, so the log holds
@@ -77,19 +82,14 @@ class IngestLog:
     bucket of global window ``base + 1 + i``.
 
     ``base`` is the window before the first bucket: -1 in a fresh
-    process, the window restored from history in a restarted one, and
-    moved on by every trim.  ``whole_from`` is the first window whose
-    buckets the log holds in full, the first a rebuild may recompute:
-    ``base + 1`` until the first trim (the engine held no earlier bucket
-    either), ``base + window_buckets`` after it.  A trim or a label-table
-    generation replaces the whole log, so a reader that reads
-    :attr:`ShardState.log` once sees one base with its buckets; the pump
-    only appends to ``buckets``.
+    process, the fleet's restored window in a restarted one, and moved on
+    by every trim.  A trim or a label-table generation replaces the whole
+    log, so a reader that reads :attr:`ShardState.log` once sees one base
+    with its buckets; the pump only appends to ``buckets``.
     """
 
     base: int = -1
     buckets: List[RecordBatch] = field(default_factory=list)
-    whole_from: int = 0
 
     @property
     def end(self) -> int:
@@ -177,25 +177,26 @@ class ShardSupervisor:
     def _restore_from_history(self) -> None:
         """Bring a restarted process back to answering from durable history.
 
-        Each shard engine restores its last recorded window from the
-        shard's store; the global window index resumes at the
-        highest restored window so status and responses stay truthful.
-        Shards fall back to empty (fresh) state when the stores are empty.
+        The global window resumes at the highest window any shard's store
+        holds, and every shard's log and engine resume there (see the
+        module docstring), so windows stay in lockstep and every store
+        keeps the fleet's numbering.  Shards start fresh when every store
+        is empty.
         """
-        restored = -1
+        stores = [state.store for state in self.shards if state.store is not None]
+        restored = max((store.history.max_window() for store in stores), default=-1)
+        if restored < 0:
+            return
         for state in self.shards:
-            if state.engine is not None and state.engine.restore_from_history():
-                window = state.engine.window
-                state.log = IngestLog(base=window, whole_from=window + 1)
-                restored = max(restored, window)
-        if restored >= 0:
-            self.window = restored
-            obs.emit(
-                "service.restored_from_history",
-                level="info",
-                window=restored,
-                shards=len(self.shards),
-            )
+            state.engine.restore_from_history(restored)
+            state.log = IngestLog(base=restored)
+        self.window = restored
+        obs.emit(
+            "service.restored_from_history",
+            level="info",
+            window=restored,
+            shards=len(self.shards),
+        )
 
     def close(self) -> None:
         """Close the compute engine this supervisor built (idempotent).
@@ -220,7 +221,6 @@ class ShardSupervisor:
                     self.config,
                     store=store,
                     compute_engine=self.compute_engine,
-                    labels=self.labels,
                 ),
                 breaker=CircuitBreaker(
                     self.config.breaker, name=f"shard-{shard_id}", clock=self._clock
@@ -257,8 +257,8 @@ class ShardSupervisor:
         Publishing it drops every shard's sketch tier of an earlier window.
 
         Then the logs are trimmed (see :meth:`_retire`): a HEALTHY shard
-        keeps the last ``window_buckets + 1`` buckets, and the label table
-        may move to its next generation.
+        keeps its last two buckets, and the label table may move to its
+        next generation.
         """
         window = self.window + 1
         if bucket.labels is not self.labels:
@@ -291,40 +291,35 @@ class ShardSupervisor:
     def _retire(self) -> None:
         """Drop what no reader needs any more, once a window is published
         (see the module docstring): trim every HEALTHY shard's log to its
-        last ``window_buckets + 1`` buckets, and move the retained buckets
-        to the label table's next generation when it is due.  Each new
-        log is installed with one assignment, after the window it serves
-        was published (see :meth:`_published`).
+        last two buckets, and move the retained buckets to the label
+        table's next generation when it is due.  Each new log is installed
+        with one assignment, after the window it serves was published (see
+        :meth:`_published`).
         """
-        keep = self.config.window_buckets + 1
         logs = []
         for state in self.shards:
             log = state.log
-            drop = len(log.buckets) - keep
+            drop = len(log.buckets) - 2
             if drop > 0 and state.health == HEALTH_HEALTHY:
-                base = log.base + drop
-                log = IngestLog(base, log.buckets[drop:], base + keep - 1)
+                log = IngestLog(log.base + drop, log.buckets[drop:])
             logs.append(log)
-        floor = self.config.window_records * keep
+        floor = self.config.window_records * 2
         if len(self.labels) > 2 * max(self._live_labels, floor):
             logs = self._next_generation(logs)
         for state, log in zip(self.shards, logs):
             state.log = log
 
     def _next_generation(self, logs: Sequence[IngestLog]) -> List[IngestLog]:
-        """Intern ``logs`` and every engine's window buckets into a fresh
-        label table, make it :attr:`labels`, and return the moved logs.
-        Batches still interned into an older table (parsed before the
-        swap) are interned again when the pump takes them."""
+        """Intern ``logs`` into a fresh label table, make it
+        :attr:`labels`, and return the moved logs.  Batches still interned
+        into an older table (parsed before the swap) are interned again
+        when the pump takes them."""
         previous = len(self.labels)
         labels = LabelTable()
         logs = [
             replace(log, buckets=[bucket.interned_into(labels) for bucket in log.buckets])
             for log in logs
         ]
-        for state in self.shards:
-            if state.engine is not None:
-                state.engine.aggregator.relabel(labels)
         self.labels = labels
         self._live_labels = len(labels)
         self.generation += 1
@@ -431,12 +426,9 @@ class ShardSupervisor:
                 self.config,
                 store=state.store,
                 compute_engine=self.compute_engine,
-                labels=self.labels,
             )
             log = state.log
-            issues = engine.rebuild(
-                log.buckets, base_window=log.base, whole_from=log.whole_from
-            )
+            issues = engine.rebuild(log.buckets, base_window=log.base)
             for issue in issues:
                 obs.emit(
                     "service.shard.checkpoint_issue",

@@ -20,7 +20,7 @@ streamed signatures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -309,19 +309,15 @@ def streaming_builder(scheme: str, **sizing) -> StreamingTopTalkers:
     return StreamingTopTalkers(**sizing)
 
 
-def sketch_window(
-    scheme: str, buckets: Sequence[RecordBatch], **sizing
-) -> StreamingTopTalkers:
+def sketch_window(scheme: str, batch: RecordBatch, **sizing) -> StreamingTopTalkers:
     """The one-pass sketch of one window, the degraded tier of both the
     pipeline and the service: one :func:`streaming_builder` (``sizing`` as
     there) and one ``observe_batch`` over the window's records.
 
-    ``buckets`` are the window's record batches, each in canonical order
-    (:meth:`~repro.graph.batch.RecordBatch.canonical`) and interned into
-    one label table; their records are observed with the buckets
-    concatenated in order, the order in which the exact tier aggregates
-    them.
+    ``batch`` is the window's bucket in canonical order
+    (:meth:`~repro.graph.batch.RecordBatch.canonical`), the order in which
+    the exact tier aggregates it.
     """
     builder = streaming_builder(scheme, **sizing)
-    builder.observe_batch(RecordBatch.concat(buckets))
+    builder.observe_batch(batch)
     return builder

@@ -5,7 +5,7 @@ order has the same weights but other row and node orders, and signatures
 sum floats over those orders (0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1).  The
 pipeline's signatures must still equal per-owner computation on each
 window's own graph, and the sliding aggregator's graph must be fresh
-aggregation of the retained records at every ``window_buckets``.
+aggregation of the window's records.
 """
 
 import struct
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheme import create_scheme
-from repro.graph.batch import RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records, graph_from_edges
 from repro.graph.stream import EdgeRecord, write_edge_records
@@ -106,18 +106,13 @@ def reordered_traces(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(reordered_traces(), st.integers(1, 3))
-def test_window_graph_is_fresh(trace, window_buckets):
+@given(reordered_traces())
+def test_window_graph_is_fresh(trace):
     bipartite, buckets = trace
-    aggregator = SlidingWindowAggregator(window_buckets=window_buckets, bipartite=bipartite)
-    for index, bucket in enumerate(buckets):
+    aggregator, labels = SlidingWindowAggregator(bipartite=bipartite), LabelTable()
+    for bucket in buckets:
         records = [EdgeRecord(0.0, src, dst, weight) for src, dst, weight in bucket]
-        aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
-        retained = [
-            EdgeRecord(0.0, src, dst, weight)
-            for part in buckets[max(0, index - window_buckets + 1):index + 1]
-            for src, dst, weight in part
-        ]
+        aggregator.advance(RecordBatch.from_records(records, labels))
         assert graph_state(aggregator.graph) == graph_state(
-            aggregate_records(retained, bipartite=bipartite)
+            aggregate_records(records, bipartite=bipartite)
         )

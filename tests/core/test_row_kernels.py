@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from repro.core.packed import SignaturePack
 from repro.core.scheme import create_scheme
 from repro.graph import builders
-from repro.graph.batch import RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import CommGraph, GraphBuilder
 from repro.graph.stream import EdgeRecord
@@ -202,12 +202,11 @@ class TestKernelAgainstTheDefinitions:
     @settings(max_examples=60, deadline=None)
     @given(
         buckets=records_of(st.sampled_from(PLAIN), st.sampled_from(PLAIN)),
-        window_buckets=st.integers(1, 3),
         k=st.integers(1, 4),
         bipartite=st.booleans(),
     )
     def test_aggregator_windows(
-        self, name, params, strategy, engines, buckets, window_buckets, k, bipartite
+        self, name, params, strategy, engines, buckets, k, bipartite
     ):
         engine = engines(strategy)
         if bipartite:
@@ -219,12 +218,12 @@ class TestKernelAgainstTheDefinitions:
                 ]
                 for bucket in buckets
             ]
-        aggregator = SlidingWindowAggregator(window_buckets=window_buckets, bipartite=bipartite)
+        aggregator, labels = SlidingWindowAggregator(bipartite=bipartite), LabelTable()
         for bucket in buckets:
             # Every window is built from its columns, never record by record.
             fallback = mock.patch.object(builders, "graph_from_edges", side_effect=AssertionError)
             with fallback:
-                aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
+                aggregator.advance(RecordBatch.from_records(bucket, labels))
             graph = aggregator.graph
             assert_kernel_is_the_scheme(graph, name, params, k, engine, graph.nodes())
 
@@ -258,7 +257,7 @@ class TestKernelAgainstTheDefinitions:
         # the exact row total 1e16 + 2 is a float.
         records = [EdgeRecord(0.0, "a", dst, w) for dst, w in (("x", 1e16), ("y", 1.0), ("z", 1.0))]
         aggregator = SlidingWindowAggregator()
-        aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+        aggregator.advance(RecordBatch.from_records(records, LabelTable()))
         assert_kernel_is_the_scheme(aggregator.graph, name, params, 2, engine)
 
     def test_ties_self_loops_and_bipartite(self, name, params, strategy, engines):
@@ -285,7 +284,7 @@ class TestKernelAgainstTheDefinitions:
         records = [EdgeRecord(0.0, "a", dst, 1.0) for dst in ends]
         records += [EdgeRecord(0.0, "b", dst, 1.0) for dst in reversed(ends)]
         aggregator = SlidingWindowAggregator()
-        aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+        aggregator.advance(RecordBatch.from_records(records, LabelTable()))
         graph = CommGraph(
             [("a", dst, 1.0) for dst in ends] + [("b", dst, 1.0) for dst in reversed(ends)]
         )

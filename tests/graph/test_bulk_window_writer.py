@@ -1,8 +1,8 @@
 """The sliding-window builder against the per-record calls.
 
 ``SlidingWindowAggregator.advance`` builds each window graph with
-``aggregate_records`` of the retained buckets' columns.  One
-``GraphBuilder.add_edge`` call per retained record is the reference (and
+``aggregate_records`` of its bucket's columns.  One
+``GraphBuilder.add_edge`` call per record is the reference (and
 the fallback when the columns cannot build the graph exactly); both must
 agree on every order, bit, count, label object and partition set — and
 on errors, after which the aggregator is left as it was.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph.batch import RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.builders import aggregate_records, graph_from_edges
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.comm_graph import GraphBuilder
@@ -63,7 +63,7 @@ def graph_state(graph):
 
 
 def per_record(batches, bipartite):
-    """The reference: one ``add_edge`` call per retained record."""
+    """The reference: one ``add_edge`` call per record."""
     builder = GraphBuilder(bipartite)
     for batch in batches:
         for record in batch.records():
@@ -78,27 +78,24 @@ def outcome(build):
         return "error", (type(exc), str(exc))
 
 
-def assert_same(buckets, window_buckets, bipartite):
-    """Advance through ``buckets``; after each, the aggregator's graph is
-    the reference's, or both raise the same error and the aggregator
-    keeps its graph and buckets.  Returns the outcome kinds."""
-    aggregator = SlidingWindowAggregator(window_buckets=window_buckets, bipartite=bipartite)
-    retained, kinds = [], []
+def assert_same(buckets, bipartite):
+    """Advance through ``buckets``, interned into one table; after each,
+    the aggregator's graph is the reference's, or both raise the same
+    error and the aggregator keeps its graph.  Returns the outcome kinds."""
+    aggregator = SlidingWindowAggregator(bipartite=bipartite)
+    labels, kinds = LabelTable(), []
     for bucket in buckets:
-        batch = RecordBatch.from_records(bucket, aggregator.labels)
-        window = (retained + [batch])[-window_buckets:]
-        expected = outcome(lambda: per_record(window, bipartite))
-        before = graph_state(aggregator.graph), aggregator.buckets_held
+        batch = RecordBatch.from_records(bucket, labels)
+        expected = outcome(lambda: per_record([batch], bipartite))
+        before = graph_state(aggregator.graph)
 
         def advanced():
             aggregator.advance(batch)
             return aggregator.graph
 
         assert outcome(advanced) == expected
-        if expected[0] == "ok":
-            retained = window
-        else:
-            assert (graph_state(aggregator.graph), aggregator.buckets_held) == before
+        if expected[0] == "error":
+            assert graph_state(aggregator.graph) == before
         kinds.append(expected[0])
     return kinds
 
@@ -110,32 +107,25 @@ def buckets_of(srcs, dsts, weights=WEIGHT):
 
 class TestAdvanceEqualsPerEdgeCalls:
     @settings(max_examples=150, deadline=None)
-    @given(
-        buckets_of(st.sampled_from(LEFT + RIGHT), st.sampled_from(LEFT + RIGHT)),
-        st.integers(1, 3),
-    )
-    def test_comm_graph(self, buckets, window_buckets):
-        assert set(assert_same(buckets, window_buckets, bipartite=False)) == {"ok"}
+    @given(buckets_of(st.sampled_from(LEFT + RIGHT), st.sampled_from(LEFT + RIGHT)))
+    def test_comm_graph(self, buckets):
+        assert set(assert_same(buckets, bipartite=False)) == {"ok"}
 
     @settings(max_examples=150, deadline=None)
-    @given(buckets_of(st.sampled_from(LEFT), st.sampled_from(RIGHT)), st.integers(1, 3))
-    def test_bipartite_oriented(self, buckets, window_buckets):
-        assert set(assert_same(buckets, window_buckets, bipartite=True)) == {"ok"}
+    @given(buckets_of(st.sampled_from(LEFT), st.sampled_from(RIGHT)))
+    def test_bipartite_oriented(self, buckets):
+        assert set(assert_same(buckets, bipartite=True)) == {"ok"}
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        buckets_of(st.sampled_from(LEFT + RIGHT), st.sampled_from(LEFT + RIGHT)),
-        st.integers(1, 3),
-    )
-    def test_bipartite_violations_and_self_loops(self, buckets, window_buckets):
+    @given(buckets_of(st.sampled_from(LEFT + RIGHT), st.sampled_from(LEFT + RIGHT)))
+    def test_bipartite_violations_and_self_loops(self, buckets):
         # The writer declines a node on both sides; the per-record loop
         # then raises at the same record (or, for a lone self-loop, not).
-        assert_same(buckets, window_buckets, bipartite=True)
+        assert_same(buckets, bipartite=True)
 
-    @pytest.mark.parametrize("window_buckets", [1, 2, 3])
-    def test_order_sensitive_sums_and_row_moves(self, window_buckets):
+    def test_order_sensitive_sums_and_row_moves(self):
         # 1e16 + 1.0 rounds back to 1e16, so any reordering shows; rows
-        # and nodes follow the retained records, whatever came before.
+        # and nodes follow the window's records, whatever came before.
         buckets = [
             [EdgeRecord(0.0, "a", "x", w) for w in (1e16, 1.0, 1.0)]
             + [EdgeRecord(0.0, "a", "y", 2.0), EdgeRecord(0.0, "b", "x", 0.0)],
@@ -145,25 +135,28 @@ class TestAdvanceEqualsPerEdgeCalls:
             [],
         ]
         for bipartite in (False, True):
-            assert set(assert_same(buckets, window_buckets, bipartite)) == {"ok"}
+            assert set(assert_same(buckets, bipartite)) == {"ok"}
 
     def test_orientation_error_is_the_per_edge_error(self):
-        buckets = [[EdgeRecord(0.0, "a", "x", 1.0)], [EdgeRecord(0.0, "x", "b", 1.0)]]
-        assert assert_same(buckets, 2, bipartite=True) == ["ok", "error"]
-        aggregator = SlidingWindowAggregator(window_buckets=2, bipartite=True)
-        aggregator.advance(RecordBatch.from_records(buckets[0], aggregator.labels))
+        buckets = [
+            [EdgeRecord(0.0, "a", "x", 1.0)],
+            [EdgeRecord(0.0, "a", "x", 1.0), EdgeRecord(0.0, "x", "b", 1.0)],
+        ]
+        assert assert_same(buckets, bipartite=True) == ["ok", "error"]
+        aggregator, labels = SlidingWindowAggregator(bipartite=True), LabelTable()
+        aggregator.advance(RecordBatch.from_records(buckets[0], labels))
         with pytest.raises(GraphError, match="source .x. is in the right partition"):
-            aggregator.advance(RecordBatch.from_records(buckets[1], aggregator.labels))
+            aggregator.advance(RecordBatch.from_records(buckets[1], labels))
 
 
 def test_window_graph_pickles_as_its_rows():
     import pickle
 
-    aggregator = SlidingWindowAggregator(bipartite=True)
+    aggregator, labels = SlidingWindowAggregator(bipartite=True), LabelTable()
     # Labels of an earlier bucket stay in the shared table.
-    aggregator.advance(RecordBatch.from_records([EdgeRecord(0.0, "old", "gone", 1.0)], aggregator.labels))
+    aggregator.advance(RecordBatch.from_records([EdgeRecord(0.0, "old", "gone", 1.0)], labels))
     records = [EdgeRecord(0.0, "a", "x", 1.0), EdgeRecord(0.0, "b", "y", 0.0)]
-    aggregator.advance(RecordBatch.from_records(records, aggregator.labels))
+    aggregator.advance(RecordBatch.from_records(records, labels))
     payload = pickle.dumps(aggregator.graph)
     # The graph ships its own labels, never the shard's shared table.
     assert b"old" not in payload and b"gone" not in payload

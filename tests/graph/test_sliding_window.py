@@ -3,9 +3,8 @@
 The exactness contract under test: every graph a
 :class:`SlidingWindowAggregator` builds is *identical* — same node
 order, same edge weights bit-for-bit, the same adjacency-row iteration
-order — to fresh aggregation of each window's records (for
-``window_buckets=1``, the stateless :func:`split_records_into_windows`
-path).
+order — to fresh aggregation of each window's records, the stateless
+:func:`split_records_into_windows` path.
 """
 
 import copy
@@ -13,9 +12,8 @@ import random
 
 import pytest
 
-from repro.graph.batch import RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.builders import aggregate_records
 from repro.graph.comm_graph import GraphBuilder
 from repro.graph.stream import EdgeRecord
 from repro.graph.windows import (
@@ -45,11 +43,11 @@ def random_trace(seed, num_windows=6, nodes=16, per_window=30, zero_weight_rate=
 
 
 def slide(records, num_windows, bipartite=False):
-    """The graphs a one-bucket aggregator builds over the trace's buckets."""
-    aggregator = SlidingWindowAggregator(bipartite=bipartite)
+    """The graphs the aggregator builds over the trace's buckets."""
+    aggregator, labels = SlidingWindowAggregator(bipartite=bipartite), LabelTable()
     graphs = []
     for bucket in bucket_records(records, num_windows):
-        aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
+        aggregator.advance(RecordBatch.from_records(bucket, labels))
         graphs.append(aggregator.graph)
     return graphs
 
@@ -107,29 +105,6 @@ class TestSlidingEqualsStateless:
                     slid.in_neighbors(node).items()
                 )
 
-    @pytest.mark.parametrize("seed", [11, 12])
-    def test_multi_bucket_matches_reaggregation(self, seed):
-        records = random_trace(seed, num_windows=8)
-        buckets = bucket_records(records, 8)
-        aggregator = SlidingWindowAggregator(window_buckets=3)
-        for index, bucket in enumerate(buckets):
-            aggregator.advance(RecordBatch.from_records(bucket, aggregator.labels))
-            window_records = [
-                record
-                for chunk in buckets[max(0, index - 2) : index + 1]
-                for record in chunk
-            ]
-            reference = aggregate_records(window_records)
-            live = aggregator.graph
-            assert live.nodes() == reference.nodes()
-            for node in reference.nodes():
-                assert list(live.out_neighbors(node).items()) == list(
-                    reference.out_neighbors(node).items()
-                )
-                assert list(live.in_neighbors(node).items()) == list(
-                    reference.in_neighbors(node).items()
-                )
-
     def test_bipartite_sliding(self):
         rng = random.Random(31)
         records = []
@@ -154,6 +129,14 @@ class TestSlidingEqualsStateless:
                 assert list(slid.out_neighbors(node).items()) == list(
                     fresh.out_neighbors(node).items()
                 )
+
+
+    def test_takes_no_bucket_count(self):
+        with pytest.raises(TypeError):
+            SlidingWindowAggregator(window_buckets=2)
+        aggregator = SlidingWindowAggregator()
+        for gone in ("hold", "relabel", "buckets_held", "labels"):
+            assert not hasattr(aggregator, gone), gone
 
 
 class TestStructuralCopy:

@@ -18,8 +18,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.history import HistorySignatureBuilder
-from repro.core.top_talkers import TopTalkers
 from repro.datasets.enterprise import EnterpriseFlowGenerator, EnterpriseParams
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.builders import aggregate_records, combine_with_decay
@@ -106,11 +104,6 @@ def outputs(window, others, plain, plain_other):
     result["relabel/plain"] = relabel_graph(plain, {"n01": "m01", "n02": "n01"})
     result["decay/bipartite"] = combine_with_decay([window, *others], decay=0.5)
     result["decay/plain"] = combine_with_decay([plain, plain_other], decay=0.3)
-    for kind, graphs in (("bipartite", [window, *others]), ("plain", [plain, plain_other])):
-        builder = HistorySignatureBuilder(TopTalkers(k=5), decay=0.5, prune_below=0.3)
-        for graph in graphs:
-            builder.push(graph)
-        result[f"history/{kind}"] = builder.aggregate
     return result
 
 
@@ -131,8 +124,6 @@ GOLDEN = {
     "relabel/plain": "c7cafcbd7287976b96b90922ee068313f601b9ef42c877a9f69c2c83bd650ce3",
     "decay/bipartite": "3852a00068d6e9ef911f60ff5968c43b59ae359d1b4d44fae8fb507c5e7a222b",
     "decay/plain": "f0a1f4e8b558bae9f074b4c820f41dd99a126e59be612681256f1c5ce35d1619",
-    "history/bipartite": "63ee0ea57c4cdc9929527e6ef3e6b32beda92ecaa9ad0a81b4ea01bc891ff6eb",
-    "history/plain": "ec23f8a7b297a23ae9fa069f97d8fef07f9a666e06b141969e6c15ccd4cdd7eb",
 }
 
 

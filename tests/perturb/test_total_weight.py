@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.history import HistorySignatureBuilder
-from repro.core.top_talkers import TopTalkers
 from repro.datasets.enterprise import EnterpriseFlowGenerator, EnterpriseParams
 from repro.graph.builders import aggregate_records, combine_with_decay
 from repro.graph.stream import EdgeRecord
@@ -33,13 +31,6 @@ def edge_sum(graph) -> float:
     return total
 
 
-def history(graphs):
-    builder = HistorySignatureBuilder(TopTalkers(k=5), decay=0.5, prune_below=0.3)
-    for graph in graphs:
-        builder.push(graph)
-    return builder.aggregate
-
-
 TRANSFORMS = {
     "insert": lambda graph, other, seed: insert_random_edges(graph, 80, rng=seed),
     "delete": lambda graph, other, seed: delete_weight_units(graph, 60, rng=seed),
@@ -48,7 +39,6 @@ TRANSFORMS = {
     "drop": lambda graph, other, seed: drop_random_nodes(graph, 0.2, rng=seed),
     "masquerade": lambda graph, other, seed: apply_masquerade(graph, fraction=0.2, seed=seed)[0],
     "decay": lambda graph, other, seed: combine_with_decay([graph, other], decay=0.3),
-    "history": lambda graph, other, seed: history([graph, other]),
 }
 
 

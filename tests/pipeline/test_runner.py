@@ -440,7 +440,7 @@ class TestLiveObservability:
             batch = RecordBatch.from_records(window, LabelTable()).canonical()
             builder = sketch_window(
                 scheme,
-                [batch],
+                batch,
                 k=5,
                 epsilon=config.streaming_epsilon,
                 delta=config.streaming_delta,

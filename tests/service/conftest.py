@@ -75,7 +75,6 @@ def small_config() -> ServiceConfig:
     return ServiceConfig(
         num_shards=3,
         window_records=30,
-        window_buckets=1,
         queue_capacity=120,
         k=5,
         breaker=BreakerPolicy(

@@ -539,7 +539,7 @@ class TestProtocol:
         frontend.respond("GET", "/metrics")
         gauges = {name: value for name, _labels, value in registry.snapshot()["gauges"]}
         # Distinct labels, not records; 24 column bytes per retained
-        # record: the last window_buckets + 1 = 2 windows of 30.
+        # record: the last 2 windows of 30.
         assert gauges["service.labels"] == len(labels) == len(supervisor.labels)
         assert gauges["service.ingest_log_bytes"] == 24 * 60
         offer(frontend, records_factory(120, nodes=12, seed=6, start=500.0))

@@ -14,9 +14,7 @@ from repro import obs
 from repro.service import KillShard, ServiceConfig, ServiceServer, SignatureService
 
 #: Two shards, 30-record windows: 120 records close four windows.
-CONFIG = ServiceConfig(
-    num_shards=2, window_records=30, window_buckets=1, queue_capacity=240, k=5
-)
+CONFIG = ServiceConfig(num_shards=2, window_records=30, queue_capacity=240, k=5)
 
 
 def session(service, records):

@@ -4,29 +4,32 @@ chaos.
 Hypothesis drives a :class:`ShardSupervisor` through its ``/ingest``
 surface: posts whose times repeat and arrive out of order, duplicate edges,
 zero weights, self-loops and non-ASCII labels, posts that straddle window
-boundaries, ``window_buckets`` from 1 to 3, shard crashes (rebuilt from the
-ingest log), wedged shards (breaker open: reads fall back to the sketch
-tier), broken sketch builds (the shard goes DOWN until ``heal()``) and
-process restarts (a new supervisor on the same history directory, after
-DOWN shards are healed; records still queued die with the process).  Most
-labels churn with the window index, so the shards trim their ingest logs
-and the label table moves through generations while all of this happens.
-After every step it reads ``/signature`` and ``/anomaly`` for every label
-of the last two windows.
+boundaries, shard crashes (rebuilt from the ingest log), degraded shards
+(every rebuild fails until ``heal()``: reads fall back to the sketch tier),
+wedged shards (breaker open: the same fallback), broken sketch builds (the
+shard goes DOWN until ``heal()``) and process restarts (a new supervisor on
+the same history directory, with DEGRADED and DOWN shards left as they
+are; records still queued die with the process).  Most labels churn with
+the window index, so the shards trim their ingest logs and the label table
+moves through generations while all of this happens.  After every step it
+reads ``/signature`` and ``/anomaly`` for every label of the last two
+windows.
 The model keeps every admitted record as an :class:`EdgeRecord` and, per
 shard and window, runs the reference paths: ``canonical_order``, then one
-``add_edge`` per retained record (``graph_from_edges``, not the column
-builder the shards use) and the scheme's ``compute_all``; and one
-``observe_records`` over the window's retained records.  Segments must be
-SHA-256-equal to the model's, exact answers equal the model's signatures,
+``add_edge`` per record of the window (``graph_from_edges``, not the
+column builder the shards use) and the scheme's ``compute_all``; and one
+``observe_records`` over the window's records.  Segments must be
+SHA-256-equal to the model's, every store must hold exactly the windows
+the model says it does, exact answers equal the model's signatures,
 approximate answers equal the model's sketch of the shard's published
 window, and the sketch tier's Count-Min, SpaceSaving and Flajolet-Martin
-state is identical.  After a restart a window holds only buckets the new
-process ingested, and the sketch tier only sketches those.
+state is identical.  A restart resumes every shard at the highest window
+any store holds: a shard that lagged never stores the windows it missed,
+and the sketch tier only sketches windows the new process ingested.
 
-Weights include non-dyadic values and 1e16 at every ``window_buckets``:
-the shards' window graphs are fresh aggregation of the retained buckets,
-row order included, so order-sensitive float sums agree too.
+Weights include non-dyadic values and 1e16: the shards' window graphs are
+fresh aggregation of the window's bucket, row order included, so
+order-sensitive float sums agree too.
 """
 
 import hashlib
@@ -68,14 +71,23 @@ WEIGHTS = [0.0, 0.5, 1.0, 2.0, 3.0, 0.1, 0.2, 0.3, 1e16]
 
 
 class ScriptedFaults(ShardFaultInjector):
-    """Crash the engine or break the sketch tier's build at chosen windows."""
+    """Crash the engine, degrade the shard or break the sketch tier's build
+    at chosen windows.  A degraded shard's rebuilds fail until ``stuck``
+    is cleared."""
 
     def __init__(self):
-        self.crash_at, self.break_at = set(), set()
+        self.crash_at, self.degrade_at, self.break_at = set(), set(), set()
+        self.stuck = False
 
     def on_apply(self, shard_id, window):
-        if window in self.crash_at:
+        if window in self.degrade_at:
+            self.stuck = True
+        if self.stuck or window in self.crash_at:
             raise RuntimeError(f"scripted crash of shard {shard_id} at window {window}")
+
+    def on_rebuild(self, shard_id):
+        if self.stuck:
+            raise RuntimeError(f"scripted rebuild failure of shard {shard_id}")
 
     def on_sketch(self, shard_id, window):
         if window in self.break_at:
@@ -84,7 +96,6 @@ class ScriptedFaults(ShardFaultInjector):
 
 @st.composite
 def scenarios(draw):
-    window_buckets = draw(st.integers(1, 3))
     window_records = draw(st.integers(4, 14))
     label = st.integers(0, len(STABLE) + len(CHURNING) - 1)
     row = st.tuples(
@@ -105,12 +116,11 @@ def scenarios(draw):
         st.tuples(st.just("post"), post),
         st.tuples(st.just("post"), post),
         st.tuples(
-            st.sampled_from(["crash", "break", "heal", "wedge", "restart"]),
+            st.sampled_from(["crash", "degrade", "break", "heal", "wedge", "restart"]),
             st.integers(0, NUM_SHARDS - 1),
         ),
     )
     return (
-        window_buckets,
         window_records,
         draw(st.sampled_from(["tt", "ut"])),
         draw(st.booleans()),  # strictly increasing times: the unsorted path
@@ -157,11 +167,13 @@ class Model:
         self.config = config
         self.records = []
         self.windows = 0
-        self.down_since = {}  # shard -> first window it did not apply
+        self.lag_since = {}  # DEGRADED or DOWN shard -> first window it did not apply
+        self.down = set()  # shards that are DOWN
         self.recovered = {shard: set() for shard in range(NUM_SHARDS)}
+        self.missing = {shard: set() for shard in range(NUM_SHARDS)}  # lost at a restart
         self.wedged = set()  # shards whose breaker is open for good
         self.built = {}  # shard -> window of its cached sketch tier
-        self.restored = []  # the window each restart restored
+        self.base = -1  # the window the running process restored
         self.scheme = create_scheme(config.scheme, k=config.k)
         self.distance = get_distance(config.distance)
         self._signatures = {}
@@ -178,23 +190,9 @@ class Model:
             ]
         )
 
-    def floor(self, window):
-        """The first window whose bucket the process that closed
-        ``window`` ingested."""
-        return 1 + max([-1] + [r for r in self.restored if r < window])
-
-    def retained(self, shard, window, floor=None):
-        """The shard's buckets of ``window`` that its process holds; a
-        reader of a later window's log passes that log's ``floor``."""
-        floor = self.floor(window) if floor is None else floor
-        first = max(floor, window - self.config.window_buckets + 1)
-        return [self.bucket(shard, w) for w in range(first, window + 1)]
-
     def graph(self, shard, window):
         """The window's graph, freshly aggregated."""
-        return graph_from_edges(
-            (r.src, r.dst, r.weight) for part in self.retained(shard, window) for r in part
-        )
+        return graph_from_edges((r.src, r.dst, r.weight) for r in self.bucket(shard, window))
 
     def signatures(self, shard, window):
         """A closed window's signatures."""
@@ -205,6 +203,15 @@ class Model:
                 for node, signature in self.scheme.compute_all(graph, graph.senders()).items()
             }
         return self._signatures[shard, window]
+
+    def stored(self, shard, window):
+        """Whether the shard's store holds ``window``."""
+        return 0 <= window < self.applied(shard) and window not in self.missing[shard]
+
+    def served(self, shard, window):
+        """The signatures the shard's engine holds for ``window``: none for
+        a window its store lacks."""
+        return self.signatures(shard, window) if self.stored(shard, window) else {}
 
     def window(self, shard, window):
         """``(signatures, meta)`` of a shard's window."""
@@ -220,14 +227,13 @@ class Model:
             }
         return self.signatures(shard, window), meta
 
-    def sketch(self, shard, window, floor):
-        """The one-pass sketch of a closed window from a log starting at
-        window ``floor``: one ``observe_records`` over its retained
-        records, bucket by bucket; ``None`` when the log holds none of
-        them."""
-        if window < floor:
+    def sketch(self, shard, window):
+        """The one-pass sketch of a closed window: one ``observe_records``
+        over its records; ``None`` when the running process did not
+        ingest it."""
+        if window <= self.base:
             return None
-        if (shard, window, floor) not in self._sketches:
+        if (shard, window) not in self._sketches:
             builder = streaming_builder(
                 self.config.scheme,
                 k=self.config.k,
@@ -235,61 +241,78 @@ class Model:
                 delta=self.config.streaming_delta,
                 seed=self.config.seed,
             )
-            parts = self.retained(shard, window, floor)
-            builder.observe_records(r for part in parts for r in part)
-            self._sketches[shard, window, floor] = builder
-        return self._sketches[shard, window, floor]
+            builder.observe_records(self.bucket(shard, window))
+            self._sketches[shard, window] = builder
+        return self._sketches[shard, window]
 
     def sketches(self, shard):
         """The sketch tier's ``(current, previous)`` at the published window."""
         window = self.windows - 1
-        floor = self.floor(window + 1)
-        return self.sketch(shard, window, floor), self.sketch(shard, window - 1, floor)
+        return self.sketch(shard, window), self.sketch(shard, window - 1)
 
     def close_windows(self, faults):
         while len(self.records) >= (self.windows + 1) * self.config.window_records:
             window = self.windows
             for shard in range(NUM_SHARDS):
-                if shard not in self.down_since and window in faults[shard].crash_at:
+                if shard in self.lag_since:
+                    continue
+                if window in faults[shard].degrade_at:
+                    self.lag_since[shard] = window
+                elif window in faults[shard].crash_at:
                     self.recovered[shard].add(window)
             self.windows += 1
 
     def heal(self, shard):
         self.built.pop(shard, None)
-        start = self.down_since.pop(shard, self.windows)
+        self.down.discard(shard)
+        start = self.lag_since.pop(shard, self.windows)
         self.recovered[shard].update(range(start, self.windows))
 
     def restart(self):
-        """A new process restores the last window; what it had queued is
-        gone, and its breakers and sketch tiers start afresh."""
-        assert not self.down_since
-        del self.records[self.windows * self.config.window_records:]
-        self.restored.append(self.windows - 1)
+        """A new process resumes every shard at the highest window any
+        store holds: a lagging shard loses the windows up to it, and the
+        windows after it, with what was queued, are gone.  Breakers and
+        sketch tiers start afresh, and every shard is HEALTHY."""
+        restored = max(
+            [-1]
+            + [w for shard in range(NUM_SHARDS) for w in range(self.windows) if self.stored(shard, w)]
+        )
+        for shard, start in self.lag_since.items():
+            self.missing[shard].update(range(start, restored + 1))
+        del self.records[(restored + 1) * self.config.window_records:]
+        self.windows = restored + 1
+        self.base = restored
+        self.lag_since.clear()
+        self.down.clear()
         self.wedged.clear()
         self.built.clear()
+        # Windows after ``restored`` close again, over other records.
+        self._signatures.clear()
+        self._sketches.clear()
 
     def applied(self, shard):
         """Windows the shard's exact engine has applied."""
-        return self.down_since.get(shard, self.windows)
+        return self.lag_since.get(shard, self.windows)
 
     def read(self, node, endpoint, faults):
         """The ``(status, document fields)`` a read of ``node`` must get.
 
-        A wedged shard answers from the sketch of its published window,
-        built on the first such read of the window; a scripted failure of
-        that build marks the shard DOWN.
+        A DEGRADED or wedged shard answers from the sketch of its published
+        window, built on the first such read of the window; a scripted
+        failure of that build marks the shard DOWN.
         """
         shard = stable_hash64(node) % NUM_SHARDS
         window = self.windows - 1
-        if shard in self.down_since:
+        if shard in self.down:
             return 503, {}
-        if shard not in self.wedged:
-            now = self.signatures(shard, window).get(node) if window >= 0 else None
-            prev = self.signatures(shard, window - 1).get(node) if window >= 1 else None
+        if shard not in self.wedged and shard not in self.lag_since:
+            now = self.served(shard, window).get(node)
+            prev = self.served(shard, window - 1).get(node)
             return self._answer(endpoint, window, False, now, prev)
         if self.built.get(shard) != window:
             if window in faults[shard].break_at:
-                self.down_since[shard] = self.windows
+                self.down.add(shard)
+                self.lag_since.setdefault(shard, self.windows)
                 return 503, {}
             self.built[shard] = window
         current, previous = self.sketches(shard)
@@ -327,13 +350,16 @@ def check(supervisor, model, directory):
     for state in supervisor.shards:
         shard = state.shard_id
         applied = model.applied(shard)
-        windows = [model.window(shard, w) for w in range(applied)]
-        assert state.engine.window == applied - 1
-        assert state.engine.signatures == (windows[-1][0] if windows else {})
-        assert state.engine.prev_signatures == (windows[-2][0] if applied > 1 else {})
+        if state.engine is not None:
+            assert state.engine.window == applied - 1
+            assert state.engine.signatures == model.served(shard, applied - 1)
+            assert state.engine.prev_signatures == model.served(shard, applied - 2)
+        stored = [window for window in range(applied) if model.stored(shard, window)]
+        assert state.store.history.windows() == stored
         expected = CheckpointStore(Path(directory) / "model" / f"shard-{shard:02d}")
-        for window, (signatures, meta) in enumerate(windows):
-            expected.save_window(window, signatures, meta=meta)
+        for window in stored:
+            signatures, meta = model.window(shard, window)
+            expected.history.append([(window, signatures)], metas={window: meta})
             assert segment_digest(state.store, window) == segment_digest(expected, window)
         if state.health != HEALTH_DOWN:
             # The on-demand tier, read directly (faults are uninstalled).
@@ -347,12 +373,11 @@ def check(supervisor, model, directory):
 
 def run_scenario(scenario):
     """Drive one scenario against the model; returns the label-table
-    generations the service went through."""
-    window_buckets, window_records, scheme, ordered, steps = scenario
+    generations the service went through, and the model."""
+    window_records, scheme, ordered, steps = scenario
     config = ServiceConfig(
         num_shards=NUM_SHARDS,
         window_records=window_records,
-        window_buckets=window_buckets,
         queue_capacity=1 << 20,
         scheme=scheme,
         k=3,
@@ -401,6 +426,8 @@ def run_scenario(scenario):
                 model.close_windows(faults)
             elif kind == "crash":
                 faults[argument].crash_at.add(supervisor.window + 1)
+            elif kind == "degrade":
+                faults[argument].degrade_at.add(supervisor.window + 1)
             elif kind == "break":
                 faults[argument].break_at.add(supervisor.window + 1)
             elif kind == "wedge":
@@ -409,17 +436,20 @@ def run_scenario(scenario):
                     breaker.record_failure()
                 model.wedged.add(argument)
             elif kind == "heal":
-                supervisor.heal(argument)
+                faults[argument].stuck = False
+                assert supervisor.heal(argument)
                 model.heal(argument)
             else:
-                # A planned restart: DOWN shards are healed first, so every
-                # store holds the last window.
-                for shard in sorted(model.down_since):
-                    assert supervisor.heal(shard)
-                    model.heal(shard)
+                # The process dies with its DEGRADED and DOWN shards as
+                # they are; the new one's engines rebuild normally, and a
+                # fault scripted for a window it rolls back is gone.
                 generations += supervisor.generation
                 supervisor.close()
                 supervisor, frontend = start()
+                for injector in faults:
+                    injector.stuck = False
+                    for armed in (injector.crash_at, injector.degrade_at, injector.break_at):
+                        armed.difference_update([w for w in armed if w > supervisor.window])
                 model.restart()
             read_all(frontend, model, faults)
         assert supervisor.window == model.windows - 1
@@ -427,7 +457,7 @@ def run_scenario(scenario):
             supervisor.install_injector(shard, None)
         check(supervisor, model, directory)
         supervisor.close()
-    return generations + supervisor.generation
+    return generations + supervisor.generation, model
 
 
 def test_service_matches_reference_model():
@@ -442,13 +472,52 @@ def test_service_matches_reference_model():
     )
     @given(scenarios())
     def matches(scenario):
-        generations.append(run_scenario(scenario))
+        generations.append(run_scenario(scenario)[0])
         event(f"label-table generations: {min(generations[-1], 3)}{'+' * (generations[-1] > 3)}")
 
     matches()
     # Counted over the run: some generated scenarios swap (about one in
     # ten to one in four, by the events above).
     assert any(generations), generations
+
+
+def posts(count, start=0):
+    """``count`` one-row posts over the label pool, sources cycling."""
+    pool = len(STABLE) + len(CHURNING)
+    return [
+        ("post", ([(index, index % pool, (index + 1) % pool, WEIGHTS[index % 9], False)], []))
+        for index in range(start, start + count)
+    ]
+
+
+@pytest.mark.parametrize("scheme", ["tt", "ut"])
+@pytest.mark.parametrize(
+    "faults,lost",
+    [
+        # Shard 0 DEGRADED from window 2 and shard 1 DOWN from window 3
+        # when the process dies at window 4; after the restart shard 0
+        # crashes once, and its rebuild reads a store with a gap.
+        (
+            [("degrade", 0), ("wedge", 1), ("break", 1)],
+            {0: {2, 3, 4}, 1: {3, 4}, 2: set()},
+        ),
+        # Every shard lags: the fleet resumes at the highest stored window,
+        # and the windows after it close again over new records.
+        ([("degrade", 0), ("degrade", 1), ("degrade", 2)], {0: set(), 1: set(), 2: set()}),
+    ],
+    ids=["some-shards-lag", "every-shard-lags"],
+)
+def test_restart_while_shards_lag(scheme, faults, lost):
+    """A restart with lagging shards, scripted: each store keeps the
+    fleet's window numbers and never holds a window the shard missed."""
+    steps = (
+        posts(8) + faults + posts(12, 8) + [("restart", 0)]
+        + posts(8, 20) + [("crash", 0)] + posts(8, 28)
+    )
+    _generations, model = run_scenario((4, scheme, True, steps))
+    assert model.missing == lost
+    assert model.base == (4 if any(lost.values()) else 1)
+    assert model.recovered[0] and not model.lag_since
 
 
 @pytest.mark.parametrize("scheme", ["tt", "ut"])

@@ -38,7 +38,7 @@ def batch(records):
 
 class TestApply:
     def test_windows_advance_and_signatures_appear(self, config, buckets):
-        engine = ShardEngine(0, config, labels=buckets[0].labels)
+        engine = ShardEngine(0, config)
         assert engine.window == -1
         for bucket in buckets:
             engine.apply(bucket)
@@ -50,8 +50,8 @@ class TestApply:
         assert engine.signature("no-such-node") is None
 
     def test_apply_is_order_invariant_within_bucket(self, config, buckets):
-        forward = ShardEngine(0, config, labels=buckets[0].labels)
-        shuffled = ShardEngine(0, config, labels=buckets[0].labels)
+        forward = ShardEngine(0, config)
+        shuffled = ShardEngine(0, config)
         for bucket in buckets:
             forward.apply(bucket)
             shuffled.apply(bucket.take(slice(None, None, -1)))
@@ -61,7 +61,7 @@ class TestApply:
         from repro.pipeline.checkpoint import CheckpointStore
 
         engine = ShardEngine(
-            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+            0, config, store=CheckpointStore(tmp_path)
         )
         for bucket in buckets:
             engine.apply(bucket)
@@ -70,7 +70,7 @@ class TestApply:
         assert not scan.issues
 
     def test_persistence_needs_two_windows(self, config, buckets):
-        engine = ShardEngine(0, config, labels=buckets[0].labels)
+        engine = ShardEngine(0, config)
         engine.apply(buckets[0])
         node = next(iter(engine.signatures))
         assert engine.persistence(node) is None
@@ -88,7 +88,7 @@ class TestApply:
         monkeypatch.setattr(
             shard_module, "get_distance", lambda name: lambda a, b: 1.5
         )
-        engine = ShardEngine(0, config, labels=buckets[0].labels)
+        engine = ShardEngine(0, config)
         engine.apply(buckets[0])
         engine.apply(buckets[1])
         survivors = [n for n in engine.signatures if n in engine.prev_signatures]
@@ -97,7 +97,7 @@ class TestApply:
         assert registry.counter_value("distance.out_of_range", path="shard.persistence") == 1.0
 
     def test_query_index_matches_signatures(self, config, buckets):
-        engine = ShardEngine(0, config, labels=buckets[0].labels)
+        engine = ShardEngine(0, config)
         for bucket in buckets:
             engine.apply(bucket)
         index = engine.query_index()
@@ -114,14 +114,14 @@ class TestRebuild:
         assert rebuilt.prev_signatures == reference.prev_signatures
 
     def run_reference(self, config, buckets, store=None):
-        engine = ShardEngine(0, config, labels=buckets[0].labels, store=store)
+        engine = ShardEngine(0, config, store=store)
         for bucket in buckets:
             engine.apply(bucket)
         return engine
 
     def test_rebuild_without_store_recomputes_identically(self, config, buckets):
         reference = self.run_reference(config, buckets)
-        rebuilt = ShardEngine(0, config, labels=buckets[0].labels)
+        rebuilt = ShardEngine(0, config)
         issues = rebuilt.rebuild(buckets)
         assert issues == []
         self.assert_identical(rebuilt, reference)
@@ -133,7 +133,7 @@ class TestRebuild:
             config, buckets, store=CheckpointStore(tmp_path)
         )
         rebuilt = ShardEngine(
-            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+            0, config, store=CheckpointStore(tmp_path)
         )
         issues = rebuilt.rebuild(buckets)
         assert issues == []
@@ -156,7 +156,7 @@ class TestRebuild:
         assert damaged.signatures == reference.signatures
         corrupt_checkpoint(tmp_path, window=2)
         rebuilt = ShardEngine(
-            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+            0, config, store=CheckpointStore(tmp_path)
         )
         issues = rebuilt.rebuild(buckets)
         assert any("hash verification" in issue for issue in issues)
@@ -170,13 +170,13 @@ class TestRebuild:
 
         reference = self.run_reference(config, buckets)
         store = CheckpointStore(tmp_path)
-        partial = ShardEngine(0, config, labels=buckets[0].labels, store=store)
+        partial = ShardEngine(0, config, store=store)
         for bucket in buckets[:2]:
             partial.apply(bucket)
         # Two windows checkpointed, four ingested: the rebuild loads the
         # verified prefix and recomputes (and persists) the rest.
         rebuilt = ShardEngine(
-            0, config, labels=buckets[0].labels, store=CheckpointStore(tmp_path)
+            0, config, store=CheckpointStore(tmp_path)
         )
         rebuilt.rebuild(buckets)
         self.assert_identical(rebuilt, reference)
@@ -187,20 +187,10 @@ class TestRebuildCost:
     unverified one, so its work does not grow with the windows behind it."""
 
     @pytest.mark.parametrize("with_store", [False, True])
-    @pytest.mark.parametrize("window_buckets", [1, 2, 3])
-    def test_flat_in_uptime(
-        self, records_factory, tmp_path, monkeypatch, window_buckets, with_store
-    ):
+    def test_flat_in_uptime(self, config, records_factory, tmp_path, monkeypatch, with_store):
         from repro.graph import windows
         from repro.pipeline.checkpoint import CheckpointStore
 
-        config = ServiceConfig(
-            num_shards=1,
-            window_records=25,
-            window_buckets=window_buckets,
-            queue_capacity=100,
-            k=5,
-        )
         calls = Counter()
         aggregate, load = windows.aggregate_records, CheckpointStore.load_window
 
@@ -221,7 +211,7 @@ class TestRebuildCost:
             def store():
                 return CheckpointStore(directory) if with_store else None
 
-            reference = ShardEngine(0, config, labels=labels, store=store())
+            reference = ShardEngine(0, config, store=store())
             for bucket in buckets:
                 reference.apply(bucket)
             files = sorted(directory.rglob("*")) if with_store else []
@@ -229,7 +219,7 @@ class TestRebuildCost:
             with monkeypatch.context() as patch:
                 patch.setattr(windows, "aggregate_records", counting_aggregate)
                 patch.setattr(CheckpointStore, "load_window", counting_load)
-                rebuilt = ShardEngine(0, config, labels=labels, store=store())
+                rebuilt = ShardEngine(0, config, store=store())
                 assert rebuilt.rebuild(buckets) == []
             costs.append(dict(calls))
             assert calls["load_window"] <= 2
@@ -247,15 +237,15 @@ def test_rebuild_heals_corrupt_checkpoint_per_scheme(records_factory, tmp_path, 
     from repro.pipeline.checkpoint import CheckpointStore
 
     config = ServiceConfig(
-        num_shards=1, window_records=25, window_buckets=2, queue_capacity=100, k=5, scheme=scheme
+        num_shards=1, window_records=25, queue_capacity=100, k=5, scheme=scheme
     )
     labels = LabelTable()
     buckets = chunk(records_factory(150, nodes=10, seed=3), 25, labels)
-    engine = ShardEngine(0, config, labels=labels, store=CheckpointStore(tmp_path))
+    engine = ShardEngine(0, config, store=CheckpointStore(tmp_path))
     for bucket in buckets:
         engine.apply(bucket)
     corrupt_checkpoint(tmp_path, window=1)
-    rebuilt = ShardEngine(0, config, labels=labels, store=CheckpointStore(tmp_path))
+    rebuilt = ShardEngine(0, config, store=CheckpointStore(tmp_path))
     assert rebuilt.rebuild(buckets)
     assert rebuilt.signatures == engine.signatures
     assert rebuilt.prev_signatures == engine.prev_signatures
@@ -277,9 +267,9 @@ def graph_state(graph):
 
 
 class TestRebuildFromLastBuckets:
-    """A window's graph depends only on its own buckets, so an engine
-    rebuilt from the last ``window_buckets`` of them is the long-running
-    engine: same graph, orders and bits included, and same signatures."""
+    """A window's graph is its own bucket's, so an engine rebuilt from the
+    last buckets, one or more, is the long-running engine: same graph,
+    orders and bits included, and same signatures."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -298,11 +288,10 @@ class TestRebuildFromLastBuckets:
             max_size=7,
         ),
     )
-    def test_matches_long_running_engine(self, window_buckets, scheme, rows):
+    def test_matches_long_running_engine(self, tail_length, scheme, rows):
         config = ServiceConfig(
             num_shards=1,
             window_records=10,
-            window_buckets=window_buckets,
             queue_capacity=100,
             scheme=scheme,
             k=3,
@@ -315,11 +304,11 @@ class TestRebuildFromLastBuckets:
             )
             for bucket in rows
         ]
-        long_running = ShardEngine(0, config, labels=labels)
+        long_running = ShardEngine(0, config)
         for bucket in buckets:
             long_running.apply(bucket)
-        tail = buckets[-window_buckets:]
-        rebuilt = ShardEngine(0, config, labels=labels)
+        tail = buckets[-tail_length:]
+        rebuilt = ShardEngine(0, config)
         rebuilt.rebuild(tail, base_window=len(buckets) - len(tail) - 1)
         assert rebuilt.window == long_running.window
         assert graph_state(rebuilt.aggregator.graph) == graph_state(long_running.aggregator.graph)
@@ -344,30 +333,35 @@ class TestSketchTier:
         value = tier.persistence(node)
         assert value is not None and value == pytest.approx(1.0)
 
-    def test_sliding_window_retention(self, records_factory):
-        config = ServiceConfig(
-            num_shards=1, window_records=25, window_buckets=2, queue_capacity=100, k=5
-        )
+    def test_sliding_window_retention(self, config, records_factory):
+        """Each sketch window is one bucket: ``current`` the last and
+        ``previous`` the one before, never both."""
         labels = LabelTable()
         only_first = records_factory(20, nodes=4, seed=1)
         log = [
             RecordBatch.from_records(only_first, labels),
             RecordBatch.from_records(records_factory(20, nodes=4, seed=2, start=100.0), labels),
         ]
+
+        def volume(sketch):
+            return sum(sketch._out_volume.values())
+
+        def bucket_volume(bucket):
+            return float(bucket.weight[bucket.src != bucket.dst].sum())
+
         tier = SketchTier(config, log, 1)
-        # One bucket later the first window's records are still retained...
-        assert tier.signature(only_first[0].src) is not None
+        assert volume(tier.current) == pytest.approx(bucket_volume(log[1]))
+        assert volume(tier.previous) == pytest.approx(bucket_volume(log[0]))
         log.append(
             RecordBatch.from_records(records_factory(20, nodes=4, seed=3, start=200.0), labels)
         )
         tier = SketchTier(config, log, 2)
-        # ...and the window has rolled fully past the first bucket.
+        # The tier has rolled fully past the first bucket.
         assert tier.window == 2
-        assert sum(tier.current._out_volume.values()) == pytest.approx(sum(
-            float(bucket.weight[bucket.src != bucket.dst].sum()) for bucket in log[1:]
-        ))
+        assert volume(tier.current) == pytest.approx(bucket_volume(log[2]))
+        assert volume(tier.previous) == pytest.approx(bucket_volume(log[1]))
 
-    def test_build_observes_each_window_record_once(self, records_factory, monkeypatch):
+    def test_build_observes_each_window_record_once(self, config, records_factory, monkeypatch):
         """A build sketches each of its two windows with one fresh builder
         that observes that window's records once, in canonical order."""
         from repro.streaming.stream_schemes import StreamingTopTalkers
@@ -380,9 +374,6 @@ class TestSketchTier:
             return original(self, observed_batch)
 
         monkeypatch.setattr(StreamingTopTalkers, "observe_batch", counting)
-        config = ServiceConfig(
-            num_shards=1, window_records=25, window_buckets=3, queue_capacity=100, k=5
-        )
         labels = LabelTable()
         log = [
             RecordBatch.from_records(
@@ -397,7 +388,7 @@ class TestSketchTier:
             id(tier.previous),
         }
         by_builder = {id(builder): records for builder, records in observed}
-        for builder, window in ((tier.current, log[2:5]), (tier.previous, log[1:4])):
+        for builder, window in ((tier.current, log[4:5]), (tier.previous, log[3:4])):
             assert by_builder[id(builder)] == [
                 record for bucket in window for record in bucket.canonical().records()
             ]
@@ -445,7 +436,7 @@ def test_close_builds_no_dict_rows(records_factory, scheme, monkeypatch):
     config = ServiceConfig(
         num_shards=1, window_records=50, queue_capacity=100, k=5, scheme=scheme
     )
-    engine = ShardEngine(0, config, labels=labels)
+    engine = ShardEngine(0, config)
     for start in range(0, len(records), 50):
         engine.apply(RecordBatch.from_records(records[start:start + 50], labels))
     assert engine.window == 3 and engine.signatures

@@ -1,5 +1,6 @@
 """Supervision: routing, lockstep windows, restart budget, escalation, heal."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 import repro.service.shard as shard_module
 from repro import obs
 from repro.exceptions import ShardDown
-from repro.graph.batch import RecordBatch
+from repro.graph.batch import LabelTable, RecordBatch
 from repro.graph.stream import EdgeRecord
 from repro.service import (
     HEALTH_DEGRADED,
@@ -25,6 +26,7 @@ from repro.service import (
     corrupt_checkpoint,
 )
 from repro.service.chaos import ShardFaultInjector
+from repro.service.supervisor import IngestLog
 
 
 def as_batch(supervisor, records):
@@ -70,7 +72,7 @@ class TestRouting:
         for state in supervisor.shards:
             assert state.engine.window == 3
             assert supervisor.sketch_tier(state).window == 3
-            # The last window_buckets + 1 buckets: windows 2 and 3.
+            # The last two buckets: windows 2 and 3.
             assert len(state.log.buckets) == 2 and state.log.base == 1
 
     def test_shards_cover_all_signatures(self, small_config, traffic):
@@ -148,6 +150,44 @@ class TestRecovery:
         for bucket in traffic:
             reference.ingest(as_batch(reference, bucket))
         assert state.engine.signatures == reference.shards[0].engine.signatures
+
+    def test_restart_while_a_shard_lags_keeps_the_fleet_numbering(
+        self, records_factory, tmp_path
+    ):
+        """Regression: a shard DEGRADED when the process died resumed at its
+        own last stored window, so the fleet's next windows 6 and 7 were
+        applied, reported and stored as its windows 3 and 4.  Every shard
+        now resumes at the fleet's window: the lagging store holds 0-2 and
+        then 6 and 7, as a run without faults computes them, and 3-5 are
+        absent."""
+        config = ServiceConfig(num_shards=2, window_records=40, max_restarts=0, k=5)
+        buckets = windows_of(records_factory(320, nodes=12, seed=11), size=40)
+        reference = ShardSupervisor(config, history_dir=tmp_path / "reference")
+        for bucket in buckets:
+            reference.ingest(as_batch(reference, bucket))
+        first = ShardSupervisor(config, history_dir=tmp_path / "chaotic")
+        first.install_injector(0, KillShard(at_window=3, rebuild_failures=99))
+        for bucket in buckets[:6]:
+            first.ingest(as_batch(first, bucket))
+        assert first.shards[0].health == HEALTH_DEGRADED
+        first.close()
+
+        restarted = ShardSupervisor(config, history_dir=tmp_path / "chaotic")
+        assert restarted.window == 5
+        assert [shard["window"] for shard in restarted.status()["shards"]] == [5, 5]
+        for bucket in buckets[6:]:
+            restarted.ingest(as_batch(restarted, bucket))
+        assert [shard["window"] for shard in restarted.status()["shards"]] == [7, 7]
+        lagging = restarted.shards[0]
+        assert lagging.health == HEALTH_HEALTHY
+        assert lagging.store.history.windows() == [0, 1, 2, 6, 7]
+        for window in lagging.store.history.windows():
+            assert lagging.store.load_window(window) == reference.shards[0].store.load_window(
+                window
+            )
+        assert lagging.engine.signatures == reference.shards[0].engine.signatures
+        assert lagging.engine.prev_signatures == reference.shards[0].engine.prev_signatures
+        assert restarted.shards[1].store.history.windows() == list(range(8))
 
     def test_sketch_failure_goes_down_then_heals(self, small_config, traffic):
         supervisor = ShardSupervisor(small_config)
@@ -239,19 +279,15 @@ def segment_digests(directory):
 
 
 class TestBoundedMemory:
-    @pytest.mark.parametrize("window_buckets", [1, 2])
-    def test_log_and_label_table_stay_bounded(self, window_buckets, registry):
-        """Over 10 x (window_buckets + 2) windows of churning labels the
-        logs hold the last window_buckets + 1 windows, and the label table
-        at most twice two labels per retained record: it swaps once it
-        passes twice what is live."""
-        config = ServiceConfig(
-            num_shards=3, window_records=30, window_buckets=window_buckets, k=5
-        )
+    def test_log_and_label_table_stay_bounded(self, registry):
+        """Over 30 windows of churning labels the logs hold the last two
+        windows, and the label table at most twice two labels per retained
+        record: it swaps once it passes twice what is live."""
+        config = ServiceConfig(num_shards=3, window_records=30, k=5)
         supervisor = ShardSupervisor(config)
         frontend = ServiceFrontend(supervisor, config)
-        retained = (window_buckets + 1) * config.window_records
-        for window in range(10 * (window_buckets + 2)):
+        retained = 2 * config.window_records
+        for window in range(30):
             supervisor.ingest(as_batch(supervisor, churning_window(window)))
             frontend.respond("GET", "/metrics")
             gauges = {name: value for name, _labels, value in registry.snapshot()["gauges"]}
@@ -259,23 +295,29 @@ class TestBoundedMemory:
             assert gauges["service.labels"] <= 4 * retained
         assert supervisor.generation > 0
         for state in supervisor.shards:
-            assert len(state.log.buckets) == window_buckets + 1
+            assert len(state.log.buckets) == 2
             assert state.log.end == supervisor.window
-        assert sum(state.records_ingested for state in supervisor.shards) == 30 * (
-            10 * (window_buckets + 2)
-        )
+        assert sum(state.records_ingested for state in supervisor.shards) == 30 * 30
+
+    def test_ingest_log_is_a_base_and_its_buckets(self):
+        assert [f.name for f in dataclasses.fields(IngestLog)] == ["base", "buckets"]
+        assert IngestLog().end == -1
+        assert IngestLog(base=4, buckets=[RecordBatch.from_records([], LabelTable())] * 2).end == 6
+
+    def test_service_windows_take_no_bucket_count(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(window_buckets=2)
 
     @pytest.mark.parametrize("damaged", [3, 7])
-    def test_rebuild_over_a_trimmed_log_recomputes_only_whole_windows(
+    def test_rebuild_over_a_trimmed_log_recomputes_only_logged_windows(
         self, tmp_path, registry, damaged
     ):
-        """At window_buckets = 2 a log trimmed to base 6 (windows 7, 8, 9)
-        holds only the second of window 7's buckets.  A checkpoint damaged
-        at or before window 7, then a crash, leaves the damaged window a
-        reported issue: the rebuild recomputes from window 8, the log's
-        first whole window, and every window the store holds reads as a
-        run without faults'."""
-        config = ServiceConfig(num_shards=3, window_records=30, window_buckets=2, k=5)
+        """A log trimmed to base 7 holds windows 8 and 9.  A checkpoint
+        damaged at or before window 7, then a crash at window 10, leaves
+        the damaged window a reported issue: the rebuild verifies only the
+        log's windows, so it loads 8 and 9 and recomputes 10, and every
+        window the store holds reads as a run without faults'."""
+        config = ServiceConfig(num_shards=3, window_records=30, k=5)
         reference = ShardSupervisor(config, history_dir=tmp_path / "reference")
         chaotic = ShardSupervisor(config, history_dir=tmp_path / "chaotic")
         state = chaotic.shards[1]
@@ -286,7 +328,7 @@ class TestBoundedMemory:
             for supervisor in (reference, chaotic):
                 supervisor.ingest(as_batch(supervisor, churning_window(window)))
             if window == 9:
-                assert (state.log.base, state.log.whole_from) == (6, 8)
+                assert state.log.base == 7
         assert state.health == HEALTH_HEALTHY
         assert registry.counter_value("shard.checkpoint_issues", shard="1") >= 1
         assert damaged not in state.store.history
@@ -295,7 +337,7 @@ class TestBoundedMemory:
             if window != damaged:
                 signatures, meta = state.store.load_window(window)
                 assert signatures == reference.shards[1].store.load_window(window)[0]
-                assert meta.get("recovered", False) == (window >= 8)
+                assert meta.get("recovered", False) == (window == 10)
 
     def test_down_shard_keeps_its_log_across_generations(self, small_config, tmp_path):
         """A DOWN shard keeps every bucket while the others trim and the

@@ -11,12 +11,12 @@ import pytest
 from repro import (
     AnomalyDetector,
     Deanonymizer,
-    HistorySignatureBuilder,
     MasqueradeDetector,
     MultiusageDetector,
     SequenceMonitor,
     anonymize_graph,
     apply_masquerade,
+    combine_with_decay,
     create_scheme,
     edges_in_build_order,
     get_distance,
@@ -81,10 +81,8 @@ class TestHistoryBackedMonitoring:
         hosts = tiny_enterprise.local_hosts
         victim = hosts[1]
 
-        builder = HistorySignatureBuilder(scheme, decay=0.5)
-        builder.push(tiny_enterprise.graphs[0])
-        builder.push(tiny_enterprise.graphs[1])
-        before = builder.signatures(hosts)
+        history = [tiny_enterprise.graphs[0], tiny_enterprise.graphs[1]]
+        before = scheme.compute_all(combine_with_decay(history, decay=0.5), hosts)
 
         window = tiny_enterprise.graphs[2]
         edges = edges_in_build_order(window)
@@ -92,8 +90,8 @@ class TestHistoryBackedMonitoring:
         rng = np.random.default_rng(0)
         for index in range(25):
             edges[victim, f"weird-{index}"] = float(rng.integers(1, 6))
-        builder.push(rebuilt(window, edges))
-        after = builder.signatures(hosts)
+        history.append(rebuilt(window, edges))
+        after = scheme.compute_all(combine_with_decay(history, decay=0.5), hosts)
 
         drops = {
             host: shel(before[host], after[host]) for host in hosts

@@ -38,6 +38,13 @@ class TestSurface:
         ):
             assert issubclass(getattr(repro, name), repro.ReproError)
 
+    def test_history_builder_is_gone(self):
+        """``combine_with_decay`` then ``compute_all`` is the one decayed-history path."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.history")
+        assert "HistorySignatureBuilder" not in repro.__all__
+        assert "combine_with_decay" in repro.__all__
+
 
 class TestEndToEnd:
     def test_quickstart_path(self):
@@ -80,7 +87,7 @@ PUBLIC_NAMES = {
         AnomalyDetector ApproxSignatureIndex BipartiteGraph CheckpointError CheckpointStore
         CommGraph CountMinSketch CsvRecordSource DatasetError Deanonymizer DistanceError
         EdgeRecord EnterpriseFlowGenerator EnterpriseParams ErrorBudgetExceeded ExperimentError
-        FlajoletMartin GraphBuilder GraphError GraphSequence HistorySignatureBuilder InTalkers
+        FlajoletMartin GraphBuilder GraphError GraphSequence InTalkers
         IterableRecordSource MasqueradeDetector MatchingError MinHasher MultiusageDetector
         PerturbationError PipelineConfig PipelineError PipelineResult QueryLogGenerator
         QueryLogParams RandomWalkWithResets ReadReport RejectedRow ReproError RetryPolicy
@@ -103,7 +110,7 @@ PUBLIC_NAMES = {
         anonymize_graph masquerade_accuracy persistence_by_lag
     """.split(),
     "repro.core": """
-        ComputeEngine DistanceFunction HistorySignatureBuilder InTalkers PropertyEllipse
+        ComputeEngine DistanceFunction InTalkers PropertyEllipse
         PropertyProfile PushRandomWalk RandomWalkWithResets RocCurve SchemeRanking
         Signature SignaturePack SignatureScheme TopTalkers UnexpectedTalkers auc_from_ranks
         available_distances available_schemes create_scheme cross_matrix cross_pair_distances

@@ -557,7 +557,7 @@ def bench_sketch_accuracy(data, repeats: int):
         for window, (graph, batch) in enumerate(zip(graphs, batches)):
             exact = scheme.compute_all(graph, hosts)
             wall, builder = timed(
-                lambda: sketch_window(name, [batch], **sizing), repeats=repeats
+                lambda: sketch_window(name, batch, **sizing), repeats=repeats
             )
             scored = [host for host in hosts if exact[host].nodes]
             approx = {host: builder.signature(host) for host in scored}
