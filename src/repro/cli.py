@@ -19,6 +19,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from typing import TYPE_CHECKING, Callable, Dict
@@ -296,20 +297,26 @@ def _cmd_serve(args: argparse.Namespace) -> None:
             f"replayed {args.input}: {service.supervisor.window + 1} windows closed"
         )
     with ServiceServer(service, host=args.host, port=args.port) as server:
-        print(f"signature service listening on {server.url}")
-        print(
-            "endpoints: /status /metrics /slo /trace/<id> /signature/<node> "
-            "/similar/<node>?k=N /anomaly/<node> /history/<node>?window=N "
-            "/trajectory/<node>?from=A&to=B (POST /ingest)"
-        )
+        # SIGTERM (what kill, systemd and container runtimes send) stops
+        # the service as Ctrl-C does: leaving the block drains the queue
+        # and closes the fleet.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
+            print(f"signature service listening on {server.url}")
+            print(
+                "endpoints: /status /metrics /slo /trace/<id> /signature/<node> "
+                "/similar/<node>?k=N /anomaly/<node> /history/<node>?window=N "
+                "/trajectory/<node>?from=A&to=B (POST /ingest)"
+            )
             if args.serve_for is not None:
                 time.sleep(args.serve_for)
             else:  # pragma: no cover - interactive path
                 while True:
                     time.sleep(3600.0)
-        except KeyboardInterrupt:  # pragma: no cover - interactive path
+        except KeyboardInterrupt:
             pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,25 +33,23 @@ class TopTalkers(SignatureScheme):
 
 def _row_shares(entries: RowEntries) -> np.ndarray:
     """TT's relevance of every entry (over in-rows, IT's): the entry's
-    share of its row total less the owner's self-loop, zero for the
-    self-loop itself.  Row totals are ``math.fsum`` of the row (correctly
-    rounded, so the same on every Python), then one vectorised division.
+    share of its row's total to other nodes, zero for the owner's
+    self-loop.  Row totals are ``math.fsum`` of the row without its
+    self-loop (correctly rounded, so the same on every Python), then one
+    vectorised division.
 
     The self-loop stays out of the denominator too: the paper's sum runs
     over edges ``(i, v)``, which includes a self-loop if present, but
     communication graphs essentially never hold one, and leaving it out
     keeps a weight the "fraction of talk directed at u"."""
     data = entries.data
-    values = data.tolist()
+    own = entries.own()
+    values = np.where(own, 0.0, data).tolist()
     ends = np.cumsum(entries.lengths).tolist()
     totals = np.array(
         [math.fsum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)], dtype=np.float64
     )
-    own = entries.own()
-    denominators = totals.copy()
-    denominators[entries.owner[own]] -= data[own]
-    valid = (totals != 0) & (denominators > 0)
-    use = valid[entries.owner] & ~own
+    use = (totals > 0)[entries.owner] & ~own
     shares = np.zeros(len(data))
-    shares[use] = data[use] / denominators[entries.owner[use]]
+    shares[use] = data[use] / totals[entries.owner[use]]
     return shares

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import operator
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from itertools import count, islice
+from typing import Callable, DefaultDict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,16 +62,19 @@ class LabelTable:
 
     Labels that compare equal share one id, represented by the object
     interned first (as a dict keeps its first key).  Any number of threads
-    may intern at once: new labels are added under a lock, and a label is
-    stored before its id is published, so every id a reader can see maps
-    back to its label.  :meth:`fingerprints` adds each label's
+    may intern at once: each call runs under a lock, and a label is stored
+    before any reader can see its id, so every id a reader can see maps
+    back to its label.  A call that raises adds no label.
+    :meth:`fingerprints` adds each label's
     ``stable_hash64`` (8 B per label), computed on first use.  A table
     never forgets a label; :meth:`RecordBatch.interned_into` moves a batch
     into another table, such as a fresh one.
     """
 
     def __init__(self) -> None:
-        self._ids: Dict[Hashable, int] = {}
+        # A missing label takes the next id as it is looked up, so one
+        # lookup per label both assigns and finds its id.
+        self._ids: DefaultDict[Hashable, int] = defaultdict(count().__next__)
         self._labels: List[Hashable] = []
         self._lock = threading.Lock()
         self._fingerprint_lock = threading.Lock()
@@ -93,8 +97,13 @@ class LabelTable:
     def ids_of(self, labels: Iterable[Hashable]) -> np.ndarray:
         """The ids of ``labels`` (int64, in order), ``-1`` for a label not
         in the table; adds nothing."""
+        stored = len(self._labels)
         get = self._ids.get
-        return np.array([get(label, -1) for label in labels], dtype=np.int64)
+        ids = np.array([get(label, -1) for label in labels], dtype=np.int64)
+        # An id past the labels stored before the lookups belongs to a
+        # call still interning: its label is not in the table yet.
+        ids[ids >= stored] = -1
+        return ids
 
     def intern(self, labels: Iterable[Hashable]) -> np.ndarray:
         """The ids of ``labels`` (int32, in order), adding new labels in
@@ -102,15 +111,21 @@ class LabelTable:
         if not isinstance(labels, (list, tuple)):
             labels = list(labels)
         ids = self._ids
-        new = list(filterfalse(ids.__contains__, dict.fromkeys(labels)))
-        if new:
-            with self._lock:
-                # Another thread may have added some since the check.
-                new = list(filterfalse(ids.__contains__, new))
-                start = len(self._labels)
-                self._labels.extend(new)
-                ids.update(zip(new, range(start, start + len(new))))
-        return np.fromiter(map(ids.__getitem__, labels), dtype=np.int32, count=len(labels))
+        with self._lock:
+            start = len(self._labels)
+            try:
+                found = np.fromiter(
+                    map(ids.__getitem__, labels), dtype=np.int32, count=len(labels)
+                )
+            except BaseException:
+                # Forget the labels this call added and reuse their ids.
+                for _ in range(len(ids) - start):
+                    ids.popitem()
+                ids.default_factory = count(start).__next__
+                raise
+            # The labels this call added are the map's newest keys.
+            self._labels.extend(reversed(list(islice(reversed(ids), len(ids) - start))))
+        return found
 
     def fingerprints(self) -> np.ndarray:
         """Every label's ``stable_hash64`` as a uint64 array indexed by id.

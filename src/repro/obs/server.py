@@ -16,11 +16,16 @@ third-party dependency (``http.server`` + a daemon thread):
 Every request increments ``obs.server.requests{route=...}`` on the served
 registry — scrapes are themselves observable — and is logged at debug
 level to the active event log.
+
+:class:`HttpListener` is the listener loop of this server and of the
+signature service's :class:`~repro.service.http.ServiceServer`.
 """
 
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,6 +40,37 @@ from repro.obs.timeseries import TimeSeriesStore
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 ROUTES = ("/metrics", "/healthz", "/snapshot.json", "/series.json")
+
+
+class HttpListener(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` served from a daemon thread whose loop
+    blocks with no timeout between connections.  :meth:`stop` wakes it
+    through a socket pair, so a stop never waits out a poll."""
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._wake, self._waker = socket.socketpair()
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self, name: str) -> None:
+        self._thread = threading.Thread(target=self._serve, name=name, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake, selectors.EVENT_READ)
+            while all(key.fileobj is self for key, _ in selector.select()):
+                self._handle_request_noblock()
+
+    def stop(self) -> None:
+        """Wake the loop, wait for its thread to exit, close every socket."""
+        self._waker.send(b"\0")
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        self.server_close()
+        self._wake.close()
+        self._waker.close()
 
 
 class ObsServer:
@@ -60,8 +96,7 @@ class ObsServer:
         self.host = host
         self.port = port
         self.meta = dict(meta or {})
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._httpd: Optional[HttpListener] = None
         self._log = logs.NULL_EVENT_LOG
         self._started_at = 0.0
         self._requests = 0
@@ -80,32 +115,21 @@ class ObsServer:
         if self._httpd is not None:
             raise RuntimeError("server already started")
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = HttpListener((self.host, self.port), handler)
         # Handler threads start with a fresh contextvar context, so capture
         # the event log active *now* for request-time logging.
         self._log = logs.get_event_log()
         self.port = self._httpd.server_address[1]
         self._started_at = time.time()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name=f"repro-obs-server:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        self._httpd.start(f"repro-obs-server:{self.port}")
         logs.emit("obs.server.started", level="info", url=self.url)
         return self
 
     def stop(self) -> None:
         if self._httpd is None:
             return
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._httpd.stop()
         self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
         logs.emit("obs.server.stopped", level="info", url=self.url,
                   requests=self._requests)
 

@@ -30,13 +30,14 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from repro import obs
 from repro.graph.batch import RecordBatch
 from repro.graph.stream import EdgeRecord
+from repro.obs.server import HttpListener
 from repro.service.config import ServiceConfig
 from repro.service.frontend import Response, ServiceFrontend
 from repro.service.supervisor import ShardSupervisor
@@ -171,8 +172,7 @@ class ServiceServer:
         self.host = host
         self.port = port
         self.pump_interval_s = pump_interval_s
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._httpd: Optional[HttpListener] = None
 
     @property
     def running(self) -> bool:
@@ -186,16 +186,9 @@ class ServiceServer:
         if self._httpd is not None:
             raise RuntimeError("server already started")
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = HttpListener((self.host, self.port), handler)
         self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name=f"repro-service-server:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        self._httpd.start(f"repro-service-server:{self.port}")
         self.service.start_pump(self.pump_interval_s)
         obs.emit("service.server.started", level="info", url=self.url)
         return self
@@ -204,12 +197,8 @@ class ServiceServer:
         if self._httpd is None:
             return
         self.service.close()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._httpd.stop()
         self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
         obs.emit("service.server.stopped", level="info", url=self.url)
 
     def __enter__(self) -> "ServiceServer":

@@ -18,12 +18,10 @@ must name the reference's members (but those so small they may round to
 zero) and give each member of exact weight ``x`` a weight within
 ``bound * x + ABS_BOUND`` of ``x``:
 
-- ``SUM_BOUND`` for UT and RWR, whose float paths add only non-negative
-  terms: one ulp per addition, a few dozen additions per value, bounded
-  far above by ``2**-40``.
-- TT and IT subtract the self-loop from the row total, which amplifies
-  the total's rounding by ``total / (total - self-loop)``; their bound is
-  ``SUM_BOUND`` times that factor.
+- ``SUM_BOUND`` for TT, IT, UT and RWR, whose float paths add only
+  non-negative terms (TT and IT total a row without its self-loop): one
+  ulp per addition, a few dozen additions per value, bounded far above by
+  ``2**-40``.
 - UT ``sqrt`` and ``tfidf`` add one ``sqrt`` or ``log`` rounding to
   ``SUM_BOUND`` (``SCALE_BOUND``).  ``log``'s argument ``|V| / |I(j)|`` is
   itself a rounded quotient, whose error ``log`` divides by
@@ -102,12 +100,11 @@ def window_of_graph(graph) -> Window:
 
 def shares(row: Dict[str, Fraction], owner: str) -> Exact:
     """TT/IT: each neighbour's share of the row's volume to other nodes."""
-    total = sum(row.values(), Fraction(0))
-    denominator = total - row.get(owner, Fraction(0))
+    others = {node: value for node, value in row.items() if node != owner}
+    denominator = sum(others.values(), Fraction(0))
     if denominator <= 0:
         return {}
-    bound = SUM_BOUND * total / denominator
-    return {node: (value / denominator, bound) for node, value in row.items() if node != owner}
+    return {node: (value / denominator, SUM_BOUND) for node, value in others.items()}
 
 
 def tt(window: Window, owner) -> Exact:
@@ -337,10 +334,11 @@ def test_tt_on_an_overflowing_edge_sum():
     assert_matches("tt", records)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the row total 1e16 + 1 rounds to 1e16, so the "
-    "denominator less the self-loop is 0, and TT gives a an empty signature",
-)
 def test_tt_on_a_self_loop_that_cancels_the_row_total():
+    # 1e16 + 1 rounds to 1e16: a row total taken with the self-loop, less
+    # the self-loop, is 0.  Definition 3 gives a the signature {b: 1.0}.
     assert_matches("tt", [("a", "a", 1e16), ("a", "b", 1.0)])
+
+
+def test_it_on_a_self_loop_that_cancels_the_row_total():
+    assert_matches("it", [("a", "a", 1e16), ("b", "a", 1.0)])

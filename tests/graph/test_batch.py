@@ -69,10 +69,22 @@ class TestLabelTable:
                 (label, type(label)) for label in stored
             ]
 
+    def test_a_call_that_raises_adds_no_label(self):
+        labels = LabelTable()
+        labels.intern(["x"])
+        with pytest.raises(TypeError):
+            labels.intern(["y", "x", ["unhashable"], "z"])
+        assert len(labels) == 1
+        assert labels.ids_of(["y", "z"]).tolist() == [-1, -1]
+        # The ids the failed call took are issued again, densely.
+        assert labels.intern(["z", "y", "x"]).tolist() == [1, 2, 0]
+        assert labels.labels_of(np.arange(len(labels))) == ["x", "z", "y"]
+
     @pytest.mark.parametrize("round_", range(5))
     def test_concurrent_interning_issues_each_id_once(self, round_):
         universe = [f"10.{i // 256}.{i % 256}.{i % 7}" for i in range(20000)]
-        labels, results, start = LabelTable(), {}, threading.Barrier(8)
+        labels, results, start = LabelTable(), {}, threading.Barrier(10)
+        done, reads = threading.Event(), []
 
         def worker(seed):
             rng = random.Random(seed)
@@ -84,19 +96,36 @@ class TestLabelTable:
                 for chunk in (order[i:i + 31] for i in range(0, len(order), 31))
             ]
 
-        threads = [
+        def reader():
+            # A reader never sees an id before its label is stored.
+            start.wait()
+            while not done.is_set():
+                ids = labels.ids_of(universe)
+                stored = len(labels)
+                known = np.flatnonzero(ids >= 0)
+                reads.append(
+                    bool((ids[known] < stored).all())
+                    and labels.labels_of(ids[known]) == [universe[i] for i in known]
+                )
+
+        writers = [
             threading.Thread(target=worker, args=(8 * round_ + seed,)) for seed in range(8)
         ]
+        readers = [threading.Thread(target=reader) for _ in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            for thread in threads:
+            for thread in writers + readers:
                 thread.start()
-            for thread in threads:
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in readers:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(thread.is_alive() for thread in writers + readers)
+        assert reads and all(reads)
         assert len(labels) == len(universe)
         # No id was issued twice: the ids are exactly 0..n-1, one per label.
         assert sorted(labels.labels_of(np.arange(len(labels)))) == sorted(universe)

@@ -10,6 +10,7 @@ never see a half-updated digest).
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -199,3 +200,14 @@ class TestScrapeDuringUpdate:
                 done.set()
                 writer.join()
         assert bad == []
+
+
+def test_stopping_an_idle_server_wakes_its_listener(registry):
+    # The listener blocks with no timeout; stop wakes it rather than
+    # waiting for a poll to come round.
+    server = ObsServer(registry).start()
+    name = f"repro-obs-server:{server.port}"
+    started = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - started < 0.05
+    assert name not in {thread.name for thread in threading.enumerate()}

@@ -1,6 +1,8 @@
 """The HTTP shell: a real server on an ephemeral port, end to end."""
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -131,3 +133,13 @@ class TestServer:
         finally:
             server.stop()
         assert not server.running
+
+    def test_stopping_an_idle_server_wakes_its_listener(self, service):
+        # The listener blocks with no timeout; stop wakes it rather than
+        # waiting for a poll to come round.
+        server = ServiceServer(service, port=0).start()
+        name = f"repro-service-server:{server.port}"
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.05
+        assert name not in {thread.name for thread in threading.enumerate()}

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.obs import validate_payload
 
@@ -489,3 +496,38 @@ class TestServeCli:
         prober.join(timeout=5)
         assert "replayed" in statuses["stdout"]
         assert statuses.get("code") == 200
+
+    def test_sigterm_drains_and_exits_cleanly(self, tmp_path):
+        from repro.graph.stream import EdgeRecord, write_edge_records
+
+        trace, empty = tmp_path / "trace.csv", tmp_path / "empty.csv"
+        write_edge_records(
+            [EdgeRecord(float(i), f"h{i % 5}", f"e{i % 9}", 1.0) for i in range(64)], trace
+        )
+        write_edge_records([], empty)
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+        def spawn_and_terminate(source):
+            """Serve ``source`` from the history dir, read ``/status``, then
+            SIGTERM the process; its window and exit status."""
+            with subprocess.Popen(
+                [
+                    sys.executable, "-u", "-m", "repro.cli", "serve", "--input", str(source),
+                    "--port", "0", "--window-records", "32", "--serve-for", "60",
+                    "--history-dir", str(tmp_path / "hist"),
+                ],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+            ) as process:
+                try:
+                    line = next(line for line in process.stdout if "listening on" in line)
+                    url = line.rsplit(" ", 1)[-1].strip()
+                    with urllib.request.urlopen(f"{url}/status", timeout=10) as reply:
+                        window = json.load(reply)["window"]
+                    process.send_signal(signal.SIGTERM)
+                    return window, process.wait(timeout=5)
+                finally:
+                    process.kill()
+
+        assert spawn_and_terminate(trace) == (1, 0)
+        # The restart restores the window the drained store holds.
+        assert spawn_and_terminate(empty) == (1, 0)
